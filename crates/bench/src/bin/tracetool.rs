@@ -1083,10 +1083,16 @@ fn serve(args: ServeArgs) {
             // the daemon may be long gone by drain time, and the summary
             // is telemetry, not a reason to die with a panic.
             use std::io::Write as _;
+            // The failure count is appended only when nonzero, so the
+            // summary line scripts grep stays unchanged for clean runs.
+            let failures = match sum.checkpoint_failures {
+                0 => String::new(),
+                n => format!(", {n} checkpoint failure(s)"),
+            };
             let _ = writeln!(
                 std::io::stdout(),
                 "drained: {} session(s) finished, {} suspended ({} idle-evicted), \
-                 {} error(s), {} shed busy",
+                 {} error(s), {} shed busy{failures}",
                 sum.finished, sum.suspended, sum.idle_suspended, sum.errors, sum.busy_rejected
             );
             if sum.errors > 0 {

@@ -176,11 +176,11 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
     let ckpt = dir.join("ckpt");
     std::fs::create_dir_all(&ckpt).expect("ckpt dir");
 
-    // Sizing: each periodic checkpoint cut re-runs analysis over the fed
-    // prefix, so cost grows with (chunks / checkpoint-every) × chunks.
-    // ~48 KiB at --checkpoint-every 100 keeps a session under a second
-    // while still spanning hundreds of chunk round-trips for chaos to
-    // land in.
+    // Sizing: each periodic checkpoint cut snapshots the session's
+    // detector, so its cost grows with the detector's state, not with
+    // the chunks fed. ~48 KiB at --checkpoint-every 100 keeps a session
+    // under a second while still spanning hundreds of chunk round-trips
+    // for chaos to land in.
     let mut traces = Vec::new();
     for i in 0..CLIENTS {
         let path = dir.join(format!("chaos_{i}.ftrc"));

@@ -424,3 +424,45 @@ fn draining_daemon_suspends_inflight_sessions() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn failed_checkpoint_writes_are_counted_in_the_drain_summary() {
+    let dir = scratch_dir("ckptfail");
+    // A directory where the session's checkpoint file belongs makes the
+    // atomic rename fail, whoever runs the daemon.
+    std::fs::create_dir_all(futrace_service::checkpoint_path(&dir, "blocked"))
+        .expect("block the checkpoint path");
+    let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    let file =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/prodcons_racy.ftrc");
+
+    // Three periodic checkpoints and the suspension all fail to persist.
+    let (stdout, code) = client(
+        &daemon.addr,
+        &file,
+        &[
+            "--chunk-events",
+            "8",
+            "--name",
+            "blocked",
+            "--checkpoint-every",
+            "1",
+            "--suspend-after",
+            "3",
+        ],
+    );
+    assert_eq!(code, Some(0), "client:\n{stdout}");
+    assert!(
+        stdout.contains("suspended after 0 chunk(s)"),
+        "nothing was checkpointed:\n{stdout}"
+    );
+
+    let (code, summary) = daemon.shutdown();
+    assert_eq!(code, Some(0), "drain exit: {summary}");
+    assert!(summary.contains("0 suspended"), "summary: {summary}");
+    assert!(
+        summary.contains("shed busy, 4 checkpoint failure(s)"),
+        "summary: {summary}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

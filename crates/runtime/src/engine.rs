@@ -305,10 +305,18 @@ pub struct Engine<A: Analysis> {
 impl<A: Analysis> Engine<A> {
     /// Fresh engine around `analysis`.
     pub fn new(analysis: A) -> Self {
+        Engine::resumed(analysis, EngineCounters::default(), 0)
+    }
+
+    /// Engine around an analysis restored from a checkpoint: counting
+    /// continues from `counters` and access numbering from `next_index`,
+    /// so the rest of the stream is counted and numbered exactly as in
+    /// an uninterrupted run.
+    pub fn resumed(analysis: A, counters: EngineCounters, next_index: u64) -> Self {
         Engine {
             analysis,
-            counters: EngineCounters::default(),
-            next_index: 0,
+            counters,
+            next_index,
             batch: Vec::new(),
         }
     }
@@ -324,6 +332,11 @@ impl<A: Analysis> Engine<A> {
     /// come from [`Engine::into_parts`]).
     pub fn counters(&self) -> &EngineCounters {
         &self.counters
+    }
+
+    /// The global index the next access check will carry.
+    pub fn next_index(&self) -> u64 {
+        self.next_index
     }
 
     /// Feeds a slice of events, batching each run of consecutive
@@ -756,6 +769,35 @@ mod tests {
         assert_eq!(pa.control, pb.control);
         assert_eq!(pa.checks, pb.checks, "same checks, same global indices");
         assert_eq!(ca, cb);
+    }
+
+    #[test]
+    fn resumed_engine_continues_counts_and_numbering() {
+        let mut log = EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let a = ctx.shared_array(2, 0u64, "a");
+            a.write(ctx, 0, 1);
+            let a2 = a.clone();
+            let f = ctx.future(move |ctx| a2.write(ctx, 1, 2));
+            ctx.get(&f);
+            let _ = a.read(ctx, 1);
+        });
+        let mut whole = Engine::new(Probe::default());
+        whole.consume_slice(&log.events);
+
+        let mid = log.events.len() / 2;
+        let mut head = Engine::new(Probe::default());
+        head.consume_slice(&log.events[..mid]);
+        let mut tail =
+            Engine::resumed(Probe::default(), head.counters().clone(), head.next_index());
+        tail.consume_slice(&log.events[mid..]);
+
+        let (w, wc) = whole.into_parts();
+        let (t, tc) = tail.into_parts();
+        assert_eq!(tc, wc, "counting continues from the head's counters");
+        let split = w.checks.len() - t.checks.len();
+        assert!(split > 0, "the head checked some accesses");
+        assert_eq!(t.checks, w.checks[split..], "numbering continues");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! then speaks the lock-step protocol — `Open`/`Hello`, one
 //! `Chunk`/`VerdictDelta` pair per chunk, `Finish`/`Final` — and hands
 //! back the daemon's verdict text verbatim. On resume it re-streams the
-//! full trace; the daemon's session skips the chunks its checkpoint
-//! already completed.
+//! full trace; the daemon restores its session's engine from the
+//! checkpoint, a snapshot of the detector's state rather than of the
+//! trace, and does not check the chunks it covers again.
 //!
 //! That no-local-state resume design is what makes reconnection simple:
 //! when a connection tears mid-stream (or the daemon sheds the session

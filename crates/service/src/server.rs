@@ -120,6 +120,9 @@ pub struct ServeSummary {
     pub busy_rejected: u64,
     /// Of `suspended`, the sessions evicted by the idle timeout.
     pub idle_suspended: u64,
+    /// Checkpoints (periodic or on suspension) that could not be cut or
+    /// persisted; the session's last durable checkpoint, if any, stays.
+    pub checkpoint_failures: u64,
 }
 
 /// Drain and quota accounting, surfaced after [`Server::run`].
@@ -132,6 +135,7 @@ struct ServeState {
     errors: AtomicU64,
     busy_rejected: AtomicU64,
     idle_suspended: AtomicU64,
+    checkpoint_failures: AtomicU64,
     active_sessions: AtomicU64,
     next_session: AtomicU64,
     next_conn: AtomicU64,
@@ -159,6 +163,7 @@ impl Server {
                 errors: AtomicU64::new(0),
                 busy_rejected: AtomicU64::new(0),
                 idle_suspended: AtomicU64::new(0),
+                checkpoint_failures: AtomicU64::new(0),
                 active_sessions: AtomicU64::new(0),
                 next_session: AtomicU64::new(1),
                 next_conn: AtomicU64::new(0),
@@ -231,6 +236,7 @@ impl Server {
             errors: self.state.errors.load(Ordering::SeqCst),
             busy_rejected: self.state.busy_rejected.load(Ordering::SeqCst),
             idle_suspended: self.state.idle_suspended.load(Ordering::SeqCst),
+            checkpoint_failures: self.state.checkpoint_failures.load(Ordering::SeqCst),
         })
     }
 }
@@ -594,17 +600,30 @@ fn suspend_to_disk(conn: &mut Conn, state: &ServeState) -> bool {
     let Some(path) = conn.checkpoint.take() else {
         return false;
     };
-    match session.suspend() {
-        Ok(Some(cp)) => {
-            if persist_checkpoint(&path, &cp.encode()).is_ok() {
-                state.suspended.fetch_add(1, Ordering::SeqCst);
-                true
-            } else {
-                false
-            }
-        }
-        _ => false,
+    let written = save_checkpoint(session.suspend(), &path, state);
+    if written {
+        state.suspended.fetch_add(1, Ordering::SeqCst);
     }
+    written
+}
+
+/// Persists a cut checkpoint, counting a failed cut or write in
+/// `checkpoint_failures`. Returns true when a checkpoint file was written
+/// (a session with nothing to checkpoint writes none, and is no failure).
+fn save_checkpoint(
+    cut: Result<Option<Checkpoint>, SessionError>,
+    path: &Path,
+    state: &ServeState,
+) -> bool {
+    let written = match cut {
+        Ok(None) => return false,
+        Ok(Some(cp)) => persist_checkpoint(path, &cp.encode()).is_ok(),
+        Err(_) => false,
+    };
+    if !written {
+        state.checkpoint_failures.fetch_add(1, Ordering::SeqCst);
+    }
+    written
 }
 
 /// Persists checkpoint bytes atomically: a write-then-rename through a
@@ -625,12 +644,8 @@ fn persist_checkpoint(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 /// Cuts and persists a periodic checkpoint without consuming the session.
 fn write_checkpoint_file(conn: &mut Conn, state: &ServeState) {
-    let (Some(session), Some(path)) = (conn.session.as_ref(), conn.checkpoint.as_ref()) else {
-        return;
-    };
-    if let Ok(Some(cp)) = session.checkpoint() {
-        let _ = persist_checkpoint(path, &cp.encode());
-        let _ = state; // counted only for terminal suspensions
+    if let (Some(session), Some(path)) = (conn.session.as_ref(), conn.checkpoint.as_ref()) {
+        save_checkpoint(session.checkpoint(), path, state);
     }
 }
 

@@ -11,22 +11,24 @@
 //! Chunk feeding drives the engine's batched dispatch path
 //! incrementally: the session keeps a live serial engine, consumes each
 //! chunk's events the moment they arrive, and reports a [`VerdictDelta`]
-//! (chunks / events / races so far) after every chunk. For a serial
-//! configuration the final verdict *is* that engine's verdict — the
-//! stream was analyzed as it arrived, nothing is replayed at
-//! [`Session::finish`]. Sharded and supervised configurations replay the
-//! accumulated (re-framed) trace through the existing offline pipelines,
-//! whose merged reports are identical to serial by the pipeline's own
-//! equivalence tests.
+//! (chunks / events / races so far) after every chunk. Unless the session
+//! was opened with explicit `shards`, the final verdict *is* that
+//! engine's verdict — exact by Theorem 2, checkpointed or resumed or not
+//! — and nothing is replayed at [`Session::finish`]. Sessions with
+//! explicit `shards`, and whole-trace feeds, replay through the existing
+//! offline pipelines, whose merged reports are identical to serial by the
+//! pipeline's own equivalence tests.
 //!
-//! Suspend/resume piggybacks on the supervised pipeline's FCKP
-//! checkpoints: [`Session::suspend`] replays the received prefix under
-//! `stop_after_chunks` to cut a checkpoint at the last completed chunk
-//! boundary, and a session opened with [`Session::open_resumed`] skips
-//! the completed prefix at finish while the client re-streams the full
-//! trace (skip-completed-work resume). Periodic [`Session::checkpoint`]
-//! calls use the same mechanism, so a killed daemon loses at most the
-//! chunks received since the last interval.
+//! Checkpoints are snapshots of that live engine, in the FCKP format of
+//! DESIGN S38: [`Session::checkpoint`] stores the control-event prefix
+//! collected as chunks arrived, the detector's access-derived state and
+//! the engine's counters. Those are Theorem 1's space terms, so a
+//! checkpoint costs O(detector state), not a replay of the chunks
+//! received. [`Session::open_resumed`] restores the engine from one, and
+//! [`Session::feed_chunk`] re-frames the chunks it covers without
+//! checking them again while the client re-streams the full trace. A
+//! daemon cutting periodic checkpoints loses at most the chunks received
+//! since the last interval when it is killed.
 
 use futrace_detector::{
     DetectorConfig, DetectorStats, DtrgReport, MemoryFootprint, RaceDetector, RaceReport,
@@ -34,11 +36,13 @@ use futrace_detector::{
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    run_sharded_events, run_supervised, trace_chunks, trace_events, Checkpoint, ShardPlan,
-    ShardStats, SupervisedOutcome, SuperviseError, SupervisionReport, SupervisorPlan,
+    run_sharded_events, run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress,
+    ShardPlan, ShardStats, SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan,
     SyntheticChunks, TraceError, TraceFingerprint,
 };
-use futrace_runtime::engine::{run_analysis, source, Analysis, Engine, EngineCounters};
+use futrace_runtime::engine::{
+    run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
+};
 use futrace_runtime::online::OnlineStats;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
@@ -57,8 +61,8 @@ pub enum SessionError {
     Supervise(String),
     /// The session configuration or feeding sequence is invalid.
     Config(String),
-    /// A checkpoint could not be cut, or a resumed checkpoint does not
-    /// match the re-streamed trace.
+    /// A resumed checkpoint could not be restored, or does not match the
+    /// re-streamed trace.
     Checkpoint(String),
 }
 
@@ -143,7 +147,9 @@ pub struct SessionConfig {
     pub detector: DetectorConfig,
     /// Sharded backend with this many detect workers; `None` = serial.
     pub shards: Option<usize>,
-    /// Supervised backend, barrier-snapshotting every N chunks.
+    /// Supervised backend, barrier-snapshotting every N chunks. A
+    /// wire-fed session without `shards` keeps its live engine instead;
+    /// the daemon cuts its checkpoints every N chunks.
     pub checkpoint_every: Option<u64>,
     /// Supervised backend with the deterministic fault plan from a seed.
     pub fault_seed: Option<u64>,
@@ -155,10 +161,6 @@ pub struct SessionConfig {
 /// list (which has no framed boundaries of its own).
 pub(crate) const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
-/// Checkpoint interval injected when a session must cut a checkpoint but
-/// was not configured with one (mirrors the CLI's historical default).
-const INJECT_CHECKPOINT_EVERY: u64 = 8;
-
 enum Feed {
     /// Nothing fed yet (finishing analyzes an empty stream).
     Empty,
@@ -166,12 +168,28 @@ enum Feed {
     Trace(Vec<u8>),
     /// A whole decoded event list, fed in one call.
     Events(Vec<Event>),
-    /// Chunk-at-a-time feeding: the re-framed accumulated trace plus the
-    /// live incremental engine.
+    /// Chunk-at-a-time feeding: the re-framed accumulated trace, the
+    /// live incremental engine, and the control events it has applied
+    /// (a checkpoint's control prefix).
     Wire {
         blob: Vec<u8>,
         engine: Box<Engine<RaceDetector>>,
+        control: Vec<Event>,
     },
+}
+
+impl Feed {
+    /// A wire feed around `engine`, with an empty framed trace.
+    fn wire(engine: Engine<RaceDetector>, control: Vec<Event>) -> Feed {
+        let mut blob = Vec::with_capacity(framed::HEADER_LEN);
+        blob.extend_from_slice(&framed::MAGIC);
+        blob.push(framed::VERSION);
+        Feed::Wire {
+            blob,
+            engine: Box::new(engine),
+            control,
+        }
+    }
 }
 
 /// One incremental analysis. See the module docs.
@@ -210,18 +228,44 @@ impl Session {
         })
     }
 
-    /// Opens a session resuming from a suspended session's checkpoint.
+    /// Opens a chunk-fed session resuming from a suspended session's
+    /// checkpoint, by restoring its live engine: the control prefix goes
+    /// back through `apply_control`, the detector's access-derived state
+    /// through `restore_state`, and counting and access numbering
+    /// continue from the checkpoint's.
     ///
     /// The feeder streams the *full* trace again (wire clients re-send
-    /// every chunk; the incremental delta engine re-consumes them so
-    /// deltas stay truthful); at [`Session::finish`] the supervised
-    /// backend skips the chunks the checkpoint already completed, so the
-    /// final report is identical to an uninterrupted run.
+    /// every chunk and keep no local state); [`Session::feed_chunk`]
+    /// re-frames the chunks the checkpoint covers without checking them
+    /// again, so the final report is identical to an uninterrupted run.
+    /// A checkpoint across several shards (cut by a replay before
+    /// checkpoints came from the live engine) cannot restore one engine:
+    /// it is ignored, and the session starts from chunk 0.
     pub fn open_resumed(
         cfg: SessionConfig,
         checkpoint: Checkpoint,
     ) -> Result<Session, SessionError> {
         let mut session = Session::open(cfg)?;
+        let ([state], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
+            return Ok(session);
+        };
+        let mut detector = RaceDetector::with_config(session.cfg.detector.clone());
+        for e in &checkpoint.control_events {
+            detector.apply_control(e);
+        }
+        detector
+            .restore_state(state)
+            .map_err(|e| SessionError::Checkpoint(e.to_string()))?;
+        let r = checkpoint.router;
+        let counters = EngineCounters {
+            events: r.events,
+            control_events: r.control_events,
+            reads: r.reads,
+            writes: r.writes,
+            ..EngineCounters::default()
+        };
+        let engine = Engine::resumed(detector, counters, checkpoint.next_access_index);
+        session.feed = Feed::wire(engine, checkpoint.control_events.clone());
         session.resume = Some(checkpoint);
         Ok(session)
     }
@@ -275,33 +319,27 @@ impl Session {
     /// dispatch path immediately and returning the incremental verdict.
     ///
     /// The chunk is also appended (re-framed, CRC'd) to the session's
-    /// accumulated trace so the sharded / supervised backends and the
-    /// checkpoint machinery can replay the exact stream received.
+    /// accumulated trace, which the fingerprint and the sharded /
+    /// supervised backends read. A resumed session re-frames the chunks
+    /// its checkpoint covers without checking them again; meanwhile the
+    /// delta's `races` is the checkpoint's count.
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
         let events =
             trace::decode(payload).map_err(|e| SessionError::Trace(TraceError::Decode(e)))?;
-        let (blob, engine) = match &mut self.feed {
-            Feed::Empty => {
-                let mut blob = Vec::with_capacity(framed::HEADER_LEN + payload.len());
-                blob.extend_from_slice(&framed::MAGIC);
-                blob.push(framed::VERSION);
-                self.feed = Feed::Wire {
-                    blob,
-                    engine: Box::new(Engine::new(RaceDetector::with_config(
-                        self.cfg.detector.clone(),
-                    ))),
-                };
-                match &mut self.feed {
-                    Feed::Wire { blob, engine } => (blob, engine),
-                    _ => unreachable!(),
-                }
-            }
-            Feed::Wire { blob, engine } => (blob, engine),
-            _ => {
-                return Err(SessionError::Config(
-                    "feed_chunk: the session was already fed a whole trace".to_string(),
-                ))
-            }
+        let covered = self.chunks < self.resumed_chunks();
+        if let Feed::Empty = self.feed {
+            let detector = RaceDetector::with_config(self.cfg.detector.clone());
+            self.feed = Feed::wire(Engine::new(detector), Vec::new());
+        }
+        let Feed::Wire {
+            blob,
+            engine,
+            control,
+        } = &mut self.feed
+        else {
+            return Err(SessionError::Config(
+                "feed_chunk: the session was already fed a whole trace".to_string(),
+            ));
         };
         // Re-frame the chunk exactly as the streaming recorder would.
         let mut header = [0u8; framed::CHUNK_HEADER_LEN];
@@ -311,7 +349,11 @@ impl Session {
         blob.extend_from_slice(&header);
         blob.extend_from_slice(payload);
 
-        engine.consume_slice(&events);
+        if !covered {
+            let is_control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
+            control.extend(events.iter().filter(is_control).cloned());
+            engine.consume_slice(&events);
+        }
         self.chunks += 1;
         self.events += events.len() as u64;
         Ok(VerdictDelta {
@@ -321,35 +363,21 @@ impl Session {
         })
     }
 
-    fn supervised(&self) -> bool {
-        self.cfg.checkpoint_every.is_some()
-            || self.cfg.fault_seed.is_some()
-            || self.resume.is_some()
-    }
-
-    fn supervisor_plan(&self) -> SupervisorPlan {
-        let mut plan = SupervisorPlan {
-            shard: ShardPlan::with_shards(self.cfg.shards.unwrap_or(ShardPlan::default().shards)),
-            ..SupervisorPlan::default()
-        };
-        plan.checkpoint_every_chunks = self.cfg.checkpoint_every;
-        if let Some(seed) = self.cfg.fault_seed {
-            plan = plan.with_faults(&FaultPlan::from_seed(seed));
-        }
-        plan
-    }
-
     /// Verifies a resumed checkpoint against the re-streamed trace. The
     /// fingerprint was taken over the *prefix* received before
     /// suspension, so the head CRC must match the same head span of the
     /// new blob and the new blob must be at least as long — a plain
-    /// `matches_trace` would reject the (longer) full trace.
+    /// `matches_trace` would reject the (longer) full trace. The session
+    /// must also have re-received every chunk the checkpoint covers.
     fn verify_resume_fingerprint(&self, blob: &[u8]) -> Result<(), SessionError> {
-        let Some(fp) = self.resume.as_ref().and_then(|c| c.fingerprint.as_ref()) else {
+        let Some(cp) = &self.resume else {
             return Ok(());
         };
-        let head = blob.len().min(FINGERPRINT_HEAD).min(fp.len as usize);
-        if (blob.len() as u64) < fp.len || crc32(&blob[..head]) != fp.head_crc {
+        let differs = cp.fingerprint.is_some_and(|fp| {
+            let head = blob.len().min(FINGERPRINT_HEAD).min(fp.len as usize);
+            (blob.len() as u64) < fp.len || crc32(&blob[..head]) != fp.head_crc
+        });
+        if differs || self.chunks < cp.chunks_completed {
             return Err(SessionError::Checkpoint(
                 "resumed session received a different trace than the checkpoint covers"
                     .to_string(),
@@ -358,46 +386,50 @@ impl Session {
         Ok(())
     }
 
-    /// Cuts an FCKP checkpoint covering every *completed* chunk received
-    /// so far (all but the most recent, which resume re-analyzes), by
-    /// replaying the accumulated prefix under the supervised pipeline's
-    /// `stop_after_chunks` hook. Returns `None` when fewer than two
-    /// chunks have arrived — there is no completed boundary to cut at.
+    /// Cuts an FCKP checkpoint covering every chunk received so far, as a
+    /// snapshot of the live engine: the control events it applied, the
+    /// detector's access-derived state, and its counters. The cost is
+    /// O(detector state), however many chunks were received. Returns
+    /// `None` before the first chunk, and for whole-trace feeds. Never
+    /// fails; the `Result` is part of the signature callers match on.
     ///
-    /// This is a replay, so checkpointing every N chunks costs O(n²/N)
-    /// over a session's life — acceptable at trace-analysis scale, and
-    /// the price of reusing the battle-tested supervised snapshot path
-    /// instead of growing a second checkpoint mechanism.
+    /// A resumed session that has not yet re-received the chunks its
+    /// checkpoint covers returns that checkpoint unchanged. A snapshot
+    /// claiming fewer chunks than its state covers would make the next
+    /// resume apply those chunks' control events twice.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, SessionError> {
-        let Feed::Wire { blob, .. } = &self.feed else {
+        if let Some(cp) = &self.resume {
+            if self.chunks < cp.chunks_completed {
+                return Ok(Some(cp.clone()));
+            }
+        }
+        let Feed::Wire {
+            blob,
+            engine,
+            control,
+        } = &self.feed
+        else {
             return Ok(None);
         };
-        if self.chunks < 2 {
-            return Ok(None);
-        }
-        let mut plan = self.supervisor_plan();
-        plan.shard = ShardPlan::with_shards(self.cfg.shards.unwrap_or(1).max(1));
-        plan.checkpoint_every_chunks =
-            Some(self.cfg.checkpoint_every.unwrap_or(INJECT_CHECKPOINT_EVERY));
-        plan.stop_after_chunks = Some(self.chunks - 1);
-        plan.fingerprint = Some(TraceFingerprint::of(blob));
-        let lenient = self.cfg.lenient;
-        let detector = self.cfg.detector.clone();
-        let out = run_supervised(
-            || trace_events(blob, lenient),
-            || RaceDetector::with_config(detector.clone()),
-            &plan,
-            self.resume.as_ref(),
-        )
-        .map_err(erase_supervise_error)?;
-        match out {
-            SupervisedOutcome::Suspended { checkpoint, .. } => Ok(Some(checkpoint)),
-            // Only reachable if chunk accounting and the framed blob
-            // disagree, which feed_chunk's construction rules out.
-            SupervisedOutcome::Completed { .. } => Err(SessionError::Checkpoint(
-                "checkpoint replay completed instead of suspending".to_string(),
-            )),
-        }
+        let c = engine.counters();
+        let mut state = Vec::new();
+        engine.analysis().save_state(&mut state);
+        Ok(Some(Checkpoint {
+            shards: 1,
+            events_consumed: c.events,
+            next_access_index: engine.next_index(),
+            chunks_completed: self.chunks,
+            router: RouterProgress {
+                events: c.events,
+                control_events: c.control_events,
+                reads: c.reads,
+                writes: c.writes,
+            },
+            control_events: control.clone(),
+            per_shard_accesses: vec![c.checks()],
+            shard_states: vec![state],
+            fingerprint: Some(TraceFingerprint::of(blob)),
+        }))
     }
 
     /// Suspends the session: cuts a checkpoint (see
@@ -411,21 +443,33 @@ impl Session {
     /// Runs the configured backend over everything fed and produces the
     /// final outcome.
     pub fn finish(self) -> Result<AnalysisOutcome, SessionError> {
-        let supervised = self.supervised();
-
-        // The serial wire path needs no replay at all: the incremental
-        // engine already consumed the stream chunk by chunk.
-        if !supervised && self.cfg.shards.is_none() {
-            if let Feed::Wire { engine, .. } = self.feed {
-                let (analysis, mut counters) = engine.into_parts();
-                let report = Analysis::finish(analysis);
-                counters.wall_ms = self.timer.elapsed_ms();
-                return Ok(AnalysisOutcome::from_dtrg(report, counters));
-            }
-        } else if let Feed::Trace(blob) | Feed::Wire { blob, .. } = &self.feed {
+        if let Feed::Wire { blob, .. } = &self.feed {
             self.verify_resume_fingerprint(blob)?;
         }
 
+        // A wire-fed session without explicit shards was analyzed as it
+        // arrived, so its live engine's verdict is final. A fault seed
+        // asks for the supervised pipeline's recovery paths and keeps
+        // the replay.
+        if self.cfg.shards.is_none() && self.cfg.fault_seed.is_none() {
+            if let Feed::Wire { engine, .. } = self.feed {
+                let (analysis, mut counters) = engine.into_parts();
+                counters.wall_ms = self.timer.elapsed_ms();
+                let mut outcome = AnalysisOutcome::from_dtrg(Analysis::finish(analysis), counters);
+                if self.resume.is_some() {
+                    outcome.engine.resumed_from_checkpoint = 1;
+                    outcome.supervision = Some(SupervisionReport {
+                        resumed_from_checkpoint: 1,
+                        ..SupervisionReport::default()
+                    });
+                }
+                return Ok(outcome);
+            }
+        }
+
+        let supervised = self.cfg.checkpoint_every.is_some()
+            || self.cfg.fault_seed.is_some()
+            || self.resume.is_some();
         let lenient = self.cfg.lenient;
         let config = self.cfg.detector.clone();
         let timer = self.timer;
@@ -603,17 +647,20 @@ mod tests {
         log.events
     }
 
-    fn framed_blob(events: &[Event]) -> Vec<u8> {
-        let payload = trace::encode(events);
+    /// Frames `parts` as the consecutive chunks of a v2 trace.
+    fn framed_blob(parts: &[&[Event]]) -> Vec<u8> {
         let mut blob = Vec::new();
         blob.extend_from_slice(&framed::MAGIC);
         blob.push(framed::VERSION);
-        let mut header = [0u8; framed::CHUNK_HEADER_LEN];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&(events.len() as u32).to_le_bytes());
-        header[8..].copy_from_slice(&crc32(&payload).to_le_bytes());
-        blob.extend_from_slice(&header);
-        blob.extend_from_slice(&payload);
+        for events in parts {
+            let payload = trace::encode(events);
+            let mut header = [0u8; framed::CHUNK_HEADER_LEN];
+            header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+            header[4..8].copy_from_slice(&(events.len() as u32).to_le_bytes());
+            header[8..].copy_from_slice(&crc32(&payload).to_le_bytes());
+            blob.extend_from_slice(&header);
+            blob.extend_from_slice(&payload);
+        }
         blob
     }
 
@@ -767,10 +814,156 @@ mod tests {
         assert!(matches!(err, SessionError::Checkpoint(_)), "got {err}");
     }
 
+    /// Splits `events` into `n` runs of near-equal length.
+    fn split(events: &[Event], n: usize) -> Vec<&[Event]> {
+        (0..n)
+            .map(|i| &events[i * events.len() / n..(i + 1) * events.len() / n])
+            .collect()
+    }
+
+    /// Wire chunk payloads, one per run of [`split`].
+    fn split_chunks(events: &[Event], n: usize) -> Vec<Vec<u8>> {
+        split(events, n).into_iter().map(trace::encode).collect()
+    }
+
+    fn fed(mut session: Session, chunks: &[Vec<u8>]) -> Session {
+        for c in chunks {
+            session.feed_chunk(c).unwrap();
+        }
+        session
+    }
+
+    #[test]
+    fn resume_sweep_restores_the_live_engine_at_every_chunk() {
+        let chunks = split_chunks(&racy_events(), 7);
+        let cfg = SessionConfig {
+            checkpoint_every: Some(2),
+            ..SessionConfig::default()
+        };
+        let want = fed(Session::open(cfg.clone()).unwrap(), &chunks)
+            .finish()
+            .unwrap();
+        assert!(want.has_races());
+
+        for k in 1..=chunks.len() {
+            let cp = fed(Session::open(cfg.clone()).unwrap(), &chunks[..k])
+                .suspend()
+                .unwrap()
+                .expect("a fed session is checkpointable");
+            assert_eq!(cp.chunks_completed, k as u64, "k={k}");
+            assert_eq!(cp.shards, 1);
+
+            // Re-fed exactly the covered chunks, a resumed session cuts
+            // the same checkpoint byte for byte.
+            let resume = || Session::open_resumed(cfg.clone(), cp.clone()).unwrap();
+            let again = fed(resume(), &chunks[..k]).checkpoint().unwrap().unwrap();
+            assert_eq!(again.encode(), cp.encode(), "k={k}");
+
+            // Suspended before re-receiving them, it hands back the
+            // checkpoint it resumed from.
+            let early = fed(resume(), &chunks[..1]).suspend().unwrap().unwrap();
+            assert_eq!(early, cp, "k={k}");
+
+            let resumed = resume();
+            assert_eq!(resumed.resumed_chunks(), k as u64);
+            let got = fed(resumed, &chunks).finish().unwrap();
+            assert_eq!(format!("{}", want.races), format!("{}", got.races), "k={k}");
+            assert_eq!(want.races.total_detected, got.races.total_detected);
+            assert_eq!(want.engine.events, got.engine.events);
+            assert_eq!(want.engine.reads, got.engine.reads);
+            assert_eq!(want.engine.writes, got.engine.writes);
+            assert_eq!(want.stats.reads, got.stats.reads);
+            assert_eq!(want.stats.writes, got.stats.writes);
+            assert_eq!(want.footprint, got.footprint);
+            assert_eq!(got.engine.resumed_from_checkpoint, 1);
+            assert_eq!(got.supervision.map(|s| s.resumed_from_checkpoint), Some(1));
+            assert!(got.sharding.is_none(), "the live engine finished it");
+        }
+    }
+
+    #[test]
+    fn sharded_wire_session_resumes_from_a_live_engine_checkpoint() {
+        let chunks = split_chunks(&racy_events(), 6);
+        let want = fed(Session::open(SessionConfig::default()).unwrap(), &chunks)
+            .finish()
+            .unwrap();
+        let cfg = SessionConfig {
+            shards: Some(4),
+            checkpoint_every: Some(2),
+            ..SessionConfig::default()
+        };
+        let cp = fed(Session::open(cfg.clone()).unwrap(), &chunks[..3])
+            .suspend()
+            .unwrap()
+            .unwrap();
+        let resumed = Session::open_resumed(cfg, cp).unwrap();
+        assert_eq!(resumed.resumed_chunks(), 3);
+        let got = fed(resumed, &chunks).finish().unwrap();
+        assert_eq!(format!("{}", want.races), format!("{}", got.races));
+        assert!(got.sharding.is_some());
+        assert_eq!(got.engine.resumed_from_checkpoint, 1);
+    }
+
+    /// A serial session's checkpoint from before live-engine snapshots:
+    /// cut by replaying the received prefix under the supervised pipeline
+    /// with one shard, at the last completed chunk. It restores the live
+    /// engine like a snapshot does.
+    #[test]
+    fn replayed_single_shard_checkpoint_still_resumes() {
+        let events = racy_events();
+        let parts = split(&events, 6);
+        let chunks = split_chunks(&events, 6);
+        let received = framed_blob(&parts[..4]);
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(1),
+            checkpoint_every_chunks: Some(8),
+            stop_after_chunks: Some(3),
+            fingerprint: Some(TraceFingerprint::of(&received)),
+            ..SupervisorPlan::default()
+        };
+        let out = run_supervised(
+            || trace_events(&received, false),
+            RaceDetector::new,
+            &plan,
+            None,
+        );
+        let Ok(SupervisedOutcome::Suspended { checkpoint, .. }) = out else {
+            panic!("the replay must suspend after 3 chunks");
+        };
+
+        let resumed = Session::open_resumed(SessionConfig::default(), checkpoint).unwrap();
+        assert_eq!(resumed.resumed_chunks(), 3);
+        let got = fed(resumed, &chunks).finish().unwrap();
+        let want = fed(Session::open(SessionConfig::default()).unwrap(), &chunks)
+            .finish()
+            .unwrap();
+        assert_eq!(format!("{}", want.races), format!("{}", got.races));
+        assert_eq!(want.engine.events, got.engine.events);
+        assert_eq!(want.stats.reads, got.stats.reads);
+        assert_eq!(want.stats.writes, got.stats.writes);
+        assert_eq!(want.footprint, got.footprint);
+    }
+
+    #[test]
+    fn multi_shard_checkpoint_is_ignored_on_resume() {
+        let chunks = split_chunks(&racy_events(), 4);
+        let open = || Session::open(SessionConfig::default()).unwrap();
+        let want = fed(open(), &chunks).finish().unwrap();
+        let mut cp = fed(open(), &chunks[..2]).checkpoint().unwrap().unwrap();
+        cp.shards = 2;
+        cp.shard_states.push(Vec::new());
+        cp.per_shard_accesses.push(0);
+        let resumed = Session::open_resumed(SessionConfig::default(), cp).unwrap();
+        assert_eq!(resumed.resumed_chunks(), 0);
+        let got = fed(resumed, &chunks).finish().unwrap();
+        assert_eq!(format!("{}", want.races), format!("{}", got.races));
+        assert_eq!(got.engine.resumed_from_checkpoint, 0);
+    }
+
     #[test]
     fn whole_blob_feed_matches_event_feed() {
         let events = racy_events();
-        let blob = framed_blob(&events);
+        let blob = framed_blob(&[&events]);
 
         let mut by_blob = Session::open(SessionConfig::default()).unwrap();
         by_blob.feed_trace(blob).unwrap();
