@@ -8,9 +8,10 @@
 //!   work plus the N-fold replicated DTRG maintenance. This is the part
 //!   that parallelizes; on a single-core host its wall time stays ~flat
 //!   (the work is conserved) and the speedup shows up only on multicore.
-//! * `pipeline/N` — end-to-end `detect_sharded_events` (route + channels
-//!   + merge); `pipeline/1` vs `serial-replay` isolates the pipeline tax
-//!   (per-event routing, batching, and control-event cloning).
+//! * `pipeline/N` — end-to-end plain sharding through `run_supervised`
+//!   (route + channels + merge); `pipeline/1` vs `serial-replay` isolates
+//!   the pipeline tax (per-event routing, batching, and control-event
+//!   cloning).
 //!
 //! The events are pre-decoded so varint decoding is excluded throughout;
 //! results are emitted as JSON lines by the in-tree runner
@@ -19,7 +20,10 @@
 use futrace_bench::runner::{BenchmarkId, Runner};
 use futrace_benchsuite::{jacobi, smithwaterman};
 use futrace_detector::RaceDetector;
-use futrace_offline::{detect_sharded_events, ShardOptions};
+use futrace_offline::{
+    run_supervised, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
+    SYNTHETIC_CHUNK_EVENTS,
+};
 use futrace_runtime::{replay, run_serial, Event, EventLog};
 use std::convert::Infallible;
 
@@ -124,12 +128,17 @@ fn shard_scaling(c: &mut Runner, name: &str, events: &[Event]) {
                 })
             })
         });
-        let opts = ShardOptions::with_shards(shards);
-        g.bench_with_input(BenchmarkId::new("pipeline", shards), &opts, |b, opts| {
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+        g.bench_with_input(BenchmarkId::new("pipeline", shards), &plan, |b, plan| {
             b.iter(|| {
-                let stream = events.iter().cloned().map(Ok::<_, Infallible>);
-                let out = detect_sharded_events(stream, opts).unwrap();
-                out.report.total_detected
+                let stream = || {
+                    let events = events.iter().cloned().map(Ok::<_, Infallible>);
+                    SyntheticChunks::new(events, SYNTHETIC_CHUNK_EVENTS)
+                };
+                match run_supervised(stream, RaceDetector::new, plan, None) {
+                    Ok(SupervisedOutcome::Completed { report, .. }) => report.report.total_detected,
+                    _ => unreachable!("an in-memory stream without a resume always completes"),
+                }
             })
         });
     }

@@ -441,11 +441,12 @@ fn print_engine_counters(counters: &EngineCounters) {
     println!("{counters}");
 }
 
-/// Runs the supervised fault-tolerant pipeline: restart-from-snapshot,
-/// degrade-to-serial, suspend/resume. Prints the same verdict section as
-/// every other path; supervision outcomes surface in the `-- engine --`
-/// block only.
-fn analyze_supervised(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) -> bool {
+/// Runs the offline shard stage. Plain `--shards N` retains nothing for
+/// recovery (a dead worker degrades the run to serial); the supervision
+/// flags add restart-from-snapshot and suspend/resume. Prints the same
+/// verdict section as every other path; supervision outcomes surface in
+/// the `-- engine --` block only.
+fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) -> bool {
     if (args.checkpoint_every.is_some() || args.stop_after.is_some())
         && !framed::is_framed(blob)
     {
@@ -487,13 +488,18 @@ fn analyze_supervised(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan
         (args.inject.is_some() && framed::is_framed(blob)).then_some(INJECT_CHECKPOINT_EVERY)
     });
 
-    let mut plan = SupervisorPlan {
-        shard: ShardPlan::with_shards(args.shards.unwrap_or(ShardPlan::default().shards)),
-        checkpoint_every_chunks: checkpoint_every,
-        stop_after_chunks: args.stop_after,
-        fingerprint: Some(TraceFingerprint::of(blob)),
-        ..SupervisorPlan::default()
+    let shard = ShardPlan::with_shards(args.shards.unwrap_or(ShardPlan::default().shards));
+    let mut plan = if args.supervised() {
+        SupervisorPlan {
+            shard,
+            ..SupervisorPlan::default()
+        }
+    } else {
+        SupervisorPlan::plain(shard)
     };
+    plan.checkpoint_every_chunks = checkpoint_every;
+    plan.stop_after_chunks = args.stop_after;
+    plan.fingerprint = Some(TraceFingerprint::of(blob));
     if let Some(f) = faults {
         plan = plan.with_faults(f);
     }
@@ -599,36 +605,8 @@ fn analyze(args: AnalyzeArgs) {
         None => read_trace(&args.file),
     };
 
-    let racy = if args.supervised() {
-        analyze_supervised(&args, &blob, faults.as_ref())
-    } else if let Some(shards) = args.shards {
-        let plan = ShardPlan::with_shards(shards);
-        let mut events = trace_events(&blob, args.lenient);
-        let run = match detectors::run_sharded_on_events(&args.detector, &mut events, &plan) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("invalid trace {}: {e}", args.file);
-                std::process::exit(1);
-            }
-        };
-        let skipped = events.skipped_chunks();
-        let s = &run.stats;
-        println!("{}: {} events", args.file, s.events);
-        note_if_empty(s.events);
-        if skipped > 0 {
-            eprintln!("warning: skipped {skipped} damaged chunk(s)");
-        }
-        println!("\n-- sharded pipeline --");
-        println!("shards:      {}", s.shards);
-        println!(
-            "events:      {} ({} control broadcast, {} accesses routed)",
-            s.events, s.control_events, s.accesses
-        );
-        println!(
-            "accesses:    {} reads, {} writes; per shard: {:?}",
-            s.reads, s.writes, s.per_shard_accesses
-        );
-        print_report(&args.detector, &run.report)
+    let racy = if args.supervised() || args.shards.is_some() {
+        analyze_sharded(&args, &blob, faults.as_ref())
     } else {
         let (events, skipped) = decode_all(&args.file, &blob, args.lenient);
         println!("{}: {} events", args.file, events.len());

@@ -30,7 +30,10 @@
 
 use crate::detectors;
 use futrace_benchsuite::randomprog::{self, GenParams, Program};
-use futrace_offline::{ShardPlan, StreamWriter};
+use futrace_offline::{
+    ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
+    SYNTHETIC_CHUNK_EVENTS,
+};
 use futrace_runtime::{replay, run_serial, EventLog};
 use futrace_util::propcheck::{self, Config, Strategy};
 use futrace_util::rng::Rng;
@@ -220,17 +223,20 @@ fn check_program(prog: &Program, broken: Option<&str>, tally: &mut Tally) -> Res
     // detector's sharded runs against its own serial verdict.
     for &(name, serial_racy) in serial.iter().filter(|(n, _)| detectors::is_shardable(n)) {
         for shards in [1usize, 2, 4] {
-            let events = log.events.iter().cloned().map(Ok::<_, Infallible>);
-            let run = match detectors::run_sharded_on_events(
-                name,
-                events,
-                &ShardPlan::with_shards(shards),
-            ) {
-                Ok(r) => r,
-                Err(never) => match never {},
+            let events = || {
+                SyntheticChunks::new(
+                    log.events.iter().cloned().map(Ok::<_, Infallible>),
+                    SYNTHETIC_CHUNK_EVENTS,
+                )
+            };
+            let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+            let Ok(SupervisedOutcome::Completed { report, .. }) =
+                detectors::run_supervised_on_events(name, events, &plan, None)
+            else {
+                unreachable!("an in-memory stream without a resume always completes");
             };
             tally.detector_runs += 1;
-            let racy = observed(broken, name, run.report.has_races());
+            let racy = observed(broken, name, report.has_races());
             if racy != serial_racy {
                 return Err(format!(
                     "{name} sharded over {shards} worker(s) diverges from its serial verdict \

@@ -54,10 +54,6 @@ pub mod report;
 pub mod shadow;
 pub mod stats;
 
-// The deprecated entry points stay exported so existing callers keep
-// compiling during the migration window.
-#[allow(deprecated)]
-pub use detector::{detect_races, detect_races_in_trace, detect_races_with_stats};
 pub use detector::{DetectorConfig, DtrgReport, MemoryFootprint, OnlineDtrg, RaceDetector};
 pub use dtrg::{Dtrg, DtrgCounters, SetData};
 pub use report::{AccessKind, Race, RaceReport};

@@ -16,8 +16,7 @@ use futrace_baselines::{
 };
 use futrace_detector::{DtrgReport, RaceDetector};
 use futrace_offline::{
-    run_sharded_events, run_supervised, Checkpoint, ChunkedEvents, ShardPlan, ShardedRun,
-    SupervisedOutcome, SuperviseError, SupervisorPlan,
+    run_supervised, Checkpoint, ChunkedEvents, SupervisedOutcome, SuperviseError, SupervisorPlan,
 };
 use futrace_runtime::engine::{run_analysis, source, AnalysisOutcome};
 use futrace_runtime::Event;
@@ -194,47 +193,20 @@ pub fn run_on_recorded(name: &str, events: &[Event]) -> AnalysisOutcome<AnyRepor
     }
 }
 
-/// Runs the named detector sharded over `plan.shards` workers.
-///
-/// # Panics
-///
-/// Panics if the detector is not loc-routable — check [`is_shardable`]
-/// first (the CLI parser does).
-pub fn run_sharded_on_events<I, E>(
-    name: &str,
-    events: I,
-    plan: &ShardPlan,
-) -> Result<ShardedRun<AnyReport>, E>
-where
-    I: Iterator<Item = Result<Event, E>>,
-{
-    match name {
-        "dtrg" => run_sharded_events(events, plan, RaceDetector::new).map(|r| ShardedRun {
-            report: AnyReport::Dtrg(Box::new(r.report)),
-            stats: r.stats,
-        }),
-        "vc" => {
-            run_sharded_events(events, plan, VectorClockDetector::new).map(|r| ShardedRun {
-                report: AnyReport::Baseline(r.report),
-                stats: r.stats,
-            })
-        }
-        other => panic!("detector {other:?} is not shardable (check is_shardable)"),
-    }
-}
-
-/// Runs the named detector under the fault-tolerant supervisor
-/// ([`futrace_offline::supervise`]): workers restart from snapshots, the
-/// run can suspend into a [`Checkpoint`] and later resume from one, and
-/// unrecoverable failures degrade to a serial pass with the same verdict.
+/// Runs the named detector sharded over `plan.shard.shards` workers, in
+/// the offline shard stage ([`futrace_offline::run_supervised`]). The plan
+/// sets the recovery policy: under [`SupervisorPlan::plain`] a dead worker
+/// degrades the run to a serial pass with the same verdict; with
+/// snapshots, workers restart from them, and the run can suspend into a
+/// [`Checkpoint`] and later resume from one.
 ///
 /// `make_events` must yield a fresh stream over the same trace each call
 /// (degradation and resume both re-read from the start).
 ///
 /// # Panics
 ///
-/// Panics if the detector is not loc-routable — the supervised pipeline is
-/// sharding plus recovery, so [`is_shardable`] gates it too.
+/// Panics if the detector is not loc-routable — check [`is_shardable`]
+/// first (the CLI parser does).
 pub fn run_supervised_on_events<I, E, MF>(
     name: &str,
     make_events: MF,
@@ -339,7 +311,7 @@ mod tests {
 
     #[test]
     fn supervised_detectors_match_their_serial_runs() {
-        use futrace_offline::SyntheticChunks;
+        use futrace_offline::{ShardPlan, SyntheticChunks};
         let log = future_sync_trace();
         let plan = SupervisorPlan {
             shard: ShardPlan::with_shards(2),
@@ -375,20 +347,24 @@ mod tests {
 
     #[test]
     fn shardable_detectors_match_their_serial_runs() {
+        use futrace_offline::{ShardPlan, SyntheticChunks};
         let log = future_sync_trace();
-        let plan = ShardPlan::with_shards(3);
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
         for name in DETECTOR_NAMES {
             assert_eq!(is_shardable(name), matches!(*name, "dtrg" | "vc"));
         }
         for name in ["dtrg", "vc"] {
             let serial = run(name, &log).report;
-            let events = log.events.iter().cloned().map(Ok::<_, Infallible>);
-            let sharded = match run_sharded_on_events(name, events, &plan) {
-                Ok(r) => r,
-                Err(never) => match never {},
+            let events = || {
+                SyntheticChunks::new(log.events.iter().cloned().map(Ok::<_, Infallible>), 4)
             };
-            assert_eq!(serial.race_count(), sharded.report.race_count(), "{name}");
-            assert_eq!(sharded.stats.shards, 3);
+            let Ok(SupervisedOutcome::Completed { report, stats, .. }) =
+                run_supervised_on_events(name, events, &plan, None)
+            else {
+                panic!("{name}: no stop requested, must complete");
+            };
+            assert_eq!(serial.race_count(), report.race_count(), "{name}");
+            assert_eq!(stats.shards, 3);
         }
     }
 }

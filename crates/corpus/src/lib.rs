@@ -13,8 +13,8 @@
 //! Layering note: this crate hosts the [`detectors`] registry (moved
 //! here from `futrace-bench`) because corpus jobs run *every* detector,
 //! not just the DTRG front door in the umbrella crate's `Analyze`
-//! builder — both ride the same engine (`run_analysis` and the
-//! sharded/supervised pipelines in `futrace-offline`) underneath.
+//! builder — both ride the same engine (`run_analysis` and the shard
+//! stage in `futrace-offline`) underneath.
 //! `futrace_bench::detectors` re-exports this module, so existing CLI
 //! call sites are unchanged.
 
@@ -33,7 +33,10 @@ pub use manifest::{JobKind, JobRecord, ManifestError, RecStatus, RunConfig, MANI
 pub use report::{CorpusReport, RunTelemetry};
 
 use detectors::{is_detector, is_shardable, AnyReport};
-use futrace_offline::{trace_events, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks};
+use futrace_offline::{
+    trace_events, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
+    SYNTHETIC_CHUNK_EVENTS,
+};
 use futrace_runtime::Event;
 use futrace_util::stats::Timer;
 use std::collections::HashMap;
@@ -48,10 +51,6 @@ use std::sync::Mutex;
 pub const REPORT_JSON: &str = "report.json";
 /// File name of the markdown report inside the output dir.
 pub const REPORT_MD: &str = "report.md";
-
-/// Chunk size used when feeding decoded events to the supervised
-/// pipeline (mirrors the umbrella `Analyze` builder's constant).
-const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
 /// Options for one corpus run.
 #[derive(Clone, Debug)]
@@ -241,10 +240,15 @@ fn run_detector(
     let shards = opts.shards.filter(|_| is_shardable(name));
     let report = match shards {
         None => detectors::run_on_recorded(name, events).report,
-        Some(n) if opts.supervised => {
-            let plan = SupervisorPlan {
-                shard: ShardPlan::with_shards(n),
-                ..SupervisorPlan::default()
+        Some(n) => {
+            let shard = ShardPlan::with_shards(n);
+            let plan = if opts.supervised {
+                SupervisorPlan {
+                    shard,
+                    ..SupervisorPlan::default()
+                }
+            } else {
+                SupervisorPlan::plain(shard)
             };
             let out = detectors::run_supervised_on_events(
                 name,
@@ -264,18 +268,6 @@ fn run_detector(
                     unreachable!("no stop_after_chunks requested")
                 }
             }
-        }
-        Some(n) => {
-            let plan = ShardPlan::with_shards(n);
-            let run = match detectors::run_sharded_on_events(
-                name,
-                events.iter().cloned().map(Ok::<_, Infallible>),
-                &plan,
-            ) {
-                Ok(run) => run,
-                Err(never) => match never {},
-            };
-            run.report
         }
     };
     let (hits, misses) = report.cache_counters().unwrap_or((0, 0));

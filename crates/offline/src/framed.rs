@@ -305,6 +305,8 @@ impl<'a> FramedEvents<'a> {
 impl Iterator for FramedEvents<'_> {
     type Item = Result<Event, FrameError>;
 
+    // Forced inline: see `TraceEvents::next`.
+    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if self.done {

@@ -15,9 +15,13 @@
 //!
 //! So offline detection shards cleanly: broadcast the control events to
 //! `N` workers (each maintains an identical DTRG replica) and partition
-//! the accesses by `loc % N` ([`shard`]). The merged verdict and race
-//! report are identical to the serial detector's (asserted by
-//! `tests/shard_equivalence.rs` over random programs).
+//! the accesses by `loc % N`. The merged verdict and race report are
+//! identical to the serial detector's (asserted by
+//! `tests/shard_equivalence.rs` over random programs). One stage does
+//! this, [`run_supervised`] in [`supervise`]: its supervisor restarts,
+//! degrades, or suspends workers as the [`SupervisorPlan`] asks, and plain
+//! sharding ([`SupervisorPlan::plain`]) is the plan that retains nothing
+//! for recovery.
 //!
 //! Feeding that pipeline from disk needs a trace format that can be
 //! written incrementally and read without trusting every byte: [`framed`]
@@ -36,18 +40,13 @@ pub mod channel;
 pub mod checkpoint;
 pub mod crc32;
 pub mod framed;
-pub mod shard;
 pub mod supervise;
 
 pub use checkpoint::{is_checkpoint, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
 pub use framed::{FrameError, FramedEvents, StreamWriter, WriterStats};
-pub use shard::{
-    detect_sharded, detect_sharded_events, run_sharded_events, ShardOptions, ShardPlan,
-    ShardStats, ShardedOutcome, ShardedRun,
-};
 pub use supervise::{
-    run_supervised, ChunkedEvents, SupervisedOutcome, SupervisionReport, SuperviseError,
-    SupervisorPlan, SyntheticChunks,
+    run_supervised, ChunkedEvents, ShardPlan, ShardStats, SupervisedOutcome, SupervisionReport,
+    SuperviseError, SupervisorPlan, SyntheticChunks, SYNTHETIC_CHUNK_EVENTS,
 };
 
 use futrace_runtime::trace::DecodeError;
@@ -97,6 +96,10 @@ pub enum TraceEvents<'a> {
 impl Iterator for TraceEvents<'_> {
     type Item = Result<futrace_runtime::Event, TraceError>;
 
+    // Forced inline, with `FramedEvents::next`: the shard stage's router
+    // pulls every event through here, and out of line the call cost the
+    // router about a third of its CPU time on access-dominated traces.
+    #[inline(always)]
     fn next(&mut self) -> Option<Self::Item> {
         match self {
             TraceEvents::Framed(it) => it.next().map(|r| r.map_err(TraceError::from)),

@@ -1,11 +1,36 @@
-//! Supervised sharded analysis: fault-isolated workers, a watchdog, and
-//! recovery by restart-from-snapshot, degrade-to-serial, or
-//! suspend-to-checkpoint (DESIGN S38).
+//! The sharded analysis stage: parallel replay of an event stream with a
+//! verdict identical to the serial detector's (DESIGN S35), run under a
+//! supervisor whose recovery is a policy of the [`SupervisorPlan`]
+//! (DESIGN S38). [`run_supervised`] is the only sharded entry point.
 //!
-//! The plain [`crate::shard`] pipeline assumes nothing goes wrong: a
-//! panicking worker aborts the process, a wedged worker hangs the router
-//! forever, and a killed process loses all progress. This module wraps the
-//! same routing discipline in a supervisor:
+//! ## Why sharding is sound
+//!
+//! The detector splits into two halves (see
+//! [`futrace_runtime::engine::Analysis::apply_control`]):
+//!
+//! * **DTRG maintenance** is driven only by control events (task
+//!   create/end, finish start/end, `get`) — a few per *task*, not per
+//!   *access*. Broadcasting them gives every shard a byte-identical DTRG
+//!   replica, because DTRG updates never depend on shadow memory.
+//! * **Shadow checks** (Algorithms 8–9) touch exactly one location each
+//!   and only *read* the DTRG. Routing accesses by `loc % N` therefore
+//!   partitions the check work with no cross-shard communication at all.
+//!
+//! Each access carries its global index from the router's single pass, so
+//! per-shard race reports can be merged back into exactly the serial
+//! detection order: the serial detector reports races in increasing
+//! access index, ties (several races at one access) happen within one
+//! location and therefore one shard, and the per-location dedup/cap logic
+//! makes identical decisions because each shard sees its locations' full
+//! access subsequence. A stable merge by access index followed by the
+//! global report cap is thus byte-identical to the serial report
+//! (`tests/shard_equivalence.rs` asserts this over random programs).
+//!
+//! The pipeline is decode → route → N workers over bounded channels
+//! ([`crate::channel`]), so decode backpressure bounds memory and the
+//! shadow-check hot path runs on all cores.
+//!
+//! ## Supervision
 //!
 //! * **Workers are spawned detached** (`std::thread::spawn`, not a scope)
 //!   with the analysis loop under `catch_unwind`, so a worker panic
@@ -28,8 +53,8 @@
 //!   transient failures restart is for.
 //! * **Degrade-to-serial**: when restarts are exhausted (or recovery
 //!   itself fails), the supervisor falls back to a fresh single-threaded
-//!   run over the whole stream — slower, but the verdict is identical by
-//!   the sharding soundness argument with `N = 1`.
+//!   [`run_analysis`] over the whole stream — slower, but the verdict is
+//!   identical by the sharding soundness argument with `N = 1`.
 //! * **Suspend/resume**: `stop_after_chunks` turns the barrier snapshot
 //!   into a [`Checkpoint`] and returns
 //!   [`SupervisedOutcome::Suspended`]; a later run passes the checkpoint
@@ -37,19 +62,75 @@
 //!   (`tests/fault_tolerance.rs` proves this over random programs and
 //!   kill points).
 //!
+//! Plain sharding is the policy that keeps nothing for recovery
+//! ([`SupervisorPlan::plain`]): no snapshots and no retained batches. A
+//! worker that dies or stalls then cannot be restarted, so it degrades
+//! the run to the serial pass.
+//!
 //! Every decision is recorded in a [`SupervisionReport`] so `tracetool
 //! analyze` can surface restarts, degradations, and resumes without
 //! changing the verdict lines CI diffs against.
 
 use crate::channel::{self, Receiver, RecvTimeout, SendTimeout, Sender};
 use crate::checkpoint::{Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
-use crate::shard::{ShardPlan, ShardStats};
-use futrace_runtime::engine::{Checkpointable, StateError};
+use futrace_runtime::engine::{run_analysis, source, Checkpointable, StateError};
 use futrace_runtime::Event;
 use futrace_util::faultinject::{FaultPlan, WorkerFault};
 use futrace_util::ids::{LocId, TaskId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
+
+/// Routing parameters of the shard stage.
+#[derive(Clone, Debug)]
+pub struct ShardPlan {
+    /// Number of detect workers (≥ 1).
+    pub shards: usize,
+    /// Events per routed batch (amortizes channel locking).
+    pub batch_events: usize,
+    /// In-flight batches per worker channel (backpressure bound).
+    pub channel_capacity: usize,
+}
+
+impl Default for ShardPlan {
+    fn default() -> Self {
+        ShardPlan {
+            shards: 4,
+            batch_events: 4096,
+            channel_capacity: 4,
+        }
+    }
+}
+
+impl ShardPlan {
+    /// Plan with an explicit shard count and defaults elsewhere.
+    pub fn with_shards(shards: usize) -> Self {
+        ShardPlan {
+            shards,
+            ..ShardPlan::default()
+        }
+    }
+}
+
+/// Pipeline accounting.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Workers used.
+    pub shards: usize,
+    /// Total events routed.
+    pub events: u64,
+    /// Control events broadcast to every shard.
+    pub control_events: u64,
+    /// Read/write events (each routed to exactly one shard).
+    pub accesses: u64,
+    /// Reads among the accesses.
+    pub reads: u64,
+    /// Writes among the accesses.
+    pub writes: u64,
+    /// Accesses checked per shard (indexed by shard).
+    pub per_shard_accesses: Vec<u64>,
+    /// Damaged chunks skipped by a lenient framed read (0 otherwise).
+    pub skipped_chunks: u64,
+}
 
 /// An event stream that knows how many trace chunks it has fully
 /// consumed. Chunk boundaries are the only points where the supervisor
@@ -83,6 +164,11 @@ impl ChunkedEvents for crate::TraceEvents<'_> {
         crate::TraceEvents::skipped_chunks(self)
     }
 }
+
+/// Synthetic chunk size for in-memory event lists, which have no framed
+/// boundaries of their own: the granularity at which the session layer
+/// and corpus runs let the supervisor snapshot a decoded event list.
+pub const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
 /// Imposes synthetic chunk boundaries (every `every` events) on any event
 /// iterator, so in-memory event streams can exercise checkpoint/resume
@@ -127,7 +213,7 @@ impl<I: Iterator> ChunkedEvents for SyntheticChunks<I> {
 /// Supervisor configuration.
 #[derive(Clone, Debug)]
 pub struct SupervisorPlan {
-    /// The routing parameters shared with the unsupervised pipeline.
+    /// The routing parameters.
     pub shard: ShardPlan,
     /// Deadline for any single wait on a worker. Expiry marks the worker
     /// stalled and triggers recovery.
@@ -149,7 +235,8 @@ pub struct SupervisorPlan {
     /// the streaming design. On overflow the buffer is discarded and the
     /// shard is marked unrestartable until the next snapshot; a worker
     /// death in that window degrades to serial instead of exhausting
-    /// memory.
+    /// memory. `0` retains nothing at all (plain sharding, see
+    /// [`SupervisorPlan::plain`]).
     pub max_replay_ops: u64,
     /// Fingerprint stamped into produced checkpoints, if known.
     pub fingerprint: Option<TraceFingerprint>,
@@ -179,6 +266,17 @@ impl Default for SupervisorPlan {
 }
 
 impl SupervisorPlan {
+    /// Plain sharding over `shard`: no snapshots and no retained batches,
+    /// so a worker that dies or stalls cannot be restarted and the run
+    /// degrades to a serial pass with the same verdict.
+    pub fn plain(shard: ShardPlan) -> Self {
+        SupervisorPlan {
+            shard,
+            max_replay_ops: 0,
+            ..SupervisorPlan::default()
+        }
+    }
+
     /// Copies the worker-level faults out of a [`FaultPlan`] (I/O faults
     /// are applied at the reader/writer layer, not here).
     pub fn with_faults(mut self, faults: &FaultPlan) -> Self {
@@ -214,7 +312,7 @@ impl SupervisionReport {
 pub enum SupervisedOutcome<R> {
     /// The stream was fully analyzed.
     Completed {
-        /// Merged analysis report (identical to the unsupervised verdict).
+        /// Merged analysis report (identical to the serial verdict).
         report: R,
         /// Pipeline accounting.
         stats: ShardStats,
@@ -414,7 +512,9 @@ where
     next_epoch: u64,
     /// Every control event consumed so far — the replay source for both
     /// worker restart and checkpoint files. Small by the control/access
-    /// asymmetry that justifies sharding in the first place.
+    /// asymmetry that justifies sharding in the first place. Kept only
+    /// when the plan can snapshot; a restart without snapshots replays
+    /// from the start (or from the resumed checkpoint's prefix).
     control_prefix: Vec<Event>,
     /// `control_prefix` length at the last completed snapshot.
     snapshot_control_len: usize,
@@ -551,25 +651,28 @@ where
     /// buffer, so retaining first would deliver a failed batch twice (once
     /// via replay, once via the recovery re-send), duplicating control
     /// events and inflating access counts in the replacement worker.
+    ///
+    /// A batch that would overflow [`SupervisorPlan::max_replay_ops`] is
+    /// never copied: once it is sent, the buffer is dropped instead. The
+    /// shard is then no longer restartable until the next snapshot resets
+    /// it (death degrades to serial), which is what plain sharding
+    /// (`max_replay_ops == 0`) asks for from its first batch on.
     fn dispatch(&mut self, shard: usize, batch: Vec<Op>) -> Result<(), Degrade> {
-        let retained = if self.slots[shard].replay_lost {
-            None
-        } else {
-            Some(batch.clone())
-        };
+        let slot = &self.slots[shard];
+        let len = batch.len() as u64;
+        let retained = (!slot.replay_lost && slot.replay_ops + len <= self.plan.max_replay_ops)
+            .then(|| batch.clone());
         self.send_batch(shard, batch, true)?;
-        if let Some(retained) = retained {
-            let slot = &mut self.slots[shard];
-            slot.replay_ops += retained.len() as u64;
-            if slot.replay_ops > self.plan.max_replay_ops {
-                // Cap the buffer rather than hold a second copy of the
-                // stream: the shard is simply no longer restartable until
-                // the next snapshot resets it (death degrades to serial).
+        let slot = &mut self.slots[shard];
+        match retained {
+            Some(retained) => {
+                slot.replay_ops += len;
+                slot.replay.push(retained);
+            }
+            None => {
                 slot.replay = Vec::new();
                 slot.replay_ops = 0;
                 slot.replay_lost = true;
-            } else {
-                slot.replay.push(retained);
             }
         }
         Ok(())
@@ -712,13 +815,20 @@ where
     }
 }
 
-/// Runs the supervised sharded pipeline.
+/// Runs the shard stage: control events are broadcast to `N` replicas
+/// built by `factory`, accesses are routed by `loc % N` carrying global
+/// indices, and the per-shard reports are merged by a fresh `factory()`
+/// instance's [`futrace_runtime::engine::LocRoutable::merge_sharded`] into
+/// the serial verdict. `plan` sets what the supervisor keeps for recovery
+/// ([`SupervisorPlan::plain`] keeps nothing).
 ///
 /// `make_events` must produce a *fresh* stream over the same trace on
 /// every call — the supervisor re-reads from the start for degradation
-/// and resume skipping. `factory` builds one analysis replica; the merged
-/// report uses [`futrace_runtime::engine::LocRoutable::merge_sharded`] and
-/// is identical to the unsupervised (and serial) verdict.
+/// and resume skipping. Any stream error type fits (v1
+/// [`futrace_runtime::trace::DecodeError`], framed [`crate::FrameError`],
+/// unified [`crate::TraceError`]). On a stream error the workers are shut
+/// down first, then the error is returned as [`SuperviseError::Stream`]:
+/// no partial verdict is reported.
 pub fn run_supervised<A, I, E, MF, F>(
     make_events: MF,
     factory: F,
@@ -820,6 +930,7 @@ where
         }
     }
 
+    let snapshots = plan.checkpoint_every_chunks.is_some() || plan.stop_after_chunks.is_some();
     let mut buffers: Vec<Vec<Op>> = (0..n).map(|_| Vec::with_capacity(batch_cap)).collect();
     let mut cur_chunks = events.chunks_consumed();
     let mut last_snapshot_chunk = cur_chunks;
@@ -927,7 +1038,9 @@ where
             }
             control => {
                 router.control_events += 1;
-                sup.control_prefix.push(control.clone());
+                if snapshots {
+                    sup.control_prefix.push(control.clone());
+                }
                 for shard in 0..n {
                     buffers[shard].push(Op::Control(control.clone()));
                     if buffers[shard].len() >= batch_cap {
@@ -1001,44 +1114,22 @@ where
                 slot.tx = None;
             }
             drop(sup.results_rx);
-            let mut analysis = (sup.factory)();
-            let mut stats = ShardStats {
-                shards: 1,
-                ..ShardStats::default()
-            };
-            let mut index = 0u64;
             let mut fresh = make_events();
-            loop {
-                match fresh.next() {
-                    Some(Ok(e)) => {
-                        stats.events += 1;
-                        match e {
-                            Event::Read(task, loc) => {
-                                stats.reads += 1;
-                                analysis.check_read_at(task, loc, index);
-                                index += 1;
-                            }
-                            Event::Write(task, loc) => {
-                                stats.writes += 1;
-                                analysis.check_write_at(task, loc, index);
-                                index += 1;
-                            }
-                            control => {
-                                stats.control_events += 1;
-                                analysis.apply_control(&control);
-                            }
-                        }
-                    }
-                    Some(Err(e)) => return Err(SuperviseError::Stream(e)),
-                    None => break,
-                }
-            }
-            stats.accesses = index;
-            stats.per_shard_accesses = vec![index];
-            stats.skipped_chunks = fresh.skipped_chunks();
-            let report = analysis.finish();
+            let out = run_analysis(source::stream(&mut fresh), (sup.factory)())
+                .map_err(SuperviseError::Stream)?;
+            let c = out.counters;
+            let stats = ShardStats {
+                shards: 1,
+                events: c.events,
+                control_events: c.control_events,
+                accesses: c.checks(),
+                reads: c.reads,
+                writes: c.writes,
+                per_shard_accesses: vec![c.checks()],
+                skipped_chunks: fresh.skipped_chunks(),
+            };
             Ok(SupervisedOutcome::Completed {
-                report,
+                report: out.report,
                 stats,
                 supervision: sup.supervision,
             })
@@ -1050,7 +1141,7 @@ where
 mod tests {
     use super::*;
     use crate::TraceError;
-    use futrace_detector::{RaceDetector, RaceReport};
+    use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
     use futrace_runtime::{replay, run_serial, EventLog, TaskCtx};
 
     fn racy_log() -> EventLog {
@@ -1172,25 +1263,32 @@ mod tests {
         // With no snapshots and a tiny replay cap, the buffer overflows
         // immediately; a worker death in that window cannot restart and
         // must degrade to the (still correct) serial path rather than
-        // retain the whole stream.
+        // retain the whole stream. A cap of 0 is plain sharding, which
+        // retains nothing from the first batch on.
         let log = racy_log();
         let serial = serial_report(&log);
-        let mut plan = plan_for_tests(2);
-        plan.max_replay_ops = 1;
-        plan.worker_panic = Some(WorkerFault { shard: 0, at_op: 5 });
-        let out =
-            run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
-        let SupervisedOutcome::Completed {
-            report,
-            supervision,
-            stats,
-        } = out
-        else {
-            panic!("expected completion");
-        };
-        assert_eq!(report.report.races, serial.races, "degraded verdict is serial");
-        assert_eq!(supervision.degradations, 1);
-        assert_eq!(stats.shards, 1, "degraded run is serial");
+        for max_replay_ops in [1, 0] {
+            let mut plan = plan_for_tests(2);
+            plan.max_replay_ops = max_replay_ops;
+            plan.worker_panic = Some(WorkerFault { shard: 0, at_op: 5 });
+            let out =
+                run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+            let SupervisedOutcome::Completed {
+                report,
+                supervision,
+                stats,
+            } = out
+            else {
+                panic!("expected completion");
+            };
+            let context = format!("max_replay_ops {max_replay_ops}");
+            assert_eq!(report.report.races, serial.races, "{context}: verdict is serial");
+            assert_eq!(supervision.degradations, 1, "{context}");
+            assert_eq!(supervision.shard_restarts, 0, "{context}");
+            assert_eq!(stats.shards, 1, "degraded run is serial: {context}");
+            assert_eq!(stats.events, log.events.len() as u64, "{context}");
+            assert_eq!(stats.per_shard_accesses, vec![stats.accesses], "{context}");
+        }
     }
 
     #[test]
@@ -1323,6 +1421,105 @@ mod tests {
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("inconsistent checkpoint must be rejected"),
         }
+    }
+
+    fn completed<R>(out: SupervisedOutcome<R>) -> (R, ShardStats, SupervisionReport) {
+        match out {
+            SupervisedOutcome::Completed {
+                report,
+                stats,
+                supervision,
+            } => (report, stats, supervision),
+            SupervisedOutcome::Suspended { .. } => panic!("expected completion"),
+        }
+    }
+
+    #[test]
+    fn sharded_matches_serial_on_racy_program() {
+        let log = racy_log();
+        let serial = serial_report(&log);
+        assert!(serial.has_races());
+        for shards in [1usize, 2, 3, 8] {
+            // Tiny batches and channels stress the routing path.
+            let plan = SupervisorPlan::plain(plan_for_tests(shards).shard);
+            let out = run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+            let (report, stats, supervision) = completed(out);
+            assert_eq!(report.report.total_detected, serial.total_detected);
+            assert_eq!(report.report.races, serial.races, "shards={shards}");
+            assert!(!supervision.any(), "shards={shards}: clean run");
+            assert_eq!(stats.shards, shards);
+            assert_eq!(stats.per_shard_accesses.iter().sum::<u64>(), stats.accesses);
+            assert_eq!(stats.reads + stats.writes, stats.accesses);
+        }
+    }
+
+    #[test]
+    fn blob_entrypoint_handles_both_formats() {
+        let log = racy_log();
+        let serial = serial_report(&log);
+        let v1 = futrace_runtime::trace::encode(&log.events);
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(2));
+        let events = || crate::trace_events(&v1, false);
+        let out = run_supervised(events, RaceDetector::new, &plan, None);
+        assert_eq!(completed(out.unwrap()).0.report.races, serial.races);
+
+        let mut w = crate::StreamWriter::with_chunk_bytes(Vec::new(), 128).unwrap();
+        for e in &log.events {
+            w.record(e);
+        }
+        let (v2, _) = w.finish().unwrap();
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
+        let events = || crate::trace_events(&v2, false);
+        let out = run_supervised(events, RaceDetector::new, &plan, None);
+        let (report, stats, _) = completed(out.unwrap());
+        assert_eq!(report.report.races, serial.races);
+        assert_eq!(stats.skipped_chunks, 0);
+    }
+
+    #[test]
+    fn stream_error_propagates_cleanly() {
+        let log = racy_log();
+        let mut blob = futrace_runtime::trace::encode(&log.events);
+        blob.push(99); // unknown tag at the tail
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(2));
+        let events = || crate::trace_events(&blob, false);
+        match run_supervised(events, RaceDetector::new, &plan, None) {
+            Err(SuperviseError::Stream(e)) => assert!(e.to_string().contains("malformed"), "{e}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a damaged trace must not produce a verdict"),
+        }
+    }
+
+    #[test]
+    fn report_cap_is_global_not_per_shard() {
+        // 8 distinct racy locations; cap at 3 reports. The sharded merge
+        // must keep the *first three in serial order*, not three per shard.
+        let mut log = EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let a = ctx.shared_array(8, 0u64, "a");
+            for i in 0..8usize {
+                let aw = a.clone();
+                ctx.async_task(move |ctx| aw.write(ctx, i, 1));
+            }
+            for i in 0..8usize {
+                a.write(ctx, i, 2);
+            }
+        });
+        let config = DetectorConfig {
+            max_reports: 3,
+            ..DetectorConfig::default()
+        };
+        let mut det = RaceDetector::with_config(config.clone());
+        replay(&log.events, &mut det);
+        let serial = det.into_report();
+        assert_eq!(serial.races.len(), 3);
+
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(4));
+        let factory = || RaceDetector::with_config(config.clone());
+        let out = run_supervised(events_of(&log), factory, &plan, None).unwrap();
+        let (report, _, _) = completed(out);
+        assert_eq!(report.report.races, serial.races);
+        assert_eq!(report.report.total_detected, serial.total_detected);
     }
 
     #[test]

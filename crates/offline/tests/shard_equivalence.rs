@@ -15,10 +15,10 @@ use futrace_baselines::VectorClockDetector;
 use futrace_benchsuite::randomprog::{self, GenParams};
 use futrace_detector::{RaceDetector, RaceReport};
 use futrace_offline::{
-    detect_sharded, detect_sharded_events, run_sharded_events, ShardOptions, ShardPlan,
-    StreamWriter,
+    run_supervised, trace_events, ChunkedEvents, ShardPlan, StreamWriter, SupervisedOutcome,
+    SupervisorPlan, SyntheticChunks, SYNTHETIC_CHUNK_EVENTS,
 };
-use futrace_runtime::engine::run_analysis_recorded;
+use futrace_runtime::engine::{run_analysis_recorded, Checkpointable};
 use futrace_runtime::{replay, run_serial, EventLog};
 use futrace_util::propcheck::{self, strategies, Config};
 use std::convert::Infallible;
@@ -40,27 +40,75 @@ fn serial_report(log: &EventLog) -> RaceReport {
     det.into_report()
 }
 
-fn assert_equivalent(serial: &RaceReport, log: &EventLog, shards: usize, ctx: &str) {
-    let opts = ShardOptions {
+/// Plain sharding with small batches and tight channels, which stress the
+/// pipeline's ordering and backpressure; correctness must not depend on
+/// batching.
+fn plain_plan(shards: usize) -> SupervisorPlan {
+    SupervisorPlan::plain(ShardPlan {
         shards,
-        // Small batches + tight channels stress the pipeline's ordering
-        // and backpressure; correctness must not depend on batching.
         batch_events: 32,
         channel_capacity: 2,
-        ..ShardOptions::default()
+    })
+}
+
+/// Runs the shard stage to completion and returns the merged report. A
+/// clean run must not have needed any recovery.
+fn run_sharded<A, I, E>(
+    events: impl Fn() -> I,
+    plan: &SupervisorPlan,
+    factory: impl Fn() -> A,
+) -> A::Report
+where
+    A: Checkpointable + Send + 'static,
+    A::Report: Send + 'static,
+    I: ChunkedEvents + Iterator<Item = Result<futrace_runtime::Event, E>>,
+    E: std::fmt::Display,
+{
+    match run_supervised(events, factory, plan, None) {
+        Ok(SupervisedOutcome::Completed {
+            report,
+            supervision,
+            ..
+        }) => {
+            assert!(!supervision.any(), "clean run needed recovery: {supervision:?}");
+            report
+        }
+        Ok(SupervisedOutcome::Suspended { .. }) => unreachable!("no stop_after_chunks requested"),
+        Err(e) => panic!("sharded run failed: {e}"),
+    }
+}
+
+/// [`run_sharded`] over an in-memory recording.
+fn run_sharded_log<A>(
+    log: &EventLog,
+    plan: &SupervisorPlan,
+    factory: impl Fn() -> A,
+) -> A::Report
+where
+    A: Checkpointable + Send + 'static,
+    A::Report: Send + 'static,
+{
+    let events = || {
+        SyntheticChunks::new(
+            log.events.iter().cloned().map(Ok::<_, Infallible>),
+            SYNTHETIC_CHUNK_EVENTS,
+        )
     };
-    let stream = log.events.iter().cloned().map(Ok::<_, Infallible>);
-    let out = detect_sharded_events(stream, &opts).expect("infallible stream");
+    run_sharded(events, plan, factory)
+}
+
+fn assert_equivalent(serial: &RaceReport, log: &EventLog, shards: usize, ctx: &str) {
+    let out = run_sharded_log(log, &plain_plan(shards), RaceDetector::new).report;
     assert_eq!(
-        out.report.total_detected, serial.total_detected,
+        out.total_detected, serial.total_detected,
         "{ctx}: verdict diverged at {shards} shards"
     );
     assert_eq!(
-        out.report.races, serial.races,
+        out.races, serial.races,
         "{ctx}: race report diverged at {shards} shards"
     );
     assert_eq!(
-        out.report.races.first(),
+        out.races.first(),
         serial.races.first(),
         "{ctx}: first race diverged at {shards} shards"
     );
@@ -108,9 +156,10 @@ fn sharded_equals_serial_through_the_framed_format() {
         }
         let (blob, _) = w.finish().unwrap();
         for shards in SHARD_COUNTS {
-            let out = detect_sharded(&blob, &ShardOptions::with_shards(shards), false).unwrap();
-            assert_eq!(out.report.races, serial.races, "seed {seed}, {shards} shards");
-            assert_eq!(out.report.total_detected, serial.total_detected);
+            let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+            let out = run_sharded(|| trace_events(&blob, false), &plan, RaceDetector::new).report;
+            assert_eq!(out.races, serial.races, "seed {seed}, {shards} shards");
+            assert_eq!(out.total_detected, serial.total_detected);
         }
     }
 }
@@ -129,18 +178,14 @@ fn vector_clock_shards_like_the_dtrg_detector() {
             let log = record(seed, params);
             let serial = run_analysis_recorded(&log.events, VectorClockDetector::new()).report;
             for shards in SHARD_COUNTS {
-                let mut plan = ShardPlan::with_shards(shards);
-                plan.batch_events = 32;
-                plan.channel_capacity = 2;
-                let stream = log.events.iter().cloned().map(Ok::<_, Infallible>);
-                let out = run_sharded_events(stream, &plan, VectorClockDetector::new)
-                    .expect("infallible stream");
+                let out =
+                    run_sharded_log(&log, &plain_plan(shards), VectorClockDetector::new);
                 assert_eq!(
-                    out.report.races, serial.races,
+                    out.races, serial.races,
                     "seed {seed}, {shards} shards: vc race count diverged"
                 );
                 assert_eq!(
-                    out.report.notes, serial.notes,
+                    out.notes, serial.notes,
                     "seed {seed}, {shards} shards: control-derived notes must be replica-identical"
                 );
             }

@@ -321,6 +321,17 @@ impl ParCtx {
     /// (Completions set their flags *before* bumping the generation, so a
     /// waiter that records the current generation really did observe the
     /// effects of every completed task.)
+    ///
+    /// Why the check never sees a thread in transit as idle: every move
+    /// into `active` happens before the move out of `queue` or `blocked`
+    /// that it replaces (a worker increments `active` before it steals a
+    /// job; a resuming waiter increments it before it leaves `blocked`
+    /// and `waiters`), and the check reads in the opposite order: it
+    /// holds the lock, so `blocked` cannot change under it, reads the
+    /// queue, and only then `active`. A job gone from the queue, or a
+    /// waiter gone from `blocked`, is therefore seen counted in `active`.
+    /// A worker leaves `active` only after its job has bumped the
+    /// generation, which makes every other waiter's stamp stale.
     fn wait_until(&mut self, done: impl Fn() -> bool) {
         if done() {
             return;
@@ -341,9 +352,10 @@ impl ParCtx {
         }
         impl Drop for Guard<'_> {
             fn drop(&mut self) {
+                // Active before leaving `blocked` (see the method docs).
+                self.shared.active.fetch_add(1, Ordering::SeqCst);
                 self.shared.lock.lock().blocked.remove(&self.id);
                 self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-                self.shared.active.fetch_add(1, Ordering::SeqCst);
             }
         }
         let _g = Guard {
@@ -373,8 +385,9 @@ impl ParCtx {
             // keeps a wait that is still in transition (it may be about to
             // observe its condition satisfied and resume running task
             // code) from being silently presumed stuck.
-            let frozen = shared.active.load(Ordering::SeqCst) <= 0
-                && shared.queue.is_empty()
+            // The queue is read before `active` (see the method docs).
+            let frozen = shared.queue.is_empty()
+                && shared.active.load(Ordering::SeqCst) <= 0
                 && !g.blocked.is_empty()
                 && g.blocked.len() == shared.waiters.load(Ordering::SeqCst)
                 && g.blocked.values().all(|&v| v == cur);

@@ -2,11 +2,11 @@
 //!
 //! A [`Session`] owns exactly one DTRG analysis run. It can be fed three
 //! ways — a whole trace blob, a whole decoded event list, or chunk by
-//! chunk as frames arrive over the wire — and finished through any of
-//! the three backends (serial, sharded, supervised) the one-shot
-//! pipeline already had. The `futrace::Analyze` builder and `tracetool
-//! serve` both ride this type, so batch and streaming analysis share one
-//! code path and one [`AnalysisOutcome`] shape.
+//! chunk as frames arrive over the wire — and finished serially or
+//! through the offline shard stage, plain or supervised. The
+//! `futrace::Analyze` builder and `tracetool serve` both ride this type,
+//! so batch and streaming analysis share one code path and one
+//! [`AnalysisOutcome`] shape.
 //!
 //! Chunk feeding drives the engine's batched dispatch path
 //! incrementally: the session keeps a live serial engine, consumes each
@@ -15,9 +15,10 @@
 //! was opened with explicit `shards`, the final verdict *is* that
 //! engine's verdict — exact by Theorem 2, checkpointed or resumed or not
 //! — and nothing is replayed at [`Session::finish`]. Sessions with
-//! explicit `shards`, and whole-trace feeds, replay through the existing
-//! offline pipelines, whose merged reports are identical to serial by the
-//! pipeline's own equivalence tests.
+//! explicit `shards`, and whole-trace feeds, replay through the serial
+//! engine or the shard stage (`futrace_offline::run_supervised`), whose
+//! merged reports are identical to serial by the stage's own equivalence
+//! tests.
 //!
 //! Checkpoints are snapshots of that live engine, in the FCKP format of
 //! DESIGN S38: [`Session::checkpoint`] stores the control-event prefix
@@ -36,9 +37,9 @@ use futrace_detector::{
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    run_sharded_events, run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress,
-    ShardPlan, ShardStats, SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan,
-    SyntheticChunks, TraceError, TraceFingerprint,
+    run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress, ShardPlan, ShardStats,
+    SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, SyntheticChunks,
+    TraceError, TraceFingerprint, SYNTHETIC_CHUNK_EVENTS,
 };
 use futrace_runtime::engine::{
     run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
@@ -48,7 +49,6 @@ use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
 use futrace_util::faultinject::FaultPlan;
 use futrace_util::stats::Timer;
-use std::convert::Infallible;
 use std::fmt;
 
 /// What can go wrong inside a session, independent of any I/O the caller
@@ -92,10 +92,11 @@ pub struct AnalysisOutcome {
     /// Engine counters: events consumed, checks performed, wall time,
     /// cache hit/miss totals, and any supervision suffix.
     pub engine: EngineCounters,
-    /// Sharded-pipeline accounting, when the sharded or supervised
-    /// backend ran.
+    /// Sharded-pipeline accounting, when the shard stage ran.
     pub sharding: Option<ShardStats>,
-    /// What the supervisor did, when the supervised backend ran.
+    /// What the supervisor did, when the run asked for supervision
+    /// (snapshots, injected faults or a resume) or a plain sharded run
+    /// had to recover (a dead worker degrades it to serial).
     pub supervision: Option<SupervisionReport>,
     /// Online-pipeline telemetry (buffer publishes, canonical-walk
     /// frontier waits, per-shard routing), when the source was an
@@ -156,10 +157,6 @@ pub struct SessionConfig {
     /// Skip damaged trace chunks (counting them) instead of failing.
     pub lenient: bool,
 }
-
-/// Synthetic chunk granularity used when supervising an in-memory event
-/// list (which has no framed boundaries of its own).
-pub(crate) const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
 enum Feed {
     /// Nothing fed yet (finishing analyzes an empty stream).
@@ -474,8 +471,7 @@ impl Session {
         let config = self.cfg.detector.clone();
         let timer = self.timer;
 
-        // Every other combination replays through the existing one-shot
-        // pipelines.
+        // Every other combination replays through the one-shot backends.
         let (blob, events): (Option<Vec<u8>>, Option<Vec<Event>>) = match self.feed {
             Feed::Empty => (None, Some(Vec::new())),
             Feed::Trace(data) => (Some(data), None),
@@ -483,20 +479,23 @@ impl Session {
             Feed::Wire { blob, .. } => (Some(blob), None),
         };
 
-        if supervised {
-            let plan = {
-                let mut plan = SupervisorPlan {
-                    shard: ShardPlan::with_shards(
-                        self.cfg.shards.unwrap_or(ShardPlan::default().shards),
-                    ),
+        if supervised || self.cfg.shards.is_some() {
+            // Plain `shards` runs the same stage with nothing retained for
+            // recovery; snapshots, faults and resumes keep the full plan.
+            let shards = self.cfg.shards.unwrap_or(ShardPlan::default().shards);
+            let shard = ShardPlan::with_shards(shards);
+            let mut plan = if supervised {
+                SupervisorPlan {
+                    shard,
                     ..SupervisorPlan::default()
-                };
-                plan.checkpoint_every_chunks = self.cfg.checkpoint_every;
-                if let Some(seed) = self.cfg.fault_seed {
-                    plan = plan.with_faults(&FaultPlan::from_seed(seed));
                 }
-                plan
+            } else {
+                SupervisorPlan::plain(shard)
             };
+            plan.checkpoint_every_chunks = self.cfg.checkpoint_every;
+            if let Some(seed) = self.cfg.fault_seed {
+                plan = plan.with_faults(&FaultPlan::from_seed(seed));
+            }
             let factory = || RaceDetector::with_config(config.clone());
             let resume = self.resume.as_ref();
             let out = match (&blob, &events) {
@@ -529,39 +528,22 @@ impl Session {
             else {
                 unreachable!("no stop_after requested, the run must complete");
             };
-            let engine = engine_from_shards(&stats, timer.elapsed_ms(), Some(&supervision));
+            let engine = EngineCounters {
+                events: stats.events,
+                control_events: stats.control_events,
+                reads: stats.reads,
+                writes: stats.writes,
+                wall_ms: timer.elapsed_ms(),
+                shard_restarts: supervision.shard_restarts,
+                degradations: supervision.degradations,
+                resumed_from_checkpoint: supervision.resumed_from_checkpoint,
+                ..EngineCounters::default()
+            };
             let mut outcome = AnalysisOutcome::from_dtrg(report, engine);
             outcome.sharding = Some(stats);
-            outcome.supervision = Some(supervision);
-            return Ok(outcome);
-        }
-
-        if let Some(n) = self.cfg.shards {
-            let factory = || RaceDetector::with_config(config.clone());
-            let plan = ShardPlan::with_shards(n);
-            let run = match (&blob, &events) {
-                (Some(data), _) => {
-                    let mut it = trace_events(data, lenient);
-                    let mut run = run_sharded_events(&mut it, &plan, factory)
-                        .map_err(SessionError::Trace)?;
-                    run.stats.skipped_chunks = it.skipped_chunks();
-                    run
-                }
-                (None, Some(events)) => {
-                    let it = events
-                        .iter()
-                        .cloned()
-                        .map(Ok as fn(_) -> Result<_, Infallible>);
-                    match run_sharded_events(it, &plan, factory) {
-                        Ok(run) => run,
-                        Err(never) => match never {},
-                    }
-                }
-                (None, None) => unreachable!("feed resolution always yields one"),
-            };
-            let engine = engine_from_shards(&run.stats, timer.elapsed_ms(), None);
-            let mut outcome = AnalysisOutcome::from_dtrg(run.report, engine);
-            outcome.sharding = Some(run.stats);
+            // A clean plain run has nothing to report; a degraded one says
+            // so.
+            outcome.supervision = (supervised || supervision.any()).then_some(supervision);
             return Ok(outcome);
         }
 
@@ -586,29 +568,6 @@ pub(crate) fn erase_supervise_error(e: SuperviseError<TraceError>) -> SessionErr
         SuperviseError::Stream(e) => SessionError::Trace(e),
         other => SessionError::Supervise(other.to_string()),
     }
-}
-
-/// Builds engine counters from sharded-pipeline accounting, the exact
-/// assembly the one-shot path used to do by hand.
-pub(crate) fn engine_from_shards(
-    stats: &ShardStats,
-    wall_ms: f64,
-    supervision: Option<&SupervisionReport>,
-) -> EngineCounters {
-    let mut c = EngineCounters {
-        events: stats.events,
-        control_events: stats.control_events,
-        reads: stats.reads,
-        writes: stats.writes,
-        wall_ms,
-        ..EngineCounters::default()
-    };
-    if let Some(s) = supervision {
-        c.shard_restarts = s.shard_restarts;
-        c.degradations = s.degradations;
-        c.resumed_from_checkpoint = s.resumed_from_checkpoint;
-    }
-    c
 }
 
 #[cfg(test)]

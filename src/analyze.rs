@@ -1,11 +1,6 @@
 //! `Analyze` — the one front door for DTRG race detection.
 //!
-//! Before this module, running the detector meant picking from a zoo of
-//! entry points: `detect_races` / `detect_races_with_stats` /
-//! `detect_races_in_trace` for serial runs, a hand-assembled
-//! `run_sharded_events` call for sharded replay, and a hand-built
-//! `SupervisorPlan` for fault-tolerant runs — each returning a
-//! differently-shaped result. The builder collapses all of it:
+//! One builder runs the detector over any source, through any backend:
 //!
 //! ```
 //! use futrace::Analyze;
@@ -147,10 +142,11 @@ impl<'a> Analyze<'a> {
         }
     }
 
-    /// Analyzes a serial depth-first execution of `f` (the DSL program
-    /// form the old `detect_races` took). The execution is recorded and
-    /// replayed through the configured backend; the serial executor is
-    /// deterministic, so the verdict is identical to a live run's.
+    /// Analyzes a serial depth-first execution of `f`, a program written
+    /// against the task DSL ([`crate::runtime::TaskCtx`]). The execution
+    /// is recorded and replayed through the configured backend; the
+    /// serial executor is deterministic, so the verdict is identical to a
+    /// live run's.
     pub fn program<F>(f: F) -> Self
     where
         F: FnOnce(&mut SerialCtx<EventLog>) + 'a,
@@ -488,6 +484,9 @@ mod tests {
         assert!(!out.has_races());
         let sharding = out.sharding.expect("sharded backend ran");
         assert_eq!(sharding.shards, 2);
+        // Plain sharding that needed no recovery reports no supervision.
+        assert!(out.supervision.is_none());
+        assert!(!out.engine.had_supervision_events());
     }
 
     #[test]

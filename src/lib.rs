@@ -97,10 +97,9 @@ pub use futrace_util as util;
 ///
 /// The two driving surfaces are [`Analyze`] (every source, every
 /// backend, one outcome shape) and [`ParMonitor`] (custom analyses over
-/// the canonical stream, online). The `detect_races*` helpers are
-/// deprecated and no longer re-exported here — migrate to
-/// `Analyze::program(f).run()`; they remain reachable at
-/// [`detector::detect_races`] until removal.
+/// the canonical stream, online). For one detector run over a program,
+/// `Analyze::program(f).run()` returns races, statistics and footprint
+/// together.
 pub mod prelude {
     pub use crate::analyze::{AnalysisOutcome, Analyze, AnalyzeError};
     pub use futrace_detector::{

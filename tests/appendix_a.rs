@@ -8,7 +8,7 @@ use futrace::runtime::DeadlockError;
 /// The Appendix-A program's handle exchange, modeled with shared cells:
 /// each async publishes its future's handle to a cell the *other* side
 /// reads without synchronization. Generic over the monitor so it runs
-/// under the engine-wrapped detector that `detect_races` now drives.
+/// under the engine-wrapped detector that `Analyze::program` drives.
 fn racy_handle_exchange<M: futrace::runtime::Monitor>(ctx: &mut SerialCtx<M>) {
     let slot_a = ctx.shared_var(0u32, "handle.a");
     let slot_b = ctx.shared_var(0u32, "handle.b");

@@ -17,7 +17,9 @@ use futrace::baselines::{
 use futrace::benchsuite::randomprog::{execute, generate, GenParams, Program};
 use futrace::detector::RaceDetector;
 use futrace::Analyze;
-use futrace::offline::{run_sharded_events, trace_events, ShardPlan, StreamWriter};
+use futrace::offline::{
+    run_supervised, trace_events, ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan,
+};
 use futrace::runtime::engine::{run_analysis, run_analysis_live, source, Analysis};
 use futrace::runtime::run_serial;
 use futrace::util::propcheck::{self, strategies, Config};
@@ -198,16 +200,19 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
 
         // The loc-routable detectors must also agree when the same frames
         // are sharded across 3 workers.
-        let plan = ShardPlan::with_shards(3);
+        let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
         let serial = run_analysis(
             source::stream(trace_events(b, false)),
             RaceDetector::new(),
         )
         .expect("serial dtrg");
-        let sharded = run_sharded_events(trace_events(b, false), &plan, RaceDetector::new)
-            .expect("sharded dtrg");
+        let Ok(SupervisedOutcome::Completed { report: sharded, .. }) =
+            run_supervised(|| trace_events(b, false), RaceDetector::new, &plan, None)
+        else {
+            panic!("sharded dtrg, seed {seed}");
+        };
         assert_eq!(
-            serial.report.report.races, sharded.report.report.races,
+            serial.report.report.races, sharded.report.races,
             "dtrg sharded, seed {seed}"
         );
         let serial_vc = run_analysis(
@@ -215,11 +220,13 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
             VectorClockDetector::new(),
         )
         .expect("serial vc");
-        let sharded_vc =
-            run_sharded_events(trace_events(b, false), &plan, VectorClockDetector::new)
-                .expect("sharded vc");
+        let Ok(SupervisedOutcome::Completed { report: sharded_vc, .. }) =
+            run_supervised(|| trace_events(b, false), VectorClockDetector::new, &plan, None)
+        else {
+            panic!("sharded vc, seed {seed}");
+        };
         assert_eq!(
-            serial_vc.report.races, sharded_vc.report.races,
+            serial_vc.report.races, sharded_vc.races,
             "vc sharded, seed {seed}"
         );
     });

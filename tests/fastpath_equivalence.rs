@@ -16,7 +16,10 @@ use std::convert::Infallible;
 
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::detector::{DetectorConfig, RaceDetector, RaceReport};
-use futrace::offline::{run_sharded_events, ShardPlan};
+use futrace::offline::{
+    run_supervised, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
+    SYNTHETIC_CHUNK_EVENTS,
+};
 use futrace::runtime::engine::{run_analysis, source};
 use futrace::runtime::{run_serial, Event, EventLog};
 use futrace::util::propcheck::{self, strategies, Config};
@@ -45,12 +48,15 @@ fn serial_report(events: &[Event], caching: bool) -> RaceReport {
 }
 
 fn sharded_report(events: &[Event], shards: usize, caching: bool) -> RaceReport {
-    let plan = ShardPlan::with_shards(shards);
-    let it = events.iter().cloned().map(Ok as fn(Event) -> Result<Event, Infallible>);
-    run_sharded_events(it, &plan, || with_caching(caching))
-        .expect("sharded run is infallible here")
-        .report
-        .report
+    let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+    let it = || {
+        let events = events.iter().cloned().map(Ok::<_, Infallible>);
+        SyntheticChunks::new(events, SYNTHETIC_CHUNK_EVENTS)
+    };
+    match run_supervised(it, || with_caching(caching), &plan, None) {
+        Ok(SupervisedOutcome::Completed { report, .. }) => report.report,
+        _ => unreachable!("an in-memory stream without a resume always completes"),
+    }
 }
 
 fn assert_reports_identical(label: &str, seed: u64, cached: &RaceReport, uncached: &RaceReport) {
