@@ -1,13 +1,13 @@
 //! Layer-by-layer timing of the online pipeline on one workload —
 //! `cargo run --release -p futrace-bench --example online_prof [bench]`.
 //!
-//! Separates the executor, the buffer/walker plumbing, and sharded
-//! detection so a pipeline regression names its layer.
+//! Separates the executor, the buffer/walker plumbing, and detection on
+//! the walker thread so a pipeline regression names its layer.
 
 use futrace_benchsuite::registry::{self, Scale};
-use futrace_detector::{OnlineDtrg, RaceDetector};
+use futrace_detector::RaceDetector;
 use futrace_runtime::engine::{Analysis, Engine};
-use futrace_runtime::online::{run_online, OnlineOptions, Serialized};
+use futrace_runtime::online::{run_online, OnlineOptions};
 use futrace_runtime::{run_parallel, NullMonitor};
 use std::time::Instant;
 
@@ -45,23 +45,20 @@ fn main() {
     };
     let online_null = |t: usize| {
         median_ms(|| {
-            let run = run_online(OnlineOptions::threads(t), Serialized::new(NullMonitor), |ctx| {
+            let run = run_online(OnlineOptions::threads(t), &mut NullMonitor, |ctx| {
                 w.run_parallel_into(ctx, scale, false)
             });
             run.result.expect("no deadlock");
         })
     };
-    let online_dtrg = |t: usize, s: usize| {
+    let online_dtrg = |t: usize| {
         median_ms(|| {
-            let opts = OnlineOptions {
-                threads: t,
-                shards: s,
-                steal_seed: None,
-            };
-            let run = run_online(opts, OnlineDtrg::new(), |ctx| {
+            let mut engine = Engine::new(RaceDetector::new());
+            let run = run_online(OnlineOptions::threads(t), &mut engine, |ctx| {
                 w.run_parallel_into(ctx, scale, false)
             });
             run.result.expect("no deadlock");
+            let _ = engine.into_parts().0.finish();
         })
     };
 
@@ -74,7 +71,7 @@ fn main() {
     for t in [1, 2, 4] {
         println!("  online null monitor     @{t}t  {:8.1}", online_null(t));
     }
-    for (t, s) in [(1, 1), (2, 2), (4, 1), (4, 2), (4, 4)] {
-        println!("  online dtrg             @{t}t/{s}s {:7.1}", online_dtrg(t, s));
+    for t in [1, 2, 4] {
+        println!("  online dtrg             @{t}t  {:8.1}", online_dtrg(t));
     }
 }

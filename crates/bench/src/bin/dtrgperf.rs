@@ -26,14 +26,13 @@
 
 use futrace_bench::runner::Runner;
 use futrace_benchsuite::registry::{self, Scale, Workload};
-use futrace_detector::{DetectorConfig, OnlineDtrg, RaceDetector};
+use futrace_detector::{DetectorConfig, RaceDetector};
 use futrace_runtime::engine::{run_analysis, source, Analysis, Engine};
 use futrace_runtime::online::{run_online, OnlineOptions};
 use futrace_runtime::{Event, EventLog, NullMonitor};
 
-/// Worker-thread count for the online rows (the acceptance bar:
-/// overlapped detection at this width must beat the serial instrumented
-/// run on the wavefront/stencil programs).
+/// Executor worker threads for the online rows. Detection runs on one
+/// more thread, the canonical walker, overlapping with execution.
 const ONLINE_THREADS: usize = 4;
 
 /// Programs that also get online rows: live serial-instrumented wall
@@ -186,16 +185,24 @@ fn measure(w: &Workload, runner: &mut Runner) -> ProgramResult {
     let dtrg = &cached_out.report.stats.dtrg;
     let (cache_hits, cache_misses) = (dtrg.memo_hits + dtrg.shadow_hits, dtrg.memo_misses);
 
-    let with_online = ONLINE_PROGRAMS.contains(&w.name);
-    if with_online {
-        // The overlapped pipeline must agree with the replayed verdict
-        // before we bother timing it.
-        let online_out = run_online(OnlineOptions::auto(ONLINE_THREADS), OnlineDtrg::new(), |ctx| {
+    // One detector engine on the walker thread, as
+    // `Analyze::program_parallel` runs it; reports whether the execution
+    // completed, and the finished detector report.
+    let online = || {
+        let mut engine = Engine::new(RaceDetector::new());
+        let run = run_online(OnlineOptions::threads(ONLINE_THREADS), &mut engine, |ctx| {
             w.run_parallel_into(ctx, Scale::Perf, false)
         });
-        assert!(online_out.result.is_ok(), "{}: online run failed", w.name);
+        (run.result.is_ok(), engine.into_parts().0.finish())
+    };
+    let with_online = ONLINE_PROGRAMS.contains(&w.name);
+    if with_online {
+        // The online run must agree with the replayed verdict before we
+        // bother timing it.
+        let (completed, online_report) = online();
+        assert!(completed, "{}: online run failed", w.name);
         assert_eq!(
-            online_out.report.report.races, cached_out.report.report.races,
+            online_report.report.races, cached_out.report.report.races,
             "{}: online and replayed verdicts must be identical",
             w.name
         );
@@ -221,7 +228,7 @@ fn measure(w: &Workload, runner: &mut Runner) -> ProgramResult {
     if with_online {
         // End-to-end wall time, execution included: one instrumented
         // serial thread vs the work-stealing executor with detection
-        // overlapped on shard threads.
+        // overlapped on the walker thread.
         group.bench_pair(
             "serial-live",
             || {
@@ -231,11 +238,7 @@ fn measure(w: &Workload, runner: &mut Runner) -> ProgramResult {
                 analysis.finish()
             },
             "online",
-            || {
-                run_online(OnlineOptions::auto(ONLINE_THREADS), OnlineDtrg::new(), |ctx| {
-                    w.run_parallel_into(ctx, Scale::Perf, false)
-                })
-            },
+            online,
         );
     }
     group.finish();

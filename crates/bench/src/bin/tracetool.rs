@@ -11,7 +11,7 @@
 //! # detecting races online while it executes — no trace file; the
 //! # verdict is byte-identical to record + analyze --detector dtrg:
 //! tracetool exec --bench jacobi --threads 4 [--detector dtrg]
-//!     [--shards N] [--tiny|--scaled] [--planted] [--steal-seed S]
+//!     [--tiny|--scaled] [--planted] [--steal-seed S]
 //!
 //! # offline race detection + statistics over a trace (either format;
 //! # --detector picks the analysis, --shards N runs the parallel
@@ -70,13 +70,15 @@ use futrace_benchsuite::randomprog::GenParams;
 use futrace_corpus::{run_corpus, CorpusError, CorpusOptions, FailurePolicy};
 use futrace_benchsuite::registry::{self, Scale};
 use futrace_compgraph::{dot, GraphBuilder, GraphStats};
-use futrace_detector::{OnlineDtrg, RaceReport};
+use futrace_detector::{RaceDetector, RaceReport};
 use futrace_offline::framed::{self, DEFAULT_CHUNK_BYTES};
 use futrace_offline::{
     trace_events, Checkpoint, ShardPlan, StreamWriter, SupervisedOutcome, SuperviseError,
     SupervisorPlan, TraceFingerprint, WriterStats,
 };
-use futrace_runtime::engine::{run_analysis_recorded, AnalysisOutcome, EngineCounters};
+use futrace_runtime::engine::{
+    run_analysis_recorded, Analysis, AnalysisOutcome, Engine, EngineCounters,
+};
 use futrace_runtime::online::{run_online, OnlineOptions};
 use futrace_runtime::{trace, Event, EventLog, Monitor};
 use futrace_service::{ClientOptions, ClientOutcome, ServeOptions, Server};
@@ -98,8 +100,7 @@ usage:
                    [--tiny|--scaled] [--planted]
                    [--stream [--chunk-bytes N] [--inject SEED]]
   tracetool exec --bench NAME --threads N [--detector dtrg]
-                   [--shards N] [--tiny|--scaled] [--planted]
-                   [--steal-seed S]
+                   [--tiny|--scaled] [--planted] [--steal-seed S]
   tracetool analyze FILE [--detector NAME] [--shards N] [--lenient]
                    [--graph] [--dot FILE] [--inject SEED]
                    [--checkpoint-every N] [--stop-after N --checkpoint FILE]
@@ -261,49 +262,47 @@ fn record(args: RecordArgs) {
 }
 
 /// Runs a benchsuite program live on the instrumented work-stealing
-/// executor, with DTRG detection overlapped on shard threads — the
-/// online half of the front door, no trace file involved. The verdict
-/// section stays byte-identical to `record` + `analyze --detector dtrg`
-/// on the same bench (CI diffs it); online telemetry rides in the
-/// engine block. A deadlocked execution still reports the analysis of
+/// executor, with DTRG detection overlapped on the canonical walker's
+/// thread — the online half of the front door, no trace file involved.
+/// The verdict section stays byte-identical to `record` + `analyze
+/// --detector dtrg` on the same bench (CI diffs it); online telemetry
+/// rides in the engine block. A deadlocked execution still reports the analysis of
 /// the executed prefix, then exits 1.
 fn exec(args: ExecArgs) {
     debug_assert_eq!(args.detector, "dtrg", "parser admits only dtrg for exec");
     let w = registry::find(&args.bench).expect("parser admits only known benches");
     let scale = if args.tiny { Scale::Tiny } else { Scale::Scaled };
-    let mut opts = match args.shards {
-        Some(shards) => OnlineOptions {
-            threads: args.threads,
-            shards,
-            steal_seed: None,
-        },
-        None => OnlineOptions::auto(args.threads),
+    let opts = OnlineOptions {
+        threads: args.threads,
+        steal_seed: args.steal_seed,
     };
-    opts.steal_seed = args.steal_seed;
-    let run = run_online(opts, OnlineDtrg::new(), |ctx| {
+    let start = std::time::Instant::now();
+    let mut engine = Engine::new(RaceDetector::new());
+    let run = run_online(opts, &mut engine, |ctx| {
         w.run_parallel_into(ctx, scale, args.planted)
     });
+    let (detector, mut counters) = engine.into_parts();
+    let report = detector.finish();
+    counters.wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    let outcome = futrace_service::AnalysisOutcome::from_dtrg(report, counters);
 
     println!(
-        "{}: {} events ({} thread(s), {} shard(s), live)",
-        args.bench, run.engine.events, run.stats.threads, run.stats.shards
+        "{}: {} events ({} thread(s), live)",
+        args.bench, outcome.engine.events, run.stats.threads
     );
-    note_if_empty(run.engine.events);
+    note_if_empty(outcome.engine.events);
     if let Err(e) = &run.result {
         eprintln!("error: {e}");
         eprintln!("reporting the analysis of the executed prefix:");
     }
 
-    let mut counters = run.engine;
-    counters.cache_hits = run.report.stats.dtrg.memo_hits + run.report.stats.dtrg.shadow_hits;
-    counters.cache_misses = run.report.stats.dtrg.memo_misses;
-    print_engine_counters(&counters);
+    print_engine_counters(&outcome.engine);
     println!("{}", run.stats);
 
     println!("\n-- detector --");
-    println!("{}", run.report.stats);
-    println!("footprint:   {}", run.report.footprint);
-    let racy = print_verdict(&run.report.report);
+    println!("{}", outcome.stats);
+    println!("footprint:   {}", outcome.footprint);
+    let racy = print_verdict(&outcome.races);
 
     if run.result.is_err() {
         std::process::exit(1);

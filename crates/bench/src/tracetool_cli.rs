@@ -76,12 +76,9 @@ pub struct ExecArgs {
     pub bench: String,
     /// Executor worker threads (≥ 1).
     pub threads: usize,
-    /// Detector to run online (currently only `dtrg` consumes the
-    /// canonical stream sharded; validated at parse time).
+    /// Detector to run online (currently only `dtrg`; validated at
+    /// parse time).
     pub detector: String,
-    /// Detector shard workers; fitted to the machine's spare
-    /// cores when absent (`OnlineOptions::auto`).
-    pub shards: Option<usize>,
     /// Tiny input size (`--scaled` clears it; last flag wins, as in
     /// `record`).
     pub tiny: bool,
@@ -469,7 +466,6 @@ fn parse_exec(args: &[String]) -> Result<ExecArgs, String> {
     let mut bench = None;
     let mut threads = None;
     let mut detector = "dtrg".to_string();
-    let mut shards = None;
     let mut tiny = true;
     let mut planted = false;
     let mut steal_seed = None;
@@ -485,7 +481,6 @@ fn parse_exec(args: &[String]) -> Result<ExecArgs, String> {
                 );
             }
             "--detector" => detector = validate_detector(value(args, &mut i, "--detector")?)?,
-            "--shards" => shards = Some(parse_shards(args, &mut i)?),
             "--tiny" => tiny = true,
             "--scaled" => tiny = false,
             "--planted" => planted = true,
@@ -508,7 +503,6 @@ fn parse_exec(args: &[String]) -> Result<ExecArgs, String> {
         bench,
         threads: threads.ok_or("exec: --threads N is required")?,
         detector,
-        shards,
         tiny,
         planted,
         steal_seed,
@@ -1056,24 +1050,22 @@ mod tests {
         assert_eq!((e.bench.as_str(), e.threads), ("jacobi", 4));
         assert_eq!(e.detector, "dtrg");
         assert!(e.tiny && !e.planted);
-        assert!(e.shards.is_none() && e.steal_seed.is_none());
+        assert!(e.steal_seed.is_none());
 
         let Command::Exec(e) = parse(&argv(
-            "exec --bench sor --threads 2 --detector dtrg --shards 4 --scaled \
-             --planted --steal-seed 9",
+            "exec --bench sor --threads 2 --detector dtrg --scaled --planted --steal-seed 9",
         ))
         .unwrap() else {
             panic!()
         };
         assert_eq!((e.bench.as_str(), e.threads), ("sor", 2));
-        assert_eq!(e.shards, Some(4));
         assert!(!e.tiny && e.planted);
         assert_eq!(e.steal_seed, Some(9));
     }
 
     #[test]
     fn exec_validation_shares_analyze_and_record_rules() {
-        // Bench names, detector names, shard counts, seeds, and planted
+        // Bench names, detector names, thread counts, seeds, and planted
         // variants are all validated by the same helpers the other
         // subcommands use — structured errors at parse time.
         let err = parse(&argv("exec --bench jacobii --threads 2")).unwrap_err();
@@ -1091,8 +1083,8 @@ mod tests {
         let err = parse(&argv("exec --bench jacobi --threads four")).unwrap_err();
         assert!(err.contains("invalid count `four`"), "{err}");
 
-        let err = parse(&argv("exec --bench jacobi --threads 2 --shards 0")).unwrap_err();
-        assert!(err.contains("at least 1"), "{err}");
+        let err = parse(&argv("exec --bench jacobi --threads 2 --shards 2")).unwrap_err();
+        assert!(err.contains("unknown argument `--shards`"), "{err}");
         let err = parse(&argv("exec --bench jacobi --threads 2 --steal-seed nope")).unwrap_err();
         assert!(err.contains("invalid seed `nope`"), "{err}");
 

@@ -322,17 +322,16 @@ mod tests {
 
     #[test]
     fn parallel_runner_reproduces_the_serial_stream() {
-        use futrace_runtime::online::{run_online, OnlineOptions, Serialized};
+        use futrace_runtime::online::{run_online, OnlineOptions};
         for w in workloads() {
             let serial = w.record(Scale::Tiny, false);
-            let run = run_online(
-                OnlineOptions::threads(2),
-                Serialized::new(EventLog::new()),
-                |ctx| w.run_parallel_into(ctx, Scale::Tiny, false),
-            );
+            let mut log = EventLog::new();
+            let run = run_online(OnlineOptions::threads(2), &mut log, |ctx| {
+                w.run_parallel_into(ctx, Scale::Tiny, false)
+            });
             assert!(run.result.is_ok(), "workload `{}` failed online", w.name);
             assert_eq!(
-                run.report.events, serial.events,
+                log.events, serial.events,
                 "workload `{}` online stream diverged from the serial elision",
                 w.name
             );

@@ -40,7 +40,6 @@ use crate::shadow::{LastClean, Readers, ShadowCell, ShadowMemory};
 use crate::stats::DetectorStats;
 use futrace_runtime::engine::{Analysis, Checkpointable, LocRoutable, StateError};
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
-use futrace_runtime::online::ParMonitor;
 #[cfg(test)]
 use futrace_runtime::run_serial;
 use futrace_util::ids::{FinishId, LocId, TaskId};
@@ -591,69 +590,6 @@ impl LocRoutable for RaceDetector {
     }
 }
 
-/// DTRG detection behind the online-parallel [`ParMonitor`] surface.
-///
-/// `fork` creates one [`RaceDetector`] replica per worker; the online
-/// pipeline broadcasts every control event to all replicas (control is
-/// cheap — each maintains an identical DTRG) and routes each access to the
-/// replica that owns its location (the default [`ParMonitor::route`]:
-/// `loc % workers`). `merge` finishes every replica and folds the
-/// per-shard [`DtrgReport`]s through [`LocRoutable::merge_sharded`], so
-/// the online race report is byte-identical to the serial run's — the
-/// same contract the offline sharded replayer relies on, reached through
-/// the canonical access stream the online walker reconstructs.
-pub struct OnlineDtrg {
-    config: DetectorConfig,
-}
-
-impl OnlineDtrg {
-    /// Online-parallel DTRG detection with default configuration.
-    pub fn new() -> Self {
-        Self::with_config(DetectorConfig::default())
-    }
-
-    /// Online-parallel DTRG detection with explicit configuration. Every
-    /// forked shard and the merge step share this configuration.
-    pub fn with_config(config: DetectorConfig) -> Self {
-        OnlineDtrg { config }
-    }
-}
-
-impl Default for OnlineDtrg {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ParMonitor for OnlineDtrg {
-    type Worker = RaceDetector;
-    type Report = DtrgReport;
-
-    fn fork(&mut self, workers: usize) -> Vec<RaceDetector> {
-        (0..workers.max(1))
-            .map(|_| RaceDetector::with_config(self.config.clone()))
-            .collect()
-    }
-
-    fn control(worker: &mut RaceDetector, e: &Event) {
-        let applied = RaceDetector::apply_control(worker, e);
-        debug_assert!(applied, "online walker must route accesses to check");
-    }
-
-    fn check(worker: &mut RaceDetector, task: TaskId, loc: LocId, write: bool, index: u64) {
-        if write {
-            worker.check_write_at(task, loc, index);
-        } else {
-            worker.check_read_at(task, loc, index);
-        }
-    }
-
-    fn merge(self, workers: Vec<RaceDetector>) -> DtrgReport {
-        let reports: Vec<DtrgReport> = workers.into_iter().map(Analysis::finish).collect();
-        RaceDetector::with_config(self.config).merge_sharded(reports)
-    }
-}
-
 /// Checkpoint state-blob version for [`RaceDetector`]. Version 2 added the
 /// per-cell `last_clean` fast-path cache and the three cache counters
 /// (memo hits/misses, shadow fast-path hits): the fast-path cache must
@@ -971,23 +907,38 @@ mod tests {
             let _ = y.read(ctx); // races with _rb's write
         }
 
-        let serial = run_analysis_live(|ctx| prog(ctx), RaceDetector::new()).report;
+        let serial = run_analysis_live(|ctx| prog(ctx), RaceDetector::new());
+        assert!(serial.report.report.has_races());
         for threads in [1usize, 2, 4] {
-            let run = run_online(OnlineOptions::threads(threads), OnlineDtrg::new(), |ctx| {
+            let mut engine = Engine::new(RaceDetector::new());
+            let run = run_online(OnlineOptions::threads(threads), &mut engine, |ctx| {
                 prog(ctx)
             });
             assert!(run.result.is_ok());
-            assert_eq!(run.report.report.races, serial.report.races);
+            let (detector, counters) = engine.into_parts();
+            let online = detector.finish();
+            assert_eq!(online.report.races, serial.report.report.races);
             assert_eq!(
-                run.report.report.total_detected,
-                serial.report.total_detected
+                online.report.total_detected,
+                serial.report.report.total_detected
             );
+            assert_eq!(online.footprint, serial.report.footprint);
+            assert_eq!(online.stats.dtrg, serial.report.stats.dtrg);
+            assert_eq!(online.stats.to_string(), serial.report.stats.to_string());
             assert_eq!(
-                run.report.footprint.shadow_cells,
-                serial.footprint.shadow_cells
+                (
+                    counters.events,
+                    counters.control_events,
+                    counters.reads,
+                    counters.writes
+                ),
+                (
+                    serial.counters.events,
+                    serial.counters.control_events,
+                    serial.counters.reads,
+                    serial.counters.writes
+                )
             );
-            assert_eq!(run.report.stats.reads, serial.stats.reads);
-            assert_eq!(run.report.stats.writes, serial.stats.writes);
         }
     }
 

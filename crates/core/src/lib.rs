@@ -54,7 +54,7 @@ pub mod report;
 pub mod shadow;
 pub mod stats;
 
-pub use detector::{DetectorConfig, DtrgReport, MemoryFootprint, OnlineDtrg, RaceDetector};
+pub use detector::{DetectorConfig, DtrgReport, MemoryFootprint, RaceDetector};
 pub use dtrg::{Dtrg, DtrgCounters, SetData};
 pub use report::{AccessKind, Race, RaceReport};
 pub use shadow::{Readers, ShadowCell, ShadowMemory};

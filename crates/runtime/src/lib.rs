@@ -23,10 +23,10 @@
 //!   Appendix-A deadlock scenario, which [`parallel`] detects via global
 //!   stall detection. Under [`online`]'s driver the same pool records
 //!   per-task buffers from which a canonical walker reconstructs the
-//!   serial-elision stream *while the program runs*, feeding detector
-//!   shards through the concurrency-capable [`online::ParMonitor`]
-//!   surface ([`labels`] carries the DePa-style fork-path labels that
-//!   certify the walk order).
+//!   serial-elision stream *while the program runs* and drives one
+//!   [`monitor::Monitor`] with it, as the serial executor does
+//!   ([`labels`] carries the DePa-style fork-path labels that certify
+//!   the walk order).
 //!
 //! Shared memory ([`memory::SharedVar`], [`memory::SharedArray`]) routes
 //! every read and write through the active executor so instrumentation sees
@@ -55,8 +55,6 @@ pub use engine::{
 pub use labels::TaskLabel;
 pub use memory::{SharedArray, SharedVar};
 pub use monitor::{replay, Event, EventLog, Monitor, NullMonitor, TaskKind};
-pub use online::{
-    run_online, OnlineError, OnlineOptions, OnlineRun, OnlineStats, ParMonitor, Serialized,
-};
+pub use online::{run_online, OnlineError, OnlineOptions, OnlineRun, OnlineStats};
 pub use parallel::{run_parallel, run_parallel_seeded, DeadlockError, ParCtx, ParHandle};
 pub use serial::{run_serial, FutureHandle, SerialCtx};

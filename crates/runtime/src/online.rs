@@ -4,9 +4,8 @@
 //! serial execution: the program runs in the serial-elision order and the
 //! detector consumes its event stream in-line. This module removes that
 //! floor. The program executes on [`crate::parallel`]'s work-stealing pool
-//! while detection happens *concurrently* on a set of detector shard
-//! threads — execution and analysis overlap, and check cost amortizes over
-//! all cores.
+//! while detection happens *concurrently* on one walker thread, so
+//! execution and analysis overlap.
 //!
 //! The pipeline has three moving parts:
 //!
@@ -20,153 +19,43 @@
 //!    serial-elision order — the paper's detector (§4.1) is only sound and
 //!    precise for it. The walker reconstructs exactly that order from the
 //!    published buffers: it performs a depth-first traversal of the fork
-//!    tree (spawned child first, then the parent's remaining actions),
-//!    renumbers raw task/finish/location ids into the serial numbering,
-//!    and routes the resulting canonical stream to detector shards. When a
-//!    task's next action has not been published yet the walker blocks on
-//!    that *frontier* — execution is always ahead of (or equal to) the
-//!    walk, never behind it, so no access can be dropped: a buffered
-//!    access is either already published or will be published at the
-//!    task's next sync point, and every task ends with a final publish.
+//!    tree (spawned child first, then the parent's remaining actions) and
+//!    renumbers raw task/finish/location ids into the serial numbering.
+//!    When a task's next action has not been published yet the walker
+//!    blocks on that *frontier* — execution is always ahead of (or equal
+//!    to) the walk, never behind it, so no access can be dropped: a
+//!    buffered access is either already published or will be published at
+//!    the task's next sync point, and every task ends with a final publish.
 //!    [`crate::labels`] fork-path labels, maintained O(1) at spawn,
 //!    certify the walk order: serial ids must be monotone in label
 //!    depth-first order (debug-asserted per spawn).
-//! 3. **Detector shards** (N threads) behind the [`ParMonitor`] trait.
-//!    `Monitor` takes `&mut self` and cannot be driven from N workers;
-//!    `ParMonitor` is the concurrency-capable surface: `fork` splits the
-//!    monitor into per-worker state, the walker routes each access to one
-//!    worker (broadcasting control events to all), and `merge`
-//!    deterministically folds the workers back into a single report. The
-//!    blanket adapter [`Serialized`] lifts every existing `Monitor`
-//!    unchanged (one worker, canonical order = serial-elision order).
+//! 3. **One [`Monitor`]**, driven by the walker the way
+//!    [`crate::serial::SerialCtx`] drives it: each control event and each
+//!    access of the canonical stream becomes one `Monitor` callback on the
+//!    walker thread. DTRG detection passes an
+//!    [`Engine`](crate::engine::Engine) around the detector, so online
+//!    runs number and count accesses in the same code serial and replayed
+//!    runs use.
 //!
 //! Because the canonical stream is, for programs whose control flow does
 //! not depend on racy values (all benchsuite and random-program families —
 //! their task structure is data-independent), *byte-identical* to the
-//! stream a serial run would produce, the merged verdict is byte-identical
-//! to the serial detector's — the same guarantee the offline shard
-//! pipeline proves, reached during a parallel execution.
+//! stream a serial run would produce, the monitor observes exactly what it
+//! would have observed under [`crate::serial::run_serial`], and a
+//! detector's verdict and statistics equal the serial run's.
 
-use crate::engine::EngineCounters;
 use crate::labels::TaskLabel;
-use crate::monitor::{Event, Monitor, TaskKind};
+use crate::monitor::{Monitor, TaskKind};
 use crate::parallel::{run_pool, DeadlockError, ParCtx, PoolOutcome};
 use crate::sync::{Condvar, Mutex};
 use futrace_util::ids::{FinishId, LocId, TaskId};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Accesses buffered per task before a forced publish.
 const FLUSH_ACCESSES: usize = 4096;
-/// Canonical ops per batch handed to a detector shard.
-const BATCH_OPS: usize = 4096;
-/// Batches a shard queue buffers before the walker blocks (backpressure).
-const QUEUE_CAP: usize = 8;
-
-// ---------------------------------------------------------------------------
-// ParMonitor: the concurrency-capable monitor surface
-// ---------------------------------------------------------------------------
-
-/// A monitor that can be driven from multiple detector shard threads.
-///
-/// [`crate::monitor::Monitor`] takes `&mut self` on every callback and so
-/// can only be driven by one thread. `ParMonitor` is the parallel
-/// counterpart used by [`run_online`]: the monitor *forks* into per-worker
-/// state, each worker consumes its routed slice of the canonical event
-/// stream on its own thread, and a deterministic *merge* folds the workers
-/// back into one report.
-///
-/// The contract mirrors the offline shard pipeline's (and is what makes
-/// merged verdicts deterministic):
-///
-/// * every worker receives **all control events** (task/finish/get
-///   structure) in canonical order;
-/// * each access is routed to **exactly one** worker by [`ParMonitor::route`]
-///   (default: `loc % workers`), tagged with its global canonical index;
-/// * `merge` must not depend on inter-worker timing — workers are handed
-///   back in fork order and each worker's input is a deterministic
-///   function of the canonical stream.
-///
-/// `control` and `check` are associated functions (not `&self` methods) so
-/// workers can be moved to shard threads without borrowing the monitor.
-///
-/// Every existing serial [`Monitor`] participates unchanged through the
-/// [`Serialized`] adapter.
-pub trait ParMonitor: Sized {
-    /// Per-shard worker state, moved onto a shard thread.
-    type Worker: Send;
-    /// The merged result type.
-    type Report;
-
-    /// Splits the monitor into worker states. `workers` is the requested
-    /// shard count; implementations may return a different number (the
-    /// returned length is authoritative) but must return at least one.
-    fn fork(&mut self, workers: usize) -> Vec<Self::Worker>;
-
-    /// Routes an access on `loc` to a worker index in `0..workers`.
-    /// Must be a pure function of `(loc, workers)` (an associated function,
-    /// like `control`/`check`, so the walker thread needs no monitor
-    /// borrow).
-    fn route(loc: LocId, workers: usize) -> usize {
-        loc.index() % workers.max(1)
-    }
-
-    /// Applies one canonical control event to a worker. Called on every
-    /// worker for every control event, in canonical order.
-    fn control(worker: &mut Self::Worker, e: &Event);
-
-    /// Checks one routed access. `index` is the access's position in the
-    /// global canonical access stream (shared across workers).
-    fn check(worker: &mut Self::Worker, task: TaskId, loc: LocId, write: bool, index: u64);
-
-    /// Deterministically folds the workers (in fork order) into a report.
-    fn merge(self, workers: Vec<Self::Worker>) -> Self::Report;
-}
-
-/// Blanket adapter driving any serial [`Monitor`] as a [`ParMonitor`].
-///
-/// Forks into exactly one worker — the monitor itself — which receives
-/// the full canonical stream in order. Since the canonical stream is the
-/// serial-elision stream, the monitor observes exactly what it would have
-/// observed under [`crate::serial::run_serial`].
-pub struct Serialized<M>(Option<M>);
-
-impl<M> Serialized<M> {
-    /// Wraps a serial monitor for online driving.
-    pub fn new(mon: M) -> Self {
-        Serialized(Some(mon))
-    }
-}
-
-impl<M: Monitor + Send> ParMonitor for Serialized<M> {
-    type Worker = M;
-    type Report = M;
-
-    fn fork(&mut self, _workers: usize) -> Vec<M> {
-        vec![self.0.take().expect("Serialized monitor forked twice")]
-    }
-
-    fn control(worker: &mut M, e: &Event) {
-        crate::monitor::apply(worker, e);
-    }
-
-    fn check(worker: &mut M, task: TaskId, loc: LocId, write: bool, _index: u64) {
-        if write {
-            worker.write(task, loc);
-        } else {
-            worker.read(task, loc);
-        }
-    }
-
-    fn merge(self, workers: Vec<M>) -> M {
-        workers
-            .into_iter()
-            .next()
-            .expect("Serialized monitor has one worker")
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Recording side: per-task buffers published into slots
@@ -218,6 +107,9 @@ pub(crate) struct OnlineState {
     aborted: AtomicBool,
     publishes: AtomicU64,
     published_events: AtomicU64,
+    /// The pool's worker threads ever spawned, compensation included;
+    /// copied in by the pool at shutdown.
+    pub(crate) workers_spawned: AtomicUsize,
 }
 
 impl OnlineState {
@@ -229,6 +121,7 @@ impl OnlineState {
             aborted: AtomicBool::new(false),
             publishes: AtomicU64::new(0),
             published_events: AtomicU64::new(0),
+            workers_spawned: AtomicUsize::new(0),
         }
     }
 
@@ -406,115 +299,6 @@ impl TaskRec {
 }
 
 // ---------------------------------------------------------------------------
-// Shard queues: walker -> detector worker hand-off
-// ---------------------------------------------------------------------------
-
-/// One canonical-stream operation routed to a shard. Controls are boxed
-/// so the Vec slot stays at the (dominant) access variant's size — the
-/// queues move tens of millions of accesses and only thousands of
-/// controls.
-enum ShardOp {
-    /// Broadcast control event (every shard sees these).
-    Control(Box<Event>),
-    /// A routed access with its global canonical index.
-    Access {
-        task: TaskId,
-        loc: LocId,
-        write: bool,
-        index: u64,
-    },
-}
-
-struct ShardQueueState {
-    batches: VecDeque<Vec<ShardOp>>,
-    eof: bool,
-    dead: bool,
-}
-
-/// Bounded SPSC batch queue between the walker and one shard worker.
-struct ShardQueue {
-    state: Mutex<ShardQueueState>,
-    can_push: Condvar,
-    can_pop: Condvar,
-}
-
-impl ShardQueue {
-    fn new() -> ShardQueue {
-        ShardQueue {
-            state: Mutex::new(ShardQueueState {
-                batches: VecDeque::new(),
-                eof: false,
-                dead: false,
-            }),
-            can_push: Condvar::new(),
-            can_pop: Condvar::new(),
-        }
-    }
-
-    /// Blocking bounded push; returns false if the consumer died.
-    fn push(&self, batch: Vec<ShardOp>) -> bool {
-        let mut g = self.state.lock();
-        while g.batches.len() >= QUEUE_CAP && !g.dead {
-            g = self.can_push.wait(g);
-        }
-        if g.dead {
-            return false;
-        }
-        g.batches.push_back(batch);
-        drop(g);
-        self.can_pop.notify_one();
-        true
-    }
-
-    /// Marks the stream complete (consumer drains what remains, then stops).
-    fn close(&self) {
-        self.state.lock().eof = true;
-        self.can_pop.notify_all();
-    }
-
-    /// Tears the queue down from either side (panic paths).
-    fn kill(&self) {
-        let mut g = self.state.lock();
-        g.dead = true;
-        drop(g);
-        self.can_push.notify_all();
-        self.can_pop.notify_all();
-    }
-
-    fn pop(&self) -> Option<Vec<ShardOp>> {
-        let mut g = self.state.lock();
-        loop {
-            if let Some(b) = g.batches.pop_front() {
-                drop(g);
-                self.can_push.notify_one();
-                return Some(b);
-            }
-            if g.eof || g.dead {
-                return None;
-            }
-            g = self.can_pop.wait(g);
-        }
-    }
-}
-
-/// Kills a set of queues on drop unless disarmed — keeps a panicking
-/// walker or shard from leaving its peer blocked forever.
-struct QueueGuard<'a> {
-    queues: &'a [Arc<ShardQueue>],
-    armed: bool,
-}
-
-impl Drop for QueueGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            for q in self.queues {
-                q.kill();
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The canonical walker
 // ---------------------------------------------------------------------------
 
@@ -544,17 +328,12 @@ struct FinishFrame {
     joins: Vec<TaskId>,
 }
 
-/// What the walker produced (engine counters + telemetry deltas).
+/// The walker's telemetry (the monitor counts the stream itself).
+#[derive(Default)]
 struct WalkResult {
-    events: u64,
-    control_events: u64,
-    reads: u64,
-    writes: u64,
     tasks_walked: u64,
     frontier_waits: u64,
     unresolved_gets: u64,
-    batches: u64,
-    per_shard_accesses: Vec<u64>,
     truncated: bool,
 }
 
@@ -564,24 +343,9 @@ enum Step {
     TaskDone,
 }
 
-/// Where the walker sends the canonical stream.
-enum Sink<'a, P: ParMonitor> {
-    /// Batch and route to shard worker threads (the overlapped pipeline).
-    Queues {
-        queues: &'a [Arc<ShardQueue>],
-        staging: Vec<Vec<ShardOp>>,
-    },
-    /// Feed one worker directly on the walker thread. Chosen when no
-    /// spare core exists for a shard thread to run on: the hand-off
-    /// could not overlap with anything, so materializing and queueing
-    /// ops would be pure overhead.
-    Inline(P::Worker),
-}
-
-struct Walker<'a, P: ParMonitor> {
+struct Walker<'a, M: Monitor> {
     state: &'a OnlineState,
-    sink: Sink<'a, P>,
-    shards: usize,
+    mon: &'a mut M,
     stack: Vec<Frame>,
     finish_stack: Vec<FinishFrame>,
     next_task: u32,
@@ -591,18 +355,16 @@ struct Walker<'a, P: ParMonitor> {
     task_map: Vec<Option<TaskId>>,
     /// Raw loc → serial loc, filled as allocs are walked.
     loc_map: Vec<u32>,
-    next_access_index: u64,
     /// Label of the most recently walked spawn (order verification).
     last_spawn_label: Option<TaskLabel>,
     out: WalkResult,
 }
 
-impl<'a, P: ParMonitor> Walker<'a, P> {
-    fn new(state: &'a OnlineState, sink: Sink<'a, P>, shards: usize) -> Self {
+impl<'a, M: Monitor> Walker<'a, M> {
+    fn new(state: &'a OnlineState, mon: &'a mut M) -> Self {
         Walker {
             state,
-            sink,
-            shards,
+            mon,
             stack: Vec::new(),
             finish_stack: vec![FinishFrame {
                 id: FinishId(0),
@@ -613,26 +375,13 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
             next_loc: 0,
             task_map: vec![Some(TaskId::MAIN)],
             loc_map: Vec::new(),
-            next_access_index: 0,
             last_spawn_label: None,
-            out: WalkResult {
-                events: 0,
-                control_events: 0,
-                reads: 0,
-                writes: 0,
-                tasks_walked: 0,
-                frontier_waits: 0,
-                unresolved_gets: 0,
-                batches: 0,
-                per_shard_accesses: vec![0; shards],
-                truncated: false,
-            },
+            out: WalkResult::default(),
         }
     }
 
-    /// Walks to completion; returns the counters and, in inline mode,
-    /// the fed worker.
-    fn run(mut self) -> (WalkResult, Option<P::Worker>) {
+    /// Walks to completion (or until the run aborts).
+    fn run(mut self) -> WalkResult {
         // The main slot is registered before user code runs; wait for it.
         let root = loop {
             if let Some(s) = self.state.slot(0) {
@@ -640,7 +389,7 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
             }
             if self.state.is_aborted() {
                 self.out.truncated = true;
-                return self.finish_streams();
+                return self.out;
             }
             let g = self.state.wake.lock();
             drop(self.state.wake_cv.wait_timeout(g, Duration::from_micros(200)));
@@ -696,7 +445,7 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
                 drop(self.state.wake_cv.wait_timeout(g, Duration::from_micros(200)));
             }
         }
-        self.finish_streams()
+        self.out
     }
 
     /// Moves newly published data from the slot into the frame. Returns
@@ -790,12 +539,7 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
                     "walk order diverged from label depth-first order"
                 );
                 self.last_spawn_label = Some(slot.label.clone());
-                self.emit_control(Event::TaskCreate {
-                    parent: frame.serial,
-                    child: serial_child,
-                    kind,
-                    ief,
-                });
+                self.mon.task_create(frame.serial, serial_child, kind, ief);
                 // Depth-first: the child's whole subtree walks before the
                 // parent's remaining actions (serial elision).
                 self.stack.push(frame);
@@ -813,7 +557,7 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
             Control::FinishStart => {
                 let fid = FinishId(self.next_finish);
                 self.next_finish += 1;
-                self.emit_control(Event::FinishStart(frame.serial, fid));
+                self.mon.finish_start(frame.serial, fid);
                 self.finish_stack.push(FinishFrame {
                     id: fid,
                     joins: Vec::new(),
@@ -823,16 +567,13 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
             }
             Control::FinishEnd => {
                 let fin = self.finish_stack.pop().expect("unbalanced finish_end");
-                self.emit_control(Event::FinishEnd(frame.serial, fin.id, fin.joins));
+                self.mon.finish_end(frame.serial, fin.id, &fin.joins);
                 self.stack.push(frame);
                 Step::Emitted
             }
             Control::Get { awaited } => {
                 match self.task_map.get(awaited as usize).copied().flatten() {
-                    Some(serial_awaited) => self.emit_control(Event::Get {
-                        waiter: frame.serial,
-                        awaited: serial_awaited,
-                    }),
+                    Some(serial_awaited) => self.mon.get(frame.serial, serial_awaited),
                     // A handle that reached this task outside the monitored
                     // structure (e.g. through a raw channel): no serial id
                     // exists at this canonical position. Counted, skipped —
@@ -852,7 +593,7 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
                 for i in 0..n {
                     self.loc_map[base as usize + i as usize] = serial_base + i;
                 }
-                self.emit_control(Event::Alloc(LocId(serial_base), n, name.into()));
+                self.mon.alloc(LocId(serial_base), n, &name);
                 self.stack.push(frame);
                 Step::Emitted
             }
@@ -867,57 +608,20 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
         if frame.serial == TaskId::MAIN {
             // The implicit finish around main, exactly as run_serial ends.
             let fin = self.finish_stack.pop().expect("implicit finish frame");
-            self.emit_control(Event::FinishEnd(TaskId::MAIN, fin.id, fin.joins));
+            self.mon.finish_end(TaskId::MAIN, fin.id, &fin.joins);
         }
-        self.emit_control(Event::TaskEnd(frame.serial));
+        self.mon.task_end(frame.serial);
         self.out.tasks_walked += 1;
-    }
-
-    fn emit_control(&mut self, e: Event) {
-        self.out.events += 1;
-        self.out.control_events += 1;
-        match &mut self.sink {
-            Sink::Inline(w) => P::control(w, &e),
-            Sink::Queues { queues, staging } => {
-                for s in 0..staging.len() {
-                    staging[s].push(ShardOp::Control(Box::new(e.clone())));
-                    if staging[s].len() >= BATCH_OPS {
-                        Self::flush(queues, staging, &mut self.out.batches, s);
-                    }
-                }
-            }
-        }
     }
 
     fn emit_accesses(&mut self, frame: &mut Frame, upto: u64) {
         for i in frame.acc_pos..upto {
             let word = frame.acc[(i - frame.acc_base) as usize];
-            let raw_loc = (word >> 1) as u32;
-            let write = word & 1 == 1;
-            let loc = LocId(self.translate_loc(raw_loc));
-            let index = self.next_access_index;
-            self.next_access_index += 1;
-            self.out.events += 1;
-            if write {
-                self.out.writes += 1;
+            let loc = LocId(self.translate_loc((word >> 1) as u32));
+            if word & 1 == 1 {
+                self.mon.write(frame.serial, loc);
             } else {
-                self.out.reads += 1;
-            }
-            let shard = P::route(loc, self.shards).min(self.shards - 1);
-            self.out.per_shard_accesses[shard] += 1;
-            match &mut self.sink {
-                Sink::Inline(w) => P::check(w, frame.serial, loc, write, index),
-                Sink::Queues { queues, staging } => {
-                    staging[shard].push(ShardOp::Access {
-                        task: frame.serial,
-                        loc,
-                        write,
-                        index,
-                    });
-                    if staging[shard].len() >= BATCH_OPS {
-                        Self::flush(queues, staging, &mut self.out.batches, shard);
-                    }
-                }
+                self.mon.read(frame.serial, loc);
             }
         }
         frame.acc_pos = upto;
@@ -934,35 +638,6 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
             }
         }
     }
-
-    fn flush(
-        queues: &[Arc<ShardQueue>],
-        staging: &mut [Vec<ShardOp>],
-        batches: &mut u64,
-        shard: usize,
-    ) {
-        let batch = std::mem::replace(&mut staging[shard], Vec::with_capacity(BATCH_OPS));
-        if batch.is_empty() {
-            return;
-        }
-        *batches += 1;
-        // A false return means the shard died (panicked); its join will
-        // surface the payload — drop the batch and keep walking.
-        let _ = queues[shard].push(batch);
-    }
-
-    fn finish_streams(mut self) -> (WalkResult, Option<P::Worker>) {
-        match self.sink {
-            Sink::Inline(w) => (self.out, Some(w)),
-            Sink::Queues { queues, mut staging } => {
-                for s in 0..queues.len() {
-                    Self::flush(queues, &mut staging, &mut self.out.batches, s);
-                    queues[s].close();
-                }
-                (self.out, None)
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -974,37 +649,16 @@ impl<'a, P: ParMonitor> Walker<'a, P> {
 pub struct OnlineOptions {
     /// Worker threads for the parallel executor (≥ 1).
     pub threads: usize,
-    /// Detector shard threads requested from [`ParMonitor::fork`].
-    pub shards: usize,
     /// Seed for randomized steal order (schedule exploration); `None`
     /// keeps FIFO stealing.
     pub steal_seed: Option<u64>,
 }
 
 impl OnlineOptions {
-    /// `threads` executor threads with one detector shard per thread.
+    /// `threads` executor threads with FIFO stealing.
     pub fn threads(threads: usize) -> OnlineOptions {
         OnlineOptions {
             threads,
-            shards: threads,
-            steal_seed: None,
-        }
-    }
-
-    /// `threads` executor threads with the shard count fitted to the
-    /// machine: shards compete with the executor and the walker for
-    /// cores, so extra shards only help when spare cores exist to run
-    /// them. On a saturated (or single-core) host this picks one shard —
-    /// the pipeline still overlaps detection with execution, it just
-    /// stops paying for cross-shard scheduling it cannot use.
-    pub fn auto(threads: usize) -> OnlineOptions {
-        let avail = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let shards = avail.saturating_sub(threads + 1).clamp(1, threads);
-        OnlineOptions {
-            threads,
-            shards,
             steal_seed: None,
         }
     }
@@ -1013,10 +667,11 @@ impl OnlineOptions {
 /// Telemetry from one online run: buffer/merge behaviour of the pipeline.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct OnlineStats {
-    /// Executor worker threads.
+    /// Executor worker threads requested.
     pub threads: usize,
-    /// Detector shard workers actually forked.
-    pub shards: usize,
+    /// Pool worker threads actually spawned: the `threads` initial ones
+    /// plus every compensation worker added while waits were blocked.
+    pub workers_spawned: usize,
     /// Buffer publishes (merges into task slots) across all tasks.
     pub publishes: u64,
     /// Actions moved by those publishes (accesses + controls).
@@ -1028,10 +683,10 @@ pub struct OnlineStats {
     /// `get()`s whose awaited handle had no serial id at its canonical
     /// position (handle smuggled outside the monitored structure).
     pub unresolved_gets: u64,
-    /// Batches handed to detector shards.
+    /// Batches handed from the walker to another thread. Always 0: the
+    /// walker drives its monitor itself. Kept because existing telemetry
+    /// consumers read it.
     pub batches: u64,
-    /// Accesses routed to each shard.
-    pub per_shard_accesses: Vec<u64>,
     /// The canonical stream was cut short (deadlock or panic).
     pub truncated: bool,
 }
@@ -1040,14 +695,13 @@ impl std::fmt::Display for OnlineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "online: threads={} shards={} publishes={} published={} \
-             frontier_waits={} batches={}",
+            "online: threads={} workers_spawned={} publishes={} published={} \
+             frontier_waits={}",
             self.threads,
-            self.shards,
+            self.workers_spawned,
             self.publishes,
             self.published_events,
-            self.frontier_waits,
-            self.batches
+            self.frontier_waits
         )?;
         if self.unresolved_gets > 0 {
             write!(f, " unresolved_gets={}", self.unresolved_gets)?;
@@ -1076,164 +730,67 @@ impl std::fmt::Display for OnlineError {
 
 impl std::error::Error for OnlineError {}
 
-/// Result of [`run_online`]: the program's value, the merged report, and
-/// run telemetry. `report` is present even when `result` is an error —
-/// detection of the executed prefix still completed.
-pub struct OnlineRun<R, Rep> {
+/// Result of [`run_online`]: the program's value and run telemetry. The
+/// monitor was fed even when `result` is an error — it holds the
+/// analysis of the executed prefix.
+pub struct OnlineRun<R> {
     /// The program's return value, or why execution failed.
     pub result: Result<R, OnlineError>,
-    /// The merged [`ParMonitor`] report.
-    pub report: Rep,
-    /// Canonical-stream counters (events, control, reads, writes, wall).
-    pub engine: EngineCounters,
     /// Online-pipeline telemetry.
     pub stats: OnlineStats,
 }
 
-/// Runs `f` on the instrumented parallel executor with detection overlapped
-/// on shard threads. See the module docs for the pipeline.
+/// Runs `f` on the instrumented parallel executor while the canonical
+/// walker feeds the serial-elision stream to `monitor`. See the module
+/// docs for the pipeline.
 ///
-/// Thread budget: `opts.threads` executor workers + 1 canonical walker +
-/// `opts.shards` detector shards (plus any compensation workers the pool
-/// adds while waits are blocked).
+/// Thread budget: `opts.threads` executor workers + 1 canonical walker,
+/// which runs `monitor` (plus any compensation workers the pool adds
+/// while waits are blocked).
 ///
-/// Panics from task bodies are propagated to the caller after all
-/// pipeline threads have been joined.
-pub fn run_online<P, R, F>(opts: OnlineOptions, mut monitor: P, f: F) -> OnlineRun<R, P::Report>
+/// Panics from task bodies and from the monitor are propagated to the
+/// caller after every thread has been joined.
+pub fn run_online<M, R, F>(opts: OnlineOptions, monitor: &mut M, f: F) -> OnlineRun<R>
 where
-    P: ParMonitor,
+    M: Monitor + Send,
     R: Send,
     F: FnOnce(&mut ParCtx) -> R + Send,
 {
     assert!(opts.threads >= 1, "need at least one executor thread");
-    let start = Instant::now();
-    let mut workers = monitor.fork(opts.shards.max(1));
-    assert!(!workers.is_empty(), "ParMonitor::fork returned no workers");
-    let shards = workers.len();
     let state = Arc::new(OnlineState::new());
-    // With a single shard and no spare core to run it on, a shard thread
-    // cannot overlap with the walker — feed the worker inline on the
-    // walker thread instead of materializing ops through a queue.
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let inline_worker = (shards == 1 && avail <= 2).then(|| workers.remove(0));
-    let queues: Vec<Arc<ShardQueue>> = (0..workers.len())
-        .map(|_| Arc::new(ShardQueue::new()))
-        .collect();
 
-    let (pool_out, walk_join, shard_joins) = std::thread::scope(|s| {
-        let walker_state = Arc::clone(&state);
-        let walker_queues = &queues[..];
-        let walker = s.spawn(move || {
-            let guard = QueueGuard {
-                queues: walker_queues,
-                armed: true,
-            };
-            let sink = match inline_worker {
-                Some(w) => Sink::Inline(w),
-                None => Sink::Queues {
-                    queues: walker_queues,
-                    staging: (0..shards).map(|_| Vec::new()).collect(),
-                },
-            };
-            let res = Walker::<P>::new(&walker_state, sink, shards).run();
-            // Normal exit already closed the streams; disarm the guard.
-            let mut guard = guard;
-            guard.armed = false;
-            res
-        });
-        let shard_handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut w)| {
-                let q = Arc::clone(&queues[i]);
-                s.spawn(move || {
-                    struct Dead<'a>(&'a ShardQueue, bool);
-                    impl Drop for Dead<'_> {
-                        fn drop(&mut self) {
-                            if self.1 {
-                                self.0.kill();
-                            }
-                        }
-                    }
-                    let mut dead = Dead(&q, true);
-                    while let Some(batch) = q.pop() {
-                        for op in batch {
-                            match op {
-                                ShardOp::Control(e) => P::control(&mut w, &e),
-                                ShardOp::Access {
-                                    task,
-                                    loc,
-                                    write,
-                                    index,
-                                } => P::check(&mut w, task, loc, write, index),
-                            }
-                        }
-                    }
-                    dead.1 = false;
-                    w
-                })
-            })
-            .collect();
-
+    let (pool_out, walk) = std::thread::scope(|s| {
+        let walker_state = &*state;
+        let walker = s.spawn(move || Walker::new(walker_state, monitor).run());
         let out = run_pool(opts.threads, opts.steal_seed, Some(Arc::clone(&state)), f);
         if !matches!(out, PoolOutcome::Done(_)) {
             state.abort();
         }
-        let walk = walker.join();
-        let shard_outs: Vec<_> = shard_handles.into_iter().map(|h| h.join()).collect();
-        (out, walk, shard_outs)
+        (out, walker.join())
     });
 
-    // Joins are done; re-raise pipeline panics (walker first: a detector
-    // panic usually follows from a malformed stream).
-    let (walk, walked_worker) = match walk_join {
-        Ok(pair) => pair,
+    // Both threads are joined; re-raise a walker (monitor) panic first.
+    let walk = match walk {
+        Ok(walk) => walk,
         Err(payload) => std::panic::resume_unwind(payload),
     };
-    let mut shard_workers = Vec::with_capacity(shards);
-    shard_workers.extend(walked_worker);
-    for j in shard_joins {
-        match j {
-            Ok(w) => shard_workers.push(w),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
     let result = match pool_out {
         PoolOutcome::Done(r) => Ok(r),
         PoolOutcome::Deadlock(e) => Err(OnlineError::Deadlock(e)),
         PoolOutcome::Panicked(payload) => std::panic::resume_unwind(payload),
     };
-
-    let report = monitor.merge(shard_workers);
-    let engine = EngineCounters {
-        events: walk.events,
-        control_events: walk.control_events,
-        reads: walk.reads,
-        writes: walk.writes,
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-        ..EngineCounters::default()
-    };
     let stats = OnlineStats {
         threads: opts.threads,
-        shards,
+        workers_spawned: state.workers_spawned.load(Ordering::Relaxed),
         publishes: state.publishes.load(Ordering::Relaxed),
         published_events: state.published_events.load(Ordering::Relaxed),
         tasks_walked: walk.tasks_walked,
         frontier_waits: walk.frontier_waits,
         unresolved_gets: walk.unresolved_gets,
-        batches: walk.batches,
-        per_shard_accesses: walk.per_shard_accesses,
+        batches: 0,
         truncated: walk.truncated,
     };
-    OnlineRun {
-        result,
-        report,
-        engine,
-        stats,
-    }
+    OnlineRun { result, stats }
 }
 
 #[cfg(test)]
@@ -1294,18 +851,18 @@ mod tests {
     fn canonical_stream_equals_serial_elision() {
         let want = serial_log(|ctx| mixed_program(ctx));
         for threads in [1, 2, 4] {
-            let run = run_online(
-                OnlineOptions::threads(threads),
-                Serialized::new(EventLog::default()),
-                |ctx| mixed_program(ctx),
-            );
+            let mut log = EventLog::default();
+            let run = run_online(OnlineOptions::threads(threads), &mut log, |ctx| {
+                mixed_program(ctx)
+            });
             assert!(run.result.is_ok());
             assert_eq!(
-                run.report.events, want.events,
+                log.events, want.events,
                 "threads={threads}: canonical stream diverged from serial elision"
             );
             assert!(run.stats.publishes > 0);
             assert_eq!(run.stats.tasks_walked, 9); // 6 asyncs + 2 futures + main
+            assert!(run.stats.workers_spawned >= threads);
             assert!(!run.stats.truncated);
         }
     }
@@ -1314,38 +871,42 @@ mod tests {
     fn seeded_schedules_preserve_the_canonical_stream() {
         let want = serial_log(|ctx| mixed_program(ctx));
         for seed in [1u64, 7, 42, 1337] {
-            let run = run_online(
-                OnlineOptions {
-                    threads: 4,
-                    shards: 1,
-                    steal_seed: Some(seed),
-                },
-                Serialized::new(EventLog::default()),
-                |ctx| mixed_program(ctx),
-            );
+            let mut log = EventLog::default();
+            let opts = OnlineOptions {
+                threads: 4,
+                steal_seed: Some(seed),
+            };
+            let run = run_online(opts, &mut log, mixed_program);
             assert!(run.result.is_ok());
             assert_eq!(
-                run.report.events, want.events,
+                log.events, want.events,
                 "seed={seed}: canonical stream diverged"
             );
         }
     }
 
     #[test]
-    fn engine_counters_match_stream_shape() {
-        let run = run_online(
-            OnlineOptions::threads(2),
-            Serialized::new(EventLog::default()),
-            |ctx| mixed_program(ctx),
+    fn blocked_gets_report_compensation_workers() {
+        // Each future spawns the next level and waits for it. The waiter
+        // cannot run the queued child itself, so once both initial
+        // workers and main are blocked in gets the pool must add a worker.
+        fn level(ctx: &mut ParCtx, depth: u32) -> u32 {
+            if depth == 0 {
+                return 0;
+            }
+            let child = ctx.future(move |ctx| level(ctx, depth - 1));
+            ctx.get(&child) + 1
+        }
+        let run = run_online(OnlineOptions::threads(2), &mut EventLog::default(), |ctx| {
+            level(ctx, 8)
+        });
+        assert_eq!(run.result.ok(), Some(8));
+        assert!(
+            run.stats.workers_spawned > 2,
+            "workers_spawned={}",
+            run.stats.workers_spawned
         );
-        let accesses = run.report.shared_mem_accesses() as u64;
-        assert_eq!(run.engine.reads + run.engine.writes, accesses);
-        assert_eq!(
-            run.engine.events,
-            run.engine.control_events + accesses,
-            "events = control + accesses"
-        );
-        assert!(run.engine.wall_ms >= 0.0);
+        assert!(run.stats.to_string().contains("workers_spawned="));
     }
 
     #[test]
@@ -1354,7 +915,7 @@ mod tests {
         let (tx, rx) = mpsc::channel::<crate::parallel::ParHandle<u64>>();
         let run = run_online(
             OnlineOptions::threads(2),
-            Serialized::new(EventLog::default()),
+            &mut EventLog::default(),
             move |ctx| {
                 let f = ctx.future(move |ctx| {
                     let me = rx.recv().unwrap();
@@ -1371,74 +932,12 @@ mod tests {
     #[test]
     fn task_panic_propagates_after_pipeline_join() {
         let res = std::panic::catch_unwind(|| {
-            run_online(
-                OnlineOptions::threads(2),
-                Serialized::new(EventLog::default()),
-                |ctx| {
-                    ctx.finish(|ctx| {
-                        ctx.async_task(|_| panic!("task body panic"));
-                    });
-                },
-            )
+            run_online(OnlineOptions::threads(2), &mut EventLog::default(), |ctx| {
+                ctx.finish(|ctx| {
+                    ctx.async_task(|_| panic!("task body panic"));
+                });
+            })
         });
         assert!(res.is_err());
-    }
-
-    #[test]
-    fn multi_shard_routing_partitions_accesses() {
-        // EventLog across 2 workers: control broadcast, accesses split by
-        // loc parity. Merge keeps worker 0, so its log must contain all
-        // control events and exactly the even-loc accesses.
-        struct TwoLogs;
-        impl ParMonitor for TwoLogs {
-            type Worker = EventLog;
-            type Report = Vec<EventLog>;
-            fn fork(&mut self, _w: usize) -> Vec<EventLog> {
-                vec![EventLog::default(), EventLog::default()]
-            }
-            fn control(w: &mut EventLog, e: &Event) {
-                crate::monitor::apply(w, e);
-            }
-            fn check(w: &mut EventLog, task: TaskId, loc: LocId, write: bool, _i: u64) {
-                if write {
-                    w.write(task, loc);
-                } else {
-                    w.read(task, loc);
-                }
-            }
-            fn merge(self, workers: Vec<EventLog>) -> Vec<EventLog> {
-                workers
-            }
-        }
-        let run = run_online(OnlineOptions::threads(2), TwoLogs, |ctx| mixed_program(ctx));
-        let logs = run.report;
-        assert_eq!(logs.len(), 2);
-        let serial = serial_log(|ctx| mixed_program(ctx));
-        let total_accesses = serial.shared_mem_accesses();
-        let (a0, a1) = (logs[0].shared_mem_accesses(), logs[1].shared_mem_accesses());
-        assert_eq!(a0 + a1, total_accesses);
-        assert!(a0 > 0 && a1 > 0, "both shards should see accesses");
-        for log in &logs {
-            for e in log.events.iter() {
-                if let Event::Read(_, l) | Event::Write(_, l) = e {
-                    let shard = if std::ptr::eq(log, &logs[0]) { 0 } else { 1 };
-                    assert_eq!(l.index() % 2, shard, "access routed to wrong shard");
-                }
-            }
-        }
-        // Control stream identical on both shards.
-        let controls = |log: &EventLog| -> Vec<Event> {
-            log.events
-                .iter()
-                .filter(|e| !matches!(e, Event::Read(..) | Event::Write(..)))
-                .cloned()
-                .collect()
-        };
-        assert_eq!(controls(&logs[0]), controls(&logs[1]));
-        assert_eq!(
-            controls(&logs[0]),
-            controls(&serial),
-            "broadcast control stream must equal the serial elision's"
-        );
     }
 }

@@ -654,7 +654,7 @@ where
         shared: Arc::clone(&shared),
         cur: TaskId::MAIN,
         finish: Arc::clone(&root_scope),
-        rec: online.map(TaskRec::main),
+        rec: online.clone().map(TaskRec::main),
     };
     let out = catch_unwind(AssertUnwindSafe(|| {
         let r = f(&mut main_ctx);
@@ -672,6 +672,10 @@ where
         drop(handles);
         let _ = h.join();
         shared.notify();
+    }
+    if let Some(state) = &online {
+        let spawned = shared.workers_spawned.load(Ordering::SeqCst);
+        state.workers_spawned.store(spawned, Ordering::Relaxed);
     }
 
     match out {

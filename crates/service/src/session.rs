@@ -99,7 +99,7 @@ pub struct AnalysisOutcome {
     /// had to recover (a dead worker degrades it to serial).
     pub supervision: Option<SupervisionReport>,
     /// Online-pipeline telemetry (buffer publishes, canonical-walk
-    /// frontier waits, per-shard routing), when the source was an
+    /// frontier waits, pool workers spawned), when the source was an
     /// instrumented parallel execution (`Analyze::program_parallel`).
     pub online: Option<OnlineStats>,
 }
@@ -110,11 +110,13 @@ impl AnalysisOutcome {
         self.races.has_races()
     }
 
-    pub(crate) fn from_dtrg(report: DtrgReport, mut engine: EngineCounters) -> Self {
-        // Surface the analysis's hot-path cache counters next to the
-        // driver's own counts: hits from both cache layers, misses from
-        // the memo (the shadow fast path has no distinct miss event —
-        // every slow-path check is one).
+    /// The outcome of one DTRG run, from its finished report and the
+    /// engine counters that drove it. Fills the counters' cache totals
+    /// from the detector's statistics: hits from both cache layers,
+    /// misses from the memo (the shadow fast path has no distinct miss
+    /// event — every slow-path check is one). No sharding, supervision
+    /// or online accounting is attached.
+    pub fn from_dtrg(report: DtrgReport, mut engine: EngineCounters) -> Self {
         engine.cache_hits = report.stats.dtrg.memo_hits + report.stats.dtrg.shadow_hits;
         engine.cache_misses = report.stats.dtrg.memo_misses;
         AnalysisOutcome {

@@ -42,11 +42,13 @@
 //! same program feed the serial, sharded, and supervised backends
 //! unchanged.
 
-use crate::detector::{DetectorConfig, OnlineDtrg};
+use crate::detector::{DetectorConfig, RaceDetector};
 use crate::offline::TraceError;
+use crate::runtime::engine::{Analysis, Engine};
 use crate::runtime::online::{run_online, OnlineOptions};
 use crate::runtime::{run_serial, Event, EventLog, ParCtx, SerialCtx};
 use crate::service::{Session, SessionConfig, SessionError};
+use crate::util::stats::Timer;
 
 pub use crate::service::AnalysisOutcome;
 
@@ -156,19 +158,19 @@ impl<'a> Analyze<'a> {
 
     /// Analyzes an *instrumented parallel* execution of `f` on `threads`
     /// worker threads — detection happens online, while the program runs.
-    /// Per-task access buffers are merged at scheduler sync points, a
-    /// canonical walker reconstructs the serial-elision stream, and
-    /// detector shards (fitted to the machine's spare cores unless
-    /// [`Analyze::shards`] says otherwise) consume it concurrently with
-    /// execution. The verdict is
-    /// byte-identical to [`Analyze::program`] on the same program: same
-    /// races, same indices, same statistics — held by the online
-    /// equivalence propcheck. The outcome's `online` field carries the
-    /// pipeline telemetry.
+    /// Per-task access buffers are merged at scheduler sync points, and
+    /// a canonical walker reconstructs the serial-elision stream and
+    /// feeds it to one detector engine on its own thread, concurrently
+    /// with execution. The verdict is byte-identical to
+    /// [`Analyze::program`] on the same program: same races, same
+    /// indices, same statistics — held by the online equivalence
+    /// propcheck. The outcome's `online` field carries the pipeline
+    /// telemetry.
     ///
-    /// Trace-replay options ([`Analyze::checkpoint_every`],
-    /// [`Analyze::fault_plan`], [`Analyze::lenient`]) do not apply to a
-    /// live parallel execution and are [`AnalyzeError::Config`] errors.
+    /// Trace-replay options ([`Analyze::shards`],
+    /// [`Analyze::checkpoint_every`], [`Analyze::fault_plan`],
+    /// [`Analyze::lenient`]) do not apply to a live parallel execution
+    /// and are [`AnalyzeError::Config`] errors.
     pub fn program_parallel<F>(threads: usize, f: F) -> Self
     where
         F: FnOnce(&mut ParCtx) + Send + 'a,
@@ -312,14 +314,9 @@ impl<'a> Analyze<'a> {
                 "program_parallel(0, ..): need at least one worker thread".into(),
             ));
         }
-        if shards == Some(0) {
+        if shards.is_some() || checkpoint_every.is_some() || fault_seed.is_some() {
             return Err(AnalyzeError::Config(
-                "shards(0): need at least one detect worker".into(),
-            ));
-        }
-        if checkpoint_every.is_some() || fault_seed.is_some() {
-            return Err(AnalyzeError::Config(
-                "checkpoint_every()/fault_plan() apply to replayed traces, \
+                "shards()/checkpoint_every()/fault_plan() apply to replayed traces, \
                  not to a live parallel execution"
                     .into(),
             ));
@@ -329,29 +326,20 @@ impl<'a> Analyze<'a> {
                 "lenient() applies to framed trace sources".into(),
             ));
         }
+        let timer = Timer::start();
+        let mut engine = Engine::new(RaceDetector::with_config(config));
         let opts = OnlineOptions {
             threads,
-            shards: shards.unwrap_or_else(|| OnlineOptions::auto(threads).shards),
             steal_seed,
         };
-        let run = run_online(opts, OnlineDtrg::with_config(config), f);
+        let run = run_online(opts, &mut engine, f);
         if let Err(e) = run.result {
             return Err(AnalyzeError::Deadlock(e.to_string()));
         }
-        let mut engine = run.engine;
-        // Same cache-counter enrichment the session layer applies: hits
-        // from both cache layers, misses from the memo.
-        engine.cache_hits = run.report.stats.dtrg.memo_hits + run.report.stats.dtrg.shadow_hits;
-        engine.cache_misses = run.report.stats.dtrg.memo_misses;
-        let mut outcome = AnalysisOutcome {
-            races: run.report.report,
-            stats: run.report.stats,
-            footprint: run.report.footprint,
-            engine,
-            sharding: None,
-            supervision: None,
-            online: None,
-        };
+        let (detector, mut counters) = engine.into_parts();
+        let report = detector.finish();
+        counters.wall_ms = timer.elapsed_ms();
+        let mut outcome = AnalysisOutcome::from_dtrg(report, counters);
         outcome.online = Some(run.stats);
         Ok(outcome)
     }
@@ -394,7 +382,7 @@ mod tests {
             assert_eq!(par.engine.checks(), serial.engine.checks());
             let online = par.online.expect("parallel runs carry telemetry");
             assert_eq!(online.threads, threads);
-            assert_eq!(online.shards, OnlineOptions::auto(threads).shards);
+            assert!(online.workers_spawned >= threads);
             assert!(online.publishes > 0);
             assert!(!online.truncated);
         }
@@ -417,6 +405,12 @@ mod tests {
 
         let err = Analyze::program_parallel(2, noop)
             .lenient(true)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, AnalyzeError::Config(_)), "{err}");
+
+        let err = Analyze::program_parallel(2, noop)
+            .shards(2)
             .run()
             .unwrap_err();
         assert!(matches!(err, AnalyzeError::Config(_)), "{err}");

@@ -38,11 +38,11 @@
 //!   instrumented parallel execution, trace file, trace blob, event
 //!   slice) and every *backend* (serial, sharded, supervised, online
 //!   parallel), always returning one [`AnalysisOutcome`].
-//! * [`runtime::online::ParMonitor`] — the trait a custom analysis
-//!   implements to consume the canonical event stream concurrently
-//!   (sharded workers, deterministic merge). Any serial
-//!   [`runtime::Monitor`] adapts for free via
-//!   [`runtime::online::Serialized`].
+//! * [`runtime::Monitor`] — the trait a custom analysis implements to
+//!   consume the serial-elision event stream, driven either by a serial
+//!   execution ([`runtime::run_serial`]) or, while the program runs on
+//!   the work-stealing pool, by the canonical walker
+//!   ([`runtime::run_online`]).
 //!
 //! ```
 //! use futrace::prelude::*;
@@ -96,23 +96,23 @@ pub use futrace_util as util;
 /// Convenience prelude for examples and downstream users.
 ///
 /// The two driving surfaces are [`Analyze`] (every source, every
-/// backend, one outcome shape) and [`ParMonitor`] (custom analyses over
-/// the canonical stream, online). For one detector run over a program,
+/// backend, one outcome shape) and [`runtime::Monitor`] (custom analyses
+/// over the serial-elision stream, driven by [`runtime::run_serial`] or
+/// [`runtime::run_online`]). For one detector run over a program,
 /// `Analyze::program(f).run()` returns races, statistics and footprint
 /// together.
 pub mod prelude {
     pub use crate::analyze::{AnalysisOutcome, Analyze, AnalyzeError};
     pub use futrace_detector::{
-        DetectorConfig, DtrgReport, MemoryFootprint, OnlineDtrg, RaceDetector, RaceReport,
+        DetectorConfig, DtrgReport, MemoryFootprint, RaceDetector, RaceReport,
     };
     pub use futrace_runtime::accumulator::Accumulator;
     pub use futrace_runtime::engine::{
         run_analysis, run_analysis_live, run_analysis_recorded, Analysis, Engine, EngineCounters,
     };
     pub use futrace_runtime::memory::{SharedArray, SharedVar};
-    pub use futrace_runtime::online::{
-        run_online, OnlineOptions, OnlineRun, OnlineStats, ParMonitor, Serialized,
-    };
+    pub use futrace_runtime::monitor::Monitor;
+    pub use futrace_runtime::online::{run_online, OnlineOptions, OnlineRun, OnlineStats};
     pub use futrace_runtime::serial::{run_serial, FutureHandle, SerialCtx};
     pub use futrace_runtime::{run_parallel, run_parallel_seeded, ParCtx, TaskCtx};
     pub use futrace_util::ids::{LocId, StepId, TaskId};

@@ -1,8 +1,8 @@
 //! The online-parallel pipeline as a property: `Analyze::program_parallel`
 //! must produce the *same verdict* as the serial `Analyze::program` on the
-//! same program — same races, same access indices, same structural
-//! statistics — regardless of thread count, shard count, or which victim
-//! the work-stealing scheduler happens to rob (DESIGN S43).
+//! same program — same races, same access indices, same statistics —
+//! regardless of thread count or which victim the work-stealing scheduler
+//! happens to rob (DESIGN S43).
 //!
 //! Ground truth here is the serial run, which `tests/equivalence.rs`
 //! separately pins to the transitive-closure oracle; chaining the two
@@ -25,11 +25,11 @@ fn serial_verdict(prog: &Program) -> AnalysisOutcome {
     .unwrap()
 }
 
-/// Asserts the parts of the verdict that must be byte-identical between
-/// the serial and online backends: the race report and the structural
-/// statistics. Cost counters (memo hits, precede calls) legitimately
-/// differ once accesses are routed across shards, so they are not
-/// compared.
+/// Asserts that the serial and online backends agree on everything one
+/// detector derives from the stream: the race report, every statistic
+/// (DTRG cost counters and #AvgReaders included), the footprint, and
+/// the engine's event counts. One detector sees the canonical stream in
+/// serial order, so none of these may differ.
 fn assert_same_verdict(context: &str, online: &AnalysisOutcome, serial: &AnalysisOutcome) {
     assert_eq!(
         online.races.races, serial.races.races,
@@ -55,25 +55,42 @@ fn assert_same_verdict(context: &str, online: &AnalysisOutcome, serial: &Analysi
         online.stats.writes, serial.stats.writes,
         "write count mismatch: {context}"
     );
+    assert_eq!(
+        online.stats.dtrg, serial.stats.dtrg,
+        "DTRG counter mismatch: {context}"
+    );
+    assert_eq!(
+        online.stats.to_string(),
+        serial.stats.to_string(),
+        "statistics mismatch: {context}"
+    );
+    assert_eq!(
+        online.footprint, serial.footprint,
+        "footprint mismatch: {context}"
+    );
+    let counts = |e: &EngineCounters| (e.events, e.control_events, e.reads, e.writes);
+    assert_eq!(
+        counts(&online.engine),
+        counts(&serial.engine),
+        "engine counter mismatch: {context}"
+    );
     assert!(
         online.online.is_some(),
         "online telemetry missing: {context}"
     );
 }
 
-fn check_seed(seed: u64, params: &GenParams, shards: Option<usize>) {
+fn check_seed(seed: u64, params: &GenParams) {
     let prog = generate(seed, params);
     let serial = serial_verdict(&prog);
     for threads in [1, 2, 4] {
-        let mut analyze = Analyze::program_parallel(threads, |ctx| {
+        let online = Analyze::program_parallel(threads, |ctx| {
             execute(ctx, &prog);
-        });
-        if let Some(n) = shards {
-            analyze = analyze.shards(n);
-        }
-        let online = analyze.run().unwrap();
+        })
+        .run()
+        .unwrap();
         assert_same_verdict(
-            &format!("seed {seed} threads {threads} shards {shards:?} prog={prog:?}"),
+            &format!("seed {seed} threads {threads} prog={prog:?}"),
             &online,
             &serial,
         );
@@ -83,31 +100,29 @@ fn check_seed(seed: u64, params: &GenParams, shards: Option<usize>) {
 #[test]
 fn online_matches_serial_default_mix() {
     propcheck::check(&Config::with_cases(CASES), &strategies::any_u64(), |seed| {
-        check_seed(seed, &GenParams::default(), None);
+        check_seed(seed, &GenParams::default());
     });
 }
 
 #[test]
-fn online_matches_serial_nontree_heavy_sharded() {
-    // Two explicit shards force the queue-routing path even on hosts
-    // where `OnlineOptions::auto` would collapse to the inline sink, and
-    // the nontree-heavy mix maximises the cross-task joins the DTRG
+fn online_matches_serial_nontree_heavy() {
+    // The nontree-heavy mix maximises the cross-task joins the canonical
     // walker has to sequence correctly.
     propcheck::check(&Config::with_cases(CASES), &strategies::any_u64(), |seed| {
-        check_seed(seed, &GenParams::nontree_heavy(), Some(2));
+        check_seed(seed, &GenParams::nontree_heavy());
     });
 }
 
 #[test]
 fn online_matches_serial_future_heavy() {
     propcheck::check(&Config::with_cases(CASES), &strategies::any_u64(), |seed| {
-        check_seed(seed, &GenParams::future_heavy(), None);
+        check_seed(seed, &GenParams::future_heavy());
     });
 }
 
 /// Every registry workload, clean and (where available) with a planted
-/// race: the online verdict at 4 threads / 2 shards must equal the
-/// serial engine's, and the planted variants must actually race.
+/// race: the online verdict at 4 threads must equal the serial engine's,
+/// and the planted variants must actually race.
 #[test]
 fn registry_workloads_agree_clean_and_planted() {
     for w in registry::workloads() {
@@ -121,7 +136,6 @@ fn registry_workloads_agree_clean_and_planted() {
             let online = Analyze::program_parallel(4, |ctx| {
                 w.run_parallel_into(ctx, Scale::Tiny, planted);
             })
-            .shards(2)
             .run()
             .unwrap();
 
@@ -165,7 +179,6 @@ fn steal_seed_perturbation_leaves_verdict_fixed() {
             execute(ctx, &prog);
         })
         .steal_seed(steal_seed)
-        .shards(2)
         .run()
         .unwrap();
         assert_same_verdict(&format!("steal_seed {steal_seed}"), &online, &serial);
