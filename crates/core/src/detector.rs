@@ -530,13 +530,13 @@ impl LocRoutable for RaceDetector {
     /// in shard order, stable-sort by global access index, re-apply the
     /// global cap taken from `self`'s configuration. Statistics merge
     /// field-wise: control-derived counters (task counts, gets, merges,
-    /// non-tree edges) are identical in every replica so shard 0's values
-    /// are taken verbatim; access-derived counters (reads, writes,
-    /// `precede` calls, stored readers, the reader-count distribution) are
-    /// summed across shards. The one backend-dependent counter is
-    /// `visit_expansions`: path compression interleaves differently across
-    /// replicas, so its merged value is the sum of per-shard costs, not the
-    /// serial run's cost.
+    /// non-tree edges, `nt` upkeep) are identical in every replica so
+    /// shard 0's values are taken verbatim; access-derived counters (reads,
+    /// writes, `precede` calls, stored readers, the reader-count
+    /// distribution) are summed across shards. The one backend-dependent
+    /// counter is `visit_expansions`: path compression interleaves
+    /// differently across replicas, so its merged value is the sum of
+    /// per-shard costs, not the serial run's cost.
     fn merge_sharded(self, shards: Vec<DtrgReport>) -> DtrgReport {
         let mut stats = shards
             .first()
@@ -670,8 +670,9 @@ impl Checkpointable for RaceDetector {
         }
 
         // Access-derived statistics. Control-derived counts (tasks, gets,
-        // merges, nt edges) come back from the control replay; the two
-        // query-cost counters live in the DTRG and are carried explicitly.
+        // merges, nt edges, nt upkeep) come back from the control replay;
+        // the query-cost counters live in the DTRG and are carried
+        // explicitly.
         wire::put_varint(out, self.stats.reads);
         wire::put_varint(out, self.stats.writes);
         let (count, mean, m2, min, max) = self.stats.readers_at_access.to_raw();

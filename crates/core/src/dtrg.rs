@@ -37,20 +37,30 @@ use futrace_util::{FxHashMap, FxHashSet, UnionFind};
 /// four inline slots cover the common case without heap traffic.
 const NT_INLINE: usize = 4;
 
-/// Small-set of non-tree predecessor tasks: up to [`NT_INLINE`] entries
-/// inline, spilling to a heap vector only for sets that accumulate many
-/// unjoined producers (wavefront programs under heavy merging).
+/// Duplicate-free set of non-tree predecessor tasks in insertion order: up
+/// to [`NT_INLINE`] entries inline, spilling to a heap vector only for sets
+/// that accumulate many unjoined producers (wavefront programs under heavy
+/// merging, a consumer that gets a thousand producers).
+///
+/// A spilled set keeps a hash index next to its vector, so membership —
+/// `on_get`'s duplicate check and each entry Algorithm 7's `nt_A ∪ nt_B`
+/// moves — costs O(1) however large the set grows; without it both were
+/// linear scans and non-tree joins cost Θ(n²) in total, outside Theorem 1's
+/// bound. The vector still fixes the order `Visit` pushes entries in.
 #[derive(Clone, Debug)]
-pub enum NtSet {
-    /// At most `NT_INLINE` entries, stored in place.
-    Inline {
-        /// Number of valid entries in `buf`.
-        len: u8,
-        /// Entry storage; only `buf[..len]` is meaningful.
-        buf: [TaskId; NT_INLINE],
+pub struct NtSet(NtRepr);
+
+#[derive(Clone, Debug)]
+enum NtRepr {
+    /// At most `NT_INLINE` entries, stored in place; only `buf[..len]` is
+    /// meaningful.
+    Inline { len: u8, buf: [TaskId; NT_INLINE] },
+    /// Past the inline capacity: `index` holds exactly the entries of
+    /// `order`.
+    Spilled {
+        order: Vec<TaskId>,
+        index: FxHashSet<TaskId>,
     },
-    /// Spilled storage once the inline capacity is exceeded.
-    Spilled(Vec<TaskId>),
 }
 
 impl Default for NtSet {
@@ -62,18 +72,15 @@ impl Default for NtSet {
 impl NtSet {
     /// Empty set (no allocation).
     pub const fn new() -> Self {
-        NtSet::Inline {
+        NtSet(NtRepr::Inline {
             len: 0,
             buf: [TaskId(0); NT_INLINE],
-        }
+        })
     }
 
     /// Number of stored predecessors.
     pub fn len(&self) -> usize {
-        match self {
-            NtSet::Inline { len, .. } => *len as usize,
-            NtSet::Spilled(v) => v.len(),
-        }
+        self.as_slice().len()
     }
 
     /// True if no predecessor is stored.
@@ -82,16 +89,20 @@ impl NtSet {
     }
 
     /// True if `t` is stored.
+    #[inline]
     pub fn contains(&self, t: TaskId) -> bool {
-        self.as_slice().contains(&t)
+        match &self.0 {
+            NtRepr::Inline { len, buf } => buf[..*len as usize].contains(&t),
+            NtRepr::Spilled { index, .. } => index.contains(&t),
+        }
     }
 
-    /// The stored predecessors as a slice (inline or spilled).
+    /// The stored predecessors in insertion order.
     #[inline]
     pub fn as_slice(&self) -> &[TaskId] {
-        match self {
-            NtSet::Inline { len, buf } => &buf[..*len as usize],
-            NtSet::Spilled(v) => v,
+        match &self.0 {
+            NtRepr::Inline { len, buf } => &buf[..*len as usize],
+            NtRepr::Spilled { order, .. } => order,
         }
     }
 
@@ -100,32 +111,52 @@ impl NtSet {
         self.as_slice().to_vec()
     }
 
-    /// Appends `t` (no deduplication — callers check [`NtSet::contains`]
-    /// first, mirroring the old `Vec` usage), spilling when the inline
-    /// buffer is full.
-    pub fn push(&mut self, t: TaskId) {
-        match self {
-            NtSet::Inline { len, buf } => {
-                if (*len as usize) < NT_INLINE {
-                    buf[*len as usize] = t;
+    /// Appends `t` unless it is already stored; returns true if it was
+    /// added. Adds the entries the membership test examined to
+    /// `counters.nt_probe_steps`: each entry an inline scan compares, or 1
+    /// for a hashed lookup.
+    pub(crate) fn insert(&mut self, t: TaskId, counters: &mut DtrgCounters) -> bool {
+        match &mut self.0 {
+            NtRepr::Inline { len, buf } => {
+                let n = *len as usize;
+                match buf[..n].iter().position(|&x| x == t) {
+                    Some(i) => {
+                        counters.nt_probe_steps += i as u64 + 1;
+                        return false;
+                    }
+                    None => counters.nt_probe_steps += n as u64,
+                }
+                if n < NT_INLINE {
+                    buf[n] = t;
                     *len += 1;
                 } else {
-                    let mut v = Vec::with_capacity(NT_INLINE * 2);
-                    v.extend_from_slice(&buf[..]);
-                    v.push(t);
-                    *self = NtSet::Spilled(v);
+                    let mut order = Vec::with_capacity(NT_INLINE * 2);
+                    order.extend_from_slice(&buf[..]);
+                    order.push(t);
+                    let index = order.iter().copied().collect();
+                    self.0 = NtRepr::Spilled { order, index };
                 }
+                true
             }
-            NtSet::Spilled(v) => v.push(t),
+            NtRepr::Spilled { order, index } => {
+                counters.nt_probe_steps += 1;
+                if !index.insert(t) {
+                    return false;
+                }
+                order.push(t);
+                true
+            }
         }
     }
 
     /// Unions `other` into `self`, deduplicating (Algorithm 7's
-    /// `nt := nt_A ∪ nt_B`).
-    pub fn merge_from(&mut self, other: &NtSet) {
+    /// `nt := nt_A ∪ nt_B`): `other`'s new entries follow `self`'s, in
+    /// `other`'s order. Counts probes as [`NtSet::insert`] does and the
+    /// entries added in `counters.nt_moved`.
+    pub(crate) fn merge_from(&mut self, other: &NtSet, counters: &mut DtrgCounters) {
         for &t in other.as_slice() {
-            if !self.contains(t) {
-                self.push(t);
+            if self.insert(t, counters) {
+                counters.nt_moved += 1;
             }
         }
     }
@@ -183,6 +214,12 @@ pub struct DtrgCounters {
     /// Access checks answered by the shadow-cell fast path without
     /// consulting the DTRG at all (maintained by the detector).
     pub shadow_hits: u64,
+    /// `nt` entries examined by the membership tests of `on_get` and
+    /// `Merge`: each entry an inline scan compares, or 1 per hashed lookup.
+    /// Control-derived, like `merges`: `Precede`'s probes are not counted.
+    pub nt_probe_steps: u64,
+    /// `nt` entries `Merge` copies into the surviving set.
+    pub nt_moved: u64,
 }
 
 /// Sentinel in the `task_parent` column for "no parent" (main).
@@ -374,9 +411,10 @@ impl Dtrg {
             return;
         }
         self.epoch += 1;
+        let counters = &mut self.counters;
         self.sets.union_with(a.index(), b.index(), |pa, pb| {
             let mut nt = pa.nt;
-            nt.merge_from(&pb.nt);
+            nt.merge_from(&pb.nt, counters);
             SetData {
                 interval: pa.interval,
                 nt,
@@ -400,8 +438,7 @@ impl Dtrg {
         } else {
             self.counters.nt_edges += 1;
             let data = self.sets.payload_mut(a.index());
-            if !data.nt.contains(b) {
-                data.nt.push(b);
+            if data.nt.insert(b, &mut self.counters) {
                 self.epoch += 1;
             }
         }
@@ -479,7 +516,7 @@ impl Dtrg {
         // on the Jacobi wavefront).
         let mut head = 0usize;
         let mut found = false;
-        while head < self.visit_stack.len() {
+        'visit: while head < self.visit_stack.len() {
             let t = self.visit_stack[head];
             head += 1;
             let rt = self.sets.find(t.index());
@@ -529,7 +566,14 @@ impl Dtrg {
             }
             // Lines 15–20: immediate non-tree predecessors of this node.
             // (`visit_stack` and `sets` are disjoint fields, so the borrows
-            // split.)
+            // split.) Here and on the chain below, a set that stores `a`
+            // itself answers true at once: the walk would push `a`, pop it
+            // and find `Find(a) == ra`, as it leaves early only on `found`
+            // (DESIGN S39).
+            if data.nt.contains(a) {
+                found = true;
+                break;
+            }
             self.visit_stack.extend_from_slice(data.nt.as_slice());
             // Lines 21–29: walk the significant-ancestor chain, exploring
             // each significant set's non-tree predecessors.
@@ -552,6 +596,10 @@ impl Dtrg {
                 }
                 self.counters.visit_expansions += 1;
                 let adata = self.sets.payload_no_compress(rx);
+                if adata.nt.contains(a) {
+                    found = true;
+                    break 'visit;
+                }
                 self.visit_stack.extend_from_slice(adata.nt.as_slice());
                 anc = adata.lsa;
             }
@@ -935,26 +983,99 @@ mod tests {
         );
     }
 
+    /// A spilled set's hash index holds exactly the entries of its vector.
+    fn assert_index_agrees(s: &NtSet) {
+        if let NtRepr::Spilled { order, index } = &s.0 {
+            assert_eq!(index.len(), order.len(), "index and vector sizes differ");
+            assert!(order.iter().all(|t| index.contains(t)));
+        }
+    }
+
     #[test]
     fn nt_set_spills_past_inline_capacity() {
+        let mut c = DtrgCounters::default();
         let mut s = NtSet::new();
         assert!(s.is_empty());
-        for i in 1..=9u32 {
-            if !s.contains(TaskId(i)) {
-                s.push(TaskId(i));
-            }
+        for i in 1..=4u32 {
+            assert!(s.insert(TaskId(i), &mut c));
         }
-        s.push(TaskId(9)); // callers may push duplicates explicitly
-        assert_eq!(s.len(), 10);
-        assert!(matches!(s, NtSet::Spilled(_)));
-        assert!(s.contains(TaskId(4)));
-        assert_eq!(s.as_slice()[0], TaskId(1));
+        assert!(matches!(s.0, NtRepr::Inline { .. }));
+        // Inline probes count every entry scanned: 0 + 1 + 2 + 3.
+        assert_eq!(c.nt_probe_steps, 6);
+        assert!(!s.insert(TaskId(2), &mut c), "duplicate is rejected");
+        assert_eq!(c.nt_probe_steps, 8, "scan stops at the match");
+        for i in 5..=9u32 {
+            assert!(s.insert(TaskId(i), &mut c));
+        }
+        assert!(matches!(s.0, NtRepr::Spilled { .. }));
+        // The spilling insert scans 4; each later one is one hashed lookup.
+        assert_eq!(c.nt_probe_steps, 8 + 4 + 4);
+        assert!(!s.insert(TaskId(9), &mut c), "duplicate is rejected");
+        assert!(!s.insert(TaskId(1), &mut c), "duplicate is rejected");
+        assert_eq!(c.nt_probe_steps, 18);
+        let ids = |v: &[u32]| v.iter().map(|&i| TaskId(i)).collect::<Vec<_>>();
+        assert_eq!(s.as_slice(), ids(&[1, 2, 3, 4, 5, 6, 7, 8, 9]));
+        assert!(s.contains(TaskId(4)) && !s.contains(TaskId(10)));
+        assert_index_agrees(&s);
+        assert_eq!(c.nt_moved, 0, "inserts move nothing");
+
         let mut t = NtSet::new();
-        t.push(TaskId(4));
-        t.merge_from(&s);
-        // 1..=9 minus the 4 already present; s's duplicate 9 is dropped too.
-        assert_eq!(t.len(), 9, "merge deduplicates");
-        assert_eq!(t.to_vec()[0], TaskId(4));
+        t.insert(TaskId(12), &mut c);
+        t.insert(TaskId(4), &mut c);
+        let mut c = DtrgCounters::default();
+        t.merge_from(&s, &mut c);
+        // `t`'s entries first, then `s`'s new ones in `s`'s order; the 4
+        // already present is not copied again.
+        assert_eq!(t.as_slice(), ids(&[12, 4, 1, 2, 3, 5, 6, 7, 8, 9]));
+        assert_eq!(c.nt_moved, 8);
+        assert_index_agrees(&t);
+        // Merging into a spilled set probes each entry once.
+        let mut u = DtrgCounters::default();
+        t.merge_from(&s, &mut u);
+        assert_eq!((u.nt_probe_steps, u.nt_moved), (9, 0));
+        assert_eq!(t.len(), 10);
+        assert_index_agrees(&t);
+    }
+
+    #[test]
+    fn visit_stops_at_a_stored_predecessor() {
+        // Consumer B gets 1,024 completed sibling futures, so its set
+        // stores all of them as non-tree predecessors. The walk finds the
+        // last stored one in B's own `nt`: no need to pop the 1,023 before
+        // it.
+        let mut d = Driver::new();
+        let producers: Vec<TaskId> = (0..1024)
+            .map(|_| {
+                let p = d.spawn(M, TaskKind::Future);
+                d.g.on_task_end(p);
+                p
+            })
+            .collect();
+        let b = d.spawn(M, TaskKind::Future);
+        for &p in &producers {
+            d.g.on_get(b, p);
+        }
+        assert_eq!(d.g.set_data(b).nt.len(), 1024);
+        for p in [producers[1023], producers[0]] {
+            let before = d.g.counters.visit_expansions;
+            assert!(d.g.precede(p, b));
+            let walked = d.g.counters.visit_expansions - before;
+            assert!(
+                walked <= 2,
+                "{walked} expansions to find a stored predecessor"
+            );
+        }
+        // Through the lsa chain: C's lsa is B, whose set stores the
+        // producers.
+        let c = d.spawn(b, TaskKind::Future);
+        let before = d.g.counters.visit_expansions;
+        assert!(d.g.precede(producers[1023], c));
+        assert!(d.g.counters.visit_expansions - before <= 2);
+        // A walk that finds nothing still answers false: a sibling
+        // spawned after B is unordered with C.
+        let late = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(late);
+        assert!(!d.g.precede(late, c));
     }
 }
 
