@@ -265,22 +265,15 @@ impl LocRoutable for VectorClockDetector {
 /// Checkpoint state-blob version for [`VectorClockDetector`].
 const VC_STATE_VERSION: u64 = 1;
 
-impl Checkpointable for VectorClockDetector {
-    /// Access-derived state is the epoch shadow memory and the race count.
-    /// The clocks themselves — and the growth metrics derived from them —
-    /// mutate only on control events, so the restore contract's control
-    /// replay rebuilds them exactly.
-    fn save_state(&self, out: &mut Vec<u8>) {
+impl VectorClockDetector {
+    /// The one state-blob encoder behind [`Checkpointable::save_state`]
+    /// (every dirty cell) and [`Checkpointable::save_cells`] (a delta's
+    /// cells): the shadow length, the listed cells, then the race count.
+    fn encode_state(&self, cells: &[(usize, &Cell)], out: &mut Vec<u8>) {
         wire::put_varint(out, VC_STATE_VERSION);
         wire::put_varint(out, self.shadow.len() as u64);
-        let dirty: Vec<(usize, &Cell)> = self
-            .shadow
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.write.is_some() || !c.reads.is_empty())
-            .collect();
-        wire::put_varint(out, dirty.len() as u64);
-        for (idx, cell) in dirty {
+        wire::put_varint(out, cells.len() as u64);
+        for &(idx, cell) in cells {
             wire::put_varint(out, idx as u64);
             match cell.write {
                 Some(e) => {
@@ -298,6 +291,30 @@ impl Checkpointable for VectorClockDetector {
         }
         wire::put_varint(out, self.races);
     }
+}
+
+impl Checkpointable for VectorClockDetector {
+    /// Access-derived state is the epoch shadow memory and the race count.
+    /// The clocks themselves — and the growth metrics derived from them —
+    /// mutate only on control events, so the restore contract's control
+    /// replay rebuilds them exactly.
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let dirty: Vec<(usize, &Cell)> = self
+            .shadow
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.write.is_some() || !c.reads.is_empty())
+            .collect();
+        self.encode_state(&dirty, out);
+    }
+
+    fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>) {
+        let cells: Vec<(usize, &Cell)> = locs
+            .iter()
+            .filter_map(|&loc| self.shadow.get(loc.index()).map(|cell| (loc.index(), cell)))
+            .collect();
+        self.encode_state(&cells, out);
+    }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
         let mut c = wire::Cursor::new(state);
@@ -307,14 +324,16 @@ impl Checkpointable for VectorClockDetector {
                 "unsupported vector-clock state version {version} (expected {VC_STATE_VERSION})"
             )));
         }
-        let shadow_len = c.varint("vc shadow length")? as usize;
-        if self.shadow.len() < shadow_len {
-            self.shadow.resize_with(shadow_len, Cell::default);
-        }
-        let dirty = c.varint("vc dirty cell count")?;
-        for _ in 0..dirty {
-            let idx = c.varint("vc cell index")? as usize;
-            if idx >= shadow_len {
+        // As in the DTRG restore: parse the listed cells first, and grow
+        // shadow memory only as far as its current length or the highest
+        // listed cell (only accesses grow it, and they leave the cell
+        // dirty).
+        let shadow_len = c.varint("vc shadow length")?;
+        let listed = c.varint("vc cell count")?;
+        let mut cells = Vec::new();
+        for _ in 0..listed {
+            let idx = c.varint("vc cell index")?;
+            if idx >= shadow_len || idx > u32::MAX as u64 {
                 return Err(StateError(format!(
                     "vc cell index {idx} out of range (shadow length {shadow_len})"
                 )));
@@ -327,15 +346,32 @@ impl Checkpointable for VectorClockDetector {
                 }),
                 other => return Err(StateError(format!("invalid vc write flag {other}"))),
             };
+            // Every read takes at least two bytes.
             let n_reads = c.varint("vc read count")?;
-            let mut reads = Vec::with_capacity(n_reads as usize);
+            let mut reads = Vec::with_capacity((n_reads as usize).min(c.remaining() / 2));
             for _ in 0..n_reads {
                 reads.push(Epoch {
                     task: TaskId(c.varint("vc read task")? as u32),
                     clock: c.varint("vc read clock")? as u32,
                 });
             }
-            self.shadow[idx] = Cell { write, reads };
+            cells.push((idx as usize, Cell { write, reads }));
+        }
+        let bound = cells
+            .iter()
+            .map(|(idx, _)| idx + 1)
+            .fold(self.shadow.len(), usize::max);
+        if shadow_len > bound as u64 {
+            return Err(StateError(format!(
+                "vc shadow length {shadow_len} exceeds {bound}, the larger of the current \
+                 length and the highest listed cell + 1"
+            )));
+        }
+        if self.shadow.len() < shadow_len as usize {
+            self.shadow.resize_with(shadow_len as usize, Cell::default);
+        }
+        for (idx, cell) in cells {
+            self.shadow[idx] = cell;
         }
         self.races = c.varint("vc races")?;
         if !c.is_empty() {
@@ -509,6 +545,109 @@ mod tests {
         let mut det = VectorClockDetector::new();
         assert!(det.restore_state(&[0xFF]).is_err(), "truncated varint");
         assert!(det.restore_state(&[7]).is_err(), "bad version");
+        // One cell claiming 2^60 reads, and a shadow length no listed cell
+        // accounts for: both errors, neither an allocation.
+        let mut blob = vec![VC_STATE_VERSION as u8, 1, 1, 0, 0];
+        wire::put_varint(&mut blob, 1 << 60);
+        assert!(
+            det.restore_state(&blob).is_err(),
+            "read count past the blob"
+        );
+        let mut blob = vec![VC_STATE_VERSION as u8];
+        wire::put_varint(&mut blob, 1 << 40);
+        blob.extend_from_slice(&[0, 0]);
+        let err = det.restore_state(&blob).unwrap_err();
+        assert!(err.to_string().contains("shadow length"), "{err}");
+    }
+
+    #[test]
+    fn delta_chain_restores_the_state_of_the_last_cut() {
+        // As the DTRG detector's test: a full blob, then deltas of the
+        // cells touched since each previous cut; restoring the chain into
+        // a fresh instance must reproduce the last cut byte for byte.
+        use futrace_runtime::{run_serial, EventLog};
+        let mut partial_deltas = 0;
+        for seed in 0..16u64 {
+            let mut rng = futrace_util::rng::seeded(seed);
+            let mut log = EventLog::new();
+            run_serial(&mut log, |ctx| {
+                let a = ctx.shared_array(24, 0i64, "a");
+                let mut handles = Vec::new();
+                for _ in 0..80 {
+                    let (i, j) = (rng.gen_range(0..24usize), rng.gen_range(0..24usize));
+                    let a2 = a.clone();
+                    match rng.gen_range(0..5u32) {
+                        0 => handles.push(ctx.future(move |ctx| {
+                            let _ = a2.read(ctx, i);
+                            a2.write(ctx, j, 1);
+                        })),
+                        1 => ctx.async_task(move |ctx| a2.write(ctx, i, 2)),
+                        2 if !handles.is_empty() => {
+                            ctx.get(&handles[rng.gen_range(0..handles.len())]);
+                        }
+                        3 => a.write(ctx, i, 3),
+                        _ => {
+                            let _ = a.read(ctx, i);
+                        }
+                    }
+                }
+            });
+            let n = log.events.len();
+            let mut det = VectorClockDetector::new();
+            let (mut done, mut touched) = (0usize, Vec::<LocId>::new());
+            let mut chain: Vec<Vec<u8>> = Vec::new();
+            for cut in [n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5, n] {
+                for e in &log.events[done..cut] {
+                    match e {
+                        Event::Read(t, l) | Event::Write(t, l) => {
+                            if matches!(e, Event::Read(..)) {
+                                Monitor::read(&mut det, *t, *l);
+                            } else {
+                                Monitor::write(&mut det, *t, *l);
+                            }
+                            if !touched.contains(l) {
+                                touched.push(*l);
+                            }
+                        }
+                        control => Analysis::apply_control(&mut det, control),
+                    }
+                }
+                done = cut;
+                let mut blob = Vec::new();
+                if chain.is_empty() {
+                    det.save_state(&mut blob);
+                } else {
+                    det.save_cells(&touched, &mut blob);
+                }
+                touched.clear();
+                chain.push(blob);
+            }
+            let mut want = Vec::new();
+            det.save_state(&mut want);
+
+            let restored = |blobs: &[Vec<u8>]| {
+                let mut fresh = VectorClockDetector::new();
+                for e in &log.events {
+                    if !matches!(e, Event::Read(..) | Event::Write(..)) {
+                        Analysis::apply_control(&mut fresh, e);
+                    }
+                }
+                for blob in blobs {
+                    fresh.restore_state(blob).ok()?;
+                }
+                let mut out = Vec::new();
+                fresh.save_state(&mut out);
+                Some(out)
+            };
+            assert_eq!(restored(&chain).as_ref(), Some(&want), "seed {seed}");
+            if restored(&chain[1..]).as_ref() != Some(&want) {
+                partial_deltas += 1;
+            }
+        }
+        assert!(
+            partial_deltas > 8,
+            "deltas must list only the touched cells"
+        );
     }
 
     #[test]

@@ -578,6 +578,14 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
                 "accesses:    {} reads, {} writes; per shard: {:?}",
                 s.reads, s.writes, s.per_shard_accesses
             );
+            if supervision.snapshots_taken > 0 {
+                println!(
+                    "snapshots:   {} ({} full), {} bytes",
+                    supervision.snapshots_taken,
+                    supervision.full_snapshots,
+                    supervision.snapshot_bytes
+                );
+            }
             let (cache_hits, cache_misses) = report.cache_counters().unwrap_or((0, 0));
             let counters = EngineCounters {
                 events: s.events,

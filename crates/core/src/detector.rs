@@ -600,22 +600,19 @@ impl LocRoutable for RaceDetector {
 /// the resumed run's hit/miss counters diverge from the straight run's.
 const DTRG_STATE_VERSION: u64 = 3;
 
-impl Checkpointable for RaceDetector {
-    /// Serializes the access-derived half of the detector: shadow-cell
-    /// contents, discovered races, the dedup set, access counters, and the
-    /// DTRG query-cost counters. Control-derived state (the DTRG itself,
-    /// task counts, shadow-memory allocation names) is *not* serialized —
-    /// the restore contract rebuilds it by replaying the checkpoint's
-    /// control-event prefix, which is exact by construction.
-    fn save_state(&self, out: &mut Vec<u8>) {
+impl RaceDetector {
+    /// The one state-blob encoder behind [`Checkpointable::save_state`]
+    /// (every dirty cell) and [`Checkpointable::save_cells`] (a delta's
+    /// cells): the shadow length, the listed cells, then the races, dedup
+    /// set and counters in full.
+    fn encode_state(&self, cells: &[(usize, &ShadowCell)], out: &mut Vec<u8>) {
         wire::put_varint(out, DTRG_STATE_VERSION);
 
         // Shadow memory: total length (growth from unregistered accesses
-        // must survive, for footprint parity) + the non-default cells.
+        // must survive, for footprint parity) + the listed cells.
         wire::put_varint(out, self.shadow.len() as u64);
-        let dirty: Vec<(usize, &ShadowCell)> = self.shadow.dirty_cells().collect();
-        wire::put_varint(out, dirty.len() as u64);
-        for (idx, cell) in dirty {
+        wire::put_varint(out, cells.len() as u64);
+        for &(idx, cell) in cells {
             wire::put_varint(out, idx as u64);
             match cell.writer {
                 Some(w) => {
@@ -687,6 +684,30 @@ impl Checkpointable for RaceDetector {
         wire::put_varint(out, self.dtrg.counters.memo_misses);
         wire::put_varint(out, self.dtrg.counters.shadow_hits);
     }
+}
+
+impl Checkpointable for RaceDetector {
+    /// Serializes the access-derived half of the detector: shadow-cell
+    /// contents, discovered races, the dedup set, access counters, and the
+    /// DTRG query-cost counters. Control-derived state (the DTRG itself,
+    /// task counts, shadow-memory allocation names) is *not* serialized —
+    /// the restore contract rebuilds it by replaying the checkpoint's
+    /// control-event prefix, which is exact by construction.
+    fn save_state(&self, out: &mut Vec<u8>) {
+        let dirty: Vec<(usize, &ShadowCell)> = self.shadow.dirty_cells().collect();
+        self.encode_state(&dirty, out);
+    }
+
+    /// A location past the end of shadow memory was never checked (a
+    /// `first_race_only` run stops checking, so it never grew the cell)
+    /// and is left out.
+    fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>) {
+        let cells: Vec<(usize, &ShadowCell)> = locs
+            .iter()
+            .filter_map(|&loc| self.shadow.cell(loc).map(|cell| (loc.index(), cell)))
+            .collect();
+        self.encode_state(&cells, out);
+    }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
         let mut c = wire::Cursor::new(state);
@@ -697,12 +718,17 @@ impl Checkpointable for RaceDetector {
             )));
         }
 
-        let shadow_len = c.varint("shadow length")? as usize;
-        self.shadow.grow_to(shadow_len);
-        let dirty = c.varint("dirty cell count")?;
-        for _ in 0..dirty {
-            let idx = c.varint("cell index")? as usize;
-            if idx >= shadow_len {
+        // Parse the listed cells before touching shadow memory: a blob may
+        // grow it past its current length (the control replay's
+        // allocations, plus a chain's earlier blobs) only up to its highest
+        // listed cell, because an access that grows shadow memory leaves
+        // that cell dirty. A crafted length is rejected, not allocated.
+        let shadow_len = c.varint("shadow length")?;
+        let listed = c.varint("cell count")?;
+        let mut cells = Vec::new();
+        for _ in 0..listed {
+            let idx = c.varint("cell index")?;
+            if idx >= shadow_len || idx > u32::MAX as u64 {
                 return Err(StateError(format!(
                     "cell index {idx} out of range (shadow length {shadow_len})"
                 )));
@@ -746,11 +772,27 @@ impl Checkpointable for RaceDetector {
                     "probe miss streak {probe_misses} out of range"
                 )));
             }
-            let cell = self.shadow.cell_mut(LocId::from_index(idx));
-            cell.writer = writer;
-            cell.readers = readers;
-            cell.last_clean = last_clean;
-            cell.probe_misses = probe_misses as u8;
+            let cell = ShadowCell {
+                writer,
+                readers,
+                last_clean,
+                probe_misses: probe_misses as u8,
+            };
+            cells.push((LocId(idx as u32), cell));
+        }
+        let bound = cells
+            .iter()
+            .map(|(loc, _)| loc.index() + 1)
+            .fold(self.shadow.len(), usize::max);
+        if shadow_len > bound as u64 {
+            return Err(StateError(format!(
+                "shadow length {shadow_len} exceeds {bound}, the larger of the current \
+                 length and the highest listed cell + 1"
+            )));
+        }
+        self.shadow.grow_to(shadow_len as usize);
+        for (loc, cell) in cells {
+            *self.shadow.cell_mut(loc) = cell;
         }
 
         self.access_index = c.varint("access index")?;
@@ -1316,6 +1358,107 @@ mod tests {
             assert_eq!(got.total_detected, want.total_detected, "cut={cut}");
             assert_eq!(got.races, want.races, "cut={cut}");
         }
+    }
+
+    /// A random mix of futures, asyncs, gets and main-task accesses over
+    /// a small array, so cells collect writers, parallel readers and races.
+    fn random_log(seed: u64) -> futrace_runtime::EventLog {
+        let mut rng = futrace_util::rng::seeded(seed);
+        let mut log = futrace_runtime::EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let a = ctx.shared_array(24, 0i64, "a");
+            let mut handles = Vec::new();
+            for _ in 0..80 {
+                let (i, j) = (rng.gen_range(0..24usize), rng.gen_range(0..24usize));
+                let a2 = a.clone();
+                match rng.gen_range(0..6u32) {
+                    0 => handles.push(ctx.future(move |ctx| {
+                        let _ = a2.read(ctx, i);
+                        a2.write(ctx, j, 1);
+                    })),
+                    1 => handles.push(ctx.future(move |ctx| {
+                        let _ = a2.read(ctx, i);
+                    })),
+                    2 => ctx.async_task(move |ctx| a2.write(ctx, i, 2)),
+                    3 if !handles.is_empty() => {
+                        ctx.get(&handles[rng.gen_range(0..handles.len())]);
+                    }
+                    4 => a.write(ctx, i, 3),
+                    _ => {
+                        let _ = a.read(ctx, i);
+                    }
+                }
+            }
+        });
+        log
+    }
+
+    #[test]
+    fn delta_chain_restores_the_state_of_the_last_cut() {
+        // Cut a full blob, then deltas of the cells checked since each
+        // previous cut. A fresh instance that replays the control prefix
+        // and restores the chain in order must save the very same bytes
+        // as the original at the last cut; the deltas alone must not (or
+        // must fail to restore).
+        let mut partial_deltas = 0;
+        for seed in 0..16u64 {
+            let log = random_log(seed);
+            let n = log.events.len();
+            let mut det = RaceDetector::new();
+            let (mut index, mut done) = (0u64, 0usize);
+            let mut touched: Vec<LocId> = Vec::new();
+            let mut chain: Vec<Vec<u8>> = Vec::new();
+            for cut in [n / 5, 2 * n / 5, 3 * n / 5, 4 * n / 5, n] {
+                for e in &log.events[done..cut] {
+                    if !det.apply_control(e) {
+                        let (Event::Read(t, l) | Event::Write(t, l)) = e else {
+                            unreachable!()
+                        };
+                        if matches!(e, Event::Read(..)) {
+                            det.check_read_at(*t, *l, index);
+                        } else {
+                            det.check_write_at(*t, *l, index);
+                        }
+                        index += 1;
+                        if !touched.contains(l) {
+                            touched.push(*l);
+                        }
+                    }
+                }
+                done = cut;
+                let mut blob = Vec::new();
+                if chain.is_empty() {
+                    det.save_state(&mut blob);
+                } else {
+                    det.save_cells(&touched, &mut blob);
+                }
+                touched.clear();
+                chain.push(blob);
+            }
+            let mut want = Vec::new();
+            det.save_state(&mut want);
+
+            let restored = |blobs: &[Vec<u8>]| {
+                let mut fresh = RaceDetector::new();
+                for e in &log.events {
+                    fresh.apply_control(e);
+                }
+                for blob in blobs {
+                    fresh.restore_state(blob).ok()?;
+                }
+                let mut out = Vec::new();
+                fresh.save_state(&mut out);
+                Some(out)
+            };
+            assert_eq!(restored(&chain).as_ref(), Some(&want), "seed {seed}");
+            if restored(&chain[1..]).as_ref() != Some(&want) {
+                partial_deltas += 1;
+            }
+        }
+        assert!(
+            partial_deltas > 8,
+            "deltas must list only the touched cells"
+        );
     }
 
     #[test]

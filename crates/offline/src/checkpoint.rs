@@ -249,8 +249,11 @@ impl Checkpoint {
                 "{n_states} shard state blob(s) for {shards} shard(s)"
             )));
         }
-        let mut per_shard_accesses = Vec::with_capacity(n_states);
-        let mut shard_states = Vec::with_capacity(n_states);
+        // Each shard takes at least two bytes (access count, blob length),
+        // so a crafted count cannot reserve more than the payload holds.
+        let cap = n_states.min(c.remaining() / 2);
+        let mut per_shard_accesses = Vec::with_capacity(cap);
+        let mut shard_states = Vec::with_capacity(cap);
         for _ in 0..n_states {
             per_shard_accesses.push(c.varint("shard accesses")?);
             shard_states.push(c.bytes("shard state")?.to_vec());
@@ -379,6 +382,27 @@ mod tests {
         assert!(err.to_string().contains("does not match"));
         cp.fingerprint = None;
         cp.matches_trace(&other).unwrap();
+    }
+
+    #[test]
+    fn crafted_shard_count_is_an_error_not_an_allocation() {
+        // 30 bytes with a valid CRC claiming 2^40 shards (and as many
+        // state blobs) but holding none: decode must fail on the missing
+        // bytes instead of reserving room for 2^40 entries up front.
+        let mut out = MAGIC.to_vec();
+        wire::put_varint(&mut out, VERSION);
+        wire::put_varint(&mut out, 1 << 40);
+        for _ in 0..7 {
+            wire::put_varint(&mut out, 0); // progress and router counters
+        }
+        wire::put_varint(&mut out, 0); // no fingerprint
+        wire::put_bytes(&mut out, &trace::encode(&[]));
+        wire::put_varint(&mut out, 1 << 40);
+        let crc = crc32(&out[MAGIC.len()..]);
+        wire::put_u32_le(&mut out, crc);
+        assert_eq!(out.len(), 30);
+        let err = Checkpoint::decode(&out).unwrap_err();
+        assert!(matches!(err, CheckpointError::Wire(_)), "{err}");
     }
 
     #[test]

@@ -42,21 +42,27 @@
 //!   [`crate::channel::Receiver::recv_timeout`]. A deadline expiring means
 //!   a worker is stalled; it is treated exactly like a dead one.
 //! * **Restart-from-snapshot**: at chunk boundaries the supervisor can
-//!   barrier-snapshot every worker ([`Checkpointable::save_state`]). A
-//!   replacement worker is rebuilt from scratch — control-prefix replay,
-//!   state restore, then replay of the batches routed since the snapshot
-//!   (the supervisor retains them; their volume is bounded by the
-//!   checkpoint interval and capped by
-//!   [`SupervisorPlan::max_replay_ops`] — on overflow the buffer is
-//!   dropped and a death in that window degrades to serial instead of
-//!   hoarding memory). Injected faults are one-shot, modelling the
-//!   transient failures restart is for.
+//!   barrier-snapshot every worker. A shard's first snapshot is full
+//!   ([`Checkpointable::save_state`]); later ones are deltas
+//!   ([`Checkpointable::save_cells`]) of the locations the worker checked
+//!   since its previous snapshot, until the deltas since the last full
+//!   add up to that full's size, when the next one is full again. So a
+//!   run serializes O(accesses) bytes in all, not O(barriers × state),
+//!   and a shard holds under two full snapshots' worth. A replacement
+//!   worker is rebuilt from scratch — control-prefix replay, restore of
+//!   the last full snapshot and every delta after it, in order, then
+//!   replay of the batches routed since the last snapshot (the
+//!   supervisor retains them; their volume is bounded by the checkpoint
+//!   interval and capped by [`SupervisorPlan::max_replay_ops`] — on
+//!   overflow the buffer is dropped and a death in that window degrades
+//!   to serial instead of hoarding memory). Injected faults are one-shot,
+//!   modelling the transient failures restart is for.
 //! * **Degrade-to-serial**: when restarts are exhausted (or recovery
 //!   itself fails), the supervisor falls back to a fresh single-threaded
 //!   [`run_analysis`] over the whole stream — slower, but the verdict is
 //!   identical by the sharding soundness argument with `N = 1`.
-//! * **Suspend/resume**: `stop_after_chunks` turns the barrier snapshot
-//!   into a [`Checkpoint`] and returns
+//! * **Suspend/resume**: `stop_after_chunks` turns the barrier snapshot,
+//!   always full there, into a [`Checkpoint`] and returns
 //!   [`SupervisedOutcome::Suspended`]; a later run passes the checkpoint
 //!   back and continues from the boundary with byte-identical results
 //!   (`tests/fault_tolerance.rs` proves this over random programs and
@@ -219,10 +225,13 @@ pub struct SupervisorPlan {
     /// stalled and triggers recovery.
     pub watchdog: Duration,
     /// Barrier-snapshot every N chunk boundaries (enables worker restart
-    /// and bounds replay-buffer memory). `None` disables snapshots;
-    /// worker death then degrades to serial unless a restart can replay
-    /// from the stream start (it can, while the stream prefix still fits
-    /// under [`SupervisorPlan::max_replay_ops`]).
+    /// and bounds replay-buffer memory). Each worker then records the
+    /// locations it checks, and a shard's snapshot is a delta of those
+    /// cells unless a full one is due: the shard has none yet, or its
+    /// deltas since the last full add up to that full's size. `None`
+    /// disables snapshots; worker death then degrades to serial unless a
+    /// restart can replay from the stream start (it can, while the stream
+    /// prefix still fits under [`SupervisorPlan::max_replay_ops`]).
     pub checkpoint_every_chunks: Option<u64>,
     /// Suspend into a [`Checkpoint`] once this many chunks (absolute,
     /// including chunks skipped over by a resume) are consumed.
@@ -299,6 +308,12 @@ pub struct SupervisionReport {
     pub watchdog_timeouts: u64,
     /// Barrier snapshots completed.
     pub snapshots_taken: u64,
+    /// Barrier snapshots at which some shard cut a full snapshot (its
+    /// first, or one that starts a new delta chain); at every other
+    /// barrier each shard cut only a delta.
+    pub full_snapshots: u64,
+    /// Bytes of shard state cut at barriers, full snapshots and deltas.
+    pub snapshot_bytes: u64,
 }
 
 impl SupervisionReport {
@@ -365,7 +380,40 @@ enum Op {
 
 enum ToWorker {
     Batch(Vec<Op>),
-    Snapshot,
+    /// Cut a full snapshot, or a delta of the locations checked since the
+    /// last one.
+    Snapshot {
+        full: bool,
+    },
+}
+
+/// The distinct locations a worker checked since its last snapshot: a
+/// bitset answers membership on the access path, the list is what a delta
+/// serializes.
+#[derive(Default)]
+struct Touched {
+    bits: Vec<u64>,
+    locs: Vec<LocId>,
+}
+
+impl Touched {
+    #[inline]
+    fn insert(&mut self, loc: LocId) {
+        let (word, bit) = (loc.index() / 64, 1u64 << (loc.index() % 64));
+        if word >= self.bits.len() {
+            self.bits.resize(word + 1, 0);
+        }
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.locs.push(loc);
+        }
+    }
+
+    fn clear(&mut self) {
+        for loc in self.locs.drain(..) {
+            self.bits[loc.index() / 64] = 0;
+        }
+    }
 }
 
 enum FromWorker<R> {
@@ -392,6 +440,7 @@ fn spawn_worker<A>(
     epoch: u64,
     mut analysis: A,
     mut accesses: u64,
+    track: bool,
     rx: Receiver<ToWorker>,
     tx: Sender<FromWorker<A::Report>>,
     panic_at: Option<u64>,
@@ -405,6 +454,7 @@ fn spawn_worker<A>(
         let outcome = catch_unwind(AssertUnwindSafe(move || {
             let mut ops_done = 0u64;
             let mut stall = stall;
+            let mut touched = track.then(Touched::default);
             loop {
                 match rx.recv() {
                     Some(ToWorker::Batch(batch)) => {
@@ -428,6 +478,9 @@ fn spawn_worker<A>(
                                     index,
                                 } => {
                                     accesses += 1;
+                                    if let Some(touched) = &mut touched {
+                                        touched.insert(loc);
+                                    }
                                     if write {
                                         analysis.check_write_at(task, loc, index);
                                     } else {
@@ -437,9 +490,17 @@ fn spawn_worker<A>(
                             }
                         }
                     }
-                    Some(ToWorker::Snapshot) => {
+                    Some(ToWorker::Snapshot { full }) => {
                         let mut state = Vec::new();
-                        analysis.save_state(&mut state);
+                        match &mut touched {
+                            Some(touched) if !full => {
+                                analysis.save_cells(&touched.locs, &mut state)
+                            }
+                            _ => analysis.save_state(&mut state),
+                        }
+                        if let Some(touched) = &mut touched {
+                            touched.clear();
+                        }
                         if tx
                             .send(FromWorker::Snapshot {
                                 shard,
@@ -484,8 +545,10 @@ struct Slot {
     /// was discarded; the shard cannot be restarted until the next
     /// snapshot resets it.
     replay_lost: bool,
-    /// Last snapshot of this shard's access-derived state.
-    snapshot: Option<Vec<u8>>,
+    /// This shard's access-derived state at the last snapshot, as the last
+    /// full snapshot followed by every delta cut since (empty before the
+    /// first snapshot). A restart restores them in order.
+    chain: Vec<Vec<u8>>,
     snapshot_accesses: u64,
     panic_at: Option<u64>,
     stall_at: Option<(u64, Duration)>,
@@ -493,6 +556,19 @@ struct Slot {
 
 /// Signals "stop supervising, fall back to a fresh serial run".
 struct Degrade;
+
+impl Slot {
+    /// True when this shard's next snapshot must be full: it has none yet,
+    /// or its deltas since the last full add up to that full's size, which
+    /// keeps the chain under two full snapshots and the bytes serialized
+    /// over a run O(accesses).
+    fn full_due(&self) -> bool {
+        match self.chain.split_first() {
+            None => true,
+            Some((full, deltas)) => deltas.iter().map(Vec::len).sum::<usize>() >= full.len(),
+        }
+    }
+}
 
 struct Supervisor<A: Checkpointable + Send + 'static, F: Fn() -> A>
 where
@@ -531,6 +607,7 @@ where
         let (tx, rx) = channel::bounded(self.plan.shard.channel_capacity.max(1));
         let epoch = self.next_epoch;
         self.next_epoch += 1;
+        let track = self.plan.checkpoint_every_chunks.is_some();
         let slot = &mut self.slots[shard];
         slot.tx = Some(tx);
         slot.epoch = epoch;
@@ -539,6 +616,7 @@ where
             epoch,
             analysis,
             accesses,
+            track,
             rx,
             self.results_tx.clone(),
             slot.panic_at.take(),
@@ -547,9 +625,10 @@ where
     }
 
     /// Rebuilds shard `shard`'s worker: fresh analysis, control-prefix
-    /// replay up to the last snapshot, state restore, then replay of the
-    /// retained post-snapshot batches. Returns `Degrade` when the restart
-    /// budget is exhausted or recovery itself fails.
+    /// replay up to the last snapshot, restore of the snapshot chain in
+    /// order, then replay of the retained post-snapshot batches. Returns
+    /// `Degrade` when the restart budget is exhausted or recovery itself
+    /// fails.
     fn restart(&mut self, shard: usize) -> Result<(), Degrade> {
         if self.supervision.shard_restarts >= self.plan.max_restarts as u64
             || self.slots[shard].replay_lost
@@ -563,7 +642,7 @@ where
         for e in &self.control_prefix[..self.snapshot_control_len] {
             analysis.apply_control(e);
         }
-        if let Some(state) = &self.slots[shard].snapshot {
+        for state in &self.slots[shard].chain {
             if analysis.restore_state(state).is_err() {
                 return Err(Degrade);
             }
@@ -679,12 +758,19 @@ where
     }
 
     /// Barrier snapshot: every worker saves its state at a consistent cut
-    /// (all routed batches FIFO-precede the snapshot request). On success
-    /// the replay buffers reset. Dead or stalled workers are restarted and
-    /// re-asked, within the restart budget.
-    fn snapshot_barrier(&mut self) -> Result<(), Degrade> {
-        for shard in 0..self.n {
-            self.request_snapshot(shard)?;
+    /// (all routed batches FIFO-precede the snapshot request), in full
+    /// when `force_full` is set or [`Slot::full_due`], else as a delta
+    /// appended to the shard's chain. On success the replay buffers reset.
+    /// Dead or stalled workers are restarted and re-asked, within the
+    /// restart budget.
+    fn snapshot_barrier(&mut self, force_full: bool) -> Result<(), Degrade> {
+        let full: Vec<bool> = self
+            .slots
+            .iter()
+            .map(|slot| force_full || slot.full_due())
+            .collect();
+        for (shard, &full) in full.iter().enumerate() {
+            self.request_snapshot(shard, full)?;
         }
         let mut pending: Vec<Option<(Vec<u8>, u64)>> = vec![None; self.n];
         let mut got = 0usize;
@@ -704,7 +790,7 @@ where
                 RecvTimeout::Item(FromWorker::Died { shard, epoch }) => {
                     if epoch == self.slots[shard].epoch {
                         self.restart(shard)?;
-                        self.request_snapshot(shard)?;
+                        self.request_snapshot(shard, full[shard])?;
                     }
                 }
                 RecvTimeout::Item(FromWorker::Done { .. }) => {
@@ -716,7 +802,7 @@ where
                     for shard in 0..self.n {
                         if pending[shard].is_none() {
                             self.restart(shard)?;
-                            self.request_snapshot(shard)?;
+                            self.request_snapshot(shard, full[shard])?;
                         }
                     }
                 }
@@ -725,8 +811,12 @@ where
         }
         for (shard, entry) in pending.into_iter().enumerate() {
             let (state, accesses) = entry.expect("barrier collected all shards");
+            self.supervision.snapshot_bytes += state.len() as u64;
             let slot = &mut self.slots[shard];
-            slot.snapshot = Some(state);
+            if full[shard] {
+                slot.chain.clear();
+            }
+            slot.chain.push(state);
             slot.snapshot_accesses = accesses;
             slot.replay.clear();
             slot.replay_ops = 0;
@@ -734,33 +824,36 @@ where
         }
         self.snapshot_control_len = self.control_prefix.len();
         self.supervision.snapshots_taken += 1;
+        if full.contains(&true) {
+            self.supervision.full_snapshots += 1;
+        }
         Ok(())
     }
 
-    fn request_snapshot(&mut self, shard: usize) -> Result<(), Degrade> {
+    fn request_snapshot(&mut self, shard: usize, full: bool) -> Result<(), Degrade> {
         let Some(tx) = &self.slots[shard].tx else {
             return Err(Degrade);
         };
-        match tx.send_timeout(ToWorker::Snapshot, self.plan.watchdog) {
+        match tx.send_timeout(ToWorker::Snapshot { full }, self.plan.watchdog) {
             SendTimeout::Sent => Ok(()),
             SendTimeout::Full(_) => {
                 self.supervision.watchdog_timeouts += 1;
                 self.restart(shard)?;
-                self.request_snapshot_once(shard)
+                self.request_snapshot_once(shard, full)
             }
             SendTimeout::Disconnected(_) => {
                 self.drain_results();
                 self.restart(shard)?;
-                self.request_snapshot_once(shard)
+                self.request_snapshot_once(shard, full)
             }
         }
     }
 
-    fn request_snapshot_once(&mut self, shard: usize) -> Result<(), Degrade> {
+    fn request_snapshot_once(&mut self, shard: usize, full: bool) -> Result<(), Degrade> {
         let Some(tx) = &self.slots[shard].tx else {
             return Err(Degrade);
         };
-        match tx.send_timeout(ToWorker::Snapshot, self.plan.watchdog) {
+        match tx.send_timeout(ToWorker::Snapshot { full }, self.plan.watchdog) {
             SendTimeout::Sent => Ok(()),
             _ => Err(Degrade),
         }
@@ -860,7 +953,7 @@ where
                 replay: Vec::new(),
                 replay_ops: 0,
                 replay_lost: false,
-                snapshot: None,
+                chain: Vec::new(),
                 snapshot_accesses: 0,
                 panic_at: plan.worker_panic.as_ref().and_then(|f| f.trigger_for(shard, n)),
                 stall_at: plan
@@ -908,7 +1001,7 @@ where
             analysis
                 .restore_state(&cp.shard_states[shard])
                 .map_err(SuperviseError::Restore)?;
-            sup.slots[shard].snapshot = Some(cp.shard_states[shard].clone());
+            sup.slots[shard].chain = vec![cp.shard_states[shard].clone()];
             sup.slots[shard].snapshot_accesses = cp.per_shard_accesses[shard];
             sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard]);
         }
@@ -984,7 +1077,7 @@ where
                         break 'route;
                     }
                 }
-                if sup.snapshot_barrier().is_err() {
+                if sup.snapshot_barrier(stop_here).is_err() {
                     degraded = true;
                     break 'route;
                 }
@@ -1005,7 +1098,10 @@ where
                         shard_states: sup
                             .slots
                             .iter()
-                            .map(|s| s.snapshot.clone().expect("barrier just completed"))
+                            .map(|s| match s.chain.as_slice() {
+                                [full] => full.clone(),
+                                _ => unreachable!("a suspend barrier cuts full snapshots"),
+                            })
                             .collect(),
                         fingerprint: plan.fingerprint,
                     });

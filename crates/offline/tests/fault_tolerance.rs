@@ -13,7 +13,7 @@ use futrace_offline::{
     run_supervised, trace_events, Checkpoint, ShardPlan, StreamWriter, SupervisedOutcome,
     SupervisorPlan,
 };
-use futrace_runtime::{replay, run_serial, EventLog};
+use futrace_runtime::{replay, run_serial, Event, EventLog};
 use futrace_util::faultinject::{FaultPlan, FaultyWriter, WorkerFault};
 use futrace_util::propcheck::{self, strategies, Config};
 use std::sync::Once;
@@ -80,11 +80,40 @@ fn assert_verdict(got: &RaceReport, want: &RaceReport, ctx: &str) {
     assert_eq!(got.races, want.races, "{ctx}: race report diverged");
 }
 
+/// The log's (reads, writes).
+fn accesses(log: &EventLog) -> (u64, u64) {
+    log.events.iter().fold((0, 0), |(r, w), e| match e {
+        Event::Read(..) => (r + 1, w),
+        Event::Write(..) => (r, w + 1),
+        _ => (r, w),
+    })
+}
+
+/// Ops the router sends `shard` of `n` within the trace's first `chunks`
+/// chunks: every control event, plus the accesses `loc % n` routes there.
+/// A worker fault at a later op lands after the barrier at that boundary.
+fn ops_in_first_chunks(blob: &[u8], shard: usize, n: usize, chunks: u64) -> u64 {
+    let mut events = trace_events(blob, false);
+    let mut ops = 0;
+    while let Some(e) = events.next() {
+        if events.chunks_consumed() >= chunks {
+            break;
+        }
+        ops += match e.expect("recorded trace decodes") {
+            Event::Read(_, loc) | Event::Write(_, loc) => (loc.index() % n == shard) as u64,
+            _ => 1,
+        };
+    }
+    ops
+}
+
 #[test]
 fn kill_and_resume_equals_fresh_run() {
     // Suspend at a random chunk boundary, round-trip the checkpoint
     // through its byte codec (as the CLI does via a file), resume, and
-    // compare against the straight serial run.
+    // compare against the straight serial run. Half the runs also snapshot
+    // at every boundary, so the suspend comes after delta snapshots and
+    // must still write full ones.
     let racy = std::cell::Cell::new(0u32);
     let clean = std::cell::Cell::new(0u32);
     propcheck::check(&Config::with_cases(256), &strategies::any_u64(), |seed| {
@@ -103,6 +132,9 @@ fn kill_and_resume_equals_fresh_run() {
         let kill_at = 1 + seed % (chunks - 1); // interior boundary
         let mut stop_plan = plan(shards);
         stop_plan.stop_after_chunks = Some(kill_at);
+        if (seed >> 1) % 2 == 1 {
+            stop_plan.checkpoint_every_chunks = Some(1);
+        }
         let out = run_supervised(
             || trace_events(&blob, false),
             RaceDetector::new,
@@ -134,14 +166,9 @@ fn kill_and_resume_equals_fresh_run() {
             &serial,
             &format!("seed {seed}, kill at {kill_at}/{chunks}, {shards} shards"),
         );
-        let (reads, writes) = log.events.iter().fold((0u64, 0u64), |(r, w), e| match e {
-            futrace_runtime::Event::Read(..) => (r + 1, w),
-            futrace_runtime::Event::Write(..) => (r, w + 1),
-            _ => (r, w),
-        });
         assert_eq!(
             (report.stats.reads, report.stats.writes),
-            (reads, writes),
+            accesses(&log),
             "seed {seed}: access accounting must survive the suspend"
         );
     });
@@ -193,24 +220,52 @@ fn every_kill_point_of_a_fixed_trace_resumes_identically() {
 fn worker_panics_recover_with_the_serial_verdict() {
     // A panicking worker either restarts (budget available) or degrades
     // to the serial pass (budget exhausted); both must keep the verdict.
+    // Mode 2 snapshots at every boundary and panics after the fourth: a
+    // shard never cuts two full snapshots in a row, so by then it has cut
+    // at least two deltas, and the restart must restore the whole chain.
     quiet_injected_panics();
-    let strat = strategies::tuple2(strategies::any_u64(), strategies::u8_range(0..2));
+    let strat = strategies::tuple2(strategies::any_u64(), strategies::u8_range(0..3));
     let restarts = std::cell::Cell::new(0u32);
+    let chain_restarts = std::cell::Cell::new(0u32);
     let degrades = std::cell::Cell::new(0u32);
-    propcheck::check(&Config::with_cases(128), &strat, |(seed, with_budget)| {
-        let log = record(seed, &GenParams::default());
+    propcheck::check(&Config::with_cases(128), &strat, |(seed, mode)| {
+        // Mode 2 needs programs long enough to pass four boundaries.
+        let params = match mode {
+            2 => GenParams {
+                max_stmts: 10,
+                locs: 8,
+                ..GenParams::default()
+            },
+            _ => GenParams::default(),
+        };
+        let log = record(seed, &params);
         let serial = serial_report(&log);
         let (blob, chunks) = frame(&log, 64);
+        let shard = (seed % 2) as usize;
         let mut p = plan(2);
         p.worker_panic = Some(WorkerFault {
-            shard: (seed % 2) as usize,
+            shard,
             at_op: 1 + seed % 16,
         });
-        if with_budget == 1 {
-            p.max_restarts = 2;
-            p.checkpoint_every_chunks = Some(1.max(chunks / 3));
-        } else {
-            p.max_restarts = 0;
+        match mode {
+            0 => p.max_restarts = 0,
+            1 => {
+                p.max_restarts = 2;
+                p.checkpoint_every_chunks = Some(1.max(chunks / 3));
+            }
+            _ => {
+                let before = ops_in_first_chunks(&blob, shard, 2, 4);
+                let after = ops_in_first_chunks(&blob, shard, 2, u64::MAX) - before;
+                if chunks < 5 || after == 0 {
+                    return; // no op after the fourth barrier to panic at
+                }
+                p.max_restarts = 2;
+                p.checkpoint_every_chunks = Some(1);
+                p.worker_panic = Some(WorkerFault {
+                    shard,
+                    at_op: before + 1 + seed % after,
+                });
+            }
         }
         let out = run_supervised(
             || trace_events(&blob, false),
@@ -229,10 +284,24 @@ fn worker_panics_recover_with_the_serial_verdict() {
         // simply clean. The aggregate counters below prove both recovery
         // paths fired often.
         restarts.set(restarts.get() + supervision.shard_restarts as u32);
+        if mode == 2 {
+            chain_restarts.set(chain_restarts.get() + supervision.shard_restarts as u32);
+        }
         degrades.set(degrades.get() + supervision.degradations as u32);
-        assert_verdict(&report.report, &serial, &format!("seed {seed} (panic)"));
+        let ctx = format!("seed {seed}, mode {mode} (panic)");
+        assert_verdict(&report.report, &serial, &ctx);
+        assert_eq!(
+            (report.stats.reads, report.stats.writes),
+            accesses(&log),
+            "{ctx}: access accounting must survive the recovery"
+        );
     });
     assert!(restarts.get() > 10, "restart path under-exercised ({})", restarts.get());
+    assert!(
+        chain_restarts.get() > 10,
+        "restart from a delta chain under-exercised ({})",
+        chain_restarts.get()
+    );
     assert!(degrades.get() > 10, "degrade path under-exercised ({})", degrades.get());
 }
 

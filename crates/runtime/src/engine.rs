@@ -178,13 +178,29 @@ impl From<futrace_util::wire::WireError> for StateError {
 /// running S must produce the same report as running P then S directly.
 /// Backend-cost counters (e.g. DTRG query expansions) are exempt, as they
 /// already are for the sharded merge.
+///
+/// A state can also be restored from a chain: one full blob
+/// ([`Checkpointable::save_state`]) followed, in order, by deltas
+/// ([`Checkpointable::save_cells`]) cut later in the same run, each
+/// listing at least the locations checked since the blob before it. The
+/// fresh instance replays the control prefix up to the *last* cut, then
+/// restores the full blob and every delta in order; the result must equal
+/// restoring a full blob cut at the last point.
 pub trait Checkpointable: LocRoutable {
     /// Appends the access-derived state to `out` (self-delimiting).
     fn save_state(&self, out: &mut Vec<u8>);
 
+    /// Appends a delta of the access-derived state to `out`: the
+    /// [`Checkpointable::save_state`] format, listing only the shadow
+    /// cells of `locs` but every other access-derived field in full.
+    fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>);
+
     /// Restores access-derived state saved by [`Checkpointable::save_state`]
-    /// into `self`, which must be a fresh instance that has already
-    /// replayed the checkpoint's control-event prefix.
+    /// or [`Checkpointable::save_cells`] into `self`, which must be a fresh
+    /// instance that has already replayed the checkpoint's control-event
+    /// prefix (and restored the chain's earlier blobs, for a delta). It
+    /// overwrites the cells the blob lists and replaces every other
+    /// access-derived field.
     fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError>;
 }
 

@@ -922,6 +922,37 @@ mod tests {
     }
 
     #[test]
+    fn crafted_shadow_length_fails_the_open_instead_of_aborting() {
+        // A valid 1-shard checkpoint whose state blob claims 2^40 shadow
+        // cells (the byte after the version; a fresh detector's is 0) and
+        // lists none. Restoring it must fail this session's open, not ask
+        // the allocator for tens of terabytes.
+        let mut fresh = Vec::new();
+        RaceDetector::new().save_state(&mut fresh);
+        assert_eq!(fresh[1], 0, "a fresh detector has no shadow memory");
+        let mut state = fresh[..1].to_vec();
+        futrace_util::wire::put_varint(&mut state, 1 << 40);
+        state.extend_from_slice(&fresh[2..]);
+        let cp = Checkpoint {
+            shards: 1,
+            events_consumed: 0,
+            next_access_index: 0,
+            chunks_completed: 1,
+            router: RouterProgress::default(),
+            control_events: Vec::new(),
+            per_shard_accesses: vec![0],
+            shard_states: vec![state],
+            fingerprint: None,
+        };
+        let cp = Checkpoint::decode(&cp.encode()).expect("a well-formed file");
+        match Session::open_resumed(SessionConfig::default(), cp) {
+            Err(SessionError::Checkpoint(e)) => assert!(e.contains("shadow length"), "{e}"),
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a crafted shadow length must not restore"),
+        }
+    }
+
+    #[test]
     fn whole_blob_feed_matches_event_feed() {
         let events = racy_events();
         let blob = framed_blob(&[&events]);

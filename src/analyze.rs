@@ -214,7 +214,9 @@ impl<'a> Analyze<'a> {
 
     /// Runs under the fault-tolerant supervisor, barrier-snapshotting
     /// every `chunks` chunk boundaries so dead or stalled workers restart
-    /// from the last snapshot.
+    /// from the last snapshot. After each shard's first full snapshot, a
+    /// barrier saves only the cells the shard checked since its last one,
+    /// until those deltas add up to the full one's size.
     pub fn checkpoint_every(mut self, chunks: u64) -> Self {
         self.checkpoint_every = Some(chunks);
         self
