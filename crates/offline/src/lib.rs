@@ -327,6 +327,31 @@ mod tests {
     }
 
     #[test]
+    fn chunk_claiming_u32_max_events_is_an_error_not_an_allocation() {
+        // A CRC-intact chunk of three events whose header declares
+        // u32::MAX of them. No reader may size a buffer from the header:
+        // each must report the count mismatch.
+        let payload = trace::encode(&sample_events());
+        let mut blob = Vec::from(framed::MAGIC);
+        blob.push(framed::VERSION);
+        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&u32::MAX.to_le_bytes());
+        blob.extend_from_slice(&crate::crc32::crc32(&payload).to_le_bytes());
+        blob.extend_from_slice(&payload);
+        let mismatch = TraceError::from(FrameError::Decode {
+            chunk: 0,
+            error: trace::DecodeError::Malformed("event count mismatch"),
+        });
+        let batches: Vec<_> = trace_chunks(&blob, false).collect();
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].as_ref().unwrap_err().to_string(), mismatch.to_string());
+        let events: Vec<_> = trace_events(&blob, false).collect();
+        assert_eq!(events.len(), 4, "three events, then the error");
+        assert_eq!(events[3].as_ref().unwrap_err().to_string(), mismatch.to_string());
+        assert_eq!(trace_chunks(&blob, true).count(), 0, "lenient skips it");
+    }
+
+    #[test]
     fn trace_error_display_covers_both_sides() {
         let e = TraceError::from(trace::DecodeError::Truncated);
         assert!(e.to_string().contains("truncated"));

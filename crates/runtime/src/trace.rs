@@ -73,7 +73,24 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Reads one varint. Most trace fields (tags aside, task ids, finish ids,
+/// small counts) fit in one byte, so that case is inlined at every field;
+/// longer encodings, and every error, go through [`get_varint_tail`].
+#[inline(always)]
 fn get_varint(buf: &mut Cursor<'_>) -> Result<u64, DecodeError> {
+    match buf.data.get(buf.pos) {
+        Some(&byte) if byte < 0x80 => {
+            buf.pos += 1;
+            Ok(u64::from(byte))
+        }
+        _ => get_varint_tail(buf),
+    }
+}
+
+/// [`get_varint`] for a varint of any length, kept out of line so the
+/// one-byte path stays small where it is inlined.
+#[inline(never)]
+fn get_varint_tail(buf: &mut Cursor<'_>) -> Result<u64, DecodeError> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -203,10 +220,16 @@ fn id32(v: u64, what: &'static str) -> Result<u32, DecodeError> {
 
 /// Deserializes an event stream produced by [`encode`].
 ///
-/// Implemented over [`decode_iter`]; the whole stream is materialized, so
-/// prefer the iterator for large traces (replay does not need the `Vec`).
+/// The `Vec` is presized for 4-byte events. No event is shorter than 2
+/// bytes (a tag and a one-byte varint), so it reallocates at most once,
+/// and recorded traces (about 5 B/event) do not fill it. Prefer
+/// [`decode_iter`] for large traces (replay does not need the `Vec`).
 pub fn decode(data: &[u8]) -> Result<Vec<Event>, DecodeError> {
-    decode_iter(data).collect()
+    let mut events = Vec::with_capacity(data.len() / 4);
+    for e in decode_iter(data) {
+        events.push(e?);
+    }
+    Ok(events)
 }
 
 /// Lazily decodes an event stream: yields one event at a time without
@@ -229,21 +252,21 @@ pub struct DecodeIter<'a> {
 impl Iterator for DecodeIter<'_> {
     type Item = Result<Event, DecodeError>;
 
+    // Inlined into every reader (the chunk decoder, the framed event
+    // stream, the shard router), with the event decoder inlined into it.
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed || !self.buf.has_remaining() {
             return None;
         }
-        match decode_event(&mut self.buf) {
-            Ok(e) => Some(Ok(e)),
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
+        let item = decode_event(&mut self.buf);
+        self.failed = item.is_err();
+        Some(item)
     }
 }
 
 /// Decodes the single event at the cursor position.
+#[inline(always)]
 fn decode_event(buf: &mut Cursor<'_>) -> Result<Event, DecodeError> {
     {
         let tag = buf.get_u8()?;
@@ -397,6 +420,196 @@ mod tests {
             decode(&bytes).unwrap(),
             decode_iter(&bytes).collect::<Result<Vec<_>, _>>().unwrap()
         );
+    }
+
+    /// The decoder before the one-byte varint fast path, kept as the
+    /// reference the equivalence tests below compare against.
+    mod reference {
+        use super::super::*;
+
+        fn get_varint(buf: &mut Cursor<'_>) -> Result<u64, DecodeError> {
+            let mut v = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let byte = buf.get_u8()?;
+                if shift >= 64 {
+                    return Err(DecodeError::Malformed("varint too long"));
+                }
+                v |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(v);
+                }
+                shift += 7;
+            }
+        }
+
+        fn decode_event(buf: &mut Cursor<'_>) -> Result<Event, DecodeError> {
+            let tag = buf.get_u8()?;
+            let e = match tag {
+                TAG_TASK_CREATE => Event::TaskCreate {
+                    parent: TaskId(id32(get_varint(buf)?, "parent")?),
+                    child: TaskId(id32(get_varint(buf)?, "child")?),
+                    kind: kind_from(get_varint(buf)?)?,
+                    ief: FinishId(id32(get_varint(buf)?, "ief")?),
+                },
+                TAG_TASK_END => Event::TaskEnd(TaskId(id32(get_varint(buf)?, "task")?)),
+                TAG_FINISH_START => Event::FinishStart(
+                    TaskId(id32(get_varint(buf)?, "task")?),
+                    FinishId(id32(get_varint(buf)?, "finish")?),
+                ),
+                TAG_FINISH_END => {
+                    let t = TaskId(id32(get_varint(buf)?, "task")?);
+                    let f = FinishId(id32(get_varint(buf)?, "finish")?);
+                    let n = get_varint(buf)?;
+                    let mut joined = Vec::with_capacity(n.min(1 << 20) as usize);
+                    for _ in 0..n {
+                        joined.push(TaskId(id32(get_varint(buf)?, "joined")?));
+                    }
+                    Event::FinishEnd(t, f, joined)
+                }
+                TAG_GET => Event::Get {
+                    waiter: TaskId(id32(get_varint(buf)?, "waiter")?),
+                    awaited: TaskId(id32(get_varint(buf)?, "awaited")?),
+                },
+                TAG_READ => Event::Read(
+                    TaskId(id32(get_varint(buf)?, "task")?),
+                    LocId(id32(get_varint(buf)?, "loc")?),
+                ),
+                TAG_WRITE => Event::Write(
+                    TaskId(id32(get_varint(buf)?, "task")?),
+                    LocId(id32(get_varint(buf)?, "loc")?),
+                ),
+                TAG_ALLOC => {
+                    let base = LocId(id32(get_varint(buf)?, "base")?);
+                    let n = id32(get_varint(buf)?, "len")?;
+                    let name_len = get_varint(buf)? as usize;
+                    let name_bytes = buf.take(name_len)?;
+                    let name = std::str::from_utf8(name_bytes)
+                        .map_err(|_| DecodeError::Malformed("alloc name utf8"))?
+                        .to_string();
+                    Event::Alloc(base, n, name)
+                }
+                _ => return Err(DecodeError::Malformed("unknown tag")),
+            };
+            Ok(e)
+        }
+
+        /// The reference's event stream: every event up to and including
+        /// the first error.
+        pub fn events(data: &[u8]) -> Vec<Result<Event, DecodeError>> {
+            let mut buf = Cursor::new(data);
+            let mut out = Vec::new();
+            while buf.has_remaining() {
+                let item = decode_event(&mut buf);
+                let failed = item.is_err();
+                out.push(item);
+                if failed {
+                    break;
+                }
+            }
+            out
+        }
+    }
+
+    /// Both decoding entry points agree with the reference on `data`.
+    fn assert_matches_reference(data: &[u8]) {
+        let want = reference::events(data);
+        let got: Vec<_> = decode_iter(data).collect();
+        assert_eq!(got, want, "decode_iter on {data:02x?}");
+        let want_vec: Result<Vec<Event>, DecodeError> = want.into_iter().collect();
+        assert_eq!(decode(data), want_vec, "decode on {data:02x?}");
+    }
+
+    /// Byte soup shaped like a trace: tag bytes (valid and not), one-byte
+    /// varints, continuation bytes and raw bytes.
+    #[test]
+    fn decoder_matches_reference_on_byte_soup() {
+        let strat = strategies::vec_of(
+            strategies::tuple2(strategies::u8_range(0..4), strategies::u8_range(0..255)),
+            0,
+            48,
+        );
+        propcheck::check(&Config::with_cases(2048), &strat, |soup| {
+            let data: Vec<u8> = soup
+                .into_iter()
+                .map(|(kind, b)| match kind {
+                    0 => b % 10,
+                    1 => b & 0x7f,
+                    2 => b | 0x80,
+                    _ => b,
+                })
+                .collect();
+            assert_matches_reference(&data);
+        });
+    }
+
+    #[test]
+    fn decoder_matches_reference_on_every_prefix_of_a_recorded_trace() {
+        let mut log = EventLog::new();
+        run_serial(&mut log, |ctx| {
+            // 300 cells: loc ids past 127 take two varint bytes.
+            let a = ctx.shared_array(300, 0u64, "grid");
+            ctx.finish(|ctx| {
+                for i in (0..300usize).step_by(60) {
+                    let aw = a.clone();
+                    ctx.async_task(move |ctx| aw.write(ctx, i, 1));
+                }
+            });
+            let a2 = a.clone();
+            let f = ctx.future(move |ctx| a2.read(ctx, 299));
+            ctx.get(&f);
+            let _ = a.read(ctx, 150);
+        });
+        let bytes = encode(&log.events);
+        assert_eq!(decode(&bytes).unwrap(), log.events);
+        for cut in 0..=bytes.len() {
+            assert_matches_reference(&bytes[..cut]);
+        }
+    }
+
+    #[test]
+    fn over_long_varint_in_every_field_matches_reference() {
+        // Each tag with one-byte values for its varint fields (FinishEnd
+        // joins one task; Alloc's name is one byte, after its fields).
+        let events: [(u8, &[u8], &[u8]); 8] = [
+            (TAG_TASK_CREATE, &[1, 2, 1, 0], &[]),
+            (TAG_TASK_END, &[1], &[]),
+            (TAG_FINISH_START, &[1, 0], &[]),
+            (TAG_FINISH_END, &[1, 0, 1, 2], &[]),
+            (TAG_GET, &[1, 2], &[]),
+            (TAG_READ, &[1, 5], &[]),
+            (TAG_WRITE, &[1, 5], &[]),
+            (TAG_ALLOC, &[0, 3, 1], b"a"),
+        ];
+        let over_long = [&[0x80u8; 10][..], &[0x01]].concat();
+        // Ten bytes is the longest accepted varint; this one overflows
+        // every u32 field.
+        let max_len = [&[0xffu8; 9][..], &[0x01]].concat();
+        let two_byte = [0x85u8, 0x01];
+        for (tag, fields, tail) in events {
+            for i in 0..fields.len() {
+                for field in [&over_long[..], &max_len[..], &two_byte[..]] {
+                    let mut data = vec![tag];
+                    for (j, &v) in fields.iter().enumerate() {
+                        if i == j {
+                            data.extend_from_slice(field);
+                        } else {
+                            data.push(v);
+                        }
+                    }
+                    data.extend_from_slice(tail);
+                    assert_matches_reference(&data);
+                }
+                let mut data = vec![tag];
+                data.extend_from_slice(&fields[..i]);
+                data.extend_from_slice(&over_long);
+                assert_eq!(
+                    decode(&data),
+                    Err(DecodeError::Malformed("varint too long")),
+                    "tag {tag} field {i}"
+                );
+            }
+        }
     }
 
     /// Arbitrary event streams round-trip losslessly. The generated streams

@@ -171,23 +171,79 @@ enum Feed {
     /// live incremental engine, and the control events it has applied
     /// (a checkpoint's control prefix).
     Wire {
-        blob: Vec<u8>,
+        trace: Reframed,
         engine: Box<Engine<RaceDetector>>,
         control: Vec<Event>,
     },
 }
 
 impl Feed {
-    /// A wire feed around `engine`, with an empty framed trace.
-    fn wire(engine: Engine<RaceDetector>, control: Vec<Event>) -> Feed {
-        let mut blob = Vec::with_capacity(framed::HEADER_LEN);
-        blob.extend_from_slice(&framed::MAGIC);
-        blob.push(framed::VERSION);
+    /// A wire feed around `engine`, with an empty framed trace that keeps
+    /// every byte when `whole` (the session replays it at finish).
+    fn wire(engine: Engine<RaceDetector>, control: Vec<Event>, whole: bool) -> Feed {
         Feed::Wire {
-            blob,
+            trace: Reframed::new(whole),
             engine: Box::new(engine),
             control,
         }
+    }
+}
+
+/// The chunks a session received, framed exactly as `StreamWriter` would
+/// have written them. A session that replays the trace at finish keeps
+/// every byte. A live-engine session reads the trace only for its
+/// [`TraceFingerprint`], so it keeps the first [`FINGERPRINT_HEAD`] bytes
+/// and the running length, and its memory does not grow with the trace.
+struct Reframed {
+    /// The whole framed trace, or its first `FINGERPRINT_HEAD` bytes.
+    bytes: Vec<u8>,
+    /// Length of the whole framed trace.
+    len: u64,
+    whole: bool,
+}
+
+impl Reframed {
+    fn new(whole: bool) -> Reframed {
+        let mut bytes = Vec::with_capacity(framed::HEADER_LEN);
+        bytes.extend_from_slice(&framed::MAGIC);
+        bytes.push(framed::VERSION);
+        Reframed {
+            bytes,
+            len: framed::HEADER_LEN as u64,
+            whole,
+        }
+    }
+
+    /// Appends one chunk of `events` events. Once a head-only trace's
+    /// head is full, only the length grows: no copy and no chunk CRC.
+    fn push(&mut self, payload: &[u8], events: u32) {
+        self.len += (framed::CHUNK_HEADER_LEN + payload.len()) as u64;
+        if !self.whole && self.bytes.len() == FINGERPRINT_HEAD {
+            return;
+        }
+        let mut header = [0u8; framed::CHUNK_HEADER_LEN];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..8].copy_from_slice(&events.to_le_bytes());
+        header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+        self.bytes.extend_from_slice(&header);
+        self.bytes.extend_from_slice(payload);
+        if !self.whole {
+            self.bytes.truncate(FINGERPRINT_HEAD);
+        }
+    }
+
+    /// The fingerprint of the whole framed trace.
+    fn fingerprint(&self) -> TraceFingerprint {
+        TraceFingerprint {
+            len: self.len,
+            head_crc: crc32(self.head(FINGERPRINT_HEAD)),
+        }
+    }
+
+    /// The first `n` bytes, or all of a shorter trace (`n` is at most
+    /// `FINGERPRINT_HEAD`).
+    fn head(&self, n: usize) -> &[u8] {
+        &self.bytes[..self.bytes.len().min(n)]
     }
 }
 
@@ -264,9 +320,17 @@ impl Session {
             ..EngineCounters::default()
         };
         let engine = Engine::resumed(detector, counters, checkpoint.next_access_index);
-        session.feed = Feed::wire(engine, checkpoint.control_events.clone());
+        let whole = session.replays_at_finish();
+        session.feed = Feed::wire(engine, checkpoint.control_events.clone(), whole);
         session.resume = Some(checkpoint);
         Ok(session)
+    }
+
+    /// Whether `finish` replays a chunk-fed trace instead of taking the
+    /// live engine's verdict: explicit `shards` run the shard stage, and a
+    /// fault seed asks for the supervised pipeline's recovery paths.
+    fn replays_at_finish(&self) -> bool {
+        self.cfg.shards.is_some() || self.cfg.fault_seed.is_some()
     }
 
     /// Chunks a resumed checkpoint already completed (0 for a fresh
@@ -317,10 +381,11 @@ impl Session {
     /// framed `.ftrc` chunk), consuming it through the engine's batched
     /// dispatch path immediately and returning the incremental verdict.
     ///
-    /// The chunk is also appended (re-framed, CRC'd) to the session's
+    /// The chunk is also appended (re-framed) to the session's
     /// accumulated trace, which the fingerprint and the sharded /
-    /// supervised backends read. A resumed session re-frames the chunks
-    /// its checkpoint covers without checking them again; meanwhile the
+    /// supervised backends read; a live-engine session keeps only its
+    /// fingerprint's head. A resumed session re-frames the chunks its
+    /// checkpoint covers without checking them again; meanwhile the
     /// delta's `races` is the checkpoint's count.
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
         let events =
@@ -328,10 +393,11 @@ impl Session {
         let covered = self.chunks < self.resumed_chunks();
         if let Feed::Empty = self.feed {
             let detector = RaceDetector::with_config(self.cfg.detector.clone());
-            self.feed = Feed::wire(Engine::new(detector), Vec::new());
+            let whole = self.replays_at_finish();
+            self.feed = Feed::wire(Engine::new(detector), Vec::new(), whole);
         }
         let Feed::Wire {
-            blob,
+            trace,
             engine,
             control,
         } = &mut self.feed
@@ -340,13 +406,7 @@ impl Session {
                 "feed_chunk: the session was already fed a whole trace".to_string(),
             ));
         };
-        // Re-frame the chunk exactly as the streaming recorder would.
-        let mut header = [0u8; framed::CHUNK_HEADER_LEN];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&(events.len() as u32).to_le_bytes());
-        header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
-        blob.extend_from_slice(&header);
-        blob.extend_from_slice(payload);
+        trace.push(payload, events.len() as u32);
 
         if !covered {
             let is_control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
@@ -368,13 +428,13 @@ impl Session {
     /// new blob and the new blob must be at least as long — a plain
     /// `matches_trace` would reject the (longer) full trace. The session
     /// must also have re-received every chunk the checkpoint covers.
-    fn verify_resume_fingerprint(&self, blob: &[u8]) -> Result<(), SessionError> {
+    fn verify_resume_fingerprint(&self, trace: &Reframed) -> Result<(), SessionError> {
         let Some(cp) = &self.resume else {
             return Ok(());
         };
         let differs = cp.fingerprint.is_some_and(|fp| {
-            let head = blob.len().min(FINGERPRINT_HEAD).min(fp.len as usize);
-            (blob.len() as u64) < fp.len || crc32(&blob[..head]) != fp.head_crc
+            let head = FINGERPRINT_HEAD.min(fp.len as usize);
+            trace.len < fp.len || crc32(trace.head(head)) != fp.head_crc
         });
         if differs || self.chunks < cp.chunks_completed {
             return Err(SessionError::Checkpoint(
@@ -403,7 +463,7 @@ impl Session {
             }
         }
         let Feed::Wire {
-            blob,
+            trace,
             engine,
             control,
         } = &self.feed
@@ -427,7 +487,7 @@ impl Session {
             control_events: control.clone(),
             per_shard_accesses: vec![c.checks()],
             shard_states: vec![state],
-            fingerprint: Some(TraceFingerprint::of(blob)),
+            fingerprint: Some(trace.fingerprint()),
         }))
     }
 
@@ -442,15 +502,15 @@ impl Session {
     /// Runs the configured backend over everything fed and produces the
     /// final outcome.
     pub fn finish(self) -> Result<AnalysisOutcome, SessionError> {
-        if let Feed::Wire { blob, .. } = &self.feed {
-            self.verify_resume_fingerprint(blob)?;
+        if let Feed::Wire { trace, .. } = &self.feed {
+            self.verify_resume_fingerprint(trace)?;
         }
 
         // A wire-fed session without explicit shards was analyzed as it
         // arrived, so its live engine's verdict is final. A fault seed
         // asks for the supervised pipeline's recovery paths and keeps
         // the replay.
-        if self.cfg.shards.is_none() && self.cfg.fault_seed.is_none() {
+        if !self.replays_at_finish() {
             if let Feed::Wire { engine, .. } = self.feed {
                 let (analysis, mut counters) = engine.into_parts();
                 counters.wall_ms = self.timer.elapsed_ms();
@@ -478,7 +538,7 @@ impl Session {
             Feed::Empty => (None, Some(Vec::new())),
             Feed::Trace(data) => (Some(data), None),
             Feed::Events(ev) => (None, Some(ev)),
-            Feed::Wire { blob, .. } => (Some(blob), None),
+            Feed::Wire { trace, .. } => (Some(trace.bytes), None),
         };
 
         if supervised || self.cfg.shards.is_some() {
@@ -576,6 +636,7 @@ pub(crate) fn erase_supervise_error(e: SuperviseError<TraceError>) -> SessionErr
 mod tests {
     use super::*;
     use futrace_runtime::{run_serial, EventLog, TaskCtx};
+    use futrace_util::ids::{LocId, TaskId};
 
     fn racy_events() -> Vec<Event> {
         let mut log = EventLog::new();
@@ -970,6 +1031,49 @@ mod tests {
             format!("{}", events_out.races)
         );
         assert_eq!(blob_out.engine.events, events_out.engine.events);
+    }
+
+    /// A framed trace recorded by `StreamWriter` whose first chunk holds
+    /// exactly `first` payload bytes: reads by the main task, 4-byte ones
+    /// (two-byte loc id) to fix the residue mod 3, then 3-byte ones.
+    fn streamed(first: usize) -> Vec<u8> {
+        let mut writer = framed::StreamWriter::with_chunk_bytes(Vec::new(), first).unwrap();
+        for _ in 0..first % 3 {
+            writer.record(&Event::Read(TaskId(0), LocId(200)));
+        }
+        for _ in 0..3000 {
+            writer.record(&Event::Read(TaskId(0), LocId(5)));
+        }
+        writer.finish().unwrap().0
+    }
+
+    #[test]
+    fn chunk_fed_fingerprint_equals_the_streamed_trace_fingerprint() {
+        // The first chunk's framed end (5 + 12 + payload bytes) lands
+        // before the 4096-byte head (1001; with 4074 a later chunk header
+        // straddles it), exactly on it (4079), and past it (5000).
+        for first in [1001, 4074, 4079, 5000] {
+            let blob = streamed(first);
+            let chunks: Vec<&[u8]> = framed::chunks(&blob).map(|c| c.unwrap().payload).collect();
+            assert_eq!(chunks[0].len(), first);
+            for shards in [None, Some(2)] {
+                let cfg = SessionConfig {
+                    shards,
+                    ..SessionConfig::default()
+                };
+                let mut session = Session::open(cfg).unwrap();
+                let mut end = framed::HEADER_LEN;
+                for payload in &chunks {
+                    session.feed_chunk(payload).unwrap();
+                    end += framed::CHUNK_HEADER_LEN + payload.len();
+                    let cp = session.checkpoint().unwrap().unwrap();
+                    let want = TraceFingerprint::of(&blob[..end]);
+                    assert_eq!(cp.fingerprint, Some(want), "first {first} shards {shards:?}");
+                }
+                assert_eq!(end, blob.len());
+                assert!(!session.finish().unwrap().has_races());
+            }
+        }
     }
 
     #[test]

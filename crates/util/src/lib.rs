@@ -32,7 +32,7 @@
 //! * [`wire`] — the length-delimited varint codec used by checkpoint state
 //!   blobs (bounds-checked cursor, bit-exact floats), plus the framed
 //!   session wire protocol ([`wire::proto`]) spoken by `tracetool serve`.
-//! * [`crc32`] — table-driven CRC-32 (IEEE), one-shot and incremental,
+//! * [`crc32`] — slicing-by-16 CRC-32 (IEEE), one-shot and incremental,
 //!   shared by the framed trace format, the corpus manifest, and the wire
 //!   protocol.
 

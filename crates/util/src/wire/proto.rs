@@ -31,7 +31,7 @@
 //! Every message travels as `[len u32 LE][crc32 u32 LE][payload]` where
 //! `len` is the payload length, the CRC covers the payload, and the
 //! payload is `[kind u8][body…]` encoded with the [`super`] primitives
-//! (varints, length-prefixed strings). The CRC is the same table-driven
+//! (varints, length-prefixed strings). The CRC is the same slicing-by-16
 //! IEEE CRC-32 ([`crate::crc32`]) the framed trace format uses, so a
 //! flipped bit anywhere in a frame is detected before the body is
 //! decoded. `len` is bounded by [`MAX_FRAME_LEN`] so a hostile or
