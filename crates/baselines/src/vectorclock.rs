@@ -269,27 +269,33 @@ impl VectorClockDetector {
     /// The one state-blob encoder behind [`Checkpointable::save_state`]
     /// (every dirty cell) and [`Checkpointable::save_cells`] (a delta's
     /// cells): the shadow length, the listed cells, then the race count.
+    /// Like the DTRG's, it reserves each cell's worst case once and
+    /// writes its varints by index ([`wire::SliceWriter`]).
     fn encode_state(&self, cells: &[(usize, &Cell)], out: &mut Vec<u8>) {
-        wire::put_varint(out, VC_STATE_VERSION);
-        wire::put_varint(out, self.shadow.len() as u64);
-        wire::put_varint(out, cells.len() as u64);
+        let mut w = wire::SliceWriter::new(out);
+        w.put_varint(VC_STATE_VERSION);
+        w.put_varint(self.shadow.len() as u64);
+        w.put_varint(cells.len() as u64);
         for &(idx, cell) in cells {
-            wire::put_varint(out, idx as u64);
+            // Index, write flag, task and clock, read count, then two per
+            // read.
+            w.reserve((5 + 2 * cell.reads.len()) * wire::MAX_VARINT_LEN);
+            w.varint(idx as u64);
             match cell.write {
                 Some(e) => {
-                    wire::put_varint(out, 1);
-                    wire::put_varint(out, e.task.0 as u64);
-                    wire::put_varint(out, e.clock as u64);
+                    w.varint(1);
+                    w.varint(e.task.0 as u64);
+                    w.varint(e.clock as u64);
                 }
-                None => wire::put_varint(out, 0),
+                None => w.varint(0),
             }
-            wire::put_varint(out, cell.reads.len() as u64);
+            w.varint(cell.reads.len() as u64);
             for e in &cell.reads {
-                wire::put_varint(out, e.task.0 as u64);
-                wire::put_varint(out, e.clock as u64);
+                w.varint(e.task.0 as u64);
+                w.varint(e.clock as u64);
             }
         }
-        wire::put_varint(out, self.races);
+        w.put_varint(self.races);
     }
 }
 

@@ -600,12 +600,119 @@ impl LocRoutable for RaceDetector {
 /// the resumed run's hit/miss counters diverge from the straight run's.
 const DTRG_STATE_VERSION: u64 = 3;
 
+/// Varints a shadow cell takes besides its readers: index, writer flag
+/// and task, reader count, last-clean flag, task, write flag and epoch,
+/// probe miss streak.
+const CELL_VARINTS: usize = 9;
+
 impl RaceDetector {
     /// The one state-blob encoder behind [`Checkpointable::save_state`]
     /// (every dirty cell) and [`Checkpointable::save_cells`] (a delta's
-    /// cells): the shadow length, the listed cells, then the races, dedup
-    /// set and counters in full.
-    fn encode_state(&self, cells: &[(usize, &ShadowCell)], out: &mut Vec<u8>) {
+    /// cells): the shadow length, the `count` cells `cells` yields, then
+    /// the races, dedup set and counters in full.
+    ///
+    /// Every cell reserves room for its worst case once and then writes
+    /// its varints by index ([`wire::SliceWriter`]), so the per-cell cost
+    /// is one capacity check, not one `Vec::push` per byte. The bytes are
+    /// those of a `wire::put_varint` per field (held by
+    /// `encoder_matches_the_reference_*`).
+    fn encode_state<'c>(
+        &self,
+        count: usize,
+        cells: impl Iterator<Item = (usize, &'c ShadowCell)>,
+        out: &mut Vec<u8>,
+    ) {
+        let mut w = wire::SliceWriter::new(out);
+        w.put_varint(DTRG_STATE_VERSION);
+
+        // Shadow memory: total length (growth from unregistered accesses
+        // must survive, for footprint parity) + the listed cells.
+        w.put_varint(self.shadow.len() as u64);
+        w.put_varint(count as u64);
+        let mut listed = 0usize;
+        for (idx, cell) in cells {
+            listed += 1;
+            w.reserve((CELL_VARINTS + cell.readers.len()) * wire::MAX_VARINT_LEN);
+            w.varint(idx as u64);
+            match cell.writer {
+                Some(t) => {
+                    w.varint(1);
+                    w.varint(t.0 as u64);
+                }
+                None => w.varint(0),
+            }
+            w.varint(cell.readers.len() as u64);
+            for r in cell.readers.iter() {
+                w.varint(r.0 as u64);
+            }
+            match cell.last_clean {
+                Some(lc) => {
+                    w.varint(1);
+                    w.varint(lc.task.0 as u64);
+                    w.varint(lc.write as u64);
+                    w.varint(lc.epoch);
+                }
+                None => w.varint(0),
+            }
+            w.varint(cell.probe_misses as u64);
+        }
+        assert_eq!(listed, count, "the cell count must match the cells listed");
+
+        w.put_varint(self.access_index);
+        w.put_varint(self.total_detected);
+
+        w.put_varint(self.races.len() as u64);
+        for race in &self.races {
+            w.put_varint(race.loc.0 as u64);
+            w.put_bytes(race.loc_name.as_bytes());
+            w.put_varint(race.prev_task.0 as u64);
+            w.put_varint(kind_code(race.prev_kind));
+            w.put_varint(race.cur_task.0 as u64);
+            w.put_varint(kind_code(race.cur_kind));
+            w.put_varint(race.access_index);
+            w.put_bytes(race.prev_path.as_bytes());
+            w.put_bytes(race.cur_path.as_bytes());
+        }
+
+        // Dedup entries in sorted order so identical detector states always
+        // produce identical blobs (the hash set iterates nondeterministically).
+        let mut dedup: Vec<(LocId, TaskId, TaskId, u8)> =
+            self.dedup.iter().copied().collect();
+        dedup.sort_unstable();
+        w.put_varint(dedup.len() as u64);
+        for (loc, prev, cur, kinds) in dedup {
+            w.put_varint(loc.0 as u64);
+            w.put_varint(prev.0 as u64);
+            w.put_varint(cur.0 as u64);
+            w.put_varint(kinds as u64);
+        }
+
+        // Access-derived statistics. Control-derived counts (tasks, gets,
+        // merges, nt edges, nt upkeep) come back from the control replay;
+        // the query-cost counters live in the DTRG and are carried
+        // explicitly.
+        w.put_varint(self.stats.reads);
+        w.put_varint(self.stats.writes);
+        let (count, mean, m2, min, max) = self.stats.readers_at_access.to_raw();
+        w.put_varint(count);
+        w.put_f64(mean);
+        w.put_f64(m2);
+        w.put_f64(min);
+        w.put_f64(max);
+        w.put_varint(self.dtrg.counters.precede_calls);
+        w.put_varint(self.dtrg.counters.visit_expansions);
+        w.put_varint(self.dtrg.counters.memo_hits);
+        w.put_varint(self.dtrg.counters.memo_misses);
+        w.put_varint(self.dtrg.counters.shadow_hits);
+    }
+}
+
+#[cfg(test)]
+impl RaceDetector {
+    /// The field-at-a-time encoder [`RaceDetector::encode_state`]
+    /// replaced, one `wire::put_varint` per field: the reference its
+    /// bytes are compared with.
+    fn encode_state_reference(&self, cells: &[(usize, &ShadowCell)], out: &mut Vec<u8>) {
         wire::put_varint(out, DTRG_STATE_VERSION);
 
         // Shadow memory: total length (growth from unregistered accesses
@@ -695,18 +802,18 @@ impl Checkpointable for RaceDetector {
     /// control-event prefix, which is exact by construction.
     fn save_state(&self, out: &mut Vec<u8>) {
         let dirty: Vec<(usize, &ShadowCell)> = self.shadow.dirty_cells().collect();
-        self.encode_state(&dirty, out);
+        self.encode_state(dirty.len(), dirty.into_iter(), out);
     }
 
     /// A location past the end of shadow memory was never checked (a
     /// `first_race_only` run stops checking, so it never grew the cell)
     /// and is left out.
     fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>) {
-        let cells: Vec<(usize, &ShadowCell)> = locs
-            .iter()
-            .filter_map(|&loc| self.shadow.cell(loc).map(|cell| (loc.index(), cell)))
-            .collect();
-        self.encode_state(&cells, out);
+        let cells = || {
+            locs.iter()
+                .filter_map(|&loc| self.shadow.cell(loc).map(|cell| (loc.index(), cell)))
+        };
+        self.encode_state(cells().count(), cells(), out);
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError> {
@@ -725,6 +832,18 @@ impl Checkpointable for RaceDetector {
         // that cell dirty. A crafted length is rejected, not allocated.
         let shadow_len = c.varint("shadow length")?;
         let listed = c.varint("cell count")?;
+        // A cell may name only tasks the control replay created: the first
+        // check of a cell is a `Precede` query over its writer and readers.
+        let tasks = self.dtrg.task_count() as u64;
+        let task = |c: &mut wire::Cursor<'_>, what: &'static str| {
+            let id = c.varint(what)?;
+            if id >= tasks {
+                return Err(StateError(format!(
+                    "{what} T{id} was never created (the control prefix creates {tasks} task(s))"
+                )));
+            }
+            Ok(TaskId(id as u32))
+        };
         let mut cells = Vec::new();
         for _ in 0..listed {
             let idx = c.varint("cell index")?;
@@ -736,7 +855,7 @@ impl Checkpointable for RaceDetector {
             let has_writer = c.varint("writer flag")?;
             let writer = match has_writer {
                 0 => None,
-                1 => Some(TaskId(c.varint("writer task")? as u32)),
+                1 => Some(task(&mut c, "writer task")?),
                 other => {
                     return Err(StateError(format!("invalid writer flag {other}")));
                 }
@@ -744,12 +863,12 @@ impl Checkpointable for RaceDetector {
             let n_readers = c.varint("reader count")?;
             let mut readers = Readers::Empty;
             for _ in 0..n_readers {
-                readers.push(TaskId(c.varint("reader task")? as u32));
+                readers.push(task(&mut c, "reader task")?);
             }
             let last_clean = match c.varint("last-clean flag")? {
                 0 => None,
                 1 => {
-                    let task = TaskId(c.varint("last-clean task")? as u32);
+                    let task = task(&mut c, "last-clean task")?;
                     let write = match c.varint("last-clean write flag")? {
                         0 => false,
                         1 => true,
@@ -1477,6 +1596,303 @@ mod tests {
             err.to_string().contains("trailing"),
             "trailing bytes detected: {err}"
         );
+    }
+
+    /// Routes `e` into `det` (accesses get the next global index) and
+    /// returns the checked location, if `e` was an access.
+    fn route(det: &mut RaceDetector, e: &Event, index: &mut u64) -> Option<LocId> {
+        let loc = match *e {
+            Event::Read(t, l) => {
+                det.check_read_at(t, l, *index);
+                l
+            }
+            Event::Write(t, l) => {
+                det.check_write_at(t, l, *index);
+                l
+            }
+            _ => {
+                det.apply_control(e);
+                return None;
+            }
+        };
+        *index += 1;
+        Some(loc)
+    }
+
+    /// Asserts that the encoder writes the reference's bytes for `det`,
+    /// whole (`save_state`) and as a delta of `locs` (`save_cells`), each
+    /// appended to a non-empty buffer.
+    fn assert_encoders_agree(det: &RaceDetector, locs: &[LocId], context: &str) {
+        let dirty: Vec<(usize, &ShadowCell)> = det.shadow.dirty_cells().collect();
+        let mut got = vec![0xA5];
+        det.save_state(&mut got);
+        let mut want = vec![0xA5];
+        det.encode_state_reference(&dirty, &mut want);
+        assert!(
+            got == want,
+            "{context}: save_state diverged from the reference"
+        );
+
+        let listed: Vec<(usize, &ShadowCell)> = locs
+            .iter()
+            .filter_map(|&loc| det.shadow.cell(loc).map(|cell| (loc.index(), cell)))
+            .collect();
+        let mut got = vec![0x5A];
+        det.save_cells(locs, &mut got);
+        let mut want = vec![0x5A];
+        det.encode_state_reference(&listed, &mut want);
+        assert!(
+            got == want,
+            "{context}: save_cells diverged from the reference"
+        );
+    }
+
+    /// Replays `events` into a detector with `config`, comparing the
+    /// encoders at `cuts` evenly spaced points, each delta listing the
+    /// locations checked since the previous point.
+    fn encoders_agree_over(events: &[Event], config: DetectorConfig, cuts: usize, context: &str) {
+        let mut det = RaceDetector::with_config(config);
+        let every = (events.len() / cuts.max(1)).max(1);
+        let (mut index, mut touched) = (0u64, Vec::new());
+        for (i, e) in events.iter().enumerate() {
+            touched.extend(route(&mut det, e, &mut index));
+            if (i + 1) % every == 0 {
+                assert_encoders_agree(&det, &touched, &format!("{context} at event {i}"));
+                touched.clear();
+            }
+        }
+        assert_encoders_agree(&det, &touched, &format!("{context} at the end"));
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_on_random_programs() {
+        use futrace_util::propcheck::{self, strategies, Config};
+        propcheck::check(&Config::with_cases(64), &strategies::any_u64(), |seed| {
+            let log = random_log(seed);
+            for first_race_only in [false, true] {
+                let config = DetectorConfig {
+                    first_race_only,
+                    ..DetectorConfig::default()
+                };
+                let context = format!("seed {seed}, first_race_only {first_race_only}");
+                encoders_agree_over(&log.events, config, 5, &context);
+            }
+        });
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_on_benchsuite_programs() {
+        use futrace_benchsuite::registry::{workloads, Scale};
+        for w in workloads() {
+            for planted in [false, true].into_iter().filter(|&p| !p || w.plantable) {
+                let log = w.record(Scale::Tiny, planted);
+                let context = format!("{} planted {planted}", w.name);
+                encoders_agree_over(&log.events, DetectorConfig::default(), 8, &context);
+            }
+        }
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_on_races_dedup_and_many_readers() {
+        let mut log = futrace_runtime::EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let a = ctx.shared_array(4, 0u64, "a");
+            let mut readers = Vec::new();
+            for _ in 0..5 {
+                let ar = a.clone();
+                readers.push(ctx.future(move |ctx| ar.read(ctx, 0)));
+            }
+            ctx.finish(|ctx| {
+                for i in 1..4usize {
+                    let aw = a.clone();
+                    ctx.async_task(move |ctx| aw.write(ctx, i, 1));
+                }
+            });
+            let aw = a.clone();
+            let _racer = ctx.future(move |ctx| aw.write(ctx, 2, 5));
+            // Both reads race with the unjoined future; the second is
+            // counted but deduplicated.
+            let _ = a.read(ctx, 2);
+            let _ = a.read(ctx, 2);
+        });
+        let mut det = RaceDetector::new();
+        let (mut index, mut touched) = (0u64, Vec::new());
+        for e in &log.events {
+            touched.extend(route(&mut det, e, &mut index));
+        }
+        assert!(!det.races.is_empty() && det.total_detected > det.races.len() as u64);
+        assert!(!det.dedup.is_empty());
+        let many = det.shadow.cell(LocId(0)).map(|c| c.readers.len());
+        assert_eq!(many, Some(5), "five parallel future readers spill to Many");
+        assert_encoders_agree(&det, &touched, "racy program");
+    }
+
+    #[test]
+    fn encoder_matches_the_reference_at_varint_boundaries() {
+        // Every field at each boundary, clamped to the field's width. The
+        // cell indices need no shadow memory behind them: the encoder
+        // writes whatever index it is handed.
+        for v in [0u64, 127, 128, 1 << 14, u32::MAX as u64, u64::MAX] {
+            let v32 = v.min(u32::MAX as u64) as u32;
+            let mut det = RaceDetector::new();
+            det.shadow.grow_to(v.min(1 << 14) as usize);
+            det.access_index = v;
+            det.total_detected = v;
+            let name = "n".repeat(v.min(1 << 14) as usize);
+            det.races.push(Race {
+                loc: LocId(v32),
+                loc_name: name.clone(),
+                prev_task: TaskId(v32),
+                prev_kind: AccessKind::Write,
+                cur_task: TaskId(v32),
+                cur_kind: AccessKind::Read,
+                access_index: v,
+                prev_path: name.clone(),
+                cur_path: String::new(),
+            });
+            det.dedup
+                .insert((LocId(v32), TaskId(v32), TaskId(0), v.min(255) as u8));
+            det.stats.reads = v;
+            det.stats.writes = v;
+            det.stats.readers_at_access =
+                futrace_util::stats::Running::from_raw((v, v as f64, -0.0, f64::MIN, f64::MAX));
+            let c = &mut det.dtrg.counters;
+            c.precede_calls = v;
+            c.visit_expansions = v;
+            c.memo_hits = v;
+            c.memo_misses = v;
+            c.shadow_hits = v;
+            let readers = |n: usize| {
+                let mut r = Readers::Empty;
+                for _ in 0..n {
+                    r.push(TaskId(v32));
+                }
+                r
+            };
+            let cells: Vec<(usize, ShadowCell)> = (0..3)
+                .map(|n| {
+                    let cell = ShadowCell {
+                        writer: (n > 0).then_some(TaskId(v32)),
+                        readers: readers(n),
+                        last_clean: (n > 1).then_some(LastClean {
+                            task: TaskId(v32),
+                            write: n == 2,
+                            epoch: v,
+                        }),
+                        probe_misses: v.min(255) as u8,
+                    };
+                    (v as usize, cell)
+                })
+                .collect();
+            let refs: Vec<(usize, &ShadowCell)> = cells.iter().map(|(i, c)| (*i, c)).collect();
+            let mut got = Vec::new();
+            det.encode_state(refs.len(), refs.iter().copied(), &mut got);
+            let mut want = Vec::new();
+            det.encode_state_reference(&refs, &mut want);
+            assert!(got == want, "boundary {v}: encoders diverged");
+        }
+    }
+
+    #[test]
+    fn cells_of_every_checked_location_restore_like_the_whole_state() {
+        // A fresh detector's dirty cells are exactly the cells it checked,
+        // so `save_cells` over every checked location, ascending, restores
+        // what `save_state` does. Under `first_race_only` a location
+        // checked after the first race stays clean; listing it restores a
+        // default cell, which is what the replica already holds.
+        let mut listed_clean = 0;
+        for first_race_only in [false, true] {
+            let config = DetectorConfig {
+                first_race_only,
+                ..DetectorConfig::default()
+            };
+            for seed in 0..24u64 {
+                let log = random_log(seed);
+                let mut det = RaceDetector::with_config(config.clone());
+                let mut checked = std::collections::BTreeSet::new();
+                let mut index = 0u64;
+                for e in &log.events {
+                    checked.extend(route(&mut det, e, &mut index));
+                }
+                let checked: Vec<LocId> = checked.into_iter().collect();
+                let mut whole = Vec::new();
+                det.save_state(&mut whole);
+                let mut listed = Vec::new();
+                det.save_cells(&checked, &mut listed);
+
+                let restored = |blob: &[u8]| {
+                    let mut fresh = RaceDetector::with_config(config.clone());
+                    for e in &log.events {
+                        fresh.apply_control(e);
+                    }
+                    fresh.restore_state(blob).unwrap();
+                    let mut out = Vec::new();
+                    fresh.save_state(&mut out);
+                    out
+                };
+                let context = format!("seed {seed}, first_race_only {first_race_only}");
+                assert!(restored(&listed) == restored(&whole), "{context}");
+                assert!(restored(&whole) == whole, "{context}");
+                if first_race_only {
+                    listed_clean += (listed != whole) as u32;
+                } else {
+                    assert!(listed == whole, "{context}: every checked cell is dirty");
+                }
+            }
+        }
+        assert!(
+            listed_clean > 0,
+            "some first-race-only run lists a clean cell"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_task_the_control_prefix_never_created() {
+        // Each task field of a cell in turn names T1000000 in a program
+        // that creates two tasks. Restoring it is an error, not a cell
+        // whose first check indexes the task tables out of bounds.
+        let mut log = futrace_runtime::EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let x = ctx.shared_var(0u64, "x");
+            let xr = x.clone();
+            let f = ctx.future(move |ctx| xr.read(ctx));
+            ctx.get(&f);
+            x.write(ctx, 1);
+            let _ = x.read(ctx);
+        });
+        let mut det = RaceDetector::new();
+        let mut index = 0u64;
+        for e in &log.events {
+            route(&mut det, e, &mut index);
+        }
+        let far = TaskId(1_000_000);
+        type Craft = fn(&mut ShadowCell, TaskId);
+        let crafts: [(&str, Craft); 3] = [
+            ("writer", |c, t| c.writer = Some(t)),
+            ("reader", |c, t| c.readers.push(t)),
+            ("last-clean", |c, t| {
+                c.last_clean = Some(LastClean {
+                    task: t,
+                    write: false,
+                    epoch: 0,
+                })
+            }),
+        ];
+        for (field, craft) in crafts {
+            let mut cell = det.shadow.cell(LocId(0)).unwrap().clone();
+            craft(&mut cell, far);
+            let mut blob = Vec::new();
+            det.encode_state(1, std::iter::once((0, &cell)), &mut blob);
+            let mut fresh = RaceDetector::new();
+            for e in &log.events {
+                fresh.apply_control(e);
+            }
+            let err = fresh.restore_state(&blob).unwrap_err();
+            assert!(
+                err.to_string().contains("T1000000 was never created"),
+                "{field}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@
 use crate::crc32::crc32;
 use futrace_runtime::trace::{self, DecodeError};
 use futrace_runtime::Event;
+use futrace_util::ids::TaskId;
 use futrace_util::wire::{self, WireError};
 
 /// File magic: "FCKP" (futrace checkpoint).
@@ -170,8 +171,28 @@ impl From<WireError> for CheckpointError {
 impl Checkpoint {
     /// Serializes the checkpoint: magic, varint-framed payload, trailing
     /// CRC-32 over everything after the magic.
+    ///
+    /// The output is allocated once, from the header's, the control
+    /// prefix's and the state blobs' lengths.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let control = trace::encode(&self.control_events);
+        let states: usize = self
+            .shard_states
+            .iter()
+            .map(|state| 2 * wire::MAX_VARINT_LEN + state.len())
+            .sum();
+        // Magic, the eleven header varints and the fingerprint's CRC, the
+        // control prefix and its length, the shard count, the states, the
+        // trailing CRC.
+        let capacity = MAGIC.len()
+            + 11 * wire::MAX_VARINT_LEN
+            + 4
+            + wire::MAX_VARINT_LEN
+            + control.len()
+            + wire::MAX_VARINT_LEN
+            + states
+            + 4;
+        let mut out = Vec::with_capacity(capacity);
         out.extend_from_slice(&MAGIC);
         wire::put_varint(&mut out, VERSION);
         wire::put_varint(&mut out, self.shards as u64);
@@ -190,7 +211,7 @@ impl Checkpoint {
             }
             None => wire::put_varint(&mut out, 0),
         }
-        wire::put_bytes(&mut out, &trace::encode(&self.control_events));
+        wire::put_bytes(&mut out, &control);
         wire::put_varint(&mut out, self.shard_states.len() as u64);
         for (state, &accesses) in self.shard_states.iter().zip(&self.per_shard_accesses) {
             wire::put_varint(&mut out, accesses);
@@ -243,6 +264,7 @@ impl Checkpoint {
         let control_blob = c.bytes("control prefix")?;
         let control_events =
             trace::decode(control_blob).map_err(CheckpointError::Control)?;
+        validate_control(&control_events)?;
         let n_states = c.varint("shard state count")? as usize;
         if n_states != shards {
             return Err(CheckpointError::Inconsistent(format!(
@@ -289,6 +311,73 @@ impl Checkpoint {
         }
         Ok(())
     }
+}
+
+/// Checks that a control prefix is one a serial depth-first execution can
+/// emit, as far as replaying it into a detector relies on: tasks act only
+/// while they are the innermost running task, children are created with
+/// dense ids, and only tasks that have ended are awaited or joined (the
+/// main task, `T0`, never is). A CRC-valid file whose prefix breaks a rule
+/// would otherwise index task tables out of bounds, or break the DTRG's
+/// set-label invariant, during the replay (DESIGN S38).
+///
+/// Joined tasks must also be younger than the task that closes the finish
+/// (a finish joins only tasks spawned inside its scope). That keeps every
+/// running task the owner of its set's label: the sets a merge absorbs
+/// then never hold an enclosing running task.
+fn validate_control(events: &[Event]) -> Result<(), CheckpointError> {
+    // `running[t]`: task `t` has been created and has not ended. The
+    // stack holds the running tasks, innermost last.
+    let mut running = vec![true];
+    let mut stack = vec![0u32];
+    let bad = |i: usize, why: String| {
+        Err(CheckpointError::Inconsistent(format!(
+            "control event {i} of the prefix: {why}"
+        )))
+    };
+    let ended = |running: &[bool], t: TaskId| running.get(t.index()) == Some(&false);
+    for (i, e) in events.iter().enumerate() {
+        let actor = match e {
+            Event::TaskCreate { parent, .. } => Some(*parent),
+            Event::TaskEnd(t) | Event::FinishStart(t, _) | Event::FinishEnd(t, _, _) => Some(*t),
+            Event::Get { waiter, .. } => Some(*waiter),
+            Event::Alloc(..) => None,
+            Event::Read(..) | Event::Write(..) => {
+                return bad(i, "an access event in the control prefix".into())
+            }
+        };
+        if let Some(actor) = actor {
+            if stack.last() != Some(&actor.0) {
+                return bad(i, format!("{actor} acts while it is not the running task"));
+            }
+        }
+        match e {
+            Event::TaskCreate { child, .. } => {
+                if child.index() != running.len() {
+                    return bad(
+                        i,
+                        format!("child {child} is not the next task id T{}", running.len()),
+                    );
+                }
+                running.push(true);
+                stack.push(child.0);
+            }
+            Event::TaskEnd(t) => {
+                running[t.index()] = false;
+                stack.pop();
+            }
+            Event::FinishEnd(t, _, joined) => {
+                if let Some(b) = joined.iter().find(|b| !ended(&running, **b) || b.0 <= t.0) {
+                    return bad(i, format!("{t} joins {b}, not a younger task that ended"));
+                }
+            }
+            Event::Get { awaited, .. } if awaited.0 == 0 || !ended(&running, *awaited) => {
+                return bad(i, format!("{awaited} is awaited before it ended"));
+            }
+            _ => {}
+        }
+    }
+    Ok(())
 }
 
 /// True if `data` looks like a checkpoint file (magic match only).
@@ -403,6 +492,22 @@ mod tests {
         assert_eq!(out.len(), 30);
         let err = Checkpoint::decode(&out).unwrap_err();
         assert!(matches!(err, CheckpointError::Wire(_)), "{err}");
+    }
+
+    #[test]
+    fn encode_allocates_the_file_once() {
+        // Grown from an empty `Vec`, a file holding a 100 kB state would
+        // end with about twice its length as capacity.
+        let mut cp = sample();
+        cp.shard_states[0] = vec![7; 100_000];
+        let blob = cp.encode();
+        assert!(
+            blob.capacity() - blob.len() < 256,
+            "{} bytes in a {}-byte allocation",
+            blob.len(),
+            blob.capacity()
+        );
+        assert_eq!(Checkpoint::decode(&blob).unwrap(), cp);
     }
 
     #[test]

@@ -48,15 +48,19 @@
 //!   since its previous snapshot, until the deltas since the last full
 //!   add up to that full's size, when the next one is full again. So a
 //!   run serializes O(accesses) bytes in all, not O(barriers × state),
-//!   and a shard holds under two full snapshots' worth. A replacement
-//!   worker is rebuilt from scratch — control-prefix replay, restore of
-//!   the last full snapshot and every delta after it, in order, then
-//!   replay of the batches routed since the last snapshot (the
-//!   supervisor retains them; their volume is bounded by the checkpoint
-//!   interval and capped by [`SupervisorPlan::max_replay_ops`] — on
-//!   overflow the buffer is dropped and a death in that window degrades
-//!   to serial instead of hoarding memory). Injected faults are one-shot,
-//!   modelling the transient failures restart is for.
+//!   and a shard holds under two full snapshots' worth. A worker spawned
+//!   from a factory-fresh analysis cuts its fulls over the locations it
+//!   has checked, in ascending order, instead of scanning its whole
+//!   shadow memory, most of which belongs to other shards (DESIGN S38).
+//!   A replacement worker is rebuilt from scratch — control-prefix
+//!   replay, restore of the last full snapshot and every delta after it,
+//!   in order, then replay of the batches routed since the last snapshot
+//!   (the supervisor retains them, shared with the worker they were sent
+//!   to; their volume is bounded by the checkpoint interval and capped
+//!   by [`SupervisorPlan::max_replay_ops`] — on overflow the buffer is
+//!   dropped and a death in that window degrades to serial instead of
+//!   hoarding memory). Injected faults are one-shot, modelling the
+//!   transient failures restart is for.
 //! * **Degrade-to-serial**: when restarts are exhausted (or recovery
 //!   itself fails), the supervisor falls back to a fresh single-threaded
 //!   [`run_analysis`] over the whole stream — slower, but the verdict is
@@ -84,6 +88,7 @@ use futrace_runtime::Event;
 use futrace_util::faultinject::{FaultPlan, WorkerFault};
 use futrace_util::ids::{LocId, TaskId};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Routing parameters of the shard stage.
@@ -367,7 +372,6 @@ impl<E: std::fmt::Display> std::fmt::Display for SuperviseError<E> {
 
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for SuperviseError<E> {}
 
-#[derive(Clone)]
 enum Op {
     Control(Event),
     Access {
@@ -379,24 +383,48 @@ enum Op {
 }
 
 enum ToWorker {
-    Batch(Vec<Op>),
-    /// Cut a full snapshot, or a delta of the locations checked since the
-    /// last one.
-    Snapshot {
-        full: bool,
-    },
+    /// Ops to apply, shared with the supervisor's replay buffer.
+    Batch(Arc<Vec<Op>>),
+    /// Cut a snapshot.
+    Snapshot(Cut),
 }
 
-/// The distinct locations a worker checked since its last snapshot: a
+/// What a barrier asks a worker to cut.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Cut {
+    /// The cells of the locations checked since the last snapshot.
+    Delta,
+    /// Every dirty cell. A worker spawned from a factory-fresh analysis
+    /// lists the locations it has checked instead of scanning its whole
+    /// shadow memory (DESIGN S38).
+    Full,
+    /// Every dirty cell, by a whole-shadow scan in any incarnation: the
+    /// suspend barrier's cut, which goes into a checkpoint file.
+    Suspend,
+}
+
+/// The distinct locations a worker checked since its last snapshot (a
 /// bitset answers membership on the access path, the list is what a delta
-/// serializes.
-#[derive(Default)]
+/// serializes) and, in a worker spawned from a factory-fresh analysis,
+/// every location it checked since its spawn.
 struct Touched {
     bits: Vec<u64>,
     locs: Vec<LocId>,
+    /// Every location checked since the spawn, or `None` in an incarnation
+    /// restored from snapshots (a restart or a resume), whose dirty cells
+    /// include restored ones it never checked.
+    ever: Option<Vec<u64>>,
 }
 
 impl Touched {
+    fn new(fresh: bool) -> Touched {
+        Touched {
+            bits: Vec::new(),
+            locs: Vec::new(),
+            ever: fresh.then(Vec::new),
+        }
+    }
+
     #[inline]
     fn insert(&mut self, loc: LocId) {
         let (word, bit) = (loc.index() / 64, 1u64 << (loc.index() % 64));
@@ -406,6 +434,12 @@ impl Touched {
         if self.bits[word] & bit == 0 {
             self.bits[word] |= bit;
             self.locs.push(loc);
+            if let Some(ever) = &mut self.ever {
+                if word >= ever.len() {
+                    ever.resize(word + 1, 0);
+                }
+                ever[word] |= bit;
+            }
         }
     }
 
@@ -413,6 +447,22 @@ impl Touched {
         for loc in self.locs.drain(..) {
             self.bits[loc.index() / 64] = 0;
         }
+    }
+
+    /// Every location checked since the spawn, ascending (the order
+    /// `save_state` lists dirty cells in), or `None` for a restored
+    /// incarnation.
+    fn ever_checked(&self) -> Option<Vec<LocId>> {
+        let ever = self.ever.as_ref()?;
+        let mut locs = Vec::with_capacity(ever.iter().map(|w| w.count_ones() as usize).sum());
+        for (i, &word) in ever.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                locs.push(LocId((i * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
+        }
+        Some(locs)
     }
 }
 
@@ -440,7 +490,7 @@ fn spawn_worker<A>(
     epoch: u64,
     mut analysis: A,
     mut accesses: u64,
-    track: bool,
+    mut touched: Option<Touched>,
     rx: Receiver<ToWorker>,
     tx: Sender<FromWorker<A::Report>>,
     panic_at: Option<u64>,
@@ -454,11 +504,10 @@ fn spawn_worker<A>(
         let outcome = catch_unwind(AssertUnwindSafe(move || {
             let mut ops_done = 0u64;
             let mut stall = stall;
-            let mut touched = track.then(Touched::default);
             loop {
                 match rx.recv() {
                     Some(ToWorker::Batch(batch)) => {
-                        for op in batch {
+                        for op in batch.iter() {
                             ops_done += 1;
                             if let Some((at, dur)) = stall {
                                 if ops_done == at {
@@ -469,8 +518,8 @@ fn spawn_worker<A>(
                             if panic_at == Some(ops_done) {
                                 panic!("injected worker fault (shard {shard}, op {ops_done})");
                             }
-                            match op {
-                                Op::Control(e) => analysis.apply_control(&e),
+                            match *op {
+                                Op::Control(ref e) => analysis.apply_control(e),
                                 Op::Access {
                                     task,
                                     loc,
@@ -490,12 +539,16 @@ fn spawn_worker<A>(
                             }
                         }
                     }
-                    Some(ToWorker::Snapshot { full }) => {
+                    Some(ToWorker::Snapshot(cut)) => {
                         let mut state = Vec::new();
-                        match &mut touched {
-                            Some(touched) if !full => {
+                        match (&touched, cut) {
+                            (Some(touched), Cut::Delta) => {
                                 analysis.save_cells(&touched.locs, &mut state)
                             }
+                            (Some(touched), Cut::Full) => match touched.ever_checked() {
+                                Some(locs) => analysis.save_cells(&locs, &mut state),
+                                None => analysis.save_state(&mut state),
+                            },
                             _ => analysis.save_state(&mut state),
                         }
                         if let Some(touched) = &mut touched {
@@ -536,9 +589,10 @@ struct Slot {
     tx: Option<Sender<ToWorker>>,
     epoch: u64,
     /// Batches routed since the last completed snapshot, for replay into a
-    /// replacement worker. Volume is bounded by the checkpoint interval
-    /// and, as a backstop, by [`SupervisorPlan::max_replay_ops`].
-    replay: Vec<Vec<Op>>,
+    /// replacement worker: the very batches the worker was sent, shared,
+    /// not copies. Volume is bounded by the checkpoint interval and, as a
+    /// backstop, by [`SupervisorPlan::max_replay_ops`].
+    replay: Vec<Arc<Vec<Op>>>,
     /// Ops currently retained in `replay`.
     replay_ops: u64,
     /// The replay buffer overflowed [`SupervisorPlan::max_replay_ops`] and
@@ -603,11 +657,18 @@ where
     A::Report: Send + 'static,
     F: Fn() -> A,
 {
-    fn spawn_slot(&mut self, shard: usize, analysis: A, accesses: u64) {
+    /// Spawns shard `shard`'s worker around `analysis`, which is
+    /// factory-fresh when `fresh` is set and restored from snapshots
+    /// otherwise.
+    fn spawn_slot(&mut self, shard: usize, analysis: A, accesses: u64, fresh: bool) {
         let (tx, rx) = channel::bounded(self.plan.shard.channel_capacity.max(1));
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let track = self.plan.checkpoint_every_chunks.is_some();
+        let touched = self
+            .plan
+            .checkpoint_every_chunks
+            .is_some()
+            .then(|| Touched::new(fresh));
         let slot = &mut self.slots[shard];
         slot.tx = Some(tx);
         slot.epoch = epoch;
@@ -616,7 +677,7 @@ where
             epoch,
             analysis,
             accesses,
-            track,
+            touched,
             rx,
             self.results_tx.clone(),
             slot.panic_at.take(),
@@ -648,9 +709,9 @@ where
             }
         }
         let accesses = self.slots[shard].snapshot_accesses;
-        self.spawn_slot(shard, analysis, accesses);
+        self.spawn_slot(shard, analysis, accesses, false);
 
-        let replay: Vec<Vec<Op>> = self.slots[shard].replay.clone();
+        let replay = self.slots[shard].replay.clone();
         for batch in replay {
             self.send_batch(shard, batch, false)?;
         }
@@ -659,7 +720,12 @@ where
 
     /// Sends one batch with the watchdog; on stall or death, recovers (at
     /// most once per call when `recover` is set) and re-sends.
-    fn send_batch(&mut self, shard: usize, batch: Vec<Op>, recover: bool) -> Result<(), Degrade> {
+    fn send_batch(
+        &mut self,
+        shard: usize,
+        batch: Arc<Vec<Op>>,
+        recover: bool,
+    ) -> Result<(), Degrade> {
         let Some(tx) = &self.slots[shard].tx else {
             return Err(Degrade);
         };
@@ -725,22 +791,24 @@ where
         self.results_rx.recv_timeout(timeout)
     }
 
-    /// Routes a batch and retains it for post-snapshot replay. The copy is
-    /// pushed only *after* the send succeeds: `restart` replays the whole
-    /// buffer, so retaining first would deliver a failed batch twice (once
-    /// via replay, once via the recovery re-send), duplicating control
-    /// events and inflating access counts in the replacement worker.
+    /// Routes a batch and retains it, shared with the worker, for
+    /// post-snapshot replay. It is retained only *after* the send
+    /// succeeds: `restart` replays the whole buffer, so retaining first
+    /// would deliver a failed batch twice (once via replay, once via the
+    /// recovery re-send), duplicating control events and inflating access
+    /// counts in the replacement worker.
     ///
     /// A batch that would overflow [`SupervisorPlan::max_replay_ops`] is
-    /// never copied: once it is sent, the buffer is dropped instead. The
+    /// never retained: once it is sent, the buffer is dropped instead. The
     /// shard is then no longer restartable until the next snapshot resets
     /// it (death degrades to serial), which is what plain sharding
     /// (`max_replay_ops == 0`) asks for from its first batch on.
     fn dispatch(&mut self, shard: usize, batch: Vec<Op>) -> Result<(), Degrade> {
         let slot = &self.slots[shard];
         let len = batch.len() as u64;
+        let batch = Arc::new(batch);
         let retained = (!slot.replay_lost && slot.replay_ops + len <= self.plan.max_replay_ops)
-            .then(|| batch.clone());
+            .then(|| Arc::clone(&batch));
         self.send_batch(shard, batch, true)?;
         let slot = &mut self.slots[shard];
         match retained {
@@ -759,18 +827,22 @@ where
 
     /// Barrier snapshot: every worker saves its state at a consistent cut
     /// (all routed batches FIFO-precede the snapshot request), in full
-    /// when `force_full` is set or [`Slot::full_due`], else as a delta
-    /// appended to the shard's chain. On success the replay buffers reset.
-    /// Dead or stalled workers are restarted and re-asked, within the
-    /// restart budget.
-    fn snapshot_barrier(&mut self, force_full: bool) -> Result<(), Degrade> {
-        let full: Vec<bool> = self
+    /// when `suspend` is set (by a whole-shadow scan) or [`Slot::full_due`],
+    /// else as a delta appended to the shard's chain. On success the
+    /// replay buffers reset. Dead or stalled workers are restarted and
+    /// re-asked, within the restart budget.
+    fn snapshot_barrier(&mut self, suspend: bool) -> Result<(), Degrade> {
+        let cuts: Vec<Cut> = self
             .slots
             .iter()
-            .map(|slot| force_full || slot.full_due())
+            .map(|slot| match (suspend, slot.full_due()) {
+                (true, _) => Cut::Suspend,
+                (false, true) => Cut::Full,
+                (false, false) => Cut::Delta,
+            })
             .collect();
-        for (shard, &full) in full.iter().enumerate() {
-            self.request_snapshot(shard, full)?;
+        for (shard, &cut) in cuts.iter().enumerate() {
+            self.request_snapshot(shard, cut)?;
         }
         let mut pending: Vec<Option<(Vec<u8>, u64)>> = vec![None; self.n];
         let mut got = 0usize;
@@ -790,7 +862,7 @@ where
                 RecvTimeout::Item(FromWorker::Died { shard, epoch }) => {
                     if epoch == self.slots[shard].epoch {
                         self.restart(shard)?;
-                        self.request_snapshot(shard, full[shard])?;
+                        self.request_snapshot(shard, cuts[shard])?;
                     }
                 }
                 RecvTimeout::Item(FromWorker::Done { .. }) => {
@@ -802,7 +874,7 @@ where
                     for shard in 0..self.n {
                         if pending[shard].is_none() {
                             self.restart(shard)?;
-                            self.request_snapshot(shard, full[shard])?;
+                            self.request_snapshot(shard, cuts[shard])?;
                         }
                     }
                 }
@@ -813,7 +885,7 @@ where
             let (state, accesses) = entry.expect("barrier collected all shards");
             self.supervision.snapshot_bytes += state.len() as u64;
             let slot = &mut self.slots[shard];
-            if full[shard] {
+            if cuts[shard] != Cut::Delta {
                 slot.chain.clear();
             }
             slot.chain.push(state);
@@ -824,36 +896,36 @@ where
         }
         self.snapshot_control_len = self.control_prefix.len();
         self.supervision.snapshots_taken += 1;
-        if full.contains(&true) {
+        if cuts.iter().any(|&cut| cut != Cut::Delta) {
             self.supervision.full_snapshots += 1;
         }
         Ok(())
     }
 
-    fn request_snapshot(&mut self, shard: usize, full: bool) -> Result<(), Degrade> {
+    fn request_snapshot(&mut self, shard: usize, cut: Cut) -> Result<(), Degrade> {
         let Some(tx) = &self.slots[shard].tx else {
             return Err(Degrade);
         };
-        match tx.send_timeout(ToWorker::Snapshot { full }, self.plan.watchdog) {
+        match tx.send_timeout(ToWorker::Snapshot(cut), self.plan.watchdog) {
             SendTimeout::Sent => Ok(()),
             SendTimeout::Full(_) => {
                 self.supervision.watchdog_timeouts += 1;
                 self.restart(shard)?;
-                self.request_snapshot_once(shard, full)
+                self.request_snapshot_once(shard, cut)
             }
             SendTimeout::Disconnected(_) => {
                 self.drain_results();
                 self.restart(shard)?;
-                self.request_snapshot_once(shard, full)
+                self.request_snapshot_once(shard, cut)
             }
         }
     }
 
-    fn request_snapshot_once(&mut self, shard: usize, full: bool) -> Result<(), Degrade> {
+    fn request_snapshot_once(&mut self, shard: usize, cut: Cut) -> Result<(), Degrade> {
         let Some(tx) = &self.slots[shard].tx else {
             return Err(Degrade);
         };
-        match tx.send_timeout(ToWorker::Snapshot { full }, self.plan.watchdog) {
+        match tx.send_timeout(ToWorker::Snapshot(cut), self.plan.watchdog) {
             SendTimeout::Sent => Ok(()),
             _ => Err(Degrade),
         }
@@ -1003,7 +1075,7 @@ where
                 .map_err(SuperviseError::Restore)?;
             sup.slots[shard].chain = vec![cp.shard_states[shard].clone()];
             sup.slots[shard].snapshot_accesses = cp.per_shard_accesses[shard];
-            sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard]);
+            sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard], false);
         }
         for _ in 0..cp.events_consumed {
             match events.next() {
@@ -1019,7 +1091,7 @@ where
     } else {
         for shard in 0..n {
             let analysis = (sup.factory)();
-            sup.spawn_slot(shard, analysis, 0);
+            sup.spawn_slot(shard, analysis, 0, true);
         }
     }
 
@@ -1238,6 +1310,7 @@ mod tests {
     use super::*;
     use crate::TraceError;
     use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
+    use futrace_runtime::engine::Analysis;
     use futrace_runtime::{replay, run_serial, EventLog, TaskCtx};
 
     fn racy_log() -> EventLog {
@@ -1616,6 +1689,119 @@ mod tests {
         let (report, _, _) = completed(out);
         assert_eq!(report.report.races, serial.races);
         assert_eq!(report.report.total_detected, serial.total_detected);
+    }
+
+    /// The ops the router sends shard `shard` of `n` for `events`: every
+    /// control event, and the accesses `loc % n` routes there, numbered
+    /// in the one global sequence.
+    fn ops_for(events: &[Event], shard: usize, n: usize) -> Vec<Op> {
+        let mut index = 0;
+        let mut ops = Vec::new();
+        for e in events {
+            match *e {
+                Event::Read(task, loc) | Event::Write(task, loc) => {
+                    if loc.index() % n == shard {
+                        let write = matches!(e, Event::Write(..));
+                        ops.push(Op::Access {
+                            task,
+                            loc,
+                            write,
+                            index,
+                        });
+                    }
+                    index += 1;
+                }
+                ref control => ops.push(Op::Control(control.clone())),
+            }
+        }
+        ops
+    }
+
+    /// Applies `ops` to `det` the way a worker does.
+    fn apply(det: &mut RaceDetector, ops: &[Op]) {
+        for op in ops {
+            match *op {
+                Op::Control(ref e) => Analysis::apply_control(det, e),
+                Op::Access {
+                    task,
+                    loc,
+                    write: true,
+                    index,
+                } => det.check_write_at(task, loc, index),
+                Op::Access {
+                    task, loc, index, ..
+                } => det.check_read_at(task, loc, index),
+            }
+        }
+    }
+
+    /// Spawns a tracking worker around `analysis` (`fresh` when it came
+    /// from the factory), sends it `ops` as one batch, and returns the
+    /// state it cuts for `cut`.
+    fn cut_by_worker(analysis: RaceDetector, fresh: bool, ops: Vec<Op>, cut: Cut) -> Vec<u8> {
+        let (tx, rx) = channel::bounded(2);
+        let (results_tx, results_rx) = channel::bounded(2);
+        let touched = Some(Touched::new(fresh));
+        spawn_worker(0, 1, analysis, 0, touched, rx, results_tx, None, None);
+        assert!(tx.send(ToWorker::Batch(Arc::new(ops))).is_ok());
+        assert!(tx.send(ToWorker::Snapshot(cut)).is_ok());
+        match results_rx.recv_timeout(Duration::from_secs(10)) {
+            RecvTimeout::Item(FromWorker::Snapshot { state, .. }) => state,
+            _ => panic!("the worker must answer the snapshot request"),
+        }
+    }
+
+    #[test]
+    fn fresh_worker_full_snapshot_equals_the_whole_shadow_scan() {
+        // Every dirty cell of a factory-fresh worker is one it checked,
+        // so its full snapshot over those locations is `save_state`'s.
+        let log = racy_log();
+        for n in [1usize, 2, 3] {
+            for shard in 0..n {
+                let ops = ops_for(&log.events, shard, n);
+                let mut det = RaceDetector::new();
+                apply(&mut det, &ops);
+                let mut want = Vec::new();
+                det.save_state(&mut want);
+                let got = cut_by_worker(RaceDetector::new(), true, ops, Cut::Full);
+                assert!(got == want, "shard {shard} of {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn restored_worker_full_snapshot_keeps_cells_it_never_checked() {
+        // Restore shard state at the last future's creation, then let a
+        // worker check the rest (one location). Its full snapshot must
+        // still list every restored cell.
+        let log = racy_log();
+        let cut_at = log
+            .events
+            .iter()
+            .rposition(|e| matches!(e, Event::TaskCreate { .. }))
+            .unwrap();
+        for shard in 0..2 {
+            let ops = ops_for(&log.events, shard, 2);
+            let done = ops_for(&log.events[..cut_at], shard, 2).len();
+            let mut straight = RaceDetector::new();
+            apply(&mut straight, &ops);
+            let mut want = Vec::new();
+            straight.save_state(&mut want);
+
+            let mut first = RaceDetector::new();
+            apply(&mut first, &ops[..done]);
+            let mut blob = Vec::new();
+            first.save_state(&mut blob);
+            let mut restored = RaceDetector::new();
+            let control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
+            for e in log.events[..cut_at].iter().filter(control) {
+                Analysis::apply_control(&mut restored, e);
+            }
+            restored.restore_state(&blob).unwrap();
+            let rest = ops_for(&log.events, shard, 2).split_off(done);
+            let got = cut_by_worker(restored, false, rest, Cut::Full);
+            assert!(got == want, "shard {shard}");
+        }
     }
 
     #[test]

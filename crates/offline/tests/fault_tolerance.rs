@@ -8,7 +8,7 @@
 //! Replays: `FUTRACE_PROPCHECK_SEED=<seed>` (printed on failure).
 
 use futrace_benchsuite::randomprog::{self, GenParams};
-use futrace_detector::{RaceDetector, RaceReport};
+use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
 use futrace_offline::{
     run_supervised, trace_events, Checkpoint, ShardPlan, StreamWriter, SupervisedOutcome,
     SupervisorPlan,
@@ -303,6 +303,78 @@ fn worker_panics_recover_with_the_serial_verdict() {
         chain_restarts.get()
     );
     assert!(degrades.get() > 10, "degrade path under-exercised ({})", degrades.get());
+}
+
+#[test]
+fn restarts_cut_the_snapshots_an_uninterrupted_run_cuts() {
+    // A replacement worker restores the shard's chain and replays the
+    // batches since the last barrier, so every later snapshot it cuts,
+    // delta or full, must hold the bytes the worker it replaced would
+    // have cut. With the hot-path caches off the DTRG counters in those
+    // bytes do not depend on a memo the restart left cold. A restored
+    // worker that cut its fulls over only the cells it checked itself
+    // would lose the restored ones, and the byte totals would differ.
+    quiet_injected_panics();
+    let config = DetectorConfig {
+        caching: false,
+        ..DetectorConfig::default()
+    };
+    let factory = || RaceDetector::with_config(config.clone());
+    let params = GenParams {
+        max_stmts: 10,
+        locs: 8,
+        ..GenParams::default()
+    };
+    let restarts = std::cell::Cell::new(0u32);
+    propcheck::check(&Config::with_cases(64), &strategies::any_u64(), |seed| {
+        let log = record(seed, &params);
+        let (blob, chunks) = frame(&log, 64);
+        let shard = (seed % 2) as usize;
+        let before = ops_in_first_chunks(&blob, shard, 2, 2);
+        let after = ops_in_first_chunks(&blob, shard, 2, u64::MAX) - before;
+        if chunks < 4 || after == 0 {
+            return; // no op after the second barrier to panic at
+        }
+        let mut p = plan(2);
+        p.checkpoint_every_chunks = Some(1);
+        let clean = run_supervised(|| trace_events(&blob, false), factory, &p, None).unwrap();
+        p.worker_panic = Some(WorkerFault {
+            shard,
+            at_op: before + 1 + seed % after,
+        });
+        let faulty = run_supervised(|| trace_events(&blob, false), factory, &p, None).unwrap();
+        let (
+            SupervisedOutcome::Completed {
+                supervision: want, ..
+            },
+            SupervisedOutcome::Completed {
+                report,
+                supervision: got,
+                ..
+            },
+        ) = (clean, faulty)
+        else {
+            panic!("seed {seed}: no stop requested, must complete");
+        };
+        restarts.set(restarts.get() + got.shard_restarts as u32);
+        let ctx = format!("seed {seed}");
+        assert_verdict(&report.report, &serial_report(&log), &ctx);
+        assert_eq!(got.shard_restarts, 1, "{ctx}");
+        assert_eq!(
+            (got.snapshots_taken, got.full_snapshots, got.snapshot_bytes),
+            (
+                want.snapshots_taken,
+                want.full_snapshots,
+                want.snapshot_bytes
+            ),
+            "{ctx}: a restart changed the snapshots"
+        );
+    });
+    assert!(
+        restarts.get() > 10,
+        "restart path under-exercised ({})",
+        restarts.get()
+    );
 }
 
 #[test]

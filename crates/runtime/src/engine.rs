@@ -193,6 +193,12 @@ pub trait Checkpointable: LocRoutable {
     /// Appends a delta of the access-derived state to `out`: the
     /// [`Checkpointable::save_state`] format, listing only the shadow
     /// cells of `locs` but every other access-derived field in full.
+    ///
+    /// An instance that was never restored holds non-default cells only
+    /// where it checked an access, so `save_cells` over every location it
+    /// checked, in ascending order, restores what `save_state` restores
+    /// (a listed cell that is still default restores as one). The sharded
+    /// supervisor cuts such workers' full snapshots that way.
     fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>);
 
     /// Restores access-derived state saved by [`Checkpointable::save_state`]

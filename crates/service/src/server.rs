@@ -272,7 +272,7 @@ pub fn checkpoint_path(dir: &Path, trace_name: &str) -> PathBuf {
 
 /// Per-connection protocol driver state.
 struct Conn {
-    session: Option<Session>,
+    session: Option<Session<'static>>,
     checkpoint: Option<PathBuf>,
     checkpoint_every: Option<u64>,
     /// True while this connection holds a slot against the

@@ -49,6 +49,7 @@ use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
 use futrace_util::faultinject::FaultPlan;
 use futrace_util::stats::Timer;
+use std::borrow::Cow;
 use std::fmt;
 
 /// What can go wrong inside a session, independent of any I/O the caller
@@ -160,13 +161,15 @@ pub struct SessionConfig {
     pub lenient: bool,
 }
 
-enum Feed {
+enum Feed<'a> {
     /// Nothing fed yet (finishing analyzes an empty stream).
     Empty,
-    /// A whole trace blob (flat v1 or framed v2), fed in one call.
-    Trace(Vec<u8>),
-    /// A whole decoded event list, fed in one call.
-    Events(Vec<Event>),
+    /// A whole trace blob (flat v1 or framed v2), fed in one call,
+    /// borrowed from the caller or owned.
+    Trace(Cow<'a, [u8]>),
+    /// A whole decoded event list, fed in one call, borrowed from the
+    /// caller or owned.
+    Events(Cow<'a, [Event]>),
     /// Chunk-at-a-time feeding: the re-framed accumulated trace, the
     /// live incremental engine, and the control events it has applied
     /// (a checkpoint's control prefix).
@@ -177,10 +180,10 @@ enum Feed {
     },
 }
 
-impl Feed {
+impl Feed<'_> {
     /// A wire feed around `engine`, with an empty framed trace that keeps
     /// every byte when `whole` (the session replays it at finish).
-    fn wire(engine: Engine<RaceDetector>, control: Vec<Event>, whole: bool) -> Feed {
+    fn wire(engine: Engine<RaceDetector>, control: Vec<Event>, whole: bool) -> Self {
         Feed::Wire {
             trace: Reframed::new(whole),
             engine: Box::new(engine),
@@ -247,21 +250,23 @@ impl Reframed {
     }
 }
 
-/// One incremental analysis. See the module docs.
-pub struct Session {
+/// One incremental analysis. See the module docs. A whole-trace or
+/// whole-event feed may borrow its input for `'a`; the daemon's sessions,
+/// fed chunk by chunk, are `Session<'static>`.
+pub struct Session<'a> {
     cfg: SessionConfig,
-    feed: Feed,
+    feed: Feed<'a>,
     chunks: u64,
     events: u64,
     resume: Option<Checkpoint>,
     timer: Timer,
 }
 
-impl Session {
+impl<'a> Session<'a> {
     /// Opens a session, validating the configuration up front (the same
     /// checks — and the same messages — the `Analyze` builder reports
     /// before any work runs).
-    pub fn open(cfg: SessionConfig) -> Result<Session, SessionError> {
+    pub fn open(cfg: SessionConfig) -> Result<Self, SessionError> {
         if cfg.shards == Some(0) {
             return Err(SessionError::Config(
                 "shards(0): the sharded backend needs at least one detect worker".to_string(),
@@ -296,10 +301,7 @@ impl Session {
     /// A checkpoint across several shards (cut by a replay before
     /// checkpoints came from the live engine) cannot restore one engine:
     /// it is ignored, and the session starts from chunk 0.
-    pub fn open_resumed(
-        cfg: SessionConfig,
-        checkpoint: Checkpoint,
-    ) -> Result<Session, SessionError> {
+    pub fn open_resumed(cfg: SessionConfig, checkpoint: Checkpoint) -> Result<Self, SessionError> {
         let mut session = Session::open(cfg)?;
         let ([state], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
             return Ok(session);
@@ -349,13 +351,14 @@ impl Session {
         self.events
     }
 
-    /// Feeds a whole trace blob (flat v1 or framed v2). The one-shot
-    /// batch path: decoding, lenient skipping, and error semantics are
-    /// identical to the historical `Analyze` behavior.
-    pub fn feed_trace(&mut self, blob: Vec<u8>) -> Result<(), SessionError> {
+    /// Feeds a whole trace blob (flat v1 or framed v2), borrowed (no
+    /// copy) or owned. The one-shot batch path: decoding, lenient
+    /// skipping, and error semantics are identical to the historical
+    /// `Analyze` behavior.
+    pub fn feed_trace(&mut self, blob: impl Into<Cow<'a, [u8]>>) -> Result<(), SessionError> {
         match self.feed {
             Feed::Empty => {
-                self.feed = Feed::Trace(blob);
+                self.feed = Feed::Trace(blob.into());
                 Ok(())
             }
             _ => Err(SessionError::Config(
@@ -364,11 +367,11 @@ impl Session {
         }
     }
 
-    /// Feeds a whole decoded event list.
-    pub fn feed_events(&mut self, events: Vec<Event>) -> Result<(), SessionError> {
+    /// Feeds a whole decoded event list, borrowed (no copy) or owned.
+    pub fn feed_events(&mut self, events: impl Into<Cow<'a, [Event]>>) -> Result<(), SessionError> {
         match self.feed {
             Feed::Empty => {
-                self.feed = Feed::Events(events);
+                self.feed = Feed::Events(events.into());
                 Ok(())
             }
             _ => Err(SessionError::Config(
@@ -534,11 +537,11 @@ impl Session {
         let timer = self.timer;
 
         // Every other combination replays through the one-shot backends.
-        let (blob, events): (Option<Vec<u8>>, Option<Vec<Event>>) = match self.feed {
-            Feed::Empty => (None, Some(Vec::new())),
+        let (blob, events) = match self.feed {
+            Feed::Empty => (None, Some(Cow::Borrowed(&[][..]))),
             Feed::Trace(data) => (Some(data), None),
             Feed::Events(ev) => (None, Some(ev)),
-            Feed::Wire { trace, .. } => (Some(trace.bytes), None),
+            Feed::Wire { trace, .. } => (Some(Cow::Owned(trace.bytes)), None),
         };
 
         if supervised || self.cfg.shards.is_some() {
@@ -635,8 +638,10 @@ pub(crate) fn erase_supervise_error(e: SuperviseError<TraceError>) -> SessionErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use futrace_runtime::monitor::TaskKind;
     use futrace_runtime::{run_serial, EventLog, TaskCtx};
-    use futrace_util::ids::{LocId, TaskId};
+    use futrace_util::ids::{FinishId, LocId, TaskId};
+    use futrace_util::rng::Rng;
 
     fn racy_events() -> Vec<Event> {
         let mut log = EventLog::new();
@@ -848,7 +853,7 @@ mod tests {
         split(events, n).into_iter().map(trace::encode).collect()
     }
 
-    fn fed(mut session: Session, chunks: &[Vec<u8>]) -> Session {
+    fn fed<'a>(mut session: Session<'a>, chunks: &[Vec<u8>]) -> Session<'a> {
         for c in chunks {
             session.feed_chunk(c).unwrap();
         }
@@ -1011,6 +1016,231 @@ mod tests {
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("a crafted shadow length must not restore"),
         }
+    }
+
+    /// A fresh detector's state blob.
+    fn fresh_state() -> Vec<u8> {
+        let mut state = Vec::new();
+        RaceDetector::new().save_state(&mut state);
+        state
+    }
+
+    /// Opens `cp` the way the daemon opens a checkpoint file: encode,
+    /// decode (CRC and structure), then resume.
+    fn open_file(cp: &Checkpoint) -> Result<Session<'static>, String> {
+        let cp = Checkpoint::decode(&cp.encode()).map_err(|e| e.to_string())?;
+        Session::open_resumed(SessionConfig::default(), cp).map_err(|e| e.to_string())
+    }
+
+    /// A one-shard checkpoint holding `control` and `state`.
+    fn crafted(control: Vec<Event>, state: Vec<u8>) -> Checkpoint {
+        Checkpoint {
+            shards: 1,
+            events_consumed: control.len() as u64,
+            next_access_index: 0,
+            chunks_completed: 1,
+            router: RouterProgress::default(),
+            control_events: control,
+            per_shard_accesses: vec![0],
+            shard_states: vec![state],
+            fingerprint: None,
+        }
+    }
+
+    /// A CRC-valid checkpoint whose control prefix is `control` must fail
+    /// the open with a structured error naming `why`, not panic.
+    fn assert_prefix_fails_the_open(control: Vec<Event>, why: &str) {
+        match open_file(&crafted(control, fresh_state())) {
+            Err(e) => assert!(
+                e.contains("checkpoint inconsistent") && e.contains(why),
+                "{e}"
+            ),
+            Ok(_) => panic!("a crafted control prefix must not open"),
+        }
+    }
+
+    #[test]
+    fn crafted_prefix_ending_an_uncreated_task_fails_the_open() {
+        assert_prefix_fails_the_open(vec![Event::TaskEnd(TaskId(50))], "T50 acts");
+    }
+
+    #[test]
+    fn crafted_prefix_awaiting_an_uncreated_task_fails_the_open() {
+        let get = Event::Get {
+            waiter: TaskId(0),
+            awaited: TaskId(77),
+        };
+        assert_prefix_fails_the_open(vec![get], "T77 is awaited");
+    }
+
+    #[test]
+    fn crafted_prefix_joining_an_uncreated_task_fails_the_open() {
+        let end = Event::FinishEnd(TaskId(0), FinishId(9), vec![TaskId(40)]);
+        assert_prefix_fails_the_open(vec![end], "joins T40");
+    }
+
+    #[test]
+    fn crafted_prefix_awaiting_the_main_task_fails_the_open() {
+        let create = Event::TaskCreate {
+            parent: TaskId(0),
+            child: TaskId(1),
+            kind: TaskKind::Future,
+            ief: FinishId(0),
+        };
+        let get = Event::Get {
+            waiter: TaskId(1),
+            awaited: TaskId(0),
+        };
+        assert_prefix_fails_the_open(vec![create, get], "T0 is awaited");
+    }
+
+    #[test]
+    fn crafted_prefix_with_a_sparse_child_id_fails_the_open() {
+        let create = Event::TaskCreate {
+            parent: TaskId(0),
+            child: TaskId(5),
+            kind: TaskKind::Async,
+            ief: FinishId(0),
+        };
+        assert_prefix_fails_the_open(vec![create], "child T5 is not the next task id T1");
+    }
+
+    #[test]
+    fn crafted_cell_writer_fails_the_open() {
+        // One cell, at location 0, written by T1000000: version, shadow
+        // length, cell count, then index, writer flag and task, no
+        // readers, no last clean verdict, no probe misses, and a fresh
+        // detector's fields after the cells.
+        let fresh = fresh_state();
+        assert_eq!(
+            fresh[..3],
+            [3, 0, 0],
+            "version 3, no shadow memory, no cells"
+        );
+        let mut state = vec![3, 1, 1, 0, 1];
+        futrace_util::wire::put_varint(&mut state, 1_000_000);
+        state.extend_from_slice(&[0, 0, 0]);
+        state.extend_from_slice(&fresh[3..]);
+        let cp = crafted(vec![Event::Alloc(LocId(0), 1, "x".into())], state);
+        match open_file(&cp) {
+            Err(e) => assert!(e.contains("writer task T1000000 was never created"), "{e}"),
+            Ok(_) => panic!("a cell naming an uncreated task must not restore"),
+        }
+    }
+
+    /// The task ids a control event names.
+    fn task_ids(e: &mut Event) -> Vec<&mut TaskId> {
+        match e {
+            Event::TaskCreate { parent, child, .. } => vec![parent, child],
+            Event::TaskEnd(t) | Event::FinishStart(t, _) => vec![t],
+            Event::FinishEnd(t, _, joined) => std::iter::once(t).chain(joined).collect(),
+            Event::Get { waiter, awaited } => vec![waiter, awaited],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Re-encodes a DTRG state blob (version 3) with `map` applied to each
+    /// task id its cells name — writers, readers and last-clean tasks, in
+    /// order — and every other byte kept.
+    fn map_cell_tasks(state: &[u8], mut map: impl FnMut(u64) -> u64) -> Vec<u8> {
+        use futrace_util::wire::{put_varint, Cursor};
+        let mut c = Cursor::new(state);
+        let mut out = Vec::new();
+        let mut next = |c: &mut Cursor, out: &mut Vec<u8>, task: bool| {
+            let v = c.varint("state field").unwrap();
+            put_varint(out, if task { map(v) } else { v });
+            v
+        };
+        next(&mut c, &mut out, false); // version
+        next(&mut c, &mut out, false); // shadow length
+        for _ in 0..next(&mut c, &mut out, false) {
+            next(&mut c, &mut out, false); // index
+            if next(&mut c, &mut out, false) == 1 {
+                next(&mut c, &mut out, true); // writer
+            }
+            for _ in 0..next(&mut c, &mut out, false) {
+                next(&mut c, &mut out, true); // reader
+            }
+            if next(&mut c, &mut out, false) == 1 {
+                next(&mut c, &mut out, true); // last-clean task
+                next(&mut c, &mut out, false); // its write flag
+                next(&mut c, &mut out, false); // its epoch
+            }
+            next(&mut c, &mut out, false); // probe misses
+        }
+        out.extend_from_slice(&state[c.position()..]);
+        out
+    }
+
+    #[test]
+    fn perturbed_checkpoint_ids_open_or_fail_but_never_panic() {
+        // A live-engine checkpoint of a random program, with task ids in
+        // its control prefix and cells replaced by nearby, fresh or far
+        // ones, then re-encoded with a valid CRC. Every case must open or
+        // return an error; a panic fails the property.
+        use futrace_benchsuite::randomprog::{self, GenParams};
+        use futrace_util::propcheck::{self, strategies, Config};
+        let (opened, refused) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+        propcheck::check(&Config::with_cases(256), &strategies::any_u64(), |seed| {
+            let prog = randomprog::generate(seed, &GenParams::default());
+            let mut log = EventLog::new();
+            run_serial(&mut log, |ctx| randomprog::execute(ctx, &prog));
+            let chunks = split_chunks(&log.events, 4);
+            let mut rng = futrace_util::rng::seeded(seed);
+            let upto = rng.gen_range(1..chunks.len() + 1);
+            let mut cp = fed(
+                Session::open(SessionConfig::default()).unwrap(),
+                &chunks[..upto],
+            )
+            .checkpoint()
+            .unwrap()
+            .unwrap();
+            let tasks = 1 + cp
+                .control_events
+                .iter()
+                .filter(|e| matches!(e, Event::TaskCreate { .. }))
+                .count() as u64;
+            let perturb = |rng: &mut Rng, old: u64| match rng.gen_range(0..4u32) {
+                0 => old + 1,
+                1 => old.saturating_sub(1),
+                2 => rng.gen_range(0..tasks + 2),
+                _ => [tasks, 1 << 20, u32::MAX as u64][rng.gen_range(0..3usize)],
+            };
+            let mut ids: Vec<&mut TaskId> =
+                cp.control_events.iter_mut().flat_map(task_ids).collect();
+            for _ in 0..rng.gen_range(0..3usize) {
+                if !ids.is_empty() {
+                    let i = rng.gen_range(0..ids.len());
+                    ids[i].0 = perturb(&mut rng, ids[i].0 as u64).min(u32::MAX as u64) as u32;
+                }
+            }
+            let mut named = 0usize;
+            map_cell_tasks(&cp.shard_states[0], |t| {
+                named += 1;
+                t
+            });
+            if named > 0 && rng.gen_bool(0.5) {
+                let pick = rng.gen_range(0..named);
+                let mut k = 0;
+                let state = map_cell_tasks(&cp.shard_states[0], |t| {
+                    k += 1;
+                    if k - 1 == pick {
+                        perturb(&mut rng, t).min(u32::MAX as u64)
+                    } else {
+                        t
+                    }
+                });
+                cp.shard_states[0] = state;
+            }
+            match open_file(&cp) {
+                Ok(_) => opened.set(opened.get() + 1),
+                Err(_) => refused.set(refused.get() + 1),
+            }
+        });
+        assert!(
+            opened.get() > 0 && refused.get() > 0,
+            "{opened:?} opened, {refused:?} refused"
+        );
     }
 
     #[test]

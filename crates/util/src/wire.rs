@@ -6,7 +6,8 @@
 //! no external crates — the same zero-dependency discipline as the v1
 //! trace codec. This module is the shared primitive layer: LEB128-style
 //! varints, fixed-width floats (bit-exact, so resumed statistics match a
-//! fresh run byte-for-byte), and a bounds-checked [`Cursor`] reader.
+//! fresh run byte-for-byte), a bounds-checked [`Cursor`] reader, and the
+//! [`SliceWriter`] the state encoders write their many small fields with.
 //!
 //! The trace codec in `futrace-runtime` keeps its own private varint
 //! helpers; this module exists so *state* serializers in `core`,
@@ -71,6 +72,96 @@ pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
 /// Appends a length-prefixed UTF-8 string.
 pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
+}
+
+/// Longest varint [`put_varint`] writes (a `u64` needs ten 7-bit groups).
+pub const MAX_VARINT_LEN: usize = 10;
+
+/// Bytes [`SliceWriter`] grows its buffer by, at least, at a time.
+const GROW_STEP: usize = 64 * 1024;
+
+/// Appends varints to a `Vec<u8>` by index, for encoders that write many
+/// small fields: [`SliceWriter::reserve`] makes room for a worst-case
+/// record with one capacity check, and the writes after it store bytes
+/// into that room without `Vec::push`'s per-byte capacity check. The
+/// bytes are exactly those of [`put_varint`] and [`put_bytes`].
+///
+/// The buffer is grown with zeroes at least [`GROW_STEP`] bytes at a
+/// time and truncated to the bytes written when the writer is dropped.
+/// A write past the reserved room panics on the slice bound; it never
+/// writes out of bounds.
+pub struct SliceWriter<'a> {
+    out: &'a mut Vec<u8>,
+    pos: usize,
+}
+
+impl<'a> SliceWriter<'a> {
+    /// Writer appending at the end of `out`.
+    pub fn new(out: &'a mut Vec<u8>) -> Self {
+        let pos = out.len();
+        SliceWriter { out, pos }
+    }
+
+    /// Makes room for at least `n` more bytes.
+    #[inline]
+    pub fn reserve(&mut self, n: usize) {
+        if self.out.len() - self.pos < n {
+            self.grow(n);
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, n: usize) {
+        self.out.resize(self.pos + n.max(GROW_STEP), 0);
+    }
+
+    /// Writes `v` as a varint into reserved room. Most state fields are
+    /// flags, counts and small ids, so one byte is tried first.
+    #[inline]
+    pub fn varint(&mut self, mut v: u64) {
+        let buf = &mut self.out[self.pos..];
+        if v < 0x80 {
+            buf[0] = v as u8;
+            self.pos += 1;
+            return;
+        }
+        let mut i = 0;
+        while v >= 0x80 {
+            buf[i] = v as u8 | 0x80;
+            v >>= 7;
+            i += 1;
+        }
+        buf[i] = v as u8;
+        self.pos += i + 1;
+    }
+
+    /// Writes a `u64` varint that reserves its own room.
+    #[inline]
+    pub fn put_varint(&mut self, v: u64) {
+        self.reserve(MAX_VARINT_LEN);
+        self.varint(v);
+    }
+
+    /// Writes a length-prefixed byte string that reserves its own room.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.reserve(MAX_VARINT_LEN + bytes.len());
+        self.varint(bytes.len() as u64);
+        self.out[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
+        self.pos += bytes.len();
+    }
+
+    /// Writes an `f64` by its bit pattern, reserving its own room.
+    pub fn put_f64(&mut self, v: f64) {
+        self.reserve(8);
+        self.out[self.pos..self.pos + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+        self.pos += 8;
+    }
+}
+
+impl Drop for SliceWriter<'_> {
+    fn drop(&mut self) {
+        self.out.truncate(self.pos);
+    }
 }
 
 /// Bounds-checked reader over a byte slice; every accessor returns a
@@ -232,6 +323,69 @@ mod tests {
         buf.extend_from_slice(&[0; 8]);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.bytes("blob"), Err(WireError::Truncated("blob")));
+    }
+
+    const EDGES: [u64; 11] = [
+        0,
+        1,
+        127,
+        128,
+        (1 << 14) - 1,
+        1 << 14,
+        300,
+        u32::MAX as u64,
+        1 << 63,
+        u64::MAX - 1,
+        u64::MAX,
+    ];
+
+    #[test]
+    fn slice_writer_bytes_equal_the_push_encoders() {
+        let mut want = vec![0xAB];
+        let mut got = vec![0xAB];
+        {
+            let mut w = SliceWriter::new(&mut got);
+            for v in EDGES {
+                put_varint(&mut want, v);
+                w.reserve(MAX_VARINT_LEN);
+                w.varint(v);
+                put_varint(&mut want, v);
+                w.put_varint(v);
+            }
+            put_bytes(&mut want, b"loc[3]");
+            w.put_bytes(b"loc[3]");
+            put_f64(&mut want, -0.0);
+            w.put_f64(-0.0);
+        }
+        assert_eq!(
+            got, want,
+            "the writer truncates its spare room when dropped"
+        );
+        for v in EDGES {
+            let mut one = Vec::new();
+            put_varint(&mut one, v);
+            assert!(one.len() <= MAX_VARINT_LEN, "{v}");
+        }
+    }
+
+    #[test]
+    fn slice_writer_grows_across_steps_and_keeps_earlier_bytes() {
+        // Three and a half grow steps of two-byte varints, each reserving
+        // only its own worst case.
+        let mut want = Vec::new();
+        let mut got = Vec::new();
+        {
+            let mut w = SliceWriter::new(&mut got);
+            for i in 0..(7 * GROW_STEP / 4) as u64 {
+                put_varint(&mut want, 128 + i % 1000);
+                w.reserve(MAX_VARINT_LEN);
+                w.varint(128 + i % 1000);
+            }
+        }
+        assert_eq!(got.len(), want.len());
+        assert!(got == want);
+        let mut c = Cursor::new(&got);
+        assert_eq!(c.varint("first").unwrap(), 128);
     }
 
     #[test]

@@ -293,8 +293,8 @@ impl<'a> Analyze<'a> {
                 let data = std::fs::read(&path).map_err(|e| AnalyzeError::Io(path.clone(), e))?;
                 session.feed_trace(data)?;
             }
-            Source::TraceBytes(b) => session.feed_trace(b.to_vec())?,
-            Source::Events(e) => session.feed_events(e.to_vec())?,
+            Source::TraceBytes(b) => session.feed_trace(b)?,
+            Source::Events(e) => session.feed_events(e)?,
             Source::ParallelProgram { .. } => unreachable!("dispatched above"),
         }
         Ok(session.finish()?)
