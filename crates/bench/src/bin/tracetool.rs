@@ -40,12 +40,14 @@
 //!     [--out-dir DIR] [--time-budget-secs T] [--break-detector NAME]
 //!
 //! # analysis daemon: stream traces over TCP in framed chunks, one
-//! # incremental session per connection; graceful drain suspends
-//! # in-flight sessions to FCKP checkpoints and --resume reopens them:
+//! # session per connection, checked as the chunks arrive by a live
+//! # serial engine; graceful drain suspends in-flight sessions to FCKP
+//! # checkpoints and --resume reopens them (--lenient drops damaged
+//! # chunks client-side, as analyze --lenient skips them):
 //! tracetool serve --listen 127.0.0.1:0 [--workers N] [--queue-depth N]
 //!     [--checkpoint-dir DIR] [--resume]
-//! tracetool client HOST:PORT /tmp/jacobi.trace [--shards N]
-//!     [--checkpoint-every N] [--chunk-events N] [--suspend-after N]
+//! tracetool client HOST:PORT /tmp/jacobi.trace [--checkpoint-every N]
+//!     [--lenient] [--chunk-events N] [--suspend-after N]
 //! tracetool client HOST:PORT --shutdown
 //! ```
 //!
@@ -120,8 +122,8 @@ usage:
                    [--checkpoint-dir DIR] [--resume]
                    [--idle-timeout-ms T] [--io-deadline-ms T]
                    [--max-sessions N] [--inject-net SEED]
-  tracetool client HOST:PORT FILE [--shards N] [--checkpoint-every N]
-                   [--lenient] [--name NAME] [--chunk-events N]
+  tracetool client HOST:PORT FILE [--checkpoint-every N] [--lenient]
+                   [--name NAME] [--chunk-events N]
                    [--suspend-after N] [--retries N]
                    [--retry-budget-ms T] [--inject-net SEED]
   tracetool client HOST:PORT --shutdown
@@ -1116,7 +1118,6 @@ fn client(args: ClientArgs) {
     });
     let opts = ClientOptions {
         addr: args.addr.clone(),
-        shards: args.shards,
         checkpoint_every: args.checkpoint_every,
         lenient: args.lenient,
         trace_name: name,

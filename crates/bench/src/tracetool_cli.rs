@@ -225,11 +225,10 @@ pub struct ClientArgs {
     pub addr: String,
     /// Trace file to stream (absent only with `--shutdown`).
     pub file: Option<String>,
-    /// Ask the daemon for the sharded backend with this many workers.
-    pub shards: Option<usize>,
     /// Ask the daemon to checkpoint the session every N chunks.
     pub checkpoint_every: Option<u64>,
-    /// Ask the daemon to skip damaged chunks instead of failing.
+    /// Skip damaged framed chunks instead of failing, as `analyze
+    /// --lenient` does.
     pub lenient: bool,
     /// Session name keying the daemon-side checkpoint file (defaults to
     /// the trace file's basename).
@@ -751,7 +750,6 @@ fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
 fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
     let mut addr = None;
     let mut file = None;
-    let mut shards = None;
     let mut checkpoint_every = None;
     let mut lenient = false;
     let mut name = None;
@@ -764,7 +762,6 @@ fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--shards" => shards = Some(parse_shards(args, &mut i)?),
             "--checkpoint-every" => {
                 checkpoint_every = Some(parse_positive_u64(args, &mut i, "--checkpoint-every")?)
             }
@@ -814,7 +811,6 @@ fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
     Ok(ClientArgs {
         addr,
         file,
-        shards,
         checkpoint_every,
         lenient,
         name,
@@ -1293,14 +1289,12 @@ mod tests {
 
     #[test]
     fn client_flags() {
-        let Command::Client(c) =
-            parse(&argv("client 127.0.0.1:7333 t.ftrc --shards 4 --lenient")).unwrap()
+        let Command::Client(c) = parse(&argv("client 127.0.0.1:7333 t.ftrc --lenient")).unwrap()
         else {
             panic!()
         };
         assert_eq!(c.addr, "127.0.0.1:7333");
         assert_eq!(c.file.as_deref(), Some("t.ftrc"));
-        assert_eq!(c.shards, Some(4));
         assert!(c.lenient && !c.shutdown);
 
         let Command::Client(c) = parse(&argv(
@@ -1325,6 +1319,14 @@ mod tests {
         assert!(err.contains("trace file"), "{err}");
         let err = parse(&argv("client h:1 t --shutdown")).unwrap_err();
         assert!(err.contains("--shutdown"), "{err}");
+    }
+
+    #[test]
+    fn client_has_no_shards_flag() {
+        // The daemon checks every session with its live engine; one-shot
+        // `analyze --shards N` is the sharded path.
+        let err = parse(&argv("client h:1 t --shards 2")).unwrap_err();
+        assert!(err.contains("client: unknown argument `--shards`"), "{err}");
     }
 
     #[test]

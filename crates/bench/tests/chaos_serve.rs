@@ -5,8 +5,9 @@
 //! `serve --resume` restart on the same port, every surviving session's
 //! final verdict is byte-identical to one-shot `tracetool analyze`.
 //! Also covered: idle eviction suspends a stalled session to a
-//! reopenable checkpoint, and an over-quota `Open` is shed with a
-//! structured `Busy` (an exit-code-5 client failure, never a hang).
+//! reopenable checkpoint, an over-quota `Open` is shed with a
+//! structured `Busy` (an exit-code-5 client failure, never a hang), and
+//! a chunk that panics the analysis fails only its own session.
 
 use std::io::{BufRead, BufReader, Read as _};
 use std::net::{TcpListener, TcpStream};
@@ -16,9 +17,10 @@ use std::time::{Duration, Instant};
 
 use futrace_benchsuite::randomprog::{self, GenParams};
 use futrace_offline::{trace_events, StreamWriter};
-use futrace_runtime::{replay, run_serial, trace, EventLog};
+use futrace_runtime::{replay, run_serial, trace, Event, EventLog};
+use futrace_util::ids::TaskId;
 use futrace_util::rng::splitmix64;
-use futrace_util::wire::proto::{read_frame, write_frame, Message};
+use futrace_util::wire::proto::{read_frame, write_frame, ErrorCode, Message};
 
 fn tracetool() -> Command {
     Command::new(env!("CARGO_BIN_EXE_tracetool"))
@@ -308,9 +310,7 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
         write_frame(
             &mut stream,
             &Message::Open {
-                shards: 0,
                 checkpoint_every: 0,
-                lenient: false,
                 trace_name: "parked_idle".to_string(),
             },
         )
@@ -392,9 +392,7 @@ fn over_quota_open_is_shed_with_a_structured_busy() {
     write_frame(
         &mut hog,
         &Message::Open {
-            shards: 0,
             checkpoint_every: 0,
-            lenient: false,
             trace_name: "hog".to_string(),
         },
     )
@@ -463,6 +461,84 @@ fn over_quota_open_is_shed_with_a_structured_busy() {
     assert!(
         summary.contains("shed busy") && !summary.contains(" 0 shed busy"),
         "busy rejections missing from drain summary:\n{summary}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Kills a daemon the test did not drain, so a failing test leaves no
+/// daemon behind.
+struct Reap(Option<Child>);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// A CRC-valid chunk that ends a task no event created panics the
+/// detector. The panic must fail only that session, with a structured
+/// `Analysis` error, and a one-worker daemon must go on to serve the next
+/// session to the one-shot verdict.
+#[test]
+fn a_panicking_chunk_fails_only_its_own_session() {
+    let dir = scratch_dir("panic");
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/futtree_racy.ftrc");
+    let (want_verdict, want_code) = one_shot(&file);
+    let ckpt_flag = dir.to_str().unwrap().to_string();
+    let (daemon, daemon_out, addr) = spawn_daemon(
+        "127.0.0.1:0",
+        &["--checkpoint-dir", &ckpt_flag, "--workers", "1"],
+    );
+    let mut daemon = Reap(Some(daemon));
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let open = Message::Open {
+        checkpoint_every: 1,
+        trace_name: "crafted".to_string(),
+    };
+    write_frame(&mut stream, &open).expect("send open");
+    assert!(matches!(
+        read_frame(&mut stream).expect("hello"),
+        Some(Message::Hello { .. })
+    ));
+    let payload = trace::encode(&[Event::TaskEnd(TaskId(50))]);
+    write_frame(&mut stream, &Message::Chunk { seq: 0, payload }).expect("send chunk");
+    match read_frame(&mut stream).expect("reply") {
+        Some(Message::Error {
+            code: ErrorCode::Analysis,
+            ..
+        }) => {}
+        other => panic!("expected an Analysis error, got {other:?}"),
+    }
+    drop(stream);
+
+    let mut next = tracetool()
+        .args(["client", &addr])
+        .arg(&file)
+        .args(["--name", "next"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn client");
+    let status = wait_deadline(&mut next, "client after the panic", Duration::from_secs(30));
+    let (stdout, stderr) = read_piped(&mut next);
+    assert_eq!(status.code(), want_code, "stderr:\n{stderr}");
+    assert_eq!(verdict_section(&stdout), want_verdict);
+
+    let summary = shutdown_daemon(&addr, daemon.0.take().expect("daemon"), daemon_out);
+    assert!(
+        summary.contains("1 session(s) finished, 0 suspended") && summary.contains("1 error(s)"),
+        "summary:\n{summary}"
+    );
+    assert!(
+        !futrace_service::checkpoint_path(&dir, "crafted").exists(),
+        "the panicked session must not be suspended to disk"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

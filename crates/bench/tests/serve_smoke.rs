@@ -2,18 +2,19 @@
 //!
 //! The contract under test (DESIGN §S42): for every golden fixture the
 //! race verdict a streamed session reports is byte-identical to one-shot
-//! `tracetool analyze` — serially, under `--shards 4`, across ≥ 4
-//! concurrent client sessions, after a client is killed mid-stream, and
-//! after the daemon itself dies mid-session and is restarted with
-//! `serve --resume`.
+//! `tracetool analyze` — with the fixture's own chunks and re-chunked,
+//! across ≥ 4 concurrent client sessions, after a client is killed
+//! mid-stream, after the daemon itself dies mid-session and is restarted
+//! with `serve --resume`, and under `--lenient` on a damaged copy.
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
-use futrace_offline::trace_events;
-use futrace_runtime::trace;
+use futrace_offline::{framed, trace_events};
+use futrace_runtime::{trace, Event};
+use futrace_util::crc32::crc32;
 use futrace_util::wire::proto::{read_frame, write_frame, Message};
 
 fn tracetool() -> Command {
@@ -151,13 +152,8 @@ fn streamed_verdicts_match_one_shot_for_every_fixture() {
         let (want, want_code) = one_shot(&file);
 
         // Default chunking (the fixture's own framed chunks) and forced
-        // re-chunking both must agree with one-shot, serially and under
-        // the sharded backend.
-        for extra in [
-            &[][..],
-            &["--chunk-events", "8"][..],
-            &["--shards", "4", "--chunk-events", "8"][..],
-        ] {
+        // re-chunking both must agree with one-shot.
+        for extra in [&[][..], &["--chunk-events", "8"][..]] {
             let (stdout, code) = client(&daemon.addr, &file, extra);
             assert_eq!(
                 verdict_section(&stdout),
@@ -253,9 +249,7 @@ fn killed_client_leaves_a_resumable_checkpoint() {
         write_frame(
             &mut stream,
             &Message::Open {
-                shards: 0,
                 checkpoint_every: 0,
-                lenient: false,
                 trace_name: "prodcons_racy".to_string(),
             },
         )
@@ -388,9 +382,7 @@ fn draining_daemon_suspends_inflight_sessions() {
     write_frame(
         &mut stream,
         &Message::Open {
-            shards: 0,
             checkpoint_every: 0,
-            lenient: false,
             trace_name: "parked".to_string(),
         },
     )
@@ -464,5 +456,87 @@ fn failed_checkpoint_writes_are_counted_in_the_drain_summary() {
         summary.contains("shed busy, 4 checkpoint failure(s)"),
         "summary: {summary}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A copy of `file` framed as three chunks, the middle one the longest
+/// run of accesses in the trace, with that chunk's payload damaged after
+/// its CRC was taken.
+fn copy_with_a_damaged_access_chunk(file: &PathBuf) -> Vec<u8> {
+    let blob = std::fs::read(file).expect("fixture");
+    let events: Vec<Event> = trace_events(&blob, false)
+        .collect::<Result<_, _>>()
+        .expect("decode fixture");
+    let (mut run, mut start) = (0..0, 0);
+    for (i, e) in events.iter().enumerate() {
+        if !matches!(e, Event::Read(..) | Event::Write(..)) {
+            start = i + 1;
+        } else if i + 1 - start > run.len() {
+            run = start..i + 1;
+        }
+    }
+    assert!(run.len() >= 2, "{file:?} needs a run of accesses");
+    let mut copy = framed::MAGIC.to_vec();
+    copy.push(framed::VERSION);
+    let parts = [
+        &events[..run.start],
+        &events[run.clone()],
+        &events[run.end..],
+    ];
+    for (k, part) in parts.into_iter().enumerate() {
+        let mut payload = trace::encode(part);
+        let crc = crc32(&payload);
+        if k == 1 {
+            payload[1] ^= 0x40;
+        }
+        copy.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        copy.extend_from_slice(&(part.len() as u32).to_le_bytes());
+        copy.extend_from_slice(&crc.to_le_bytes());
+        copy.extend_from_slice(&payload);
+    }
+    copy
+}
+
+#[test]
+fn lenient_client_skips_the_chunks_lenient_analyze_skips() {
+    let dir = scratch_dir("lenient");
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/prodcons_racy.ftrc");
+    let file = dir.join("damaged.ftrc");
+    std::fs::write(&file, copy_with_a_damaged_access_chunk(&fixture)).expect("write copy");
+
+    let out = tracetool()
+        .arg("analyze")
+        .arg(&file)
+        .arg("--lenient")
+        .output()
+        .expect("run analyze");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("skipped 1 damaged chunk(s)"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (want, want_code) = (verdict_section(&stdout), out.status.code());
+
+    let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    let (stdout, code) = client(&daemon.addr, &file, &["--lenient"]);
+    assert_eq!(
+        verdict_section(&stdout),
+        want,
+        "lenient streamed vs one-shot"
+    );
+    assert_eq!(code, want_code);
+
+    // Without --lenient the client refuses the damaged chunk.
+    let strict = tracetool()
+        .arg("client")
+        .arg(&daemon.addr)
+        .arg(&file)
+        .output()
+        .expect("run client");
+    let stderr = String::from_utf8_lossy(&strict.stderr);
+    assert_eq!(strict.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("corrupt"), "{stderr}");
+
+    let (dcode, summary) = daemon.shutdown();
+    assert_eq!(dcode, Some(0), "daemon drain: {summary}");
     std::fs::remove_dir_all(&dir).ok();
 }

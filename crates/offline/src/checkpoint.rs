@@ -23,9 +23,9 @@
 //! checkpoint is rejected with a structured error, never silently
 //! half-restored.
 
-use crate::crc32::crc32;
 use futrace_runtime::trace::{self, DecodeError};
 use futrace_runtime::Event;
+use futrace_util::crc32::crc32;
 use futrace_util::ids::TaskId;
 use futrace_util::wire::{self, WireError};
 

@@ -28,9 +28,9 @@
 //! The first byte of the magic (`0x46`) is not a valid v1 event tag, so
 //! format sniffing ([`is_framed`]) cannot misclassify a v1 trace.
 
-use crate::crc32;
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 use futrace_runtime::trace::{self, DecodeError};
+use futrace_util::crc32::crc32;
 use futrace_util::faultinject::{write_all_with_retry, Backoff};
 use futrace_util::ids::{FinishId, LocId, TaskId};
 use std::io;
@@ -234,7 +234,7 @@ impl<'a> Iterator for ChunkIter<'a> {
                     let payload = &self.data[body..body + payload_len];
                     self.pos = body + payload_len;
                     self.index += 1;
-                    let computed = crc32::crc32(payload);
+                    let computed = crc32(payload);
                     if computed != stored {
                         return Some(Err(FrameError::CorruptChunk {
                             chunk,
@@ -485,7 +485,7 @@ impl<W: io::Write> StreamWriter<W> {
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
-        let crc = crc32::crc32(&self.buf);
+        let crc = crc32(&self.buf);
         let mut header = [0u8; CHUNK_HEADER_LEN];
         header[..4].copy_from_slice(&(self.buf.len() as u32).to_le_bytes());
         header[4..8].copy_from_slice(&self.pending_events.to_le_bytes());

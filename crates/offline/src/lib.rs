@@ -38,7 +38,6 @@
 
 pub mod channel;
 pub mod checkpoint;
-pub mod crc32;
 pub mod framed;
 pub mod supervise;
 
@@ -336,7 +335,7 @@ mod tests {
         blob.push(framed::VERSION);
         blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         blob.extend_from_slice(&u32::MAX.to_le_bytes());
-        blob.extend_from_slice(&crate::crc32::crc32(&payload).to_le_bytes());
+        blob.extend_from_slice(&futrace_util::crc32::crc32(&payload).to_le_bytes());
         blob.extend_from_slice(&payload);
         let mismatch = TraceError::from(FrameError::Decode {
             chunk: 0,

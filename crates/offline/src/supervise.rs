@@ -177,8 +177,8 @@ impl ChunkedEvents for crate::TraceEvents<'_> {
 }
 
 /// Synthetic chunk size for in-memory event lists, which have no framed
-/// boundaries of their own: the granularity at which the session layer
-/// and corpus runs let the supervisor snapshot a decoded event list.
+/// boundaries of their own: the granularity at which `Analyze` and corpus
+/// runs let the supervisor snapshot a decoded event list.
 pub const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
 /// Imposes synthetic chunk boundaries (every `every` events) on any event

@@ -14,6 +14,7 @@
 
 use crate::monitor::{Event, TaskKind};
 use futrace_util::ids::{FinishId, LocId, StepId, TaskId};
+use futrace_util::wire::put_varint;
 
 const TAG_TASK_CREATE: u8 = 1;
 const TAG_TASK_END: u8 = 2;
@@ -23,18 +24,6 @@ const TAG_GET: u8 = 5;
 const TAG_READ: u8 = 6;
 const TAG_WRITE: u8 = 7;
 const TAG_ALLOC: u8 = 8;
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
 
 /// A read-only position over the input slice (std-only replacement for
 /// `bytes::Bytes`): all reads bounds-check and surface

@@ -4,10 +4,13 @@
 //! payloads (reusing the `.ftrc` chunking when the file is framed),
 //! then speaks the lock-step protocol — `Open`/`Hello`, one
 //! `Chunk`/`VerdictDelta` pair per chunk, `Finish`/`Final` — and hands
-//! back the daemon's verdict text verbatim. On resume it re-streams the
-//! full trace; the daemon restores its session's engine from the
-//! checkpoint, a snapshot of the detector's state rather than of the
-//! trace, and does not check the chunks it covers again.
+//! back the daemon's verdict text verbatim. Leniency acts here, before
+//! anything is sent: with [`ClientOptions::lenient`] the client drops the
+//! damaged chunks of a framed trace, so the daemon only ever sees intact
+//! ones. On resume it re-streams the full trace; the daemon restores its
+//! session's engine from the checkpoint, a snapshot of the detector's
+//! state rather than of the trace, and does not check the chunks it
+//! covers again.
 //!
 //! That no-local-state resume design is what makes reconnection simple:
 //! when a connection tears mid-stream (or the daemon sheds the session
@@ -19,7 +22,7 @@
 //! time; exhausting either yields the structured
 //! [`ClientError::RetriesExhausted`].
 
-use futrace_offline::{framed, trace_events};
+use futrace_offline::{framed, trace_events, FrameError};
 use futrace_runtime::trace;
 use futrace_util::faultinject::{
     is_transient, write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
@@ -39,11 +42,10 @@ const IN_CONN_RETRIES: u32 = 8;
 pub struct ClientOptions {
     /// Daemon address (`host:port`).
     pub addr: String,
-    /// Ask the daemon for the sharded backend with this many workers.
-    pub shards: Option<usize>,
     /// Ask the daemon to checkpoint every N chunks.
     pub checkpoint_every: Option<u64>,
-    /// Ask the daemon to skip damaged chunks instead of failing.
+    /// Skip the damaged chunks a lenient `analyze` skips instead of
+    /// failing: a framed chunk that fails its CRC, decode or event count.
     pub lenient: bool,
     /// Session name — keys the daemon's checkpoint file, so resuming a
     /// suspended session means reconnecting with the same name.
@@ -70,7 +72,6 @@ impl Default for ClientOptions {
     fn default() -> Self {
         ClientOptions {
             addr: String::new(),
-            shards: None,
             checkpoint_every: None,
             lenient: false,
             trace_name: "session".to_string(),
@@ -192,10 +193,17 @@ fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<Vec<u8>>, Cli
         return Ok(events.chunks(per_chunk).map(trace::encode).collect());
     }
     if framed::is_framed(blob) {
+        // Strict streaming forwards the payload bytes undecoded; the
+        // daemon decodes each chunk anyway.
+        let intact = |c: &framed::Chunk| {
+            trace::decode(c.payload).is_ok_and(|e| e.len() == c.event_count as usize)
+        };
         let mut payloads = Vec::new();
         for chunk in framed::chunks(blob) {
             match chunk {
+                Ok(c) if opts.lenient && !intact(&c) => {}
                 Ok(c) => payloads.push(c.payload.to_vec()),
+                Err(FrameError::CorruptChunk { .. }) if opts.lenient => {}
                 // Framing damage cannot be resynced locally; report it
                 // rather than shipping a torn stream.
                 Err(e) => return Err(ClientError::Trace(e.to_string())),
@@ -365,9 +373,7 @@ fn stream_once(
     let mut wire = connect(opts, attempt)?;
 
     wire.send(&Message::Open {
-        shards: opts.shards.unwrap_or(0) as u64,
         checkpoint_every: opts.checkpoint_every.unwrap_or(0),
-        lenient: opts.lenient,
         trace_name: opts.trace_name.clone(),
     })?;
     let resumed_chunks = match wire.expect_reply()? {

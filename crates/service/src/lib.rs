@@ -3,12 +3,14 @@
 //! This crate turns the one-shot "read a trace, run a backend, print a
 //! verdict" pipeline into a long-lived service:
 //!
-//! * [`session`] — [`Session`] owns one incremental analysis: it accepts
-//!   trace chunks (or a whole blob / event list), emits a
-//!   [`VerdictDelta`] per chunk, can suspend to an FCKP checkpoint and
-//!   resume with skip-completed-chunk semantics, and finishes through
-//!   the serial, sharded, or supervised backend. The `futrace::Analyze`
-//!   builder and `tracetool analyze` are thin wrappers over it.
+//! * [`session`] — [`Session`] owns one daemon session's live analysis:
+//!   it checks trace chunks as they arrive, emits a [`VerdictDelta`] per
+//!   chunk, says when its checkpoint cadence is due, can suspend to an
+//!   FCKP checkpoint and resume with skip-completed-chunk semantics, and
+//!   finishes with its live engine's verdict. [`AnalysisOutcome`], the
+//!   result shape, is shared with the one-shot `futrace::Analyze`
+//!   builder, which runs its serial, sharded and supervised backends
+//!   itself.
 //! * [`server`] — `tracetool serve`: a std-only TCP daemon multiplexing
 //!   N concurrent sessions over a fixed worker pool, with bounded-queue
 //!   backpressure on accept, graceful drain (every in-flight session is

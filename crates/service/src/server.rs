@@ -11,7 +11,9 @@
 //! reaches all the way to the kernel listen queue.
 //!
 //! Failure is never silent: damaged frames and protocol violations are
-//! answered with structured `Error` frames, a client that vanishes
+//! answered with structured `Error` frames, a request that panics the
+//! analysis drops that one session and is answered with an `Analysis`
+//! error while the worker keeps serving, a client that vanishes
 //! mid-session has its partial work suspended to an FCKP checkpoint
 //! file, and a `Shutdown` frame drains the daemon — every in-flight
 //! session is suspended the same way, so `serve --resume` can pick all
@@ -45,6 +47,7 @@ use futrace_util::wire::proto::{
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -272,9 +275,8 @@ pub fn checkpoint_path(dir: &Path, trace_name: &str) -> PathBuf {
 
 /// Per-connection protocol driver state.
 struct Conn {
-    session: Option<Session<'static>>,
+    session: Option<Session>,
     checkpoint: Option<PathBuf>,
-    checkpoint_every: Option<u64>,
     /// True while this connection holds a slot against the
     /// `max_sessions` quota.
     counted: bool,
@@ -284,7 +286,6 @@ fn handle_connection(stream: TcpStream, state: &ServeState, local: SocketAddr) {
     let mut conn = Conn {
         session: None,
         checkpoint: None,
-        checkpoint_every: None,
         counted: false,
     };
     drive_connection(stream, &mut conn, state, local);
@@ -321,7 +322,16 @@ fn drive_connection(stream: TcpStream, conn: &mut Conn, state: &ServeState, loca
             match decode_frame(&buf) {
                 Ok((msg, consumed)) => {
                     buf.drain(..consumed);
-                    match dispatch(msg, conn, &mut writer, state, local) {
+                    let request = || dispatch(msg, conn, &mut writer, state, local);
+                    let flow = catch_unwind(AssertUnwindSafe(request)).unwrap_or_else(|_| {
+                        // The panic may have left the engine half-updated:
+                        // drop the session, so no path suspends it to disk.
+                        conn.session = None;
+                        let why = "the analysis panicked; the session was dropped";
+                        send_error(&mut writer, state, ErrorCode::Analysis, why);
+                        Flow::Close
+                    });
+                    match flow {
                         Flow::Continue => {}
                         Flow::Close => {
                             // Whatever closed the conversation (normal
@@ -405,9 +415,7 @@ fn dispatch<W: Write>(
 ) -> Flow {
     match msg {
         Message::Open {
-            shards,
             checkpoint_every,
-            lenient,
             trace_name,
         } => {
             if conn.session.is_some() {
@@ -442,12 +450,8 @@ fn dispatch<W: Write>(
                 conn.counted = true;
             }
             let cfg = SessionConfig {
-                shards: (shards > 0).then_some(shards as usize),
                 checkpoint_every: (checkpoint_every > 0).then_some(checkpoint_every),
-                lenient,
-                ..SessionConfig::default()
             };
-            conn.checkpoint_every = (checkpoint_every > 0).then_some(checkpoint_every);
             let path = checkpoint_path(&state.opts.checkpoint_dir, &trace_name);
             let session = if state.opts.resume && path.exists() {
                 match std::fs::read(&path).map_err(|e| e.to_string()).and_then(|d| {
@@ -506,10 +510,8 @@ fn dispatch<W: Write>(
                     // Periodic durability: cut a checkpoint at the
                     // configured interval so a daemon kill loses at most
                     // one interval of chunks.
-                    if let Some(every) = conn.checkpoint_every {
-                        if delta.chunks % every == 0 {
-                            write_checkpoint_file(conn, state);
-                        }
+                    if session.checkpoint_due() {
+                        write_checkpoint_file(conn, state);
                     }
                     write_reply(
                         stream,

@@ -1,24 +1,13 @@
-//! One incremental analysis, lifted out of the one-shot CLI.
+//! One live analysis session of the analysis daemon.
 //!
-//! A [`Session`] owns exactly one DTRG analysis run. It can be fed three
-//! ways — a whole trace blob, a whole decoded event list, or chunk by
-//! chunk as frames arrive over the wire — and finished serially or
-//! through the offline shard stage, plain or supervised. The
-//! `futrace::Analyze` builder and `tracetool serve` both ride this type,
-//! so batch and streaming analysis share one code path and one
-//! [`AnalysisOutcome`] shape.
-//!
-//! Chunk feeding drives the engine's batched dispatch path
-//! incrementally: the session keeps a live serial engine, consumes each
-//! chunk's events the moment they arrive, and reports a [`VerdictDelta`]
-//! (chunks / events / races so far) after every chunk. Unless the session
-//! was opened with explicit `shards`, the final verdict *is* that
-//! engine's verdict — exact by Theorem 2, checkpointed or resumed or not
-//! — and nothing is replayed at [`Session::finish`]. Sessions with
-//! explicit `shards`, and whole-trace feeds, replay through the serial
-//! engine or the shard stage (`futrace_offline::run_supervised`), whose
-//! merged reports are identical to serial by the stage's own equivalence
-//! tests.
+//! A [`Session`] owns one DTRG engine, fed chunk by chunk as frames
+//! arrive over the wire: it consumes each chunk's events the moment they
+//! arrive, through the engine's batched dispatch path, and reports a
+//! [`VerdictDelta`] (chunks / events / races so far) after every chunk.
+//! The final verdict *is* that engine's verdict — exact by Theorem 2 once
+//! the last chunk of the serial depth-first stream is checked,
+//! checkpointed or resumed or not — so nothing is replayed at
+//! [`Session::finish`].
 //!
 //! Checkpoints are snapshots of that live engine, in the FCKP format of
 //! DESIGN S38: [`Session::checkpoint`] stores the control-event prefix
@@ -28,39 +17,29 @@
 //! received. [`Session::open_resumed`] restores the engine from one, and
 //! [`Session::feed_chunk`] re-frames the chunks it covers without
 //! checking them again while the client re-streams the full trace. A
-//! daemon cutting periodic checkpoints loses at most the chunks received
-//! since the last interval when it is killed.
+//! daemon cutting a checkpoint whenever [`Session::checkpoint_due`] loses
+//! at most the chunks received since the last interval when it is killed.
 
-use futrace_detector::{
-    DetectorConfig, DetectorStats, DtrgReport, MemoryFootprint, RaceDetector, RaceReport,
-};
+use futrace_detector::{DetectorStats, DtrgReport, MemoryFootprint, RaceDetector, RaceReport};
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress, ShardPlan, ShardStats,
-    SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, SyntheticChunks,
-    TraceError, TraceFingerprint, SYNTHETIC_CHUNK_EVENTS,
+    Checkpoint, RouterProgress, ShardStats, SupervisionReport, TraceError, TraceFingerprint,
 };
-use futrace_runtime::engine::{
-    run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
-};
+use futrace_runtime::engine::{Analysis, Checkpointable, Engine, EngineCounters};
 use futrace_runtime::online::OnlineStats;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
-use futrace_util::faultinject::FaultPlan;
 use futrace_util::stats::Timer;
-use std::borrow::Cow;
 use std::fmt;
 
 /// What can go wrong inside a session, independent of any I/O the caller
 /// layered on top.
 #[derive(Debug)]
 pub enum SessionError {
-    /// The fed trace (blob or chunk) is invalid.
+    /// A fed chunk is invalid.
     Trace(TraceError),
-    /// The supervised backend failed unrecoverably.
-    Supervise(String),
-    /// The session configuration or feeding sequence is invalid.
+    /// The session configuration is invalid.
     Config(String),
     /// A resumed checkpoint could not be restored, or does not match the
     /// re-streamed trace.
@@ -71,7 +50,6 @@ impl fmt::Display for SessionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SessionError::Trace(e) => write!(f, "invalid trace: {e}"),
-            SessionError::Supervise(e) => write!(f, "supervised run failed: {e}"),
             SessionError::Config(e) => write!(f, "invalid analysis options: {e}"),
             SessionError::Checkpoint(e) => write!(f, "checkpoint failure: {e}"),
         }
@@ -143,85 +121,41 @@ pub struct VerdictDelta {
     pub races: u64,
 }
 
-/// Configuration for one session — the same knobs the `Analyze` builder
-/// exposes, in resolved form.
+/// Configuration for one session.
 #[derive(Clone, Debug, Default)]
 pub struct SessionConfig {
-    /// Detector configuration (report caps, first-race mode, caching).
-    pub detector: DetectorConfig,
-    /// Sharded backend with this many detect workers; `None` = serial.
-    pub shards: Option<usize>,
-    /// Supervised backend, barrier-snapshotting every N chunks. A
-    /// wire-fed session without `shards` keeps its live engine instead;
-    /// the daemon cuts its checkpoints every N chunks.
+    /// The daemon's checkpoint cadence: [`Session::checkpoint_due`] holds
+    /// after every N-th chunk (`None` = checkpoints only on suspension).
     pub checkpoint_every: Option<u64>,
-    /// Supervised backend with the deterministic fault plan from a seed.
-    pub fault_seed: Option<u64>,
-    /// Skip damaged trace chunks (counting them) instead of failing.
-    pub lenient: bool,
-}
-
-enum Feed<'a> {
-    /// Nothing fed yet (finishing analyzes an empty stream).
-    Empty,
-    /// A whole trace blob (flat v1 or framed v2), fed in one call,
-    /// borrowed from the caller or owned.
-    Trace(Cow<'a, [u8]>),
-    /// A whole decoded event list, fed in one call, borrowed from the
-    /// caller or owned.
-    Events(Cow<'a, [Event]>),
-    /// Chunk-at-a-time feeding: the re-framed accumulated trace, the
-    /// live incremental engine, and the control events it has applied
-    /// (a checkpoint's control prefix).
-    Wire {
-        trace: Reframed,
-        engine: Box<Engine<RaceDetector>>,
-        control: Vec<Event>,
-    },
-}
-
-impl Feed<'_> {
-    /// A wire feed around `engine`, with an empty framed trace that keeps
-    /// every byte when `whole` (the session replays it at finish).
-    fn wire(engine: Engine<RaceDetector>, control: Vec<Event>, whole: bool) -> Self {
-        Feed::Wire {
-            trace: Reframed::new(whole),
-            engine: Box::new(engine),
-            control,
-        }
-    }
 }
 
 /// The chunks a session received, framed exactly as `StreamWriter` would
-/// have written them. A session that replays the trace at finish keeps
-/// every byte. A live-engine session reads the trace only for its
-/// [`TraceFingerprint`], so it keeps the first [`FINGERPRINT_HEAD`] bytes
-/// and the running length, and its memory does not grow with the trace.
+/// have written them, kept only for the session's [`TraceFingerprint`]:
+/// the first [`FINGERPRINT_HEAD`] bytes and the running length, so its
+/// memory does not grow with the trace.
 struct Reframed {
-    /// The whole framed trace, or its first `FINGERPRINT_HEAD` bytes.
+    /// The first `FINGERPRINT_HEAD` bytes of the framed trace.
     bytes: Vec<u8>,
     /// Length of the whole framed trace.
     len: u64,
-    whole: bool,
 }
 
 impl Reframed {
-    fn new(whole: bool) -> Reframed {
+    fn new() -> Reframed {
         let mut bytes = Vec::with_capacity(framed::HEADER_LEN);
         bytes.extend_from_slice(&framed::MAGIC);
         bytes.push(framed::VERSION);
         Reframed {
             bytes,
             len: framed::HEADER_LEN as u64,
-            whole,
         }
     }
 
-    /// Appends one chunk of `events` events. Once a head-only trace's
-    /// head is full, only the length grows: no copy and no chunk CRC.
+    /// Appends one chunk of `events` events. Once the head is full, only
+    /// the length grows: no copy and no chunk CRC.
     fn push(&mut self, payload: &[u8], events: u32) {
         self.len += (framed::CHUNK_HEADER_LEN + payload.len()) as u64;
-        if !self.whole && self.bytes.len() == FINGERPRINT_HEAD {
+        if self.bytes.len() == FINGERPRINT_HEAD {
             return;
         }
         let mut header = [0u8; framed::CHUNK_HEADER_LEN];
@@ -230,9 +164,7 @@ impl Reframed {
         header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
         self.bytes.extend_from_slice(&header);
         self.bytes.extend_from_slice(payload);
-        if !self.whole {
-            self.bytes.truncate(FINGERPRINT_HEAD);
-        }
+        self.bytes.truncate(FINGERPRINT_HEAD);
     }
 
     /// The fingerprint of the whole framed trace.
@@ -250,28 +182,23 @@ impl Reframed {
     }
 }
 
-/// One incremental analysis. See the module docs. A whole-trace or
-/// whole-event feed may borrow its input for `'a`; the daemon's sessions,
-/// fed chunk by chunk, are `Session<'static>`.
-pub struct Session<'a> {
+/// One live analysis. See the module docs.
+pub struct Session {
     cfg: SessionConfig,
-    feed: Feed<'a>,
+    engine: Engine<RaceDetector>,
+    /// The control events the engine has applied (a checkpoint's control
+    /// prefix).
+    control: Vec<Event>,
+    trace: Reframed,
     chunks: u64,
     events: u64,
     resume: Option<Checkpoint>,
     timer: Timer,
 }
 
-impl<'a> Session<'a> {
-    /// Opens a session, validating the configuration up front (the same
-    /// checks — and the same messages — the `Analyze` builder reports
-    /// before any work runs).
+impl Session {
+    /// Opens a session, validating the configuration up front.
     pub fn open(cfg: SessionConfig) -> Result<Self, SessionError> {
-        if cfg.shards == Some(0) {
-            return Err(SessionError::Config(
-                "shards(0): the sharded backend needs at least one detect worker".to_string(),
-            ));
-        }
         if cfg.checkpoint_every == Some(0) {
             return Err(SessionError::Config(
                 "checkpoint_every(0): the checkpoint interval must be at least one chunk"
@@ -280,7 +207,9 @@ impl<'a> Session<'a> {
         }
         Ok(Session {
             cfg,
-            feed: Feed::Empty,
+            engine: Engine::new(RaceDetector::new()),
+            control: Vec::new(),
+            trace: Reframed::new(),
             chunks: 0,
             events: 0,
             resume: None,
@@ -288,11 +217,11 @@ impl<'a> Session<'a> {
         })
     }
 
-    /// Opens a chunk-fed session resuming from a suspended session's
-    /// checkpoint, by restoring its live engine: the control prefix goes
-    /// back through `apply_control`, the detector's access-derived state
-    /// through `restore_state`, and counting and access numbering
-    /// continue from the checkpoint's.
+    /// Opens a session resuming from a suspended session's checkpoint, by
+    /// restoring its live engine: the control prefix goes back through
+    /// `apply_control`, the detector's access-derived state through
+    /// `restore_state`, and counting and access numbering continue from
+    /// the checkpoint's.
     ///
     /// The feeder streams the *full* trace again (wire clients re-send
     /// every chunk and keep no local state); [`Session::feed_chunk`]
@@ -306,7 +235,7 @@ impl<'a> Session<'a> {
         let ([state], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
             return Ok(session);
         };
-        let mut detector = RaceDetector::with_config(session.cfg.detector.clone());
+        let mut detector = RaceDetector::new();
         for e in &checkpoint.control_events {
             detector.apply_control(e);
         }
@@ -321,18 +250,10 @@ impl<'a> Session<'a> {
             writes: r.writes,
             ..EngineCounters::default()
         };
-        let engine = Engine::resumed(detector, counters, checkpoint.next_access_index);
-        let whole = session.replays_at_finish();
-        session.feed = Feed::wire(engine, checkpoint.control_events.clone(), whole);
+        session.engine = Engine::resumed(detector, counters, checkpoint.next_access_index);
+        session.control = checkpoint.control_events.clone();
         session.resume = Some(checkpoint);
         Ok(session)
-    }
-
-    /// Whether `finish` replays a chunk-fed trace instead of taking the
-    /// live engine's verdict: explicit `shards` run the shard stage, and a
-    /// fault seed asks for the supervised pipeline's recovery paths.
-    fn replays_at_finish(&self) -> bool {
-        self.cfg.shards.is_some() || self.cfg.fault_seed.is_some()
     }
 
     /// Chunks a resumed checkpoint already completed (0 for a fresh
@@ -341,87 +262,48 @@ impl<'a> Session<'a> {
         self.resume.as_ref().map_or(0, |c| c.chunks_completed)
     }
 
-    /// Chunks fed so far (wire feeding only).
+    /// Chunks fed so far.
     pub fn chunks(&self) -> u64 {
         self.chunks
     }
 
-    /// Events fed so far (wire feeding only).
+    /// Events fed so far.
     pub fn events(&self) -> u64 {
         self.events
     }
 
-    /// Feeds a whole trace blob (flat v1 or framed v2), borrowed (no
-    /// copy) or owned. The one-shot batch path: decoding, lenient
-    /// skipping, and error semantics are identical to the historical
-    /// `Analyze` behavior.
-    pub fn feed_trace(&mut self, blob: impl Into<Cow<'a, [u8]>>) -> Result<(), SessionError> {
-        match self.feed {
-            Feed::Empty => {
-                self.feed = Feed::Trace(blob.into());
-                Ok(())
-            }
-            _ => Err(SessionError::Config(
-                "feed_trace: the session was already fed".to_string(),
-            )),
-        }
-    }
-
-    /// Feeds a whole decoded event list, borrowed (no copy) or owned.
-    pub fn feed_events(&mut self, events: impl Into<Cow<'a, [Event]>>) -> Result<(), SessionError> {
-        match self.feed {
-            Feed::Empty => {
-                self.feed = Feed::Events(events.into());
-                Ok(())
-            }
-            _ => Err(SessionError::Config(
-                "feed_events: the session was already fed".to_string(),
-            )),
-        }
+    /// Whether the configured cadence asks for a checkpoint now, after
+    /// the chunk just fed.
+    pub fn checkpoint_due(&self) -> bool {
+        self.cfg
+            .checkpoint_every
+            .is_some_and(|every| self.chunks.is_multiple_of(every))
     }
 
     /// Feeds one trace chunk (v1-encoded events — the payload bytes of a
     /// framed `.ftrc` chunk), consuming it through the engine's batched
     /// dispatch path immediately and returning the incremental verdict.
     ///
-    /// The chunk is also appended (re-framed) to the session's
-    /// accumulated trace, which the fingerprint and the sharded /
-    /// supervised backends read; a live-engine session keeps only its
-    /// fingerprint's head. A resumed session re-frames the chunks its
-    /// checkpoint covers without checking them again; meanwhile the
-    /// delta's `races` is the checkpoint's count.
+    /// The chunk is also re-framed into the session's fingerprint. A
+    /// resumed session re-frames the chunks its checkpoint covers without
+    /// checking them again; meanwhile the delta's `races` is the
+    /// checkpoint's count.
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
         let events =
             trace::decode(payload).map_err(|e| SessionError::Trace(TraceError::Decode(e)))?;
-        let covered = self.chunks < self.resumed_chunks();
-        if let Feed::Empty = self.feed {
-            let detector = RaceDetector::with_config(self.cfg.detector.clone());
-            let whole = self.replays_at_finish();
-            self.feed = Feed::wire(Engine::new(detector), Vec::new(), whole);
-        }
-        let Feed::Wire {
-            trace,
-            engine,
-            control,
-        } = &mut self.feed
-        else {
-            return Err(SessionError::Config(
-                "feed_chunk: the session was already fed a whole trace".to_string(),
-            ));
-        };
-        trace.push(payload, events.len() as u32);
-
-        if !covered {
+        self.trace.push(payload, events.len() as u32);
+        if self.chunks >= self.resumed_chunks() {
             let is_control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
-            control.extend(events.iter().filter(is_control).cloned());
-            engine.consume_slice(&events);
+            self.control
+                .extend(events.iter().filter(is_control).cloned());
+            self.engine.consume_slice(&events);
         }
         self.chunks += 1;
         self.events += events.len() as u64;
         Ok(VerdictDelta {
             chunks: self.chunks,
             events: self.events,
-            races: engine.analysis().total_detected(),
+            races: self.engine.analysis().total_detected(),
         })
     }
 
@@ -431,13 +313,13 @@ impl<'a> Session<'a> {
     /// new blob and the new blob must be at least as long — a plain
     /// `matches_trace` would reject the (longer) full trace. The session
     /// must also have re-received every chunk the checkpoint covers.
-    fn verify_resume_fingerprint(&self, trace: &Reframed) -> Result<(), SessionError> {
+    fn verify_resume_fingerprint(&self) -> Result<(), SessionError> {
         let Some(cp) = &self.resume else {
             return Ok(());
         };
         let differs = cp.fingerprint.is_some_and(|fp| {
             let head = FINGERPRINT_HEAD.min(fp.len as usize);
-            trace.len < fp.len || crc32(trace.head(head)) != fp.head_crc
+            self.trace.len < fp.len || crc32(self.trace.head(head)) != fp.head_crc
         });
         if differs || self.chunks < cp.chunks_completed {
             return Err(SessionError::Checkpoint(
@@ -452,34 +334,26 @@ impl<'a> Session<'a> {
     /// snapshot of the live engine: the control events it applied, the
     /// detector's access-derived state, and its counters. The cost is
     /// O(detector state), however many chunks were received. Returns
-    /// `None` before the first chunk, and for whole-trace feeds. Never
-    /// fails; the `Result` is part of the signature callers match on.
+    /// `None` before the first chunk. Never fails; the `Result` is part
+    /// of the signature callers match on.
     ///
     /// A resumed session that has not yet re-received the chunks its
     /// checkpoint covers returns that checkpoint unchanged. A snapshot
     /// claiming fewer chunks than its state covers would make the next
     /// resume apply those chunks' control events twice.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, SessionError> {
-        if let Some(cp) = &self.resume {
-            if self.chunks < cp.chunks_completed {
-                return Ok(Some(cp.clone()));
-            }
+        match &self.resume {
+            Some(cp) if self.chunks < cp.chunks_completed => return Ok(Some(cp.clone())),
+            None if self.chunks == 0 => return Ok(None),
+            _ => {}
         }
-        let Feed::Wire {
-            trace,
-            engine,
-            control,
-        } = &self.feed
-        else {
-            return Ok(None);
-        };
-        let c = engine.counters();
+        let c = self.engine.counters();
         let mut state = Vec::new();
-        engine.analysis().save_state(&mut state);
+        self.engine.analysis().save_state(&mut state);
         Ok(Some(Checkpoint {
             shards: 1,
             events_consumed: c.events,
-            next_access_index: engine.next_index(),
+            next_access_index: self.engine.next_index(),
             chunks_completed: self.chunks,
             router: RouterProgress {
                 events: c.events,
@@ -487,10 +361,10 @@ impl<'a> Session<'a> {
                 reads: c.reads,
                 writes: c.writes,
             },
-            control_events: control.clone(),
+            control_events: self.control.clone(),
             per_shard_accesses: vec![c.checks()],
             shard_states: vec![state],
-            fingerprint: Some(trace.fingerprint()),
+            fingerprint: Some(self.trace.fingerprint()),
         }))
     }
 
@@ -502,142 +376,32 @@ impl<'a> Session<'a> {
         self.checkpoint()
     }
 
-    /// Runs the configured backend over everything fed and produces the
-    /// final outcome.
+    /// Finishes the session with its live engine's verdict, after
+    /// checking that a resumed session re-received the trace its
+    /// checkpoint covers.
     pub fn finish(self) -> Result<AnalysisOutcome, SessionError> {
-        if let Feed::Wire { trace, .. } = &self.feed {
-            self.verify_resume_fingerprint(trace)?;
+        self.verify_resume_fingerprint()?;
+        let (analysis, mut counters) = self.engine.into_parts();
+        counters.wall_ms = self.timer.elapsed_ms();
+        let mut outcome = AnalysisOutcome::from_dtrg(Analysis::finish(analysis), counters);
+        if self.resume.is_some() {
+            outcome.engine.resumed_from_checkpoint = 1;
+            outcome.supervision = Some(SupervisionReport {
+                resumed_from_checkpoint: 1,
+                ..SupervisionReport::default()
+            });
         }
-
-        // A wire-fed session without explicit shards was analyzed as it
-        // arrived, so its live engine's verdict is final. A fault seed
-        // asks for the supervised pipeline's recovery paths and keeps
-        // the replay.
-        if !self.replays_at_finish() {
-            if let Feed::Wire { engine, .. } = self.feed {
-                let (analysis, mut counters) = engine.into_parts();
-                counters.wall_ms = self.timer.elapsed_ms();
-                let mut outcome = AnalysisOutcome::from_dtrg(Analysis::finish(analysis), counters);
-                if self.resume.is_some() {
-                    outcome.engine.resumed_from_checkpoint = 1;
-                    outcome.supervision = Some(SupervisionReport {
-                        resumed_from_checkpoint: 1,
-                        ..SupervisionReport::default()
-                    });
-                }
-                return Ok(outcome);
-            }
-        }
-
-        let supervised = self.cfg.checkpoint_every.is_some()
-            || self.cfg.fault_seed.is_some()
-            || self.resume.is_some();
-        let lenient = self.cfg.lenient;
-        let config = self.cfg.detector.clone();
-        let timer = self.timer;
-
-        // Every other combination replays through the one-shot backends.
-        let (blob, events) = match self.feed {
-            Feed::Empty => (None, Some(Cow::Borrowed(&[][..]))),
-            Feed::Trace(data) => (Some(data), None),
-            Feed::Events(ev) => (None, Some(ev)),
-            Feed::Wire { trace, .. } => (Some(Cow::Owned(trace.bytes)), None),
-        };
-
-        if supervised || self.cfg.shards.is_some() {
-            // Plain `shards` runs the same stage with nothing retained for
-            // recovery; snapshots, faults and resumes keep the full plan.
-            let shards = self.cfg.shards.unwrap_or(ShardPlan::default().shards);
-            let shard = ShardPlan::with_shards(shards);
-            let mut plan = if supervised {
-                SupervisorPlan {
-                    shard,
-                    ..SupervisorPlan::default()
-                }
-            } else {
-                SupervisorPlan::plain(shard)
-            };
-            plan.checkpoint_every_chunks = self.cfg.checkpoint_every;
-            if let Some(seed) = self.cfg.fault_seed {
-                plan = plan.with_faults(&FaultPlan::from_seed(seed));
-            }
-            let factory = || RaceDetector::with_config(config.clone());
-            let resume = self.resume.as_ref();
-            let out = match (&blob, &events) {
-                (Some(data), _) => {
-                    run_supervised(|| trace_events(data, lenient), factory, &plan, resume)
-                        .map_err(erase_supervise_error)?
-                }
-                (None, Some(events)) => run_supervised(
-                    || {
-                        SyntheticChunks::new(
-                            events
-                                .iter()
-                                .cloned()
-                                .map(Ok as fn(_) -> Result<_, TraceError>),
-                            SYNTHETIC_CHUNK_EVENTS,
-                        )
-                    },
-                    factory,
-                    &plan,
-                    resume,
-                )
-                .map_err(erase_supervise_error)?,
-                (None, None) => unreachable!("feed resolution always yields one"),
-            };
-            let SupervisedOutcome::Completed {
-                report,
-                stats,
-                supervision,
-            } = out
-            else {
-                unreachable!("no stop_after requested, the run must complete");
-            };
-            let engine = EngineCounters {
-                events: stats.events,
-                control_events: stats.control_events,
-                reads: stats.reads,
-                writes: stats.writes,
-                wall_ms: timer.elapsed_ms(),
-                shard_restarts: supervision.shard_restarts,
-                degradations: supervision.degradations,
-                resumed_from_checkpoint: supervision.resumed_from_checkpoint,
-                ..EngineCounters::default()
-            };
-            let mut outcome = AnalysisOutcome::from_dtrg(report, engine);
-            outcome.sharding = Some(stats);
-            // A clean plain run has nothing to report; a degraded one says
-            // so.
-            outcome.supervision = (supervised || supervision.any()).then_some(supervision);
-            return Ok(outcome);
-        }
-
-        // Plain serial replay: chunk-batched decode for trace blobs, the
-        // batched in-memory path for event slices.
-        let detector = RaceDetector::with_config(config);
-        let out = match (&blob, &events) {
-            (Some(data), _) => run_analysis(source::chunks(trace_chunks(data, lenient)), detector)
-                .map_err(SessionError::Trace)?,
-            (None, Some(events)) => match run_analysis(source::recorded(events), detector) {
-                Ok(out) => out,
-                Err(never) => match never {},
-            },
-            (None, None) => unreachable!("feed resolution always yields one"),
-        };
-        Ok(AnalysisOutcome::from_dtrg(out.report, out.counters))
-    }
-}
-
-pub(crate) fn erase_supervise_error(e: SuperviseError<TraceError>) -> SessionError {
-    match e {
-        SuperviseError::Stream(e) => SessionError::Trace(e),
-        other => SessionError::Supervise(other.to_string()),
+        Ok(outcome)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use futrace_offline::{
+        run_supervised, trace_events, ShardPlan, SupervisedOutcome, SupervisorPlan,
+    };
+    use futrace_runtime::engine::run_analysis_recorded;
     use futrace_runtime::monitor::TaskKind;
     use futrace_runtime::{run_serial, EventLog, TaskCtx};
     use futrace_util::ids::{FinishId, LocId, TaskId};
@@ -692,21 +456,14 @@ mod tests {
     }
 
     #[test]
-    fn rejects_zero_shards_and_zero_interval() {
-        let err = Session::open(SessionConfig {
-            shards: Some(0),
-            ..SessionConfig::default()
-        })
-        .map(|_| ())
-        .unwrap_err();
-        assert!(matches!(err, SessionError::Config(_)));
+    fn rejects_a_zero_checkpoint_interval() {
         let err = Session::open(SessionConfig {
             checkpoint_every: Some(0),
-            ..SessionConfig::default()
         })
         .map(|_| ())
         .unwrap_err();
         assert!(matches!(err, SessionError::Config(_)));
+        assert!(err.to_string().contains("checkpoint_every(0)"), "{err}");
     }
 
     #[test]
@@ -721,10 +478,7 @@ mod tests {
     fn chunked_feed_matches_batch_feed() {
         let events = racy_events();
         let payload = trace::encode(&events);
-
-        let mut batch = Session::open(SessionConfig::default()).unwrap();
-        batch.feed_events(events.clone()).unwrap();
-        let batch_out = batch.finish().unwrap();
+        let batch = run_analysis_recorded(&events, RaceDetector::new());
 
         let mut wire = Session::open(SessionConfig::default()).unwrap();
         // Split at an event boundary: re-encode halves as two chunks.
@@ -738,47 +492,15 @@ mod tests {
         assert_eq!(d2.events, events.len() as u64);
         let wire_out = wire.finish().unwrap();
 
-        assert_eq!(
-            format!("{}", batch_out.races),
-            format!("{}", wire_out.races)
-        );
-        assert_eq!(
-            batch_out.races.total_detected,
-            wire_out.races.total_detected
-        );
-        assert_eq!(batch_out.engine.events, wire_out.engine.events);
+        let want = &batch.report.report;
+        assert_eq!(format!("{want}"), format!("{}", wire_out.races));
+        assert_eq!(want.total_detected, wire_out.races.total_detected);
+        assert_eq!(batch.counters.events, wire_out.engine.events);
         // Sanity: the single-chunk wire path agrees too.
         let mut single = Session::open(SessionConfig::default()).unwrap();
         single.feed_chunk(&payload).unwrap();
         let single_out = single.finish().unwrap();
-        assert_eq!(
-            single_out.races.total_detected,
-            batch_out.races.total_detected
-        );
-    }
-
-    #[test]
-    fn sharded_wire_feed_matches_serial() {
-        let events = racy_events();
-        let payload = trace::encode(&events);
-
-        let mut serial = Session::open(SessionConfig::default()).unwrap();
-        serial.feed_chunk(&payload).unwrap();
-        let serial_out = serial.finish().unwrap();
-
-        let mut sharded = Session::open(SessionConfig {
-            shards: Some(4),
-            ..SessionConfig::default()
-        })
-        .unwrap();
-        sharded.feed_chunk(&payload).unwrap();
-        let sharded_out = sharded.finish().unwrap();
-
-        assert_eq!(
-            format!("{}", serial_out.races),
-            format!("{}", sharded_out.races)
-        );
-        assert!(sharded_out.sharding.is_some());
+        assert_eq!(single_out.races.total_detected, want.total_detected);
     }
 
     #[test]
@@ -853,7 +575,7 @@ mod tests {
         split(events, n).into_iter().map(trace::encode).collect()
     }
 
-    fn fed<'a>(mut session: Session<'a>, chunks: &[Vec<u8>]) -> Session<'a> {
+    fn fed(mut session: Session, chunks: &[Vec<u8>]) -> Session {
         for c in chunks {
             session.feed_chunk(c).unwrap();
         }
@@ -865,7 +587,6 @@ mod tests {
         let chunks = split_chunks(&racy_events(), 7);
         let cfg = SessionConfig {
             checkpoint_every: Some(2),
-            ..SessionConfig::default()
         };
         let want = fed(Session::open(cfg.clone()).unwrap(), &chunks)
             .finish()
@@ -906,29 +627,6 @@ mod tests {
             assert_eq!(got.supervision.map(|s| s.resumed_from_checkpoint), Some(1));
             assert!(got.sharding.is_none(), "the live engine finished it");
         }
-    }
-
-    #[test]
-    fn sharded_wire_session_resumes_from_a_live_engine_checkpoint() {
-        let chunks = split_chunks(&racy_events(), 6);
-        let want = fed(Session::open(SessionConfig::default()).unwrap(), &chunks)
-            .finish()
-            .unwrap();
-        let cfg = SessionConfig {
-            shards: Some(4),
-            checkpoint_every: Some(2),
-            ..SessionConfig::default()
-        };
-        let cp = fed(Session::open(cfg.clone()).unwrap(), &chunks[..3])
-            .suspend()
-            .unwrap()
-            .unwrap();
-        let resumed = Session::open_resumed(cfg, cp).unwrap();
-        assert_eq!(resumed.resumed_chunks(), 3);
-        let got = fed(resumed, &chunks).finish().unwrap();
-        assert_eq!(format!("{}", want.races), format!("{}", got.races));
-        assert!(got.sharding.is_some());
-        assert_eq!(got.engine.resumed_from_checkpoint, 1);
     }
 
     /// A serial session's checkpoint from before live-engine snapshots:
@@ -1027,7 +725,7 @@ mod tests {
 
     /// Opens `cp` the way the daemon opens a checkpoint file: encode,
     /// decode (CRC and structure), then resume.
-    fn open_file(cp: &Checkpoint) -> Result<Session<'static>, String> {
+    fn open_file(cp: &Checkpoint) -> Result<Session, String> {
         let cp = Checkpoint::decode(&cp.encode()).map_err(|e| e.to_string())?;
         Session::open_resumed(SessionConfig::default(), cp).map_err(|e| e.to_string())
     }
@@ -1243,26 +941,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn whole_blob_feed_matches_event_feed() {
-        let events = racy_events();
-        let blob = framed_blob(&[&events]);
-
-        let mut by_blob = Session::open(SessionConfig::default()).unwrap();
-        by_blob.feed_trace(blob).unwrap();
-        let blob_out = by_blob.finish().unwrap();
-
-        let mut by_events = Session::open(SessionConfig::default()).unwrap();
-        by_events.feed_events(events).unwrap();
-        let events_out = by_events.finish().unwrap();
-
-        assert_eq!(
-            format!("{}", blob_out.races),
-            format!("{}", events_out.races)
-        );
-        assert_eq!(blob_out.engine.events, events_out.engine.events);
-    }
-
     /// A framed trace recorded by `StreamWriter` whose first chunk holds
     /// exactly `first` payload bytes: reads by the main task, 4-byte ones
     /// (two-byte loc id) to fix the residue mod 3, then 3-byte ones.
@@ -1286,34 +964,17 @@ mod tests {
             let blob = streamed(first);
             let chunks: Vec<&[u8]> = framed::chunks(&blob).map(|c| c.unwrap().payload).collect();
             assert_eq!(chunks[0].len(), first);
-            for shards in [None, Some(2)] {
-                let cfg = SessionConfig {
-                    shards,
-                    ..SessionConfig::default()
-                };
-                let mut session = Session::open(cfg).unwrap();
-                let mut end = framed::HEADER_LEN;
-                for payload in &chunks {
-                    session.feed_chunk(payload).unwrap();
-                    end += framed::CHUNK_HEADER_LEN + payload.len();
-                    let cp = session.checkpoint().unwrap().unwrap();
-                    let want = TraceFingerprint::of(&blob[..end]);
-                    assert_eq!(cp.fingerprint, Some(want), "first {first} shards {shards:?}");
-                }
-                assert_eq!(end, blob.len());
-                assert!(!session.finish().unwrap().has_races());
+            let mut session = Session::open(SessionConfig::default()).unwrap();
+            let mut end = framed::HEADER_LEN;
+            for payload in &chunks {
+                session.feed_chunk(payload).unwrap();
+                end += framed::CHUNK_HEADER_LEN + payload.len();
+                let cp = session.checkpoint().unwrap().unwrap();
+                let want = TraceFingerprint::of(&blob[..end]);
+                assert_eq!(cp.fingerprint, Some(want), "first {first}");
             }
+            assert_eq!(end, blob.len());
+            assert!(!session.finish().unwrap().has_races());
         }
-    }
-
-    #[test]
-    fn double_feed_is_rejected() {
-        let mut s = Session::open(SessionConfig::default()).unwrap();
-        s.feed_events(Vec::new()).unwrap();
-        assert!(matches!(
-            s.feed_trace(Vec::new()),
-            Err(SessionError::Config(_))
-        ));
-        assert!(matches!(s.feed_chunk(&[]), Err(SessionError::Config(_))));
     }
 }

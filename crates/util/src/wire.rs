@@ -40,6 +40,9 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Appends `v` as an LEB128 varint (7 bits per byte, MSB = continuation).
+/// Inlined across crates: the workspace builds without LTO, and the trace
+/// recorder's encoder calls it once per event field.
+#[inline]
 pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7F) as u8;

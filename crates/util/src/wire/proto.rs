@@ -107,14 +107,11 @@ impl fmt::Display for ErrorCode {
 /// which side sends which).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Message {
-    /// Client → server: open a session with this analysis configuration.
+    /// Client → server: open a session.
     Open {
-        /// Detect-worker count for the sharded backend; 0 = serial.
-        shards: u64,
-        /// Supervised checkpoint interval in chunks; 0 = unsupervised.
+        /// The daemon's checkpoint cadence: it cuts the session's FCKP
+        /// checkpoint after every N-th chunk; 0 = only on suspension.
         checkpoint_every: u64,
-        /// Skip damaged chunks instead of failing the session.
-        lenient: bool,
         /// Client-chosen session name; keys the server-side FCKP
         /// checkpoint a suspended session resumes from.
         trace_name: String,
@@ -127,8 +124,8 @@ pub enum Message {
         /// The encoded events.
         payload: Vec<u8>,
     },
-    /// Client → server: all chunks sent; run the backend and answer with
-    /// [`Message::Final`].
+    /// Client → server: all chunks sent; answer with the session's
+    /// [`Message::Final`] verdict.
     Finish,
     /// Client → server: checkpoint the session to FCKP and close.
     Suspend,
@@ -200,15 +197,11 @@ impl Message {
         let mut buf = Vec::new();
         match self {
             Message::Open {
-                shards,
                 checkpoint_every,
-                lenient,
                 trace_name,
             } => {
                 buf.push(KIND_OPEN);
-                put_varint(&mut buf, *shards);
                 put_varint(&mut buf, *checkpoint_every);
-                buf.push(u8::from(*lenient));
                 put_str(&mut buf, trace_name);
             }
             Message::Chunk { seq, payload } => {
@@ -268,22 +261,10 @@ impl Message {
             .ok_or(WireError::Truncated("message kind"))?;
         let mut c = Cursor::new(body);
         let msg = match kind {
-            KIND_OPEN => {
-                let shards = c.varint("shards")?;
-                let checkpoint_every = c.varint("checkpoint_every")?;
-                let lenient = match c.varint("lenient")? {
-                    0 => false,
-                    1 => true,
-                    _ => return Err(WireError::Malformed("lenient")),
-                };
-                let trace_name = c.str("trace_name")?.to_string();
-                Message::Open {
-                    shards,
-                    checkpoint_every,
-                    lenient,
-                    trace_name,
-                }
-            }
+            KIND_OPEN => Message::Open {
+                checkpoint_every: c.varint("checkpoint_every")?,
+                trace_name: c.str("trace_name")?.to_string(),
+            },
             KIND_CHUNK => {
                 let seq = c.varint("seq")?;
                 let payload = c.bytes("chunk payload")?.to_vec();
@@ -474,15 +455,11 @@ mod tests {
     fn specimens() -> Vec<Message> {
         vec![
             Message::Open {
-                shards: 0,
                 checkpoint_every: 0,
-                lenient: false,
                 trace_name: String::new(),
             },
             Message::Open {
-                shards: 4,
                 checkpoint_every: 8,
-                lenient: true,
                 trace_name: "fixtures/actor_racy.ftrc".into(),
             },
             Message::Chunk {
@@ -599,17 +576,6 @@ mod tests {
         assert_eq!(
             Message::decode_payload(&payload),
             Err(WireError::Malformed("trailing bytes after message"))
-        );
-        // A non-boolean lenient flag is malformed, not coerced.
-        let mut open = Vec::new();
-        open.push(super::KIND_OPEN);
-        put_varint(&mut open, 0);
-        put_varint(&mut open, 0);
-        open.push(2);
-        put_str(&mut open, "t");
-        assert_eq!(
-            Message::decode_payload(&open),
-            Err(WireError::Malformed("lenient"))
         );
     }
 

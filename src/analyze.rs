@@ -27,13 +27,14 @@
 //! `Analyze::trace(path).shards(4).checkpoint_every(8).run()` replays a
 //! recorded trace through the supervised sharded pipeline.
 //!
-//! Since the session layer landed, the builder is a thin shell: it
-//! resolves the source (running and recording a program, reading a trace
-//! file) and then opens a [`crate::service::Session`], feeds it
-//! everything, and finishes it — the exact machinery `tracetool serve`
-//! drives chunk by chunk over the wire. One-shot and streamed analysis
-//! therefore share every backend decision and produce identical
-//! verdicts.
+//! The builder resolves the source (running and recording a program,
+//! reading a trace file) and replays it through the backend the options
+//! ask for: the serial engine, or the offline shard stage
+//! (`futrace_offline::run_supervised`), plain or supervised, whose merged
+//! reports are identical to serial by the stage's own equivalence tests.
+//! A trace blob or event slice is borrowed, never copied. `tracetool
+//! serve` checks streamed chunks with a live engine instead
+//! ([`crate::service::Session`]), whose verdict is byte-identical.
 //!
 //! A program source is recorded to an [`EventLog`] and replayed through
 //! the engine's batched dispatch path. The serial executor is
@@ -43,11 +44,16 @@
 //! unchanged.
 
 use crate::detector::{DetectorConfig, RaceDetector};
-use crate::offline::TraceError;
-use crate::runtime::engine::{Analysis, Engine};
+use crate::offline::{
+    run_supervised, trace_chunks, trace_events, ChunkedEvents, ShardPlan, SuperviseError,
+    SupervisedOutcome, SupervisorPlan, SyntheticChunks, TraceError, SYNTHETIC_CHUNK_EVENTS,
+};
+use crate::runtime::engine::{
+    run_analysis, run_analysis_recorded, source, Analysis, Engine, EngineCounters,
+};
 use crate::runtime::online::{run_online, OnlineOptions};
 use crate::runtime::{run_serial, Event, EventLog, ParCtx, SerialCtx};
-use crate::service::{Session, SessionConfig, SessionError};
+use crate::util::faultinject::FaultPlan;
 use crate::util::stats::Timer;
 
 pub use crate::service::AnalysisOutcome;
@@ -94,19 +100,6 @@ impl From<TraceError> for AnalyzeError {
     }
 }
 
-impl From<SessionError> for AnalyzeError {
-    fn from(e: SessionError) -> Self {
-        match e {
-            SessionError::Trace(e) => AnalyzeError::Trace(e),
-            SessionError::Supervise(e) => AnalyzeError::Supervise(e),
-            SessionError::Config(e) => AnalyzeError::Config(e),
-            // One-shot runs never resume, so checkpoint failures here are
-            // supervised-pipeline failures.
-            SessionError::Checkpoint(e) => AnalyzeError::Supervise(e),
-        }
-    }
-}
-
 type Program<'a> = Box<dyn FnOnce(&mut SerialCtx<EventLog>) + 'a>;
 type ParProgram<'a> = Box<dyn FnOnce(&mut ParCtx) + Send + 'a>;
 
@@ -118,11 +111,9 @@ enum Source<'a> {
     Events(&'a [Event]),
 }
 
-/// Builder for one DTRG analysis run. Construct with
-/// [`Analyze::program`], [`Analyze::trace`], [`Analyze::trace_bytes`], or
-/// [`Analyze::events`]; configure; then [`Analyze::run`].
-pub struct Analyze<'a> {
-    source: Source<'a>,
+/// The options an [`Analyze`] run was configured with.
+#[derive(Default)]
+struct Options {
     config: DetectorConfig,
     shards: Option<usize>,
     checkpoint_every: Option<u64>,
@@ -131,19 +122,21 @@ pub struct Analyze<'a> {
     steal_seed: Option<u64>,
 }
 
+/// Builder for one DTRG analysis run. Construct with
+/// [`Analyze::program`], [`Analyze::trace`], [`Analyze::trace_bytes`], or
+/// [`Analyze::events`]; configure; then [`Analyze::run`].
+pub struct Analyze<'a> {
+    source: Source<'a>,
+    opts: Options,
+}
+
 impl<'a> Analyze<'a> {
     fn new(source: Source<'a>) -> Self {
         Analyze {
             source,
-            config: DetectorConfig::default(),
-            shards: None,
-            checkpoint_every: None,
-            fault_seed: None,
-            lenient: false,
-            steal_seed: None,
+            opts: Options::default(),
         }
     }
-
     /// Analyzes a serial depth-first execution of `f`, a program written
     /// against the task DSL ([`crate::runtime::TaskCtx`]). The execution
     /// is recorded and replayed through the configured backend; the
@@ -201,14 +194,14 @@ impl<'a> Analyze<'a> {
     /// Uses an explicit detector configuration (report caps, first-race
     /// mode, hot-path caching).
     pub fn detector(mut self, config: DetectorConfig) -> Self {
-        self.config = config;
+        self.opts.config = config;
         self
     }
 
     /// Runs the sharded offline backend with `n` detect workers
     /// (verdict identical to the serial run's).
     pub fn shards(mut self, n: usize) -> Self {
-        self.shards = Some(n);
+        self.opts.shards = Some(n);
         self
     }
 
@@ -218,7 +211,7 @@ impl<'a> Analyze<'a> {
     /// barrier saves only the cells the shard checked since its last one,
     /// until those deltas add up to the full one's size.
     pub fn checkpoint_every(mut self, chunks: u64) -> Self {
-        self.checkpoint_every = Some(chunks);
+        self.opts.checkpoint_every = Some(chunks);
         self
     }
 
@@ -226,14 +219,14 @@ impl<'a> Analyze<'a> {
     /// panics/stalls; see `FaultPlan::from_seed`) and runs under the
     /// supervisor, which must recover without changing the verdict.
     pub fn fault_plan(mut self, seed: u64) -> Self {
-        self.fault_seed = Some(seed);
+        self.opts.fault_seed = Some(seed);
         self
     }
 
     /// Skips damaged chunks of a framed trace (counting them) instead of
     /// failing the run.
     pub fn lenient(mut self, lenient: bool) -> Self {
-        self.lenient = lenient;
+        self.opts.lenient = lenient;
         self
     }
 
@@ -242,97 +235,185 @@ impl<'a> Analyze<'a> {
     /// interleavings; the verdict is canonical regardless). Only
     /// meaningful for the parallel-program source.
     pub fn steal_seed(mut self, seed: u64) -> Self {
-        self.steal_seed = Some(seed);
+        self.opts.steal_seed = Some(seed);
         self
     }
 
-    /// Runs the configured analysis: open a session, feed it the whole
-    /// source, finish it. (`tracetool serve` drives the same session
-    /// chunk by chunk; the backend logic lives in one place.)
+    /// Runs the configured analysis: resolve the source, then replay it
+    /// through the backend the options ask for.
     pub fn run(self) -> Result<AnalysisOutcome, AnalyzeError> {
-        let Analyze {
-            source,
-            config,
-            shards,
-            checkpoint_every,
-            fault_seed,
-            lenient,
-            steal_seed,
-        } = self;
+        let Analyze { source, opts } = self;
         if let Source::ParallelProgram { threads, f } = source {
-            return Self::run_parallel_source(
-                threads,
-                f,
-                config,
-                shards,
-                checkpoint_every,
-                fault_seed,
-                lenient,
-                steal_seed,
-            );
+            return opts.online(threads, f);
         }
-        if steal_seed.is_some() {
+        if opts.steal_seed.is_some() {
             return Err(AnalyzeError::Config(
                 "steal_seed() applies only to program_parallel sources".into(),
             ));
         }
-        let mut session = Session::open(SessionConfig {
-            detector: config,
-            shards,
-            checkpoint_every,
-            fault_seed,
-            lenient,
-        })?;
+        if opts.shards == Some(0) {
+            return Err(AnalyzeError::Config(
+                "shards(0): the sharded backend needs at least one detect worker".into(),
+            ));
+        }
+        if opts.checkpoint_every == Some(0) {
+            return Err(AnalyzeError::Config(
+                "checkpoint_every(0): the checkpoint interval must be at least one chunk".into(),
+            ));
+        }
         match source {
             Source::Program(f) => {
                 let mut log = EventLog::new();
                 run_serial(&mut log, f);
-                session.feed_events(log.events)?;
+                opts.events(&log.events)
             }
             Source::TracePath(path) => {
-                let data = std::fs::read(&path).map_err(|e| AnalyzeError::Io(path.clone(), e))?;
-                session.feed_trace(data)?;
+                let data = std::fs::read(&path).map_err(|e| AnalyzeError::Io(path, e))?;
+                opts.trace(&data)
             }
-            Source::TraceBytes(b) => session.feed_trace(b)?,
-            Source::Events(e) => session.feed_events(e)?,
+            Source::TraceBytes(b) => opts.trace(b),
+            Source::Events(e) => opts.events(e),
             Source::ParallelProgram { .. } => unreachable!("dispatched above"),
         }
-        Ok(session.finish()?)
+    }
+}
+
+impl Options {
+    fn detector(&self) -> RaceDetector {
+        RaceDetector::with_config(self.config.clone())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel_source(
-        threads: usize,
-        f: ParProgram<'a>,
-        config: DetectorConfig,
-        shards: Option<usize>,
-        checkpoint_every: Option<u64>,
-        fault_seed: Option<u64>,
-        lenient: bool,
-        steal_seed: Option<u64>,
-    ) -> Result<AnalysisOutcome, AnalyzeError> {
+    /// Builds the shard stage's detectors. A non-generic method, so both
+    /// replay inputs hand the stage one closure type and its supervisor
+    /// is compiled once; a copy per input measured about 10% slower on
+    /// the loop kernels' sharded runs.
+    fn factory(&self) -> impl Fn() -> RaceDetector + '_ {
+        move || self.detector()
+    }
+
+    /// Snapshots and faults ask for the full supervisor; plain `shards`
+    /// runs the same stage with nothing retained for recovery.
+    fn supervised(&self) -> bool {
+        self.checkpoint_every.is_some() || self.fault_seed.is_some()
+    }
+
+    /// The shard stage's plan, or `None` for a serial replay.
+    fn plan(&self) -> Option<SupervisorPlan> {
+        if self.shards.is_none() && !self.supervised() {
+            return None;
+        }
+        let shard = ShardPlan::with_shards(self.shards.unwrap_or(ShardPlan::default().shards));
+        let mut plan = if self.supervised() {
+            SupervisorPlan {
+                shard,
+                ..SupervisorPlan::default()
+            }
+        } else {
+            SupervisorPlan::plain(shard)
+        };
+        plan.checkpoint_every_chunks = self.checkpoint_every;
+        if let Some(seed) = self.fault_seed {
+            plan = plan.with_faults(&FaultPlan::from_seed(seed));
+        }
+        Some(plan)
+    }
+
+    /// Replays a trace blob (flat v1 or framed v2): chunk-batched decode
+    /// for the serial engine, event by event into the shard stage.
+    fn trace(&self, data: &[u8]) -> Result<AnalysisOutcome, AnalyzeError> {
+        match self.plan() {
+            Some(plan) => self.sharded(&plan, || trace_events(data, self.lenient)),
+            None => {
+                let chunks = source::chunks(trace_chunks(data, self.lenient));
+                let out = run_analysis(chunks, self.detector())?;
+                Ok(AnalysisOutcome::from_dtrg(out.report, out.counters))
+            }
+        }
+    }
+
+    /// Replays a decoded event slice: the batched in-memory path for the
+    /// serial engine, synthetic chunks for the shard stage.
+    fn events(&self, events: &[Event]) -> Result<AnalysisOutcome, AnalyzeError> {
+        match self.plan() {
+            Some(plan) => self.sharded(&plan, || {
+                let ok = events
+                    .iter()
+                    .cloned()
+                    .map(Ok as fn(_) -> Result<_, TraceError>);
+                SyntheticChunks::new(ok, SYNTHETIC_CHUNK_EVENTS)
+            }),
+            None => {
+                let out = run_analysis_recorded(events, self.detector());
+                Ok(AnalysisOutcome::from_dtrg(out.report, out.counters))
+            }
+        }
+    }
+
+    /// Runs the shard stage under `plan` over the streams `make_events`
+    /// opens (one per restart).
+    fn sharded<I>(
+        &self,
+        plan: &SupervisorPlan,
+        make_events: impl Fn() -> I,
+    ) -> Result<AnalysisOutcome, AnalyzeError>
+    where
+        I: ChunkedEvents + Iterator<Item = Result<Event, TraceError>>,
+    {
+        let timer = Timer::start();
+        let out = run_supervised(make_events, self.factory(), plan, None).map_err(|e| match e {
+            SuperviseError::Stream(e) => AnalyzeError::Trace(e),
+            other => AnalyzeError::Supervise(other.to_string()),
+        })?;
+        let SupervisedOutcome::Completed {
+            report,
+            stats,
+            supervision,
+        } = out
+        else {
+            unreachable!("no stop_after requested, the run must complete");
+        };
+        let engine = EngineCounters {
+            events: stats.events,
+            control_events: stats.control_events,
+            reads: stats.reads,
+            writes: stats.writes,
+            wall_ms: timer.elapsed_ms(),
+            shard_restarts: supervision.shard_restarts,
+            degradations: supervision.degradations,
+            resumed_from_checkpoint: supervision.resumed_from_checkpoint,
+            ..EngineCounters::default()
+        };
+        let mut outcome = AnalysisOutcome::from_dtrg(report, engine);
+        outcome.sharding = Some(stats);
+        // A clean plain run has nothing to report; a degraded one says so.
+        outcome.supervision = (self.supervised() || supervision.any()).then_some(supervision);
+        Ok(outcome)
+    }
+
+    /// Detects online while `f` runs on `threads` pool workers.
+    fn online(self, threads: usize, f: ParProgram<'_>) -> Result<AnalysisOutcome, AnalyzeError> {
         if threads == 0 {
             return Err(AnalyzeError::Config(
                 "program_parallel(0, ..): need at least one worker thread".into(),
             ));
         }
-        if shards.is_some() || checkpoint_every.is_some() || fault_seed.is_some() {
+        if self.shards.is_some() || self.supervised() {
             return Err(AnalyzeError::Config(
                 "shards()/checkpoint_every()/fault_plan() apply to replayed traces, \
                  not to a live parallel execution"
                     .into(),
             ));
         }
-        if lenient {
+        if self.lenient {
             return Err(AnalyzeError::Config(
                 "lenient() applies to framed trace sources".into(),
             ));
         }
         let timer = Timer::start();
-        let mut engine = Engine::new(RaceDetector::with_config(config));
+        let mut engine = Engine::new(self.detector());
         let opts = OnlineOptions {
             threads,
-            steal_seed,
+            steal_seed: self.steal_seed,
         };
         let run = run_online(opts, &mut engine, f);
         if let Err(e) = run.result {

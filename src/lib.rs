@@ -25,9 +25,9 @@
 //! * [`corpus`] — fleet-scale batch analysis: DAG-scheduled corpus runs
 //!   over directories of traces, with resume manifests and an aggregated
 //!   agreement report (plus the named-detector registry).
-//! * [`service`] — the session layer: incremental chunk-fed analyses
-//!   with suspend/resume, the `tracetool serve` TCP daemon, and its
-//!   streaming client. One-shot `Analyze` runs ride the same sessions.
+//! * [`service`] — the session layer: live chunk-fed analyses with
+//!   suspend/resume, the `tracetool serve` TCP daemon, and its streaming
+//!   client.
 //! * [`util`] — union-find, interval labels, hashing, stats.
 //!
 //! ## Two driving surfaces
