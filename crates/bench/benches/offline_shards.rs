@@ -20,10 +20,7 @@
 use futrace_bench::runner::{BenchmarkId, Runner};
 use futrace_benchsuite::{jacobi, smithwaterman};
 use futrace_detector::RaceDetector;
-use futrace_offline::{
-    run_supervised, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
-    SYNTHETIC_CHUNK_EVENTS,
-};
+use futrace_offline::{event_chunks, run_supervised, SupervisedOutcome, SupervisorPlan};
 use futrace_runtime::{replay, run_serial, Event, EventLog};
 use std::convert::Infallible;
 
@@ -128,14 +125,11 @@ fn shard_scaling(c: &mut Runner, name: &str, events: &[Event]) {
                 })
             })
         });
-        let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+        let plan = SupervisorPlan::for_shards(Some(shards), false);
         g.bench_with_input(BenchmarkId::new("pipeline", shards), &plan, |b, plan| {
             b.iter(|| {
-                let stream = || {
-                    let events = events.iter().cloned().map(Ok::<_, Infallible>);
-                    SyntheticChunks::new(events, SYNTHETIC_CHUNK_EVENTS)
-                };
-                match run_supervised(stream, RaceDetector::new, plan, None) {
+                let chunks = || event_chunks::<Infallible>(events);
+                match run_supervised(chunks, RaceDetector::new, plan, None) {
                     Ok(SupervisedOutcome::Completed { report, .. }) => report.report.total_detected,
                     _ => unreachable!("an in-memory stream without a resume always completes"),
                 }

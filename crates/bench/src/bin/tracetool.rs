@@ -75,8 +75,8 @@ use futrace_compgraph::{dot, GraphBuilder, GraphStats};
 use futrace_detector::{RaceDetector, RaceReport};
 use futrace_offline::framed::{self, DEFAULT_CHUNK_BYTES};
 use futrace_offline::{
-    trace_events, Checkpoint, ShardPlan, StreamWriter, SupervisedOutcome, SuperviseError,
-    SupervisorPlan, TraceFingerprint, WriterStats,
+    read_events, trace_chunks, Checkpoint, FrameError, StreamWriter, SuperviseError,
+    SupervisedOutcome, SupervisorPlan, TraceFingerprint, WriterStats,
 };
 use futrace_runtime::engine::{
     run_analysis_recorded, Analysis, AnalysisOutcome, Engine, EngineCounters,
@@ -386,29 +386,47 @@ fn print_verdict(report: &RaceReport) -> bool {
     }
 }
 
-fn decode_all(file: &str, blob: &[u8], lenient: bool) -> (Vec<Event>, u64) {
-    let mut it = trace_events(blob, lenient);
-    let mut events = Vec::new();
-    for item in it.by_ref() {
-        match item {
-            Ok(e) => events.push(e),
-            Err(e) if lenient => {
-                // Even lenient framing cannot resync past a truncation
-                // (no sync markers), but the events already decoded are
-                // individually valid — salvage the intact prefix.
-                eprintln!(
-                    "warning: {e}; analyzing the {} intact event(s) before the damage",
-                    events.len()
-                );
-                break;
-            }
-            Err(e) => {
-                eprintln!("invalid trace {file}: {e}");
-                std::process::exit(1);
+/// The bytes a run analyzes. Even lenient framing cannot resync past a
+/// truncated chunk (there are no sync markers), so under `--lenient` a
+/// truncated framed trace is cut at the truncated chunk: the serial and
+/// sharded paths alike analyze the complete chunks before it, and
+/// [`warn_damage`] names the truncation. Anything else is read whole.
+fn salvage(blob: &[u8], lenient: bool) -> (&[u8], Option<FrameError>) {
+    if lenient && framed::is_framed(blob) {
+        for chunk in framed::chunks(blob) {
+            if let Err(e @ FrameError::TruncatedChunk { offset, .. }) = chunk {
+                return (&blob[..offset], Some(e));
             }
         }
     }
-    (events, it.skipped_chunks())
+    (blob, None)
+}
+
+/// Warns about the damage a lenient run got past: the truncation
+/// [`salvage`] cut at and the damaged chunks the reader dropped.
+fn warn_damage(truncated: Option<&FrameError>, events: u64, dropped: u64) {
+    if let Some(e) = truncated {
+        eprintln!("warning: {e}; analyzing the {events} intact event(s) before the damage");
+    }
+    if dropped > 0 {
+        eprintln!("warning: skipped {dropped} damaged chunk(s)");
+    }
+}
+
+/// Decodes what [`salvage`] keeps of the trace through the one trace
+/// reader; any damage it cannot get past exits 1.
+fn decode_all(file: &str, blob: &[u8], lenient: bool) -> Vec<Event> {
+    let (readable, truncated) = salvage(blob, lenient);
+    match read_events(readable, lenient) {
+        Ok((events, dropped)) => {
+            warn_damage(truncated.as_ref(), events.len() as u64, dropped);
+            events
+        }
+        Err(e) => {
+            eprintln!("invalid trace {file}: {e}");
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Prints any detector's verdict (and up to 5 race lines where the
@@ -489,15 +507,7 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
         (args.inject.is_some() && framed::is_framed(blob)).then_some(INJECT_CHECKPOINT_EVERY)
     });
 
-    let shard = ShardPlan::with_shards(args.shards.unwrap_or(ShardPlan::default().shards));
-    let mut plan = if args.supervised() {
-        SupervisorPlan {
-            shard,
-            ..SupervisorPlan::default()
-        }
-    } else {
-        SupervisorPlan::plain(shard)
-    };
+    let mut plan = SupervisorPlan::for_shards(args.shards, args.supervised());
     plan.checkpoint_every_chunks = checkpoint_every;
     plan.stop_after_chunks = args.stop_after;
     plan.fingerprint = Some(TraceFingerprint::of(blob));
@@ -505,10 +515,11 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
         plan = plan.with_faults(f);
     }
 
+    let (readable, truncated) = salvage(blob, args.lenient);
     let start = std::time::Instant::now();
     let out = detectors::run_supervised_on_events(
         &args.detector,
-        || trace_events(blob, args.lenient),
+        || trace_chunks(readable, args.lenient),
         &plan,
         resume.as_ref(),
     );
@@ -565,11 +576,9 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
             supervision,
         } => {
             let s = &stats;
+            warn_damage(truncated.as_ref(), s.events, s.skipped_chunks);
             println!("{}: {} events", args.file, s.events);
             note_if_empty(s.events);
-            if s.skipped_chunks > 0 {
-                eprintln!("warning: skipped {} damaged chunk(s)", s.skipped_chunks);
-            }
             println!("\n-- sharded pipeline --");
             println!("shards:      {}", s.shards);
             println!(
@@ -590,16 +599,9 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
             }
             let (cache_hits, cache_misses) = report.cache_counters().unwrap_or((0, 0));
             let counters = EngineCounters {
-                events: s.events,
-                control_events: s.control_events,
-                reads: s.reads,
-                writes: s.writes,
-                wall_ms: start.elapsed().as_secs_f64() * 1e3,
-                shard_restarts: supervision.shard_restarts,
-                degradations: supervision.degradations,
-                resumed_from_checkpoint: supervision.resumed_from_checkpoint,
                 cache_hits,
                 cache_misses,
+                ..s.engine_counters(&supervision, start.elapsed().as_secs_f64() * 1e3)
             };
             print_engine_counters(&counters);
             print_report(&args.detector, &report)
@@ -617,12 +619,9 @@ fn analyze(args: AnalyzeArgs) {
     let racy = if args.supervised() || args.shards.is_some() {
         analyze_sharded(&args, &blob, faults.as_ref())
     } else {
-        let (events, skipped) = decode_all(&args.file, &blob, args.lenient);
+        let events = decode_all(&args.file, &blob, args.lenient);
         println!("{}: {} events", args.file, events.len());
         note_if_empty(events.len() as u64);
-        if skipped > 0 {
-            eprintln!("warning: skipped {skipped} damaged chunk(s)");
-        }
         let out = run_detector(&args.detector, &events);
         print_engine_counters(&out.counters);
         if let AnyReport::Dtrg(r) = &out.report {
@@ -667,16 +666,13 @@ fn analyze(args: AnalyzeArgs) {
 
 fn compare(args: CompareArgs) {
     let blob = read_trace(&args.file);
-    let (events, skipped) = decode_all(&args.file, &blob, args.lenient);
+    let events = decode_all(&args.file, &blob, args.lenient);
     println!(
         "{}: {} events, {} detector(s)",
         args.file,
         events.len(),
         args.detectors.len()
     );
-    if skipped > 0 {
-        eprintln!("warning: skipped {skipped} damaged chunk(s)");
-    }
 
     let runs: Vec<(&str, AnalysisOutcome<AnyReport>)> = args
         .detectors
@@ -779,18 +775,14 @@ fn info(file: &str) {
         note_if_empty(events);
     } else {
         // v1 flat: the only structure is the event stream itself.
-        let mut events = 0u64;
-        for item in trace::decode_iter(&blob) {
-            match item {
-                Ok(_) => events += 1,
-                Err(e) => {
-                    println!("{file}: flat trace (format v1), {} bytes", blob.len());
-                    eprintln!("damaged after {events} events: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         println!("{file}: flat trace (format v1), {} bytes", blob.len());
+        let events = match read_events(&blob, false) {
+            Ok((events, _)) => events.len() as u64,
+            Err(e) => {
+                eprintln!("damaged: {e}");
+                std::process::exit(1);
+            }
+        };
         println!("events:      {events}");
         println!(
             "bytes/event: {:.2}",
@@ -802,45 +794,17 @@ fn info(file: &str) {
 
 fn verify(file: &str) {
     let blob = read_trace(file);
-    // Strict full pass: every chunk CRC, every event decode, every
-    // declared event count. Any damage → exit 1, but keep going so one
-    // run reports *every* damaged chunk, each with enough context (chunk
-    // index, byte offset, stored vs computed CRC) to find it on disk.
+    // Strict full pass: every chunk CRC, and every CRC-checked chunk
+    // through the one intact test the trace reader applies. Any damage →
+    // exit 1, but keep going so one run reports *every* damaged chunk,
+    // each with enough context (chunk index, byte offset, stored vs
+    // computed CRC) to find it on disk.
     if framed::is_framed(&blob) {
         let mut events = 0u64;
         let mut damaged = 0u64;
         for chunk in framed::chunks(&blob) {
-            match chunk {
-                Ok(c) => {
-                    let mut decoded = 0u64;
-                    for item in trace::decode_iter(c.payload) {
-                        match item {
-                            Ok(_) => decoded += 1,
-                            Err(e) => {
-                                damaged += 1;
-                                eprintln!(
-                                    "{file}: chunk {}: payload decode failed after \
-                                     {decoded} event(s): {e}",
-                                    c.index
-                                );
-                                decoded = u64::MAX; // poisoned; skip count check
-                                break;
-                            }
-                        }
-                    }
-                    if decoded != u64::MAX {
-                        if decoded != u64::from(c.event_count) {
-                            damaged += 1;
-                            eprintln!(
-                                "{file}: chunk {}: declared {} event(s) but payload \
-                                 holds {decoded}",
-                                c.index, c.event_count
-                            );
-                        } else {
-                            events += decoded;
-                        }
-                    }
-                }
+            match chunk.and_then(|c| c.decode()) {
+                Ok(decoded) => events += decoded.len() as u64,
                 Err(e) => {
                     damaged += 1;
                     eprintln!("{file}: {e}");
@@ -854,16 +818,13 @@ fn verify(file: &str) {
         println!("{file}: OK (v2, {events} events, {} bytes)", blob.len());
         note_if_empty(events);
     } else {
-        let mut events = 0u64;
-        for item in trace_events(&blob, false) {
-            match item {
-                Ok(_) => events += 1,
-                Err(e) => {
-                    eprintln!("{file}: FAILED after {events} events: {e}");
-                    std::process::exit(1);
-                }
+        let events = match read_events(&blob, false) {
+            Ok((events, _)) => events.len() as u64,
+            Err(e) => {
+                eprintln!("{file}: FAILED: {e}");
+                std::process::exit(1);
             }
-        }
+        };
         println!("{file}: OK (v1, {events} events, {} bytes)", blob.len());
         note_if_empty(events);
     }

@@ -30,10 +30,7 @@
 
 use crate::detectors;
 use futrace_benchsuite::randomprog::{self, GenParams, Program};
-use futrace_offline::{
-    ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
-    SYNTHETIC_CHUNK_EVENTS,
-};
+use futrace_offline::{event_chunks, StreamWriter, SupervisedOutcome, SupervisorPlan};
 use futrace_runtime::{replay, run_serial, EventLog};
 use futrace_util::propcheck::{self, Config, Strategy};
 use futrace_util::rng::Rng;
@@ -223,15 +220,10 @@ fn check_program(prog: &Program, broken: Option<&str>, tally: &mut Tally) -> Res
     // detector's sharded runs against its own serial verdict.
     for &(name, serial_racy) in serial.iter().filter(|(n, _)| detectors::is_shardable(n)) {
         for shards in [1usize, 2, 4] {
-            let events = || {
-                SyntheticChunks::new(
-                    log.events.iter().cloned().map(Ok::<_, Infallible>),
-                    SYNTHETIC_CHUNK_EVENTS,
-                )
-            };
-            let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+            let chunks = || event_chunks::<Infallible>(&log.events);
+            let plan = SupervisorPlan::for_shards(Some(shards), false);
             let Ok(SupervisedOutcome::Completed { report, .. }) =
-                detectors::run_supervised_on_events(name, events, &plan, None)
+                detectors::run_supervised_on_events(name, chunks, &plan, None)
             else {
                 unreachable!("an in-memory stream without a resume always completes");
             };

@@ -99,7 +99,8 @@ pub struct AnalyzeArgs {
     /// Run the sharded offline pipeline with this many detect workers
     /// instead of the serial replay (loc-routable detectors only).
     pub shards: Option<usize>,
-    /// Skip damaged framed chunks instead of aborting.
+    /// Drop damaged framed chunks whole instead of aborting, and analyze
+    /// the complete chunks before a truncation (serial or sharded).
     pub lenient: bool,
     /// Also rebuild the step-level computation graph.
     pub graph: bool,

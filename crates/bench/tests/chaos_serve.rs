@@ -94,29 +94,74 @@ fn free_addr() -> String {
     addr
 }
 
-/// Spawns `tracetool serve --listen ADDR <extra>`, waits for the
-/// listening banner so the daemon is known to be accepting, and returns
-/// the bound address the banner reports (resolving a `:0` port).
-fn spawn_daemon(
-    addr: &str,
-    extra: &[&str],
-) -> (Child, BufReader<std::process::ChildStdout>, String) {
-    let mut child = tracetool()
-        .args(["serve", "--listen", addr])
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn daemon");
-    let mut stdout = BufReader::new(child.stdout.take().expect("daemon stdout"));
-    let mut line = String::new();
-    stdout.read_line(&mut line).expect("read listen line");
-    let bound = line
-        .strip_prefix("listening on ")
-        .unwrap_or_else(|| panic!("unexpected daemon banner: {line:?}"))
-        .trim()
-        .to_string();
-    (child, stdout, bound)
+/// A running `tracetool serve`, killed when dropped, so a failing test
+/// leaves no daemon behind.
+struct Daemon {
+    child: Child,
+    stdout: BufReader<std::process::ChildStdout>,
+    /// The bound address the banner reported (resolving a `:0` port).
+    addr: String,
+}
+
+impl Daemon {
+    /// Spawns `tracetool serve --listen ADDR <extra>` and waits for the
+    /// listening banner, so the daemon is known to be accepting.
+    fn start(addr: &str, extra: &[&str]) -> Daemon {
+        let mut child = tracetool()
+            .args(["serve", "--listen", addr])
+            .args(extra)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn daemon");
+        let mut stdout = BufReader::new(child.stdout.take().expect("daemon stdout"));
+        let mut line = String::new();
+        stdout.read_line(&mut line).expect("read listen line");
+        let addr = line
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected daemon banner: {line:?}"))
+            .trim()
+            .to_string();
+        Daemon {
+            child,
+            stdout,
+            addr,
+        }
+    }
+
+    /// SIGKILLs the daemon and reaps it.
+    fn kill(&mut self) {
+        self.child.kill().expect("SIGKILL daemon");
+        let _ = self.child.wait();
+    }
+
+    /// Sends `Shutdown`, waits for the drain, and returns the rest of the
+    /// daemon's stdout (the drain summary).
+    fn shutdown(mut self) -> String {
+        let out = tracetool()
+            .args(["client", &self.addr, "--shutdown"])
+            .output()
+            .expect("run client --shutdown");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "shutdown failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        wait_deadline(&mut self.child, "daemon drain", Duration::from_secs(60));
+        let mut rest = String::new();
+        self.stdout
+            .read_to_string(&mut rest)
+            .expect("daemon summary");
+        rest
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 /// Waits for a child with a hard deadline — a hung client is itself a
@@ -146,23 +191,6 @@ fn read_piped(child: &mut Child) -> (String, String) {
         s.read_to_string(&mut stderr).expect("client stderr");
     }
     (stdout, stderr)
-}
-
-fn shutdown_daemon(addr: &str, mut child: Child, mut stdout: BufReader<std::process::ChildStdout>) -> String {
-    let out = tracetool()
-        .args(["client", addr, "--shutdown"])
-        .output()
-        .expect("run client --shutdown");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "shutdown failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    wait_deadline(&mut child, "daemon drain", Duration::from_secs(60));
-    let mut rest = String::new();
-    stdout.read_to_string(&mut rest).expect("daemon summary");
-    rest
 }
 
 /// The headline chaos scenario: four clients stream big traces with
@@ -215,8 +243,7 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
         .collect();
     std::thread::sleep(Duration::from_millis(300));
 
-    let (mut daemon, daemon_out, _) = spawn_daemon(&addr, &serve_args);
-    drop(daemon_out);
+    let mut daemon = Daemon::start(&addr, &serve_args);
 
     // Wait until periodic checkpoints appear — positive evidence that
     // sessions are mid-stream — then SIGKILL the daemon under them.
@@ -246,13 +273,12 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
         );
         std::thread::sleep(Duration::from_millis(10));
     }
-    daemon.kill().expect("SIGKILL daemon");
-    let _ = daemon.wait();
+    daemon.kill();
 
     // Restart on the same port with --resume: clients redial, reopen
     // their session names, and the daemon picks up from the periodic
     // checkpoints (or recomputes — the verdict is identical either way).
-    let (daemon2, daemon2_out, _) = spawn_daemon(&addr, &serve_args);
+    let daemon2 = Daemon::start(&addr, &serve_args);
 
     for (i, mut client) in clients.drain(..).enumerate() {
         let status = wait_deadline(&mut client, &format!("client {i}"), Duration::from_secs(120));
@@ -275,7 +301,7 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
         assert!(stderr.is_empty(), "client {i} stderr:\n{stderr}");
     }
 
-    let summary = shutdown_daemon(&addr, daemon2, daemon2_out);
+    let summary = daemon2.shutdown();
     assert!(
         summary.contains("session(s) finished"),
         "missing drain summary:\n{summary}"
@@ -295,10 +321,11 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
     let (want_verdict, want_code) = one_shot(&file);
 
     let ckpt_flag = dir.to_str().unwrap().to_string();
-    let (daemon, daemon_out, addr) = spawn_daemon(
+    let daemon = Daemon::start(
         "127.0.0.1:0",
         &["--checkpoint-dir", &ckpt_flag, "--resume", "--idle-timeout-ms", "150"],
     );
+    let addr = daemon.addr.clone();
 
     let payloads = chunk_payloads(&file);
     assert!(payloads.len() >= 2, "fixture must span several chunks");
@@ -362,7 +389,7 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
     assert_eq!(verdict_section(&stdout), want_verdict, "resumed verdict");
     assert!(!checkpoint.exists(), "finish must delete the checkpoint");
 
-    let summary = shutdown_daemon(&addr, daemon, daemon_out);
+    let summary = daemon.shutdown();
     assert!(
         summary.contains("(1 idle-evicted)"),
         "idle eviction missing from drain summary:\n{summary}"
@@ -381,10 +408,11 @@ fn over_quota_open_is_shed_with_a_structured_busy() {
     let (want_verdict, want_code) = one_shot(&file);
 
     let ckpt_flag = dir.to_str().unwrap().to_string();
-    let (daemon, daemon_out, addr) = spawn_daemon(
+    let daemon = Daemon::start(
         "127.0.0.1:0",
         &["--checkpoint-dir", &ckpt_flag, "--max-sessions", "1"],
     );
+    let addr = daemon.addr.clone();
 
     // Occupy the only session slot with a hand-rolled client.
     let mut hog = TcpStream::connect(&addr).expect("connect hog");
@@ -457,25 +485,12 @@ fn over_quota_open_is_shed_with_a_structured_busy() {
     assert_eq!(status.code(), want_code, "winner exit; stderr:\n{stderr}");
     assert_eq!(verdict_section(&stdout), want_verdict, "winner verdict");
 
-    let summary = shutdown_daemon(&addr, daemon, daemon_out);
+    let summary = daemon.shutdown();
     assert!(
         summary.contains("shed busy") && !summary.contains(" 0 shed busy"),
         "busy rejections missing from drain summary:\n{summary}"
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Kills a daemon the test did not drain, so a failing test leaves no
-/// daemon behind.
-struct Reap(Option<Child>);
-
-impl Drop for Reap {
-    fn drop(&mut self) {
-        if let Some(mut child) = self.0.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
 }
 
 /// A CRC-valid chunk that ends a task no event created panics the
@@ -488,11 +503,11 @@ fn a_panicking_chunk_fails_only_its_own_session() {
     let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/futtree_racy.ftrc");
     let (want_verdict, want_code) = one_shot(&file);
     let ckpt_flag = dir.to_str().unwrap().to_string();
-    let (daemon, daemon_out, addr) = spawn_daemon(
+    let daemon = Daemon::start(
         "127.0.0.1:0",
         &["--checkpoint-dir", &ckpt_flag, "--workers", "1"],
     );
-    let mut daemon = Reap(Some(daemon));
+    let addr = daemon.addr.clone();
 
     let mut stream = TcpStream::connect(&addr).expect("connect");
     stream
@@ -531,7 +546,7 @@ fn a_panicking_chunk_fails_only_its_own_session() {
     assert_eq!(status.code(), want_code, "stderr:\n{stderr}");
     assert_eq!(verdict_section(&stdout), want_verdict);
 
-    let summary = shutdown_daemon(&addr, daemon.0.take().expect("daemon"), daemon_out);
+    let summary = daemon.shutdown();
     assert!(
         summary.contains("1 session(s) finished, 0 suspended") && summary.contains("1 error(s)"),
         "summary:\n{summary}"

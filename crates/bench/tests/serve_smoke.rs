@@ -12,7 +12,9 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 
+use futrace_detector::RaceDetector;
 use futrace_offline::{framed, trace_events};
+use futrace_runtime::engine::run_analysis_recorded;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
 use futrace_util::wire::proto::{read_frame, write_frame, Message};
@@ -538,5 +540,159 @@ fn lenient_client_skips_the_chunks_lenient_analyze_skips() {
 
     let (dcode, summary) = daemon.shutdown();
     assert_eq!(dcode, Some(0), "daemon drain: {summary}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A framed blob of one CRC-valid chunk per `(payload, declared events)`.
+fn framed_blob(chunks: &[(Vec<u8>, usize)]) -> Vec<u8> {
+    let mut blob = framed::MAGIC.to_vec();
+    blob.push(framed::VERSION);
+    for (payload, declared) in chunks {
+        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&(*declared as u32).to_le_bytes());
+        blob.extend_from_slice(&crc32(payload).to_le_bytes());
+        blob.extend_from_slice(payload);
+    }
+    blob
+}
+
+/// `tracetool analyze FILE <extra>` → (verdict section, the stderr line
+/// naming `warning`, which must be there, exit code).
+fn analyze_warned(file: &PathBuf, extra: &[&str], warning: &str) -> (String, String, Option<i32>) {
+    let out = tracetool().arg("analyze").arg(file).args(extra).output();
+    let out = out.expect("run analyze");
+    let err = String::from_utf8_lossy(&out.stderr);
+    let line = err.lines().find(|l| l.contains(warning));
+    let line = line.unwrap_or_default().to_string();
+    assert!(!line.is_empty(), "{extra:?}: no {warning:?}:\n{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let verdict = verdict_section(&stdout).to_string();
+    (verdict, line, out.status.code())
+}
+
+#[test]
+fn every_lenient_path_reads_the_chunks_the_trace_reader_keeps() {
+    let dir = scratch_dir("one_rule");
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/prodcons_racy.ftrc");
+    let events: Vec<Event> = trace_events(&std::fs::read(&fixture).expect("fixture"), false)
+        .collect::<Result<_, _>>()
+        .expect("decode fixture");
+
+    // A trace cut inside its last chunk: lenient analysis salvages the
+    // complete chunks before the cut, serially and sharded alike.
+    let mut cut = framed_blob(
+        &events
+            .chunks(16)
+            .map(|c| (trace::encode(c), c.len()))
+            .collect::<Vec<_>>(),
+    );
+    cut.truncate(cut.len() - 5);
+    let file = dir.join("truncated.ftrc");
+    std::fs::write(&file, &cut).expect("write truncated copy");
+    let salvage = "intact event(s) before the damage";
+    let serial = analyze_warned(&file, &["--lenient"], salvage);
+    let kept = (events.len() - 1) / 16 * 16;
+    assert!(
+        serial.1.contains(&format!("the {kept} intact event(s)")),
+        "{}",
+        serial.1
+    );
+    for extra in [
+        &["--lenient", "--shards", "2"][..],
+        &["--lenient", "--shards", "2", "--checkpoint-every", "1"],
+    ] {
+        assert_eq!(analyze_warned(&file, extra, salvage), serial, "{extra:?}");
+    }
+
+    // A CRC-valid chunk, an access run whose payload stops decoding after
+    // its first half, chosen so that keeping that half would change the
+    // verdict: every lenient path drops the whole chunk.
+    let race_count = |events: &[Event]| {
+        run_analysis_recorded(events, RaceDetector::new())
+            .report
+            .report
+            .total_detected
+    };
+    let is_access = |e: &Event| matches!(e, Event::Read(..) | Event::Write(..));
+    let runs = events.chunk_by(|a, b| is_access(a) && is_access(b));
+    let mut at = 0;
+    let mut victim = None;
+    for run in runs {
+        let half = run.len() / 2;
+        let dropped = [&events[..at], &events[at + run.len()..]].concat();
+        let leading = [&events[..at + half], &events[at + run.len()..]].concat();
+        if half > 0 && is_access(&run[0]) && race_count(&dropped) != race_count(&leading) {
+            victim = Some(at..at + run.len());
+            break;
+        }
+        at += run.len();
+    }
+    let run = victim.expect("an access run whose first half holds a race");
+    let mut damaged = trace::encode(&events[run.start..run.start + run.len() / 2]);
+    damaged.push(99); // no event has tag 99
+    let blob = framed_blob(&[
+        (trace::encode(&events[..run.start]), run.start),
+        (damaged, run.len()),
+        (trace::encode(&events[run.end..]), events.len() - run.end),
+    ]);
+    let file = dir.join("undecodable.ftrc");
+    std::fs::write(&file, &blob).expect("write damaged copy");
+    let skipped = "skipped 1 damaged chunk(s)";
+    let (want, _, want_code) = analyze_warned(&file, &["--lenient"], skipped);
+    let sharded = analyze_warned(&file, &["--lenient", "--shards", "2"], skipped);
+    assert_eq!((sharded.0, sharded.2), (want.clone(), want_code), "sharded");
+
+    let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    for extra in [&["--lenient"][..], &["--lenient", "--chunk-events", "8"]] {
+        let (stdout, code) = client(&daemon.addr, &file, extra);
+        assert_eq!(verdict_section(&stdout), want, "client {extra:?}");
+        assert_eq!(code, want_code, "client {extra:?}");
+    }
+    // Strict, every path fails on that chunk's damage. The daemon, which
+    // the payload-forwarding client leaves to decode the chunk, counts
+    // its session as an error.
+    for (command, extra) in [
+        ("analyze", &[][..]),
+        ("analyze", &["--shards", "2"]),
+        ("client", &[]),
+        ("client", &["--chunk-events", "8"]),
+    ] {
+        let mut run = tracetool();
+        run.arg(command);
+        if command == "client" {
+            run.arg(&daemon.addr);
+        }
+        let out = run.arg(&file).args(extra).output().expect("run strict");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let ctx = format!("strict {command} {extra:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{ctx}");
+        assert!(stderr.contains("unknown tag"), "{ctx}");
+    }
+    let (dcode, summary) = daemon.shutdown();
+    assert_eq!(dcode, Some(1), "daemon drain: {summary}");
+    assert!(summary.contains("2 session(s) finished"), "{summary}");
+    assert!(summary.contains("1 error(s)"), "{summary}");
+
+    // A lenient corpus run checks the same events: every percentile of
+    // its one trace's event count is the intact events'.
+    let corpus = dir.join("corpus");
+    std::fs::create_dir_all(&corpus).expect("corpus dir");
+    std::fs::copy(&file, corpus.join("undecodable.ftrc")).expect("copy into corpus");
+    let out = tracetool()
+        .arg("corpus")
+        .arg(&corpus)
+        .arg("--out")
+        .arg(dir.join("corpus-out"))
+        .args(["--detectors", "dtrg", "--lenient"])
+        .output()
+        .expect("run corpus");
+    assert_eq!(out.status.code(), want_code, "corpus exit");
+    let report = std::fs::read_to_string(dir.join("corpus-out/report.json")).expect("report");
+    let intact = events.len() - run.len();
+    assert!(
+        report.contains(&format!("\"events\": {{\"p50\": {intact}, ")),
+        "corpus events, want {intact}:\n{report}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1949,7 +1949,7 @@ mod tests {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use futrace_runtime::engine::{run_analysis, source};
+    use futrace_runtime::engine::run_analysis_recorded;
     use futrace_runtime::{trace, EventLog, SerialCtx, TaskCtx};
 
     /// Offline detection: decodes a v1 trace and replays it into a fresh
@@ -1957,7 +1957,7 @@ mod trace_tests {
     fn detect_races_in_trace(
         blob: &[u8],
     ) -> Result<(RaceReport, DetectorStats), trace::DecodeError> {
-        let out = run_analysis(source::stream(trace::decode_iter(blob)), RaceDetector::new())?;
+        let out = run_analysis_recorded(&trace::decode(blob)?, RaceDetector::new());
         Ok((out.report.report, out.report.stats))
     }
 

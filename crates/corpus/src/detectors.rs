@@ -16,7 +16,7 @@ use futrace_baselines::{
 };
 use futrace_detector::{DtrgReport, RaceDetector};
 use futrace_offline::{
-    run_supervised, Checkpoint, ChunkedEvents, SupervisedOutcome, SuperviseError, SupervisorPlan,
+    run_supervised, Checkpoint, SuperviseError, SupervisedOutcome, SupervisorPlan,
 };
 use futrace_runtime::engine::{run_analysis, source, AnalysisOutcome};
 use futrace_runtime::Event;
@@ -127,44 +127,9 @@ fn fill_cache_counters(mut o: AnalysisOutcome<AnyReport>) -> AnalysisOutcome<Any
     o
 }
 
-/// Runs the named detector over an event stream through the engine
-/// driver.
-///
-/// # Panics
-///
-/// Panics on an unknown name — validate with [`is_detector`] first (the
-/// CLI parser does).
-pub fn run_on_events<I, E>(name: &str, events: I) -> Result<AnalysisOutcome<AnyReport>, E>
-where
-    I: Iterator<Item = Result<Event, E>>,
-{
-    let events = source::stream(events);
-    match name {
-        "dtrg" => run_analysis(events, RaceDetector::new())
-            .map(|o| fill_cache_counters(o.map(|r| AnyReport::Dtrg(Box::new(r))))),
-        "espbags" => run_analysis(events, EspBags::new()).map(|o| o.map(AnyReport::Baseline)),
-        // The trace's programming model is richer than spawn-sync /
-        // fork-join, so the strict variants would panic on the first
-        // future join; lenient mode drops the out-of-model edges instead
-        // (over-approximating, which is the point of the comparison).
-        "spbags" => run_analysis(events, SpBags::new_lenient()).map(|o| o.map(AnyReport::Baseline)),
-        "offsetspan" => {
-            run_analysis(events, OffsetSpan::new_lenient()).map(|o| o.map(AnyReport::Baseline))
-        }
-        "spd3" => run_analysis(events, Spd3::new()).map(|o| o.map(AnyReport::Baseline)),
-        "vc" => {
-            run_analysis(events, VectorClockDetector::new()).map(|o| o.map(AnyReport::Baseline))
-        }
-        "closure" => run_analysis(events, ClosureDetector::new())
-            .map(|o| o.map(|r| AnyReport::Closure(Box::new(r)))),
-        other => panic!("unknown detector {other:?} (validate with is_detector)"),
-    }
-}
-
-/// As [`run_on_events`] for an already-decoded event list, driven through
-/// the engine's batched dispatch path (consecutive accesses are handed to
-/// the analysis as flat slices instead of one virtual call per event).
-/// Infallible, so the error type disappears.
+/// Runs the named detector over an already-decoded event list through the
+/// engine's batched dispatch path (consecutive accesses are handed to the
+/// analysis as flat slices instead of one virtual call per event).
 ///
 /// # Panics
 ///
@@ -200,21 +165,23 @@ pub fn run_on_recorded(name: &str, events: &[Event]) -> AnalysisOutcome<AnyRepor
 /// snapshots, workers restart from them, and the run can suspend into a
 /// [`Checkpoint`] and later resume from one.
 ///
-/// `make_events` must yield a fresh stream over the same trace each call
-/// (degradation and resume both re-read from the start).
+/// `make_chunks` yields the trace's decoded chunks as
+/// [`run_supervised`] reads them, a fresh stream over the same trace on
+/// each call (a degraded run reads it again from the start).
 ///
 /// # Panics
 ///
 /// Panics if the detector is not loc-routable — check [`is_shardable`]
 /// first (the CLI parser does).
-pub fn run_supervised_on_events<I, E, MF>(
+pub fn run_supervised_on_events<C, E, I, MF>(
     name: &str,
-    make_events: MF,
+    make_chunks: MF,
     plan: &SupervisorPlan,
     resume: Option<&Checkpoint>,
 ) -> Result<SupervisedOutcome<AnyReport>, SuperviseError<E>>
 where
-    I: ChunkedEvents + Iterator<Item = Result<Event, E>>,
+    C: AsRef<[Event]>,
+    I: Iterator<Item = Result<Option<C>, E>>,
     MF: Fn() -> I,
 {
     fn erase<R>(
@@ -241,9 +208,9 @@ where
         }
     }
     match name {
-        "dtrg" => run_supervised(make_events, RaceDetector::new, plan, resume)
+        "dtrg" => run_supervised(make_chunks, RaceDetector::new, plan, resume)
             .map(|o| erase(o, |r| AnyReport::Dtrg(Box::new(r)))),
-        "vc" => run_supervised(make_events, VectorClockDetector::new, plan, resume)
+        "vc" => run_supervised(make_chunks, VectorClockDetector::new, plan, resume)
             .map(|o| erase(o, AnyReport::Baseline)),
         other => panic!("detector {other:?} is not shardable (check is_shardable)"),
     }
@@ -252,6 +219,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use futrace_offline::event_chunks;
     use futrace_runtime::{run_serial, EventLog, TaskCtx};
     use std::convert::Infallible;
 
@@ -270,11 +238,7 @@ mod tests {
     }
 
     fn run(name: &str, log: &EventLog) -> AnalysisOutcome<AnyReport> {
-        let events = log.events.iter().cloned().map(Ok::<_, Infallible>);
-        match run_on_events(name, events) {
-            Ok(o) => o,
-            Err(never) => match never {},
-        }
+        run_on_recorded(name, &log.events)
     }
 
     #[test]
@@ -311,22 +275,13 @@ mod tests {
 
     #[test]
     fn supervised_detectors_match_their_serial_runs() {
-        use futrace_offline::{ShardPlan, SyntheticChunks};
         let log = future_sync_trace();
-        let plan = SupervisorPlan {
-            shard: ShardPlan::with_shards(2),
-            ..SupervisorPlan::default()
-        };
+        let plan = SupervisorPlan::for_shards(Some(2), true);
         for name in ["dtrg", "vc"] {
             let serial = run(name, &log).report;
             let out = run_supervised_on_events(
                 name,
-                || {
-                    SyntheticChunks::new(
-                        log.events.iter().cloned().map(Ok::<_, Infallible>),
-                        4,
-                    )
-                },
+                || log.events.chunks(4).map(|c| Ok::<_, Infallible>(Some(c))),
                 &plan,
                 None,
             )
@@ -347,20 +302,19 @@ mod tests {
 
     #[test]
     fn shardable_detectors_match_their_serial_runs() {
-        use futrace_offline::{ShardPlan, SyntheticChunks};
         let log = future_sync_trace();
-        let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
+        let plan = SupervisorPlan::for_shards(Some(3), false);
         for name in DETECTOR_NAMES {
             assert_eq!(is_shardable(name), matches!(*name, "dtrg" | "vc"));
         }
         for name in ["dtrg", "vc"] {
             let serial = run(name, &log).report;
-            let events = || {
-                SyntheticChunks::new(log.events.iter().cloned().map(Ok::<_, Infallible>), 4)
-            };
-            let Ok(SupervisedOutcome::Completed { report, stats, .. }) =
-                run_supervised_on_events(name, events, &plan, None)
-            else {
+            let Ok(SupervisedOutcome::Completed { report, stats, .. }) = run_supervised_on_events(
+                name,
+                || event_chunks::<Infallible>(&log.events),
+                &plan,
+                None,
+            ) else {
                 panic!("{name}: no stop requested, must complete");
             };
             assert_eq!(serial.race_count(), report.race_count(), "{name}");

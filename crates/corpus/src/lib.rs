@@ -33,10 +33,7 @@ pub use manifest::{JobKind, JobRecord, ManifestError, RecStatus, RunConfig, MANI
 pub use report::{CorpusReport, RunTelemetry};
 
 use detectors::{is_detector, is_shardable, AnyReport};
-use futrace_offline::{
-    trace_events, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
-    SYNTHETIC_CHUNK_EVENTS,
-};
+use futrace_offline::{event_chunks, read_events, SupervisedOutcome, SupervisorPlan};
 use futrace_runtime::Event;
 use futrace_util::stats::Timer;
 use std::collections::HashMap;
@@ -68,7 +65,8 @@ pub struct CorpusOptions {
     pub shards: Option<usize>,
     /// Run shardable detectors under the fault-tolerant supervisor.
     pub supervised: bool,
-    /// Lenient trace reads: skip CRC-damaged chunks instead of failing.
+    /// Lenient trace reads: drop damaged chunks (CRC, payload or event
+    /// count) instead of failing, by the one rule every reader applies.
     pub lenient: bool,
     /// Ignore (truncate) any existing manifest instead of resuming.
     pub fresh: bool,
@@ -215,21 +213,6 @@ fn validate(opts: &CorpusOptions) -> Result<(), CorpusError> {
     Ok(())
 }
 
-/// Decodes a whole trace blob, salvaging what a lenient read allows.
-/// Returns the events plus the number of skipped chunks, or the first
-/// fatal error rendered as a stable string.
-fn decode_trace(blob: &[u8], lenient: bool) -> Result<(Vec<Event>, u64), String> {
-    let mut it = trace_events(blob, lenient);
-    let mut events = Vec::new();
-    for item in &mut it {
-        match item {
-            Ok(ev) => events.push(ev),
-            Err(e) => return Err(format!("invalid trace: {e}")),
-        }
-    }
-    Ok((events, it.skipped_chunks()))
-}
-
 /// Runs one detector over decoded events along the configured path
 /// (serial / sharded / supervised), returning verdict + cache counters.
 fn run_detector(
@@ -241,23 +224,10 @@ fn run_detector(
     let report = match shards {
         None => detectors::run_on_recorded(name, events).report,
         Some(n) => {
-            let shard = ShardPlan::with_shards(n);
-            let plan = if opts.supervised {
-                SupervisorPlan {
-                    shard,
-                    ..SupervisorPlan::default()
-                }
-            } else {
-                SupervisorPlan::plain(shard)
-            };
+            let plan = SupervisorPlan::for_shards(Some(n), opts.supervised);
             let out = detectors::run_supervised_on_events(
                 name,
-                || {
-                    SyntheticChunks::new(
-                        events.iter().cloned().map(Ok::<_, Infallible>),
-                        SYNTHETIC_CHUNK_EVENTS,
-                    )
-                },
+                || event_chunks::<Infallible>(events),
                 &plan,
                 None,
             )
@@ -427,7 +397,9 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
                 };
                 let result = std::fs::read(&t.path)
                     .map_err(|e| format!("cannot read trace: {e}"))
-                    .and_then(|blob| decode_trace(&blob, opts.lenient))
+                    .and_then(|blob| {
+                        read_events(&blob, opts.lenient).map_err(|e| format!("invalid trace: {e}"))
+                    })
                     .and_then(|(events, skipped)| {
                         rec.events = events.len() as u64;
                         rec.skipped_chunks = skipped;

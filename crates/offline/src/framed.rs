@@ -19,11 +19,15 @@
 //! * [`StreamWriter`] is a [`Monitor`]: it encodes events into a bounded
 //!   buffer and emits a chunk whenever the buffer fills, so recording a
 //!   10⁹-access run needs O(chunk) memory, not O(trace).
-//! * [`FramedEvents`] iterates events chunk by chunk, validating each
-//!   CRC and event count. In strict mode the first damaged chunk ends the
-//!   stream with a structured [`FrameError`]; in lenient mode damaged
-//!   chunks are *skipped* (and counted) — the chunk length prefix makes
-//!   resynchronization trivial, which is the point of framing.
+//! * [`chunks`] walks the chunks, checking structure and each CRC; the
+//!   length prefix makes resynchronization past a corrupt chunk trivial,
+//!   which is the point of framing. [`Chunk::decode`] is the one test of
+//!   whether a CRC-checked chunk is intact (it decodes, and holds the
+//!   events its header declares). [`crate::trace_chunks`] builds the only
+//!   trace reader on the two: strict reads stop at the first damaged
+//!   chunk with a structured [`FrameError`], lenient reads drop a damaged
+//!   chunk whole and count it, and structural damage (a bad header, a
+//!   truncation) ends both.
 //!
 //! The first byte of the magic (`0x46`) is not a valid v1 event tag, so
 //! format sniffing ([`is_framed`]) cannot misclassify a v1 trace.
@@ -143,7 +147,7 @@ fn read_u32(data: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([data[at], data[at + 1], data[at + 2], data[at + 3]])
 }
 
-/// One intact chunk.
+/// One chunk whose payload matches its CRC.
 #[derive(Clone, Copy, Debug)]
 pub struct Chunk<'a> {
     /// 0-based chunk index within the file.
@@ -152,6 +156,26 @@ pub struct Chunk<'a> {
     pub event_count: u32,
     /// The v1-encoded payload (CRC already validated).
     pub payload: &'a [u8],
+}
+
+impl Chunk<'_> {
+    /// Decodes the payload. This decides whether a CRC-checked chunk is
+    /// intact, for every reader: its payload must decode, and it must
+    /// hold exactly the events its header declares. A chunk that is not
+    /// is [`FrameError::Decode`], the count case as
+    /// `Malformed("event count mismatch")`; no buffer is sized from the
+    /// declared count.
+    pub fn decode(&self) -> Result<Vec<Event>, FrameError> {
+        let damaged = |error| FrameError::Decode {
+            chunk: self.index,
+            error,
+        };
+        let events = trace::decode(self.payload).map_err(damaged)?;
+        if events.len() as u64 != u64::from(self.event_count) {
+            return Err(damaged(DecodeError::Malformed("event count mismatch")));
+        }
+        Ok(events)
+    }
 }
 
 /// Iterates the chunks of a framed blob, validating structure and CRCs.
@@ -249,141 +273,6 @@ impl<'a> Iterator for ChunkIter<'a> {
                         payload,
                     }));
                 }
-            }
-        }
-    }
-}
-
-/// Streams the events of a framed blob across chunk boundaries.
-///
-/// Strict mode (`lenient = false`): the first damaged chunk (CRC, count,
-/// or codec failure) yields its [`FrameError`] and the iterator fuses.
-/// Lenient mode: damaged chunks are skipped and counted
-/// ([`FramedEvents::skipped_chunks`]); only unrecoverable structure
-/// (bad header, truncation) still surfaces an error.
-pub struct FramedEvents<'a> {
-    chunks: ChunkIter<'a>,
-    current: Option<(trace::DecodeIter<'a>, usize, u32, u32)>, // (iter, chunk, declared, yielded)
-    lenient: bool,
-    skipped: u64,
-    consumed: u64,
-    done: bool,
-}
-
-impl<'a> FramedEvents<'a> {
-    /// Event iterator over `data`.
-    pub fn new(data: &'a [u8], lenient: bool) -> Self {
-        FramedEvents {
-            chunks: chunks(data),
-            current: None,
-            lenient,
-            skipped: 0,
-            consumed: 0,
-            done: false,
-        }
-    }
-
-    /// Damaged chunks skipped so far (lenient mode only; 0 in strict mode,
-    /// which stops at the first damaged chunk instead).
-    pub fn skipped_chunks(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Chunks fully consumed so far (decoded or skipped). The checkpoint
-    /// layer snapshots analysis state at these boundaries, so resumed and
-    /// fresh runs cut the stream at identical points.
-    pub fn chunks_consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    fn fail(&mut self, e: FrameError) -> Option<Result<Event, FrameError>> {
-        self.done = true;
-        Some(Err(e))
-    }
-}
-
-impl Iterator for FramedEvents<'_> {
-    type Item = Result<Event, FrameError>;
-
-    // Forced inline: see `TraceEvents::next`.
-    #[inline(always)]
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.done {
-                return None;
-            }
-            if let Some((iter, chunk, declared, yielded)) = self.current.as_mut() {
-                match iter.next() {
-                    Some(Ok(e)) => {
-                        *yielded += 1;
-                        if *yielded > *declared {
-                            let err = FrameError::Decode {
-                                chunk: *chunk,
-                                error: DecodeError::Malformed("event count mismatch"),
-                            };
-                            self.current = None;
-                            self.consumed += 1;
-                            if self.lenient {
-                                self.skipped += 1;
-                                continue;
-                            }
-                            return self.fail(err);
-                        }
-                        return Some(Ok(e));
-                    }
-                    Some(Err(error)) => {
-                        let err = FrameError::Decode {
-                            chunk: *chunk,
-                            error,
-                        };
-                        self.current = None;
-                        self.consumed += 1;
-                        if self.lenient {
-                            self.skipped += 1;
-                            continue;
-                        }
-                        return self.fail(err);
-                    }
-                    None => {
-                        let short = *yielded < *declared;
-                        let err = FrameError::Decode {
-                            chunk: *chunk,
-                            error: DecodeError::Malformed("event count mismatch"),
-                        };
-                        self.current = None;
-                        self.consumed += 1;
-                        if short {
-                            // Events already yielded from this chunk were
-                            // individually valid; only the bookkeeping is
-                            // reported (strict) or counted (lenient).
-                            if self.lenient {
-                                self.skipped += 1;
-                                continue;
-                            }
-                            return self.fail(err);
-                        }
-                        continue;
-                    }
-                }
-            }
-            match self.chunks.next() {
-                None => {
-                    self.done = true;
-                    return None;
-                }
-                Some(Ok(chunk)) => {
-                    self.current = Some((
-                        trace::decode_iter(chunk.payload),
-                        chunk.index,
-                        chunk.event_count,
-                        0,
-                    ));
-                }
-                Some(Err(FrameError::CorruptChunk { .. })) if self.lenient => {
-                    self.skipped += 1;
-                    self.consumed += 1;
-                }
-                Some(Err(e)) => return self.fail(e),
             }
         }
     }
@@ -579,6 +468,7 @@ impl<W: io::Write> Monitor for StreamWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{trace_chunks, trace_events, TraceError};
     use futrace_runtime::{run_serial, TaskCtx};
 
     fn record_program() -> (Vec<u8>, WriterStats, Vec<Event>) {
@@ -611,9 +501,7 @@ mod tests {
         assert!(stats.chunks >= 2, "want multiple chunks, got {stats:?}");
         assert_eq!(stats.events, events.len() as u64);
         assert_eq!(stats.bytes_written, bytes.len() as u64);
-        let decoded: Vec<Event> = FramedEvents::new(&bytes, false)
-            .map(|e| e.unwrap())
-            .collect();
+        let decoded: Vec<Event> = trace_events(&bytes, false).map(|e| e.unwrap()).collect();
         assert_eq!(decoded, events);
     }
 
@@ -649,21 +537,23 @@ mod tests {
         bytes[victim] ^= 0x40;
 
         // Strict: structured error, then fused.
-        let mut it = FramedEvents::new(&bytes, false);
+        let mut it = trace_chunks(&bytes, false);
         let first_err = it.by_ref().find_map(|r| r.err()).expect("must error");
         assert!(
             matches!(
                 first_err,
-                FrameError::CorruptChunk { chunk: 0, .. } | FrameError::Decode { chunk: 0, .. }
+                TraceError::Frame(FrameError::CorruptChunk { chunk: 0, .. })
             ),
             "{first_err:?}"
         );
         assert!(it.next().is_none());
 
         // Lenient: later chunks still decode; exactly one chunk lost.
-        let mut it = FramedEvents::new(&bytes, true);
-        let salvaged: Vec<Event> = it.by_ref().map(|e| e.unwrap()).collect();
-        assert_eq!(it.skipped_chunks(), 1);
+        let read: Vec<Option<Vec<Event>>> =
+            trace_chunks(&bytes, true).map(|c| c.unwrap()).collect();
+        assert_eq!(read.len() as u64, stats.chunks, "one item per chunk");
+        assert_eq!(read.iter().filter(|c| c.is_none()).count(), 1);
+        let salvaged: Vec<Event> = read.into_iter().flatten().flatten().collect();
         assert!(salvaged.len() < events.len());
         assert!(
             stats.chunks >= 2 && !salvaged.is_empty(),
@@ -679,9 +569,12 @@ mod tests {
     fn truncation_is_fatal_even_lenient() {
         let (bytes, _, _) = record_program();
         let cut = &bytes[..bytes.len() - 3];
-        let mut it = FramedEvents::new(cut, true);
+        let mut it = trace_chunks(cut, true);
         let err = it.by_ref().find_map(|r| r.err()).expect("must error");
-        assert!(matches!(err, FrameError::TruncatedChunk { .. }), "{err:?}");
+        assert!(
+            matches!(err, TraceError::Frame(FrameError::TruncatedChunk { .. })),
+            "{err:?}"
+        );
         assert!(it.next().is_none());
     }
 
@@ -689,16 +582,22 @@ mod tests {
     fn header_validation() {
         assert!(!is_framed(b"FT"));
         assert!(!is_framed(&[]));
-        let mut it = FramedEvents::new(b"XXXXX", false);
-        assert_eq!(it.next(), Some(Err(FrameError::NotFramed)));
+        assert!(matches!(
+            chunks(b"XXXXX").next(),
+            Some(Err(FrameError::NotFramed))
+        ));
         let mut bad_version = Vec::from(MAGIC);
         bad_version.push(9);
-        let mut it = FramedEvents::new(&bad_version, false);
-        assert_eq!(it.next(), Some(Err(FrameError::BadVersion(9))));
+        let mut it = trace_chunks(&bad_version, true);
+        assert!(matches!(
+            it.next(),
+            Some(Err(TraceError::Frame(FrameError::BadVersion(9))))
+        ));
+        assert!(it.next().is_none());
         // An empty v2 trace (header only) is valid and empty.
         let (bytes, stats) = StreamWriter::new(Vec::new()).unwrap().finish().unwrap();
         assert_eq!(stats.chunks, 0);
-        assert_eq!(FramedEvents::new(&bytes, false).count(), 0);
+        assert_eq!(trace_chunks(&bytes, false).count(), 0);
     }
 
     #[test]
@@ -710,9 +609,11 @@ mod tests {
         // the count check can catch it.
         let count_at = HEADER_LEN + 4;
         bytes[count_at..count_at + 4].copy_from_slice(&5u32.to_le_bytes());
-        let err = FramedEvents::new(&bytes, false)
-            .find_map(|r| r.err())
-            .expect("must error");
+        let chunk = chunks(&bytes)
+            .next()
+            .unwrap()
+            .expect("the CRC still matches");
+        let err = chunk.decode().expect_err("must error");
         assert!(
             matches!(
                 err,
@@ -805,9 +706,7 @@ mod tests {
         assert!(stats.io_retries > 0, "retry path exercised: {stats:?}");
         assert_eq!(stats.dropped_events, 0);
         let bytes = faulty.into_inner();
-        let decoded: Vec<Event> = FramedEvents::new(&bytes, false)
-            .map(|e| e.unwrap())
-            .collect();
+        let decoded: Vec<Event> = trace_events(&bytes, false).map(|e| e.unwrap()).collect();
         assert_eq!(decoded, log.events, "trace identical despite faults");
     }
 
@@ -815,15 +714,15 @@ mod tests {
     fn truncation_error_reports_offset_and_sizes() {
         let (bytes, _, _) = record_program();
         let cut = &bytes[..bytes.len() - 3];
-        let err = FramedEvents::new(cut, true)
+        let err = trace_chunks(cut, true)
             .find_map(|r| r.err())
             .expect("must error");
-        let FrameError::TruncatedChunk {
+        let TraceError::Frame(FrameError::TruncatedChunk {
             offset,
             available,
             expected,
             ..
-        } = err
+        }) = err
         else {
             panic!("{err:?}");
         };
@@ -856,15 +755,5 @@ mod tests {
         assert_ne!(stored, computed);
         let shown = err.to_string();
         assert!(shown.contains("expected crc") && shown.contains("actual"), "{shown}");
-    }
-
-    #[test]
-    fn chunks_consumed_counts_every_boundary() {
-        let (bytes, stats, _) = record_program();
-        let mut it = FramedEvents::new(&bytes, false);
-        for e in it.by_ref() {
-            e.unwrap();
-        }
-        assert_eq!(it.chunks_consumed(), stats.chunks);
     }
 }

@@ -27,8 +27,10 @@
 //! written incrementally and read without trusting every byte: [`framed`]
 //! layers length-prefixed, CRC-checked chunks (format v2) over the v1
 //! event codec in [`futrace_runtime::trace`], with a [`framed::StreamWriter`]
-//! monitor for bounded-memory recording and a lenient reading mode that
-//! skips damaged chunks instead of aborting.
+//! monitor for bounded-memory recording. [`trace_chunks`] is the one
+//! reader of trace blobs, with one lenient rule (a damaged chunk is
+//! dropped whole and counted). The shard stage routes its decoded chunks
+//! directly and snapshots or suspends only at their boundaries.
 //!
 //! The `tracetool` binary (in `futrace-bench`) wires both into a CLI:
 //! `record --stream`, `analyze --shards N`, `info`, and `verify`.
@@ -42,10 +44,10 @@ pub mod framed;
 pub mod supervise;
 
 pub use checkpoint::{is_checkpoint, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
-pub use framed::{FrameError, FramedEvents, StreamWriter, WriterStats};
+pub use framed::{FrameError, StreamWriter, WriterStats};
 pub use supervise::{
-    run_supervised, ChunkedEvents, ShardPlan, ShardStats, SupervisedOutcome, SupervisionReport,
-    SuperviseError, SupervisorPlan, SyntheticChunks, SYNTHETIC_CHUNK_EVENTS,
+    event_chunks, run_supervised, ShardPlan, ShardStats, SuperviseError, SupervisedOutcome,
+    SupervisionReport, SupervisorPlan, SYNTHETIC_CHUNK_EVENTS,
 };
 
 use futrace_runtime::trace::DecodeError;
@@ -82,177 +84,98 @@ impl From<DecodeError> for TraceError {
     }
 }
 
-/// Iterator over the events of a trace blob in either format: v2 framed
-/// streams are chunk-validated as they go; anything else is treated as a
-/// v1 flat stream. Construct via [`trace_events`].
-pub enum TraceEvents<'a> {
-    /// v2 framed stream.
-    Framed(FramedEvents<'a>),
-    /// v1 flat stream.
-    Flat(futrace_runtime::trace::DecodeIter<'a>),
-}
-
-impl Iterator for TraceEvents<'_> {
-    type Item = Result<futrace_runtime::Event, TraceError>;
-
-    // Forced inline, with `FramedEvents::next`: the shard stage's router
-    // pulls every event through here, and out of line the call cost the
-    // router about a third of its CPU time on access-dominated traces.
-    #[inline(always)]
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            TraceEvents::Framed(it) => it.next().map(|r| r.map_err(TraceError::from)),
-            TraceEvents::Flat(it) => it.next().map(|r| r.map_err(TraceError::from)),
-        }
-    }
-}
-
-impl TraceEvents<'_> {
-    /// Chunks skipped so far (always 0 for v1 / strict mode).
-    pub fn skipped_chunks(&self) -> u64 {
-        match self {
-            TraceEvents::Framed(it) => it.skipped_chunks(),
-            TraceEvents::Flat(_) => 0,
-        }
-    }
-
-    /// Chunks fully consumed so far. A v1 flat trace has no chunk
-    /// structure, so it exposes no boundaries (checkpointing requires a
-    /// framed trace).
-    pub fn chunks_consumed(&self) -> u64 {
-        match self {
-            TraceEvents::Framed(it) => it.chunks_consumed(),
-            TraceEvents::Flat(_) => 0,
-        }
-    }
-}
-
-/// Streams the events of a trace blob, auto-detecting the format by the
-/// v2 magic. `lenient` only affects framed traces: damaged chunks are
-/// skipped (and counted) instead of ending the stream with an error.
-pub fn trace_events(data: &[u8], lenient: bool) -> TraceEvents<'_> {
-    if framed::is_framed(data) {
-        TraceEvents::Framed(framed::FramedEvents::new(data, lenient))
-    } else {
-        TraceEvents::Flat(futrace_runtime::trace::decode_iter(data))
-    }
-}
-
-/// Batched counterpart of [`trace_events`]: yields whole decoded chunks
-/// (`Vec<Event>`) instead of one event at a time, for the engine's batched
-/// dispatch path ([`futrace_runtime::engine::source::chunks`]). A framed
-/// trace yields one batch per intact chunk; a flat v1 trace decodes as a
-/// single batch. The event sequence is identical to [`trace_events`] with
-/// the same `lenient` flag (including which chunks a lenient read skips).
-/// Construct via [`trace_chunks`].
+/// The only reader of trace blobs, in either format. Yields one item per
+/// chunk: `Ok(Some(events))` for an intact chunk, `Ok(None)` for a
+/// damaged chunk a lenient read dropped, and `Err` for the damage that
+/// ends the read, after which it fuses. Construct via [`trace_chunks`].
+///
+/// A framed chunk is intact when its CRC matches and [`framed::Chunk::decode`]
+/// accepts it (it decodes, and holds the events its header declares).
+/// Strict reads end at the first damaged chunk; lenient reads drop it
+/// whole and read on. Structural damage, a bad header or a truncation,
+/// ends both, since no later chunk boundary is known. A flat v1 trace has
+/// no chunk structure: it is one chunk, and any damage in it ends the read.
 pub struct TraceChunks<'a> {
     inner: ChunksInner<'a>,
     lenient: bool,
-    skipped: u64,
-    done: bool,
 }
 
 enum ChunksInner<'a> {
     Framed(framed::ChunkIter<'a>),
-    Flat(Option<&'a [u8]>),
+    Flat(&'a [u8]),
+    Done,
 }
 
 impl Iterator for TraceChunks<'_> {
-    type Item = Result<Vec<futrace_runtime::Event>, TraceError>;
+    type Item = Result<Option<Vec<futrace_runtime::Event>>, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.done {
-                return None;
+        let chunk = match &mut self.inner {
+            ChunksInner::Done => return None,
+            ChunksInner::Flat(blob) => {
+                let events = futrace_runtime::trace::decode(blob);
+                self.inner = ChunksInner::Done;
+                return Some(events.map(Some).map_err(TraceError::from));
             }
-            match &mut self.inner {
-                ChunksInner::Flat(blob) => {
-                    let blob = blob.take()?;
-                    self.done = true;
-                    return Some(
-                        futrace_runtime::trace::decode(blob).map_err(TraceError::from),
-                    );
-                }
-                ChunksInner::Framed(chunks) => {
-                    let item = match chunks.next() {
-                        Some(item) => item,
-                        None => return None,
-                    };
-                    let chunk = match item {
-                        Ok(c) => c,
-                        // CRC damage is chunk-local (the iterator resyncs);
-                        // structural damage fuses either way, matching the
-                        // per-event reader.
-                        Err(e @ FrameError::CorruptChunk { .. }) => {
-                            if self.lenient {
-                                self.skipped += 1;
-                                continue;
-                            }
-                            self.done = true;
-                            return Some(Err(e.into()));
-                        }
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e.into()));
-                        }
-                    };
-                    let index = chunk.index;
-                    match futrace_runtime::trace::decode(chunk.payload) {
-                        Ok(events) if events.len() as u64 == chunk.event_count as u64 => {
-                            return Some(Ok(events));
-                        }
-                        Ok(_) => {
-                            if self.lenient {
-                                self.skipped += 1;
-                                continue;
-                            }
-                            self.done = true;
-                            return Some(Err(FrameError::Decode {
-                                chunk: index,
-                                error: DecodeError::Malformed("event count mismatch"),
-                            }
-                            .into()));
-                        }
-                        Err(error) => {
-                            if self.lenient {
-                                self.skipped += 1;
-                                continue;
-                            }
-                            self.done = true;
-                            return Some(Err(FrameError::Decode {
-                                chunk: index,
-                                error,
-                            }
-                            .into()));
-                        }
-                    }
-                }
+            ChunksInner::Framed(chunks) => chunks.next()?,
+        };
+        match chunk.and_then(|c| c.decode()) {
+            Ok(events) => Some(Ok(Some(events))),
+            // CRC and payload damage are chunk-local (the chunk walker
+            // resyncs on the length prefix); structural damage is not.
+            Err(FrameError::CorruptChunk { .. } | FrameError::Decode { .. }) if self.lenient => {
+                Some(Ok(None))
+            }
+            Err(e) => {
+                self.inner = ChunksInner::Done;
+                Some(Err(e.into()))
             }
         }
     }
 }
 
-impl TraceChunks<'_> {
-    /// Damaged chunks skipped so far (lenient framed reads only).
-    pub fn skipped_chunks(&self) -> u64 {
-        self.skipped
-    }
-}
-
-/// Chunk-batched reader over a trace blob in either format. See
-/// [`TraceChunks`].
+/// Chunk reader over a trace blob in either format, auto-detected by the
+/// v2 magic. `lenient` only affects framed traces. See [`TraceChunks`].
 pub fn trace_chunks(data: &[u8], lenient: bool) -> TraceChunks<'_> {
     let inner = if framed::is_framed(data) {
         ChunksInner::Framed(framed::chunks(data))
     } else {
-        ChunksInner::Flat(Some(data))
+        ChunksInner::Flat(data)
     };
-    TraceChunks {
-        inner,
-        lenient,
-        skipped: 0,
-        done: false,
+    TraceChunks { inner, lenient }
+}
+
+/// Per-event view of [`trace_chunks`]: the events of every chunk it
+/// keeps, then its error, if any.
+pub fn trace_events(
+    data: &[u8],
+    lenient: bool,
+) -> impl Iterator<Item = Result<futrace_runtime::Event, TraceError>> + '_ {
+    trace_chunks(data, lenient).flat_map(|chunk| {
+        let (events, error) = match chunk {
+            Ok(events) => (events.unwrap_or_default(), None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        events.into_iter().map(Ok).chain(error.map(Err))
+    })
+}
+
+/// Reads a whole trace blob through [`trace_chunks`]: the events of the
+/// chunks it keeps, in order, and how many damaged chunks a lenient read
+/// dropped.
+pub fn read_events(
+    data: &[u8],
+    lenient: bool,
+) -> Result<(Vec<futrace_runtime::Event>, u64), TraceError> {
+    let mut events = Vec::new();
+    let mut dropped = 0;
+    for chunk in trace_chunks(data, lenient) {
+        match chunk? {
+            Some(chunk) => events.extend(chunk),
+            None => dropped += 1,
+        }
     }
+    Ok((events, dropped))
 }
 
 #[cfg(test)]
@@ -287,67 +210,92 @@ mod tests {
     }
 
     #[test]
-    fn trace_chunks_matches_trace_events() {
+    fn trace_chunks_reads_whole_chunks() {
         let events = sample_events();
         // Flat v1: one batch holding the whole trace.
         let v1 = trace::encode(&events);
-        let batches: Vec<Vec<Event>> =
-            trace_chunks(&v1, false).map(|b| b.unwrap()).collect();
-        assert_eq!(batches, vec![events.clone()]);
+        let batches: Vec<_> = trace_chunks(&v1, false).map(|b| b.unwrap()).collect();
+        assert_eq!(batches, vec![Some(events.clone())]);
 
-        // Framed v2, multiple small chunks: concatenated batches equal the
-        // per-event stream.
-        let mut w = StreamWriter::with_chunk_bytes(Vec::new(), 8).unwrap();
-        for e in &events {
-            w.record(e);
-        }
-        let (v2, _) = w.finish().unwrap();
-        let flat: Vec<Event> = trace_chunks(&v2, false)
-            .flat_map(|b| b.unwrap())
-            .collect();
+        // Framed v2, one chunk per event: the batches concatenate to the
+        // recorded stream, and the per-event view agrees.
+        let v2 = blob_of(
+            &events
+                .iter()
+                .map(|e| (trace::encode(std::slice::from_ref(e)), 1))
+                .collect::<Vec<_>>(),
+        );
+        let batches: Vec<_> = trace_chunks(&v2, false).map(|b| b.unwrap()).collect();
+        assert_eq!(batches.len(), events.len());
+        let (flat, dropped) = read_events(&v2, false).unwrap();
+        assert_eq!((flat.clone(), dropped), (events.clone(), 0));
         let per_event: Vec<Event> = trace_events(&v2, false).map(|e| e.unwrap()).collect();
-        assert_eq!(flat, per_event);
-        assert_eq!(flat, events);
+        assert_eq!(per_event, flat);
 
-        // Damage one chunk: strict errors, lenient skips and counts it —
-        // the same salvage the per-event reader performs.
+        // Damage the last chunk: strict errors, lenient drops and counts it.
         let mut damaged = v2.clone();
         let n = damaged.len();
         damaged[n - 1] ^= 0xFF;
-        assert!(trace_chunks(&damaged, false).any(|b| b.is_err()));
-        let mut lenient = trace_chunks(&damaged, true);
-        let salvaged: Vec<Event> = lenient.by_ref().filter_map(|b| b.ok()).flatten().collect();
-        let mut lenient_events = trace_events(&damaged, true);
-        let salvaged_per_event: Vec<Event> =
-            lenient_events.by_ref().filter_map(|e| e.ok()).collect();
-        assert_eq!(salvaged, salvaged_per_event);
-        assert_eq!(lenient.skipped_chunks(), lenient_events.skipped_chunks());
-        assert!(lenient.skipped_chunks() > 0);
+        assert!(read_events(&damaged, false).is_err());
+        let (salvaged, dropped) = read_events(&damaged, true).unwrap();
+        assert_eq!(dropped, 1);
+        assert_eq!(salvaged, events[..events.len() - 1]);
+        let per_event: Vec<Event> = trace_events(&damaged, true).map(|e| e.unwrap()).collect();
+        assert_eq!(per_event, salvaged);
+    }
+
+    /// A framed blob of one CRC-valid chunk per `(payload, declared)`.
+    fn blob_of(chunks: &[(Vec<u8>, u32)]) -> Vec<u8> {
+        let mut blob = Vec::from(framed::MAGIC);
+        blob.push(framed::VERSION);
+        for (payload, declared) in chunks {
+            blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            blob.extend_from_slice(&declared.to_le_bytes());
+            blob.extend_from_slice(&futrace_util::crc32::crc32(payload).to_le_bytes());
+            blob.extend_from_slice(payload);
+        }
+        blob
     }
 
     #[test]
     fn chunk_claiming_u32_max_events_is_an_error_not_an_allocation() {
         // A CRC-intact chunk of three events whose header declares
         // u32::MAX of them. No reader may size a buffer from the header:
-        // each must report the count mismatch.
-        let payload = trace::encode(&sample_events());
-        let mut blob = Vec::from(framed::MAGIC);
-        blob.push(framed::VERSION);
-        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&u32::MAX.to_le_bytes());
-        blob.extend_from_slice(&futrace_util::crc32::crc32(&payload).to_le_bytes());
-        blob.extend_from_slice(&payload);
+        // the chunk is damaged, so none of its events is read.
+        let blob = blob_of(&[(trace::encode(&sample_events()), u32::MAX)]);
         let mismatch = TraceError::from(FrameError::Decode {
             chunk: 0,
             error: trace::DecodeError::Malformed("event count mismatch"),
         });
         let batches: Vec<_> = trace_chunks(&blob, false).collect();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].as_ref().unwrap_err().to_string(), mismatch.to_string());
+        assert_eq!(batches, vec![Err(mismatch.clone())]);
         let events: Vec<_> = trace_events(&blob, false).collect();
-        assert_eq!(events.len(), 4, "three events, then the error");
-        assert_eq!(events[3].as_ref().unwrap_err().to_string(), mismatch.to_string());
-        assert_eq!(trace_chunks(&blob, true).count(), 0, "lenient skips it");
+        assert_eq!(events, vec![Err(mismatch)], "no event of a damaged chunk");
+        let lenient: Vec<_> = trace_chunks(&blob, true).collect();
+        assert_eq!(lenient, vec![Ok(None)], "lenient drops it");
+    }
+
+    #[test]
+    fn a_damaged_chunk_contributes_none_of_its_events() {
+        // CRC-valid chunks: one that miscounts (declares 2, holds 3) and
+        // one whose payload stops decoding after its first event. Lenient
+        // reads drop each whole, between two intact chunks.
+        let intact = trace::encode(&sample_events());
+        let mut undecodable = trace::encode(&sample_events()[..1]);
+        undecodable.push(0xFF);
+        for damaged in [(intact.clone(), 2), (undecodable, 2)] {
+            let blob = blob_of(&[(intact.clone(), 3), damaged, (intact.clone(), 3)]);
+            let mut strict = trace_chunks(&blob, false);
+            assert_eq!(strict.next(), Some(Ok(Some(sample_events()))));
+            assert!(matches!(
+                strict.next(),
+                Some(Err(TraceError::Frame(FrameError::Decode { chunk: 1, .. })))
+            ));
+            assert_eq!(strict.next(), None, "strict reads stop at the damage");
+            let (events, dropped) = read_events(&blob, true).unwrap();
+            assert_eq!(dropped, 1);
+            assert_eq!(events, [sample_events(), sample_events()].concat());
+        }
     }
 
     #[test]

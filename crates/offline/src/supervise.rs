@@ -28,7 +28,12 @@
 //!
 //! The pipeline is decode → route → N workers over bounded channels
 //! ([`crate::channel`]), so decode backpressure bounds memory and the
-//! shadow-check hot path runs on all cores.
+//! shadow-check hot path runs on all cores. The router reads whole
+//! decoded chunks ([`crate::trace_chunks`] for a trace blob,
+//! [`event_chunks`] for an in-memory event list) and routes each chunk's
+//! events by reference; the chunk boundaries are the stream's only
+//! snapshot and suspend points, and a chunk a lenient read dropped still
+//! counts as one.
 //!
 //! ## Supervision
 //!
@@ -63,12 +68,15 @@
 //!   transient failures restart is for.
 //! * **Degrade-to-serial**: when restarts are exhausted (or recovery
 //!   itself fails), the supervisor falls back to a fresh single-threaded
-//!   [`run_analysis`] over the whole stream — slower, but the verdict is
-//!   identical by the sharding soundness argument with `N = 1`.
+//!   [`run_analysis`] over the whole stream's chunks
+//!   ([`source::chunks`]) — slower, but the verdict is identical by the
+//!   sharding soundness argument with `N = 1`.
 //! * **Suspend/resume**: `stop_after_chunks` turns the barrier snapshot,
 //!   always full there, into a [`Checkpoint`] and returns
 //!   [`SupervisedOutcome::Suspended`]; a later run passes the checkpoint
-//!   back and continues from the boundary with byte-identical results
+//!   back, skips whole chunks up to its consumed events (a skip that
+//!   would end inside a chunk is [`CheckpointError::Inconsistent`]), and
+//!   continues from the boundary with byte-identical results
 //!   (`tests/fault_tolerance.rs` proves this over random programs and
 //!   kill points).
 //!
@@ -83,7 +91,7 @@
 
 use crate::channel::{self, Receiver, RecvTimeout, SendTimeout, Sender};
 use crate::checkpoint::{Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
-use futrace_runtime::engine::{run_analysis, source, Checkpointable, StateError};
+use futrace_runtime::engine::{run_analysis, source, Checkpointable, EngineCounters, StateError};
 use futrace_runtime::Event;
 use futrace_util::faultinject::{FaultPlan, WorkerFault};
 use futrace_util::ids::{LocId, TaskId};
@@ -143,82 +151,38 @@ pub struct ShardStats {
     pub skipped_chunks: u64,
 }
 
-/// An event stream that knows how many trace chunks it has fully
-/// consumed. Chunk boundaries are the only points where the supervisor
-/// snapshots or suspends — they are stable across runs (a fresh run and a
-/// resumed run cut the stream identically), which is what makes
-/// checkpoint/resume deterministic.
-pub trait ChunkedEvents: Iterator {
-    /// Chunks fully consumed so far (monotone).
-    fn chunks_consumed(&self) -> u64;
-
-    /// Damaged chunks skipped so far (lenient framed reads; 0 otherwise).
-    fn skipped_chunks(&self) -> u64 {
-        0
-    }
-}
-
-impl ChunkedEvents for crate::framed::FramedEvents<'_> {
-    fn chunks_consumed(&self) -> u64 {
-        crate::framed::FramedEvents::chunks_consumed(self)
-    }
-    fn skipped_chunks(&self) -> u64 {
-        crate::framed::FramedEvents::skipped_chunks(self)
-    }
-}
-
-impl ChunkedEvents for crate::TraceEvents<'_> {
-    fn chunks_consumed(&self) -> u64 {
-        crate::TraceEvents::chunks_consumed(self)
-    }
-    fn skipped_chunks(&self) -> u64 {
-        crate::TraceEvents::skipped_chunks(self)
-    }
-}
-
-/// Synthetic chunk size for in-memory event lists, which have no framed
-/// boundaries of their own: the granularity at which `Analyze` and corpus
-/// runs let the supervisor snapshot a decoded event list.
-pub const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
-
-/// Imposes synthetic chunk boundaries (every `every` events) on any event
-/// iterator, so in-memory event streams can exercise checkpoint/resume
-/// without a framed encoding round-trip.
-pub struct SyntheticChunks<I> {
-    inner: I,
-    every: u64,
-    pulled: u64,
-}
-
-impl<I> SyntheticChunks<I> {
-    /// Wraps `inner` with a boundary after every `every` events (≥ 1).
-    pub fn new(inner: I, every: u64) -> Self {
-        SyntheticChunks {
-            inner,
-            every: every.max(1),
-            pulled: 0,
+impl ShardStats {
+    /// The engine counters of a sharded run: this routing accounting, what
+    /// `supervision` did, and the run's wall time. The cache totals stay
+    /// 0; they come from the merged report.
+    pub fn engine_counters(&self, supervision: &SupervisionReport, wall_ms: f64) -> EngineCounters {
+        EngineCounters {
+            events: self.events,
+            control_events: self.control_events,
+            reads: self.reads,
+            writes: self.writes,
+            wall_ms,
+            shard_restarts: supervision.shard_restarts,
+            degradations: supervision.degradations,
+            resumed_from_checkpoint: supervision.resumed_from_checkpoint,
+            ..EngineCounters::default()
         }
     }
 }
 
-impl<I: Iterator> Iterator for SyntheticChunks<I> {
-    type Item = I::Item;
-    fn next(&mut self) -> Option<I::Item> {
-        let item = self.inner.next();
-        if item.is_some() {
-            self.pulled += 1;
-        }
-        item
-    }
-}
+/// Chunk size for in-memory event lists, which have no framed boundaries
+/// of their own: the granularity at which `Analyze` and corpus runs let
+/// the supervisor snapshot a decoded event list.
+pub const SYNTHETIC_CHUNK_EVENTS: usize = 4096;
 
-impl<I: Iterator> ChunkedEvents for SyntheticChunks<I> {
-    fn chunks_consumed(&self) -> u64 {
-        // A chunk is complete once an event *past* it has been pulled, so
-        // the event just returned is never part of a "consumed" chunk —
-        // matching the framed reader's accounting.
-        self.pulled.saturating_sub(1) / self.every
-    }
+/// An in-memory event list as the shard stage reads it: slices of
+/// [`SYNTHETIC_CHUNK_EVENTS`] events, each a chunk, routed by reference.
+pub fn event_chunks<'a, E: 'a>(
+    events: &'a [Event],
+) -> impl Iterator<Item = Result<Option<&'a [Event]>, E>> + 'a {
+    events
+        .chunks(SYNTHETIC_CHUNK_EVENTS)
+        .map(|chunk| Ok(Some(chunk)))
 }
 
 /// Supervisor configuration.
@@ -288,6 +252,20 @@ impl SupervisorPlan {
             shard,
             max_replay_ops: 0,
             ..SupervisorPlan::default()
+        }
+    }
+
+    /// `shards` detect workers ([`ShardPlan::default`]'s count when
+    /// `None`), under the full supervisor when `supervised`, else plain.
+    pub fn for_shards(shards: Option<usize>, supervised: bool) -> Self {
+        let shard = ShardPlan::with_shards(shards.unwrap_or(ShardPlan::default().shards));
+        if supervised {
+            SupervisorPlan {
+                shard,
+                ..SupervisorPlan::default()
+            }
+        } else {
+            SupervisorPlan::plain(shard)
         }
     }
 
@@ -987,15 +965,20 @@ where
 /// the serial verdict. `plan` sets what the supervisor keeps for recovery
 /// ([`SupervisorPlan::plain`] keeps nothing).
 ///
-/// `make_events` must produce a *fresh* stream over the same trace on
-/// every call — the supervisor re-reads from the start for degradation
-/// and resume skipping. Any stream error type fits (v1
-/// [`futrace_runtime::trace::DecodeError`], framed [`crate::FrameError`],
-/// unified [`crate::TraceError`]). On a stream error the workers are shut
-/// down first, then the error is returned as [`SuperviseError::Stream`]:
-/// no partial verdict is reported.
-pub fn run_supervised<A, I, E, MF, F>(
-    make_events: MF,
+/// The stage reads decoded chunks: `Ok(Some(events))` is a chunk to
+/// route, `Ok(None)` a damaged chunk a lenient read dropped, which still
+/// counts as a chunk boundary and in [`ShardStats::skipped_chunks`]. Chunk
+/// boundaries are the only points where the supervisor snapshots or
+/// suspends, so a fresh and a resumed run cut the stream identically;
+/// [`crate::trace_chunks`] yields a trace blob's chunks, [`event_chunks`]
+/// an in-memory event list's.
+///
+/// `make_chunks` must produce a *fresh* stream over the same trace on
+/// every call: the degrade-to-serial pass reads it again from the start.
+/// On a stream error the workers are shut down first, then the error is
+/// returned as [`SuperviseError::Stream`]: no partial verdict is reported.
+pub fn run_supervised<A, C, E, I, MF, F>(
+    make_chunks: MF,
     factory: F,
     plan: &SupervisorPlan,
     resume: Option<&Checkpoint>,
@@ -1003,7 +986,8 @@ pub fn run_supervised<A, I, E, MF, F>(
 where
     A: Checkpointable + Send + 'static,
     A::Report: Send + 'static,
-    I: ChunkedEvents + Iterator<Item = Result<Event, E>>,
+    C: AsRef<[Event]>,
+    I: Iterator<Item = Result<Option<C>, E>>,
     MF: Fn() -> I,
     F: Fn() -> A,
 {
@@ -1044,12 +1028,18 @@ where
         supervision: SupervisionReport::default(),
     };
 
-    let mut events = make_events();
+    let mut chunks = make_chunks();
     let mut index = 0u64;
     let mut router = RouterProgress::default();
+    // Chunks taken from the stream, and the dropped ones among them.
+    let mut seen = 0u64;
+    let mut skipped = 0u64;
+    // The chunk boundary the router last crossed: the index of the last
+    // chunk it routed events from.
+    let mut cur_chunks = 0u64;
 
     // Resume: rebuild every shard from the checkpoint, then skip the
-    // already-incorporated prefix of the stream.
+    // whole chunks the checkpoint already incorporated.
     if let Some(cp) = resume {
         if cp.shard_states.len() != n || cp.per_shard_accesses.len() != n {
             return Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(
@@ -1077,9 +1067,11 @@ where
             sup.slots[shard].snapshot_accesses = cp.per_shard_accesses[shard];
             sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard], false);
         }
-        for _ in 0..cp.events_consumed {
-            match events.next() {
-                Some(Ok(_)) => {}
+        let mut passed = 0u64;
+        while passed < cp.events_consumed {
+            match chunks.next() {
+                Some(Ok(Some(chunk))) => passed += chunk.as_ref().len() as u64,
+                Some(Ok(None)) => skipped += 1,
                 Some(Err(e)) => return Err(SuperviseError::Stream(e)),
                 None => {
                     return Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(
@@ -1087,7 +1079,14 @@ where
                     )))
                 }
             }
+            seen += 1;
         }
+        if passed != cp.events_consumed {
+            return Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(
+                "the checkpoint's consumed prefix ends inside a chunk".into(),
+            )));
+        }
+        cur_chunks = seen.saturating_sub(1);
     } else {
         for shard in 0..n {
             let analysis = (sup.factory)();
@@ -1097,7 +1096,6 @@ where
 
     let snapshots = plan.checkpoint_every_chunks.is_some() || plan.stop_after_chunks.is_some();
     let mut buffers: Vec<Vec<Op>> = (0..n).map(|_| Vec::with_capacity(batch_cap)).collect();
-    let mut cur_chunks = events.chunks_consumed();
     let mut last_snapshot_chunk = cur_chunks;
     let mut events_consumed = resume.map(|cp| cp.events_consumed).unwrap_or(0);
     let mut degraded = false;
@@ -1117,18 +1115,25 @@ where
     }
 
     'route: while !degraded {
-        let item = events.next();
-        let boundary = events.chunks_consumed();
-        let Some(item) = item else {
-            break 'route;
-        };
-        let e = match item {
-            Ok(e) => e,
-            Err(err) => {
+        let chunk = match chunks.next() {
+            None => break 'route,
+            Some(Ok(Some(chunk))) => chunk,
+            Some(Ok(None)) => {
+                skipped += 1;
+                seen += 1;
+                continue;
+            }
+            Some(Err(err)) => {
                 stream_err = Some(err);
                 break 'route;
             }
         };
+        let boundary = seen;
+        seen += 1;
+        let events = chunk.as_ref();
+        if events.is_empty() {
+            continue;
+        }
 
         if boundary > cur_chunks {
             cur_chunks = boundary;
@@ -1141,8 +1146,8 @@ where
                 .map(|every| cur_chunks - last_snapshot_chunk >= every)
                 .unwrap_or(false);
             if stop_here || snapshot_here {
-                // Snapshot BEFORE routing the already-pulled event: the cut
-                // covers exactly the completed chunks.
+                // Snapshot BEFORE routing this chunk: the cut covers
+                // exactly the completed chunks.
                 for shard in 0..n {
                     flush_shard!(shard);
                     if degraded {
@@ -1182,39 +1187,44 @@ where
             }
         }
 
-        events_consumed += 1;
-        router.events += 1;
-        match e {
-            Event::Read(task, loc) | Event::Write(task, loc) => {
-                let write = matches!(e, Event::Write(..));
-                if write {
-                    router.writes += 1;
-                } else {
-                    router.reads += 1;
-                }
-                let shard = loc.index() % n;
-                buffers[shard].push(Op::Access {
-                    task,
-                    loc,
-                    write,
-                    index,
-                });
-                index += 1;
-                if buffers[shard].len() >= batch_cap {
-                    flush_shard!(shard);
-                }
-            }
-            control => {
-                router.control_events += 1;
-                if snapshots {
-                    sup.control_prefix.push(control.clone());
-                }
-                for shard in 0..n {
-                    buffers[shard].push(Op::Control(control.clone()));
+        events_consumed += events.len() as u64;
+        router.events += events.len() as u64;
+        for e in events {
+            match *e {
+                Event::Read(task, loc) | Event::Write(task, loc) => {
+                    let write = matches!(e, Event::Write(..));
+                    if write {
+                        router.writes += 1;
+                    } else {
+                        router.reads += 1;
+                    }
+                    let shard = loc.index() % n;
+                    buffers[shard].push(Op::Access {
+                        task,
+                        loc,
+                        write,
+                        index,
+                    });
+                    index += 1;
                     if buffers[shard].len() >= batch_cap {
                         flush_shard!(shard);
                         if degraded {
                             break 'route;
+                        }
+                    }
+                }
+                ref control => {
+                    router.control_events += 1;
+                    if snapshots {
+                        sup.control_prefix.push(control.clone());
+                    }
+                    for shard in 0..n {
+                        buffers[shard].push(Op::Control(control.clone()));
+                        if buffers[shard].len() >= batch_cap {
+                            flush_shard!(shard);
+                            if degraded {
+                                break 'route;
+                            }
                         }
                     }
                 }
@@ -1259,7 +1269,7 @@ where
                 writes: router.writes,
                 accesses: index,
                 per_shard_accesses: Vec::with_capacity(n),
-                skipped_chunks: events.skipped_chunks(),
+                skipped_chunks: skipped,
             };
             let mut reports = Vec::with_capacity(n);
             for (report, accesses) in results {
@@ -1282,8 +1292,12 @@ where
                 slot.tx = None;
             }
             drop(sup.results_rx);
-            let mut fresh = make_events();
-            let out = run_analysis(source::stream(&mut fresh), (sup.factory)())
+            let mut skipped = 0u64;
+            let fresh = make_chunks().filter_map(|chunk| {
+                skipped += matches!(chunk, Ok(None)) as u64;
+                chunk.transpose()
+            });
+            let out = run_analysis(source::chunks(fresh), (sup.factory)())
                 .map_err(SuperviseError::Stream)?;
             let c = out.counters;
             let stats = ShardStats {
@@ -1294,7 +1308,7 @@ where
                 reads: c.reads,
                 writes: c.writes,
                 per_shard_accesses: vec![c.checks()],
-                skipped_chunks: fresh.skipped_chunks(),
+                skipped_chunks: skipped,
             };
             Ok(SupervisedOutcome::Completed {
                 report: out.report,
@@ -1352,21 +1366,9 @@ mod tests {
         }
     }
 
-    fn events_of(log: &EventLog) -> impl Fn() -> SyntheticChunks<
-        std::iter::Map<
-            std::vec::IntoIter<futrace_runtime::Event>,
-            fn(futrace_runtime::Event) -> Result<futrace_runtime::Event, TraceError>,
-        >,
-    > + '_ {
-        move || {
-            SyntheticChunks::new(
-                log.events
-                    .clone()
-                    .into_iter()
-                    .map(Ok as fn(_) -> Result<_, TraceError>),
-                5,
-            )
-        }
+    /// The log as chunks of five events.
+    fn chunks_of(log: &EventLog) -> impl Iterator<Item = Result<Option<&[Event]>, TraceError>> {
+        log.events.chunks(5).map(|chunk| Ok(Some(chunk)))
     }
 
     #[test]
@@ -1374,7 +1376,7 @@ mod tests {
         let log = racy_log();
         let serial = serial_report(&log);
         let out = run_supervised(
-            events_of(&log),
+            || chunks_of(&log),
             RaceDetector::new,
             &plan_for_tests(3),
             None,
@@ -1401,8 +1403,7 @@ mod tests {
         let mut plan = plan_for_tests(2);
         plan.checkpoint_every_chunks = Some(1);
         plan.worker_panic = Some(WorkerFault { shard: 1, at_op: 9 });
-        let out =
-            run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+        let out = run_supervised(|| chunks_of(&log), RaceDetector::new, &plan, None).unwrap();
         let SupervisedOutcome::Completed {
             report,
             supervision,
@@ -1440,8 +1441,7 @@ mod tests {
             let mut plan = plan_for_tests(2);
             plan.max_replay_ops = max_replay_ops;
             plan.worker_panic = Some(WorkerFault { shard: 0, at_op: 5 });
-            let out =
-                run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+            let out = run_supervised(|| chunks_of(&log), RaceDetector::new, &plan, None).unwrap();
             let SupervisedOutcome::Completed {
                 report,
                 supervision,
@@ -1467,8 +1467,7 @@ mod tests {
         let mut plan = plan_for_tests(2);
         plan.max_restarts = 0;
         plan.worker_panic = Some(WorkerFault { shard: 0, at_op: 5 });
-        let out =
-            run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+        let out = run_supervised(|| chunks_of(&log), RaceDetector::new, &plan, None).unwrap();
         let SupervisedOutcome::Completed {
             report,
             supervision,
@@ -1491,8 +1490,7 @@ mod tests {
         plan.stall_for = Duration::from_millis(400);
         plan.checkpoint_every_chunks = Some(1);
         plan.worker_stall = Some(WorkerFault { shard: 0, at_op: 7 });
-        let out =
-            run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+        let out = run_supervised(|| chunks_of(&log), RaceDetector::new, &plan, None).unwrap();
         let SupervisedOutcome::Completed {
             report,
             supervision,
@@ -1519,13 +1517,7 @@ mod tests {
         let serial = serial_report(&log);
         let mut stop_plan = plan_for_tests(2);
         stop_plan.stop_after_chunks = Some(2);
-        let out = run_supervised(
-            events_of(&log),
-            RaceDetector::new,
-            &stop_plan,
-            None,
-        )
-        .unwrap();
+        let out = run_supervised(|| chunks_of(&log), RaceDetector::new, &stop_plan, None).unwrap();
         let SupervisedOutcome::Suspended {
             checkpoint,
             supervision,
@@ -1540,7 +1532,7 @@ mod tests {
         // Round-trip the checkpoint through its codec, like the CLI does.
         let restored = Checkpoint::decode(&checkpoint.encode()).unwrap();
         let out = run_supervised(
-            events_of(&log),
+            || chunks_of(&log),
             RaceDetector::new,
             &plan_for_tests(2),
             Some(&restored),
@@ -1569,19 +1561,15 @@ mod tests {
         let log = racy_log();
         let mut stop_plan = plan_for_tests(2);
         stop_plan.stop_after_chunks = Some(1);
-        let SupervisedOutcome::Suspended { mut checkpoint, .. } = run_supervised(
-            events_of(&log),
-            RaceDetector::new,
-            &stop_plan,
-            None,
-        )
-        .unwrap() else {
+        let SupervisedOutcome::Suspended { mut checkpoint, .. } =
+            run_supervised(|| chunks_of(&log), RaceDetector::new, &stop_plan, None).unwrap()
+        else {
             panic!("expected suspension");
         };
         checkpoint.shard_states.pop();
         checkpoint.per_shard_accesses.pop();
         match run_supervised(
-            events_of(&log),
+            || chunks_of(&log),
             RaceDetector::new,
             &plan_for_tests(2),
             Some(&checkpoint),
@@ -1611,7 +1599,7 @@ mod tests {
         for shards in [1usize, 2, 3, 8] {
             // Tiny batches and channels stress the routing path.
             let plan = SupervisorPlan::plain(plan_for_tests(shards).shard);
-            let out = run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap();
+            let out = run_supervised(|| chunks_of(&log), RaceDetector::new, &plan, None).unwrap();
             let (report, stats, supervision) = completed(out);
             assert_eq!(report.report.total_detected, serial.total_detected);
             assert_eq!(report.report.races, serial.races, "shards={shards}");
@@ -1628,8 +1616,8 @@ mod tests {
         let serial = serial_report(&log);
         let v1 = futrace_runtime::trace::encode(&log.events);
         let plan = SupervisorPlan::plain(ShardPlan::with_shards(2));
-        let events = || crate::trace_events(&v1, false);
-        let out = run_supervised(events, RaceDetector::new, &plan, None);
+        let chunks = || crate::trace_chunks(&v1, false);
+        let out = run_supervised(chunks, RaceDetector::new, &plan, None);
         assert_eq!(completed(out.unwrap()).0.report.races, serial.races);
 
         let mut w = crate::StreamWriter::with_chunk_bytes(Vec::new(), 128).unwrap();
@@ -1638,8 +1626,8 @@ mod tests {
         }
         let (v2, _) = w.finish().unwrap();
         let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
-        let events = || crate::trace_events(&v2, false);
-        let out = run_supervised(events, RaceDetector::new, &plan, None);
+        let chunks = || crate::trace_chunks(&v2, false);
+        let out = run_supervised(chunks, RaceDetector::new, &plan, None);
         let (report, stats, _) = completed(out.unwrap());
         assert_eq!(report.report.races, serial.races);
         assert_eq!(stats.skipped_chunks, 0);
@@ -1651,8 +1639,8 @@ mod tests {
         let mut blob = futrace_runtime::trace::encode(&log.events);
         blob.push(99); // unknown tag at the tail
         let plan = SupervisorPlan::plain(ShardPlan::with_shards(2));
-        let events = || crate::trace_events(&blob, false);
-        match run_supervised(events, RaceDetector::new, &plan, None) {
+        let chunks = || crate::trace_chunks(&blob, false);
+        match run_supervised(chunks, RaceDetector::new, &plan, None) {
             Err(SuperviseError::Stream(e)) => assert!(e.to_string().contains("malformed"), "{e}"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("a damaged trace must not produce a verdict"),
@@ -1685,7 +1673,7 @@ mod tests {
 
         let plan = SupervisorPlan::plain(ShardPlan::with_shards(4));
         let factory = || RaceDetector::with_config(config.clone());
-        let out = run_supervised(events_of(&log), factory, &plan, None).unwrap();
+        let out = run_supervised(|| chunks_of(&log), factory, &plan, None).unwrap();
         let (report, _, _) = completed(out);
         assert_eq!(report.report.races, serial.races);
         assert_eq!(report.report.total_detected, serial.total_detected);
@@ -1805,14 +1793,52 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_chunks_count_like_framed() {
-        let mut it = SyntheticChunks::new(0..10u32, 4);
-        assert_eq!(it.chunks_consumed(), 0);
-        for _ in 0..4 {
-            it.next();
+    fn a_dropped_chunk_is_a_boundary_and_is_counted() {
+        // Chunks 0, 2 and 3 routed, chunk 1 dropped by a lenient read:
+        // barriers fall before chunks 2 and 3, as for four intact chunks
+        // with nothing in chunk 1.
+        let log = racy_log();
+        let (a, rest) = log.events.split_at(10);
+        let (b, c) = rest.split_at(10);
+        let chunks = || {
+            [Some(a), None, Some(b), Some(c)]
+                .into_iter()
+                .map(Ok::<_, TraceError>)
+        };
+        let mut plan = plan_for_tests(2);
+        plan.checkpoint_every_chunks = Some(1);
+        let (report, stats, supervision) =
+            completed(run_supervised(chunks, RaceDetector::new, &plan, None).unwrap());
+        assert_eq!(stats.skipped_chunks, 1);
+        assert_eq!(supervision.snapshots_taken, 2);
+        assert_eq!(stats.events, log.events.len() as u64);
+        assert_eq!(report.report.races, serial_report(&log).races);
+    }
+
+    #[test]
+    fn a_resume_must_land_on_a_chunk_boundary() {
+        let log = racy_log();
+        let mut stop_plan = plan_for_tests(2);
+        stop_plan.stop_after_chunks = Some(2);
+        let SupervisedOutcome::Suspended { checkpoint, .. } =
+            run_supervised(|| chunks_of(&log), RaceDetector::new, &stop_plan, None).unwrap()
+        else {
+            panic!("expected suspension");
+        };
+        assert_eq!(checkpoint.events_consumed, 10);
+        // Chunks of three events pass 9, then 12: never exactly 10.
+        let thirds = || log.events.chunks(3).map(|c| Ok::<_, TraceError>(Some(c)));
+        match run_supervised(
+            thirds,
+            RaceDetector::new,
+            &plan_for_tests(2),
+            Some(&checkpoint),
+        ) {
+            Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(why))) => {
+                assert!(why.contains("inside a chunk"), "{why}")
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a resume that lands inside a chunk must be refused"),
         }
-        assert_eq!(it.chunks_consumed(), 0, "4th event ends chunk 0, not past it");
-        it.next();
-        assert_eq!(it.chunks_consumed(), 1, "5th event is inside chunk 1");
     }
 }

@@ -71,7 +71,9 @@ fn mutate(data: &[u8], op: u8, pos: u32, byte: u8) -> (Mutation, Vec<u8>) {
 /// Consumes a trace iterator, asserting the error contract: events before
 /// any error are well-formed, at most one error is yielded, and the
 /// iterator fuses afterwards. Returns (events decoded, error seen).
-fn drain(mut it: futrace_offline::TraceEvents<'_>) -> (Vec<Event>, Option<TraceError>) {
+fn drain(
+    mut it: impl Iterator<Item = Result<Event, TraceError>>,
+) -> (Vec<Event>, Option<TraceError>) {
     let mut events = Vec::new();
     let mut error = None;
     for item in it.by_ref() {
@@ -125,8 +127,9 @@ fn mutated_streams_never_panic_and_error_structurally() {
             let (strict_events, strict_err) = drain(trace_events(&m, false));
 
             // v2 lenient: never worse than strict — decodes at least as
-            // many events, and any surviving error is non-skippable
-            // (truncation / header damage), never a chunk CRC mismatch.
+            // many events, and any surviving error is structural
+            // (truncation / header damage), never chunk-local damage (a
+            // CRC mismatch, an undecodable payload, a miscount).
             let it = trace_events(&m, true);
             let (lenient_events, lenient_err) = {
                 let mut it = it;
@@ -150,8 +153,11 @@ fn mutated_streams_never_panic_and_error_structurally() {
             );
             if let Some(TraceError::Frame(e)) = &lenient_err {
                 assert!(
-                    !matches!(e, FrameError::CorruptChunk { .. }),
-                    "lenient mode must skip CRC-corrupt chunks, got {e}"
+                    !matches!(
+                        e,
+                        FrameError::CorruptChunk { .. } | FrameError::Decode { .. }
+                    ),
+                    "lenient mode must drop damaged chunks, got {e}"
                 );
             }
             let _ = strict_err;

@@ -10,7 +10,7 @@
 use futrace_benchsuite::randomprog::{self, GenParams};
 use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
 use futrace_offline::{
-    run_supervised, trace_events, Checkpoint, ShardPlan, StreamWriter, SupervisedOutcome,
+    run_supervised, trace_chunks, Checkpoint, ShardPlan, StreamWriter, SupervisedOutcome,
     SupervisorPlan,
 };
 use futrace_runtime::{replay, run_serial, Event, EventLog};
@@ -93,16 +93,15 @@ fn accesses(log: &EventLog) -> (u64, u64) {
 /// chunks: every control event, plus the accesses `loc % n` routes there.
 /// A worker fault at a later op lands after the barrier at that boundary.
 fn ops_in_first_chunks(blob: &[u8], shard: usize, n: usize, chunks: u64) -> u64 {
-    let mut events = trace_events(blob, false);
+    let first = trace_chunks(blob, false).take(chunks.try_into().unwrap_or(usize::MAX));
     let mut ops = 0;
-    while let Some(e) = events.next() {
-        if events.chunks_consumed() >= chunks {
-            break;
+    for chunk in first {
+        for e in chunk.expect("recorded trace decodes").unwrap_or_default() {
+            ops += match e {
+                Event::Read(_, loc) | Event::Write(_, loc) => (loc.index() % n == shard) as u64,
+                _ => 1,
+            };
         }
-        ops += match e.expect("recorded trace decodes") {
-            Event::Read(_, loc) | Event::Write(_, loc) => (loc.index() % n == shard) as u64,
-            _ => 1,
-        };
     }
     ops
 }
@@ -136,7 +135,7 @@ fn kill_and_resume_equals_fresh_run() {
             stop_plan.checkpoint_every_chunks = Some(1);
         }
         let out = run_supervised(
-            || trace_events(&blob, false),
+            || trace_chunks(&blob, false),
             RaceDetector::new,
             &stop_plan,
             None,
@@ -148,7 +147,7 @@ fn kill_and_resume_equals_fresh_run() {
         let restored = Checkpoint::decode(&checkpoint.encode())
             .unwrap_or_else(|e| panic!("seed {seed}: checkpoint codec round-trip: {e}"));
         let out = run_supervised(
-            || trace_events(&blob, false),
+            || trace_chunks(&blob, false),
             RaceDetector::new,
             &plan(shards),
             Some(&restored),
@@ -188,7 +187,7 @@ fn every_kill_point_of_a_fixed_trace_resumes_identically() {
             let mut stop_plan = plan(3);
             stop_plan.stop_after_chunks = Some(kill_at);
             let out = run_supervised(
-                || trace_events(&blob, false),
+                || trace_chunks(&blob, false),
                 RaceDetector::new,
                 &stop_plan,
                 None,
@@ -198,7 +197,7 @@ fn every_kill_point_of_a_fixed_trace_resumes_identically() {
                 panic!("seed {seed}: kill {kill_at}/{chunks} must suspend");
             };
             let out = run_supervised(
-                || trace_events(&blob, false),
+                || trace_chunks(&blob, false),
                 RaceDetector::new,
                 &plan(3),
                 Some(&checkpoint),
@@ -267,13 +266,8 @@ fn worker_panics_recover_with_the_serial_verdict() {
                 });
             }
         }
-        let out = run_supervised(
-            || trace_events(&blob, false),
-            RaceDetector::new,
-            &p,
-            None,
-        )
-        .unwrap();
+        let out =
+            run_supervised(|| trace_chunks(&blob, false), RaceDetector::new, &p, None).unwrap();
         let SupervisedOutcome::Completed {
             report, supervision, ..
         } = out
@@ -337,12 +331,12 @@ fn restarts_cut_the_snapshots_an_uninterrupted_run_cuts() {
         }
         let mut p = plan(2);
         p.checkpoint_every_chunks = Some(1);
-        let clean = run_supervised(|| trace_events(&blob, false), factory, &p, None).unwrap();
+        let clean = run_supervised(|| trace_chunks(&blob, false), factory, &p, None).unwrap();
         p.worker_panic = Some(WorkerFault {
             shard,
             at_op: before + 1 + seed % after,
         });
-        let faulty = run_supervised(|| trace_events(&blob, false), factory, &p, None).unwrap();
+        let faulty = run_supervised(|| trace_chunks(&blob, false), factory, &p, None).unwrap();
         let (
             SupervisedOutcome::Completed {
                 supervision: want, ..
@@ -402,9 +396,9 @@ fn seeded_writer_faults_never_panic_and_salvage_a_prefix() {
             }
         };
         let mut got = Vec::new();
-        for item in trace_events(&blob, true) {
-            match item {
-                Ok(e) => got.push(e),
+        for chunk in trace_chunks(&blob, true) {
+            match chunk {
+                Ok(events) => got.extend(events.unwrap_or_default()),
                 Err(_) => break, // terminal damage; prefix property below
             }
         }

@@ -15,8 +15,8 @@ use futrace_baselines::VectorClockDetector;
 use futrace_benchsuite::randomprog::{self, GenParams};
 use futrace_detector::{RaceDetector, RaceReport};
 use futrace_offline::{
-    run_supervised, trace_events, ChunkedEvents, ShardPlan, StreamWriter, SupervisedOutcome,
-    SupervisorPlan, SyntheticChunks, SYNTHETIC_CHUNK_EVENTS,
+    event_chunks, run_supervised, trace_chunks, ShardPlan, StreamWriter, SupervisedOutcome,
+    SupervisorPlan,
 };
 use futrace_runtime::engine::{run_analysis_recorded, Checkpointable};
 use futrace_runtime::{replay, run_serial, EventLog};
@@ -53,18 +53,19 @@ fn plain_plan(shards: usize) -> SupervisorPlan {
 
 /// Runs the shard stage to completion and returns the merged report. A
 /// clean run must not have needed any recovery.
-fn run_sharded<A, I, E>(
-    events: impl Fn() -> I,
+fn run_sharded<A, C, I, E>(
+    chunks: impl Fn() -> I,
     plan: &SupervisorPlan,
     factory: impl Fn() -> A,
 ) -> A::Report
 where
     A: Checkpointable + Send + 'static,
     A::Report: Send + 'static,
-    I: ChunkedEvents + Iterator<Item = Result<futrace_runtime::Event, E>>,
+    C: AsRef<[futrace_runtime::Event]>,
+    I: Iterator<Item = Result<Option<C>, E>>,
     E: std::fmt::Display,
 {
-    match run_supervised(events, factory, plan, None) {
+    match run_supervised(chunks, factory, plan, None) {
         Ok(SupervisedOutcome::Completed {
             report,
             supervision,
@@ -88,13 +89,7 @@ where
     A: Checkpointable + Send + 'static,
     A::Report: Send + 'static,
 {
-    let events = || {
-        SyntheticChunks::new(
-            log.events.iter().cloned().map(Ok::<_, Infallible>),
-            SYNTHETIC_CHUNK_EVENTS,
-        )
-    };
-    run_sharded(events, plan, factory)
+    run_sharded(|| event_chunks::<Infallible>(&log.events), plan, factory)
 }
 
 fn assert_equivalent(serial: &RaceReport, log: &EventLog, shards: usize, ctx: &str) {
@@ -157,7 +152,7 @@ fn sharded_equals_serial_through_the_framed_format() {
         let (blob, _) = w.finish().unwrap();
         for shards in SHARD_COUNTS {
             let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
-            let out = run_sharded(|| trace_events(&blob, false), &plan, RaceDetector::new).report;
+            let out = run_sharded(|| trace_chunks(&blob, false), &plan, RaceDetector::new).report;
             assert_eq!(out.races, serial.races, "seed {seed}, {shards} shards");
             assert_eq!(out.total_detected, serial.total_detected);
         }

@@ -18,7 +18,7 @@
 //!   analyses whose checks really are location-independent additionally
 //!   implement [`LocRoutable`].
 //! * [`EventSource`] — the producer side. Live serial execution, an
-//!   in-memory recorded event log, and streamed trace decoding (flat v1 or
+//!   in-memory recorded event log, and decoded trace chunks (flat v1 or
 //!   framed v2, strict or lenient) all implement it, so
 //!   [`run_analysis`] is the single entry point replacing every bespoke
 //!   loop.
@@ -501,7 +501,7 @@ pub trait EventSource<A: Analysis> {
 }
 
 /// Event-source constructors. See [`live`](source::live),
-/// [`recorded`](source::recorded), and [`stream`](source::stream).
+/// [`recorded`](source::recorded), and [`chunks`](source::chunks).
 pub mod source {
     use super::*;
 
@@ -547,60 +547,33 @@ pub mod source {
         }
     }
 
-    /// A fallible decoded event stream (see [`stream`]).
-    pub struct Stream<I>(I);
-
-    /// Source over any fallible event iterator: the v1 flat decoder
-    /// (`trace::decode_iter`), the framed v2 chunk reader (strict or
-    /// lenient), or the format-sniffing union of both. The first stream
-    /// error aborts the run and is returned from [`run_analysis`].
-    pub fn stream<I, E>(events: I) -> Stream<I>
-    where
-        I: Iterator<Item = Result<Event, E>>,
-    {
-        Stream(events)
-    }
-
-    impl<A, I, E> EventSource<A> for Stream<I>
-    where
-        A: Analysis,
-        I: Iterator<Item = Result<Event, E>>,
-    {
-        type Error = E;
-        fn drive(self, engine: &mut Engine<A>) -> Result<(), E> {
-            for item in self.0 {
-                engine.consume(&item?);
-            }
-            Ok(())
-        }
-    }
-
     /// A fallible stream of decoded event chunks (see [`chunks`]).
     pub struct Chunks<I>(I);
 
-    /// Source over an iterator of whole decoded chunks (e.g. the framed
-    /// v2 reader's per-chunk event vectors). Each chunk is fed through
-    /// the batched [`Engine::consume_slice`] path, so runs of consecutive
-    /// accesses dispatch as flat [`AccessOp`] slices instead of one event
-    /// at a time — the per-event source overhead that the one-at-a-time
-    /// [`stream`] source pays on access-dominated traces. The first chunk
-    /// error aborts the run.
-    pub fn chunks<I, E>(it: I) -> Chunks<I>
+    /// Source over an iterator of whole decoded chunks (the trace
+    /// reader's per-chunk event vectors, or slices of an event list).
+    /// Each chunk is fed through the batched [`Engine::consume_slice`]
+    /// path, so runs of consecutive accesses dispatch as flat
+    /// [`AccessOp`] slices instead of one event at a time. The first chunk
+    /// error aborts the run and is returned from [`run_analysis`].
+    pub fn chunks<I, C, E>(it: I) -> Chunks<I>
     where
-        I: Iterator<Item = Result<Vec<Event>, E>>,
+        I: Iterator<Item = Result<C, E>>,
+        C: AsRef<[Event]>,
     {
         Chunks(it)
     }
 
-    impl<A, I, E> EventSource<A> for Chunks<I>
+    impl<A, I, C, E> EventSource<A> for Chunks<I>
     where
         A: Analysis,
-        I: Iterator<Item = Result<Vec<Event>, E>>,
+        I: Iterator<Item = Result<C, E>>,
+        C: AsRef<[Event]>,
     {
         type Error = E;
         fn drive(self, engine: &mut Engine<A>) -> Result<(), E> {
             for chunk in self.0 {
-                engine.consume_slice(&chunk?);
+                engine.consume_slice(chunk?.as_ref());
             }
             Ok(())
         }
@@ -752,17 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_source_propagates_errors_and_stops() {
-        let events: Vec<Result<Event, &str>> = vec![
-            Ok(Event::Write(TaskId(0), LocId(0))),
-            Err("damaged"),
-            Ok(Event::Write(TaskId(0), LocId(1))),
-        ];
-        let err = run_analysis(source::stream(events.into_iter()), Probe::default()).unwrap_err();
-        assert_eq!(err, "damaged");
-    }
-
-    #[test]
     fn consume_slice_matches_per_event_consume() {
         let mut log = EventLog::new();
         run_serial(&mut log, |ctx| {
@@ -823,7 +785,7 @@ mod tests {
     }
 
     #[test]
-    fn chunks_source_matches_stream_source() {
+    fn chunks_source_matches_recorded_source() {
         let mut log = EventLog::new();
         run_serial(&mut log, |ctx| {
             let x = ctx.shared_var(0u64, "x");
@@ -843,13 +805,15 @@ mod tests {
             .map(|w| Ok(log.events[w[0]..w[1]].to_vec()))
             .collect();
         let chunked = run_analysis(source::chunks(chunks.into_iter()), Probe::default()).unwrap();
-        let streamed = run_analysis(
-            source::stream(log.events.iter().cloned().map(Ok::<Event, &str>)),
-            Probe::default(),
-        )
-        .unwrap();
-        assert_eq!(chunked.report.control, streamed.report.control);
-        assert_eq!(chunked.report.checks, streamed.report.checks);
+        let recorded = run_analysis_recorded(&log.events, Probe::default());
+        assert_eq!(chunked.report.control, recorded.report.control);
+        assert_eq!(chunked.report.checks, recorded.report.checks);
+        // Borrowed slices work the same as owned chunks.
+        let slices = cuts
+            .windows(2)
+            .map(|w| Ok::<_, &str>(&log.events[w[0]..w[1]]));
+        let sliced = run_analysis(source::chunks(slices), Probe::default()).unwrap();
+        assert_eq!(sliced.report.checks, recorded.report.checks);
 
         // Errors propagate from the chunk stream.
         let bad: Vec<Result<Vec<Event>, &str>> = vec![Ok(Vec::new()), Err("damaged")];

@@ -241,8 +241,8 @@ pub struct DecodeIter<'a> {
 impl Iterator for DecodeIter<'_> {
     type Item = Result<Event, DecodeError>;
 
-    // Inlined into every reader (the chunk decoder, the framed event
-    // stream, the shard router), with the event decoder inlined into it.
+    // Inlined into `decode`, which every trace reader calls, with the
+    // event decoder inlined into it.
     #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         if self.failed || !self.buf.has_remaining() {

@@ -22,7 +22,7 @@
 //! time; exhausting either yields the structured
 //! [`ClientError::RetriesExhausted`].
 
-use futrace_offline::{framed, trace_events, FrameError};
+use futrace_offline::{framed, read_events, FrameError};
 use futrace_runtime::trace;
 use futrace_util::faultinject::{
     is_transient, write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
@@ -44,8 +44,9 @@ pub struct ClientOptions {
     pub addr: String,
     /// Ask the daemon to checkpoint every N chunks.
     pub checkpoint_every: Option<u64>,
-    /// Skip the damaged chunks a lenient `analyze` skips instead of
-    /// failing: a framed chunk that fails its CRC, decode or event count.
+    /// Drop the damaged chunks a lenient `analyze` drops instead of
+    /// failing: a framed chunk that fails its CRC, decode or event count,
+    /// dropped whole with or without [`ClientOptions::chunk_events`].
     pub lenient: bool,
     /// Session name — keys the daemon's checkpoint file, so resuming a
     /// suspended session means reconnecting with the same name.
@@ -177,16 +178,13 @@ impl From<ProtoError> for ClientError {
 }
 
 /// Slices a trace blob into wire chunk payloads (v1-encoded event runs).
+/// Under [`ClientOptions::lenient`] both branches keep exactly the chunks
+/// the trace reader keeps.
 fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<Vec<u8>>, ClientError> {
     if let Some(per_chunk) = opts.chunk_events {
         let per_chunk = per_chunk.max(1);
-        let mut events = Vec::new();
-        for item in trace_events(blob, opts.lenient) {
-            match item {
-                Ok(e) => events.push(e),
-                Err(e) => return Err(ClientError::Trace(e.to_string())),
-            }
-        }
+        let (events, _) =
+            read_events(blob, opts.lenient).map_err(|e| ClientError::Trace(e.to_string()))?;
         if events.is_empty() {
             return Ok(vec![Vec::new()]);
         }
@@ -195,13 +193,10 @@ fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<Vec<u8>>, Cli
     if framed::is_framed(blob) {
         // Strict streaming forwards the payload bytes undecoded; the
         // daemon decodes each chunk anyway.
-        let intact = |c: &framed::Chunk| {
-            trace::decode(c.payload).is_ok_and(|e| e.len() == c.event_count as usize)
-        };
         let mut payloads = Vec::new();
         for chunk in framed::chunks(blob) {
             match chunk {
-                Ok(c) if opts.lenient && !intact(&c) => {}
+                Ok(c) if opts.lenient && c.decode().is_err() => {}
                 Ok(c) => payloads.push(c.payload.to_vec()),
                 Err(FrameError::CorruptChunk { .. }) if opts.lenient => {}
                 // Framing damage cannot be resynced locally; report it

@@ -399,7 +399,7 @@ impl Session {
 mod tests {
     use super::*;
     use futrace_offline::{
-        run_supervised, trace_events, ShardPlan, SupervisedOutcome, SupervisorPlan,
+        run_supervised, trace_chunks, ShardPlan, SupervisedOutcome, SupervisorPlan,
     };
     use futrace_runtime::engine::run_analysis_recorded;
     use futrace_runtime::monitor::TaskKind;
@@ -647,7 +647,7 @@ mod tests {
             ..SupervisorPlan::default()
         };
         let out = run_supervised(
-            || trace_events(&received, false),
+            || trace_chunks(&received, false),
             RaceDetector::new,
             &plan,
             None,

@@ -5,8 +5,8 @@
 //!
 //! Both passes go through the analysis engine: `run_analysis_live` wraps
 //! the detector in an [`Engine`] monitor for the online run, and
-//! `run_analysis` drives the same detector from the decoded event stream
-//! offline — no hand-written event loop on either side.
+//! `run_analysis_recorded` drives the same detector from the decoded
+//! event stream offline — no hand-written event loop on either side.
 //!
 //! ```text
 //! cargo run --release --example record_replay
@@ -14,7 +14,7 @@
 
 use futrace::benchsuite::smithwaterman::{sw_run, SwParams};
 use futrace::detector::RaceDetector;
-use futrace::runtime::engine::{run_analysis, run_analysis_live, source};
+use futrace::runtime::engine::{run_analysis_live, run_analysis_recorded};
 use futrace::runtime::{run_serial, trace, EventLog};
 use futrace_util::stats::Timer;
 
@@ -49,12 +49,10 @@ fn main() {
         t.elapsed_ms()
     );
 
-    // --- Offline detection: stream the decoded trace through the engine.
-    let offline = run_analysis(
-        source::stream(trace::decode_iter(&blob)),
-        RaceDetector::new(),
-    )
-    .expect("valid trace");
+    // --- Offline detection: decode the trace and replay it through the
+    // engine.
+    let events = trace::decode(&blob).expect("valid trace");
+    let offline = run_analysis_recorded(&events, RaceDetector::new());
     println!("offline detection: {}", offline.counters);
 
     let report = &offline.report.report;

@@ -45,12 +45,10 @@
 
 use crate::detector::{DetectorConfig, RaceDetector};
 use crate::offline::{
-    run_supervised, trace_chunks, trace_events, ChunkedEvents, ShardPlan, SuperviseError,
-    SupervisedOutcome, SupervisorPlan, SyntheticChunks, TraceError, SYNTHETIC_CHUNK_EVENTS,
+    event_chunks, run_supervised, trace_chunks, SuperviseError, SupervisedOutcome, SupervisorPlan,
+    TraceError,
 };
-use crate::runtime::engine::{
-    run_analysis, run_analysis_recorded, source, Analysis, Engine, EngineCounters,
-};
+use crate::runtime::engine::{run_analysis, run_analysis_recorded, source, Analysis, Engine};
 use crate::runtime::online::{run_online, OnlineOptions};
 use crate::runtime::{run_serial, Event, EventLog, ParCtx, SerialCtx};
 use crate::util::faultinject::FaultPlan;
@@ -223,8 +221,12 @@ impl<'a> Analyze<'a> {
         self
     }
 
-    /// Skips damaged chunks of a framed trace (counting them) instead of
-    /// failing the run.
+    /// Reads a framed trace leniently: a damaged chunk (CRC mismatch,
+    /// undecodable payload, or an event count other than its header's) is
+    /// dropped whole and counted instead of failing the run, on the
+    /// serial, sharded and supervised backends alike. A truncation or a
+    /// bad header still fails it, as does any damage in a flat v1 trace,
+    /// which has no chunks to drop.
     pub fn lenient(mut self, lenient: bool) -> Self {
         self.opts.lenient = lenient;
         self
@@ -302,15 +304,7 @@ impl Options {
         if self.shards.is_none() && !self.supervised() {
             return None;
         }
-        let shard = ShardPlan::with_shards(self.shards.unwrap_or(ShardPlan::default().shards));
-        let mut plan = if self.supervised() {
-            SupervisorPlan {
-                shard,
-                ..SupervisorPlan::default()
-            }
-        } else {
-            SupervisorPlan::plain(shard)
-        };
+        let mut plan = SupervisorPlan::for_shards(self.shards, self.supervised());
         plan.checkpoint_every_chunks = self.checkpoint_every;
         if let Some(seed) = self.fault_seed {
             plan = plan.with_faults(&FaultPlan::from_seed(seed));
@@ -318,30 +312,24 @@ impl Options {
         Some(plan)
     }
 
-    /// Replays a trace blob (flat v1 or framed v2): chunk-batched decode
-    /// for the serial engine, event by event into the shard stage.
+    /// Replays a trace blob (flat v1 or framed v2) chunk by chunk, through
+    /// the serial engine or the shard stage; both read [`trace_chunks`].
     fn trace(&self, data: &[u8]) -> Result<AnalysisOutcome, AnalyzeError> {
         match self.plan() {
-            Some(plan) => self.sharded(&plan, || trace_events(data, self.lenient)),
+            Some(plan) => self.sharded(&plan, || trace_chunks(data, self.lenient)),
             None => {
-                let chunks = source::chunks(trace_chunks(data, self.lenient));
-                let out = run_analysis(chunks, self.detector())?;
+                let chunks = trace_chunks(data, self.lenient).filter_map(Result::transpose);
+                let out = run_analysis(source::chunks(chunks), self.detector())?;
                 Ok(AnalysisOutcome::from_dtrg(out.report, out.counters))
             }
         }
     }
 
     /// Replays a decoded event slice: the batched in-memory path for the
-    /// serial engine, synthetic chunks for the shard stage.
+    /// serial engine, slices of it for the shard stage.
     fn events(&self, events: &[Event]) -> Result<AnalysisOutcome, AnalyzeError> {
         match self.plan() {
-            Some(plan) => self.sharded(&plan, || {
-                let ok = events
-                    .iter()
-                    .cloned()
-                    .map(Ok as fn(_) -> Result<_, TraceError>);
-                SyntheticChunks::new(ok, SYNTHETIC_CHUNK_EVENTS)
-            }),
+            Some(plan) => self.sharded(&plan, || event_chunks(events)),
             None => {
                 let out = run_analysis_recorded(events, self.detector());
                 Ok(AnalysisOutcome::from_dtrg(out.report, out.counters))
@@ -349,18 +337,19 @@ impl Options {
         }
     }
 
-    /// Runs the shard stage under `plan` over the streams `make_events`
-    /// opens (one per restart).
-    fn sharded<I>(
+    /// Runs the shard stage under `plan` over the chunk streams
+    /// `make_chunks` opens (one more for a degraded run).
+    fn sharded<C, I>(
         &self,
         plan: &SupervisorPlan,
-        make_events: impl Fn() -> I,
+        make_chunks: impl Fn() -> I,
     ) -> Result<AnalysisOutcome, AnalyzeError>
     where
-        I: ChunkedEvents + Iterator<Item = Result<Event, TraceError>>,
+        C: AsRef<[Event]>,
+        I: Iterator<Item = Result<Option<C>, TraceError>>,
     {
         let timer = Timer::start();
-        let out = run_supervised(make_events, self.factory(), plan, None).map_err(|e| match e {
+        let out = run_supervised(make_chunks, self.factory(), plan, None).map_err(|e| match e {
             SuperviseError::Stream(e) => AnalyzeError::Trace(e),
             other => AnalyzeError::Supervise(other.to_string()),
         })?;
@@ -372,17 +361,7 @@ impl Options {
         else {
             unreachable!("no stop_after requested, the run must complete");
         };
-        let engine = EngineCounters {
-            events: stats.events,
-            control_events: stats.control_events,
-            reads: stats.reads,
-            writes: stats.writes,
-            wall_ms: timer.elapsed_ms(),
-            shard_restarts: supervision.shard_restarts,
-            degradations: supervision.degradations,
-            resumed_from_checkpoint: supervision.resumed_from_checkpoint,
-            ..EngineCounters::default()
-        };
+        let engine = stats.engine_counters(&supervision, timer.elapsed_ms());
         let mut outcome = AnalysisOutcome::from_dtrg(report, engine);
         outcome.sharding = Some(stats);
         // A clean plain run has nothing to report; a degraded one says so.

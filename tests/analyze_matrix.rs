@@ -7,8 +7,9 @@
 
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::detector::DetectorConfig;
-use futrace::offline::StreamWriter;
+use futrace::offline::{framed, StreamWriter};
 use futrace::runtime::{replay, run_serial, trace, Event, EventLog};
+use futrace::util::crc32::crc32;
 use futrace::util::propcheck::{self, strategies, Config};
 use futrace::{Analyze, AnalyzeError};
 
@@ -122,4 +123,139 @@ fn invalid_options_are_structured_errors_for_every_source() {
             .expect_err("shards(0) must not run supervised either");
         assert!(matches!(err, AnalyzeError::Config(_)), "{name}: {err}");
     }
+}
+
+/// The log cut into chunks of at most 16 events, with its longest run of
+/// consecutive accesses (at least two) a chunk of its own, whose index is
+/// returned with the chunks. Dropping an access-only chunk leaves a stream
+/// every backend can check. `None` when the log has no such run.
+fn chunks_around_an_access_run(events: &[Event]) -> Option<(Vec<&[Event]>, usize)> {
+    let mut run = 0..0;
+    let mut start = None;
+    for (i, e) in events.iter().enumerate() {
+        if matches!(e, Event::Read(..) | Event::Write(..)) {
+            let s = *start.get_or_insert(i);
+            if i + 1 - s > run.len() {
+                run = s..i + 1;
+            }
+        } else {
+            start = None;
+        }
+    }
+    if run.len() < 2 {
+        return None;
+    }
+    let mut chunks: Vec<&[Event]> = events[..run.start].chunks(16).collect();
+    let victim = chunks.len();
+    chunks.push(&events[run.clone()]);
+    chunks.extend(events[run.end..].chunks(16));
+    Some((chunks, victim))
+}
+
+/// Chunk-local damage a lenient read must drop whole.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    /// A payload byte flipped after its CRC was taken.
+    CrcFlip,
+    /// A CRC-valid chunk whose header declares one event fewer than it
+    /// holds.
+    Miscount,
+    /// A CRC-valid chunk whose payload stops decoding after half its
+    /// events.
+    StopsDecoding,
+}
+
+/// Frames `chunks` one framed chunk each, with `damage` done to chunk
+/// `victim`.
+fn damaged_blob(chunks: &[&[Event]], victim: usize, damage: Damage) -> Vec<u8> {
+    let mut blob = Vec::from(framed::MAGIC);
+    blob.push(framed::VERSION);
+    for (i, chunk) in chunks.iter().enumerate() {
+        let mut payload = trace::encode(chunk);
+        let mut declared = chunk.len() as u32;
+        let mut crc = crc32(&payload);
+        if i == victim {
+            match damage {
+                Damage::CrcFlip => payload[0] ^= 0x40,
+                Damage::Miscount => declared -= 1,
+                Damage::StopsDecoding => {
+                    payload = trace::encode(&chunk[..chunk.len() / 2]);
+                    payload.push(99); // no event has tag 99
+                    crc = crc32(&payload);
+                }
+            }
+        }
+        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        blob.extend_from_slice(&declared.to_le_bytes());
+        blob.extend_from_slice(&crc.to_le_bytes());
+        blob.extend_from_slice(&payload);
+    }
+    blob
+}
+
+/// `Analyze` over `blob` through backend `which` of five: serial,
+/// `shards` 1, 2 and 4, and supervised with a snapshot at every chunk.
+fn backend(blob: &[u8], which: usize) -> Analyze<'_> {
+    let a = Analyze::trace_bytes(blob);
+    match which {
+        0 => a,
+        1 => a.shards(1),
+        2 => a.shards(2),
+        3 => a.shards(4),
+        _ => a.shards(2).checkpoint_every(1),
+    }
+}
+
+#[test]
+fn every_lenient_backend_checks_exactly_the_intact_chunks() {
+    let config = Config::named("cargo test --test analyze_matrix").cases(16);
+    let damaged = std::cell::Cell::new(0u32);
+    propcheck::check(&config, &strategies::any_u64(), |seed| {
+        let log = record(seed);
+        let Some((chunks, victim)) = chunks_around_an_access_run(&log.events) else {
+            return; // no access run to damage
+        };
+        damaged.set(damaged.get() + 1);
+        let intact: Vec<Event> = chunks
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != victim)
+            .flat_map(|(_, chunk)| chunk.iter().cloned())
+            .collect();
+        let want = Analyze::events(&intact)
+            .run()
+            .expect("the intact events check");
+
+        for damage in [Damage::CrcFlip, Damage::Miscount, Damage::StopsDecoding] {
+            let blob = damaged_blob(&chunks, victim, damage);
+            for which in 0..5 {
+                let ctx = format!("seed {seed} {damage:?} backend {which}");
+                let got = backend(&blob, which)
+                    .lenient(true)
+                    .run()
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_eq!(
+                    got.engine.events, want.engine.events,
+                    "{ctx}: events checked"
+                );
+                assert_eq!(got.races.races, want.races.races, "{ctx}");
+                assert_eq!(got.races.total_detected, want.races.total_detected, "{ctx}");
+                if let Some(sharding) = &got.sharding {
+                    assert_eq!(sharding.skipped_chunks, 1, "{ctx}");
+                }
+
+                let err = backend(&blob, which).run().expect_err("strict reads fail");
+                assert!(matches!(err, AnalyzeError::Trace(_)), "{ctx}: {err}");
+                assert!(
+                    err.to_string().contains(&format!("chunk {victim} ")),
+                    "{ctx}: {err}"
+                );
+            }
+        }
+    });
+    assert!(
+        damaged.get() > 8,
+        "too few programs with an access run ({})",
+        damaged.get()
+    );
 }

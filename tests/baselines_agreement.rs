@@ -18,10 +18,11 @@ use futrace::benchsuite::randomprog::{execute, generate, GenParams, Program};
 use futrace::detector::RaceDetector;
 use futrace::Analyze;
 use futrace::offline::{
-    run_supervised, trace_events, ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan,
+    run_supervised, trace_chunks, ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan,
+    TraceError,
 };
 use futrace::runtime::engine::{run_analysis, run_analysis_live, source, Analysis};
-use futrace::runtime::run_serial;
+use futrace::runtime::{run_serial, Event};
 use futrace::util::propcheck::{self, strategies, Config};
 
 #[test]
@@ -137,6 +138,11 @@ fn record_framed(prog: &Program) -> Vec<u8> {
     blob
 }
 
+/// The decoded chunks of a strict read of `blob`, for the serial engine.
+fn intact_chunks(blob: &[u8]) -> impl Iterator<Item = Result<Vec<Event>, TraceError>> + '_ {
+    trace_chunks(blob, false).filter_map(Result::transpose)
+}
+
 /// Runs one detector live and replayed-from-frames, asserting that the
 /// verdicts and the engine's stream accounting agree.
 fn assert_live_matches_replay<A, F, R>(name: &str, seed: u64, prog: &Program, blob: &[u8], make: F, racy: R)
@@ -151,7 +157,7 @@ where
         },
         make(),
     );
-    let replayed = run_analysis(source::stream(trace_events(blob, false)), make())
+    let replayed = run_analysis(source::chunks(intact_chunks(blob)), make())
         .unwrap_or_else(|e| panic!("{name}, seed {seed}: replay failed: {e}"));
     assert_eq!(
         racy(&live.report),
@@ -201,13 +207,11 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
         // The loc-routable detectors must also agree when the same frames
         // are sharded across 3 workers.
         let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
-        let serial = run_analysis(
-            source::stream(trace_events(b, false)),
-            RaceDetector::new(),
-        )
-        .expect("serial dtrg");
-        let Ok(SupervisedOutcome::Completed { report: sharded, .. }) =
-            run_supervised(|| trace_events(b, false), RaceDetector::new, &plan, None)
+        let serial = run_analysis(source::chunks(intact_chunks(b)), RaceDetector::new())
+            .expect("serial dtrg");
+        let Ok(SupervisedOutcome::Completed {
+            report: sharded, ..
+        }) = run_supervised(|| trace_chunks(b, false), RaceDetector::new, &plan, None)
         else {
             panic!("sharded dtrg, seed {seed}");
         };
@@ -215,13 +219,16 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
             serial.report.report.races, sharded.report.races,
             "dtrg sharded, seed {seed}"
         );
-        let serial_vc = run_analysis(
-            source::stream(trace_events(b, false)),
-            VectorClockDetector::new(),
+        let serial_vc = run_analysis(source::chunks(intact_chunks(b)), VectorClockDetector::new())
+            .expect("serial vc");
+        let Ok(SupervisedOutcome::Completed {
+            report: sharded_vc, ..
+        }) = run_supervised(
+            || trace_chunks(b, false),
+            VectorClockDetector::new,
+            &plan,
+            None,
         )
-        .expect("serial vc");
-        let Ok(SupervisedOutcome::Completed { report: sharded_vc, .. }) =
-            run_supervised(|| trace_events(b, false), VectorClockDetector::new, &plan, None)
         else {
             panic!("sharded vc, seed {seed}");
         };

@@ -16,10 +16,7 @@ use std::convert::Infallible;
 
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::detector::{DetectorConfig, RaceDetector, RaceReport};
-use futrace::offline::{
-    run_supervised, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
-    SYNTHETIC_CHUNK_EVENTS,
-};
+use futrace::offline::{event_chunks, run_supervised, SupervisedOutcome, SupervisorPlan};
 use futrace::runtime::engine::{run_analysis, source};
 use futrace::runtime::{run_serial, Event, EventLog};
 use futrace::util::propcheck::{self, strategies, Config};
@@ -48,12 +45,9 @@ fn serial_report(events: &[Event], caching: bool) -> RaceReport {
 }
 
 fn sharded_report(events: &[Event], shards: usize, caching: bool) -> RaceReport {
-    let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
-    let it = || {
-        let events = events.iter().cloned().map(Ok::<_, Infallible>);
-        SyntheticChunks::new(events, SYNTHETIC_CHUNK_EVENTS)
-    };
-    match run_supervised(it, || with_caching(caching), &plan, None) {
+    let plan = SupervisorPlan::for_shards(Some(shards), false);
+    let chunks = || event_chunks::<Infallible>(events);
+    match run_supervised(chunks, || with_caching(caching), &plan, None) {
         Ok(SupervisedOutcome::Completed { report, .. }) => report.report,
         _ => unreachable!("an in-memory stream without a resume always completes"),
     }
