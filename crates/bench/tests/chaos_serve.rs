@@ -353,6 +353,7 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
                 &mut stream,
                 &Message::Chunk {
                     seq: seq as u64,
+                    event_count: None,
                     payload: payload.clone(),
                 },
             )
@@ -523,7 +524,12 @@ fn a_panicking_chunk_fails_only_its_own_session() {
         Some(Message::Hello { .. })
     ));
     let payload = trace::encode(&[Event::TaskEnd(TaskId(50))]);
-    write_frame(&mut stream, &Message::Chunk { seq: 0, payload }).expect("send chunk");
+    let chunk = Message::Chunk {
+        seq: 0,
+        event_count: None,
+        payload,
+    };
+    write_frame(&mut stream, &chunk).expect("send chunk");
     match read_frame(&mut stream).expect("reply") {
         Some(Message::Error {
             code: ErrorCode::Analysis,

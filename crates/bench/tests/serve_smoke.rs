@@ -268,6 +268,7 @@ fn killed_client_leaves_a_resumable_checkpoint() {
                 &mut stream,
                 &Message::Chunk {
                     seq: seq as u64,
+                    event_count: None,
                     payload: payload.clone(),
                 },
             )
@@ -395,6 +396,7 @@ fn draining_daemon_suspends_inflight_sessions() {
             &mut stream,
             &Message::Chunk {
                 seq: seq as u64,
+                event_count: None,
                 payload: payload.clone(),
             },
         )
@@ -540,6 +542,48 @@ fn lenient_client_skips_the_chunks_lenient_analyze_skips() {
 
     let (dcode, summary) = daemon.shutdown();
     assert_eq!(dcode, Some(0), "daemon drain: {summary}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_miscounted_chunk_fails_the_stream_as_it_fails_analyze() {
+    // Chunk 0 of prodcons_racy declares one event fewer than it holds.
+    // The count is outside the CRC, so the chunk is CRC-valid; analyze
+    // and every client mode must refuse it with the same error.
+    let dir = scratch_dir("miscount");
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/prodcons_racy.ftrc");
+    let mut blob = std::fs::read(fixture).expect("fixture");
+    let at = framed::HEADER_LEN + 4;
+    let declared = u32::from_le_bytes(blob[at..at + 4].try_into().unwrap());
+    blob[at..at + 4].copy_from_slice(&(declared - 1).to_le_bytes());
+    let file = dir.join("miscounted.ftrc");
+    std::fs::write(&file, &blob).expect("write copy");
+
+    let analyze = tracetool().arg("analyze").arg(&file).output().expect("run analyze");
+    let stderr = String::from_utf8_lossy(&analyze.stderr);
+    assert_eq!(analyze.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("event count mismatch"), "{stderr}");
+
+    let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    for extra in [&[][..], &["--chunk-events", "8"][..]] {
+        let out = tracetool()
+            .arg("client")
+            .arg(&daemon.addr)
+            .arg(&file)
+            .args(extra)
+            .output()
+            .expect("run client");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains("event count mismatch"), "{extra:?}: {stderr}");
+    }
+    // The session that received the chunk failed on the daemon; the
+    // re-chunking client refused it before opening one.
+    let (dcode, summary) = daemon.shutdown();
+    assert_eq!(dcode, Some(1), "daemon drain: {summary}");
+    assert!(summary.contains("0 session(s) finished"), "{summary}");
+    assert!(summary.contains(" 1 error(s)"), "{summary}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -262,7 +262,7 @@ mod tests {
             let _ = sw_run(ctx, &p, false);
         });
         assert!(
-            stats.readers_at_access.max().unwrap() >= 2.0,
+            stats.readers_at_access.max().unwrap() >= 2,
             "some cell must be watched by two parallel future readers"
         );
     }

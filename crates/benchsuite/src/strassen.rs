@@ -400,7 +400,7 @@ mod tests {
         let (_, stats) = detect_races_with_stats(|ctx| {
             let _ = strassen_run(ctx, &p);
         });
-        assert!(stats.readers_at_access.max().unwrap() >= 2.0);
+        assert!(stats.readers_at_access.max().unwrap() >= 2);
     }
 
     #[test]

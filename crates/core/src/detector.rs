@@ -36,13 +36,16 @@
 
 use crate::dtrg::Dtrg;
 use crate::report::{AccessKind, Race, RaceReport};
-use crate::shadow::{LastClean, Readers, ShadowCell, ShadowMemory};
+use crate::shadow::{
+    LastClean, Readers, ShadowCell, ShadowMemory, MAX_CACHED_EPOCH, PROBE_MISS_LIMIT,
+};
 use crate::stats::DetectorStats;
 use futrace_runtime::engine::{Analysis, Checkpointable, LocRoutable, StateError};
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 #[cfg(test)]
 use futrace_runtime::run_serial;
 use futrace_util::ids::{FinishId, LocId, TaskId};
+use futrace_util::stats::{Moments, Tally};
 use futrace_util::{wire, FxHashSet};
 
 /// Detector configuration.
@@ -52,7 +55,7 @@ pub struct DetectorConfig {
     /// continues past the cap; only storage is bounded).
     pub max_reports: usize,
     /// Sample the stored-reader count on every access to produce Table 2's
-    /// #AvgReaders column. Costs a few flops per access.
+    /// #AvgReaders column. Costs one increment per access.
     pub track_avg_readers: bool,
     /// Stop race *checking* after the first detected race. The detector is
     /// exact only up to the first race anyway (Theorem 2's first-race
@@ -116,6 +119,12 @@ pub struct RaceDetector {
     total_detected: u64,
     access_index: u64,
     config: DetectorConfig,
+    /// Scratch for a write check: the stored readers it found racy, to
+    /// report once its cell borrow ends. Empty between checks.
+    racy_readers: Vec<TaskId>,
+    /// Stored readers at each checked access; [`RaceDetector::stats`]
+    /// reports them as `DetectorStats::readers_at_access`.
+    reader_samples: Tally,
 }
 
 impl Default for RaceDetector {
@@ -144,6 +153,8 @@ impl RaceDetector {
             total_detected: 0,
             access_index: 0,
             config,
+            racy_readers: Vec::new(),
+            reader_samples: Tally::default(),
         }
     }
 
@@ -169,6 +180,7 @@ impl RaceDetector {
     /// Statistics accumulated so far (DTRG counters included).
     pub fn stats(&self) -> DetectorStats {
         let mut s = self.stats.clone();
+        s.readers_at_access = self.reader_samples.moments();
         s.dtrg = self.dtrg.counters;
         s
     }
@@ -276,13 +288,23 @@ impl RaceDetector {
     /// replay numbers them in the router (one global stream) so every
     /// shard's race reports carry indices from the *same* sequence and the
     /// merged report is identical to the serial one.
+    ///
+    /// The check looks its cell up once: the reader sample, the probe, the
+    /// reader filter, the writer check and the write-back all go through
+    /// that one borrow (`shadow`, `dtrg` and the scratch list are disjoint
+    /// fields), and the races found are reported once it ends, readers
+    /// first and then the writer, as Algorithm 8 meets them.
     pub fn check_write_at(&mut self, task: TaskId, loc: LocId, index: u64) {
         self.access_index = index;
         self.stats.writes += 1;
         if !self.checking() {
             return;
         }
-        self.sample_readers(loc);
+        let cell = self.shadow.cell_mut(loc);
+        if self.config.track_avg_readers {
+            self.reader_samples.push(cell.readers.len() as u32);
+        }
+        let epoch = self.dtrg.epoch();
 
         // Fast path: the cell's last check was this exact (task, write)
         // pair under an unchanged graph epoch, and it came back clean. The
@@ -295,142 +317,102 @@ impl RaceDetector {
         // miss streak and stop being probed (DESIGN S43) — the probe is
         // pure overhead there. A hit resets the streak, so cells that do
         // serve hits keep their fast path.
-        if self.config.caching {
-            let epoch = self.dtrg.epoch();
-            let cell = self.shadow.cell_mut(loc);
-            if cell.probe_enabled() {
-                let want = Some(LastClean {
-                    task,
-                    write: true,
-                    epoch,
-                });
-                if cell.last_clean == want {
-                    cell.probe_misses = 0;
-                    self.dtrg.counters.shadow_hits += 1;
-                    return;
-                }
-                cell.probe_misses += 1;
-            }
+        if self.config.caching && cell.probe(task, true, epoch) {
+            self.dtrg.counters.shadow_hits += 1;
+            return;
         }
-        let detected_before = self.total_detected;
 
         // Readers: every stored reader must precede the writer; preceding
         // readers are removed (subsumed by the new writer), racy readers
         // are kept, as in the paper, so later accesses also check them.
-        let readers = std::mem::take(&mut self.shadow.cell_mut(loc).readers);
-        let mut kept = Readers::Empty;
-        for x in readers.iter() {
-            if self.dtrg.precede(x, task) {
-                // removed
-            } else {
-                self.report(loc, x, AccessKind::Read, task, AccessKind::Write);
-                kept.push(x);
+        let (dtrg, racy) = (&mut self.dtrg, &mut self.racy_readers);
+        cell.readers.retain(|x| {
+            let ordered = dtrg.precede(x, task);
+            if !ordered {
+                racy.push(x);
             }
-        }
+            !ordered
+        });
 
         // Previous writer must precede.
-        let prev_w = self.shadow.cell(loc).and_then(|c| c.writer);
-        if let Some(w) = prev_w {
-            if !self.dtrg.precede(w, task) {
-                self.report(loc, w, AccessKind::Write, task, AccessKind::Write);
-            }
-        }
+        let racy_writer = cell.writer().filter(|&w| !dtrg.precede(w, task));
+        cell.set_writer(Some(task));
 
         // A racy check must clear the cache: repeating it has to re-count
         // the race, exactly as the uncached detector does.
-        let clean = self.config.caching && self.total_detected == detected_before;
-        let epoch = self.dtrg.epoch();
-        let cell = self.shadow.cell_mut(loc);
-        cell.readers = kept;
-        cell.writer = Some(task);
-        cell.last_clean = clean.then_some(LastClean {
+        let clean = racy.is_empty() && racy_writer.is_none();
+        cell.set_last_clean((self.config.caching && clean).then_some(LastClean {
             task,
             write: true,
             epoch,
-        });
+        }));
+        if clean {
+            return;
+        }
+        for i in 0..self.racy_readers.len() {
+            let x = self.racy_readers[i];
+            self.report(loc, x, AccessKind::Read, task, AccessKind::Write);
+        }
+        self.racy_readers.clear();
+        if let Some(w) = racy_writer {
+            self.report(loc, w, AccessKind::Write, task, AccessKind::Write);
+        }
     }
 
     /// Algorithm 9's read check at an explicit global access index (see
-    /// [`RaceDetector::check_write_at`] for why the index is external).
+    /// [`RaceDetector::check_write_at`] for why the index is external and
+    /// how the one cell lookup is shared).
     pub fn check_read_at(&mut self, task: TaskId, loc: LocId, index: u64) {
         self.access_index = index;
         self.stats.reads += 1;
         if !self.checking() {
             return;
         }
-        self.sample_readers(loc);
+        let cell = self.shadow.cell_mut(loc);
+        if self.config.track_avg_readers {
+            self.reader_samples.push(cell.readers.len() as u32);
+        }
+        let epoch = self.dtrg.epoch();
 
         // Fast path: see `check_write_at` — a repeated clean read by the
         // same task under the same epoch leaves the cell byte-identical
-        // (the take/re-push loop preserves reader order). Same adaptive
+        // (the in-place filter keeps reader order). Same adaptive
         // miss-streak bypass as the write probe.
-        if self.config.caching {
-            let epoch = self.dtrg.epoch();
-            let cell = self.shadow.cell_mut(loc);
-            if cell.probe_enabled() {
-                let want = Some(LastClean {
-                    task,
-                    write: false,
-                    epoch,
-                });
-                if cell.last_clean == want {
-                    cell.probe_misses = 0;
-                    self.dtrg.counters.shadow_hits += 1;
-                    return;
-                }
-                cell.probe_misses += 1;
-            }
+        if self.config.caching && cell.probe(task, false, epoch) {
+            self.dtrg.counters.shadow_hits += 1;
+            return;
         }
-        let detected_before = self.total_detected;
 
         // Previous writer must precede the reader.
-        let prev_w = self.shadow.cell(loc).and_then(|c| c.writer);
-        if let Some(w) = prev_w {
-            if !self.dtrg.precede(w, task) {
-                self.report(loc, w, AccessKind::Write, task, AccessKind::Read);
-            }
-        }
+        let dtrg = &mut self.dtrg;
+        let racy_writer = cell.writer().filter(|&w| !dtrg.precede(w, task));
 
-        let cur_is_future = self.dtrg.is_future(task);
-        let readers = std::mem::take(&mut self.shadow.cell_mut(loc).readers);
-        let mut kept = Readers::Empty;
+        let cur_is_future = dtrg.is_future(task);
         let mut add = true;
-        for x in readers.iter() {
-            if self.dtrg.precede(x, task) {
+        cell.readers.retain(|x| {
+            if dtrg.precede(x, task) {
                 // Superseded: any future conflict with x is also a conflict
                 // with the current reader (Lemma 3).
-            } else {
-                kept.push(x);
-                if !cur_is_future && !self.dtrg.is_future(x) {
-                    // Parallel async pair: Lemma 4 makes the stored async
-                    // reader a sufficient representative.
-                    add = false;
-                }
+                return false;
             }
-        }
+            if !cur_is_future && !dtrg.is_future(x) {
+                // Parallel async pair: Lemma 4 makes the stored async
+                // reader a sufficient representative.
+                add = false;
+            }
+            true
+        });
         if add {
-            kept.push(task);
+            cell.readers.push(task);
         }
-        let clean = self.config.caching && self.total_detected == detected_before;
-        let epoch = self.dtrg.epoch();
-        let cell = self.shadow.cell_mut(loc);
-        cell.readers = kept;
-        cell.last_clean = clean.then_some(LastClean {
+        let clean = racy_writer.is_none();
+        cell.set_last_clean((self.config.caching && clean).then_some(LastClean {
             task,
             write: false,
             epoch,
-        });
-    }
-
-    #[inline]
-    fn sample_readers(&mut self, loc: LocId) {
-        if self.config.track_avg_readers {
-            let n = self
-                .shadow
-                .cell(loc)
-                .map(|c| c.readers.len())
-                .unwrap_or(0);
-            self.stats.readers_at_access.push(n as f64);
+        }));
+        if let Some(w) = racy_writer {
+            self.report(loc, w, AccessKind::Write, task, AccessKind::Read);
         }
     }
 }
@@ -598,7 +580,11 @@ impl LocRoutable for RaceDetector {
 /// added the per-cell probe miss streak for the same reason: a cell whose
 /// probe was adaptively disabled must stay disabled across a resume, or
 /// the resumed run's hit/miss counters diverge from the straight run's.
-const DTRG_STATE_VERSION: u64 = 3;
+/// Version 4 carries the reader-count distribution as exact integer
+/// moments (count, sum, sum of squares, min, max) instead of a Welford
+/// mean and variance, and bounds a cell's last-clean epoch by
+/// [`MAX_CACHED_EPOCH`], the largest a packed cell can hold.
+const DTRG_STATE_VERSION: u64 = 4;
 
 /// Varints a shadow cell takes besides its readers: index, writer flag
 /// and task, reader count, last-clean flag, task, write flag and epoch,
@@ -634,7 +620,7 @@ impl RaceDetector {
             listed += 1;
             w.reserve((CELL_VARINTS + cell.readers.len()) * wire::MAX_VARINT_LEN);
             w.varint(idx as u64);
-            match cell.writer {
+            match cell.writer() {
                 Some(t) => {
                     w.varint(1);
                     w.varint(t.0 as u64);
@@ -645,7 +631,7 @@ impl RaceDetector {
             for r in cell.readers.iter() {
                 w.varint(r.0 as u64);
             }
-            match cell.last_clean {
+            match cell.last_clean() {
                 Some(lc) => {
                     w.varint(1);
                     w.varint(lc.task.0 as u64);
@@ -654,7 +640,7 @@ impl RaceDetector {
                 }
                 None => w.varint(0),
             }
-            w.varint(cell.probe_misses as u64);
+            w.varint(cell.probe_misses() as u64);
         }
         assert_eq!(listed, count, "the cell count must match the cells listed");
 
@@ -693,12 +679,9 @@ impl RaceDetector {
         // explicitly.
         w.put_varint(self.stats.reads);
         w.put_varint(self.stats.writes);
-        let (count, mean, m2, min, max) = self.stats.readers_at_access.to_raw();
-        w.put_varint(count);
-        w.put_f64(mean);
-        w.put_f64(m2);
-        w.put_f64(min);
-        w.put_f64(max);
+        for v in moment_words(&self.reader_samples.moments()) {
+            w.put_varint(v);
+        }
         w.put_varint(self.dtrg.counters.precede_calls);
         w.put_varint(self.dtrg.counters.visit_expansions);
         w.put_varint(self.dtrg.counters.memo_hits);
@@ -721,7 +704,7 @@ impl RaceDetector {
         wire::put_varint(out, cells.len() as u64);
         for &(idx, cell) in cells {
             wire::put_varint(out, idx as u64);
-            match cell.writer {
+            match cell.writer() {
                 Some(w) => {
                     wire::put_varint(out, 1);
                     wire::put_varint(out, w.0 as u64);
@@ -732,7 +715,7 @@ impl RaceDetector {
             for r in cell.readers.iter() {
                 wire::put_varint(out, r.0 as u64);
             }
-            match cell.last_clean {
+            match cell.last_clean() {
                 Some(lc) => {
                     wire::put_varint(out, 1);
                     wire::put_varint(out, lc.task.0 as u64);
@@ -741,7 +724,7 @@ impl RaceDetector {
                 }
                 None => wire::put_varint(out, 0),
             }
-            wire::put_varint(out, cell.probe_misses as u64);
+            wire::put_varint(out, cell.probe_misses() as u64);
         }
 
         wire::put_varint(out, self.access_index);
@@ -779,12 +762,14 @@ impl RaceDetector {
         // explicitly.
         wire::put_varint(out, self.stats.reads);
         wire::put_varint(out, self.stats.writes);
-        let (count, mean, m2, min, max) = self.stats.readers_at_access.to_raw();
-        wire::put_varint(out, count);
-        wire::put_f64(out, mean);
-        wire::put_f64(out, m2);
-        wire::put_f64(out, min);
-        wire::put_f64(out, max);
+        let m = self.reader_samples.moments();
+        wire::put_varint(out, m.count);
+        wire::put_varint(out, m.sum as u64);
+        wire::put_varint(out, (m.sum >> 64) as u64);
+        wire::put_varint(out, m.sum_sq as u64);
+        wire::put_varint(out, (m.sum_sq >> 64) as u64);
+        wire::put_varint(out, m.min as u64);
+        wire::put_varint(out, m.max as u64);
         wire::put_varint(out, self.dtrg.counters.precede_calls);
         wire::put_varint(out, self.dtrg.counters.visit_expansions);
         wire::put_varint(out, self.dtrg.counters.memo_hits);
@@ -879,6 +864,12 @@ impl Checkpointable for RaceDetector {
                         }
                     };
                     let epoch = c.varint("last-clean epoch")?;
+                    if epoch > MAX_CACHED_EPOCH {
+                        return Err(StateError(format!(
+                            "last-clean epoch {epoch} exceeds the cacheable bound \
+                             {MAX_CACHED_EPOCH}"
+                        )));
+                    }
                     Some(LastClean { task, write, epoch })
                 }
                 other => {
@@ -886,17 +877,12 @@ impl Checkpointable for RaceDetector {
                 }
             };
             let probe_misses = c.varint("probe miss streak")?;
-            if probe_misses > u8::MAX as u64 {
+            if probe_misses > PROBE_MISS_LIMIT as u64 {
                 return Err(StateError(format!(
                     "probe miss streak {probe_misses} out of range"
                 )));
             }
-            let cell = ShadowCell {
-                writer,
-                readers,
-                last_clean,
-                probe_misses: probe_misses as u8,
-            };
+            let cell = ShadowCell::new(writer, readers, last_clean, probe_misses as u8);
             cells.push((LocId(idx as u32), cell));
         }
         let bound = cells
@@ -954,13 +940,25 @@ impl Checkpointable for RaceDetector {
 
         self.stats.reads = c.varint("stats reads")?;
         self.stats.writes = c.varint("stats writes")?;
-        let count = c.varint("readers count")?;
-        let mean = c.f64("readers mean")?;
-        let m2 = c.f64("readers m2")?;
-        let min = c.f64("readers min")?;
-        let max = c.f64("readers max")?;
-        self.stats.readers_at_access =
-            futrace_util::stats::Running::from_raw((count, mean, m2, min, max));
+        let count = c.varint("reader samples")?;
+        let wide = |c: &mut wire::Cursor<'_>, what| -> Result<u128, StateError> {
+            let lo = c.varint(what)?;
+            Ok(u128::from(lo) | u128::from(c.varint(what)?) << 64)
+        };
+        let sum = wide(&mut c, "reader sum")?;
+        let sum_sq = wide(&mut c, "reader square sum")?;
+        let narrow = |v: u64, what: &str| {
+            u32::try_from(v).map_err(|_| StateError(format!("{what} {v} out of range")))
+        };
+        let min = narrow(c.varint("reader min")?, "reader min")?;
+        let max = narrow(c.varint("reader max")?, "reader max")?;
+        self.reader_samples = Tally::from(Moments {
+            count,
+            sum,
+            sum_sq,
+            min,
+            max,
+        });
         self.dtrg.counters.precede_calls = c.varint("precede calls")?;
         self.dtrg.counters.visit_expansions = c.varint("visit expansions")?;
         self.dtrg.counters.memo_hits = c.varint("memo hits")?;
@@ -975,6 +973,20 @@ impl Checkpointable for RaceDetector {
         }
         Ok(())
     }
+}
+
+/// The reader-count moments as the state blob carries them: the count,
+/// each 128-bit sum as its low and high words, the min and the max.
+fn moment_words(m: &Moments) -> [u64; 7] {
+    [
+        m.count,
+        m.sum as u64,
+        (m.sum >> 64) as u64,
+        m.sum_sq as u64,
+        (m.sum_sq >> 64) as u64,
+        m.min as u64,
+        m.max as u64,
+    ]
 }
 
 fn kind_code(k: AccessKind) -> u64 {
@@ -1469,8 +1481,7 @@ mod tests {
                 "cut={cut}"
             );
             assert_eq!(
-                got_stats.readers_at_access.to_raw(),
-                want_stats.readers_at_access.to_raw(),
+                got_stats.readers_at_access, want_stats.readers_at_access,
                 "cut={cut}"
             );
             let got = resumed.into_report();
@@ -1731,8 +1742,14 @@ mod tests {
     fn encoder_matches_the_reference_at_varint_boundaries() {
         // Every field at each boundary, clamped to the field's width. The
         // cell indices need no shadow memory behind them: the encoder
-        // writes whatever index it is handed.
-        for v in [0u64, 127, 128, 1 << 14, u32::MAX as u64, u64::MAX] {
+        // writes whatever index it is handed. The values take every
+        // varint length; a cell's last-clean epoch is clamped to
+        // `MAX_CACHED_EPOCH` (2^58 - 1, a 9-byte varint, the longest a
+        // cell can hold), and the 128-bit moment sums take every
+        // boundary in both words.
+        let boundaries = [0u64, 127, 128, 1 << 14, 1 << 21, 1 << 28, u32::MAX as u64, 1 << 35];
+        let long = [1 << 42, 1 << 49, 1 << 56, MAX_CACHED_EPOCH, u64::MAX];
+        for v in boundaries.into_iter().chain(long) {
             let v32 = v.min(u32::MAX as u64) as u32;
             let mut det = RaceDetector::new();
             det.shadow.grow_to(v.min(1 << 14) as usize);
@@ -1754,8 +1771,13 @@ mod tests {
                 .insert((LocId(v32), TaskId(v32), TaskId(0), v.min(255) as u8));
             det.stats.reads = v;
             det.stats.writes = v;
-            det.stats.readers_at_access =
-                futrace_util::stats::Running::from_raw((v, v as f64, -0.0, f64::MIN, f64::MAX));
+            det.reader_samples = Tally::from(Moments {
+                count: v,
+                sum: u128::from(v) << 64 | u128::from(v),
+                sum_sq: u128::from(v) << 64,
+                min: v32,
+                max: v32,
+            });
             let c = &mut det.dtrg.counters;
             c.precede_calls = v;
             c.visit_expansions = v;
@@ -1771,16 +1793,18 @@ mod tests {
             };
             let cells: Vec<(usize, ShadowCell)> = (0..3)
                 .map(|n| {
-                    let cell = ShadowCell {
-                        writer: (n > 0).then_some(TaskId(v32)),
-                        readers: readers(n),
-                        last_clean: (n > 1).then_some(LastClean {
-                            task: TaskId(v32),
-                            write: n == 2,
-                            epoch: v,
-                        }),
-                        probe_misses: v.min(255) as u8,
-                    };
+                    let last_clean = (n > 1).then_some(LastClean {
+                        task: TaskId(v32),
+                        write: n == 2,
+                        epoch: v.min(MAX_CACHED_EPOCH),
+                    });
+                    let cell = ShadowCell::new(
+                        (n > 0).then_some(TaskId(v32)),
+                        readers(n),
+                        last_clean,
+                        v.min(PROBE_MISS_LIMIT as u64) as u8,
+                    );
+                    assert_eq!(cell.last_clean(), last_clean, "boundary {v}: epoch not cached");
                     (v as usize, cell)
                 })
                 .collect();
@@ -1790,6 +1814,90 @@ mod tests {
             let mut want = Vec::new();
             det.encode_state_reference(&refs, &mut want);
             assert!(got == want, "boundary {v}: encoders diverged");
+        }
+    }
+
+    /// Replays `events` into a fresh detector's control half only (what a
+    /// checkpoint restore replays before the state blob).
+    fn control_replica(events: &[Event]) -> RaceDetector {
+        let mut det = RaceDetector::new();
+        for e in events {
+            det.apply_control(e);
+        }
+        det
+    }
+
+    /// A small clean program whose cell 0 ends with a writer and a cached
+    /// clean verdict, and the detector that checked it.
+    fn checked_program() -> (futrace_runtime::EventLog, RaceDetector) {
+        let mut log = futrace_runtime::EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let x = ctx.shared_var(0u64, "x");
+            let xr = x.clone();
+            let f = ctx.future(move |ctx| xr.read(ctx));
+            ctx.get(&f);
+            x.write(ctx, 1);
+            let _ = x.read(ctx);
+        });
+        let mut det = RaceDetector::new();
+        let mut index = 0u64;
+        for e in &log.events {
+            route(&mut det, e, &mut index);
+        }
+        (log, det)
+    }
+
+    #[test]
+    fn restore_refuses_a_version_3_blob() {
+        let (log, det) = checked_program();
+        let mut blob = Vec::new();
+        det.save_state(&mut blob);
+        assert_eq!(blob[0], 4, "the blob leads with its version");
+        blob[0] = 3;
+        let err = control_replica(&log.events).restore_state(&blob).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported dtrg state version 3 (expected 4)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn restore_refuses_a_last_clean_epoch_past_the_bound() {
+        // Cell 0 re-encoded with its cached verdict's epoch at the bound
+        // and one past it: the first restores, the second is an error.
+        let (log, det) = checked_program();
+        let cell = det.shadow.cell(LocId(0)).unwrap();
+        let lc = cell.last_clean().expect("the last read's clean verdict is cached");
+        for (epoch, ok) in [(MAX_CACHED_EPOCH, true), (MAX_CACHED_EPOCH + 1, false)] {
+            let mut blob = Vec::new();
+            wire::put_varint(&mut blob, DTRG_STATE_VERSION);
+            wire::put_varint(&mut blob, det.shadow.len() as u64);
+            wire::put_varint(&mut blob, 1);
+            wire::put_varint(&mut blob, 0); // cell index
+            wire::put_varint(&mut blob, 1);
+            wire::put_varint(&mut blob, cell.writer().unwrap().0 as u64);
+            wire::put_varint(&mut blob, cell.readers.len() as u64);
+            for r in cell.readers.iter() {
+                wire::put_varint(&mut blob, r.0 as u64);
+            }
+            wire::put_varint(&mut blob, 1);
+            wire::put_varint(&mut blob, lc.task.0 as u64);
+            wire::put_varint(&mut blob, lc.write as u64);
+            wire::put_varint(&mut blob, epoch);
+            wire::put_varint(&mut blob, 0); // probe misses
+            // Everything after the cells, from a blob that lists none.
+            let mut tail = Vec::new();
+            det.encode_state(0, std::iter::empty(), &mut tail);
+            let skip = 3; // version, shadow length, cell count: one byte each
+            blob.extend_from_slice(&tail[skip..]);
+            let got = control_replica(&log.events).restore_state(&blob);
+            match (ok, got) {
+                (true, Ok(())) => {}
+                (false, Err(e)) => {
+                    assert!(e.to_string().contains("exceeds the cacheable bound"), "{e}")
+                }
+                (_, other) => panic!("epoch {epoch}: {other:?}"),
+            }
         }
     }
 
@@ -1868,14 +1976,14 @@ mod tests {
         let far = TaskId(1_000_000);
         type Craft = fn(&mut ShadowCell, TaskId);
         let crafts: [(&str, Craft); 3] = [
-            ("writer", |c, t| c.writer = Some(t)),
+            ("writer", |c, t| c.set_writer(Some(t))),
             ("reader", |c, t| c.readers.push(t)),
             ("last-clean", |c, t| {
-                c.last_clean = Some(LastClean {
+                c.set_last_clean(Some(LastClean {
                     task: t,
                     write: false,
                     epoch: 0,
-                })
+                }))
             }),
         ];
         for (field, craft) in crafts {
@@ -1942,7 +2050,7 @@ mod tests {
             let _ = x.read(ctx);
         });
         assert!(stats.avg_readers() > 0.5, "got {}", stats.avg_readers());
-        assert!(stats.readers_at_access.max().unwrap() >= 4.0);
+        assert!(stats.readers_at_access.max().unwrap() >= 4);
     }
 }
 

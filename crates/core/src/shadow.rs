@@ -114,6 +114,8 @@ impl Iterator for ReadersIter<'_> {
 /// (DESIGN S39), so the detector can skip the reader/writer `Precede`
 /// checks entirely. Racy checks are never cached — repeating them must
 /// re-count the race, exactly as the uncached detector does.
+///
+/// This is the unpacked view of the verdict a [`ShadowCell`] stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LastClean {
     /// The task whose check came back clean.
@@ -132,27 +134,161 @@ pub struct LastClean {
 /// path.
 pub const PROBE_MISS_LIMIT: u8 = 8;
 
-/// One shadow cell `M_s` (§4.2).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Largest epoch a cached clean verdict can carry: the epoch shares its
+/// word with the verdict's kind, its validity and the probe streak. A
+/// verdict reached past it is simply not cached, which only costs the
+/// next identical access its fast path (DESIGN S39).
+pub const MAX_CACHED_EPOCH: u64 = u64::MAX >> EPOCH_SHIFT;
+
+/// The writer and last-clean task fields' "none" value. Task ids are
+/// dense from 0, so no run reaches it.
+const NO_TASK: u32 = u32::MAX;
+
+/// `ShadowCell::meta` layout: bits 0–3 the probe miss streak, bit 4 set
+/// while a clean verdict is cached, bit 5 that verdict's kind (write),
+/// bits 6–63 its epoch.
+const STREAK_MASK: u64 = 0xF;
+const CLEAN: u64 = 1 << 4;
+const CLEAN_WRITE: u64 = 1 << 5;
+const EPOCH_SHIFT: u32 = 6;
+/// A probe key no cell ever holds (the kind bit without the validity
+/// bit): what a probe past [`MAX_CACHED_EPOCH`] compares against.
+const NEVER_CACHED: u64 = CLEAN_WRITE;
+
+/// One shadow cell `M_s` (§4.2), in 32 bytes: the reader set, the writer
+/// and the last clean verdict's task as sentinel `u32`s, and one word
+/// packing that verdict's validity, kind and epoch with the probe miss
+/// streak. One access reads and writes all of it through a single
+/// lookup.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShadowCell {
-    /// The last writer (`M_s.w`).
-    pub writer: Option<TaskId>,
     /// The stored readers (`M_s.r`).
     pub readers: Readers,
-    /// Fast-path cache: the last clean verdict on this cell, if any.
-    pub last_clean: Option<LastClean>,
+    /// The last writer (`M_s.w`), [`NO_TASK`] before the first write.
+    writer: u32,
+    /// The task of the cached clean verdict; [`NO_TASK`] when none is.
+    clean_task: u32,
+    /// The cached verdict's validity, kind and epoch, and the probe
+    /// miss streak (layout at [`STREAK_MASK`]).
+    meta: u64,
+}
+
+impl Default for ShadowCell {
+    fn default() -> Self {
+        ShadowCell {
+            readers: Readers::Empty,
+            writer: NO_TASK,
+            clean_task: NO_TASK,
+            meta: 0,
+        }
+    }
+}
+
+/// The `meta` bits (streak excluded) of a clean verdict with this kind
+/// and epoch, or [`NEVER_CACHED`] past [`MAX_CACHED_EPOCH`].
+#[inline]
+fn clean_key(write: bool, epoch: u64) -> u64 {
+    if epoch > MAX_CACHED_EPOCH {
+        return NEVER_CACHED;
+    }
+    let kind = if write { CLEAN_WRITE } else { 0 };
+    (epoch << EPOCH_SHIFT) | kind | CLEAN
+}
+
+impl ShadowCell {
+    /// A cell with these contents. A verdict past [`MAX_CACHED_EPOCH`] is
+    /// not cached, and the streak saturates at [`PROBE_MISS_LIMIT`].
+    pub fn new(
+        writer: Option<TaskId>,
+        readers: Readers,
+        last_clean: Option<LastClean>,
+        probe_misses: u8,
+    ) -> Self {
+        let mut cell = ShadowCell {
+            readers,
+            ..ShadowCell::default()
+        };
+        cell.set_writer(writer);
+        cell.set_last_clean(last_clean);
+        cell.meta |= u64::from(probe_misses.min(PROBE_MISS_LIMIT));
+        cell
+    }
+
+    /// The last writer (`M_s.w`), `None` before the first write.
+    #[inline]
+    pub fn writer(&self) -> Option<TaskId> {
+        (self.writer != NO_TASK).then_some(TaskId(self.writer))
+    }
+
+    /// Replaces the last writer.
+    #[inline]
+    pub fn set_writer(&mut self, writer: Option<TaskId>) {
+        self.writer = writer.map_or(NO_TASK, |t| t.0);
+    }
+
+    /// The cached clean verdict, if any.
+    pub fn last_clean(&self) -> Option<LastClean> {
+        (self.meta & CLEAN != 0).then_some(LastClean {
+            task: TaskId(self.clean_task),
+            write: self.meta & CLEAN_WRITE != 0,
+            epoch: self.meta >> EPOCH_SHIFT,
+        })
+    }
+
+    /// Caches a clean verdict, or drops the cached one (`None`). A
+    /// verdict past [`MAX_CACHED_EPOCH`] is dropped too. The probe miss
+    /// streak is kept.
+    #[inline]
+    pub fn set_last_clean(&mut self, verdict: Option<LastClean>) {
+        let streak = self.meta & STREAK_MASK;
+        match verdict {
+            Some(lc) if lc.epoch <= MAX_CACHED_EPOCH => {
+                self.clean_task = lc.task.0;
+                self.meta = clean_key(lc.write, lc.epoch) | streak;
+            }
+            _ => {
+                self.clean_task = NO_TASK;
+                self.meta = streak;
+            }
+        }
+    }
+
     /// Consecutive clean-verdict probe misses (saturating at
     /// [`PROBE_MISS_LIMIT`]). A hit resets it to zero; at the limit the
     /// detector stops probing this cell — adaptive bypass for access
     /// patterns the cache can never serve, whose probes are pure overhead.
-    pub probe_misses: u8,
-}
+    #[inline]
+    pub fn probe_misses(&self) -> u8 {
+        (self.meta & STREAK_MASK) as u8
+    }
 
-impl ShadowCell {
     /// True while the clean-verdict probe is still worth attempting.
     #[inline]
     pub fn probe_enabled(&self) -> bool {
-        self.probe_misses < PROBE_MISS_LIMIT
+        self.probe_misses() < PROBE_MISS_LIMIT
+    }
+
+    /// The adaptive clean-verdict probe: true iff the probe is enabled
+    /// and the cached verdict is exactly (`task`, `write`, `epoch`). A hit
+    /// resets the miss streak; a miss extends it.
+    #[inline]
+    pub fn probe(&mut self, task: TaskId, write: bool, epoch: u64) -> bool {
+        if !self.probe_enabled() {
+            return false;
+        }
+        if self.clean_task == task.0 && self.meta & !STREAK_MASK == clean_key(write, epoch) {
+            self.meta &= !STREAK_MASK;
+            return true;
+        }
+        // Below the limit, so the streak never carries into `CLEAN`.
+        self.meta += 1;
+        false
+    }
+
+    /// True unless the cell is in its default (never-checked) state.
+    #[inline]
+    pub fn is_dirty(&self) -> bool {
+        self.writer != NO_TASK || !self.readers.is_empty() || self.meta != 0
     }
 }
 
@@ -214,22 +350,14 @@ impl ShadowMemory {
 
     /// Cells with a recorded writer (diagnostics).
     pub fn written_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.writer.is_some()).count()
+        self.cells.iter().filter(|c| c.writer().is_some()).count()
     }
 
     /// Iterates over the non-default cells with their dense indices, for
     /// checkpoint serialization. Default (never-touched) cells are omitted
     /// and recreated implicitly on restore via [`ShadowMemory::grow_to`].
     pub fn dirty_cells(&self) -> impl Iterator<Item = (usize, &ShadowCell)> {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| {
-                c.writer.is_some()
-                    || !c.readers.is_empty()
-                    || c.last_clean.is_some()
-                    || c.probe_misses > 0
-            })
+        self.cells.iter().enumerate().filter(|(_, c)| c.is_dirty())
     }
 
     /// Grows the cell vector to at least `len` cells. Checkpoint restore
@@ -305,12 +433,94 @@ mod tests {
     #[test]
     fn cell_mut_grows_on_demand() {
         let mut m = ShadowMemory::new();
-        m.cell_mut(LocId(10)).writer = Some(TaskId(3));
+        m.cell_mut(LocId(10)).set_writer(Some(TaskId(3)));
         assert_eq!(m.len(), 11);
-        assert_eq!(m.cell(LocId(10)).unwrap().writer, Some(TaskId(3)));
-        assert_eq!(m.cell(LocId(3)).unwrap().writer, None);
+        assert_eq!(m.cell(LocId(10)).unwrap().writer(), Some(TaskId(3)));
+        assert_eq!(m.cell(LocId(3)).unwrap().writer(), None);
         assert!(m.cell(LocId(11)).is_none());
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn a_cell_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<ShadowCell>(), 32);
+    }
+
+    #[test]
+    fn packed_fields_read_back() {
+        let lc = LastClean {
+            task: TaskId(7),
+            write: true,
+            epoch: MAX_CACHED_EPOCH,
+        };
+        let cell = ShadowCell::new(Some(TaskId(0)), Readers::One(TaskId(2)), Some(lc), 3);
+        assert_eq!(cell.writer(), Some(TaskId(0)));
+        assert_eq!(cell.last_clean(), Some(lc));
+        assert_eq!(cell.probe_misses(), 3);
+        assert!(cell.is_dirty());
+        assert!(!ShadowCell::default().is_dirty());
+        assert_eq!(ShadowCell::default().writer(), None);
+        assert_eq!(ShadowCell::default().last_clean(), None);
+        let saturated = ShadowCell::new(None, Readers::Empty, None, u8::MAX);
+        assert_eq!(saturated.probe_misses(), PROBE_MISS_LIMIT);
+    }
+
+    #[test]
+    fn an_epoch_past_the_bound_is_never_cached() {
+        for epoch in [MAX_CACHED_EPOCH + 1, MAX_CACHED_EPOCH + 6, u64::MAX] {
+            for write in [false, true] {
+                let mut cell = ShadowCell::default();
+                cell.set_last_clean(Some(LastClean {
+                    task: TaskId(1),
+                    write,
+                    epoch,
+                }));
+                assert_eq!(cell.last_clean(), None, "epoch {epoch} cached");
+                assert!(!cell.is_dirty());
+                // Neither the epoch itself nor what its bits would wrap to
+                // once shifted into the packed word may match.
+                let wrapped = (epoch << EPOCH_SHIFT) >> EPOCH_SHIFT;
+                for probe in [epoch, wrapped, 0, 5] {
+                    assert!(!cell.probe(TaskId(1), write, probe), "epoch {epoch}, probe {probe}");
+                }
+            }
+        }
+        // A cached verdict never matches a probe past the bound that
+        // shares its low bits.
+        let mut cell = ShadowCell::default();
+        cell.set_last_clean(Some(LastClean {
+            task: TaskId(1),
+            write: true,
+            epoch: 5,
+        }));
+        assert!(!cell.probe(TaskId(1), true, (1 << (64 - EPOCH_SHIFT)) + 5));
+        assert!(cell.probe(TaskId(1), true, 5));
+    }
+
+    #[test]
+    fn probe_hits_reset_and_misses_disable() {
+        let mut cell = ShadowCell::default();
+        let lc = LastClean {
+            task: TaskId(4),
+            write: false,
+            epoch: 9,
+        };
+        cell.set_last_clean(Some(lc));
+        assert!(!cell.probe(TaskId(4), true, 9), "kind differs");
+        assert!(!cell.probe(TaskId(5), false, 9), "task differs");
+        assert!(!cell.probe(TaskId(4), false, 10), "epoch differs");
+        assert_eq!(cell.probe_misses(), 3);
+        assert!(cell.probe(TaskId(4), false, 9));
+        assert_eq!(cell.probe_misses(), 0);
+        for _ in 0..PROBE_MISS_LIMIT {
+            assert!(!cell.probe(TaskId(4), false, 10));
+        }
+        assert!(!cell.probe_enabled());
+        assert!(!cell.probe(TaskId(4), false, 9), "a disabled probe never hits");
+        assert_eq!(cell.probe_misses(), PROBE_MISS_LIMIT);
+        assert_eq!(cell.last_clean(), Some(lc), "misses keep the verdict");
+        cell.set_last_clean(None);
+        assert_eq!(cell.probe_misses(), PROBE_MISS_LIMIT, "clearing keeps the streak");
     }
 }
 

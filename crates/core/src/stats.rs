@@ -1,7 +1,7 @@
 //! Instrumentation statistics: everything Table 2 reports about a run.
 
 use crate::dtrg::DtrgCounters;
-use futrace_util::stats::Running;
+use futrace_util::stats::Moments;
 
 /// Counters accumulated by the detector over one run; the structural
 /// columns of Table 2 plus internal cost accounting.
@@ -17,9 +17,10 @@ pub struct DetectorStats {
     pub reads: u64,
     /// Shared-memory writes.
     pub writes: u64,
-    /// Readers stored in the shadow cell at the moment of each access
-    /// (#AvgReaders is `readers_at_access.mean()`).
-    pub readers_at_access: Running,
+    /// Readers stored in the shadow cell at the moment of each checked
+    /// access, as exact integer moments (#AvgReaders is
+    /// `readers_at_access.mean()`).
+    pub readers_at_access: Moments,
     /// DTRG counters (gets, non-tree edges, merges, precede costs).
     pub dtrg: DtrgCounters,
 }
@@ -78,8 +79,8 @@ mod tests {
             writes: 5,
             ..Default::default()
         };
-        s.readers_at_access.push(0.0);
-        s.readers_at_access.push(2.0);
+        s.readers_at_access.push(0);
+        s.readers_at_access.push(2);
         assert_eq!(s.shared_mem(), 15);
         assert!((s.avg_readers() - 1.0).abs() < 1e-12);
         let text = s.to_string();

@@ -25,6 +25,9 @@
 //!   deadline settles [`JobStatus::Failed`] and poisons its dependents
 //!   immediately, while the wedged runner drains in the background (its
 //!   late result is discarded);
+//! * a runner that panics fails its job like one that returns `Err`,
+//!   with the panic's message: one detector panic costs its job, not
+//!   the run;
 //! * `job_retries: n` re-queues a failed or timed-out job up to `n`
 //!   times before it settles [`JobStatus::Failed`] — transient failures
 //!   (a flaky filesystem, a timeout on a loaded machine) no longer
@@ -37,7 +40,9 @@
 
 #![warn(missing_docs)]
 
+use futrace_util::propcheck::panic_message;
 use std::collections::BinaryHeap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -61,7 +66,8 @@ pub enum JobStatus {
     /// The runner returned `Ok`, or the job was pre-settled as complete
     /// (resume skip).
     Ok,
-    /// The runner returned `Err(message)`, or the job was pre-settled as
+    /// The runner returned `Err(message)` or panicked (the message is then
+    /// `panicked: ` and the panic's text), or the job was pre-settled as
     /// failed by a resume manifest.
     Failed(String),
     /// Never ran: a (transitive) dependency failed.
@@ -357,7 +363,9 @@ where
                 gen: my_gen,
             };
             drop(st);
-            let result = runner(id);
+            // A panicking runner fails its own job, like an `Err`: the
+            // pool keeps its worker and the run its report.
+            let result = catch_panic(|| runner(id));
             st = shared.state.lock().unwrap();
             // The timekeeper may have settled this job as timed-out (or
             // timed it out and re-queued it) while the runner was still
@@ -390,6 +398,12 @@ where
         // worker, or we're waiting on dependency settlement.
         st = shared.cv.wait(st).unwrap();
     }
+}
+
+/// Runs `f`, turning a panic into `Err("panicked: <its message>")`.
+pub(crate) fn catch_panic<T>(f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(payload))))
 }
 
 /// True when a fresh failure of `id` should be re-queued instead of
@@ -653,6 +667,31 @@ mod tests {
         assert_eq!(run.ran, 3, "d never ran");
         assert!(run.any_failed());
         assert!(!run.aborted);
+    }
+
+    #[test]
+    fn a_panicking_runner_fails_only_its_job() {
+        for policy in [FailurePolicy::Continue, FailurePolicy::Abort] {
+            let (dag, a, b, c, d) = diamond();
+            let plan = ExecPlan {
+                policy,
+                ..ExecPlan::default()
+            };
+            let run = execute(&dag, &plan, vec![None; 4], |id| {
+                assert!(id != b, "detector bug in job {id}");
+                Ok(())
+            });
+            assert_eq!(run.status[a], JobStatus::Ok);
+            assert_eq!(
+                run.status[b],
+                JobStatus::Failed("panicked: detector bug in job 1".into())
+            );
+            assert_eq!(run.status[d], JobStatus::Poisoned { failed_dep: b });
+            match policy {
+                FailurePolicy::Continue => assert_eq!(run.status[c], JobStatus::Ok),
+                FailurePolicy::Abort => assert!(run.aborted && !run.status[c].is_ok()),
+            }
+        }
     }
 
     #[test]

@@ -403,7 +403,9 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
                     .and_then(|(events, skipped)| {
                         rec.events = events.len() as u64;
                         rec.skipped_chunks = skipped;
-                        run_detector(det, &events, opts)
+                        // A detector panic fails this job with its message,
+                        // recorded like any other failure.
+                        dag::catch_panic(|| run_detector(det, &events, opts))
                     });
                 match result {
                     Ok((report, hits, misses)) => {

@@ -177,27 +177,34 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// Slices a trace blob into wire chunk payloads (v1-encoded event runs).
-/// Under [`ClientOptions::lenient`] both branches keep exactly the chunks
-/// the trace reader keeps.
-fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<Vec<u8>>, ClientError> {
+/// One wire chunk: the events it declares (`None` for a flat v1 trace,
+/// which declares no count) and its v1-encoded payload.
+type WireChunk = (Option<u32>, Vec<u8>);
+
+/// Slices a trace blob into wire chunks (v1-encoded event runs, each with
+/// the event count its framed header declares). Under
+/// [`ClientOptions::lenient`] both branches keep exactly the chunks the
+/// trace reader keeps.
+fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<WireChunk>, ClientError> {
     if let Some(per_chunk) = opts.chunk_events {
         let per_chunk = per_chunk.max(1);
         let (events, _) =
             read_events(blob, opts.lenient).map_err(|e| ClientError::Trace(e.to_string()))?;
         if events.is_empty() {
-            return Ok(vec![Vec::new()]);
+            return Ok(vec![(Some(0), Vec::new())]);
         }
-        return Ok(events.chunks(per_chunk).map(trace::encode).collect());
+        let chunk = |c: &[_]| (Some(c.len() as u32), trace::encode(c));
+        return Ok(events.chunks(per_chunk).map(chunk).collect());
     }
     if framed::is_framed(blob) {
-        // Strict streaming forwards the payload bytes undecoded; the
-        // daemon decodes each chunk anyway.
+        // Strict streaming forwards the payload bytes undecoded, with the
+        // count their header declares; the daemon decodes each chunk
+        // anyway and checks the count.
         let mut payloads = Vec::new();
         for chunk in framed::chunks(blob) {
             match chunk {
                 Ok(c) if opts.lenient && c.decode().is_err() => {}
-                Ok(c) => payloads.push(c.payload.to_vec()),
+                Ok(c) => payloads.push((Some(c.event_count), c.payload.to_vec())),
                 Err(FrameError::CorruptChunk { .. }) if opts.lenient => {}
                 // Framing damage cannot be resynced locally; report it
                 // rather than shipping a torn stream.
@@ -205,12 +212,12 @@ fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<Vec<u8>>, Cli
             }
         }
         if payloads.is_empty() {
-            payloads.push(Vec::new());
+            payloads.push((Some(0), Vec::new()));
         }
         return Ok(payloads);
     }
-    // Flat v1: the whole body is one chunk payload.
-    Ok(vec![blob.to_vec()])
+    // Flat v1: the whole body is one chunk payload, with no declared count.
+    Ok(vec![(None, blob.to_vec())])
 }
 
 /// Absorbs transient read errors (`WouldBlock`/`TimedOut` bursts from
@@ -362,7 +369,7 @@ pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, 
 /// One full connect → Open → stream → Finish pass.
 fn stream_once(
     opts: &ClientOptions,
-    payloads: &[Vec<u8>],
+    payloads: &[WireChunk],
     attempt: u32,
 ) -> Result<ClientOutcome, ClientError> {
     let mut wire = connect(opts, attempt)?;
@@ -377,12 +384,13 @@ fn stream_once(
     };
 
     let mut sent = 0u64;
-    for payload in payloads {
+    for (event_count, payload) in payloads {
         if opts.suspend_after == Some(sent) {
             return suspend(&mut wire, sent);
         }
         wire.send(&Message::Chunk {
             seq: sent,
+            event_count: *event_count,
             payload: payload.clone(),
         })?;
         match wire.expect_reply()? {

@@ -491,7 +491,11 @@ fn dispatch<W: Write>(
                 }
             }
         }
-        Message::Chunk { seq, payload } => {
+        Message::Chunk {
+            seq,
+            event_count,
+            payload,
+        } => {
             let Some(session) = conn.session.as_mut() else {
                 send_error(stream, state, ErrorCode::Protocol, "chunk before open");
                 return Flow::Close;
@@ -505,7 +509,7 @@ fn dispatch<W: Write>(
                 suspend_to_disk(conn, state);
                 return Flow::Close;
             }
-            match session.feed_chunk(&payload) {
+            match session.feed_chunk_with_count(&payload, event_count) {
                 Ok(delta) => {
                     // Periodic durability: cut a checkpoint at the
                     // configured interval so a daemon kill loses at most

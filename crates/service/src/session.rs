@@ -28,6 +28,7 @@ use futrace_offline::{
 };
 use futrace_runtime::engine::{Analysis, Checkpointable, Engine, EngineCounters};
 use futrace_runtime::online::OnlineStats;
+use futrace_runtime::trace::DecodeError;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
 use futrace_util::stats::Timer;
@@ -289,8 +290,24 @@ impl Session {
     /// checking them again; meanwhile the delta's `races` is the
     /// checkpoint's count.
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
-        let events =
-            trace::decode(payload).map_err(|e| SessionError::Trace(TraceError::Decode(e)))?;
+        self.feed_chunk_with_count(payload, None)
+    }
+
+    /// [`Session::feed_chunk`] for a chunk that declares its event count,
+    /// as a framed chunk's header does. A payload that decodes to a
+    /// different number of events fails with
+    /// `Malformed("event count mismatch")`, the error a trace read gives
+    /// the same chunk, and nothing from it is applied.
+    pub fn feed_chunk_with_count(
+        &mut self,
+        payload: &[u8],
+        event_count: Option<u32>,
+    ) -> Result<VerdictDelta, SessionError> {
+        let damaged = |e| SessionError::Trace(TraceError::Decode(e));
+        let events = trace::decode(payload).map_err(damaged)?;
+        if event_count.is_some_and(|n| u64::from(n) != events.len() as u64) {
+            return Err(damaged(DecodeError::Malformed("event count mismatch")));
+        }
         self.trace.push(payload, events.len() as u32);
         if self.chunks >= self.resumed_chunks() {
             let is_control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
@@ -472,6 +489,24 @@ mod tests {
         let out = session.finish().unwrap();
         assert!(!out.has_races());
         assert_eq!(out.engine.events, 0);
+    }
+
+    #[test]
+    fn a_miscounted_chunk_fails_and_applies_nothing() {
+        let events = racy_events();
+        let payload = trace::encode(&events);
+        let n = events.len() as u32;
+        let mut session = Session::open(SessionConfig::default()).unwrap();
+        for wrong in [n - 1, n + 1] {
+            let err = session.feed_chunk_with_count(&payload, Some(wrong)).unwrap_err();
+            assert!(err.to_string().contains("event count mismatch"), "{err}");
+            assert_eq!((session.chunks(), session.events()), (0, 0));
+            assert_eq!(session.engine.counters().events, 0, "nothing applied");
+        }
+        let delta = session.feed_chunk_with_count(&payload, Some(n)).unwrap();
+        assert_eq!((delta.chunks, delta.events), (1, u64::from(n)));
+        let want = run_analysis_recorded(&events, RaceDetector::new()).report.report;
+        assert_eq!(session.finish().unwrap().races.total_detected, want.total_detected);
     }
 
     #[test]
@@ -812,10 +847,10 @@ mod tests {
         let fresh = fresh_state();
         assert_eq!(
             fresh[..3],
-            [3, 0, 0],
-            "version 3, no shadow memory, no cells"
+            [4, 0, 0],
+            "version 4, no shadow memory, no cells"
         );
-        let mut state = vec![3, 1, 1, 0, 1];
+        let mut state = vec![4, 1, 1, 0, 1];
         futrace_util::wire::put_varint(&mut state, 1_000_000);
         state.extend_from_slice(&[0, 0, 0]);
         state.extend_from_slice(&fresh[3..]);
@@ -837,7 +872,7 @@ mod tests {
         }
     }
 
-    /// Re-encodes a DTRG state blob (version 3) with `map` applied to each
+    /// Re-encodes a DTRG state blob (version 4) with `map` applied to each
     /// task id its cells name — writers, readers and last-clean tasks, in
     /// order — and every other byte kept.
     fn map_cell_tasks(state: &[u8], mut map: impl FnMut(u64) -> u64) -> Vec<u8> {

@@ -15,8 +15,9 @@
 //!   SipHash tables are replaced throughout.
 //! * [`ids`] — strongly-typed identifiers shared by all crates
 //!   ([`ids::TaskId`], [`ids::StepId`], [`ids::LocId`], [`ids::FinishId`]).
-//! * [`stats`] — running statistics (mean/min/max, counters) used both by the
-//!   detector's Table-2 instrumentation and by the bench harness.
+//! * [`stats`] — exact integer moments (count, sum, sum of squares,
+//!   min/max), percentiles and timers, used both by the detector's Table-2
+//!   instrumentation and by the bench harness.
 //! * [`rng`] — small deterministic RNG (splitmix64 + xoshiro256++, std-only)
 //!   used by workload generators so every experiment is reproducible from a
 //!   seed.

@@ -135,7 +135,9 @@ pub struct Failure<R> {
     pub message: String,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// The text a caught panic carried (`panic!` with a literal or a format
+/// string), or a placeholder for any other payload.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -1,44 +1,52 @@
-//! Running statistics and timing helpers shared by the detector's
-//! instrumentation counters and the Table-2 bench harness.
+//! Integer moments and tallies, percentiles and timing helpers shared by
+//! the detector's instrumentation counters and the Table-2 bench harness.
 
 use std::time::{Duration, Instant};
 
-/// Online accumulator for count/mean/min/max of a stream of `f64` samples
-/// (Welford's algorithm for the mean; variance tracked for bench reporting).
-#[derive(Clone, Debug, Default)]
-pub struct Running {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
+/// Exact moments of a stream of `u32` samples: count, sum, sum of
+/// squares, min and max, all integers.
+///
+/// A push is a handful of integer adds and compares, with no division,
+/// and [`Moments::merge`] is exact, so per-shard moments add up to the
+/// serial run's bit for bit. Neither sum can overflow: a sample is below
+/// 2^32 and the count below 2^64, so the sum stays below 2^96 and the sum
+/// of squares below 2^128.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Moments {
+    /// Number of samples.
+    pub count: u64,
+    /// Sum of the samples.
+    pub sum: u128,
+    /// Sum of the squared samples.
+    pub sum_sq: u128,
+    /// Smallest sample (`u32::MAX` while empty).
+    pub min: u32,
+    /// Largest sample (0 while empty).
+    pub max: u32,
 }
 
-impl Running {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Running {
+impl Default for Moments {
+    fn default() -> Self {
+        Moments {
             count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            sum: 0,
+            sum_sq: 0,
+            min: u32::MAX,
+            max: 0,
         }
     }
+}
 
+impl Moments {
     /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
+    #[inline]
+    pub fn push(&mut self, x: u32) {
+        let x64 = u64::from(x);
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.sum += u128::from(x);
+        self.sum_sq += u128::from(x64 * x64);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
-    }
-
-    /// Number of samples so far.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Mean of the samples (0.0 if empty — convenient for the #AvgReaders
@@ -48,71 +56,91 @@ impl Running {
         if self.count == 0 {
             0.0
         } else {
-            self.mean
+            self.sum as f64 / self.count as f64
         }
     }
 
     /// Sample variance (`n-1` denominator); 0.0 with fewer than two samples.
     pub fn variance(&self) -> f64 {
         if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
+            return 0.0;
         }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
+        let n = self.count as f64;
+        let spread = self.sum_sq as f64 - (self.sum as f64) * (self.sum as f64) / n;
+        spread.max(0.0) / (n - 1.0)
     }
 
     /// Smallest sample (None if empty).
-    pub fn min(&self) -> Option<f64> {
+    pub fn min(&self) -> Option<u32> {
         (self.count > 0).then_some(self.min)
     }
 
     /// Largest sample (None if empty).
-    pub fn max(&self) -> Option<f64> {
+    pub fn max(&self) -> Option<u32> {
         (self.count > 0).then_some(self.max)
     }
 
-    /// The raw accumulator state `(count, mean, m2, min, max)`, for
-    /// bit-exact checkpoint serialization. Round-trips through
-    /// [`Running::from_raw`] without any loss, so a resumed analysis
-    /// reports the same distribution a fresh run would.
-    pub fn to_raw(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuilds an accumulator from [`Running::to_raw`] state.
-    pub fn from_raw(raw: (u64, f64, f64, f64, f64)) -> Running {
-        Running {
-            count: raw.0,
-            mean: raw.1,
-            m2: raw.2,
-            min: raw.3,
-            max: raw.4,
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &Running) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
+    /// Merges another stream's moments into this one (parallel reduction).
+    /// Exact: the result equals pushing both streams into one accumulator.
+    pub fn merge(&mut self, other: &Moments) {
         self.count += other.count;
+        self.sum += other.sum;
+        self.sum_sq += other.sum_sq;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+/// [`Moments`] with the small samples counted per value: pushing a sample
+/// below [`Tally::SMALL`] is one increment, where [`Moments::push`] is
+/// five read-modify-writes. [`Tally::moments`] folds the counts back into
+/// exact moments; larger samples go straight to them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    small: [u64; Tally::SMALL],
+    large: Moments,
+}
+
+impl Tally {
+    /// Samples below this are counted per value.
+    pub const SMALL: usize = 4;
+
+    /// Adds one sample.
+    #[inline]
+    pub fn push(&mut self, x: u32) {
+        match self.small.get_mut(x as usize) {
+            Some(n) => *n += 1,
+            None => self.large.push(x),
+        }
+    }
+
+    /// The exact moments of every sample pushed (or carried in through
+    /// `From<Moments>`).
+    pub fn moments(&self) -> Moments {
+        let mut m = self.large;
+        for (x, &n) in (0u32..).zip(&self.small) {
+            if n > 0 {
+                let (wide, times) = (u128::from(x), u128::from(n));
+                m.merge(&Moments {
+                    count: n,
+                    sum: wide * times,
+                    sum_sq: wide * wide * times,
+                    min: x,
+                    max: x,
+                });
+            }
+        }
+        m
+    }
+}
+
+impl From<Moments> for Tally {
+    /// A tally that continues from these moments.
+    fn from(large: Moments) -> Self {
+        Tally {
+            small: [0; Tally::SMALL],
+            large,
+        }
     }
 }
 
@@ -206,14 +234,14 @@ pub fn percentiles_f64(samples: &[f64]) -> Option<Percentiles<f64>> {
 /// repeated in the same JVM instance".
 pub fn mean_time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     assert!(reps > 0);
-    let mut acc = Running::new();
+    let mut total = 0.0;
     for _ in 0..reps {
         let t = Timer::start();
         let out = f();
-        acc.push(t.elapsed_ms());
+        total += t.elapsed_ms();
         std::hint::black_box(out);
     }
-    acc.mean()
+    total / reps as f64
 }
 
 #[cfg(test)]
@@ -221,66 +249,72 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_running() {
-        let r = Running::new();
-        assert_eq!(r.count(), 0);
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.variance(), 0.0);
-        assert!(r.min().is_none());
-        assert!(r.max().is_none());
+    fn empty_moments() {
+        let m = Moments::default();
+        assert_eq!(m.count, 0);
+        assert_eq!(m.mean(), 0.0);
+        assert_eq!(m.variance(), 0.0);
+        assert!(m.min().is_none());
+        assert!(m.max().is_none());
     }
 
     #[test]
     fn mean_min_max() {
-        let mut r = Running::new();
-        for x in [2.0, 4.0, 6.0] {
-            r.push(x);
+        let mut m = Moments::default();
+        for x in [2, 4, 6] {
+            m.push(x);
         }
-        assert_eq!(r.count(), 3);
-        assert!((r.mean() - 4.0).abs() < 1e-12);
-        assert_eq!(r.min(), Some(2.0));
-        assert_eq!(r.max(), Some(6.0));
-        assert!((r.variance() - 4.0).abs() < 1e-12);
-        assert!((r.stddev() - 2.0).abs() < 1e-12);
+        assert_eq!((m.count, m.sum, m.sum_sq), (3, 12, 56));
+        assert!((m.mean() - 4.0).abs() < 1e-12);
+        assert_eq!(m.min(), Some(2));
+        assert_eq!(m.max(), Some(6));
+        assert!((m.variance() - 4.0).abs() < 1e-12);
     }
 
     #[test]
-    fn merge_matches_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Running::new();
+    fn merge_matches_sequential_exactly() {
+        let xs: Vec<u32> = (0..50u32).map(|i| (i * 7919) % 23).collect();
+        let mut whole = Moments::default();
         for &x in &xs {
             whole.push(x);
         }
-        let mut left = Running::new();
-        let mut right = Running::new();
-        for &x in &xs[..20] {
-            left.push(x);
+        for split in [0, 1, 20, 50] {
+            let (mut left, mut right) = (Moments::default(), Moments::default());
+            xs[..split].iter().for_each(|&x| left.push(x));
+            xs[split..].iter().for_each(|&x| right.push(x));
+            left.merge(&right);
+            assert_eq!(left, whole, "split at {split}");
         }
-        for &x in &xs[20..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
     }
 
     #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Running::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&Running::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
+    fn extreme_samples_do_not_overflow() {
+        let mut m = Moments::default();
+        m.push(u32::MAX);
+        m.push(u32::MAX);
+        let big = u128::from(u32::MAX);
+        assert_eq!((m.sum, m.sum_sq), (2 * big, 2 * big * big));
+        assert_eq!((m.min(), m.max()), (Some(u32::MAX), Some(u32::MAX)));
+    }
 
-        let mut empty = Running::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert!((empty.mean() - 2.0).abs() < 1e-12);
+    #[test]
+    fn tally_folds_into_the_moments_of_every_sample() {
+        let xs: Vec<u32> = (0..200u32).map(|i| (i * 7919) % 9).collect();
+        let (mut tally, mut moments) = (Tally::default(), Moments::default());
+        for &x in &xs {
+            tally.push(x);
+            moments.push(x);
+        }
+        assert_eq!(tally.moments(), moments);
+        // Continuing from restored moments is the same as never stopping.
+        let mut resumed = Tally::from(tally.moments());
+        let mut straight = tally.clone();
+        for x in [0, 3, 4, u32::MAX] {
+            resumed.push(x);
+            straight.push(x);
+        }
+        assert_eq!(resumed.moments(), straight.moments());
+        assert_eq!(Tally::default().moments(), Moments::default());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ------                          ------
 //! Open{config, trace_name}   →
 //!                            ←    Hello{session, resumed_chunks}
-//! Chunk{seq, payload}        →
+//! Chunk{seq, count, payload} →
 //!                            ←    VerdictDelta{chunks, events, races}
 //! ...                             ...
 //! Finish                     →
@@ -121,6 +121,10 @@ pub enum Message {
     Chunk {
         /// 0-based chunk ordinal, for torn-stream diagnostics.
         seq: u64,
+        /// The events the chunk declares: a framed chunk header's
+        /// `event_count`, checked against the decoded payload by the
+        /// server. `None` for a flat v1 trace, which declares no count.
+        event_count: Option<u32>,
         /// The encoded events.
         payload: Vec<u8>,
     },
@@ -204,9 +208,15 @@ impl Message {
                 put_varint(&mut buf, *checkpoint_every);
                 put_str(&mut buf, trace_name);
             }
-            Message::Chunk { seq, payload } => {
+            Message::Chunk {
+                seq,
+                event_count,
+                payload,
+            } => {
                 buf.push(KIND_CHUNK);
                 put_varint(&mut buf, *seq);
+                // 0 = no declared count, n + 1 = n events.
+                put_varint(&mut buf, event_count.map_or(0, |n| u64::from(n) + 1));
                 put_varint(&mut buf, payload.len() as u64);
                 buf.extend_from_slice(payload);
             }
@@ -267,8 +277,18 @@ impl Message {
             },
             KIND_CHUNK => {
                 let seq = c.varint("seq")?;
+                let event_count = match c.varint("event count")? {
+                    0 => None,
+                    n => Some(
+                        u32::try_from(n - 1).map_err(|_| WireError::Malformed("event count"))?,
+                    ),
+                };
                 let payload = c.bytes("chunk payload")?.to_vec();
-                Message::Chunk { seq, payload }
+                Message::Chunk {
+                    seq,
+                    event_count,
+                    payload,
+                }
             }
             KIND_FINISH => Message::Finish,
             KIND_SUSPEND => Message::Suspend,
@@ -464,10 +484,17 @@ mod tests {
             },
             Message::Chunk {
                 seq: 0,
+                event_count: None,
+                payload: vec![],
+            },
+            Message::Chunk {
+                seq: 7,
+                event_count: Some(0),
                 payload: vec![],
             },
             Message::Chunk {
                 seq: u64::MAX,
+                event_count: Some(u32::MAX),
                 payload: (0..=255u8).collect(),
             },
             Message::Finish,
@@ -576,6 +603,18 @@ mod tests {
         assert_eq!(
             Message::decode_payload(&payload),
             Err(WireError::Malformed("trailing bytes after message"))
+        );
+    }
+
+    #[test]
+    fn a_chunk_count_past_u32_is_malformed() {
+        let mut payload = vec![KIND_CHUNK];
+        put_varint(&mut payload, 0); // seq
+        put_varint(&mut payload, u64::from(u32::MAX) + 2);
+        put_varint(&mut payload, 0); // empty payload
+        assert_eq!(
+            Message::decode_payload(&payload),
+            Err(WireError::Malformed("event count"))
         );
     }
 
