@@ -21,12 +21,14 @@
 //!
 //! Shadow memory keeps the last write epoch and a pruned list of read
 //! epochs per location (all pairwise-parallel), as in DJIT⁺-style
-//! detectors.
+//! detectors. Like the DTRG detector's, it holds only the cells of its
+//! shard's locations ([`StridedCells`]); unlike it, only accesses grow it.
 
 use crate::{BaselineDetector, BaselineReport};
 use futrace_runtime::engine::{control_to_monitor, Analysis, Checkpointable, LocRoutable, StateError};
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 use futrace_util::ids::{FinishId, LocId, TaskId};
+use futrace_util::strided::StridedCells;
 use futrace_util::wire;
 
 /// Sparse-ish vector clock: dense `Vec<u32>` indexed by task id, truncated
@@ -78,7 +80,7 @@ struct Cell {
 /// The vector-clock determinacy race detector.
 pub struct VectorClockDetector {
     clocks: Vec<VClock>,
-    shadow: Vec<Cell>,
+    shadow: StridedCells<Cell>,
     races: u64,
     /// Peak clock width observed (the impracticality metric).
     pub peak_clock_width: usize,
@@ -99,7 +101,7 @@ impl VectorClockDetector {
         main.set(TaskId::MAIN, 1);
         VectorClockDetector {
             clocks: vec![main],
-            shadow: Vec::new(),
+            shadow: StridedCells::new(),
             races: 0,
             peak_clock_width: 1,
             total_clock_entries: 1,
@@ -119,11 +121,12 @@ impl VectorClockDetector {
     }
 
     fn cell_mut(&mut self, loc: LocId) -> &mut Cell {
-        let i = loc.index();
-        if i >= self.shadow.len() {
-            self.shadow.resize_with(i + 1, Cell::default);
-        }
-        &mut self.shadow[i]
+        self.shadow.cell_mut(loc)
+    }
+
+    /// Shadow cells this detector (or shard replica) holds.
+    pub fn shadow_cells(&self) -> usize {
+        self.shadow.len()
     }
 }
 
@@ -245,6 +248,11 @@ impl Analysis for VectorClockDetector {
 }
 
 impl LocRoutable for VectorClockDetector {
+    /// Each replica's shadow memory holds only its shard's cells.
+    fn assign_shard(&mut self, shard: usize, shards: usize) {
+        self.shadow.assign_shard(shard, shards);
+    }
+
     /// Vector clocks qualify for loc-routed sharding: clocks are mutated
     /// only by control events (spawn, `get`, finish end), which every
     /// replica applies identically, and each access check touches exactly
@@ -268,13 +276,14 @@ const VC_STATE_VERSION: u64 = 1;
 impl VectorClockDetector {
     /// The one state-blob encoder behind [`Checkpointable::save_state`]
     /// (every dirty cell) and [`Checkpointable::save_cells`] (a delta's
-    /// cells): the shadow length, the listed cells, then the race count.
+    /// cells): the shadow extent, the listed cells by global location,
+    /// then the race count.
     /// Like the DTRG's, it reserves each cell's worst case once and
     /// writes its varints by index ([`wire::SliceWriter`]).
     fn encode_state(&self, cells: &[(usize, &Cell)], out: &mut Vec<u8>) {
         let mut w = wire::SliceWriter::new(out);
         w.put_varint(VC_STATE_VERSION);
-        w.put_varint(self.shadow.len() as u64);
+        w.put_varint(self.shadow.extent() as u64);
         w.put_varint(cells.len() as u64);
         for &(idx, cell) in cells {
             // Index, write flag, task and clock, read count, then two per
@@ -308,7 +317,6 @@ impl Checkpointable for VectorClockDetector {
         let dirty: Vec<(usize, &Cell)> = self
             .shadow
             .iter()
-            .enumerate()
             .filter(|(_, c)| c.write.is_some() || !c.reads.is_empty())
             .collect();
         self.encode_state(&dirty, out);
@@ -317,7 +325,7 @@ impl Checkpointable for VectorClockDetector {
     fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>) {
         let cells: Vec<(usize, &Cell)> = locs
             .iter()
-            .filter_map(|&loc| self.shadow.get(loc.index()).map(|cell| (loc.index(), cell)))
+            .filter_map(|&loc| self.shadow.cell(loc).map(|cell| (loc.index(), cell)))
             .collect();
         self.encode_state(&cells, out);
     }
@@ -330,20 +338,15 @@ impl Checkpointable for VectorClockDetector {
                 "unsupported vector-clock state version {version} (expected {VC_STATE_VERSION})"
             )));
         }
-        // As in the DTRG restore: parse the listed cells first, and grow
-        // shadow memory only as far as its current length or the highest
+        // As in the DTRG restore: parse the listed cells first, grow
+        // shadow memory only as far as its current extent or the highest
         // listed cell (only accesses grow it, and they leave the cell
-        // dirty).
+        // dirty), and accept only cells this shard owns.
         let shadow_len = c.varint("vc shadow length")?;
         let listed = c.varint("vc cell count")?;
         let mut cells = Vec::new();
         for _ in 0..listed {
             let idx = c.varint("vc cell index")?;
-            if idx >= shadow_len || idx > u32::MAX as u64 {
-                return Err(StateError(format!(
-                    "vc cell index {idx} out of range (shadow length {shadow_len})"
-                )));
-            }
             let write = match c.varint("vc write flag")? {
                 0 => None,
                 1 => Some(Epoch {
@@ -361,24 +364,11 @@ impl Checkpointable for VectorClockDetector {
                     clock: c.varint("vc read clock")? as u32,
                 });
             }
-            cells.push((idx as usize, Cell { write, reads }));
+            cells.push((idx, Cell { write, reads }));
         }
-        let bound = cells
-            .iter()
-            .map(|(idx, _)| idx + 1)
-            .fold(self.shadow.len(), usize::max);
-        if shadow_len > bound as u64 {
-            return Err(StateError(format!(
-                "vc shadow length {shadow_len} exceeds {bound}, the larger of the current \
-                 length and the highest listed cell + 1"
-            )));
-        }
-        if self.shadow.len() < shadow_len as usize {
-            self.shadow.resize_with(shadow_len as usize, Cell::default);
-        }
-        for (idx, cell) in cells {
-            self.shadow[idx] = cell;
-        }
+        self.shadow
+            .restore(shadow_len, cells)
+            .map_err(|e| StateError(format!("vc {e}")))?;
         self.races = c.varint("vc races")?;
         if !c.is_empty() {
             return Err(StateError(format!(

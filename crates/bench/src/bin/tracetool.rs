@@ -496,6 +496,16 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
             eprintln!("checkpoint {path} cannot resume this trace: {e}");
             std::process::exit(1);
         }
+        // Each state blob holds one shard's cells, so the checkpoint fixes
+        // the shard count.
+        if let Some(n) = args.shards.filter(|&n| n != cp.shards) {
+            eprintln!(
+                "error: --shards {n} conflicts with checkpoint {path}, cut across {} shard(s) \
+                 (drop --shards, or pass --shards {})",
+                cp.shards, cp.shards
+            );
+            std::process::exit(2);
+        }
         cp
     });
 

@@ -509,39 +509,54 @@ fn parse_exec(args: &[String]) -> Result<ExecArgs, String> {
     })
 }
 
+/// The detector panel of `compare` and `corpus`, named by any mix of
+/// `--detector NAME` and `--detectors A,B,…` arguments.
+#[derive(Default)]
+struct DetectorList(Vec<String>);
+
+impl DetectorList {
+    /// Parses the `--detector` or `--detectors` argument at `args[*i]`.
+    fn parse(&mut self, args: &[String], i: &mut usize) -> Result<(), String> {
+        if args[*i] == "--detectors" {
+            for name in value(args, i, "--detectors")?.split(',') {
+                self.0.push(validate_detector(name.trim())?);
+            }
+        } else {
+            self.0.push(validate_detector(value(args, i, "--detector")?)?);
+        }
+        Ok(())
+    }
+
+    /// The named detectors, or all of them when none was named; `command`
+    /// prefixes the error for a detector named twice.
+    fn finish(self, command: &str) -> Result<Vec<String>, String> {
+        if self.0.is_empty() {
+            return Ok(DETECTOR_NAMES.iter().map(|s| s.to_string()).collect());
+        }
+        for (k, d) in self.0.iter().enumerate() {
+            if self.0[..k].contains(d) {
+                return Err(format!("{command}: detector `{d}` listed twice"));
+            }
+        }
+        Ok(self.0)
+    }
+}
+
 fn parse_compare(args: &[String]) -> Result<CompareArgs, String> {
     let mut file = None;
-    let mut detectors: Vec<String> = Vec::new();
+    let mut detectors = DetectorList::default();
     let mut lenient = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--detector" => {
-                let name = validate_detector(value(args, &mut i, "--detector")?)?;
-                detectors.push(name);
-            }
-            "--detectors" => {
-                for name in value(args, &mut i, "--detectors")?.split(',') {
-                    detectors.push(validate_detector(name.trim())?);
-                }
-            }
+            "--detector" | "--detectors" => detectors.parse(args, &mut i)?,
             "--lenient" => lenient = true,
             f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
             other => return Err(format!("compare: unknown argument `{other}`")),
         }
         i += 1;
     }
-    if detectors.is_empty() {
-        detectors = DETECTOR_NAMES.iter().map(|s| s.to_string()).collect();
-    } else {
-        let mut seen = Vec::new();
-        for d in &detectors {
-            if seen.contains(d) {
-                return Err(format!("compare: detector `{d}` listed twice"));
-            }
-            seen.push(d.clone());
-        }
-    }
+    let detectors = detectors.finish("compare")?;
     Ok(CompareArgs {
         file: file.ok_or("compare: trace file is required")?,
         detectors,
@@ -603,7 +618,7 @@ fn parse_fuzz(args: &[String]) -> Result<FuzzArgs, String> {
 fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
     let mut dir = None;
     let mut out = None;
-    let mut detectors: Vec<String> = Vec::new();
+    let mut detectors = DetectorList::default();
     let mut max_parallel: usize = 1;
     let mut abort = false;
     let mut shards = None;
@@ -617,14 +632,7 @@ fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
     while i < args.len() {
         match args[i].as_str() {
             "--out" => out = Some(value(args, &mut i, "--out")?.to_string()),
-            "--detector" => {
-                detectors.push(validate_detector(value(args, &mut i, "--detector")?)?)
-            }
-            "--detectors" => {
-                for name in value(args, &mut i, "--detectors")?.split(',') {
-                    detectors.push(validate_detector(name.trim())?);
-                }
-            }
+            "--detector" | "--detectors" => detectors.parse(args, &mut i)?,
             "--max-parallel" => {
                 let n = parse_positive_u64(args, &mut i, "--max-parallel")?;
                 max_parallel = usize::try_from(n)
@@ -660,17 +668,7 @@ fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
     if supervised && shards.is_none() {
         return Err("--supervised needs --shards N (it is sharding plus recovery)".into());
     }
-    if detectors.is_empty() {
-        detectors = DETECTOR_NAMES.iter().map(|s| s.to_string()).collect();
-    } else {
-        let mut seen = Vec::new();
-        for d in &detectors {
-            if seen.contains(d) {
-                return Err(format!("corpus: detector `{d}` listed twice"));
-            }
-            seen.push(d.clone());
-        }
-    }
+    let detectors = detectors.finish("corpus")?;
     Ok(CorpusArgs {
         dir: dir.ok_or("corpus: a corpus directory is required")?,
         out,

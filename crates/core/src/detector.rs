@@ -505,6 +505,11 @@ impl Analysis for RaceDetector {
 }
 
 impl LocRoutable for RaceDetector {
+    /// Each replica's shadow memory holds only its shard's cells.
+    fn assign_shard(&mut self, shard: usize, shards: usize) {
+        self.shadow.assign_shard(shard, shards);
+    }
+
     /// Merges per-shard [`DtrgReport`]s back into the serial result.
     ///
     /// The race report merge is byte-identical to the serial run (see the
@@ -515,7 +520,8 @@ impl LocRoutable for RaceDetector {
     /// non-tree edges, `nt` upkeep) are identical in every replica so
     /// shard 0's values are taken verbatim; access-derived counters (reads,
     /// writes, `precede` calls, stored readers, the reader-count
-    /// distribution) are summed across shards. The one backend-dependent
+    /// distribution) are summed across shards, and so are the shadow cells,
+    /// which the replicas partition. The one backend-dependent
     /// counter is `visit_expansions`: path compression interleaves
     /// differently across replicas, so its merged value is the sum of
     /// per-shard costs, not the serial run's cost.
@@ -539,6 +545,7 @@ impl LocRoutable for RaceDetector {
             shadow_cells: 0,
             stored_readers: 0,
         });
+        footprint.shadow_cells = 0;
         footprint.stored_readers = 0;
 
         let mut races: Vec<Race> = Vec::new();
@@ -556,6 +563,7 @@ impl LocRoutable for RaceDetector {
             stats.dtrg.memo_hits += shard.stats.dtrg.memo_hits;
             stats.dtrg.memo_misses += shard.stats.dtrg.memo_misses;
             stats.dtrg.shadow_hits += shard.stats.dtrg.shadow_hits;
+            footprint.shadow_cells += shard.footprint.shadow_cells;
             footprint.stored_readers += shard.footprint.stored_readers;
         }
         races.sort_by(|a, b| a.access_index.cmp(&b.access_index));
@@ -611,9 +619,10 @@ impl RaceDetector {
         let mut w = wire::SliceWriter::new(out);
         w.put_varint(DTRG_STATE_VERSION);
 
-        // Shadow memory: total length (growth from unregistered accesses
-        // must survive, for footprint parity) + the listed cells.
-        w.put_varint(self.shadow.len() as u64);
+        // Shadow memory: the extent, a serial detector's length (growth
+        // from unregistered accesses must survive, for footprint parity),
+        // then the listed cells by global location.
+        w.put_varint(self.shadow.extent() as u64);
         w.put_varint(count as u64);
         let mut listed = 0usize;
         for (idx, cell) in cells {
@@ -698,9 +707,10 @@ impl RaceDetector {
     fn encode_state_reference(&self, cells: &[(usize, &ShadowCell)], out: &mut Vec<u8>) {
         wire::put_varint(out, DTRG_STATE_VERSION);
 
-        // Shadow memory: total length (growth from unregistered accesses
-        // must survive, for footprint parity) + the listed cells.
-        wire::put_varint(out, self.shadow.len() as u64);
+        // Shadow memory: the extent, a serial detector's length (growth
+        // from unregistered accesses must survive, for footprint parity),
+        // then the listed cells by global location.
+        wire::put_varint(out, self.shadow.extent() as u64);
         wire::put_varint(out, cells.len() as u64);
         for &(idx, cell) in cells {
             wire::put_varint(out, idx as u64);
@@ -785,6 +795,8 @@ impl Checkpointable for RaceDetector {
     /// task counts, shadow-memory allocation names) is *not* serialized —
     /// the restore contract rebuilds it by replaying the checkpoint's
     /// control-event prefix, which is exact by construction.
+    ///
+    /// A shard replica scans only the cells it holds, its own shard's.
     fn save_state(&self, out: &mut Vec<u8>) {
         let dirty: Vec<(usize, &ShadowCell)> = self.shadow.dirty_cells().collect();
         self.encode_state(dirty.len(), dirty.into_iter(), out);
@@ -792,7 +804,7 @@ impl Checkpointable for RaceDetector {
 
     /// A location past the end of shadow memory was never checked (a
     /// `first_race_only` run stops checking, so it never grew the cell)
-    /// and is left out.
+    /// and is left out, as is one another shard owns.
     fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>) {
         let cells = || {
             locs.iter()
@@ -811,10 +823,12 @@ impl Checkpointable for RaceDetector {
         }
 
         // Parse the listed cells before touching shadow memory: a blob may
-        // grow it past its current length (the control replay's
+        // grow it past its current extent (the control replay's
         // allocations, plus a chain's earlier blobs) only up to its highest
         // listed cell, because an access that grows shadow memory leaves
-        // that cell dirty. A crafted length is rejected, not allocated.
+        // that cell dirty, and may list only cells this shard owns. A
+        // crafted length is rejected, not allocated, and a foreign cell
+        // rejected, not aliased.
         let shadow_len = c.varint("shadow length")?;
         let listed = c.varint("cell count")?;
         // A cell may name only tasks the control replay created: the first
@@ -832,11 +846,6 @@ impl Checkpointable for RaceDetector {
         let mut cells = Vec::new();
         for _ in 0..listed {
             let idx = c.varint("cell index")?;
-            if idx >= shadow_len || idx > u32::MAX as u64 {
-                return Err(StateError(format!(
-                    "cell index {idx} out of range (shadow length {shadow_len})"
-                )));
-            }
             let has_writer = c.varint("writer flag")?;
             let writer = match has_writer {
                 0 => None,
@@ -883,22 +892,9 @@ impl Checkpointable for RaceDetector {
                 )));
             }
             let cell = ShadowCell::new(writer, readers, last_clean, probe_misses as u8);
-            cells.push((LocId(idx as u32), cell));
+            cells.push((idx, cell));
         }
-        let bound = cells
-            .iter()
-            .map(|(loc, _)| loc.index() + 1)
-            .fold(self.shadow.len(), usize::max);
-        if shadow_len > bound as u64 {
-            return Err(StateError(format!(
-                "shadow length {shadow_len} exceeds {bound}, the larger of the current \
-                 length and the highest listed cell + 1"
-            )));
-        }
-        self.shadow.grow_to(shadow_len as usize);
-        for (loc, cell) in cells {
-            *self.shadow.cell_mut(loc) = cell;
-        }
+        self.shadow.restore(shadow_len, cells).map_err(StateError)?;
 
         self.access_index = c.varint("access index")?;
         self.total_detected = c.varint("total detected")?;

@@ -10,12 +10,20 @@
 //!
 //! Location ids are dense (the executor allocates them sequentially), so
 //! shadow memory is a flat vector rather than a hash map — the lookup is on
-//! the per-access hot path. The reader set is an inline-small enum:
-//! async-finish programs never store more than one reader (the paper's
-//! #AvgReaders is ≤ 1 there), so the common cases avoid heap allocation
-//! entirely.
+//! the per-access hot path. The vector holds only the cells of the
+//! locations its detector checks: a shard replica of the sharded stage
+//! (shard `s` of `N`, routed the locations `l % N == s`) stores location
+//! `l` at index `l / N`, and a serial detector is shard 0 of 1
+//! ([`StridedCells`]). So `N` replicas hold Theorem 1's `v` cells between
+//! them, not `N·v`. Allocation names are kept whole in every replica, so
+//! race reports can name any location.
+//!
+//! The reader set is an inline-small enum: async-finish programs never
+//! store more than one reader (the paper's #AvgReaders is ≤ 1 there), so
+//! the common cases avoid heap allocation entirely.
 
 use futrace_util::ids::{LocId, TaskId};
+use futrace_util::strided::StridedCells;
 
 /// Compact reader set: zero or one readers inline, spilling to a boxed
 /// vector only when multiple parallel future readers accumulate.
@@ -292,47 +300,51 @@ impl ShadowCell {
     }
 }
 
-/// Flat shadow memory indexed by dense location ids.
+/// Shadow memory: the cells of the locations this detector checks, strided
+/// by its shard (see the module docs), and every allocation's name.
 #[derive(Clone, Debug, Default)]
 pub struct ShadowMemory {
-    cells: Vec<ShadowCell>,
+    cells: StridedCells<ShadowCell>,
     names: Vec<(LocId, u32, String)>,
 }
 
 impl ShadowMemory {
-    /// Empty shadow memory.
+    /// Empty shadow memory of shard 0 of 1 (a serial detector's).
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Makes this the shadow memory of shard `shard` of `shards`, which
+    /// holds only the cells of the locations `l % shards == shard`. Must
+    /// be called before any allocation or access.
+    pub fn assign_shard(&mut self, shard: usize, shards: usize) {
+        self.cells.assign_shard(shard, shards);
+    }
+
     /// Registers an allocation of `n` locations starting at `base` (from
-    /// the executor's `alloc` event) so cells exist and race reports can
-    /// name locations.
+    /// the executor's `alloc` event) so the shard's cells among them exist
+    /// and race reports can name every location.
     pub fn register(&mut self, base: LocId, n: u32, name: &str) {
-        let end = base.index() + n as usize;
-        if self.cells.len() < end {
-            self.cells.resize_with(end, ShadowCell::default);
-        }
+        self.cells.grow_to(base.index() + n as usize);
         self.names.push((base, n, name.to_string()));
     }
 
-    /// Mutable access to the cell for `loc`, growing the vector if an
-    /// access arrives for an unregistered location.
+    /// Mutable access to the cell for `loc`, which this shard must own,
+    /// growing the vector if an access arrives for an unregistered
+    /// location.
     #[inline]
     pub fn cell_mut(&mut self, loc: LocId) -> &mut ShadowCell {
-        let i = loc.index();
-        if i >= self.cells.len() {
-            self.cells.resize_with(i + 1, ShadowCell::default);
-        }
-        &mut self.cells[i]
+        self.cells.cell_mut(loc)
     }
 
-    /// Read-only access (None if never touched/registered).
+    /// Read-only access (None if another shard owns `loc`, or it was never
+    /// touched or registered).
     pub fn cell(&self, loc: LocId) -> Option<&ShadowCell> {
-        self.cells.get(loc.index())
+        self.cells.cell(loc)
     }
 
-    /// Number of allocated shadow cells.
+    /// Number of shadow cells this shard holds (Theorem 1's `v`, for a
+    /// serial detector).
     pub fn len(&self) -> usize {
         self.cells.len()
     }
@@ -342,32 +354,40 @@ impl ShadowMemory {
         self.cells.is_empty()
     }
 
+    /// One past the highest location covered, over all shards: the number
+    /// of cells a serial detector holds after the same control events and
+    /// accesses to this shard's locations.
+    pub fn extent(&self) -> usize {
+        self.cells.extent()
+    }
+
     /// Total readers stored across all cells right now — the `O(v·(f+1))`
     /// term of Theorem 1's space bound.
     pub fn stored_readers(&self) -> usize {
-        self.cells.iter().map(|c| c.readers.len()).sum()
+        self.cells.iter().map(|(_, c)| c.readers.len()).sum()
     }
 
-    /// Cells with a recorded writer (diagnostics).
-    pub fn written_cells(&self) -> usize {
-        self.cells.iter().filter(|c| c.writer().is_some()).count()
-    }
-
-    /// Iterates over the non-default cells with their dense indices, for
-    /// checkpoint serialization. Default (never-touched) cells are omitted
-    /// and recreated implicitly on restore via [`ShadowMemory::grow_to`].
+    /// Iterates over the non-default cells with their global location
+    /// indices, ascending, for checkpoint serialization. Default
+    /// (never-touched) cells are omitted and recreated implicitly on
+    /// restore via [`ShadowMemory::grow_to`].
     pub fn dirty_cells(&self) -> impl Iterator<Item = (usize, &ShadowCell)> {
-        self.cells.iter().enumerate().filter(|(_, c)| c.is_dirty())
+        self.cells.iter().filter(|(_, c)| c.is_dirty())
     }
 
-    /// Grows the cell vector to at least `len` cells. Checkpoint restore
-    /// uses this to reproduce growth caused by accesses to unregistered
+    /// Covers every location below `extent`, as allocations do.
+    pub fn grow_to(&mut self, extent: usize) {
+        self.cells.grow_to(extent);
+    }
+
+    /// Restores the cells a state blob lists by global location, and its
+    /// extent, which reproduces growth caused by accesses to unregistered
     /// locations, so a resumed run reports the same shadow-cell footprint
-    /// a fresh run would.
-    pub fn grow_to(&mut self, len: usize) {
-        if self.cells.len() < len {
-            self.cells.resize_with(len, ShadowCell::default);
-        }
+    /// a fresh run would. A listed location this shard does not own, or
+    /// an extent no listed cell accounts for, is an error (see
+    /// [`StridedCells::restore`]).
+    pub fn restore(&mut self, extent: u64, listed: Vec<(u64, ShadowCell)>) -> Result<(), String> {
+        self.cells.restore(extent, listed)
     }
 
     /// Human-readable name for a location: `"name[offset]"` if it falls in
@@ -428,6 +448,22 @@ mod tests {
         assert_eq!(m.describe(LocId(2)), "grid[2]");
         assert_eq!(m.describe(LocId(4)), "sum");
         assert_eq!(m.describe(LocId(99)), "L99");
+    }
+
+    #[test]
+    fn a_shard_holds_its_own_cells_and_every_name() {
+        let mut m = ShadowMemory::new();
+        m.assign_shard(1, 2);
+        m.register(LocId(0), 4, "grid");
+        m.register(LocId(4), 1, "sum");
+        assert_eq!((m.len(), m.extent()), (2, 5), "grid[1] and grid[3]");
+        m.cell_mut(LocId(3)).set_writer(Some(TaskId(2)));
+        assert!(m.cell(LocId(2)).is_none(), "shard 0 holds grid[2]");
+        let dirty: Vec<usize> = m.dirty_cells().map(|(l, _)| l).collect();
+        assert_eq!(dirty, [3]);
+        assert_eq!(m.describe(LocId(4)), "sum");
+        m.cell_mut(LocId(9)).set_writer(Some(TaskId(1)));
+        assert_eq!((m.len(), m.extent()), (5, 10));
     }
 
     #[test]

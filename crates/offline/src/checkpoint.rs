@@ -21,8 +21,10 @@
 //!
 //! The whole payload is CRC-32-guarded; a truncated or bit-flipped
 //! checkpoint is rejected with a structured error, never silently
-//! half-restored.
+//! half-restored. [`rebuild_replica`] turns a control prefix and a shard's
+//! state blobs back into that shard's replica, as every replica is built.
 
+use futrace_runtime::engine::{Checkpointable, StateError};
 use futrace_runtime::trace::{self, DecodeError};
 use futrace_runtime::Event;
 use futrace_util::crc32::crc32;
@@ -311,6 +313,31 @@ impl Checkpoint {
         }
         Ok(())
     }
+}
+
+/// Rebuilds the replica of shard `shard` of `shards` from checkpointed
+/// parts: a fresh analysis from `factory`, assigned its shard before it
+/// sees any event, then the control prefix replayed, then `states`
+/// restored in order (one full blob, then any deltas cut after it). This
+/// is how every replica is made: fresh (no prefix, no states), resumed
+/// from a checkpoint file, or restarted from the supervisor's snapshot
+/// chain.
+pub fn rebuild_replica<A: Checkpointable>(
+    factory: impl FnOnce() -> A,
+    shard: usize,
+    shards: usize,
+    control: &[Event],
+    states: &[Vec<u8>],
+) -> Result<A, StateError> {
+    let mut analysis = factory();
+    analysis.assign_shard(shard, shards);
+    for e in control {
+        analysis.apply_control(e);
+    }
+    for state in states {
+        analysis.restore_state(state)?;
+    }
+    Ok(analysis)
 }
 
 /// Checks that a control prefix is one a serial depth-first execution can

@@ -15,7 +15,8 @@
 //!
 //! So offline detection shards cleanly: broadcast the control events to
 //! `N` workers (each maintains an identical DTRG replica) and partition
-//! the accesses by `loc % N`. The merged verdict and race report are
+//! the accesses by `loc % N`, each replica holding only its own
+//! locations' shadow cells. The merged verdict and race report are
 //! identical to the serial detector's (asserted by
 //! `tests/shard_equivalence.rs` over random programs). One stage does
 //! this, [`run_supervised`] in [`supervise`]: its supervisor restarts,
@@ -43,7 +44,9 @@ pub mod checkpoint;
 pub mod framed;
 pub mod supervise;
 
-pub use checkpoint::{is_checkpoint, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
+pub use checkpoint::{
+    is_checkpoint, rebuild_replica, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint,
+};
 pub use framed::{FrameError, StreamWriter, WriterStats};
 pub use supervise::{
     event_chunks, run_supervised, ShardPlan, ShardStats, SuperviseError, SupervisedOutcome,

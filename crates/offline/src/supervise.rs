@@ -14,7 +14,11 @@
 //!   replica, because DTRG updates never depend on shadow memory.
 //! * **Shadow checks** (Algorithms 8–9) touch exactly one location each
 //!   and only *read* the DTRG. Routing accesses by `loc % N` therefore
-//!   partitions the check work with no cross-shard communication at all.
+//!   partitions the check work with no cross-shard communication at all,
+//!   and the shadow memory with it: each replica is assigned its shard
+//!   ([`futrace_runtime::engine::LocRoutable::assign_shard`]) before it
+//!   sees an event and holds only its own locations' cells, so the `N`
+//!   replicas hold the serial detector's `v` cells between them.
 //!
 //! Each access carries its global index from the router's single pass, so
 //! per-shard race reports can be merged back into exactly the serial
@@ -53,13 +57,12 @@
 //!   since its previous snapshot, until the deltas since the last full
 //!   add up to that full's size, when the next one is full again. So a
 //!   run serializes O(accesses) bytes in all, not O(barriers × state),
-//!   and a shard holds under two full snapshots' worth. A worker spawned
-//!   from a factory-fresh analysis cuts its fulls over the locations it
-//!   has checked, in ascending order, instead of scanning its whole
-//!   shadow memory, most of which belongs to other shards (DESIGN S38).
-//!   A replacement worker is rebuilt from scratch — control-prefix
-//!   replay, restore of the last full snapshot and every delta after it,
-//!   in order, then replay of the batches routed since the last snapshot
+//!   and a shard holds under two full snapshots' worth. Every full
+//!   snapshot is [`Checkpointable::save_state`], which scans only the
+//!   cells the shard holds. A replacement worker is rebuilt from scratch
+//!   ([`rebuild_replica`]) — shard assignment, control-prefix replay,
+//!   restore of the last full snapshot and every delta after it, in
+//!   order — and then replays the batches routed since the last snapshot
 //!   (the supervisor retains them, shared with the worker they were sent
 //!   to; their volume is bounded by the checkpoint interval and capped
 //!   by [`SupervisorPlan::max_replay_ops`] — on overflow the buffer is
@@ -90,7 +93,9 @@
 //! changing the verdict lines CI diffs against.
 
 use crate::channel::{self, Receiver, RecvTimeout, SendTimeout, Sender};
-use crate::checkpoint::{Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
+use crate::checkpoint::{
+    rebuild_replica, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint,
+};
 use futrace_runtime::engine::{run_analysis, source, Checkpointable, EngineCounters, StateError};
 use futrace_runtime::Event;
 use futrace_util::faultinject::{FaultPlan, WorkerFault};
@@ -372,37 +377,20 @@ enum ToWorker {
 enum Cut {
     /// The cells of the locations checked since the last snapshot.
     Delta,
-    /// Every dirty cell. A worker spawned from a factory-fresh analysis
-    /// lists the locations it has checked instead of scanning its whole
-    /// shadow memory (DESIGN S38).
+    /// Every dirty cell the shard holds ([`Checkpointable::save_state`]).
     Full,
-    /// Every dirty cell, by a whole-shadow scan in any incarnation: the
-    /// suspend barrier's cut, which goes into a checkpoint file.
-    Suspend,
 }
 
-/// The distinct locations a worker checked since its last snapshot (a
+/// The distinct locations a worker checked since its last snapshot: a
 /// bitset answers membership on the access path, the list is what a delta
-/// serializes) and, in a worker spawned from a factory-fresh analysis,
-/// every location it checked since its spawn.
+/// serializes.
+#[derive(Default)]
 struct Touched {
     bits: Vec<u64>,
     locs: Vec<LocId>,
-    /// Every location checked since the spawn, or `None` in an incarnation
-    /// restored from snapshots (a restart or a resume), whose dirty cells
-    /// include restored ones it never checked.
-    ever: Option<Vec<u64>>,
 }
 
 impl Touched {
-    fn new(fresh: bool) -> Touched {
-        Touched {
-            bits: Vec::new(),
-            locs: Vec::new(),
-            ever: fresh.then(Vec::new),
-        }
-    }
-
     #[inline]
     fn insert(&mut self, loc: LocId) {
         let (word, bit) = (loc.index() / 64, 1u64 << (loc.index() % 64));
@@ -412,12 +400,6 @@ impl Touched {
         if self.bits[word] & bit == 0 {
             self.bits[word] |= bit;
             self.locs.push(loc);
-            if let Some(ever) = &mut self.ever {
-                if word >= ever.len() {
-                    ever.resize(word + 1, 0);
-                }
-                ever[word] |= bit;
-            }
         }
     }
 
@@ -425,22 +407,6 @@ impl Touched {
         for loc in self.locs.drain(..) {
             self.bits[loc.index() / 64] = 0;
         }
-    }
-
-    /// Every location checked since the spawn, ascending (the order
-    /// `save_state` lists dirty cells in), or `None` for a restored
-    /// incarnation.
-    fn ever_checked(&self) -> Option<Vec<LocId>> {
-        let ever = self.ever.as_ref()?;
-        let mut locs = Vec::with_capacity(ever.iter().map(|w| w.count_ones() as usize).sum());
-        for (i, &word) in ever.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                locs.push(LocId((i * 64) as u32 + bits.trailing_zeros()));
-                bits &= bits - 1;
-            }
-        }
-        Some(locs)
     }
 }
 
@@ -523,10 +489,6 @@ fn spawn_worker<A>(
                             (Some(touched), Cut::Delta) => {
                                 analysis.save_cells(&touched.locs, &mut state)
                             }
-                            (Some(touched), Cut::Full) => match touched.ever_checked() {
-                                Some(locs) => analysis.save_cells(&locs, &mut state),
-                                None => analysis.save_state(&mut state),
-                            },
                             _ => analysis.save_state(&mut state),
                         }
                         if let Some(touched) = &mut touched {
@@ -635,10 +597,9 @@ where
     A::Report: Send + 'static,
     F: Fn() -> A,
 {
-    /// Spawns shard `shard`'s worker around `analysis`, which is
-    /// factory-fresh when `fresh` is set and restored from snapshots
-    /// otherwise.
-    fn spawn_slot(&mut self, shard: usize, analysis: A, accesses: u64, fresh: bool) {
+    /// Spawns shard `shard`'s worker around `analysis`, a replica built by
+    /// [`rebuild_replica`].
+    fn spawn_slot(&mut self, shard: usize, analysis: A, accesses: u64) {
         let (tx, rx) = channel::bounded(self.plan.shard.channel_capacity.max(1));
         let epoch = self.next_epoch;
         self.next_epoch += 1;
@@ -646,7 +607,7 @@ where
             .plan
             .checkpoint_every_chunks
             .is_some()
-            .then(|| Touched::new(fresh));
+            .then(Touched::default);
         let slot = &mut self.slots[shard];
         slot.tx = Some(tx);
         slot.epoch = epoch;
@@ -663,11 +624,11 @@ where
         );
     }
 
-    /// Rebuilds shard `shard`'s worker: fresh analysis, control-prefix
-    /// replay up to the last snapshot, restore of the snapshot chain in
-    /// order, then replay of the retained post-snapshot batches. Returns
-    /// `Degrade` when the restart budget is exhausted or recovery itself
-    /// fails.
+    /// Rebuilds shard `shard`'s worker: a replica rebuilt from the
+    /// control prefix up to the last snapshot and the snapshot chain
+    /// ([`rebuild_replica`]), then replay of the retained post-snapshot
+    /// batches. Returns `Degrade` when the restart budget is exhausted or
+    /// recovery itself fails.
     fn restart(&mut self, shard: usize) -> Result<(), Degrade> {
         if self.supervision.shard_restarts >= self.plan.max_restarts as u64
             || self.slots[shard].replay_lost
@@ -677,17 +638,16 @@ where
         self.supervision.shard_restarts += 1;
         self.slots[shard].tx = None; // abandon the old incarnation
 
-        let mut analysis = (self.factory)();
-        for e in &self.control_prefix[..self.snapshot_control_len] {
-            analysis.apply_control(e);
-        }
-        for state in &self.slots[shard].chain {
-            if analysis.restore_state(state).is_err() {
-                return Err(Degrade);
-            }
-        }
+        let analysis = rebuild_replica(
+            &self.factory,
+            shard,
+            self.n,
+            &self.control_prefix[..self.snapshot_control_len],
+            &self.slots[shard].chain,
+        )
+        .map_err(|_| Degrade)?;
         let accesses = self.slots[shard].snapshot_accesses;
-        self.spawn_slot(shard, analysis, accesses, false);
+        self.spawn_slot(shard, analysis, accesses);
 
         let replay = self.slots[shard].replay.clone();
         for batch in replay {
@@ -805,18 +765,20 @@ where
 
     /// Barrier snapshot: every worker saves its state at a consistent cut
     /// (all routed batches FIFO-precede the snapshot request), in full
-    /// when `suspend` is set (by a whole-shadow scan) or [`Slot::full_due`],
-    /// else as a delta appended to the shard's chain. On success the
-    /// replay buffers reset. Dead or stalled workers are restarted and
-    /// re-asked, within the restart budget.
+    /// when `suspend` is set (a checkpoint file holds one blob per shard)
+    /// or [`Slot::full_due`], else as a delta appended to the shard's
+    /// chain. On success the replay buffers reset. Dead or stalled workers
+    /// are restarted and re-asked, within the restart budget.
     fn snapshot_barrier(&mut self, suspend: bool) -> Result<(), Degrade> {
         let cuts: Vec<Cut> = self
             .slots
             .iter()
-            .map(|slot| match (suspend, slot.full_due()) {
-                (true, _) => Cut::Suspend,
-                (false, true) => Cut::Full,
-                (false, false) => Cut::Delta,
+            .map(|slot| {
+                if suspend || slot.full_due() {
+                    Cut::Full
+                } else {
+                    Cut::Delta
+                }
             })
             .collect();
         for (shard, &cut) in cuts.iter().enumerate() {
@@ -959,8 +921,9 @@ where
 }
 
 /// Runs the shard stage: control events are broadcast to `N` replicas
-/// built by `factory`, accesses are routed by `loc % N` carrying global
-/// indices, and the per-shard reports are merged by a fresh `factory()`
+/// built by `factory`, each assigned its shard, accesses are routed by
+/// `loc % N` carrying global indices, and the per-shard reports are
+/// merged by a fresh `factory()`
 /// instance's [`futrace_runtime::engine::LocRoutable::merge_sharded`] into
 /// the serial verdict. `plan` sets what the supervisor keeps for recovery
 /// ([`SupervisorPlan::plain`] keeps nothing).
@@ -1056,16 +1019,12 @@ where
         index = cp.next_access_index;
         router = cp.router;
         for shard in 0..n {
-            let mut analysis = (sup.factory)();
-            for e in &sup.control_prefix {
-                analysis.apply_control(e);
-            }
-            analysis
-                .restore_state(&cp.shard_states[shard])
+            let chain = vec![cp.shard_states[shard].clone()];
+            let analysis = rebuild_replica(&sup.factory, shard, n, &sup.control_prefix, &chain)
                 .map_err(SuperviseError::Restore)?;
-            sup.slots[shard].chain = vec![cp.shard_states[shard].clone()];
+            sup.slots[shard].chain = chain;
             sup.slots[shard].snapshot_accesses = cp.per_shard_accesses[shard];
-            sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard], false);
+            sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard]);
         }
         let mut passed = 0u64;
         while passed < cp.events_consumed {
@@ -1089,8 +1048,9 @@ where
         cur_chunks = seen.saturating_sub(1);
     } else {
         for shard in 0..n {
-            let analysis = (sup.factory)();
-            sup.spawn_slot(shard, analysis, 0, true);
+            let analysis = rebuild_replica(&sup.factory, shard, n, &[], &[])
+                .map_err(SuperviseError::Restore)?;
+            sup.spawn_slot(shard, analysis, 0);
         }
     }
 
@@ -1723,13 +1683,12 @@ mod tests {
         }
     }
 
-    /// Spawns a tracking worker around `analysis` (`fresh` when it came
-    /// from the factory), sends it `ops` as one batch, and returns the
-    /// state it cuts for `cut`.
-    fn cut_by_worker(analysis: RaceDetector, fresh: bool, ops: Vec<Op>, cut: Cut) -> Vec<u8> {
+    /// Spawns a tracking worker around `analysis`, sends it `ops` as one
+    /// batch, and returns the state it cuts for `cut`.
+    fn cut_by_worker(analysis: RaceDetector, ops: Vec<Op>, cut: Cut) -> Vec<u8> {
         let (tx, rx) = channel::bounded(2);
         let (results_tx, results_rx) = channel::bounded(2);
-        let touched = Some(Touched::new(fresh));
+        let touched = Some(Touched::default());
         spawn_worker(0, 1, analysis, 0, touched, rx, results_tx, None, None);
         assert!(tx.send(ToWorker::Batch(Arc::new(ops))).is_ok());
         assert!(tx.send(ToWorker::Snapshot(cut)).is_ok());
@@ -1739,20 +1698,67 @@ mod tests {
         }
     }
 
+    /// The shadow section of a DTRG state blob: the shadow length, then
+    /// each listed cell's global index and its other varints.
+    fn shadow_section(state: &[u8]) -> (u64, Vec<(u64, Vec<u64>)>) {
+        let mut c = futrace_util::wire::Cursor::new(state);
+        let mut next = || c.varint("field").unwrap();
+        let _version = next();
+        let len = next();
+        let cells = (0..next())
+            .map(|_| {
+                let idx = next();
+                let mut fields = vec![next()];
+                if fields[0] == 1 {
+                    fields.push(next()); // writer
+                }
+                let readers = next();
+                fields.push(readers);
+                fields.extend((0..readers).map(|_| next()));
+                let clean = next();
+                fields.push(clean);
+                if clean == 1 {
+                    fields.extend([next(), next(), next()]); // task, kind, epoch
+                }
+                fields.push(next()); // probe miss streak
+                (idx, fields)
+            })
+            .collect();
+        (len, cells)
+    }
+
     #[test]
-    fn fresh_worker_full_snapshot_equals_the_whole_shadow_scan() {
-        // Every dirty cell of a factory-fresh worker is one it checked,
-        // so its full snapshot over those locations is `save_state`'s.
+    fn a_shards_full_cut_lists_the_serial_dirty_cells_it_owns() {
+        // A replica holds only its shard's cells, yet its full cut names
+        // them by global index under the global shadow length: exactly
+        // the serial detector's dirty cells that the shard owns. The rest
+        // of the blob is what a replica holding every cell would cut.
         let log = racy_log();
+        let mut serial = RaceDetector::new();
+        apply(&mut serial, &ops_for(&log.events, 0, 1));
+        let mut whole = Vec::new();
+        serial.save_state(&mut whole);
+        let (serial_len, serial_cells) = shadow_section(&whole);
         for n in [1usize, 2, 3] {
             for shard in 0..n {
                 let ops = ops_for(&log.events, shard, n);
-                let mut det = RaceDetector::new();
-                apply(&mut det, &ops);
+                let mut unsharded = RaceDetector::new();
+                apply(&mut unsharded, &ops);
                 let mut want = Vec::new();
-                det.save_state(&mut want);
-                let got = cut_by_worker(RaceDetector::new(), true, ops, Cut::Full);
+                unsharded.save_state(&mut want);
+                let replica = rebuild_replica(RaceDetector::new, shard, n, &[], &[]).unwrap();
+                let got = cut_by_worker(replica, ops, Cut::Full);
                 assert!(got == want, "shard {shard} of {n}");
+
+                let (len, cells) = shadow_section(&got);
+                assert_eq!(len, serial_len, "shard {shard} of {n}: global length");
+                let owned: Vec<(u64, Vec<u64>)> = serial_cells
+                    .iter()
+                    .filter(|(idx, _)| *idx as usize % n == shard)
+                    .cloned()
+                    .collect();
+                assert!(!owned.is_empty(), "shard {shard} of {n} checked some cell");
+                assert_eq!(cells, owned, "shard {shard} of {n}");
             }
         }
     }
@@ -1780,14 +1786,15 @@ mod tests {
             apply(&mut first, &ops[..done]);
             let mut blob = Vec::new();
             first.save_state(&mut blob);
-            let mut restored = RaceDetector::new();
-            let control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
-            for e in log.events[..cut_at].iter().filter(control) {
-                Analysis::apply_control(&mut restored, e);
-            }
-            restored.restore_state(&blob).unwrap();
+            let control: Vec<Event> = log.events[..cut_at]
+                .iter()
+                .filter(|e| !matches!(e, Event::Read(..) | Event::Write(..)))
+                .cloned()
+                .collect();
+            let restored =
+                rebuild_replica(RaceDetector::new, shard, 2, &control, &[blob]).unwrap();
             let rest = ops_for(&log.events, shard, 2).split_off(done);
-            let got = cut_by_worker(restored, false, rest, Cut::Full);
+            let got = cut_by_worker(restored, rest, Cut::Full);
             assert!(got == want, "shard {shard}");
         }
     }

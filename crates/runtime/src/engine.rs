@@ -136,6 +136,14 @@ pub struct AccessOp {
 /// the transitive-closure oracle — simply do not implement this trait,
 /// which is what "opting out" of the sharded backend means.
 pub trait LocRoutable: Analysis {
+    /// Makes this fresh instance the replica of shard `shard` of `shards`:
+    /// it will be sent every control event but only the accesses with
+    /// `loc % shards == shard`, so it need keep per-location state for
+    /// those locations alone. The shard stage calls this before the
+    /// replica sees any event; an instance never assigned is shard 0 of 1,
+    /// which is routed every access (the serial analysis).
+    fn assign_shard(&mut self, shard: usize, shards: usize);
+
     /// Merges per-shard reports (given in shard order) into the report the
     /// serial run would have produced. `self` is a fresh, unused instance
     /// whose configuration (e.g. report caps) governs the merge.
@@ -186,27 +194,34 @@ impl From<futrace_util::wire::WireError> for StateError {
 /// fresh instance replays the control prefix up to the *last* cut, then
 /// restores the full blob and every delta in order; the result must equal
 /// restoring a full blob cut at the last point.
+///
+/// Blobs name shadow cells by *global* location and carry the global
+/// shadow length, whatever shard cut them, so a shard replica's blob is
+/// the one a replica holding every cell would cut. A blob restores only
+/// into an instance assigned the same shard
+/// ([`LocRoutable::assign_shard`]).
 pub trait Checkpointable: LocRoutable {
     /// Appends the access-derived state to `out` (self-delimiting).
     fn save_state(&self, out: &mut Vec<u8>);
 
     /// Appends a delta of the access-derived state to `out`: the
     /// [`Checkpointable::save_state`] format, listing only the shadow
-    /// cells of `locs` but every other access-derived field in full.
+    /// cells of `locs`, by global location, but every other
+    /// access-derived field in full.
     ///
     /// An instance that was never restored holds non-default cells only
     /// where it checked an access, so `save_cells` over every location it
     /// checked, in ascending order, restores what `save_state` restores
-    /// (a listed cell that is still default restores as one). The sharded
-    /// supervisor cuts such workers' full snapshots that way.
+    /// (a listed cell that is still default restores as one).
     fn save_cells(&self, locs: &[LocId], out: &mut Vec<u8>);
 
     /// Restores access-derived state saved by [`Checkpointable::save_state`]
     /// or [`Checkpointable::save_cells`] into `self`, which must be a fresh
-    /// instance that has already replayed the checkpoint's control-event
-    /// prefix (and restored the chain's earlier blobs, for a delta). It
-    /// overwrites the cells the blob lists and replaces every other
-    /// access-derived field.
+    /// instance, assigned the shard that cut the blob, that has already
+    /// replayed the checkpoint's control-event prefix (and restored the
+    /// chain's earlier blobs, for a delta). It overwrites the cells the
+    /// blob lists and replaces every other access-derived field. A blob
+    /// listing a cell of another shard is an error.
     fn restore_state(&mut self, state: &[u8]) -> Result<(), StateError>;
 }
 

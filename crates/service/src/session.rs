@@ -24,7 +24,8 @@ use futrace_detector::{DetectorStats, DtrgReport, MemoryFootprint, RaceDetector,
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    Checkpoint, RouterProgress, ShardStats, SupervisionReport, TraceError, TraceFingerprint,
+    rebuild_replica, Checkpoint, RouterProgress, ShardStats, SupervisionReport, TraceError,
+    TraceFingerprint,
 };
 use futrace_runtime::engine::{Analysis, Checkpointable, Engine, EngineCounters};
 use futrace_runtime::online::OnlineStats;
@@ -233,16 +234,12 @@ impl Session {
     /// it is ignored, and the session starts from chunk 0.
     pub fn open_resumed(cfg: SessionConfig, checkpoint: Checkpoint) -> Result<Self, SessionError> {
         let mut session = Session::open(cfg)?;
-        let ([state], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
+        let (states @ [_], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
             return Ok(session);
         };
-        let mut detector = RaceDetector::new();
-        for e in &checkpoint.control_events {
-            detector.apply_control(e);
-        }
-        detector
-            .restore_state(state)
-            .map_err(|e| SessionError::Checkpoint(e.to_string()))?;
+        let detector =
+            rebuild_replica(RaceDetector::new, 0, 1, &checkpoint.control_events, states)
+                .map_err(|e| SessionError::Checkpoint(e.to_string()))?;
         let r = checkpoint.router;
         let counters = EngineCounters {
             events: r.events,

@@ -18,6 +18,9 @@
 //! * [`stats`] — exact integer moments (count, sum, sum of squares,
 //!   min/max), percentiles and timers, used both by the detector's Table-2
 //!   instrumentation and by the bench harness.
+//! * [`strided`] — the dense per-location cells of one shard of a
+//!   location-routed analysis: shard `s` of `N` stores location `l` at
+//!   index `l / N` (the shadow memories of the shardable detectors).
 //! * [`rng`] — small deterministic RNG (splitmix64 + xoshiro256++, std-only)
 //!   used by workload generators so every experiment is reproducible from a
 //!   seed.
@@ -48,6 +51,7 @@ pub mod interval;
 pub mod propcheck;
 pub mod rng;
 pub mod stats;
+pub mod strided;
 pub mod unionfind;
 pub mod wire;
 

@@ -96,3 +96,20 @@ fn racy_fixtures_report_identical_races_on_every_backend() {
         }
     }
 }
+
+#[test]
+fn every_backend_reports_the_serial_footprint() {
+    // Each shard replica holds only its own shadow cells; the merge sums
+    // them, and the stored readers, back to the serial footprint.
+    for family in FAMILIES {
+        for variant in ["clean", "racy"] {
+            let [serial, sharded, supervised] = backends(&fixture(family, variant));
+            for (name, out) in [("sharded", &sharded), ("supervised", &supervised)] {
+                assert_eq!(
+                    out.footprint, serial.footprint,
+                    "{family} {variant}: {name} footprint differs from serial"
+                );
+            }
+        }
+    }
+}
