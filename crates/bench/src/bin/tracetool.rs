@@ -1,78 +1,16 @@
-//! Record and analyze execution traces.
-//!
-//! ```text
-//! # record a benchmark's event stream to a compact binary trace
-//! # (--stream writes the framed v2 format incrementally, with bounded
-//! # memory; default buffers an event log and writes flat v1):
-//! tracetool record --bench jacobi --out /tmp/jacobi.trace \
-//!     [--tiny|--scaled] [--planted] [--stream [--chunk-bytes N]]
-//!
-//! # run a benchmark live on the instrumented work-stealing executor,
-//! # detecting races online while it executes — no trace file; the
-//! # verdict is byte-identical to record + analyze --detector dtrg:
-//! tracetool exec --bench jacobi --threads 4 [--detector dtrg]
-//!     [--tiny|--scaled] [--planted] [--steal-seed S]
-//!
-//! # offline race detection + statistics over a trace (either format;
-//! # --detector picks the analysis, --shards N runs the parallel
-//! # pipeline for loc-routable detectors, verdict identical to serial):
-//! tracetool analyze /tmp/jacobi.trace [--detector NAME] [--shards N]
-//!     [--lenient] [--graph] [--dot /tmp/graph.dot]
-//!
-//! # run several detectors over one trace and report where they agree:
-//! tracetool compare /tmp/jacobi.trace [--detectors a,b,...] [--lenient]
-//!
-//! # structural summary / full integrity check of a trace file:
-//! tracetool info /tmp/jacobi.trace
-//! tracetool verify /tmp/jacobi.trace
-//!
-//! # batch analysis over every .ftrc under a directory: per-trace ×
-//! # per-detector jobs on a DAG-scheduled worker pool, resume manifest,
-//! # aggregated agreement/drift/damage report (JSON + markdown):
-//! tracetool corpus DIR [--out DIR] [--detectors a,b,...] [--max-parallel N]
-//!     [--failure-policy continue|abort] [--shards N] [--supervised]
-//!     [--lenient] [--fresh] [--stop-after-jobs N]
-//!
-//! # differential fuzzing: generate future-heavy random programs, run all
-//! # registered detectors (serial + sharded), classify disagreements
-//! # against the expected-unsoundness notes, shrink anything unexpected:
-//! tracetool fuzz [--programs N] [--seed S] [--gen nontree|future-heavy|default]
-//!     [--out-dir DIR] [--time-budget-secs T] [--break-detector NAME]
-//!
-//! # analysis daemon: stream traces over TCP in framed chunks, one
-//! # session per connection, checked as the chunks arrive by a live
-//! # serial engine; graceful drain suspends in-flight sessions to FCKP
-//! # checkpoints and --resume reopens them (--lenient drops damaged
-//! # chunks client-side, as analyze --lenient skips them):
-//! tracetool serve --listen 127.0.0.1:0 [--workers N] [--queue-depth N]
-//!     [--checkpoint-dir DIR] [--resume]
-//! tracetool client HOST:PORT /tmp/jacobi.trace [--checkpoint-every N]
-//!     [--lenient] [--chunk-events N] [--suspend-after N]
-//! tracetool client HOST:PORT --shutdown
-//! ```
-//!
-//! Exit codes: 0 clean, 1 invalid/damaged trace (or a deadlocked `exec`
-//! run), 2 usage error, 3 races
-//! detected by `analyze` or `exec` (`compare` always exits 0 when the trace reads
-//! cleanly — its product is the agreement report, not a verdict), 4
-//! unexpected detector disagreement found by `fuzz` (a minimized `.ftrc`
-//! reproducer is written to `--out-dir`). `corpus` exits 0 when every
-//! trace is clean (or the run was suspended by `--stop-after-jobs` —
-//! resume to finish), 1 when any job failed / was poisoned / never
-//! completed or the run aborted, 3 when the reference detector found
-//! races in at least one trace. `tracetool help` prints the full table.
+//! Record and analyze execution traces. `tracetool help` prints the usage
+//! of every subcommand and the exit-code table (`USAGE` and `EXIT_CODES`
+//! below); `futrace_bench::tracetool_cli` parses the flags.
 
 use futrace_bench::detectors::{self, AnyReport, DETECTOR_NAMES};
-use futrace_bench::fuzzdiff;
+use futrace_bench::fuzzdiff::{self, FuzzOptions};
 use futrace_bench::tracetool_cli::{
-    self, AnalyzeArgs, ClientArgs, Command, CompareArgs, CorpusArgs, ExecArgs, FuzzArgs,
-    RecordArgs, ServeArgs,
+    self, AnalyzeArgs, BenchProgram, ClientArgs, Command, CompareArgs, FuzzArgs, RecordArgs,
 };
-use futrace_benchsuite::randomprog::GenParams;
-use futrace_corpus::{run_corpus, CorpusError, CorpusOptions, FailurePolicy};
-use futrace_benchsuite::registry::{self, Scale};
+use futrace_benchsuite::registry;
 use futrace_compgraph::{dot, GraphBuilder, GraphStats};
-use futrace_detector::{RaceDetector, RaceReport};
+use futrace_corpus::{run_corpus, CorpusError, CorpusOptions};
+use futrace_detector::RaceDetector;
 use futrace_offline::framed::{self, DEFAULT_CHUNK_BYTES};
 use futrace_offline::{
     read_events, trace_chunks, Checkpoint, FrameError, StreamWriter, SuperviseError,
@@ -83,7 +21,7 @@ use futrace_runtime::engine::{
 };
 use futrace_runtime::online::{run_online, OnlineOptions};
 use futrace_runtime::{trace, Event, EventLog, Monitor};
-use futrace_service::{ClientOptions, ClientOutcome, ServeOptions, Server};
+use futrace_service::{render_verdict, ClientOptions, ClientOutcome, ServeOptions, Server};
 use futrace_util::faultinject::{
     read_to_end_with_retry, Backoff, FaultPlan, FaultyReader, FaultyWriter, IoFaultStats,
 };
@@ -172,10 +110,8 @@ fn help() {
 
 /// Drives the selected benchmark against any monitor — an [`EventLog`]
 /// for buffered v1 recording, a [`StreamWriter`] for direct-to-disk v2.
-fn run_bench<M: Monitor>(mon: &mut M, bench: &str, tiny: bool, planted: bool) {
-    let w = registry::find(bench).expect("parser admits only known benches");
-    let scale = if tiny { Scale::Tiny } else { Scale::Scaled };
-    w.run_into(mon, scale, planted);
+fn run_bench(mon: &mut dyn Monitor, p: &BenchProgram) {
+    p.workload().run_into(mon, p.scale, p.planted);
 }
 
 fn print_fault_stats(kind: &str, seed: u64, s: &IoFaultStats) {
@@ -233,7 +169,7 @@ fn record(args: RecordArgs) {
                     std::process::exit(1);
                 }
             };
-            run_bench(&mut writer, &args.bench, args.tiny, args.planted);
+            run_bench(&mut writer, &args.program);
             if writer.stats().dropped_events > 0 {
                 let dropped = writer.stats().dropped_events;
                 eprintln!("warning: sink failed hard; {dropped} event(s) dropped");
@@ -244,13 +180,13 @@ fn record(args: RecordArgs) {
         } else {
             let mut writer = StreamWriter::with_chunk_bytes(BufWriter::new(file), chunk)
                 .expect("write trace header");
-            run_bench(&mut writer, &args.bench, args.tiny, args.planted);
+            run_bench(&mut writer, &args.program);
             let (_, stats) = finish_stream(writer, &args.out);
             print_record_stats(&stats, &args.out);
         }
     } else {
         let mut log = EventLog::new();
-        run_bench(&mut log, &args.bench, args.tiny, args.planted);
+        run_bench(&mut log, &args.program);
         let blob = trace::encode(&log.events);
         std::fs::write(&args.out, &blob).expect("write trace file");
         eprintln!(
@@ -270,18 +206,12 @@ fn record(args: RecordArgs) {
 /// --detector dtrg` on the same bench (CI diffs it); online telemetry
 /// rides in the engine block. A deadlocked execution still reports the analysis of
 /// the executed prefix, then exits 1.
-fn exec(args: ExecArgs) {
-    debug_assert_eq!(args.detector, "dtrg", "parser admits only dtrg for exec");
-    let w = registry::find(&args.bench).expect("parser admits only known benches");
-    let scale = if args.tiny { Scale::Tiny } else { Scale::Scaled };
-    let opts = OnlineOptions {
-        threads: args.threads,
-        steal_seed: args.steal_seed,
-    };
+fn exec(program: BenchProgram, opts: OnlineOptions) {
+    let w = program.workload();
     let start = std::time::Instant::now();
     let mut engine = Engine::new(RaceDetector::new());
     let run = run_online(opts, &mut engine, |ctx| {
-        w.run_parallel_into(ctx, scale, args.planted)
+        w.run_parallel_into(ctx, program.scale, program.planted)
     });
     let (detector, mut counters) = engine.into_parts();
     let report = detector.finish();
@@ -290,7 +220,7 @@ fn exec(args: ExecArgs) {
 
     println!(
         "{}: {} events ({} thread(s), live)",
-        args.bench, outcome.engine.events, run.stats.threads
+        program.bench, outcome.engine.events, run.stats.threads
     );
     note_if_empty(outcome.engine.events);
     if let Err(e) = &run.result {
@@ -304,12 +234,12 @@ fn exec(args: ExecArgs) {
     println!("\n-- detector --");
     println!("{}", outcome.stats);
     println!("footprint:   {}", outcome.footprint);
-    let racy = print_verdict(&outcome.races);
+    println!("{}", render_verdict(&outcome.races));
 
     if run.result.is_err() {
         std::process::exit(1);
     }
-    if racy {
+    if outcome.races.has_races() {
         std::process::exit(3);
     }
 }
@@ -367,25 +297,6 @@ fn note_if_empty(events: u64) {
     }
 }
 
-/// Prints the race verdict. This section must stay byte-identical between
-/// the serial and sharded paths — CI's smoke test diffs it.
-fn print_verdict(report: &RaceReport) -> bool {
-    if report.has_races() {
-        println!(
-            "\n{} determinacy race(s); first {}:",
-            report.total_detected,
-            report.races.len().min(5)
-        );
-        for r in report.races.iter().take(5) {
-            println!("  {r}");
-        }
-        true
-    } else {
-        println!("\nno determinacy races: the traced program is determinate");
-        false
-    }
-}
-
 /// The bytes a run analyzes. Even lenient framing cannot resync past a
 /// truncated chunk (there are no sync markers), so under `--lenient` a
 /// truncated framed trace is cut at the truncated chunk: the serial and
@@ -430,11 +341,13 @@ fn decode_all(file: &str, blob: &[u8], lenient: bool) -> Vec<Event> {
 }
 
 /// Prints any detector's verdict (and up to 5 race lines where the
-/// detector records them). For the DTRG detector this defers to
-/// [`print_verdict`] so the wording stays byte-identical across paths.
+/// detector records them). For the DTRG detector this is
+/// [`render_verdict`], the daemon's renderer, so the section CI diffs
+/// stays byte-identical across every path.
 fn print_report(name: &str, report: &AnyReport) -> bool {
     if let AnyReport::Dtrg(r) = report {
-        return print_verdict(&r.report);
+        println!("{}", render_verdict(&r.report));
+        return r.report.has_races();
     }
     let n = report.race_count();
     if n > 0 {
@@ -843,35 +756,22 @@ fn verify(file: &str) {
 /// Differential fuzzing over the detector registry. One batch per base
 /// seed; with `--time-budget-secs`, fresh batches (each with a derived
 /// seed) run until the clock runs out or a counterexample lands.
-fn fuzz(args: FuzzArgs) {
-    let params = match args.gen.as_str() {
-        "nontree" => GenParams::nontree_heavy(),
-        "future-heavy" => GenParams::future_heavy(),
-        _ => GenParams::default(),
-    };
+fn fuzz(mut opts: FuzzOptions, args: FuzzArgs) {
     let started = std::time::Instant::now();
-    let mut batch_state = args.seed;
+    let mut batch_state = opts.seed;
     let mut batch = 0u64;
     let mut total = fuzzdiff::Tally::default();
     loop {
         // Batch 0 fuzzes the seed exactly as given, so
         // `tracetool fuzz --seed S` reproduces a one-batch run; later
         // batches derive fresh seeds from the splitmix stream.
-        let seed = if batch == 0 {
-            args.seed
-        } else {
-            futrace_util::rng::splitmix64(&mut batch_state)
-        };
-        let opts = fuzzdiff::FuzzOptions {
-            programs: args.programs,
-            seed,
-            params,
-            broken_detector: args.break_detector.clone(),
-            ..fuzzdiff::FuzzOptions::default()
-        };
+        if batch > 0 {
+            opts.seed = futrace_util::rng::splitmix64(&mut batch_state);
+        }
+        let seed = opts.seed;
         eprintln!(
             "fuzz batch {batch}: {} program(s), seed {seed}, gen {}",
-            args.programs, args.gen
+            opts.programs, args.gen
         );
         let report = fuzzdiff::run(&opts);
         total.absorb(&report.tally);
@@ -891,7 +791,7 @@ fn fuzz(args: FuzzArgs) {
                 "  FUTRACE_PROPCHECK_SEED={:#x} tracetool fuzz --programs 1 --seed {seed} --gen {}{}",
                 cx.seed,
                 args.gen,
-                match &args.break_detector {
+                match &opts.broken_detector {
                     Some(d) => format!(" --break-detector {d}"),
                     None => String::new(),
                 }
@@ -923,30 +823,8 @@ fn fuzz(args: FuzzArgs) {
 
 /// DAG-scheduled batch analysis over a directory of traces; exits with
 /// the corpus verdict ([`futrace_corpus::ExitVerdict`]).
-fn corpus(args: CorpusArgs) {
-    let out_dir = args.out.clone().unwrap_or_else(|| {
-        std::path::Path::new(&args.dir)
-            .join("corpus-out")
-            .to_string_lossy()
-            .into_owned()
-    });
-    let mut opts = CorpusOptions::new(&out_dir);
-    opts.detectors = args.detectors;
-    opts.max_parallel = args.max_parallel;
-    opts.policy = if args.abort {
-        FailurePolicy::Abort
-    } else {
-        FailurePolicy::Continue
-    };
-    opts.shards = args.shards;
-    opts.supervised = args.supervised;
-    opts.lenient = args.lenient;
-    opts.fresh = args.fresh;
-    opts.stop_after_jobs = args.stop_after_jobs;
-    opts.job_timeout = args.job_timeout_ms.map(Duration::from_millis);
-    opts.job_retries = args.job_retries;
-
-    let outcome = match run_corpus(std::path::Path::new(&args.dir), &opts) {
+fn corpus(dir: &str, opts: &CorpusOptions) {
+    let outcome = match run_corpus(std::path::Path::new(dir), opts) {
         Ok(o) => o,
         Err(e @ CorpusError::Config(_)) => usage(&e.to_string()),
         Err(e) => {
@@ -956,8 +834,8 @@ fn corpus(args: CorpusArgs) {
     };
 
     println!(
-        "corpus {}: {} trace(s), {} job(s) ran, {} skipped via manifest",
-        args.dir, outcome.traces, outcome.jobs_ran, outcome.jobs_skipped
+        "corpus {dir}: {} trace(s), {} job(s) ran, {} skipped via manifest",
+        outcome.traces, outcome.jobs_ran, outcome.jobs_skipped
     );
     if outcome.jobs_retried > 0 {
         println!(
@@ -968,7 +846,8 @@ fn corpus(args: CorpusArgs) {
     if outcome.suspended {
         println!(
             "suspended by --stop-after-jobs; rerun the same command (without \
-             --fresh) to resume from {out_dir}"
+             --fresh) to resume from {}",
+            opts.out_dir.display()
         );
         std::process::exit(0);
     }
@@ -1002,27 +881,12 @@ fn corpus(args: CorpusArgs) {
 /// sessions over a bounded worker pool. Blocks until a client sends
 /// `Shutdown`, then drains (suspending in-flight sessions to FCKP
 /// checkpoints) and prints a summary.
-fn serve(args: ServeArgs) {
-    let opts = ServeOptions {
-        addr: args.listen.clone(),
-        workers: args.workers,
-        queue_depth: args.queue_depth,
-        checkpoint_dir: std::path::PathBuf::from(
-            args.checkpoint_dir.as_deref().unwrap_or("."),
-        ),
-        resume: args.resume,
-        idle_timeout: args.idle_timeout_ms.map(std::time::Duration::from_millis),
-        io_deadline: match args.io_deadline_ms {
-            Some(ms) => Some(std::time::Duration::from_millis(ms)),
-            None => ServeOptions::default().io_deadline,
-        },
-        max_sessions: args.max_sessions.unwrap_or(0),
-        inject_net: args.inject_net,
-    };
+fn serve(opts: ServeOptions) {
+    let listen = opts.addr.clone();
     let server = match Server::bind(opts) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("cannot listen on {}: {e}", args.listen);
+            eprintln!("cannot listen on {listen}: {e}");
             std::process::exit(1);
         }
     };
@@ -1067,10 +931,10 @@ fn serve(args: ServeArgs) {
 /// Streams a trace to a running daemon chunk by chunk and prints the
 /// returned verdict — byte-identical to one-shot `analyze` — or asks
 /// the daemon to drain and exit (`--shutdown`).
-fn client(args: ClientArgs) {
+fn client(opts: ClientOptions, args: ClientArgs) {
     if args.shutdown {
-        match futrace_service::shutdown(&args.addr) {
-            Ok(()) => println!("daemon at {} is draining", args.addr),
+        match futrace_service::shutdown(&opts.addr) {
+            Ok(()) => println!("daemon at {} is draining", opts.addr),
             Err(e) => {
                 eprintln!("error: {e}");
                 std::process::exit(1);
@@ -1081,24 +945,6 @@ fn client(args: ClientArgs) {
 
     let file = args.file.as_deref().expect("parser requires a file");
     let blob = read_trace(file);
-    let name = args.name.clone().unwrap_or_else(|| {
-        std::path::Path::new(file)
-            .file_stem()
-            .map(|s| s.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "session".to_string())
-    });
-    let opts = ClientOptions {
-        addr: args.addr.clone(),
-        checkpoint_every: args.checkpoint_every,
-        lenient: args.lenient,
-        trace_name: name,
-        chunk_events: args.chunk_events,
-        suspend_after: args.suspend_after,
-        retries: args.retries,
-        retry_budget_ms: args.retry_budget_ms,
-        inject_net: args.inject_net,
-    };
-
     match futrace_service::stream_trace(&opts, &blob) {
         Ok(ClientOutcome::Finished {
             races,
@@ -1107,7 +953,7 @@ fn client(args: ClientArgs) {
             chunks_sent,
             attempts,
         }) => {
-            println!("{file}: {chunks_sent} chunk(s) streamed to {}", args.addr);
+            println!("{file}: {chunks_sent} chunk(s) streamed to {}", opts.addr);
             if resumed_chunks > 0 {
                 println!("resumed: daemon skipped {resumed_chunks} already-analyzed chunk(s)");
             }
@@ -1127,7 +973,7 @@ fn client(args: ClientArgs) {
             );
             println!(
                 "resume with: tracetool client {} {} --name {} (daemon needs --resume)",
-                args.addr, file, opts.trace_name
+                opts.addr, file, opts.trace_name
             );
         }
         Err(
@@ -1148,15 +994,15 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match tracetool_cli::parse(&args) {
         Ok(Command::Record(r)) => record(r),
-        Ok(Command::Exec(e)) => exec(e),
+        Ok(Command::Exec(program, opts)) => exec(program, opts),
         Ok(Command::Analyze(a)) => analyze(a),
         Ok(Command::Compare(c)) => compare(c),
         Ok(Command::Info { file }) => info(&file),
         Ok(Command::Verify { file }) => verify(&file),
-        Ok(Command::Corpus(c)) => corpus(c),
-        Ok(Command::Fuzz(f)) => fuzz(f),
-        Ok(Command::Serve(s)) => serve(s),
-        Ok(Command::Client(c)) => client(c),
+        Ok(Command::Corpus { dir, opts }) => corpus(&dir, &opts),
+        Ok(Command::Fuzz(opts, f)) => fuzz(opts, f),
+        Ok(Command::Serve(opts)) => serve(opts),
+        Ok(Command::Client(opts, c)) => client(opts, c),
         Ok(Command::Help) => help(),
         Err(e) => usage(&e),
     }

@@ -60,7 +60,7 @@ impl Tally {
 }
 
 /// One fuzz batch's configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzOptions {
     /// Programs to generate and check.
     pub programs: u32,

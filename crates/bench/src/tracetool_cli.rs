@@ -4,13 +4,25 @@
 //!
 //! Conventions: unknown flags and missing values are errors (exit 2 via
 //! the binary); `--bench` is validated against the benchsuite
-//! [`registry`](futrace_benchsuite::registry) *at parse time* — as is
-//! `--planted`, which only plantable workloads accept; when both
-//! `--tiny` and `--scaled` appear, the last one wins (explicitly tested,
-//! since scripts commonly append overrides).
+//! [`registry`] *at parse time* — as is `--planted`, which only plantable
+//! workloads accept; when both `--tiny` and `--scaled` appear, the last
+//! one wins (explicitly tested, since scripts commonly append overrides).
+//!
+//! `serve`, `client`, `corpus`, `fuzz` and `exec` parse straight into the
+//! library's option structs, starting from their own defaults, so each
+//! default is written once: [`ServeOptions`], [`ClientOptions`],
+//! [`CorpusOptions`], [`FuzzOptions`] and [`OnlineOptions`].
 
 use crate::detectors::{is_detector, is_shardable, DETECTOR_NAMES};
-use futrace_benchsuite::registry;
+use crate::fuzzdiff::FuzzOptions;
+use futrace_benchsuite::randomprog::GenParams;
+use futrace_benchsuite::registry::{self, Scale, Workload};
+use futrace_corpus::{CorpusOptions, FailurePolicy};
+use futrace_runtime::online::OnlineOptions;
+use futrace_service::{ClientOptions, ServeOptions};
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use std::time::Duration;
 
 /// A parsed `tracetool` invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,32 +43,84 @@ pub enum Command {
         /// Trace file to fully validate.
         file: String,
     },
-    /// `tracetool exec …`
-    Exec(ExecArgs),
+    /// `tracetool exec …`: the program to run live on the instrumented
+    /// executor, with online detection and no trace file anywhere.
+    Exec(BenchProgram, OnlineOptions),
     /// `tracetool fuzz …`
-    Fuzz(FuzzArgs),
+    Fuzz(FuzzOptions, FuzzArgs),
     /// `tracetool corpus DIR …`
-    Corpus(CorpusArgs),
+    Corpus {
+        /// Corpus root directory (every `*.ftrc` under it, recursively).
+        dir: String,
+        /// The run's options; `--out` defaults to `DIR/corpus-out`.
+        opts: CorpusOptions,
+    },
     /// `tracetool serve --listen ADDR …`
-    Serve(ServeArgs),
+    Serve(ServeOptions),
     /// `tracetool client ADDR FILE …` / `tracetool client ADDR --shutdown`
-    Client(ClientArgs),
+    Client(ClientOptions, ClientArgs),
     /// `tracetool help` / `--help` / `-h`: print usage + exit-code table
     /// to stdout and exit 0 (unlike a usage *error*, which exits 2).
     Help,
 }
 
+/// The benchsuite program `record` and `exec` run: `--bench NAME`,
+/// `--tiny` (the default) or `--scaled`, and `--planted`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BenchProgram {
+    /// Benchmark name (guaranteed to be a registry key).
+    pub bench: String,
+    /// Input size (`--tiny`/`--scaled`; the last flag wins).
+    pub scale: Scale,
+    /// Plant a determinacy race (plantable workloads only).
+    pub planted: bool,
+}
+
+impl BenchProgram {
+    /// The registry entry `bench` names.
+    pub fn workload(&self) -> &'static Workload {
+        registry::find(&self.bench).expect("parser admits only known benches")
+    }
+
+    /// The group before any flag: no benchmark named yet, tiny, unplanted.
+    fn empty() -> Self {
+        BenchProgram {
+            bench: String::new(),
+            scale: Scale::Tiny,
+            planted: false,
+        }
+    }
+
+    /// Applies the flag at the cursor if it is one of the group's;
+    /// `false` when it is not.
+    fn take(&mut self, flags: &mut Flags) -> Result<bool, String> {
+        match flags.flag {
+            "--bench" => self.bench = validate_bench(flags.str()?)?,
+            "--tiny" => self.scale = Scale::Tiny,
+            "--scaled" => self.scale = Scale::Scaled,
+            "--planted" => self.planted = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks that `--bench` was given and that `--planted` has a variant.
+    fn finish(self, command: &str) -> Result<Self, String> {
+        if self.bench.is_empty() {
+            return Err(format!("{command}: --bench is required"));
+        }
+        validate_planted(&self.bench, self.planted)?;
+        Ok(self)
+    }
+}
+
 /// Options for `tracetool record`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecordArgs {
-    /// Benchmark name (guaranteed to be a registry key).
-    pub bench: String,
+    /// The program to record.
+    pub program: BenchProgram,
     /// Output trace path.
     pub out: String,
-    /// Tiny input size (`--scaled` clears it; last flag wins).
-    pub tiny: bool,
-    /// Plant a determinacy race.
-    pub planted: bool,
     /// Write the framed v2 format incrementally instead of buffering the
     /// whole event log.
     pub stream: bool,
@@ -66,26 +130,6 @@ pub struct RecordArgs {
     /// derives a [`futrace_util::faultinject::FaultPlan`] and wraps the
     /// sink in a `FaultyWriter`.
     pub inject: Option<u64>,
-}
-
-/// Options for `tracetool exec` (instrumented parallel execution with
-/// online detection — no trace file anywhere).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ExecArgs {
-    /// Benchmark name (guaranteed to be a registry key).
-    pub bench: String,
-    /// Executor worker threads (≥ 1).
-    pub threads: usize,
-    /// Detector to run online (currently only `dtrg`; validated at
-    /// parse time).
-    pub detector: String,
-    /// Tiny input size (`--scaled` clears it; last flag wins, as in
-    /// `record`).
-    pub tiny: bool,
-    /// Plant a determinacy race (plantable workloads only).
-    pub planted: bool,
-    /// Seed for randomized steal order (schedule exploration).
-    pub steal_seed: Option<u64>,
 }
 
 /// Options for `tracetool analyze`.
@@ -113,7 +157,8 @@ pub struct AnalyzeArgs {
     /// When absent but `--inject` is given on a framed trace, the tool
     /// defaults an interval so the replay buffer stays bounded.
     pub checkpoint_every: Option<u64>,
-    /// Write a resumable checkpoint to this path when the run suspends.
+    /// Write a resumable checkpoint to this path when the run suspends
+    /// (requires `--stop-after`: only a suspend writes one).
     pub checkpoint: Option<String>,
     /// Resume from a checkpoint file written by an earlier `--checkpoint`
     /// run.
@@ -135,118 +180,26 @@ impl AnalyzeArgs {
     }
 }
 
-/// Options for `tracetool fuzz` (the differential fuzzing mode; see
-/// `crate::fuzzdiff`).
+/// What `tracetool fuzz` needs beyond [`FuzzOptions`] (the differential
+/// fuzzing mode; see `crate::fuzzdiff`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzArgs {
-    /// Programs per fuzzing batch.
-    pub programs: u32,
-    /// Base seed (batch `k` of a time-budgeted run derives its own seed).
-    pub seed: u64,
-    /// Program-generator preset: `nontree` (default), `future-heavy`, or
-    /// `default`.
-    pub gen: String,
+    /// Name of the `--gen` preset in `FuzzOptions::params`, for the batch
+    /// banner and the replay line.
+    pub gen: &'static str,
     /// Directory receiving minimized counterexample traces.
     pub out_dir: String,
     /// Keep fuzzing fresh batches until this many seconds have elapsed.
     pub time_budget_secs: Option<u64>,
-    /// Test-only fault injection: invert the named detector's verdict so
-    /// the disagreement/shrink/repro pipeline can be exercised end to end.
-    pub break_detector: Option<String>,
 }
 
-/// Options for `tracetool corpus` (DAG-scheduled batch analysis over a
-/// directory of traces; see `futrace_corpus`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CorpusArgs {
-    /// Corpus root directory (every `*.ftrc` under it, recursively).
-    pub dir: String,
-    /// Output directory for the manifest and reports. Defaults to
-    /// `<dir>/corpus-out` in the binary when absent.
-    pub out: Option<String>,
-    /// Detectors to run per trace, in order (each valid and unique;
-    /// defaults to all of [`crate::detectors::DETECTOR_NAMES`]).
-    pub detectors: Vec<String>,
-    /// Worker-pool width (≥ 1; default 1).
-    pub max_parallel: usize,
-    /// `--failure-policy abort`: stop the whole run on the first failed
-    /// job instead of poisoning only its dependents.
-    pub abort: bool,
-    /// Shard count for shardable detectors' analyze jobs.
-    pub shards: Option<usize>,
-    /// Run shardable detectors under the fault-tolerant supervisor
-    /// (requires `--shards`).
-    pub supervised: bool,
-    /// Skip damaged framed chunks instead of failing the analyze job.
-    pub lenient: bool,
-    /// Discard any existing resume manifest and start over.
-    pub fresh: bool,
-    /// Suspend dispatch after N completed jobs (kill-midway hook for
-    /// resume testing; the run exits 0 and resumes on the next call).
-    pub stop_after_jobs: Option<u64>,
-    /// Fail any single job that runs longer than this many milliseconds
-    /// (its dependents are poisoned); absent = no deadline.
-    pub job_timeout_ms: Option<u64>,
-    /// Re-queue a failed or timed-out job up to this many times before it
-    /// settles `Failed` and poisons its dependents (default 0).
-    pub job_retries: u64,
-}
-
-/// Options for `tracetool serve` (the analysis daemon).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ServeArgs {
-    /// Listen address (`host:port`; port 0 picks one and prints it).
-    pub listen: String,
-    /// Worker threads — concurrently analyzed sessions (default 4).
-    pub workers: usize,
-    /// Accepted-but-unclaimed connections queued before `accept` blocks
-    /// (default 16).
-    pub queue_depth: usize,
-    /// Directory for per-session FCKP checkpoint files (default `.`).
-    pub checkpoint_dir: Option<String>,
-    /// Reopen matching checkpoint files when sessions reconnect.
-    pub resume: bool,
-    /// Suspend a session to its checkpoint after this much client
-    /// silence instead of letting it pin a worker forever.
-    pub idle_timeout_ms: Option<u64>,
-    /// Per-frame socket write deadline (default 30 000; a stalled reader
-    /// cannot wedge a worker past it).
-    pub io_deadline_ms: Option<u64>,
-    /// Live-session quota: an `Open` past it is shed with `Busy`
-    /// (absent = unlimited).
-    pub max_sessions: Option<usize>,
-    /// Seed for per-connection network fault injection (chaos testing).
-    pub inject_net: Option<u64>,
-}
-
-/// Options for `tracetool client` (streams a trace to a daemon).
+/// What `tracetool client` needs beyond [`ClientOptions`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientArgs {
-    /// Daemon address (`host:port`).
-    pub addr: String,
     /// Trace file to stream (absent only with `--shutdown`).
     pub file: Option<String>,
-    /// Ask the daemon to checkpoint the session every N chunks.
-    pub checkpoint_every: Option<u64>,
-    /// Skip damaged framed chunks instead of failing, as `analyze
-    /// --lenient` does.
-    pub lenient: bool,
-    /// Session name keying the daemon-side checkpoint file (defaults to
-    /// the trace file's basename).
-    pub name: Option<String>,
-    /// Re-chunk the trace to this many events per chunk before sending.
-    pub chunk_events: Option<usize>,
-    /// Send `Suspend` after this many chunks instead of finishing.
-    pub suspend_after: Option<u64>,
     /// Ask the daemon to drain and exit instead of streaming a trace.
     pub shutdown: bool,
-    /// Reconnect attempts after a torn connection or `Busy` shed
-    /// (default 0: fail on the first fault).
-    pub retries: u32,
-    /// Wall-clock cap in milliseconds across all reconnect attempts.
-    pub retry_budget_ms: Option<u64>,
-    /// Seed for per-attempt network fault injection (chaos testing).
-    pub inject_net: Option<u64>,
 }
 
 /// Options for `tracetool compare`.
@@ -261,34 +214,89 @@ pub struct CompareArgs {
     pub lenient: bool,
 }
 
-fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| format!("{flag} requires a value"))
+/// `fuzz --gen` presets by name.
+fn gen_presets() -> [(&'static str, GenParams); 3] {
+    [
+        ("nontree", GenParams::nontree_heavy()),
+        ("future-heavy", GenParams::future_heavy()),
+        ("default", GenParams::default()),
+    ]
 }
 
-/// Parses `--inject`'s seed: any u64, but nothing else (a mistyped seed
-/// must not silently become a different fault plan).
-fn parse_seed(args: &[String], i: &mut usize) -> Result<u64, String> {
-    parse_seed_flag(args, i, "--inject")
+/// A cursor over one subcommand's arguments. `next_flag` steps to the
+/// next argument; each value reader takes the argument after it as that
+/// flag's value and names the flag in its errors.
+struct Flags<'a> {
+    args: &'a [String],
+    next: usize,
+    /// The argument `next_flag` stepped to last.
+    flag: &'a str,
 }
 
-fn parse_seed_flag(args: &[String], i: &mut usize, flag: &'static str) -> Result<u64, String> {
-    let v = value(args, i, flag)?;
-    v.parse::<u64>()
-        .map_err(|_| format!("{flag}: invalid seed `{v}` (expected an unsigned 64-bit integer)"))
-}
-
-fn parse_positive_u64(args: &[String], i: &mut usize, flag: &'static str) -> Result<u64, String> {
-    let v = value(args, i, flag)?;
-    let n: u64 = v
-        .parse()
-        .map_err(|_| format!("{flag}: invalid count `{v}` (expected a positive integer)"))?;
-    if n == 0 {
-        return Err(format!("{flag} must be at least 1"));
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args,
+            next: 0,
+            flag: "",
+        }
     }
-    Ok(n)
+
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.args.get(self.next).map(String::as_str)?;
+        self.next += 1;
+        Some(self.flag)
+    }
+
+    /// The flag's value, as given.
+    fn str(&mut self) -> Result<&'a str, String> {
+        let v = self.args.get(self.next);
+        self.next += 1;
+        v.map(String::as_str)
+            .ok_or_else(|| format!("{} requires a value", self.flag))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.str().map(str::to_string)
+    }
+
+    /// A count of at least 1, in the target integer type.
+    fn positive<T: TryFrom<u64>>(&mut self) -> Result<T, String> {
+        let (flag, v) = (self.flag, self.str()?);
+        let n: u64 = v
+            .parse()
+            .map_err(|_| format!("{flag}: invalid count `{v}` (expected a positive integer)"))?;
+        if n == 0 {
+            return Err(format!("{flag} must be at least 1"));
+        }
+        T::try_from(n).map_err(|_| {
+            format!(
+                "{flag}: `{n}` exceeds the {} range",
+                std::any::type_name::<T>()
+            )
+        })
+    }
+
+    /// A count for which 0 is meaningful.
+    fn count<T: FromStr>(&mut self) -> Result<T, String> {
+        let (flag, v) = (self.flag, self.str()?);
+        v.parse()
+            .map_err(|_| format!("{flag}: invalid count `{v}` (expected an integer)"))
+    }
+
+    /// Any u64, but nothing else (a mistyped seed must not silently
+    /// become a different fault plan or schedule).
+    fn seed(&mut self) -> Result<u64, String> {
+        let (flag, v) = (self.flag, self.str()?);
+        v.parse().map_err(|_| {
+            format!("{flag}: invalid seed `{v}` (expected an unsigned 64-bit integer)")
+        })
+    }
+
+    /// A registry detector name.
+    fn detector(&mut self) -> Result<String, String> {
+        validate_detector(self.str()?)
+    }
 }
 
 fn validate_bench(name: &str) -> Result<String, String> {
@@ -310,66 +318,6 @@ fn validate_planted(bench: &str, planted: bool) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
-    let mut bench = None;
-    let mut out = None;
-    let mut tiny = true;
-    let mut planted = false;
-    let mut stream = false;
-    let mut chunk_bytes = None;
-    let mut inject = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => bench = Some(validate_bench(value(args, &mut i, "--bench")?)?),
-            "--out" => out = Some(value(args, &mut i, "--out")?.to_string()),
-            "--tiny" => tiny = true,
-            "--scaled" => tiny = false,
-            "--planted" => planted = true,
-            "--stream" => stream = true,
-            "--chunk-bytes" => {
-                let v = value(args, &mut i, "--chunk-bytes")?;
-                chunk_bytes = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--chunk-bytes: invalid byte count `{v}`"))?,
-                );
-            }
-            "--inject" => inject = Some(parse_seed(args, &mut i)?),
-            other => return Err(format!("record: unknown argument `{other}`")),
-        }
-        i += 1;
-    }
-    if chunk_bytes.is_some() && !stream {
-        return Err("--chunk-bytes only applies to --stream recording".into());
-    }
-    if inject.is_some() && !stream {
-        return Err("--inject only applies to --stream recording".into());
-    }
-    let bench = bench.ok_or("record: --bench is required")?;
-    validate_planted(&bench, planted)?;
-    let out = out.ok_or("record: --out is required")?;
-    Ok(RecordArgs {
-        bench,
-        out,
-        tiny,
-        planted,
-        stream,
-        chunk_bytes,
-        inject,
-    })
-}
-
-fn parse_shards(args: &[String], i: &mut usize) -> Result<usize, String> {
-    let v = value(args, i, "--shards")?;
-    let n: usize = v
-        .parse()
-        .map_err(|_| format!("--shards: invalid count `{v}` (expected a positive integer)"))?;
-    if n == 0 {
-        return Err("--shards must be at least 1".into());
-    }
-    Ok(n)
-}
-
 fn validate_detector(name: &str) -> Result<String, String> {
     if is_detector(name) {
         Ok(name.to_string())
@@ -381,132 +329,145 @@ fn validate_detector(name: &str) -> Result<String, String> {
     }
 }
 
-fn parse_analyze(args: &[String]) -> Result<AnalyzeArgs, String> {
-    let mut file = None;
-    let mut detector = "dtrg".to_string();
-    let mut shards = None;
-    let mut lenient = false;
-    let mut graph = false;
-    let mut dot = None;
+fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
+    let mut program = BenchProgram::empty();
+    let mut out = None;
+    let mut stream = false;
+    let mut chunk_bytes = None;
     let mut inject = None;
-    let mut checkpoint_every = None;
-    let mut checkpoint = None;
-    let mut resume = None;
-    let mut stop_after = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--detector" => detector = validate_detector(value(args, &mut i, "--detector")?)?,
-            "--shards" => shards = Some(parse_shards(args, &mut i)?),
-            "--lenient" => lenient = true,
-            "--graph" => graph = true,
-            "--dot" => {
-                dot = Some(value(args, &mut i, "--dot")?.to_string());
-                graph = true;
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--out" => out = Some(flags.string()?),
+            "--stream" => stream = true,
+            "--chunk-bytes" => {
+                let v = flags.str()?;
+                chunk_bytes = Some(
+                    v.parse::<usize>()
+                        .map_err(|_| format!("--chunk-bytes: invalid byte count `{v}`"))?,
+                );
             }
-            "--inject" => inject = Some(parse_seed(args, &mut i)?),
-            "--checkpoint-every" => {
-                checkpoint_every = Some(parse_positive_u64(args, &mut i, "--checkpoint-every")?)
-            }
-            "--checkpoint" => checkpoint = Some(value(args, &mut i, "--checkpoint")?.to_string()),
-            "--resume" => resume = Some(value(args, &mut i, "--resume")?.to_string()),
-            "--stop-after" => {
-                stop_after = Some(parse_positive_u64(args, &mut i, "--stop-after")?)
-            }
-            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
-            other => return Err(format!("analyze: unknown argument `{other}`")),
+            "--inject" => inject = Some(flags.seed()?),
+            _ if program.take(&mut flags)? => {}
+            other => return Err(format!("record: unknown argument `{other}`")),
         }
-        i += 1;
     }
-    if graph && shards.is_some() {
-        return Err("--graph/--dot require the serial path; drop --shards".into());
+    if chunk_bytes.is_some() && !stream {
+        return Err("--chunk-bytes only applies to --stream recording".into());
     }
-    if graph && detector != "dtrg" {
-        return Err("--graph/--dot only apply to the dtrg detector".into());
+    if inject.is_some() && !stream {
+        return Err("--inject only applies to --stream recording".into());
     }
-    if shards.is_some() && !is_shardable(&detector) {
-        return Err(format!(
-            "detector `{detector}` needs the global access order and cannot run sharded; \
-             drop --shards (shardable: dtrg, vc)"
-        ));
-    }
-    let supervised_flag = inject.is_some()
-        || checkpoint_every.is_some()
-        || checkpoint.is_some()
-        || resume.is_some()
-        || stop_after.is_some();
-    if supervised_flag && !is_shardable(&detector) {
-        return Err(format!(
-            "detector `{detector}` cannot run under the supervised pipeline; \
-             --inject/--checkpoint*/--resume/--stop-after need a shardable detector (dtrg, vc)"
-        ));
-    }
-    if supervised_flag && graph {
-        return Err("--graph/--dot require the serial path; drop the fault-tolerance flags".into());
-    }
-    if stop_after.is_some() && checkpoint.is_none() {
-        return Err("--stop-after needs --checkpoint FILE to receive the snapshot".into());
-    }
-    Ok(AnalyzeArgs {
-        file: file.ok_or("analyze: trace file is required")?,
-        detector,
-        shards,
-        lenient,
-        graph,
-        dot,
+    let program = program.finish("record")?;
+    let out = out.ok_or("record: --out is required")?;
+    Ok(RecordArgs {
+        program,
+        out,
+        stream,
+        chunk_bytes,
         inject,
-        checkpoint_every,
-        checkpoint,
-        resume,
-        stop_after,
     })
 }
 
-fn parse_exec(args: &[String]) -> Result<ExecArgs, String> {
-    let mut bench = None;
-    let mut threads = None;
-    let mut detector = "dtrg".to_string();
-    let mut tiny = true;
-    let mut planted = false;
-    let mut steal_seed = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--bench" => bench = Some(validate_bench(value(args, &mut i, "--bench")?)?),
-            "--threads" => {
-                let n = parse_positive_u64(args, &mut i, "--threads")?;
-                threads = Some(
-                    usize::try_from(n)
-                        .map_err(|_| format!("--threads: `{n}` exceeds the usize range"))?,
-                );
+fn parse_analyze(args: &[String]) -> Result<AnalyzeArgs, String> {
+    let mut file = None;
+    let mut a = AnalyzeArgs {
+        file: String::new(),
+        detector: "dtrg".to_string(),
+        shards: None,
+        lenient: false,
+        graph: false,
+        dot: None,
+        inject: None,
+        checkpoint_every: None,
+        checkpoint: None,
+        resume: None,
+        stop_after: None,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--detector" => a.detector = flags.detector()?,
+            "--shards" => a.shards = Some(flags.positive()?),
+            "--lenient" => a.lenient = true,
+            "--graph" => a.graph = true,
+            "--dot" => {
+                a.dot = Some(flags.string()?);
+                a.graph = true;
             }
-            "--detector" => detector = validate_detector(value(args, &mut i, "--detector")?)?,
-            "--tiny" => tiny = true,
-            "--scaled" => tiny = false,
-            "--planted" => planted = true,
-            "--steal-seed" => {
-                steal_seed = Some(parse_seed_flag(args, &mut i, "--steal-seed")?)
-            }
-            other => return Err(format!("exec: unknown argument `{other}`")),
+            "--inject" => a.inject = Some(flags.seed()?),
+            "--checkpoint-every" => a.checkpoint_every = Some(flags.positive()?),
+            "--checkpoint" => a.checkpoint = Some(flags.string()?),
+            "--resume" => a.resume = Some(flags.string()?),
+            "--stop-after" => a.stop_after = Some(flags.positive()?),
+            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
+            other => return Err(format!("analyze: unknown argument `{other}`")),
         }
-        i += 1;
     }
-    if detector != "dtrg" {
+    if a.graph && a.shards.is_some() {
+        return Err("--graph/--dot require the serial path; drop --shards".into());
+    }
+    if a.graph && a.detector != "dtrg" {
+        return Err("--graph/--dot only apply to the dtrg detector".into());
+    }
+    if a.shards.is_some() && !is_shardable(&a.detector) {
         return Err(format!(
-            "detector `{detector}` cannot run online; exec currently supports dtrg \
-             (use `record` + `analyze` for replay-only detectors)"
+            "detector `{}` needs the global access order and cannot run sharded; \
+             drop --shards (shardable: dtrg, vc)",
+            a.detector
         ));
     }
-    let bench = bench.ok_or("exec: --bench is required")?;
-    validate_planted(&bench, planted)?;
-    Ok(ExecArgs {
-        bench,
-        threads: threads.ok_or("exec: --threads N is required")?,
-        detector,
-        tiny,
-        planted,
+    if a.supervised() && !is_shardable(&a.detector) {
+        return Err(format!(
+            "detector `{}` cannot run under the supervised pipeline; \
+             --inject/--checkpoint*/--resume/--stop-after need a shardable detector (dtrg, vc)",
+            a.detector
+        ));
+    }
+    if a.supervised() && a.graph {
+        return Err("--graph/--dot require the serial path; drop the fault-tolerance flags".into());
+    }
+    if a.stop_after.is_some() && a.checkpoint.is_none() {
+        return Err("--stop-after needs --checkpoint FILE to receive the snapshot".into());
+    }
+    if a.checkpoint.is_some() && a.stop_after.is_none() {
+        return Err(
+            "--checkpoint FILE is written only when the run suspends; add --stop-after N".into(),
+        );
+    }
+    a.file = file.ok_or("analyze: trace file is required")?;
+    Ok(a)
+}
+
+fn parse_exec(args: &[String]) -> Result<Command, String> {
+    let mut program = BenchProgram::empty();
+    let mut threads = None;
+    let mut steal_seed = None;
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--threads" => threads = Some(flags.positive()?),
+            "--detector" => {
+                let detector = flags.detector()?;
+                if detector != "dtrg" {
+                    return Err(format!(
+                        "detector `{detector}` cannot run online; exec currently supports dtrg \
+                         (use `record` + `analyze` for replay-only detectors)"
+                    ));
+                }
+            }
+            "--steal-seed" => steal_seed = Some(flags.seed()?),
+            _ if program.take(&mut flags)? => {}
+            other => return Err(format!("exec: unknown argument `{other}`")),
+        }
+    }
+    let program = program.finish("exec")?;
+    let threads = threads.ok_or("exec: --threads N is required")?;
+    let opts = OnlineOptions {
         steal_seed,
-    })
+        ..OnlineOptions::threads(threads)
+    };
+    Ok(Command::Exec(program, opts))
 }
 
 /// The detector panel of `compare` and `corpus`, named by any mix of
@@ -515,14 +476,15 @@ fn parse_exec(args: &[String]) -> Result<ExecArgs, String> {
 struct DetectorList(Vec<String>);
 
 impl DetectorList {
-    /// Parses the `--detector` or `--detectors` argument at `args[*i]`.
-    fn parse(&mut self, args: &[String], i: &mut usize) -> Result<(), String> {
-        if args[*i] == "--detectors" {
-            for name in value(args, i, "--detectors")?.split(',') {
+    /// Parses the value of the `--detector` or `--detectors` flag at the
+    /// cursor.
+    fn take(&mut self, flags: &mut Flags) -> Result<(), String> {
+        if flags.flag == "--detectors" {
+            for name in flags.str()?.split(',') {
                 self.0.push(validate_detector(name.trim())?);
             }
         } else {
-            self.0.push(validate_detector(value(args, i, "--detector")?)?);
+            self.0.push(flags.detector()?);
         }
         Ok(())
     }
@@ -546,15 +508,14 @@ fn parse_compare(args: &[String]) -> Result<CompareArgs, String> {
     let mut file = None;
     let mut detectors = DetectorList::default();
     let mut lenient = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--detector" | "--detectors" => detectors.parse(args, &mut i)?,
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--detector" | "--detectors" => detectors.take(&mut flags)?,
             "--lenient" => lenient = true,
             f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
             other => return Err(format!("compare: unknown argument `{other}`")),
         }
-        i += 1;
     }
     let detectors = detectors.finish("compare")?;
     Ok(CompareArgs {
@@ -564,262 +525,156 @@ fn parse_compare(args: &[String]) -> Result<CompareArgs, String> {
     })
 }
 
-fn parse_fuzz(args: &[String]) -> Result<FuzzArgs, String> {
-    let mut programs: u32 = 256;
-    let mut seed: u64 = 7;
-    let mut gen = "nontree".to_string();
-    let mut out_dir = ".".to_string();
-    let mut time_budget_secs = None;
-    let mut break_detector = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--programs" => {
-                let n = parse_positive_u64(args, &mut i, "--programs")?;
-                programs = u32::try_from(n)
-                    .map_err(|_| format!("--programs: `{n}` exceeds the u32 range"))?;
-            }
-            "--seed" => {
-                let v = value(args, &mut i, "--seed")?;
-                seed = v.parse::<u64>().map_err(|_| {
-                    format!("--seed: invalid seed `{v}` (expected an unsigned 64-bit integer)")
-                })?;
-            }
+fn parse_fuzz(args: &[String]) -> Result<Command, String> {
+    let mut opts = FuzzOptions::default();
+    let default_gen = gen_presets()
+        .into_iter()
+        .find(|&(_, params)| params == opts.params);
+    let mut fuzz = FuzzArgs {
+        gen: default_gen.expect("the default generator is a preset").0,
+        out_dir: ".".to_string(),
+        time_budget_secs: None,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--programs" => opts.programs = flags.positive()?,
+            "--seed" => opts.seed = flags.seed()?,
             "--gen" => {
-                let v = value(args, &mut i, "--gen")?;
-                if !matches!(v, "nontree" | "future-heavy" | "default") {
-                    return Err(format!(
-                        "--gen: unknown preset `{v}` (expected nontree, future-heavy, or default)"
-                    ));
-                }
-                gen = v.to_string();
+                let v = flags.str()?;
+                let (name, params) = gen_presets()
+                    .into_iter()
+                    .find(|&(name, _)| name == v)
+                    .ok_or_else(|| {
+                        format!(
+                            "--gen: unknown preset `{v}` (expected nontree, future-heavy, or default)"
+                        )
+                    })?;
+                fuzz.gen = name;
+                opts.params = params;
             }
-            "--out-dir" => out_dir = value(args, &mut i, "--out-dir")?.to_string(),
-            "--time-budget-secs" => {
-                time_budget_secs = Some(parse_positive_u64(args, &mut i, "--time-budget-secs")?)
-            }
-            "--break-detector" => {
-                break_detector = Some(validate_detector(value(args, &mut i, "--break-detector")?)?)
-            }
+            "--out-dir" => fuzz.out_dir = flags.string()?,
+            "--time-budget-secs" => fuzz.time_budget_secs = Some(flags.positive()?),
+            "--break-detector" => opts.broken_detector = Some(flags.detector()?),
             other => return Err(format!("fuzz: unknown argument `{other}`")),
         }
-        i += 1;
     }
-    Ok(FuzzArgs {
-        programs,
-        seed,
-        gen,
-        out_dir,
-        time_budget_secs,
-        break_detector,
-    })
+    Ok(Command::Fuzz(opts, fuzz))
 }
 
-fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
+fn parse_corpus(args: &[String]) -> Result<Command, String> {
     let mut dir = None;
     let mut out = None;
     let mut detectors = DetectorList::default();
-    let mut max_parallel: usize = 1;
-    let mut abort = false;
-    let mut shards = None;
-    let mut supervised = false;
-    let mut lenient = false;
-    let mut fresh = false;
-    let mut stop_after_jobs = None;
-    let mut job_timeout_ms = None;
-    let mut job_retries = 0u64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => out = Some(value(args, &mut i, "--out")?.to_string()),
-            "--detector" | "--detectors" => detectors.parse(args, &mut i)?,
-            "--max-parallel" => {
-                let n = parse_positive_u64(args, &mut i, "--max-parallel")?;
-                max_parallel = usize::try_from(n)
-                    .map_err(|_| format!("--max-parallel: `{n}` exceeds the usize range"))?;
-            }
-            "--failure-policy" => match value(args, &mut i, "--failure-policy")? {
-                "continue" => abort = false,
-                "abort" => abort = true,
-                other => {
-                    return Err(format!(
+    let mut opts = CorpusOptions::new(PathBuf::new());
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--out" => out = Some(flags.string()?),
+            "--detector" | "--detectors" => detectors.take(&mut flags)?,
+            "--max-parallel" => opts.max_parallel = flags.positive()?,
+            "--failure-policy" => {
+                opts.policy = match flags.str()? {
+                    "continue" => FailurePolicy::Continue,
+                    "abort" => FailurePolicy::Abort,
+                    other => {
+                        return Err(format!(
                         "--failure-policy: unknown policy `{other}` (expected continue or abort)"
                     ))
+                    }
                 }
-            },
-            "--shards" => shards = Some(parse_shards(args, &mut i)?),
-            "--supervised" => supervised = true,
-            "--lenient" => lenient = true,
-            "--fresh" => fresh = true,
-            "--stop-after-jobs" => {
-                stop_after_jobs = Some(parse_positive_u64(args, &mut i, "--stop-after-jobs")?)
             }
-            "--job-timeout-ms" => {
-                job_timeout_ms = Some(parse_positive_u64(args, &mut i, "--job-timeout-ms")?)
-            }
-            "--job-retries" => {
-                job_retries = parse_positive_u64(args, &mut i, "--job-retries")?
-            }
+            "--shards" => opts.shards = Some(flags.positive()?),
+            "--supervised" => opts.supervised = true,
+            "--lenient" => opts.lenient = true,
+            "--fresh" => opts.fresh = true,
+            "--stop-after-jobs" => opts.stop_after_jobs = Some(flags.positive()?),
+            "--job-timeout-ms" => opts.job_timeout = Some(Duration::from_millis(flags.positive()?)),
+            "--job-retries" => opts.job_retries = flags.positive()?,
             d if !d.starts_with('-') && dir.is_none() => dir = Some(d.to_string()),
             other => return Err(format!("corpus: unknown argument `{other}`")),
         }
-        i += 1;
     }
-    if supervised && shards.is_none() {
+    if opts.supervised && opts.shards.is_none() {
         return Err("--supervised needs --shards N (it is sharding plus recovery)".into());
     }
-    let detectors = detectors.finish("corpus")?;
-    Ok(CorpusArgs {
-        dir: dir.ok_or("corpus: a corpus directory is required")?,
-        out,
-        detectors,
-        max_parallel,
-        abort,
-        shards,
-        supervised,
-        lenient,
-        fresh,
-        stop_after_jobs,
-        job_timeout_ms,
-        job_retries,
-    })
+    opts.detectors = detectors.finish("corpus")?;
+    let dir = dir.ok_or("corpus: a corpus directory is required")?;
+    opts.out_dir = match out {
+        Some(out) => PathBuf::from(out),
+        None => Path::new(&dir).join("corpus-out"),
+    };
+    Ok(Command::Corpus { dir, opts })
 }
 
-fn parse_serve(args: &[String]) -> Result<ServeArgs, String> {
+fn parse_serve(args: &[String]) -> Result<Command, String> {
     let mut listen = None;
-    let mut workers: usize = 4;
-    let mut queue_depth: usize = 16;
-    let mut checkpoint_dir = None;
-    let mut resume = false;
-    let mut idle_timeout_ms = None;
-    let mut io_deadline_ms = None;
-    let mut max_sessions = None;
-    let mut inject_net = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--listen" => listen = Some(value(args, &mut i, "--listen")?.to_string()),
-            "--workers" => {
-                let n = parse_positive_u64(args, &mut i, "--workers")?;
-                workers = usize::try_from(n)
-                    .map_err(|_| format!("--workers: `{n}` exceeds the usize range"))?;
-            }
-            "--queue-depth" => {
-                let n = parse_positive_u64(args, &mut i, "--queue-depth")?;
-                queue_depth = usize::try_from(n)
-                    .map_err(|_| format!("--queue-depth: `{n}` exceeds the usize range"))?;
-            }
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(value(args, &mut i, "--checkpoint-dir")?.to_string())
-            }
-            "--resume" => resume = true,
+    let mut opts = ServeOptions::default();
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--listen" => listen = Some(flags.string()?),
+            "--workers" => opts.workers = flags.positive()?,
+            "--queue-depth" => opts.queue_depth = flags.positive()?,
+            "--checkpoint-dir" => opts.checkpoint_dir = PathBuf::from(flags.str()?),
+            "--resume" => opts.resume = true,
             "--idle-timeout-ms" => {
-                idle_timeout_ms = Some(parse_positive_u64(args, &mut i, "--idle-timeout-ms")?)
+                opts.idle_timeout = Some(Duration::from_millis(flags.positive()?))
             }
-            "--io-deadline-ms" => {
-                io_deadline_ms = Some(parse_positive_u64(args, &mut i, "--io-deadline-ms")?)
-            }
-            "--max-sessions" => {
-                let n = parse_positive_u64(args, &mut i, "--max-sessions")?;
-                max_sessions = Some(
-                    usize::try_from(n)
-                        .map_err(|_| format!("--max-sessions: `{n}` exceeds the usize range"))?,
-                );
-            }
-            "--inject-net" => {
-                inject_net = Some(parse_seed_flag(args, &mut i, "--inject-net")?)
-            }
+            "--io-deadline-ms" => opts.io_deadline = Some(Duration::from_millis(flags.positive()?)),
+            "--max-sessions" => opts.max_sessions = flags.positive()?,
+            "--inject-net" => opts.inject_net = Some(flags.seed()?),
             other => return Err(format!("serve: unknown argument `{other}`")),
         }
-        i += 1;
     }
-    Ok(ServeArgs {
-        listen: listen.ok_or("serve: --listen ADDR is required")?,
-        workers,
-        queue_depth,
-        checkpoint_dir,
-        resume,
-        idle_timeout_ms,
-        io_deadline_ms,
-        max_sessions,
-        inject_net,
-    })
+    opts.addr = listen.ok_or("serve: --listen ADDR is required")?;
+    Ok(Command::Serve(opts))
 }
 
-fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
+fn parse_client(args: &[String]) -> Result<Command, String> {
     let mut addr = None;
-    let mut file = None;
-    let mut checkpoint_every = None;
-    let mut lenient = false;
     let mut name = None;
-    let mut chunk_events = None;
-    let mut suspend_after = None;
-    let mut shutdown = false;
-    let mut retries = 0u32;
-    let mut retry_budget_ms = None;
-    let mut inject_net = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint-every" => {
-                checkpoint_every = Some(parse_positive_u64(args, &mut i, "--checkpoint-every")?)
-            }
-            "--lenient" => lenient = true,
-            "--name" => name = Some(value(args, &mut i, "--name")?.to_string()),
-            "--chunk-events" => {
-                let n = parse_positive_u64(args, &mut i, "--chunk-events")?;
-                chunk_events = Some(
-                    usize::try_from(n)
-                        .map_err(|_| format!("--chunk-events: `{n}` exceeds the usize range"))?,
-                );
-            }
-            "--suspend-after" => {
-                // 0 is meaningful: suspend before sending any chunk.
-                let v = value(args, &mut i, "--suspend-after")?;
-                suspend_after = Some(v.parse::<u64>().map_err(|_| {
-                    format!("--suspend-after: invalid count `{v}` (expected an integer)")
-                })?);
-            }
-            "--shutdown" => shutdown = true,
-            "--retries" => {
-                // 0 is meaningful: explicitly keep single-shot behavior.
-                let v = value(args, &mut i, "--retries")?;
-                retries = v.parse::<u32>().map_err(|_| {
-                    format!("--retries: invalid count `{v}` (expected an integer)")
-                })?;
-            }
-            "--retry-budget-ms" => {
-                retry_budget_ms = Some(parse_positive_u64(args, &mut i, "--retry-budget-ms")?)
-            }
-            "--inject-net" => {
-                inject_net = Some(parse_seed_flag(args, &mut i, "--inject-net")?)
-            }
+    let mut opts = ClientOptions::default();
+    let mut client = ClientArgs {
+        file: None,
+        shutdown: false,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_flag() {
+        match arg {
+            "--checkpoint-every" => opts.checkpoint_every = Some(flags.positive()?),
+            "--lenient" => opts.lenient = true,
+            "--name" => name = Some(flags.string()?),
+            "--chunk-events" => opts.chunk_events = Some(flags.positive()?),
+            // 0 is meaningful: suspend before sending any chunk.
+            "--suspend-after" => opts.suspend_after = Some(flags.count()?),
+            "--shutdown" => client.shutdown = true,
+            // 0 is meaningful: explicitly keep single-shot behavior.
+            "--retries" => opts.retries = flags.count()?,
+            "--retry-budget-ms" => opts.retry_budget_ms = Some(flags.positive()?),
+            "--inject-net" => opts.inject_net = Some(flags.seed()?),
             a if !a.starts_with('-') && addr.is_none() => addr = Some(a.to_string()),
-            f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
+            f if !f.starts_with('-') && client.file.is_none() => client.file = Some(f.to_string()),
             other => return Err(format!("client: unknown argument `{other}`")),
         }
-        i += 1;
     }
-    let addr = addr.ok_or("client: a daemon address is required")?;
-    if shutdown && file.is_some() {
+    opts.addr = addr.ok_or("client: a daemon address is required")?;
+    if client.shutdown && client.file.is_some() {
         return Err("client: --shutdown takes no trace file".into());
     }
-    if !shutdown && file.is_none() {
+    if !client.shutdown && client.file.is_none() {
         return Err("client: a trace file is required (or --shutdown)".into());
     }
-    Ok(ClientArgs {
-        addr,
-        file,
-        checkpoint_every,
-        lenient,
-        name,
-        chunk_events,
-        suspend_after,
-        shutdown,
-        retries,
-        retry_budget_ms,
-        inject_net,
-    })
+    // The session name keys the daemon's checkpoint file: `--name`, else
+    // the trace file's stem.
+    let stem = client
+        .file
+        .as_deref()
+        .and_then(|f| Path::new(f).file_stem());
+    if let Some(name) = name.or_else(|| stem.map(|s| s.to_string_lossy().into_owned())) {
+        opts.trace_name = name;
+    }
+    Ok(Command::Client(opts, client))
 }
 
 fn parse_single_file(sub: &str, args: &[String]) -> Result<String, String> {
@@ -836,14 +691,14 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
         Some((sub, rest)) => match sub.as_str() {
             "record" => parse_record(rest).map(Command::Record),
             "analyze" => parse_analyze(rest).map(Command::Analyze),
-            "exec" => parse_exec(rest).map(Command::Exec),
+            "exec" => parse_exec(rest),
             "compare" => parse_compare(rest).map(Command::Compare),
             "info" => parse_single_file("info", rest).map(|file| Command::Info { file }),
             "verify" => parse_single_file("verify", rest).map(|file| Command::Verify { file }),
-            "fuzz" => parse_fuzz(rest).map(Command::Fuzz),
-            "corpus" => parse_corpus(rest).map(Command::Corpus),
-            "serve" => parse_serve(rest).map(Command::Serve),
-            "client" => parse_client(rest).map(Command::Client),
+            "fuzz" => parse_fuzz(rest),
+            "corpus" => parse_corpus(rest),
+            "serve" => parse_serve(rest),
+            "client" => parse_client(rest),
             "help" | "--help" | "-h" => Ok(Command::Help),
             other => Err(format!("unknown subcommand `{other}`")),
         },
@@ -889,32 +744,32 @@ mod tests {
         else {
             panic!()
         };
-        assert!(r.planted);
+        assert!(r.program.planted);
         // Unplanted recording of non-plantable workloads stays fine.
         assert!(parse(&argv("record --bench crypt --out t")).is_ok());
     }
 
     #[test]
     fn fuzz_defaults_and_flags() {
-        let Command::Fuzz(f) = parse(&argv("fuzz")).unwrap() else {
+        let Command::Fuzz(o, f) = parse(&argv("fuzz")).unwrap() else {
             panic!()
         };
-        assert_eq!((f.programs, f.seed, f.gen.as_str()), (256, 7, "nontree"));
+        assert_eq!((o.programs, o.seed, f.gen), (256, 7, "nontree"));
         assert_eq!(f.out_dir, ".");
-        assert!(f.time_budget_secs.is_none() && f.break_detector.is_none());
+        assert!(f.time_budget_secs.is_none() && o.broken_detector.is_none());
 
-        let Command::Fuzz(f) = parse(&argv(
+        let Command::Fuzz(o, f) = parse(&argv(
             "fuzz --programs 64 --seed 9 --gen future-heavy --out-dir /tmp/cx \
              --time-budget-secs 30 --break-detector vc",
         ))
         .unwrap() else {
             panic!()
         };
-        assert_eq!((f.programs, f.seed), (64, 9));
+        assert_eq!((o.programs, o.seed), (64, 9));
         assert_eq!(f.gen, "future-heavy");
         assert_eq!(f.out_dir, "/tmp/cx");
         assert_eq!(f.time_budget_secs, Some(30));
-        assert_eq!(f.break_detector.as_deref(), Some("vc"));
+        assert_eq!(o.broken_detector.as_deref(), Some("vc"));
     }
 
     #[test]
@@ -938,13 +793,13 @@ mod tests {
         else {
             panic!()
         };
-        assert!(!r.tiny, "--scaled came last");
+        assert_eq!(r.program.scale, Scale::Scaled, "--scaled came last");
         let Command::Record(r) =
             parse(&argv("record --bench lu --out t --scaled --tiny")).unwrap()
         else {
             panic!()
         };
-        assert!(r.tiny, "--tiny came last");
+        assert_eq!(r.program.scale, Scale::Tiny, "--tiny came last");
     }
 
     #[test]
@@ -953,7 +808,8 @@ mod tests {
         else {
             panic!()
         };
-        assert!(r.tiny && !r.planted && !r.stream && r.chunk_bytes.is_none());
+        assert!(r.program.scale == Scale::Tiny && !r.program.planted);
+        assert!(!r.stream && r.chunk_bytes.is_none());
 
         let Command::Record(r) = parse(&argv(
             "record --bench jacobi --out x.trace --stream --chunk-bytes 4096 --planted",
@@ -961,7 +817,7 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        assert!(r.stream && r.planted);
+        assert!(r.stream && r.program.planted);
         assert_eq!(r.chunk_bytes, Some(4096));
 
         let err = parse(&argv("record --bench jacobi --out x --chunk-bytes 64")).unwrap_err();
@@ -1039,23 +895,22 @@ mod tests {
 
     #[test]
     fn exec_defaults_and_flags() {
-        let Command::Exec(e) = parse(&argv("exec --bench jacobi --threads 4")).unwrap() else {
+        let Command::Exec(p, o) = parse(&argv("exec --bench jacobi --threads 4")).unwrap() else {
             panic!()
         };
-        assert_eq!((e.bench.as_str(), e.threads), ("jacobi", 4));
-        assert_eq!(e.detector, "dtrg");
-        assert!(e.tiny && !e.planted);
-        assert!(e.steal_seed.is_none());
+        assert_eq!((p.bench.as_str(), o.threads), ("jacobi", 4));
+        assert!(p.scale == Scale::Tiny && !p.planted);
+        assert!(o.steal_seed.is_none());
 
-        let Command::Exec(e) = parse(&argv(
+        let Command::Exec(p, o) = parse(&argv(
             "exec --bench sor --threads 2 --detector dtrg --scaled --planted --steal-seed 9",
         ))
         .unwrap() else {
             panic!()
         };
-        assert_eq!((e.bench.as_str(), e.threads), ("sor", 2));
-        assert!(!e.tiny && e.planted);
-        assert_eq!(e.steal_seed, Some(9));
+        assert_eq!((p.bench.as_str(), o.threads), ("sor", 2));
+        assert!(p.scale == Scale::Scaled && p.planted);
+        assert_eq!(o.steal_seed, Some(9));
     }
 
     #[test]
@@ -1094,18 +949,18 @@ mod tests {
 
     #[test]
     fn exec_last_size_flag_wins() {
-        let Command::Exec(e) =
+        let Command::Exec(p, _) =
             parse(&argv("exec --bench lu --threads 2 --tiny --scaled")).unwrap()
         else {
             panic!()
         };
-        assert!(!e.tiny);
-        let Command::Exec(e) =
+        assert_eq!(p.scale, Scale::Scaled);
+        let Command::Exec(p, _) =
             parse(&argv("exec --bench lu --threads 2 --scaled --tiny")).unwrap()
         else {
             panic!()
         };
-        assert!(e.tiny);
+        assert_eq!(p.scale, Scale::Tiny);
     }
 
     #[test]
@@ -1210,25 +1065,55 @@ mod tests {
     }
 
     #[test]
-    fn corpus_defaults() {
-        let Command::Corpus(c) = parse(&argv("corpus traces/")).unwrap() else {
+    fn checkpoint_without_stop_after_is_a_usage_error() {
+        // Only a suspend writes `--checkpoint FILE`; without `--stop-after`
+        // the run would finish and silently write nothing.
+        for line in [
+            "analyze t --checkpoint c.ckpt",
+            "analyze t --shards 2 --checkpoint-every 1 --checkpoint c.ckpt",
+            "analyze t --resume r.ckpt --checkpoint c.ckpt",
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert!(
+                err.contains("--checkpoint") && err.contains("--stop-after"),
+                "{err}"
+            );
+        }
+        let Command::Analyze(a) = parse(&argv(
+            "analyze t --resume r.ckpt --stop-after 5 --checkpoint c.ckpt",
+        ))
+        .unwrap() else {
             panic!()
         };
-        assert_eq!(c.dir, "traces/");
-        assert!(c.out.is_none());
+        assert_eq!(
+            (a.stop_after, a.checkpoint.as_deref()),
+            (Some(5), Some("c.ckpt"))
+        );
+    }
+
+    #[test]
+    fn corpus_defaults() {
+        let Command::Corpus { dir, opts: c } = parse(&argv("corpus traces/")).unwrap() else {
+            panic!()
+        };
+        assert_eq!(dir, "traces/");
+        assert_eq!(c.out_dir, Path::new("traces/").join("corpus-out"));
         assert_eq!(c.detectors, DETECTOR_NAMES);
         assert_eq!(c.max_parallel, 1);
-        assert!(!c.abort && !c.supervised && !c.lenient && !c.fresh);
+        assert_eq!(c.policy, FailurePolicy::Continue);
+        assert!(!c.supervised && !c.lenient && !c.fresh);
         assert!(c.shards.is_none() && c.stop_after_jobs.is_none());
-        assert!(c.job_timeout_ms.is_none());
+        assert!(c.job_timeout.is_none());
     }
 
     #[test]
     fn corpus_job_timeout_flag() {
-        let Command::Corpus(c) = parse(&argv("corpus d --job-timeout-ms 5000")).unwrap() else {
+        let Command::Corpus { opts: c, .. } =
+            parse(&argv("corpus d --job-timeout-ms 5000")).unwrap()
+        else {
             panic!()
         };
-        assert_eq!(c.job_timeout_ms, Some(5000));
+        assert_eq!(c.job_timeout, Some(Duration::from_millis(5000)));
         let err = parse(&argv("corpus d --job-timeout-ms 0")).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = parse(&argv("corpus d --job-timeout-ms soon")).unwrap_err();
@@ -1240,9 +1125,9 @@ mod tests {
         let Command::Serve(s) = parse(&argv("serve --listen 127.0.0.1:0")).unwrap() else {
             panic!()
         };
-        assert_eq!(s.listen, "127.0.0.1:0");
+        assert_eq!(s.addr, "127.0.0.1:0");
         assert_eq!((s.workers, s.queue_depth), (4, 16));
-        assert!(s.checkpoint_dir.is_none() && !s.resume);
+        assert!(s.checkpoint_dir == Path::new(".") && !s.resume);
 
         let Command::Serve(s) = parse(&argv(
             "serve --listen 0.0.0.0:7333 --workers 8 --queue-depth 32 \
@@ -1252,7 +1137,7 @@ mod tests {
             panic!()
         };
         assert_eq!((s.workers, s.queue_depth), (8, 32));
-        assert_eq!(s.checkpoint_dir.as_deref(), Some("/tmp/ckpts"));
+        assert_eq!(s.checkpoint_dir, Path::new("/tmp/ckpts"));
         assert!(s.resume);
 
         assert!(parse(&argv("serve")).unwrap_err().contains("--listen"));
@@ -1265,8 +1150,9 @@ mod tests {
         let Command::Serve(s) = parse(&argv("serve --listen a:1")).unwrap() else {
             panic!()
         };
-        assert!(s.idle_timeout_ms.is_none() && s.io_deadline_ms.is_none());
-        assert!(s.max_sessions.is_none() && s.inject_net.is_none());
+        assert!(s.idle_timeout.is_none());
+        assert_eq!(s.io_deadline, ServeOptions::default().io_deadline);
+        assert!(s.max_sessions == 0 && s.inject_net.is_none());
 
         let Command::Serve(s) = parse(&argv(
             "serve --listen a:1 --idle-timeout-ms 2000 --io-deadline-ms 500 \
@@ -1275,9 +1161,9 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        assert_eq!(s.idle_timeout_ms, Some(2000));
-        assert_eq!(s.io_deadline_ms, Some(500));
-        assert_eq!(s.max_sessions, Some(8));
+        assert_eq!(s.idle_timeout, Some(Duration::from_millis(2000)));
+        assert_eq!(s.io_deadline, Some(Duration::from_millis(500)));
+        assert_eq!(s.max_sessions, 8);
         assert_eq!(s.inject_net, Some(42));
 
         let err = parse(&argv("serve --listen a:1 --max-sessions 0")).unwrap_err();
@@ -1288,27 +1174,27 @@ mod tests {
 
     #[test]
     fn client_flags() {
-        let Command::Client(c) = parse(&argv("client 127.0.0.1:7333 t.ftrc --lenient")).unwrap()
+        let Command::Client(o, c) = parse(&argv("client 127.0.0.1:7333 t.ftrc --lenient")).unwrap()
         else {
             panic!()
         };
-        assert_eq!(c.addr, "127.0.0.1:7333");
+        assert_eq!(o.addr, "127.0.0.1:7333");
         assert_eq!(c.file.as_deref(), Some("t.ftrc"));
-        assert!(c.lenient && !c.shutdown);
+        assert!(o.lenient && !c.shutdown);
 
-        let Command::Client(c) = parse(&argv(
+        let Command::Client(o, _) = parse(&argv(
             "client h:1 t --name fixture --chunk-events 64 --checkpoint-every 2 \
              --suspend-after 3",
         ))
         .unwrap() else {
             panic!()
         };
-        assert_eq!(c.name.as_deref(), Some("fixture"));
-        assert_eq!(c.chunk_events, Some(64));
-        assert_eq!(c.checkpoint_every, Some(2));
-        assert_eq!(c.suspend_after, Some(3));
+        assert_eq!(o.trace_name, "fixture");
+        assert_eq!(o.chunk_events, Some(64));
+        assert_eq!(o.checkpoint_every, Some(2));
+        assert_eq!(o.suspend_after, Some(3));
 
-        let Command::Client(c) = parse(&argv("client h:1 --shutdown")).unwrap() else {
+        let Command::Client(_, c) = parse(&argv("client h:1 --shutdown")).unwrap() else {
             panic!()
         };
         assert!(c.shutdown && c.file.is_none());
@@ -1330,27 +1216,27 @@ mod tests {
 
     #[test]
     fn client_reconnect_flags() {
-        let Command::Client(c) = parse(&argv("client h:1 t")).unwrap() else {
+        let Command::Client(o, _) = parse(&argv("client h:1 t")).unwrap() else {
             panic!()
         };
-        assert_eq!(c.retries, 0);
-        assert!(c.retry_budget_ms.is_none() && c.inject_net.is_none());
+        assert_eq!(o.retries, 0);
+        assert!(o.retry_budget_ms.is_none() && o.inject_net.is_none());
 
-        let Command::Client(c) = parse(&argv(
+        let Command::Client(o, _) = parse(&argv(
             "client h:1 t --retries 5 --retry-budget-ms 30000 --inject-net 7",
         ))
         .unwrap() else {
             panic!()
         };
-        assert_eq!(c.retries, 5);
-        assert_eq!(c.retry_budget_ms, Some(30000));
-        assert_eq!(c.inject_net, Some(7));
+        assert_eq!(o.retries, 5);
+        assert_eq!(o.retry_budget_ms, Some(30000));
+        assert_eq!(o.inject_net, Some(7));
 
         // --retries 0 is explicit single-shot, not an error.
-        let Command::Client(c) = parse(&argv("client h:1 t --retries 0")).unwrap() else {
+        let Command::Client(o, _) = parse(&argv("client h:1 t --retries 0")).unwrap() else {
             panic!()
         };
-        assert_eq!(c.retries, 0);
+        assert_eq!(o.retries, 0);
 
         let err = parse(&argv("client h:1 t --retries many")).unwrap_err();
         assert!(err.contains("invalid count `many`"), "{err}");
@@ -1360,7 +1246,7 @@ mod tests {
 
     #[test]
     fn corpus_full_flag_set() {
-        let Command::Corpus(c) = parse(&argv(
+        let Command::Corpus { dir, opts: c } = parse(&argv(
             "corpus traces --out run1 --detectors dtrg,vc --max-parallel 4 \
              --failure-policy abort --shards 2 --supervised --lenient --fresh \
              --stop-after-jobs 9",
@@ -1368,22 +1254,24 @@ mod tests {
         .unwrap() else {
             panic!()
         };
-        assert_eq!(c.dir, "traces");
-        assert_eq!(c.out.as_deref(), Some("run1"));
+        assert_eq!(dir, "traces");
+        assert_eq!(c.out_dir, Path::new("run1"));
         assert_eq!(c.detectors, ["dtrg", "vc"]);
         assert_eq!(c.max_parallel, 4);
-        assert!(c.abort && c.supervised && c.lenient && c.fresh);
+        assert_eq!(c.policy, FailurePolicy::Abort);
+        assert!(c.supervised && c.lenient && c.fresh);
         assert_eq!(c.shards, Some(2));
         assert_eq!(c.stop_after_jobs, Some(9));
     }
 
     #[test]
     fn corpus_job_retries_flag() {
-        let Command::Corpus(c) = parse(&argv("corpus d")).unwrap() else {
+        let Command::Corpus { opts: c, .. } = parse(&argv("corpus d")).unwrap() else {
             panic!()
         };
         assert_eq!(c.job_retries, 0);
-        let Command::Corpus(c) = parse(&argv("corpus d --job-retries 3")).unwrap() else {
+        let Command::Corpus { opts: c, .. } = parse(&argv("corpus d --job-retries 3")).unwrap()
+        else {
             panic!()
         };
         assert_eq!(c.job_retries, 3);
@@ -1411,6 +1299,201 @@ mod tests {
         assert!(err.contains("at least 1"), "{err}");
         let err = parse(&argv("corpus d --frobnicate")).unwrap_err();
         assert!(err.contains("unknown argument"), "{err}");
+    }
+
+    // Each subcommand that parses into a library option struct: a minimal
+    // line gives the library default plus its required values, and a line
+    // setting every flag gives the whole expected struct.
+
+    #[test]
+    fn serve_parses_into_serve_options() {
+        assert_eq!(
+            parse(&argv("serve --listen h:1")).unwrap(),
+            Command::Serve(ServeOptions {
+                addr: "h:1".into(),
+                ..ServeOptions::default()
+            })
+        );
+        assert_eq!(
+            parse(&argv(
+                "serve --listen h:1 --workers 8 --queue-depth 32 --checkpoint-dir ck \
+                 --resume --idle-timeout-ms 2000 --io-deadline-ms 500 --max-sessions 3 \
+                 --inject-net 42",
+            ))
+            .unwrap(),
+            Command::Serve(ServeOptions {
+                addr: "h:1".into(),
+                workers: 8,
+                queue_depth: 32,
+                checkpoint_dir: PathBuf::from("ck"),
+                resume: true,
+                idle_timeout: Some(Duration::from_millis(2000)),
+                io_deadline: Some(Duration::from_millis(500)),
+                max_sessions: 3,
+                inject_net: Some(42),
+            })
+        );
+    }
+
+    #[test]
+    fn client_parses_into_client_options() {
+        let stream = |file: &str| ClientArgs {
+            file: Some(file.into()),
+            shutdown: false,
+        };
+        // The session name defaults to the trace file's stem.
+        assert_eq!(
+            parse(&argv("client h:1 traces/t.ftrc")).unwrap(),
+            Command::Client(
+                ClientOptions {
+                    addr: "h:1".into(),
+                    trace_name: "t".into(),
+                    ..ClientOptions::default()
+                },
+                stream("traces/t.ftrc")
+            )
+        );
+        assert_eq!(
+            parse(&argv("client h:1 --shutdown")).unwrap(),
+            Command::Client(
+                ClientOptions {
+                    addr: "h:1".into(),
+                    ..ClientOptions::default()
+                },
+                ClientArgs {
+                    file: None,
+                    shutdown: true
+                }
+            )
+        );
+        assert_eq!(
+            parse(&argv(
+                "client h:1 t.ftrc --checkpoint-every 2 --lenient --name fx \
+                 --chunk-events 64 --suspend-after 0 --retries 5 --retry-budget-ms 30000 \
+                 --inject-net 7",
+            ))
+            .unwrap(),
+            Command::Client(
+                ClientOptions {
+                    addr: "h:1".into(),
+                    checkpoint_every: Some(2),
+                    lenient: true,
+                    trace_name: "fx".into(),
+                    chunk_events: Some(64),
+                    suspend_after: Some(0),
+                    retries: 5,
+                    retry_budget_ms: Some(30000),
+                    inject_net: Some(7),
+                },
+                stream("t.ftrc")
+            )
+        );
+    }
+
+    #[test]
+    fn corpus_parses_into_corpus_options() {
+        assert_eq!(
+            parse(&argv("corpus d")).unwrap(),
+            Command::Corpus {
+                dir: "d".into(),
+                opts: CorpusOptions::new(Path::new("d").join("corpus-out")),
+            }
+        );
+        assert_eq!(
+            parse(&argv(
+                "corpus d --out o --detectors vc,dtrg --max-parallel 4 --failure-policy abort \
+                 --shards 2 --supervised --lenient --fresh --stop-after-jobs 9 \
+                 --job-timeout-ms 5000 --job-retries 3",
+            ))
+            .unwrap(),
+            Command::Corpus {
+                dir: "d".into(),
+                opts: CorpusOptions {
+                    detectors: vec!["vc".into(), "dtrg".into()],
+                    max_parallel: 4,
+                    policy: FailurePolicy::Abort,
+                    shards: Some(2),
+                    supervised: true,
+                    lenient: true,
+                    fresh: true,
+                    stop_after_jobs: Some(9),
+                    job_timeout: Some(Duration::from_millis(5000)),
+                    job_retries: 3,
+                    out_dir: PathBuf::from("o"),
+                },
+            }
+        );
+    }
+
+    #[test]
+    fn fuzz_parses_into_fuzz_options() {
+        assert_eq!(
+            parse(&argv("fuzz")).unwrap(),
+            Command::Fuzz(
+                FuzzOptions::default(),
+                FuzzArgs {
+                    gen: "nontree",
+                    out_dir: ".".into(),
+                    time_budget_secs: None,
+                }
+            )
+        );
+        assert_eq!(
+            parse(&argv(
+                "fuzz --programs 64 --seed 9 --gen default --out-dir cx \
+                 --time-budget-secs 30 --break-detector vc",
+            ))
+            .unwrap(),
+            Command::Fuzz(
+                FuzzOptions {
+                    programs: 64,
+                    seed: 9,
+                    params: GenParams::default(),
+                    max_shrink_steps: FuzzOptions::default().max_shrink_steps,
+                    broken_detector: Some("vc".into()),
+                },
+                FuzzArgs {
+                    gen: "default",
+                    out_dir: "cx".into(),
+                    time_budget_secs: Some(30),
+                }
+            )
+        );
+        // A positive count past the target type's range names the type.
+        let err = parse(&argv("fuzz --programs 4294967296")).unwrap_err();
+        assert!(err.contains("`4294967296` exceeds the u32 range"), "{err}");
+    }
+
+    #[test]
+    fn exec_parses_into_online_options() {
+        assert_eq!(
+            parse(&argv("exec --bench jacobi --threads 4")).unwrap(),
+            Command::Exec(
+                BenchProgram {
+                    bench: "jacobi".into(),
+                    scale: Scale::Tiny,
+                    planted: false,
+                },
+                OnlineOptions::threads(4)
+            )
+        );
+        assert_eq!(
+            parse(&argv(
+                "exec --bench sor --threads 2 --detector dtrg --scaled --planted --steal-seed 9",
+            ))
+            .unwrap(),
+            Command::Exec(
+                BenchProgram {
+                    bench: "sor".into(),
+                    scale: Scale::Scaled,
+                    planted: true,
+                },
+                OnlineOptions {
+                    threads: 2,
+                    steal_seed: Some(9),
+                }
+            )
+        );
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub struct Program {
 }
 
 /// Generation knobs.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GenParams {
     /// Maximum nesting depth of tasks/finishes.
     pub max_depth: usize,

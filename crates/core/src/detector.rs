@@ -54,9 +54,6 @@ pub struct DetectorConfig {
     /// Maximum number of distinct races kept in the report (checking
     /// continues past the cap; only storage is bounded).
     pub max_reports: usize,
-    /// Sample the stored-reader count on every access to produce Table 2's
-    /// #AvgReaders column. Costs one increment per access.
-    pub track_avg_readers: bool,
     /// Stop race *checking* after the first detected race. The detector is
     /// exact only up to the first race anyway (Theorem 2's first-race
     /// semantics); this mode skips all further `Precede` queries and
@@ -78,7 +75,6 @@ impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
             max_reports: 100,
-            track_avg_readers: true,
             first_race_only: false,
             caching: true,
         }
@@ -301,9 +297,7 @@ impl RaceDetector {
             return;
         }
         let cell = self.shadow.cell_mut(loc);
-        if self.config.track_avg_readers {
-            self.reader_samples.push(cell.readers.len() as u32);
-        }
+        self.reader_samples.push(cell.readers.len() as u32);
         let epoch = self.dtrg.epoch();
 
         // Fast path: the cell's last check was this exact (task, write)
@@ -369,9 +363,7 @@ impl RaceDetector {
             return;
         }
         let cell = self.shadow.cell_mut(loc);
-        if self.config.track_avg_readers {
-            self.reader_samples.push(cell.readers.len() as u32);
-        }
+        self.reader_samples.push(cell.readers.len() as u32);
         let epoch = self.dtrg.epoch();
 
         // Fast path: see `check_write_at` — a repeated clean read by the

@@ -38,7 +38,7 @@ use futrace_util::{FxHashMap, FxHashSet, UnionFind};
 const NT_INLINE: usize = 4;
 
 /// Duplicate-free set of non-tree predecessor tasks in insertion order: up
-/// to [`NT_INLINE`] entries inline, spilling to a heap vector only for sets
+/// to `NT_INLINE` entries inline, spilling to a heap vector only for sets
 /// that accumulate many unjoined producers (wavefront programs under heavy
 /// merging, a consumer that gets a thousand producers).
 ///

@@ -1,5 +1,5 @@
 //! Named-detector registry: one place that maps the CLI's `--detector`
-//! names onto engine [`Analysis`] runs.
+//! names onto engine [`Analysis`](futrace_runtime::engine::Analysis) runs.
 //!
 //! Every detector in the workspace implements
 //! [`futrace_runtime::engine::Analysis`], so "run detector X over trace Y"

@@ -50,7 +50,7 @@ pub const REPORT_JSON: &str = "report.json";
 pub const REPORT_MD: &str = "report.md";
 
 /// Options for one corpus run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CorpusOptions {
     /// Detector names in run order. The reference is `dtrg` when
     /// present, else the first entry.

@@ -43,7 +43,7 @@
 //!
 //! * **Workers are spawned detached** (`std::thread::spawn`, not a scope)
 //!   with the analysis loop under `catch_unwind`, so a worker panic
-//!   becomes a [`FromWorker::Died`] message instead of a process abort,
+//!   becomes a `FromWorker::Died` message instead of a process abort,
 //!   and a wedged worker can be *abandoned* — the supervisor drops its
 //!   sender and moves on, which a scoped join could never do.
 //! * **The watchdog** bounds every wait: routing uses

@@ -9,10 +9,10 @@
 //!
 //! The pipeline has three moving parts:
 //!
-//! 1. **Per-task access buffers** ([`TaskRec`], package-private). Each
+//! 1. **Per-task access buffers** (`TaskRec`, package-private). Each
 //!    running task appends its shared-memory accesses to a thread-local
 //!    buffer (one packed `u64` per access) and publishes the buffer into
-//!    its [`TaskSlot`] at the synchronization points the scheduler already
+//!    its `TaskSlot` at the synchronization points the scheduler already
 //!    exposes — spawn, future `get`, `finish` entry/exit, task end — plus a
 //!    size threshold, so no lock is touched on the access hot path.
 //! 2. **The canonical walker** (one thread). Detection order must be the
@@ -645,7 +645,7 @@ impl<'a, M: Monitor> Walker<'a, M> {
 // ---------------------------------------------------------------------------
 
 /// Options for [`run_online`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OnlineOptions {
     /// Worker threads for the parallel executor (≥ 1).
     pub threads: usize,

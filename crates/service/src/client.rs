@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 const IN_CONN_RETRIES: u32 = 8;
 
 /// Configuration for one streamed analysis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClientOptions {
     /// Daemon address (`host:port`).
     pub addr: String,

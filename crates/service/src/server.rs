@@ -66,7 +66,7 @@ const BUSY_RETRY_AFTER_MS: u64 = 200;
 const WRITE_RETRIES: u32 = 6;
 
 /// Configuration for one daemon instance.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Address to listen on (e.g. `127.0.0.1:7333`; port 0 picks one).
     pub addr: String,

@@ -562,7 +562,7 @@ const MAX_FREE_INTERRUPTS: u32 = 1024;
 
 /// `write_all` with bounded, deterministically jittered retries on
 /// transient errors ([`is_transient`]); `Interrupted` alone is retried
-/// for free (matching std's `write_all`) up to [`MAX_FREE_INTERRUPTS`]
+/// for free (matching std's `write_all`) up to `MAX_FREE_INTERRUPTS`
 /// consecutive times, after which it consumes the backoff budget like
 /// the other transient kinds. Progress resets both bounds, so they apply
 /// to consecutive failures. Never rewrites bytes already accepted.

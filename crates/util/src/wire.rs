@@ -89,7 +89,7 @@ const GROW_STEP: usize = 64 * 1024;
 /// into that room without `Vec::push`'s per-byte capacity check. The
 /// bytes are exactly those of [`put_varint`] and [`put_bytes`].
 ///
-/// The buffer is grown with zeroes at least [`GROW_STEP`] bytes at a
+/// The buffer is grown with zeroes at least `GROW_STEP` bytes at a
 /// time and truncated to the bytes written when the writer is dropped.
 /// A write past the reserved room panics on the slice bound; it never
 /// writes out of bounds.
