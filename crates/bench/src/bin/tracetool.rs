@@ -2,35 +2,31 @@
 //! of every subcommand and the exit-code table (`USAGE` and `EXIT_CODES`
 //! below); `futrace_bench::tracetool_cli` parses the flags.
 
-use futrace_bench::detectors::{self, AnyReport, DETECTOR_NAMES};
+use futrace_bench::detectors::{AnyReport, DETECTOR_NAMES};
 use futrace_bench::fuzzdiff::{self, FuzzOptions};
 use futrace_bench::tracetool_cli::{
     self, AnalyzeArgs, BenchProgram, ClientArgs, Command, CompareArgs, FuzzArgs, RecordArgs,
 };
 use futrace_benchsuite::registry;
 use futrace_compgraph::{dot, GraphBuilder, GraphStats};
-use futrace_corpus::{run_corpus, CorpusError, CorpusOptions};
+use futrace_corpus::{
+    run_corpus, Analyze, AnalyzeError, CorpusError, CorpusOptions, DetectorOutcome, DetectorRun,
+};
 use futrace_detector::RaceDetector;
 use futrace_offline::framed::{self, DEFAULT_CHUNK_BYTES};
 use futrace_offline::{
-    read_events, trace_chunks, Checkpoint, FrameError, StreamWriter, SuperviseError,
-    SupervisedOutcome, SupervisorPlan, TraceFingerprint, WriterStats,
+    read_events, salvage, trace_chunks, Checkpoint, FrameError, ShardStats, StreamWriter,
+    SupervisionReport, WriterStats,
 };
-use futrace_runtime::engine::{
-    run_analysis_recorded, Analysis, AnalysisOutcome, Engine, EngineCounters,
-};
+use futrace_runtime::engine::{run_analysis, source, Analysis, Engine, EngineCounters};
 use futrace_runtime::online::{run_online, OnlineOptions};
-use futrace_runtime::{trace, Event, EventLog, Monitor};
+use futrace_runtime::{trace, EventLog, Monitor};
 use futrace_service::{render_verdict, ClientOptions, ClientOutcome, ServeOptions, Server};
 use futrace_util::faultinject::{
     read_to_end_with_retry, Backoff, FaultPlan, FaultyReader, FaultyWriter, IoFaultStats,
 };
 use std::io::BufWriter;
 use std::time::Duration;
-
-/// Snapshot interval (framed chunks) used when `--inject` is given
-/// without `--checkpoint-every`.
-const INJECT_CHECKPOINT_EVERY: u64 = 8;
 
 /// One source of truth for the usage text; `usage` sends it to stderr
 /// (exit 2), `help` to stdout (exit 0, with the exit-code table).
@@ -164,10 +160,7 @@ fn record(args: RecordArgs) {
             let sink = FaultyWriter::new(BufWriter::new(file), plan.write);
             let mut writer = match StreamWriter::with_chunk_bytes(sink, chunk) {
                 Ok(w) => w,
-                Err(e) => {
-                    eprintln!("cannot start trace {}: {e}", args.out);
-                    std::process::exit(1);
-                }
+                Err(e) => fail(&format!("cannot start trace {}: {e}", args.out)),
             };
             run_bench(&mut writer, &args.program);
             if writer.stats().dropped_events > 0 {
@@ -245,45 +238,29 @@ fn exec(program: BenchProgram, opts: OnlineOptions) {
 }
 
 fn read_trace(file: &str) -> Vec<u8> {
-    match std::fs::read(file) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            std::process::exit(1);
-        }
-    }
+    std::fs::read(file).unwrap_or_else(|e| fail(&format!("cannot read {file}: {e}")))
 }
 
 /// Reads the trace through a seeded [`FaultyReader`], retrying transient
 /// errors with bounded backoff. Hard faults still end the run (exit 1) —
 /// the point is that *transient* ones must not.
 fn read_trace_injected(file: &str, plan: &FaultPlan) -> Vec<u8> {
-    let f = match std::fs::File::open(file) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let cannot = |e: std::io::Error| -> ! { fail(&format!("cannot read {file}: {e}")) };
+    let f = std::fs::File::open(file).unwrap_or_else(|e| cannot(e));
     let mut reader = FaultyReader::new(std::io::BufReader::new(f), plan.read.clone());
     let mut backoff = Backoff::new(plan.seed, 8, Duration::from_millis(1));
     let mut buf = Vec::new();
-    match read_to_end_with_retry(&mut reader, &mut buf, &mut backoff) {
-        Ok(_) => {
-            print_fault_stats("read", plan.seed, &reader.stats());
-            if backoff.total_retries() > 0 {
-                eprintln!(
-                    "note: {} transient read error(s) retried",
-                    backoff.total_retries()
-                );
-            }
-            buf
-        }
-        Err(e) => {
-            eprintln!("cannot read {file}: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = read_to_end_with_retry(&mut reader, &mut buf, &mut backoff) {
+        cannot(e);
     }
+    print_fault_stats("read", plan.seed, &reader.stats());
+    if backoff.total_retries() > 0 {
+        eprintln!(
+            "note: {} transient read error(s) retried",
+            backoff.total_retries()
+        );
+    }
+    buf
 }
 
 /// An empty trace (valid header, zero chunks/events) is not damage:
@@ -297,22 +274,6 @@ fn note_if_empty(events: u64) {
     }
 }
 
-/// The bytes a run analyzes. Even lenient framing cannot resync past a
-/// truncated chunk (there are no sync markers), so under `--lenient` a
-/// truncated framed trace is cut at the truncated chunk: the serial and
-/// sharded paths alike analyze the complete chunks before it, and
-/// [`warn_damage`] names the truncation. Anything else is read whole.
-fn salvage(blob: &[u8], lenient: bool) -> (&[u8], Option<FrameError>) {
-    if lenient && framed::is_framed(blob) {
-        for chunk in framed::chunks(blob) {
-            if let Err(e @ FrameError::TruncatedChunk { offset, .. }) = chunk {
-                return (&blob[..offset], Some(e));
-            }
-        }
-    }
-    (blob, None)
-}
-
 /// Warns about the damage a lenient run got past: the truncation
 /// [`salvage`] cut at and the damaged chunks the reader dropped.
 fn warn_damage(truncated: Option<&FrameError>, events: u64, dropped: u64) {
@@ -324,20 +285,21 @@ fn warn_damage(truncated: Option<&FrameError>, events: u64, dropped: u64) {
     }
 }
 
-/// Decodes what [`salvage`] keeps of the trace through the one trace
-/// reader; any damage it cannot get past exits 1.
-fn decode_all(file: &str, blob: &[u8], lenient: bool) -> Vec<Event> {
-    let (readable, truncated) = salvage(blob, lenient);
-    match read_events(readable, lenient) {
-        Ok((events, dropped)) => {
-            warn_damage(truncated.as_ref(), events.len() as u64, dropped);
-            events
-        }
-        Err(e) => {
-            eprintln!("invalid trace {file}: {e}");
-            std::process::exit(1);
-        }
+/// Runs detector `name` over `file` as `analysis` is configured; any
+/// failure exits 1.
+fn run_or_exit(file: &str, name: &str, analysis: Analyze<'_>) -> DetectorRun {
+    match analysis.run_named(name) {
+        Ok(run) => run,
+        Err(AnalyzeError::Trace(e)) => fail(&format!("invalid trace {file}: {e}")),
+        Err(AnalyzeError::Supervise(e)) => fail(&format!("cannot resume: {e}")),
+        Err(e) => fail(&format!("error: {e}")),
     }
+}
+
+/// Prints `msg` to stderr and exits 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
 /// Prints any detector's verdict (and up to 5 race lines where the
@@ -362,26 +324,120 @@ fn print_report(name: &str, report: &AnyReport) -> bool {
     }
 }
 
-/// Runs a registry detector serially over an in-memory event list,
-/// through the engine's batched dispatch path.
-fn run_detector(name: &str, events: &[Event]) -> AnalysisOutcome<AnyReport> {
-    detectors::run_on_recorded(name, events)
-}
-
 fn print_engine_counters(counters: &EngineCounters) {
     println!("\n-- engine --");
     println!("{counters}");
 }
 
-/// Runs the offline shard stage. Plain `--shards N` retains nothing for
-/// recovery (a dead worker degrades the run to serial); the supervision
-/// flags add restart-from-snapshot and suspend/resume. Prints the same
-/// verdict section as every other path; supervision outcomes surface in
-/// the `-- engine --` block only.
-fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) -> bool {
-    if (args.checkpoint_every.is_some() || args.stop_after.is_some())
-        && !framed::is_framed(blob)
-    {
+/// Reads the `--resume` checkpoint and checks it fits this trace and
+/// the requested shard count; any mismatch ends the run.
+fn load_checkpoint(args: &AnalyzeArgs, path: &str, blob: &[u8]) -> Checkpoint {
+    let data = std::fs::read(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read checkpoint {path}: {e}")));
+    let cp = Checkpoint::decode(&data)
+        .unwrap_or_else(|e| fail(&format!("invalid checkpoint {path}: {e}")));
+    if let Err(e) = cp.matches_trace(blob) {
+        fail(&format!("checkpoint {path} cannot resume this trace: {e}"));
+    }
+    // Each state blob holds one shard's cells, so the checkpoint fixes the
+    // shard count.
+    if let Some(n) = args.shards.filter(|&n| n != cp.shards) {
+        eprintln!(
+            "error: --shards {n} conflicts with checkpoint {path}, cut across {} shard(s) \
+             (drop --shards, or pass --shards {})",
+            cp.shards, cp.shards
+        );
+        std::process::exit(2);
+    }
+    cp
+}
+
+/// Writes a suspended run's checkpoint and says how to resume it.
+fn write_checkpoint(args: &AnalyzeArgs, checkpoint: &Checkpoint, supervision: &SupervisionReport) {
+    let path = args
+        .checkpoint
+        .as_ref()
+        .expect("parser requires --checkpoint with --stop-after");
+    let encoded = checkpoint.encode();
+    if let Err(e) = std::fs::write(path, &encoded) {
+        fail(&format!("cannot write checkpoint {path}: {e}"));
+    }
+    println!(
+        "suspended after {} chunk(s), {} event(s): checkpoint written to {} ({} bytes)",
+        checkpoint.chunks_completed,
+        checkpoint.events_consumed,
+        path,
+        encoded.len()
+    );
+    println!(
+        "resume with: tracetool analyze {} --detector {} --resume {}",
+        args.file, args.detector, path
+    );
+    if supervision.any() {
+        println!(
+            "supervision: {} restart(s), {} snapshot(s), {} watchdog timeout(s)",
+            supervision.shard_restarts, supervision.snapshots_taken, supervision.watchdog_timeouts
+        );
+    }
+}
+
+/// Prints the shard stage's accounting: plain `--shards N` retains
+/// nothing for recovery (a dead worker degrades the run to serial); the
+/// supervision flags add restart-from-snapshot and suspend/resume, whose
+/// outcomes surface in the `-- engine --` block only.
+fn print_sharding(s: &ShardStats, supervision: Option<&SupervisionReport>) {
+    println!("\n-- sharded pipeline --");
+    println!("shards:      {}", s.shards);
+    println!(
+        "events:      {} ({} control broadcast, {} accesses routed)",
+        s.events, s.control_events, s.accesses
+    );
+    println!(
+        "accesses:    {} reads, {} writes; per shard: {:?}",
+        s.reads, s.writes, s.per_shard_accesses
+    );
+    if let Some(sup) = supervision.filter(|sup| sup.snapshots_taken > 0) {
+        println!(
+            "snapshots:   {} ({} full), {} bytes",
+            sup.snapshots_taken, sup.full_snapshots, sup.snapshot_bytes
+        );
+    }
+}
+
+/// Prints the computation graph of the chunks a run of `args` checks,
+/// read again from `blob`.
+fn print_graph(args: &AnalyzeArgs, blob: &[u8]) {
+    let (readable, _) = salvage(blob, args.lenient);
+    let chunks = trace_chunks(readable, args.lenient).filter_map(Result::transpose);
+    let graph = run_analysis(source::chunks(chunks), GraphBuilder::new())
+        .unwrap_or_else(|e| fail(&format!("invalid trace {}: {e}", args.file)))
+        .report;
+    let gstats = GraphStats::compute(&graph);
+    println!("\n-- computation graph --");
+    println!("{gstats}");
+    println!("parallelism:    {:.2}", gstats.parallelism());
+    let mhp = futrace_compgraph::mhp::summarize(&graph);
+    println!(
+        "MHP:            {:.1}% of step pairs parallel ({} of {}); {} of {} task pairs",
+        100.0 * mhp.step_parallel_fraction(),
+        mhp.parallel_step_pairs,
+        mhp.total_step_pairs,
+        mhp.parallel_task_pairs,
+        mhp.total_task_pairs
+    );
+    if let Some(path) = &args.dot {
+        std::fs::write(path, dot::to_dot(&graph, &args.file)).expect("write dot");
+        println!("wrote {path}");
+    }
+}
+
+fn analyze(args: AnalyzeArgs) {
+    let blob = match args.inject.map(FaultPlan::from_seed) {
+        Some(plan) => read_trace_injected(&args.file, &plan),
+        None => read_trace(&args.file),
+    };
+    let checkpointing = args.checkpoint_every.is_some() || args.stop_after.is_some();
+    if checkpointing && !framed::is_framed(&blob) {
         eprintln!(
             "error: checkpointing needs chunk boundaries; {} is a flat v1 trace \
              (re-record with --stream)",
@@ -390,163 +446,31 @@ fn analyze_sharded(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) 
         std::process::exit(2);
     }
 
-    let resume = args.resume.as_ref().map(|path| {
-        let data = match std::fs::read(path) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cannot read checkpoint {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        let cp = match Checkpoint::decode(&data) {
-            Ok(cp) => cp,
-            Err(e) => {
-                eprintln!("invalid checkpoint {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        if let Err(e) = cp.matches_trace(blob) {
-            eprintln!("checkpoint {path} cannot resume this trace: {e}");
-            std::process::exit(1);
-        }
-        // Each state blob holds one shard's cells, so the checkpoint fixes
-        // the shard count.
-        if let Some(n) = args.shards.filter(|&n| n != cp.shards) {
-            eprintln!(
-                "error: --shards {n} conflicts with checkpoint {path}, cut across {} shard(s) \
-                 (drop --shards, or pass --shards {})",
-                cp.shards, cp.shards
-            );
-            std::process::exit(2);
-        }
-        cp
-    });
-
-    // `--inject` without an explicit interval gets periodic snapshots by
-    // default (framed traces only — flat traces have no chunk
-    // boundaries): snapshots bound the supervisor's replay buffer and
-    // keep injected worker deaths restartable on long traces.
-    let checkpoint_every = args.checkpoint_every.or_else(|| {
-        (args.inject.is_some() && framed::is_framed(blob)).then_some(INJECT_CHECKPOINT_EVERY)
-    });
-
-    let mut plan = SupervisorPlan::for_shards(args.shards, args.supervised());
-    plan.checkpoint_every_chunks = checkpoint_every;
-    plan.stop_after_chunks = args.stop_after;
-    plan.fingerprint = Some(TraceFingerprint::of(blob));
-    if let Some(f) = faults {
-        plan = plan.with_faults(f);
-    }
-
-    let (readable, truncated) = salvage(blob, args.lenient);
-    let start = std::time::Instant::now();
-    let out = detectors::run_supervised_on_events(
-        &args.detector,
-        || trace_chunks(readable, args.lenient),
-        &plan,
-        resume.as_ref(),
-    );
-    let out = match out {
-        Ok(o) => o,
-        Err(SuperviseError::Stream(e)) => {
-            eprintln!("invalid trace {}: {e}", args.file);
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("cannot resume: {e}");
-            std::process::exit(1);
-        }
-    };
-
-    match out {
-        SupervisedOutcome::Suspended {
+    let resume = args.resume.as_ref();
+    let analysis = Analyze::trace_bytes(&blob)
+        .lenient(args.lenient)
+        .shards(args.shards)
+        .checkpoint_every(args.checkpoint_every)
+        .fault_plan(args.inject)
+        .stop_after(args.stop_after)
+        .resume(resume.map(|path| load_checkpoint(&args, path, &blob)));
+    let out = match run_or_exit(&args.file, &args.detector, analysis) {
+        DetectorRun::Completed(out) => out,
+        DetectorRun::Suspended {
             checkpoint,
             supervision,
-        } => {
-            let path = args
-                .checkpoint
-                .as_ref()
-                .expect("parser requires --checkpoint with --stop-after");
-            let encoded = checkpoint.encode();
-            if let Err(e) = std::fs::write(path, &encoded) {
-                eprintln!("cannot write checkpoint {path}: {e}");
-                std::process::exit(1);
-            }
-            println!(
-                "suspended after {} chunk(s), {} event(s): checkpoint written to {} ({} bytes)",
-                checkpoint.chunks_completed,
-                checkpoint.events_consumed,
-                path,
-                encoded.len()
-            );
-            println!(
-                "resume with: tracetool analyze {} --detector {} --resume {}",
-                args.file, args.detector, path
-            );
-            if supervision.any() {
-                println!(
-                    "supervision: {} restart(s), {} snapshot(s), {} watchdog timeout(s)",
-                    supervision.shard_restarts,
-                    supervision.snapshots_taken,
-                    supervision.watchdog_timeouts
-                );
-            }
-            false
-        }
-        SupervisedOutcome::Completed {
-            report,
-            stats,
-            supervision,
-        } => {
-            let s = &stats;
-            warn_damage(truncated.as_ref(), s.events, s.skipped_chunks);
-            println!("{}: {} events", args.file, s.events);
-            note_if_empty(s.events);
-            println!("\n-- sharded pipeline --");
-            println!("shards:      {}", s.shards);
-            println!(
-                "events:      {} ({} control broadcast, {} accesses routed)",
-                s.events, s.control_events, s.accesses
-            );
-            println!(
-                "accesses:    {} reads, {} writes; per shard: {:?}",
-                s.reads, s.writes, s.per_shard_accesses
-            );
-            if supervision.snapshots_taken > 0 {
-                println!(
-                    "snapshots:   {} ({} full), {} bytes",
-                    supervision.snapshots_taken,
-                    supervision.full_snapshots,
-                    supervision.snapshot_bytes
-                );
-            }
-            let (cache_hits, cache_misses) = report.cache_counters().unwrap_or((0, 0));
-            let counters = EngineCounters {
-                cache_hits,
-                cache_misses,
-                ..s.engine_counters(&supervision, start.elapsed().as_secs_f64() * 1e3)
-            };
-            print_engine_counters(&counters);
-            print_report(&args.detector, &report)
-        }
-    }
-}
-
-fn analyze(args: AnalyzeArgs) {
-    let faults = args.inject.map(FaultPlan::from_seed);
-    let blob = match &faults {
-        Some(plan) => read_trace_injected(&args.file, plan),
-        None => read_trace(&args.file),
+        } => return write_checkpoint(&args, &checkpoint, &supervision),
     };
 
-    let racy = if args.supervised() || args.shards.is_some() {
-        analyze_sharded(&args, &blob, faults.as_ref())
-    } else {
-        let events = decode_all(&args.file, &blob, args.lenient);
-        println!("{}: {} events", args.file, events.len());
-        note_if_empty(events.len() as u64);
-        let out = run_detector(&args.detector, &events);
-        print_engine_counters(&out.counters);
+    let (events, skipped) = (out.engine.events, out.engine.skipped_chunks);
+    warn_damage(out.truncated.as_ref(), events, skipped);
+    println!("{}: {events} events", args.file);
+    note_if_empty(events);
+    if let Some(s) = &out.sharding {
+        print_sharding(s, out.supervision.as_ref());
+    }
+    print_engine_counters(&out.engine);
+    if out.sharding.is_none() {
         if let AnyReport::Dtrg(r) = &out.report {
             println!("\n-- detector --");
             println!("{}", r.stats);
@@ -556,32 +480,11 @@ fn analyze(args: AnalyzeArgs) {
                 println!("note: {note}");
             }
         }
-        let racy = print_report(&args.detector, &out.report);
-
-        if args.graph {
-            let graph = run_analysis_recorded(&events, GraphBuilder::new())
-                .report;
-            let gstats = GraphStats::compute(&graph);
-            println!("\n-- computation graph --");
-            println!("{gstats}");
-            println!("parallelism:    {:.2}", gstats.parallelism());
-            let mhp = futrace_compgraph::mhp::summarize(&graph);
-            println!(
-                "MHP:            {:.1}% of step pairs parallel ({} of {}); {} of {} task pairs",
-                100.0 * mhp.step_parallel_fraction(),
-                mhp.parallel_step_pairs,
-                mhp.total_step_pairs,
-                mhp.parallel_task_pairs,
-                mhp.total_task_pairs
-            );
-            if let Some(path) = args.dot {
-                std::fs::write(&path, dot::to_dot(&graph, &args.file)).expect("write dot");
-                println!("wrote {path}");
-            }
-        }
-        racy
-    };
-
+    }
+    let racy = print_report(&args.detector, &out.report);
+    if args.graph {
+        print_graph(&args, &blob);
+    }
     if racy {
         std::process::exit(3);
     }
@@ -589,19 +492,26 @@ fn analyze(args: AnalyzeArgs) {
 
 fn compare(args: CompareArgs) {
     let blob = read_trace(&args.file);
-    let events = decode_all(&args.file, &blob, args.lenient);
-    println!(
-        "{}: {} events, {} detector(s)",
-        args.file,
-        events.len(),
-        args.detectors.len()
-    );
-
-    let runs: Vec<(&str, AnalysisOutcome<AnyReport>)> = args
+    let runs: Vec<(&str, DetectorOutcome)> = args
         .detectors
         .iter()
-        .map(|name| (name.as_str(), run_detector(name, &events)))
+        .map(|name| {
+            let analysis = Analyze::trace_bytes(&blob).lenient(args.lenient);
+            match run_or_exit(&args.file, name, analysis) {
+                DetectorRun::Completed(out) => (name.as_str(), out),
+                DetectorRun::Suspended { .. } => unreachable!("no stop point, the run completes"),
+            }
+        })
         .collect();
+    // Every run read the same chunks.
+    let (first, events) = (&runs[0].1, runs[0].1.engine.events);
+    let skipped = first.engine.skipped_chunks;
+    warn_damage(first.truncated.as_ref(), events, skipped);
+    println!(
+        "{}: {events} events, {} detector(s)",
+        args.file,
+        args.detectors.len()
+    );
 
     let verdict = |racy: bool| if racy { "racy" } else { "clean" };
     println!();
@@ -615,12 +525,11 @@ fn compare(args: CompareArgs) {
             name,
             verdict(out.report.has_races()),
             out.report.race_count(),
-            out.counters.events,
-            out.counters.checks(),
-            out.counters.wall_ms
+            out.engine.events,
+            out.engine.checks(),
+            out.engine.wall_ms
         );
     }
-
     if runs.iter().any(|(_, o)| !o.report.notes().is_empty()) {
         println!();
         for (name, out) in &runs {
@@ -701,10 +610,7 @@ fn info(file: &str) {
         println!("{file}: flat trace (format v1), {} bytes", blob.len());
         let events = match read_events(&blob, false) {
             Ok((events, _)) => events.len() as u64,
-            Err(e) => {
-                eprintln!("damaged: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&format!("damaged: {e}")),
         };
         println!("events:      {events}");
         println!(
@@ -735,18 +641,14 @@ fn verify(file: &str) {
             }
         }
         if damaged > 0 {
-            eprintln!("{file}: FAILED: {damaged} damaged chunk(s)");
-            std::process::exit(1);
+            fail(&format!("{file}: FAILED: {damaged} damaged chunk(s)"));
         }
         println!("{file}: OK (v2, {events} events, {} bytes)", blob.len());
         note_if_empty(events);
     } else {
         let events = match read_events(&blob, false) {
             Ok((events, _)) => events.len() as u64,
-            Err(e) => {
-                eprintln!("{file}: FAILED: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&format!("{file}: FAILED: {e}")),
         };
         println!("{file}: OK (v1, {events} events, {} bytes)", blob.len());
         note_if_empty(events);
@@ -777,11 +679,9 @@ fn fuzz(mut opts: FuzzOptions, args: FuzzArgs) {
         total.absorb(&report.tally);
 
         if let Some(cx) = report.counterexample {
+            // The report comes first: a trace that cannot be written must
+            // not cost the minimized program and its replay line.
             let path = format!("{}/fuzz_counterexample_{:#018x}.ftrc", args.out_dir, cx.seed);
-            if let Err(e) = std::fs::write(&path, &cx.trace) {
-                eprintln!("cannot write counterexample trace {path}: {e}");
-                std::process::exit(1);
-            }
             eprintln!("\nUNEXPECTED DISAGREEMENT after {} shrink step(s):", cx.shrink_steps);
             eprintln!("  {}", cx.detail);
             eprintln!("  minimized program: {:?}", cx.program);
@@ -802,6 +702,9 @@ fn fuzz(mut opts: FuzzOptions, args: FuzzArgs) {
                  1 unexpected disagreement",
                 total.programs, total.detector_runs, total.expected_disagreements
             );
+            if let Err(e) = std::fs::write(&path, &cx.trace) {
+                fail(&format!("cannot write counterexample trace {path}: {e}"));
+            }
             std::process::exit(4);
         }
 
@@ -827,10 +730,7 @@ fn corpus(dir: &str, opts: &CorpusOptions) {
     let outcome = match run_corpus(std::path::Path::new(dir), opts) {
         Ok(o) => o,
         Err(e @ CorpusError::Config(_)) => usage(&e.to_string()),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("error: {e}")),
     };
 
     println!(
@@ -885,19 +785,13 @@ fn serve(opts: ServeOptions) {
     let listen = opts.addr.clone();
     let server = match Server::bind(opts) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot listen on {listen}: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("cannot listen on {listen}: {e}")),
     };
     match server.local_addr() {
         // Printed first thing so scripts binding port 0 can discover
         // the real port (and know the daemon is accepting).
         Ok(addr) => println!("listening on {addr}"),
-        Err(e) => {
-            eprintln!("cannot resolve listen address: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("cannot resolve listen address: {e}")),
     }
     match server.run() {
         Ok(sum) => {
@@ -921,10 +815,7 @@ fn serve(opts: ServeOptions) {
                 std::process::exit(1);
             }
         }
-        Err(e) => {
-            eprintln!("serve failed: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("serve failed: {e}")),
     }
 }
 
@@ -935,10 +826,7 @@ fn client(opts: ClientOptions, args: ClientArgs) {
     if args.shutdown {
         match futrace_service::shutdown(&opts.addr) {
             Ok(()) => println!("daemon at {} is draining", opts.addr),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&format!("error: {e}")),
         }
         return;
     }
@@ -951,8 +839,11 @@ fn client(opts: ClientOptions, args: ClientArgs) {
             verdict,
             resumed_chunks,
             chunks_sent,
+            events,
+            truncated,
             attempts,
         }) => {
+            warn_damage(truncated.as_ref(), events, 0);
             println!("{file}: {chunks_sent} chunk(s) streamed to {}", opts.addr);
             if resumed_chunks > 0 {
                 println!("resumed: daemon skipped {resumed_chunks} already-analyzed chunk(s)");
@@ -983,10 +874,7 @@ fn client(opts: ClientOptions, args: ClientArgs) {
             eprintln!("error: {e}");
             std::process::exit(5);
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => fail(&format!("error: {e}")),
     }
 }
 

@@ -30,12 +30,12 @@
 
 use crate::detectors;
 use futrace_benchsuite::randomprog::{self, GenParams, Program};
-use futrace_offline::{event_chunks, StreamWriter, SupervisedOutcome, SupervisorPlan};
+use futrace_corpus::{Analyze, DetectorRun};
+use futrace_offline::StreamWriter;
 use futrace_runtime::{replay, run_serial, EventLog};
 use futrace_util::propcheck::{self, Config, Strategy};
 use futrace_util::rng::Rng;
 use std::cell::{Cell, RefCell};
-use std::convert::Infallible;
 
 /// Counts accumulated over a fuzz run (and, via [`Tally::absorb`], over
 /// the batches of a time-boxed campaign).
@@ -166,6 +166,15 @@ fn encode_trace(log: &EventLog) -> Vec<u8> {
     blob
 }
 
+/// The verdict of detector `name` over `analysis`'s source, as the harness
+/// sees it.
+fn verdict(analysis: Analyze<'_>, name: &str, broken: Option<&str>) -> bool {
+    let Ok(DetectorRun::Completed(out)) = analysis.run_named(name) else {
+        unreachable!("an in-memory run without a stop point always completes");
+    };
+    observed(broken, name, out.report.has_races())
+}
+
 /// Runs one program through the full detector matrix. `Ok` means every
 /// verdict was either identical to the reference or inside the detector's
 /// unsoundness envelope; `Err` carries the description of the first
@@ -174,18 +183,16 @@ fn check_program(prog: &Program, broken: Option<&str>, tally: &mut Tally) -> Res
     let log = record(prog);
     let has_futures = randomprog::stmt_census(&prog.body)[4] > 0;
 
-    let reference = detectors::run_on_recorded("dtrg", &log.events);
+    let ref_racy = verdict(Analyze::events(&log.events), "dtrg", broken);
     tally.detector_runs += 1;
-    let ref_racy = observed(broken, "dtrg", reference.report.has_races());
 
     let mut serial = Vec::new();
     for &name in detectors::DETECTOR_NAMES {
         let racy = if name == "dtrg" {
             ref_racy
         } else {
-            let out = detectors::run_on_recorded(name, &log.events);
             tally.detector_runs += 1;
-            observed(broken, name, out.report.has_races())
+            verdict(Analyze::events(&log.events), name, broken)
         };
         serial.push((name, racy));
         if racy == ref_racy {
@@ -220,15 +227,8 @@ fn check_program(prog: &Program, broken: Option<&str>, tally: &mut Tally) -> Res
     // detector's sharded runs against its own serial verdict.
     for &(name, serial_racy) in serial.iter().filter(|(n, _)| detectors::is_shardable(n)) {
         for shards in [1usize, 2, 4] {
-            let chunks = || event_chunks::<Infallible>(&log.events);
-            let plan = SupervisorPlan::for_shards(Some(shards), false);
-            let Ok(SupervisedOutcome::Completed { report, .. }) =
-                detectors::run_supervised_on_events(name, chunks, &plan, None)
-            else {
-                unreachable!("an in-memory stream without a resume always completes");
-            };
             tally.detector_runs += 1;
-            let racy = observed(broken, name, report.has_races());
+            let racy = verdict(Analyze::events(&log.events).shards(shards), name, broken);
             if racy != serial_racy {
                 return Err(format!(
                     "{name} sharded over {shards} worker(s) diverges from its serial verdict \

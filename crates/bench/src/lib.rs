@@ -11,9 +11,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The named-detector registry moved to `futrace-corpus` (the corpus DAG
-// runs every detector, and `futrace-bench` sits above it); this re-export
-// keeps the long-standing `futrace_bench::detectors` path working.
+// The named-detector registry lives in `futrace-corpus`, next to the
+// `Analyze` builder that runs its detectors by name for `tracetool` and
+// the fuzzer; this re-export keeps the long-standing
+// `futrace_bench::detectors` path working.
 pub use futrace_corpus::detectors;
 
 pub mod fuzzdiff;

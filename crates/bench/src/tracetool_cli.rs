@@ -210,7 +210,8 @@ pub struct CompareArgs {
     /// Detectors to run, in order (each valid and unique; defaults to all
     /// of [`crate::detectors::DETECTOR_NAMES`]).
     pub detectors: Vec<String>,
-    /// Skip damaged framed chunks instead of aborting.
+    /// Skip damaged framed chunks instead of aborting, and check the
+    /// complete chunks before a truncation.
     pub lenient: bool,
 }
 

@@ -119,3 +119,28 @@ fn replay_env_var_reruns_exactly_the_failing_case() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_missing_out_dir_still_reports_the_counterexample() {
+    // The .ftrc cannot be written, but the minimized program and the
+    // replay line are printed first; the failed write still fails the run.
+    let missing = scratch_dir("missing").join("not-there");
+    let out = tracetool()
+        .args(["fuzz", "--programs", "4", "--seed", "7"])
+        .args(["--break-detector", "vc", "--out-dir"])
+        .arg(&missing)
+        .output()
+        .expect("run tracetool fuzz");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    for reported in [
+        "UNEXPECTED DISAGREEMENT",
+        "minimized program: Program",
+        "tracetool fuzz --programs 1 --seed 7 --gen nontree --break-detector vc",
+        "cannot write counterexample trace",
+    ] {
+        assert!(stderr.contains(reported), "{reported:?}: {stderr}");
+    }
+    assert!(!missing.exists());
+    std::fs::remove_dir_all(missing.parent().unwrap()).ok();
+}

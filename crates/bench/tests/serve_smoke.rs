@@ -600,18 +600,24 @@ fn framed_blob(chunks: &[(Vec<u8>, usize)]) -> Vec<u8> {
     blob
 }
 
-/// `tracetool analyze FILE <extra>` → (verdict section, the stderr line
-/// naming `warning`, which must be there, exit code).
-fn analyze_warned(file: &PathBuf, extra: &[&str], warning: &str) -> (String, String, Option<i32>) {
-    let out = tracetool().arg("analyze").arg(file).args(extra).output();
-    let out = out.expect("run analyze");
+/// Runs `command` → (verdict section, the stderr line naming `warning`,
+/// which must be there, exit code).
+fn warned(mut command: Command, warning: &str) -> (String, String, Option<i32>) {
+    let out = command.output().expect("run tracetool");
     let err = String::from_utf8_lossy(&out.stderr);
     let line = err.lines().find(|l| l.contains(warning));
     let line = line.unwrap_or_default().to_string();
-    assert!(!line.is_empty(), "{extra:?}: no {warning:?}:\n{err}");
+    assert!(!line.is_empty(), "{command:?}: no {warning:?}:\n{err}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     let verdict = verdict_section(&stdout).to_string();
     (verdict, line, out.status.code())
+}
+
+/// `tracetool analyze FILE <extra>`, through [`warned`].
+fn analyze_warned(file: &PathBuf, extra: &[&str], warning: &str) -> (String, String, Option<i32>) {
+    let mut command = tracetool();
+    command.arg("analyze").arg(file).args(extra);
+    warned(command, warning)
 }
 
 #[test]
@@ -648,6 +654,37 @@ fn every_lenient_path_reads_the_chunks_the_trace_reader_keeps() {
     ] {
         assert_eq!(analyze_warned(&file, extra, salvage), serial, "{extra:?}");
     }
+    // The lenient client cuts the trace at the same chunk, re-chunked or
+    // not, and says so with the same event count.
+    let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    for extra in [&["--lenient"][..], &["--lenient", "--chunk-events", "8"]] {
+        let mut command = tracetool();
+        command.arg("client").arg(&daemon.addr);
+        command.arg(&file).args(extra);
+        assert_eq!(warned(command, salvage), serial, "client {extra:?}");
+    }
+    let (dcode, summary) = daemon.shutdown();
+    assert_eq!(dcode, Some(0), "daemon drain: {summary}");
+    // So does a lenient corpus run: its one trace is checked, not damaged,
+    // with the same verdict and event count.
+    let corpus = dir.join("truncated-corpus");
+    std::fs::create_dir_all(&corpus).expect("corpus dir");
+    std::fs::copy(&file, corpus.join("truncated.ftrc")).expect("copy into corpus");
+    let out = tracetool()
+        .arg("corpus")
+        .arg(&corpus)
+        .arg("--out")
+        .arg(dir.join("truncated-corpus-out"))
+        .args(["--detectors", "dtrg", "--lenient"])
+        .output()
+        .expect("run corpus");
+    assert_eq!(out.status.code(), serial.2, "corpus exit");
+    let report = std::fs::read_to_string(dir.join("truncated-corpus-out/report.json"));
+    let report = report.expect("report");
+    assert!(
+        report.contains(&format!("\"events\": {{\"p50\": {kept}, ")),
+        "corpus events, want {kept}:\n{report}"
+    );
 
     // A CRC-valid chunk, an access run whose payload stops decoding after
     // its first half, chosen so that keeping that half would change the

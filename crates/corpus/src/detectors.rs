@@ -1,25 +1,16 @@
-//! Named-detector registry: one place that maps the CLI's `--detector`
-//! names onto engine [`Analysis`](futrace_runtime::engine::Analysis) runs.
+//! Named-detector registry: the CLI's `--detector` names, the report-type
+//! erasure ([`AnyReport`]), and the shardable-capability lookup.
 //!
 //! Every detector in the workspace implements
-//! [`futrace_runtime::engine::Analysis`], so "run detector X over trace Y"
-//! is a single [`run_analysis`] call; this module adds the name table, the
-//! report-type erasure ([`AnyReport`]), and the shardable-capability
-//! lookup that `tracetool analyze --detector` and `tracetool compare`
-//! need.
+//! [`futrace_runtime::engine::Analysis`]; the `Analyze` builder
+//! ([`crate::analyze::Analyze::run_named`]) maps each name onto its
+//! detector and runs it, serially or, for the shardable ones, in the
+//! shard stage.
 
 #![warn(missing_docs)]
 
-use futrace_baselines::{
-    BaselineReport, ClosureDetector, ClosureReport, EspBags, OffsetSpan, SpBags, Spd3,
-    VectorClockDetector,
-};
-use futrace_detector::{DtrgReport, RaceDetector};
-use futrace_offline::{
-    run_supervised, Checkpoint, SuperviseError, SupervisedOutcome, SupervisorPlan,
-};
-use futrace_runtime::engine::{run_analysis, source, AnalysisOutcome};
-use futrace_runtime::Event;
+use futrace_baselines::{BaselineReport, ClosureReport};
+use futrace_detector::DtrgReport;
 
 /// Every detector name `tracetool analyze --detector` accepts, in the
 /// order `compare` runs them by default.
@@ -117,111 +108,11 @@ impl AnyReport {
     }
 }
 
-/// Copies the report's cache totals into the driver counters (a no-op for
-/// detectors without a hot-path cache).
-fn fill_cache_counters(mut o: AnalysisOutcome<AnyReport>) -> AnalysisOutcome<AnyReport> {
-    if let Some((hits, misses)) = o.report.cache_counters() {
-        o.counters.cache_hits = hits;
-        o.counters.cache_misses = misses;
-    }
-    o
-}
-
-/// Runs the named detector over an already-decoded event list through the
-/// engine's batched dispatch path (consecutive accesses are handed to the
-/// analysis as flat slices instead of one virtual call per event).
-///
-/// # Panics
-///
-/// Panics on an unknown name — validate with [`is_detector`] first.
-pub fn run_on_recorded(name: &str, events: &[Event]) -> AnalysisOutcome<AnyReport> {
-    fn go<A>(events: &[Event], analysis: A) -> AnalysisOutcome<A::Report>
-    where
-        A: futrace_runtime::engine::Analysis,
-    {
-        match run_analysis(source::recorded(events), analysis) {
-            Ok(o) => o,
-            Err(never) => match never {},
-        }
-    }
-    match name {
-        "dtrg" => fill_cache_counters(
-            go(events, RaceDetector::new()).map(|r| AnyReport::Dtrg(Box::new(r))),
-        ),
-        "espbags" => go(events, EspBags::new()).map(AnyReport::Baseline),
-        "spbags" => go(events, SpBags::new_lenient()).map(AnyReport::Baseline),
-        "offsetspan" => go(events, OffsetSpan::new_lenient()).map(AnyReport::Baseline),
-        "spd3" => go(events, Spd3::new()).map(AnyReport::Baseline),
-        "vc" => go(events, VectorClockDetector::new()).map(AnyReport::Baseline),
-        "closure" => go(events, ClosureDetector::new()).map(|r| AnyReport::Closure(Box::new(r))),
-        other => panic!("unknown detector {other:?} (validate with is_detector)"),
-    }
-}
-
-/// Runs the named detector sharded over `plan.shard.shards` workers, in
-/// the offline shard stage ([`futrace_offline::run_supervised`]). The plan
-/// sets the recovery policy: under [`SupervisorPlan::plain`] a dead worker
-/// degrades the run to a serial pass with the same verdict; with
-/// snapshots, workers restart from them, and the run can suspend into a
-/// [`Checkpoint`] and later resume from one.
-///
-/// `make_chunks` yields the trace's decoded chunks as
-/// [`run_supervised`] reads them, a fresh stream over the same trace on
-/// each call (a degraded run reads it again from the start).
-///
-/// # Panics
-///
-/// Panics if the detector is not loc-routable — check [`is_shardable`]
-/// first (the CLI parser does).
-pub fn run_supervised_on_events<C, E, I, MF>(
-    name: &str,
-    make_chunks: MF,
-    plan: &SupervisorPlan,
-    resume: Option<&Checkpoint>,
-) -> Result<SupervisedOutcome<AnyReport>, SuperviseError<E>>
-where
-    C: AsRef<[Event]>,
-    I: Iterator<Item = Result<Option<C>, E>>,
-    MF: Fn() -> I,
-{
-    fn erase<R>(
-        out: SupervisedOutcome<R>,
-        f: impl FnOnce(R) -> AnyReport,
-    ) -> SupervisedOutcome<AnyReport> {
-        match out {
-            SupervisedOutcome::Completed {
-                report,
-                stats,
-                supervision,
-            } => SupervisedOutcome::Completed {
-                report: f(report),
-                stats,
-                supervision,
-            },
-            SupervisedOutcome::Suspended {
-                checkpoint,
-                supervision,
-            } => SupervisedOutcome::Suspended {
-                checkpoint,
-                supervision,
-            },
-        }
-    }
-    match name {
-        "dtrg" => run_supervised(make_chunks, RaceDetector::new, plan, resume)
-            .map(|o| erase(o, |r| AnyReport::Dtrg(Box::new(r)))),
-        "vc" => run_supervised(make_chunks, VectorClockDetector::new, plan, resume)
-            .map(|o| erase(o, AnyReport::Baseline)),
-        other => panic!("detector {other:?} is not shardable (check is_shardable)"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use futrace_offline::event_chunks;
+    use crate::analyze::{Analyze, DetectorOutcome, DetectorRun};
     use futrace_runtime::{run_serial, EventLog, TaskCtx};
-    use std::convert::Infallible;
 
     fn future_sync_trace() -> EventLog {
         // Race-free only because of the get() edge: DTRG/vc/closure say
@@ -237,8 +128,16 @@ mod tests {
         log
     }
 
-    fn run(name: &str, log: &EventLog) -> AnalysisOutcome<AnyReport> {
-        run_on_recorded(name, &log.events)
+    /// Runs detector `name` as `analyze` asks, to completion.
+    fn completed(analyze: Analyze<'_>, name: &str) -> DetectorOutcome {
+        match analyze.run_named(name) {
+            Ok(DetectorRun::Completed(out)) => out,
+            other => panic!("{name}: no stop requested, must complete: {other:?}"),
+        }
+    }
+
+    fn run(name: &str, log: &EventLog) -> DetectorOutcome {
+        completed(Analyze::events(&log.events), name)
     }
 
     #[test]
@@ -247,8 +146,8 @@ mod tests {
         for &name in DETECTOR_NAMES {
             assert!(is_detector(name));
             let out = run(name, &log);
-            assert_eq!(out.counters.checks(), 2, "{name}");
-            assert!(out.counters.events > 2, "{name}");
+            assert_eq!(out.engine.checks(), 2, "{name}");
+            assert!(out.engine.events > 2, "{name}");
         }
         assert!(!is_detector("banana"));
     }
@@ -276,24 +175,12 @@ mod tests {
     #[test]
     fn supervised_detectors_match_their_serial_runs() {
         let log = future_sync_trace();
-        let plan = SupervisorPlan::for_shards(Some(2), true);
         for name in ["dtrg", "vc"] {
             let serial = run(name, &log).report;
-            let out = run_supervised_on_events(
-                name,
-                || log.events.chunks(4).map(|c| Ok::<_, Infallible>(Some(c))),
-                &plan,
-                None,
-            )
-            .unwrap();
-            let SupervisedOutcome::Completed {
-                report,
-                stats,
-                supervision,
-            } = out
-            else {
-                panic!("no stop requested, must complete");
-            };
+            let supervised = Analyze::events(&log.events).shards(2).supervised(true);
+            let out = completed(supervised, name);
+            let (report, stats) = (out.report, out.sharding.expect("sharded"));
+            let supervision = out.supervision.expect("supervised");
             assert_eq!(serial.race_count(), report.race_count(), "{name}");
             assert_eq!(stats.shards, 2, "{name}");
             assert!(!supervision.any(), "{name}: clean run, nothing to report");
@@ -303,20 +190,13 @@ mod tests {
     #[test]
     fn shardable_detectors_match_their_serial_runs() {
         let log = future_sync_trace();
-        let plan = SupervisorPlan::for_shards(Some(3), false);
         for name in DETECTOR_NAMES {
             assert_eq!(is_shardable(name), matches!(*name, "dtrg" | "vc"));
         }
         for name in ["dtrg", "vc"] {
             let serial = run(name, &log).report;
-            let Ok(SupervisedOutcome::Completed { report, stats, .. }) = run_supervised_on_events(
-                name,
-                || event_chunks::<Infallible>(&log.events),
-                &plan,
-                None,
-            ) else {
-                panic!("{name}: no stop requested, must complete");
-            };
+            let out = completed(Analyze::events(&log.events).shards(3), name);
+            let (report, stats) = (out.report, out.sharding.expect("sharded"));
             assert_eq!(serial.race_count(), report.race_count(), "{name}");
             assert_eq!(stats.shards, 3);
         }

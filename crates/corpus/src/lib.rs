@@ -10,34 +10,33 @@
 //! markdown report (agreement matrix vs the DTRG reference, verdict
 //! drift, damaged-trace inventory, corpus percentiles).
 //!
-//! Layering note: this crate hosts the [`detectors`] registry (moved
-//! here from `futrace-bench`) because corpus jobs run *every* detector,
-//! not just the DTRG front door in the umbrella crate's `Analyze`
-//! builder — both ride the same engine (`run_analysis` and the shard
-//! stage in `futrace-offline`) underneath.
-//! `futrace_bench::detectors` re-exports this module, so existing CLI
-//! call sites are unchanged.
+//! Layering note: this crate hosts the [`analyze`] front door, the
+//! `Analyze` builder, next to the [`detectors`] registry it runs by name,
+//! because corpus jobs run *every* detector and this is the lowest crate
+//! that sees them all; `futrace-bench` (`tracetool`, the fuzzer) sits
+//! above it, and the umbrella crate re-exports the builder as
+//! `futrace::Analyze`. Every analysis here, as in `tracetool`, goes
+//! through that builder.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analyze;
 pub mod dag;
 pub mod detectors;
 pub mod discover;
 pub mod manifest;
 pub mod report;
 
+pub use analyze::{Analyze, AnalyzeError, DetectorOutcome, DetectorRun};
 pub use dag::{Dag, DagRun, ExecPlan, FailurePolicy, JobId, JobStatus};
 pub use discover::TraceEntry;
 pub use manifest::{JobKind, JobRecord, ManifestError, RecStatus, RunConfig, MANIFEST_FILE};
 pub use report::{CorpusReport, RunTelemetry};
 
-use detectors::{is_detector, is_shardable, AnyReport};
-use futrace_offline::{event_chunks, read_events, SupervisedOutcome, SupervisorPlan};
-use futrace_runtime::Event;
+use detectors::{is_detector, is_shardable};
 use futrace_util::stats::Timer;
 use std::collections::HashMap;
-use std::convert::Infallible;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -66,7 +65,8 @@ pub struct CorpusOptions {
     /// Run shardable detectors under the fault-tolerant supervisor.
     pub supervised: bool,
     /// Lenient trace reads: drop damaged chunks (CRC, payload or event
-    /// count) instead of failing, by the one rule every reader applies.
+    /// count) instead of failing, and check a truncated trace up to its
+    /// cut, by the rule every lenient reader applies.
     pub lenient: bool,
     /// Ignore (truncate) any existing manifest instead of resuming.
     pub fresh: bool,
@@ -213,35 +213,19 @@ fn validate(opts: &CorpusOptions) -> Result<(), CorpusError> {
     Ok(())
 }
 
-/// Runs one detector over decoded events along the configured path
-/// (serial / sharded / supervised), returning verdict + cache counters.
-fn run_detector(
-    name: &str,
-    events: &[Event],
-    opts: &CorpusOptions,
-) -> Result<(AnyReport, u64, u64), String> {
+/// Runs one detector over a trace blob along the configured path
+/// (serial / sharded / supervised). Detectors that cannot shard run
+/// serially whatever the options.
+fn analyze_trace(name: &str, blob: &[u8], opts: &CorpusOptions) -> Result<DetectorOutcome, String> {
     let shards = opts.shards.filter(|_| is_shardable(name));
-    let report = match shards {
-        None => detectors::run_on_recorded(name, events).report,
-        Some(n) => {
-            let plan = SupervisorPlan::for_shards(Some(n), opts.supervised);
-            let out = detectors::run_supervised_on_events(
-                name,
-                || event_chunks::<Infallible>(events),
-                &plan,
-                None,
-            )
-            .map_err(|e| format!("supervised run failed: {e}"))?;
-            match out {
-                SupervisedOutcome::Completed { report, .. } => report,
-                SupervisedOutcome::Suspended { .. } => {
-                    unreachable!("no stop_after_chunks requested")
-                }
-            }
-        }
-    };
-    let (hits, misses) = report.cache_counters().unwrap_or((0, 0));
-    Ok((report, hits, misses))
+    let analysis = Analyze::trace_bytes(blob)
+        .lenient(opts.lenient)
+        .shards(shards)
+        .supervised(opts.supervised && shards.is_some());
+    match analysis.run_named(name).map_err(|e| e.to_string())? {
+        DetectorRun::Completed(out) => Ok(out),
+        DetectorRun::Suspended { .. } => unreachable!("no stop_after requested"),
+    }
 }
 
 enum JobSpec {
@@ -398,21 +382,18 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
                 let result = std::fs::read(&t.path)
                     .map_err(|e| format!("cannot read trace: {e}"))
                     .and_then(|blob| {
-                        read_events(&blob, opts.lenient).map_err(|e| format!("invalid trace: {e}"))
-                    })
-                    .and_then(|(events, skipped)| {
-                        rec.events = events.len() as u64;
-                        rec.skipped_chunks = skipped;
                         // A detector panic fails this job with its message,
                         // recorded like any other failure.
-                        dag::catch_panic(|| run_detector(det, &events, opts))
+                        dag::catch_panic(|| analyze_trace(det, &blob, opts))
                     });
                 match result {
-                    Ok((report, hits, misses)) => {
-                        rec.racy = report.has_races();
-                        rec.races = report.race_count();
-                        rec.cache_hits = hits;
-                        rec.cache_misses = misses;
+                    Ok(out) => {
+                        rec.racy = out.report.has_races();
+                        rec.races = out.report.race_count();
+                        rec.events = out.engine.events;
+                        rec.skipped_chunks = out.engine.skipped_chunks;
+                        rec.cache_hits = out.engine.cache_hits;
+                        rec.cache_misses = out.engine.cache_misses;
                     }
                     Err(msg) => rec.status = RecStatus::Failed(msg),
                 }

@@ -42,12 +42,14 @@
 pub mod channel;
 pub mod checkpoint;
 pub mod framed;
+mod outcome;
 pub mod supervise;
 
 pub use checkpoint::{
     is_checkpoint, rebuild_replica, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint,
 };
 pub use framed::{FrameError, StreamWriter, WriterStats};
+pub use outcome::AnalysisOutcome;
 pub use supervise::{
     event_chunks, run_supervised, ShardPlan, ShardStats, SuperviseError, SupervisedOutcome,
     SupervisionReport, SupervisorPlan, SYNTHETIC_CHUNK_EVENTS,
@@ -146,6 +148,22 @@ pub fn trace_chunks(data: &[u8], lenient: bool) -> TraceChunks<'_> {
         ChunksInner::Flat(data)
     };
     TraceChunks { inner, lenient }
+}
+
+/// The part of a trace blob a lenient read can check. Even a lenient
+/// read cannot resync past a truncated framed chunk (there are no sync
+/// markers), so under `lenient` a framed trace truncated inside a chunk
+/// is cut at that chunk's header, and the truncation is returned with
+/// the complete chunks before it. Anything else is returned whole.
+pub fn salvage(data: &[u8], lenient: bool) -> (&[u8], Option<FrameError>) {
+    if lenient && framed::is_framed(data) {
+        for chunk in framed::chunks(data) {
+            if let Err(e @ FrameError::TruncatedChunk { offset, .. }) = chunk {
+                return (&data[..offset], Some(e));
+            }
+        }
+    }
+    (data, None)
 }
 
 /// Per-event view of [`trace_chunks`]: the events of every chunk it

@@ -152,8 +152,6 @@ pub struct ShardStats {
     pub writes: u64,
     /// Accesses checked per shard (indexed by shard).
     pub per_shard_accesses: Vec<u64>,
-    /// Damaged chunks skipped by a lenient framed read (0 otherwise).
-    pub skipped_chunks: u64,
 }
 
 impl ShardStats {
@@ -176,8 +174,8 @@ impl ShardStats {
 }
 
 /// Chunk size for in-memory event lists, which have no framed boundaries
-/// of their own: the granularity at which `Analyze` and corpus runs let
-/// the supervisor snapshot a decoded event list.
+/// of their own: the granularity at which an `Analyze` run over an event
+/// list reads it, and so lets the supervisor snapshot it.
 pub const SYNTHETIC_CHUNK_EVENTS: usize = 4096;
 
 /// An in-memory event list as the shard stage reads it: slices of
@@ -930,8 +928,8 @@ where
 ///
 /// The stage reads decoded chunks: `Ok(Some(events))` is a chunk to
 /// route, `Ok(None)` a damaged chunk a lenient read dropped, which still
-/// counts as a chunk boundary and in [`ShardStats::skipped_chunks`]. Chunk
-/// boundaries are the only points where the supervisor snapshots or
+/// counts as a chunk boundary (the caller that reads the trace counts the
+/// dropped ones, in [`EngineCounters::skipped_chunks`]). Chunk boundaries are the only points where the supervisor snapshots or
 /// suspends, so a fresh and a resumed run cut the stream identically;
 /// [`crate::trace_chunks`] yields a trace blob's chunks, [`event_chunks`]
 /// an in-memory event list's.
@@ -994,9 +992,8 @@ where
     let mut chunks = make_chunks();
     let mut index = 0u64;
     let mut router = RouterProgress::default();
-    // Chunks taken from the stream, and the dropped ones among them.
+    // Chunks taken from the stream.
     let mut seen = 0u64;
-    let mut skipped = 0u64;
     // The chunk boundary the router last crossed: the index of the last
     // chunk it routed events from.
     let mut cur_chunks = 0u64;
@@ -1030,7 +1027,7 @@ where
         while passed < cp.events_consumed {
             match chunks.next() {
                 Some(Ok(Some(chunk))) => passed += chunk.as_ref().len() as u64,
-                Some(Ok(None)) => skipped += 1,
+                Some(Ok(None)) => {}
                 Some(Err(e)) => return Err(SuperviseError::Stream(e)),
                 None => {
                     return Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(
@@ -1079,7 +1076,6 @@ where
             None => break 'route,
             Some(Ok(Some(chunk))) => chunk,
             Some(Ok(None)) => {
-                skipped += 1;
                 seen += 1;
                 continue;
             }
@@ -1229,7 +1225,6 @@ where
                 writes: router.writes,
                 accesses: index,
                 per_shard_accesses: Vec::with_capacity(n),
-                skipped_chunks: skipped,
             };
             let mut reports = Vec::with_capacity(n);
             for (report, accesses) in results {
@@ -1252,11 +1247,7 @@ where
                 slot.tx = None;
             }
             drop(sup.results_rx);
-            let mut skipped = 0u64;
-            let fresh = make_chunks().filter_map(|chunk| {
-                skipped += matches!(chunk, Ok(None)) as u64;
-                chunk.transpose()
-            });
+            let fresh = make_chunks().filter_map(Result::transpose);
             let out = run_analysis(source::chunks(fresh), (sup.factory)())
                 .map_err(SuperviseError::Stream)?;
             let c = out.counters;
@@ -1268,7 +1259,6 @@ where
                 reads: c.reads,
                 writes: c.writes,
                 per_shard_accesses: vec![c.checks()],
-                skipped_chunks: skipped,
             };
             Ok(SupervisedOutcome::Completed {
                 report: out.report,
@@ -1588,9 +1578,8 @@ mod tests {
         let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
         let chunks = || crate::trace_chunks(&v2, false);
         let out = run_supervised(chunks, RaceDetector::new, &plan, None);
-        let (report, stats, _) = completed(out.unwrap());
+        let (report, _, _) = completed(out.unwrap());
         assert_eq!(report.report.races, serial.races);
-        assert_eq!(stats.skipped_chunks, 0);
     }
 
     #[test]
@@ -1800,7 +1789,7 @@ mod tests {
     }
 
     #[test]
-    fn a_dropped_chunk_is_a_boundary_and_is_counted() {
+    fn a_dropped_chunk_is_a_boundary() {
         // Chunks 0, 2 and 3 routed, chunk 1 dropped by a lenient read:
         // barriers fall before chunks 2 and 3, as for four intact chunks
         // with nothing in chunk 1.
@@ -1816,7 +1805,6 @@ mod tests {
         plan.checkpoint_every_chunks = Some(1);
         let (report, stats, supervision) =
             completed(run_supervised(chunks, RaceDetector::new, &plan, None).unwrap());
-        assert_eq!(stats.skipped_chunks, 1);
         assert_eq!(supervision.snapshots_taken, 2);
         assert_eq!(stats.events, log.events.len() as u64);
         assert_eq!(report.report.races, serial_report(&log).races);

@@ -26,7 +26,7 @@
 //! The driver also does the bookkeeping every consumer used to duplicate:
 //! events consumed, checks performed, and wall time are accumulated in
 //! [`EngineCounters`] and returned with the analysis report in an
-//! [`AnalysisOutcome`].
+//! [`Outcome`].
 //!
 //! ```
 //! use futrace_runtime::engine::{run_analysis, source, Analysis};
@@ -257,6 +257,10 @@ pub struct EngineCounters {
     /// Hot-path cache misses reported by the analysis (0 for analyses
     /// without caches).
     pub cache_misses: u64,
+    /// Damaged trace chunks a lenient read dropped whole (0 otherwise).
+    /// Like the cache totals, filled in by the consumer that read the
+    /// trace, and not part of the display.
+    pub skipped_chunks: u64,
 }
 
 impl EngineCounters {
@@ -307,22 +311,11 @@ impl std::fmt::Display for EngineCounters {
 
 /// An analysis report plus the driver's counters.
 #[derive(Clone, Debug)]
-pub struct AnalysisOutcome<R> {
+pub struct Outcome<R> {
     /// What [`Analysis::finish`] produced.
     pub report: R,
     /// Driver bookkeeping for the run.
     pub counters: EngineCounters,
-}
-
-impl<R> AnalysisOutcome<R> {
-    /// Maps the report, keeping the counters (used by registries that
-    /// erase concrete report types into an enum).
-    pub fn map<S>(self, f: impl FnOnce(R) -> S) -> AnalysisOutcome<S> {
-        AnalysisOutcome {
-            report: f(self.report),
-            counters: self.counters,
-        }
-    }
 }
 
 /// The engine core: wraps an [`Analysis`], numbers the access stream, and
@@ -600,7 +593,7 @@ pub mod source {
 /// to drive a detector: live runs, replays, and trace streams all come
 /// through here, so they are guaranteed to observe identical splits of
 /// the event stream (and identical global access indices).
-pub fn run_analysis<A, S>(source: S, analysis: A) -> Result<AnalysisOutcome<A::Report>, S::Error>
+pub fn run_analysis<A, S>(source: S, analysis: A) -> Result<Outcome<A::Report>, S::Error>
 where
     A: Analysis,
     S: EventSource<A>,
@@ -611,12 +604,12 @@ where
     let (analysis, mut counters) = engine.into_parts();
     let report = analysis.finish();
     counters.wall_ms = t.elapsed_ms();
-    Ok(AnalysisOutcome { report, counters })
+    Ok(Outcome { report, counters })
 }
 
 /// [`run_analysis`] over live serial execution — infallible, so the
 /// outcome is returned directly.
-pub fn run_analysis_live<A, F>(f: F, analysis: A) -> AnalysisOutcome<A::Report>
+pub fn run_analysis_live<A, F>(f: F, analysis: A) -> Outcome<A::Report>
 where
     A: Analysis,
     F: FnOnce(&mut SerialCtx<Engine<A>>),
@@ -631,7 +624,7 @@ where
 pub fn run_analysis_recorded<A: Analysis>(
     events: &[Event],
     analysis: A,
-) -> AnalysisOutcome<A::Report> {
+) -> Outcome<A::Report> {
     match run_analysis(source::recorded(events), analysis) {
         Ok(outcome) => outcome,
         Err(never) => match never {},

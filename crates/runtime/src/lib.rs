@@ -49,8 +49,8 @@ pub mod trace;
 
 pub use api::TaskCtx;
 pub use engine::{
-    run_analysis, run_analysis_live, run_analysis_recorded, Analysis, AnalysisOutcome,
-    Checkpointable, Engine, EngineCounters, EventSource, LocRoutable, StateError,
+    run_analysis, run_analysis_live, run_analysis_recorded, Analysis, Checkpointable, Engine,
+    EngineCounters, EventSource, LocRoutable, StateError,
 };
 pub use labels::TaskLabel;
 pub use memory::{SharedArray, SharedVar};

@@ -6,11 +6,12 @@
 //! `Chunk`/`VerdictDelta` pair per chunk, `Finish`/`Final` — and hands
 //! back the daemon's verdict text verbatim. Leniency acts here, before
 //! anything is sent: with [`ClientOptions::lenient`] the client drops the
-//! damaged chunks of a framed trace, so the daemon only ever sees intact
-//! ones. On resume it re-streams the full trace; the daemon restores its
-//! session's engine from the checkpoint, a snapshot of the detector's
-//! state rather than of the trace, and does not check the chunks it
-//! covers again.
+//! damaged chunks of a framed trace and cuts a truncated one at its
+//! truncated chunk, by the rules of a lenient `analyze`, so the daemon
+//! only ever sees intact chunks. On resume it re-streams the full trace;
+//! the daemon restores its session's engine from the checkpoint, a
+//! snapshot of the detector's state rather than of the trace, and does
+//! not check the chunks it covers again.
 //!
 //! That no-local-state resume design is what makes reconnection simple:
 //! when a connection tears mid-stream (or the daemon sheds the session
@@ -22,7 +23,7 @@
 //! time; exhausting either yields the structured
 //! [`ClientError::RetriesExhausted`].
 
-use futrace_offline::{framed, read_events, FrameError};
+use futrace_offline::{framed, read_events, salvage, FrameError};
 use futrace_runtime::trace;
 use futrace_util::faultinject::{
     is_transient, write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
@@ -46,7 +47,8 @@ pub struct ClientOptions {
     pub checkpoint_every: Option<u64>,
     /// Drop the damaged chunks a lenient `analyze` drops instead of
     /// failing: a framed chunk that fails its CRC, decode or event count,
-    /// dropped whole with or without [`ClientOptions::chunk_events`].
+    /// dropped whole with or without [`ClientOptions::chunk_events`], and
+    /// a truncated tail, cut at its truncated chunk.
     pub lenient: bool,
     /// Session name — keys the daemon's checkpoint file, so resuming a
     /// suspended session means reconnecting with the same name.
@@ -99,6 +101,12 @@ pub enum ClientOutcome {
         resumed_chunks: u64,
         /// Chunks this client sent.
         chunks_sent: u64,
+        /// Events the daemon's session consumed, as its last verdict
+        /// delta counted them.
+        events: u64,
+        /// The truncation a lenient read cut the trace at: only the
+        /// complete chunks before it were sent.
+        truncated: Option<FrameError>,
         /// Connection attempts consumed (1 = no reconnects).
         attempts: u32,
     },
@@ -318,6 +326,8 @@ fn retry_floor(err: &ClientError) -> Option<Duration> {
 /// chunk 0, relying on the daemon's checkpoint to skip the completed
 /// prefix (or recompute it — the verdict is identical either way).
 pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, ClientError> {
+    // Both chunkings read what a lenient `analyze` reads of the trace.
+    let (blob, truncated) = salvage(blob, opts.lenient);
     let payloads = chunk_payloads(opts, blob)?;
     let deadline = opts
         .retry_budget_ms
@@ -329,7 +339,7 @@ pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, 
     );
     let mut attempt: u32 = 0;
     loop {
-        match stream_once(opts, &payloads, attempt) {
+        match stream_once(opts, &payloads, &truncated, attempt) {
             Ok(outcome) => return Ok(outcome),
             Err(e) => {
                 let floor = match retry_floor(&e) {
@@ -370,6 +380,7 @@ pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, 
 fn stream_once(
     opts: &ClientOptions,
     payloads: &[WireChunk],
+    truncated: &Option<FrameError>,
     attempt: u32,
 ) -> Result<ClientOutcome, ClientError> {
     let mut wire = connect(opts, attempt)?;
@@ -384,6 +395,7 @@ fn stream_once(
     };
 
     let mut sent = 0u64;
+    let mut events = 0u64;
     for (event_count, payload) in payloads {
         if opts.suspend_after == Some(sent) {
             return suspend(&mut wire, sent);
@@ -394,10 +406,13 @@ fn stream_once(
             payload: payload.clone(),
         })?;
         match wire.expect_reply()? {
-            Message::VerdictDelta { chunks, .. } => {
+            Message::VerdictDelta {
+                chunks, events: n, ..
+            } => {
                 if chunks != sent + 1 {
                     return Err(ClientError::Protocol("delta out of step"));
                 }
+                events = n;
             }
             // The daemon drained or idle-evicted us mid-stream: the
             // session is parked in a checkpoint, not lost.
@@ -417,6 +432,8 @@ fn stream_once(
             verdict,
             resumed_chunks,
             chunks_sent: sent,
+            events,
+            truncated: truncated.clone(),
             attempts: attempt + 1,
         }),
         Message::Suspended { chunks } => Ok(ClientOutcome::Suspended { chunks }),

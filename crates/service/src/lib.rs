@@ -8,9 +8,9 @@
 //!   chunk, says when its checkpoint cadence is due, can suspend to an
 //!   FCKP checkpoint and resume with skip-completed-chunk semantics, and
 //!   finishes with its live engine's verdict. [`AnalysisOutcome`], the
-//!   result shape, is shared with the one-shot `futrace::Analyze`
-//!   builder, which runs its serial, sharded and supervised backends
-//!   itself.
+//!   result shape (defined in `futrace-offline`, re-exported here), is
+//!   shared with the one-shot `Analyze` builder in `futrace-corpus`,
+//!   which runs its serial, sharded and supervised backends itself.
 //! * [`server`] — `tracetool serve`: a std-only TCP daemon multiplexing
 //!   N concurrent sessions over a fixed worker pool, with bounded-queue
 //!   backpressure on accept, graceful drain (every in-flight session is
@@ -30,7 +30,8 @@ pub mod session;
 
 pub use client::{shutdown, stream_trace, ClientError, ClientOptions, ClientOutcome};
 pub use server::{checkpoint_path, Server, ServeOptions, ServeStats, ServeSummary};
-pub use session::{AnalysisOutcome, Session, SessionConfig, SessionError, VerdictDelta};
+pub use futrace_offline::AnalysisOutcome;
+pub use session::{Session, SessionConfig, SessionError, VerdictDelta};
 
 use futrace_detector::RaceReport;
 use std::fmt::Write as _;

@@ -20,15 +20,14 @@
 //! daemon cutting a checkpoint whenever [`Session::checkpoint_due`] loses
 //! at most the chunks received since the last interval when it is killed.
 
-use futrace_detector::{DetectorStats, DtrgReport, MemoryFootprint, RaceDetector, RaceReport};
+use futrace_detector::RaceDetector;
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    rebuild_replica, Checkpoint, RouterProgress, ShardStats, SupervisionReport, TraceError,
+    rebuild_replica, AnalysisOutcome, Checkpoint, RouterProgress, SupervisionReport, TraceError,
     TraceFingerprint,
 };
 use futrace_runtime::engine::{Analysis, Checkpointable, Engine, EngineCounters};
-use futrace_runtime::online::OnlineStats;
 use futrace_runtime::trace::DecodeError;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
@@ -59,58 +58,6 @@ impl fmt::Display for SessionError {
 }
 
 impl std::error::Error for SessionError {}
-
-/// Everything one analysis run produces, whatever the source and backend.
-#[derive(Clone, Debug)]
-pub struct AnalysisOutcome {
-    /// Deduplicated, capped race report (the verdict).
-    pub races: RaceReport,
-    /// Structural statistics and DTRG cost counters (Table 2's columns,
-    /// plus the memo and fast-path cache counters).
-    pub stats: DetectorStats,
-    /// Theorem 1's space bound, measured at the end of the run.
-    pub footprint: MemoryFootprint,
-    /// Engine counters: events consumed, checks performed, wall time,
-    /// cache hit/miss totals, and any supervision suffix.
-    pub engine: EngineCounters,
-    /// Sharded-pipeline accounting, when the shard stage ran.
-    pub sharding: Option<ShardStats>,
-    /// What the supervisor did, when the run asked for supervision
-    /// (snapshots, injected faults or a resume) or a plain sharded run
-    /// had to recover (a dead worker degrades it to serial).
-    pub supervision: Option<SupervisionReport>,
-    /// Online-pipeline telemetry (buffer publishes, canonical-walk
-    /// frontier waits, pool workers spawned), when the source was an
-    /// instrumented parallel execution (`Analyze::program_parallel`).
-    pub online: Option<OnlineStats>,
-}
-
-impl AnalysisOutcome {
-    /// True iff any race was detected.
-    pub fn has_races(&self) -> bool {
-        self.races.has_races()
-    }
-
-    /// The outcome of one DTRG run, from its finished report and the
-    /// engine counters that drove it. Fills the counters' cache totals
-    /// from the detector's statistics: hits from both cache layers,
-    /// misses from the memo (the shadow fast path has no distinct miss
-    /// event — every slow-path check is one). No sharding, supervision
-    /// or online accounting is attached.
-    pub fn from_dtrg(report: DtrgReport, mut engine: EngineCounters) -> Self {
-        engine.cache_hits = report.stats.dtrg.memo_hits + report.stats.dtrg.shadow_hits;
-        engine.cache_misses = report.stats.dtrg.memo_misses;
-        AnalysisOutcome {
-            races: report.report,
-            stats: report.stats,
-            footprint: report.footprint,
-            engine,
-            sharding: None,
-            supervision: None,
-            online: None,
-        }
-    }
-}
 
 /// Incremental verdict after one fed chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -24,7 +24,8 @@
 //!   offline detection pipeline (serial-identical verdicts on N workers).
 //! * [`corpus`] — fleet-scale batch analysis: DAG-scheduled corpus runs
 //!   over directories of traces, with resume manifests and an aggregated
-//!   agreement report (plus the named-detector registry).
+//!   agreement report (plus the named-detector registry and the
+//!   [`Analyze`] builder, re-exported here).
 //! * [`service`] — the session layer: live chunk-fed analyses with
 //!   suspend/resume, the `tracetool serve` TCP daemon, and its streaming
 //!   client.
@@ -81,7 +82,7 @@
 
 pub mod analyze;
 
-pub use analyze::{AnalysisOutcome, Analyze, AnalyzeError};
+pub use analyze::{AnalysisOutcome, Analyze, AnalyzeError, DetectorOutcome, DetectorRun};
 
 pub use futrace_baselines as baselines;
 pub use futrace_benchsuite as benchsuite;

@@ -240,9 +240,7 @@ fn every_lenient_backend_checks_exactly_the_intact_chunks() {
                 );
                 assert_eq!(got.races.races, want.races.races, "{ctx}");
                 assert_eq!(got.races.total_detected, want.races.total_detected, "{ctx}");
-                if let Some(sharding) = &got.sharding {
-                    assert_eq!(sharding.skipped_chunks, 1, "{ctx}");
-                }
+                assert_eq!(got.engine.skipped_chunks, 1, "{ctx}");
 
                 let err = backend(&blob, which).run().expect_err("strict reads fail");
                 assert!(matches!(err, AnalyzeError::Trace(_)), "{ctx}: {err}");
@@ -258,4 +256,42 @@ fn every_lenient_backend_checks_exactly_the_intact_chunks() {
         "too few programs with an access run ({})",
         damaged.get()
     );
+}
+
+#[test]
+fn every_lenient_backend_cuts_a_truncated_tail() {
+    let config = Config::named("cargo test --test analyze_matrix").cases(16);
+    propcheck::check(&config, &strategies::any_u64(), |seed| {
+        let log = record(seed);
+        let chunks: Vec<&[Event]> = log.events.chunks(16).collect();
+        let Some(last) = chunks.len().checked_sub(1) else {
+            return; // nothing to cut
+        };
+        // Intact framing (no chunk is the victim), then cut inside the
+        // last chunk.
+        let mut blob = damaged_blob(&chunks, chunks.len(), Damage::CrcFlip);
+        blob.truncate(blob.len() - 5);
+        let kept = chunks[..last].concat();
+        let want = Analyze::events(&kept).run().expect("the kept events check");
+
+        for which in 0..5 {
+            let ctx = format!("seed {seed} backend {which}");
+            let got = backend(&blob, which)
+                .lenient(true)
+                .run()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let events = (got.engine.events, want.engine.events);
+            assert_eq!(events.0, events.1, "{ctx}: events checked");
+            assert_eq!(got.races.races, want.races.races, "{ctx}");
+            assert_eq!(got.races.total_detected, want.races.total_detected, "{ctx}");
+            assert_eq!(got.engine.skipped_chunks, 0, "{ctx}");
+            let inside = format!("truncated inside chunk {last} ");
+            let cut = got.truncated.expect("the outcome names the cut");
+            assert!(cut.to_string().contains(&inside), "{ctx}: {cut}");
+
+            let err = backend(&blob, which).run().expect_err("strict reads fail");
+            assert!(matches!(err, AnalyzeError::Trace(_)), "{ctx}: {err}");
+            assert!(err.to_string().contains(&inside), "{ctx}: {err}");
+        }
+    });
 }

@@ -14,11 +14,9 @@
 //! checkpoint whose shard-1 blob lists a shard-0 cell must fail the
 //! resume, never alias an odd cell.
 
-use futrace::corpus::detectors::{run_on_recorded, run_supervised_on_events, AnyReport};
-use futrace::offline::{
-    trace_chunks, trace_events, Checkpoint, SuperviseError, SupervisedOutcome, SupervisorPlan,
-    TraceFingerprint,
-};
+use futrace::corpus::detectors::AnyReport;
+use futrace::offline::{trace_events, Checkpoint};
+use futrace::{Analyze, AnalyzeError, DetectorRun};
 
 const DETECTORS: [&str; 2] = ["dtrg", "vc"];
 
@@ -30,26 +28,19 @@ fn fixture(name: &str) -> Vec<u8> {
     std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read fixture {path}: {e}"))
 }
 
-/// The plan `tracetool analyze --shards 2` runs with the given interval
-/// and stop point, or with neither (a resume).
-fn plan(trace: &[u8], every_and_stop: Option<(u64, u64)>) -> SupervisorPlan {
-    let mut plan = SupervisorPlan::for_shards(Some(2), true);
-    plan.checkpoint_every_chunks = every_and_stop.map(|(every, _)| every);
-    plan.stop_after_chunks = every_and_stop.map(|(_, stop)| stop);
-    plan.fingerprint = Some(TraceFingerprint::of(trace));
-    plan
-}
-
-/// Resumes `checkpoint` over `trace` and returns the completed report.
+/// Resumes `checkpoint` over `trace` as `tracetool analyze --shards 2
+/// --resume` does, and returns the completed report.
 fn resume(
     detector: &str,
     trace: &[u8],
     checkpoint: &Checkpoint,
-) -> Result<AnyReport, SuperviseError<futrace::offline::TraceError>> {
-    let chunks = || trace_chunks(trace, false);
-    match run_supervised_on_events(detector, chunks, &plan(trace, None), Some(checkpoint))? {
-        SupervisedOutcome::Completed { report, .. } => Ok(report),
-        SupervisedOutcome::Suspended { .. } => {
+) -> Result<AnyReport, AnalyzeError> {
+    let analysis = Analyze::trace_bytes(trace)
+        .shards(2)
+        .resume(checkpoint.clone());
+    match analysis.run_named(detector)? {
+        DetectorRun::Completed(out) => Ok(out.report),
+        DetectorRun::Suspended { .. } => {
             panic!("{detector}: a resume without a stop point suspended")
         }
     }
@@ -59,10 +50,14 @@ fn resume(
 fn the_shard_stage_cuts_the_pinned_checkpoint_bytes() {
     let trace = fixture("jacobi_tiny.ftrc");
     for detector in DETECTORS {
-        let chunks = || trace_chunks(&trace, false);
-        let out = run_supervised_on_events(detector, chunks, &plan(&trace, Some((1, 3))), None)
+        let analysis = Analyze::trace_bytes(&trace)
+            .shards(2)
+            .checkpoint_every(1)
+            .stop_after(3);
+        let out = analysis
+            .run_named(detector)
             .unwrap_or_else(|e| panic!("{detector}: {e}"));
-        let SupervisedOutcome::Suspended { checkpoint, .. } = out else {
+        let DetectorRun::Suspended { checkpoint, .. } = out else {
             panic!("{detector}: the run must suspend after 3 chunks");
         };
         let pinned = fixture(&format!("jacobi_tiny_{detector}.fckp"));
@@ -80,7 +75,11 @@ fn the_pinned_checkpoints_resume_to_the_uninterrupted_verdict() {
         .collect::<Result<_, _>>()
         .expect("the fixture trace decodes");
     for detector in DETECTORS {
-        let straight = run_on_recorded(detector, &events).report;
+        let Ok(DetectorRun::Completed(straight)) = Analyze::events(&events).run_named(detector)
+        else {
+            panic!("{detector}: an uninterrupted run completes");
+        };
+        let straight = straight.report;
         let checkpoint = Checkpoint::decode(&fixture(&format!("jacobi_tiny_{detector}.fckp")))
             .expect("the pinned checkpoint decodes");
         let resumed =
@@ -108,7 +107,7 @@ fn a_checkpoint_listing_another_shards_cells_fails_the_resume() {
         checkpoint.shard_states[1] = checkpoint.shard_states[0].clone();
         let crafted = Checkpoint::decode(&checkpoint.encode()).expect("a CRC-valid file");
         match resume(detector, &trace, &crafted) {
-            Err(SuperviseError::Restore(e)) => assert!(
+            Err(AnalyzeError::Supervise(e)) => assert!(
                 e.to_string()
                     .contains("belongs to shard 0 of 2, not to shard 1"),
                 "{detector}: {e}"
