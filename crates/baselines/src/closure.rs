@@ -52,17 +52,9 @@ impl ClosureDetector {
     }
 
     /// The races found (after [`BaselineDetector::finalize`]).
-    pub fn races(&self) -> &[OracleRace] {
+    pub(crate) fn races(&self) -> &[OracleRace] {
         match &self.state {
             State::Done { races, .. } => races,
-            State::Building(_) => panic!("call finalize first"),
-        }
-    }
-
-    /// The computation graph (after finalize).
-    pub fn graph(&self) -> &CompGraph {
-        match &self.state {
-            State::Done { graph, .. } => graph,
             State::Building(_) => panic!("call finalize first"),
         }
     }
@@ -163,6 +155,16 @@ mod tests {
     use super::*;
     use crate::run_baseline;
     use futrace_runtime::TaskCtx;
+
+    impl ClosureDetector {
+        /// The computation graph (after finalize).
+        fn graph(&self) -> &CompGraph {
+            match &self.state {
+                State::Done { graph, .. } => graph,
+                State::Building(_) => panic!("call finalize first"),
+            }
+        }
+    }
 
     #[test]
     fn exact_on_future_sync() {

@@ -146,11 +146,6 @@ impl Spd3 {
         }
         &mut self.shadow[i]
     }
-
-    /// DPST size in nodes (for diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 impl Monitor for Spd3 {
@@ -292,7 +287,7 @@ mod tests {
             x.write(ctx, 2);
         });
         assert!(!d.has_races(), "{} races", d.race_count());
-        assert!(d.node_count() > 3);
+        assert!(d.nodes.len() > 3);
     }
 
     #[test]

@@ -34,11 +34,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod closure;
-pub mod dpst;
-pub mod offsetspan;
-pub mod espbags;
-pub mod spbags;
+pub(crate) mod closure;
+pub(crate) mod dpst;
+pub(crate) mod offsetspan;
+pub(crate) mod espbags;
+pub(crate) mod spbags;
 pub mod vectorclock;
 
 use futrace_runtime::Monitor;

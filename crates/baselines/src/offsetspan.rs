@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 /// An offset-span label (immutably shared; clones are `Arc` bumps).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OsLabel(Arc<Vec<(u64, u64)>>);
+pub(crate) struct OsLabel(Arc<Vec<(u64, u64)>>);
 
 impl OsLabel {
     fn root() -> Self {
@@ -71,17 +71,12 @@ impl OsLabel {
 
     /// Number of `(offset, span)` pairs — grows with spawn/finish nesting
     /// under the continuation-branch emulation (the cost metric).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.0.len()
     }
 
-    /// True iff the label has no pairs (never for live labels).
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
     /// Does work labeled `self` necessarily precede work labeled `other`?
-    pub fn precedes(&self, other: &OsLabel) -> bool {
+    pub(crate) fn precedes(&self, other: &OsLabel) -> bool {
         let a = &*self.0;
         let b = &*other.0;
         let mut k = 0;
@@ -305,7 +300,7 @@ mod tests {
         assert!(c2.precedes(&post));
         assert!(root.precedes(&post));
         assert!(!post.precedes(&c1));
-        assert!(!c1.is_empty());
+        assert!(!c1.0.is_empty());
     }
 
     #[test]

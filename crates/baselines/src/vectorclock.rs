@@ -35,7 +35,7 @@ use futrace_util::wire;
 /// to the highest nonzero component. Component `t` = how much of task `t`'s
 /// history is known.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VClock(Vec<u32>);
+pub(crate) struct VClock(Vec<u32>);
 
 impl VClock {
     fn get(&self, t: TaskId) -> u32 {
@@ -60,7 +60,7 @@ impl VClock {
 
     /// Number of allocated components — the memory-growth metric the
     /// ablation bench reports.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.0.len()
     }
 }

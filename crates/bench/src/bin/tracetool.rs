@@ -841,9 +841,10 @@ fn client(opts: ClientOptions, args: ClientArgs) {
             chunks_sent,
             events,
             truncated,
+            skipped_chunks,
             attempts,
         }) => {
-            warn_damage(truncated.as_ref(), events, 0);
+            warn_damage(truncated.as_ref(), events, skipped_chunks);
             println!("{file}: {chunks_sent} chunk(s) streamed to {}", opts.addr);
             if resumed_chunks > 0 {
                 println!("resumed: daemon skipped {resumed_chunks} already-analyzed chunk(s)");

@@ -1,6 +1,6 @@
 //! Shared harness for the Table-2 reproduction and the microbenchmarks.
 //!
-//! [`run_row`] measures one benchmark exactly the way the paper does
+//! `run_row` measures one benchmark exactly the way the paper does
 //! (§5): `Seq` is the mean wall-clock time of the serial elision (the
 //! plain-Rust reference implementation), `Racedet` is the mean wall-clock
 //! time of a 1-processor (serial depth-first) execution under the DTRG
@@ -63,7 +63,7 @@ pub struct Row {
 
 impl Row {
     /// The paper's Slowdown column.
-    pub fn slowdown(&self) -> f64 {
+    pub(crate) fn slowdown(&self) -> f64 {
         if self.seq_ms > 0.0 {
             self.racedet_ms / self.seq_ms
         } else {
@@ -74,7 +74,7 @@ impl Row {
 
 /// Measures one row: `seq` runs the serial elision, `prog` runs the DSL
 /// program (invoked under the detector through the engine driver).
-pub fn run_row<F, G>(name: &'static str, reps: usize, mut seq: F, prog: G) -> Row
+pub(crate) fn run_row<F, G>(name: &'static str, reps: usize, mut seq: F, prog: G) -> Row
 where
     F: FnMut(),
     G: Fn(&mut SerialCtx<Engine<RaceDetector>>) + Copy,
@@ -102,7 +102,7 @@ where
 }
 
 /// Parameter sets for a size.
-pub fn series_params(size: Size) -> series::SeriesParams {
+pub(crate) fn series_params(size: Size) -> series::SeriesParams {
     match size {
         Size::Tiny => series::SeriesParams::tiny(),
         Size::Scaled => series::SeriesParams::scaled(),
@@ -111,7 +111,7 @@ pub fn series_params(size: Size) -> series::SeriesParams {
 }
 
 /// Crypt parameters for a size.
-pub fn crypt_params(size: Size) -> crypt::CryptParams {
+pub(crate) fn crypt_params(size: Size) -> crypt::CryptParams {
     match size {
         Size::Tiny => crypt::CryptParams::tiny(),
         Size::Scaled => crypt::CryptParams::scaled(),
@@ -120,7 +120,7 @@ pub fn crypt_params(size: Size) -> crypt::CryptParams {
 }
 
 /// Jacobi parameters for a size.
-pub fn jacobi_params(size: Size) -> jacobi::JacobiParams {
+pub(crate) fn jacobi_params(size: Size) -> jacobi::JacobiParams {
     match size {
         Size::Tiny => jacobi::JacobiParams::tiny(),
         Size::Scaled => jacobi::JacobiParams::scaled(),
@@ -129,7 +129,7 @@ pub fn jacobi_params(size: Size) -> jacobi::JacobiParams {
 }
 
 /// Smith-Waterman parameters for a size.
-pub fn sw_params(size: Size) -> smithwaterman::SwParams {
+pub(crate) fn sw_params(size: Size) -> smithwaterman::SwParams {
     match size {
         Size::Tiny => smithwaterman::SwParams::tiny(),
         Size::Scaled => smithwaterman::SwParams::scaled(),
@@ -138,7 +138,7 @@ pub fn sw_params(size: Size) -> smithwaterman::SwParams {
 }
 
 /// Strassen parameters for a size.
-pub fn strassen_params(size: Size) -> strassen::StrassenParams {
+pub(crate) fn strassen_params(size: Size) -> strassen::StrassenParams {
     match size {
         Size::Tiny => strassen::StrassenParams::tiny(),
         Size::Scaled => strassen::StrassenParams::scaled(),

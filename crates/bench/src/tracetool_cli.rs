@@ -171,7 +171,7 @@ pub struct AnalyzeArgs {
 impl AnalyzeArgs {
     /// True iff any fault-tolerance flag was given, which routes the run
     /// through the supervised pipeline instead of the plain sharded one.
-    pub fn supervised(&self) -> bool {
+    pub(crate) fn supervised(&self) -> bool {
         self.inject.is_some()
             || self.checkpoint_every.is_some()
             || self.checkpoint.is_some()

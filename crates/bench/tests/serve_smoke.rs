@@ -509,25 +509,13 @@ fn lenient_client_skips_the_chunks_lenient_analyze_skips() {
     let file = dir.join("damaged.ftrc");
     std::fs::write(&file, copy_with_a_damaged_access_chunk(&fixture)).expect("write copy");
 
-    let out = tracetool()
-        .arg("analyze")
-        .arg(&file)
-        .arg("--lenient")
-        .output()
-        .expect("run analyze");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("skipped 1 damaged chunk(s)"), "{stderr}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let (want, want_code) = (verdict_section(&stdout), out.status.code());
+    let skipped = "skipped 1 damaged chunk(s)";
+    let lenient = analyze_warned(&file, &["--lenient"], skipped);
 
     let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
-    let (stdout, code) = client(&daemon.addr, &file, &["--lenient"]);
-    assert_eq!(
-        verdict_section(&stdout),
-        want,
-        "lenient streamed vs one-shot"
-    );
-    assert_eq!(code, want_code);
+    let mut command = tracetool();
+    command.arg("client").arg(&daemon.addr).arg(&file).arg("--lenient");
+    assert_eq!(warned(command, skipped), lenient, "lenient streamed vs one-shot");
 
     // Without --lenient the client refuses the damaged chunk.
     let strict = tracetool()
@@ -720,15 +708,19 @@ fn every_lenient_path_reads_the_chunks_the_trace_reader_keeps() {
     let file = dir.join("undecodable.ftrc");
     std::fs::write(&file, &blob).expect("write damaged copy");
     let skipped = "skipped 1 damaged chunk(s)";
-    let (want, _, want_code) = analyze_warned(&file, &["--lenient"], skipped);
+    let lenient = analyze_warned(&file, &["--lenient"], skipped);
+    let want_code = lenient.2;
     let sharded = analyze_warned(&file, &["--lenient", "--shards", "2"], skipped);
-    assert_eq!((sharded.0, sharded.2), (want.clone(), want_code), "sharded");
+    assert_eq!(sharded, lenient, "sharded");
 
+    // The lenient client drops the same chunk, re-chunked or not, and
+    // says so.
     let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
     for extra in [&["--lenient"][..], &["--lenient", "--chunk-events", "8"]] {
-        let (stdout, code) = client(&daemon.addr, &file, extra);
-        assert_eq!(verdict_section(&stdout), want, "client {extra:?}");
-        assert_eq!(code, want_code, "client {extra:?}");
+        let mut command = tracetool();
+        command.arg("client").arg(&daemon.addr);
+        command.arg(&file).args(extra);
+        assert_eq!(warned(command, skipped), lenient, "client {extra:?}");
     }
     // Strict, every path fails on that chunk's damage. The daemon, which
     // the payload-forwarding client leaves to decode the chunk, counts

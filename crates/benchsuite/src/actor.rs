@@ -81,25 +81,6 @@ fn work(mut x: u64, rounds: u32) -> u64 {
     x
 }
 
-/// Reference (serial-elision) implementation: the per-client digests.
-pub fn actor_seq(p: &ActorParams) -> Vec<u64> {
-    p.validate();
-    let mut state = vec![0u64; p.actors];
-    let mut resp = vec![0u64; p.requests];
-    for r in 0..p.requests {
-        let a = r % p.actors;
-        let v = work(state[a] ^ payload(p.seed, r), p.rounds);
-        state[a] = v;
-        resp[r] = v;
-    }
-    let mut out = vec![0u64; p.clients];
-    for (r, &v) in resp.iter().enumerate() {
-        let c = r % p.clients;
-        out[c] = out[c].rotate_left(7) ^ v;
-    }
-    out
-}
-
 /// DSL run; returns the per-client digest array.
 pub fn actor_run<C: TaskCtx>(ctx: &mut C, p: &ActorParams, plant_race: bool) -> SharedArray<u64> {
     p.validate();
@@ -162,23 +143,42 @@ pub fn actor_run<C: TaskCtx>(ctx: &mut C, p: &ActorParams, plant_race: bool) -> 
     out
 }
 
-/// Expected dynamic task count: the requests plus the clients.
-pub fn expected_tasks(p: &ActorParams) -> u64 {
-    (p.requests + p.clients) as u64
-}
-
-/// Expected non-tree joins: one chain edge per request after each
-/// actor's first (`requests − actors`) plus one response edge per
-/// request (`requests`).
-pub fn expected_nt_joins(p: &ActorParams) -> u64 {
-    (p.requests - p.actors + p.requests) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Reference (serial-elision) implementation: the per-client digests.
+    fn actor_seq(p: &ActorParams) -> Vec<u64> {
+        p.validate();
+        let mut state = vec![0u64; p.actors];
+        let mut resp = vec![0u64; p.requests];
+        for r in 0..p.requests {
+            let a = r % p.actors;
+            let v = work(state[a] ^ payload(p.seed, r), p.rounds);
+            state[a] = v;
+            resp[r] = v;
+        }
+        let mut out = vec![0u64; p.clients];
+        for (r, &v) in resp.iter().enumerate() {
+            let c = r % p.clients;
+            out[c] = out[c].rotate_left(7) ^ v;
+        }
+        out
+    }
+
+    /// Expected dynamic task count: the requests plus the clients.
+    fn expected_tasks(p: &ActorParams) -> u64 {
+        (p.requests + p.clients) as u64
+    }
+
+    /// Expected non-tree joins: one chain edge per request after each
+    /// actor's first (`requests − actors`) plus one response edge per
+    /// request (`requests`).
+    fn expected_nt_joins(p: &ActorParams) -> u64 {
+        (p.requests - p.actors + p.requests) as u64
+    }
 
     #[test]
     fn dsl_matches_reference_and_is_race_free() {

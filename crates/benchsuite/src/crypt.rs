@@ -52,7 +52,7 @@ impl CryptParams {
     }
 
     /// Number of 8-byte blocks per pass.
-    pub fn blocks(&self) -> usize {
+    pub(crate) fn blocks(&self) -> usize {
         self.bytes.div_ceil(8)
     }
 }
@@ -92,7 +92,7 @@ fn inv(x: u16) -> u16 {
 }
 
 /// Expands a 128-bit user key into the 52 encryption subkeys.
-pub fn encryption_schedule(user_key: &[u16; 8]) -> [u16; 52] {
+pub(crate) fn encryption_schedule(user_key: &[u16; 8]) -> [u16; 52] {
     let mut z = [0u16; 52];
     z[..8].copy_from_slice(user_key);
     // Each successive batch of 8 subkeys is the 128-bit key rotated left
@@ -109,7 +109,7 @@ pub fn encryption_schedule(user_key: &[u16; 8]) -> [u16; 52] {
 }
 
 /// Derives the 52 decryption subkeys from the encryption schedule.
-pub fn decryption_schedule(z: &[u16; 52]) -> [u16; 52] {
+pub(crate) fn decryption_schedule(z: &[u16; 52]) -> [u16; 52] {
     let mut dk = [0u16; 52];
     // Output transform keys become round-1 keys, inverted.
     dk[0] = inv(z[48]);
@@ -137,7 +137,7 @@ pub fn decryption_schedule(z: &[u16; 52]) -> [u16; 52] {
 }
 
 /// Encrypts/decrypts one 8-byte block with the given schedule.
-pub fn idea_block(input: [u8; 8], key: &[u16; 52]) -> [u8; 8] {
+pub(crate) fn idea_block(input: [u8; 8], key: &[u16; 52]) -> [u8; 8] {
     let mut x1 = u16::from_be_bytes([input[0], input[1]]);
     let mut x2 = u16::from_be_bytes([input[2], input[3]]);
     let mut x3 = u16::from_be_bytes([input[4], input[5]]);
@@ -174,7 +174,7 @@ pub fn idea_block(input: [u8; 8], key: &[u16; 52]) -> [u8; 8] {
 }
 
 /// Deterministic key + plaintext for a parameter set.
-pub fn workload(p: &CryptParams) -> ([u16; 8], Vec<u8>) {
+pub(crate) fn workload(p: &CryptParams) -> ([u16; 8], Vec<u8>) {
     let mut plain = vec![0u8; p.blocks() * 8];
     futrace_util::rng::fill_bytes(p.seed, &mut plain);
     let mut key_bytes = [0u8; 16];
@@ -311,16 +311,16 @@ pub fn crypt_run<C: TaskCtx>(ctx: &mut C, p: &CryptParams, variant: CryptVariant
     CryptOut { cipher, round }
 }
 
-/// Expected dynamic task count: `2 × blocks`.
-pub fn expected_tasks(p: &CryptParams) -> u64 {
-    2 * p.blocks() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::{run_parallel, run_serial, NullMonitor};
+
+    /// Expected dynamic task count: `2 × blocks`.
+    fn expected_tasks(p: &CryptParams) -> u64 {
+        2 * p.blocks() as u64
+    }
 
     #[test]
     fn mul_convention() {

@@ -67,17 +67,6 @@ fn work(mut x: u64, rounds: u32) -> u64 {
     x
 }
 
-/// Reference (serial-elision) implementation: all node values.
-pub fn futlist_seq(p: &FutListParams) -> Vec<u64> {
-    p.validate();
-    let mut cells = vec![0u64; p.n];
-    cells[0] = work(p.seed, p.rounds);
-    for i in 1..p.n {
-        cells[i] = work(cells[i - 1] ^ i as u64, p.rounds);
-    }
-    cells
-}
-
 /// Index of reader `k`'s target node (spread over the interior).
 fn reader_target(p: &FutListParams, k: usize) -> usize {
     ((k + 1) * p.n / (p.readers + 1)).min(p.n - 1)
@@ -128,22 +117,33 @@ pub fn futlist_run<C: TaskCtx>(
     cells
 }
 
-/// Expected dynamic task count: `n` nodes plus the readers.
-pub fn expected_tasks(p: &FutListParams) -> u64 {
-    (p.n + p.readers) as u64
-}
-
-/// Expected non-tree joins: one link per node after the head plus one
-/// join per detached reader.
-pub fn expected_nt_joins(p: &FutListParams) -> u64 {
-    (p.n - 1 + p.readers) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Reference (serial-elision) implementation: all node values.
+    fn futlist_seq(p: &FutListParams) -> Vec<u64> {
+        p.validate();
+        let mut cells = vec![0u64; p.n];
+        cells[0] = work(p.seed, p.rounds);
+        for i in 1..p.n {
+            cells[i] = work(cells[i - 1] ^ i as u64, p.rounds);
+        }
+        cells
+    }
+
+    /// Expected dynamic task count: `n` nodes plus the readers.
+    fn expected_tasks(p: &FutListParams) -> u64 {
+        (p.n + p.readers) as u64
+    }
+
+    /// Expected non-tree joins: one link per node after the head plus one
+    /// join per detached reader.
+    fn expected_nt_joins(p: &FutListParams) -> u64 {
+        (p.n - 1 + p.readers) as u64
+    }
 
     #[test]
     fn dsl_matches_reference_and_is_race_free() {

@@ -71,22 +71,6 @@ fn combine(a: u64, b: u64, rounds: u32) -> u64 {
     x
 }
 
-/// Reference (serial-elision) implementation: every heap cell
-/// (`2·leaves−1` entries, root at index 0, leaves at the tail).
-pub fn futtree_seq(p: &FutTreeParams) -> Vec<u64> {
-    p.validate();
-    let n = 2 * p.leaves - 1;
-    let first_leaf = p.leaves - 1;
-    let mut cells = vec![0u64; n];
-    for k in 0..p.leaves {
-        cells[first_leaf + k] = leaf_value(p.seed, k);
-    }
-    for j in (0..first_leaf).rev() {
-        cells[j] = combine(cells[2 * j + 1], cells[2 * j + 2], p.rounds);
-    }
-    cells
-}
-
 /// DSL run; returns the heap cell array.
 pub fn futtree_run<C: TaskCtx>(
     ctx: &mut C,
@@ -131,21 +115,37 @@ pub fn futtree_run<C: TaskCtx>(
     cells
 }
 
-/// Expected dynamic task count: one future per heap cell.
-pub fn expected_tasks(p: &FutTreeParams) -> u64 {
-    (2 * p.leaves - 1) as u64
-}
-
-/// Expected non-tree joins: two child edges per internal node.
-pub fn expected_nt_joins(p: &FutTreeParams) -> u64 {
-    2 * (p.leaves as u64 - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Reference (serial-elision) implementation: every heap cell
+    /// (`2·leaves−1` entries, root at index 0, leaves at the tail).
+    fn futtree_seq(p: &FutTreeParams) -> Vec<u64> {
+        p.validate();
+        let n = 2 * p.leaves - 1;
+        let first_leaf = p.leaves - 1;
+        let mut cells = vec![0u64; n];
+        for k in 0..p.leaves {
+            cells[first_leaf + k] = leaf_value(p.seed, k);
+        }
+        for j in (0..first_leaf).rev() {
+            cells[j] = combine(cells[2 * j + 1], cells[2 * j + 2], p.rounds);
+        }
+        cells
+    }
+
+    /// Expected dynamic task count: one future per heap cell.
+    fn expected_tasks(p: &FutTreeParams) -> u64 {
+        (2 * p.leaves - 1) as u64
+    }
+
+    /// Expected non-tree joins: two child edges per internal node.
+    fn expected_nt_joins(p: &FutTreeParams) -> u64 {
+        2 * (p.leaves as u64 - 1)
+    }
 
     #[test]
     fn dsl_matches_reference_and_is_race_free() {

@@ -65,7 +65,7 @@ impl GraphWalkParams {
 
 /// The deterministic DAG: `edges(p)[j]` is node `j`'s sorted, deduplicated
 /// predecessor list (empty only for the source node 0).
-pub fn edges(p: &GraphWalkParams) -> Vec<Vec<usize>> {
+pub(crate) fn edges(p: &GraphWalkParams) -> Vec<Vec<usize>> {
     p.validate();
     let mut rng = Rng::seeded(p.seed ^ 0x6A09_E667_F3BC_C908);
     let mut preds = Vec::with_capacity(p.n);
@@ -96,17 +96,6 @@ fn fold(j: usize, seed: u64, inputs: &[u64], rounds: u32) -> u64 {
             .wrapping_add(seed);
     }
     x
-}
-
-/// Reference (serial-elision) implementation: every node value.
-pub fn graphwalk_seq(p: &GraphWalkParams) -> Vec<u64> {
-    let preds = edges(p);
-    let mut cells = vec![0u64; p.n];
-    for j in 0..p.n {
-        let inputs: Vec<u64> = preds[j].iter().map(|&k| cells[k]).collect();
-        cells[j] = fold(j, p.seed, &inputs, p.rounds);
-    }
-    cells
 }
 
 /// DSL run; returns the node cell array.
@@ -145,21 +134,32 @@ pub fn graphwalk_run<C: TaskCtx>(
     cells
 }
 
-/// Expected dynamic task count: one future per node.
-pub fn expected_tasks(p: &GraphWalkParams) -> u64 {
-    p.n as u64
-}
-
-/// Expected non-tree joins: the DAG's total edge count.
-pub fn expected_nt_joins(p: &GraphWalkParams) -> u64 {
-    edges(p).iter().map(|ps| ps.len() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Reference (serial-elision) implementation: every node value.
+    fn graphwalk_seq(p: &GraphWalkParams) -> Vec<u64> {
+        let preds = edges(p);
+        let mut cells = vec![0u64; p.n];
+        for j in 0..p.n {
+            let inputs: Vec<u64> = preds[j].iter().map(|&k| cells[k]).collect();
+            cells[j] = fold(j, p.seed, &inputs, p.rounds);
+        }
+        cells
+    }
+
+    /// Expected dynamic task count: one future per node.
+    fn expected_tasks(p: &GraphWalkParams) -> u64 {
+        p.n as u64
+    }
+
+    /// Expected non-tree joins: the DAG's total edge count.
+    fn expected_nt_joins(p: &GraphWalkParams) -> u64 {
+        edges(p).iter().map(|ps| ps.len() as u64).sum()
+    }
 
     #[test]
     fn structure_is_deterministic_and_acyclic() {

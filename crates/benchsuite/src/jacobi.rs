@@ -64,14 +64,14 @@ impl JacobiParams {
     }
 
     /// Tiles per side.
-    pub fn tiles(&self) -> usize {
+    pub(crate) fn tiles(&self) -> usize {
         assert_eq!(self.n % self.tile, 0, "n must be a multiple of tile");
         self.n / self.tile
     }
 }
 
 /// Deterministic initial grid.
-pub fn initial_grid(p: &JacobiParams) -> Vec<f64> {
+pub(crate) fn initial_grid(p: &JacobiParams) -> Vec<f64> {
     let mut rng = futrace_util::rng::seeded(p.seed);
     (0..p.n * p.n).map(|_| rng.gen_range(0.0..1.0)).collect()
 }

@@ -16,7 +16,7 @@
 //!
 //! Every dependence is a `get()` on a sibling future — a non-tree join —
 //! so #NTJoins grows as Θ(nb³) while #Tasks is Θ(nb³)/3: the highest
-//! joins-per-task ratio in the suite ([`expected_nt_joins`]).
+//! joins-per-task ratio in the suite (the unit tests' `expected_nt_joins`).
 
 use futrace_runtime::memory::SharedArray;
 use futrace_runtime::TaskCtx;
@@ -52,34 +52,18 @@ impl LuParams {
     }
 
     /// Matrix side length.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.nb * self.bs
     }
 }
 
 /// Deterministic diagonally-dominant input (so unpivoted LU is stable).
-pub fn input(p: &LuParams) -> Vec<f64> {
+pub(crate) fn input(p: &LuParams) -> Vec<f64> {
     let n = p.n();
     let mut rng = futrace_util::rng::seeded(p.seed);
     let mut a: Vec<f64> = (0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
     for i in 0..n {
         a[i * n + i] += n as f64; // dominance
-    }
-    a
-}
-
-/// Reference (serial-elision) unblocked LU, in-place Doolittle without
-/// pivoting. Returns the combined LU factors.
-pub fn lu_seq_unblocked(mut a: Vec<f64>, n: usize) -> Vec<f64> {
-    for k in 0..n {
-        let pivot = a[k * n + k];
-        for i in k + 1..n {
-            a[i * n + k] /= pivot;
-            let lik = a[i * n + k];
-            for j in k + 1..n {
-                a[i * n + j] -= lik * a[k * n + j];
-            }
-        }
     }
     a
 }
@@ -291,47 +275,63 @@ pub fn lu_run<C: TaskCtx>(ctx: &mut C, p: &LuParams, plant_race: bool) -> Shared
     m
 }
 
-/// Expected dynamic task count: `Σ_k 1 + 2(nb−k−1) + (nb−k−1)²`.
-pub fn expected_tasks(p: &LuParams) -> u64 {
-    (0..p.nb)
-        .map(|k| {
-            let r = (p.nb - k - 1) as u64;
-            1 + 2 * r + r * r
-        })
-        .sum()
-}
-
-/// Expected non-tree joins: every `get()` performed by a *task* (the main
-/// task's final gets merge). diag: 1 if k>0; row/col: 1 (diag) + 1 if a
-/// previous producer exists; trail: 2 (or 3 with a previous producer).
-pub fn expected_nt_joins(p: &LuParams) -> u64 {
-    let nb = p.nb as u64;
-    let mut total = 0u64;
-    for k in 0..nb {
-        let r = nb - k - 1;
-        if k > 0 {
-            total += 1; // diag's dep on the previous trail of (k,k)
-        }
-        // rows/cols: diag dep + prev dep (prev exists iff k > 0).
-        total += 2 * r * (1 + u64::from(k > 0));
-        // trails: col + row + prev (prev exists iff k > 0).
-        total += r * r * (2 + u64::from(k > 0));
-    }
-    total
-}
-
-/// Extracts block `(bi, bj)` from a DSL run's output (uninstrumented).
-pub fn peek_block(m: &SharedArray<f64>, p: &LuParams, bi: usize, bj: usize) -> Vec<f64> {
-    let bs = p.bs;
-    let base = (bi * p.nb + bj) * bs * bs;
-    (0..bs * bs).map(|t| m.peek(base + t)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Reference (serial-elision) unblocked LU, in-place Doolittle without
+    /// pivoting. Returns the combined LU factors.
+    fn lu_seq_unblocked(mut a: Vec<f64>, n: usize) -> Vec<f64> {
+        for k in 0..n {
+            let pivot = a[k * n + k];
+            for i in k + 1..n {
+                a[i * n + k] /= pivot;
+                let lik = a[i * n + k];
+                for j in k + 1..n {
+                    a[i * n + j] -= lik * a[k * n + j];
+                }
+            }
+        }
+        a
+    }
+
+    /// Expected dynamic task count: `Σ_k 1 + 2(nb−k−1) + (nb−k−1)²`.
+    fn expected_tasks(p: &LuParams) -> u64 {
+        (0..p.nb)
+            .map(|k| {
+                let r = (p.nb - k - 1) as u64;
+                1 + 2 * r + r * r
+            })
+            .sum()
+    }
+
+    /// Expected non-tree joins: every `get()` performed by a *task* (the main
+    /// task's final gets merge). diag: 1 if k>0; row/col: 1 (diag) + 1 if a
+    /// previous producer exists; trail: 2 (or 3 with a previous producer).
+    fn expected_nt_joins(p: &LuParams) -> u64 {
+        let nb = p.nb as u64;
+        let mut total = 0u64;
+        for k in 0..nb {
+            let r = nb - k - 1;
+            if k > 0 {
+                total += 1; // diag's dep on the previous trail of (k,k)
+            }
+            // rows/cols: diag dep + prev dep (prev exists iff k > 0).
+            total += 2 * r * (1 + u64::from(k > 0));
+            // trails: col + row + prev (prev exists iff k > 0).
+            total += r * r * (2 + u64::from(k > 0));
+        }
+        total
+    }
+
+    /// Extracts block `(bi, bj)` from a DSL run's output (uninstrumented).
+    fn peek_block(m: &SharedArray<f64>, p: &LuParams, bi: usize, bj: usize) -> Vec<f64> {
+        let bs = p.bs;
+        let base = (bi * p.nb + bj) * bs * bs;
+        (0..bs * bs).map(|t| m.peek(base + t)).collect()
+    }
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9)

@@ -130,23 +130,23 @@ pub fn pipeline_run<C: TaskCtx>(
     items
 }
 
-/// Expected dynamic task count: `stages × items`.
-pub fn expected_tasks(p: &PipelineParams) -> u64 {
-    (p.stages * p.items) as u64
-}
-
-/// Expected non-tree joins: one per prev-stage dep (`(stages−1)·items`)
-/// plus one per prev-item dep (`stages·(items−1)`).
-pub fn expected_nt_joins(p: &PipelineParams) -> u64 {
-    let (s, n) = (p.stages as u64, p.items as u64);
-    (s - 1) * n + s * (n - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Expected dynamic task count: `stages × items`.
+    fn expected_tasks(p: &PipelineParams) -> u64 {
+        (p.stages * p.items) as u64
+    }
+
+    /// Expected non-tree joins: one per prev-stage dep (`(stages−1)·items`)
+    /// plus one per prev-item dep (`stages·(items−1)`).
+    fn expected_nt_joins(p: &PipelineParams) -> u64 {
+        let (s, n) = (p.stages as u64, p.items as u64);
+        (s - 1) * n + s * (n - 1)
+    }
 
     #[test]
     fn dsl_matches_reference_and_is_race_free() {

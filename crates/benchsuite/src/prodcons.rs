@@ -78,21 +78,6 @@ fn salt(s: usize) -> u64 {
     (s as u64).wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x5851_F42D
 }
 
-/// Reference (serial-elision) implementation: the items after the last
-/// stage.
-pub fn prodcons_seq(p: &ProdConsParams) -> Vec<u64> {
-    p.validate();
-    (0..p.items as u64)
-        .map(|i| {
-            let mut v = i ^ p.seed;
-            for s in 0..p.stages {
-                v = work(v ^ salt(s), p.rounds);
-            }
-            v
-        })
-        .collect()
-}
-
 /// DSL run; returns the output array written by the final stage.
 ///
 /// `plant_race` (tests only) drops the slot-free dependence, so producers
@@ -166,24 +151,39 @@ pub fn prodcons_run<C: TaskCtx>(
     out
 }
 
-/// Expected dynamic task count: `stages × items`.
-pub fn expected_tasks(p: &ProdConsParams) -> u64 {
-    (p.stages * p.items) as u64
-}
-
-/// Expected non-tree joins: one item-ready edge per non-source task
-/// (`(stages−1)·items`) plus one slot-free edge per ring-writing task
-/// past the first wrap (`(stages−1)·(items−cap)`).
-pub fn expected_nt_joins(p: &ProdConsParams) -> u64 {
-    let (s, n, c) = (p.stages as u64, p.items as u64, p.cap as u64);
-    (s - 1) * n + (s - 1) * (n - c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Reference (serial-elision) implementation: the items after the last
+    /// stage.
+    fn prodcons_seq(p: &ProdConsParams) -> Vec<u64> {
+        p.validate();
+        (0..p.items as u64)
+            .map(|i| {
+                let mut v = i ^ p.seed;
+                for s in 0..p.stages {
+                    v = work(v ^ salt(s), p.rounds);
+                }
+                v
+            })
+            .collect()
+    }
+
+    /// Expected dynamic task count: `stages × items`.
+    fn expected_tasks(p: &ProdConsParams) -> u64 {
+        (p.stages * p.items) as u64
+    }
+
+    /// Expected non-tree joins: one item-ready edge per non-source task
+    /// (`(stages−1)·items`) plus one slot-free edge per ring-writing task
+    /// past the first wrap (`(stages−1)·(items−cap)`).
+    fn expected_nt_joins(p: &ProdConsParams) -> u64 {
+        let (s, n, c) = (p.stages as u64, p.items as u64, p.cap as u64);
+        (s - 1) * n + (s - 1) * (n - c)
+    }
 
     #[test]
     fn dsl_matches_reference_and_is_race_free() {

@@ -51,7 +51,7 @@ impl SeriesParams {
     /// slower than the detector per event. This profile inverts the
     /// ratio — many cheap tasks — so `dtrgperf`'s per-event medians
     /// measure the detector, not the kernel.
-    pub fn perf() -> Self {
+    pub(crate) fn perf() -> Self {
         SeriesParams {
             n: 20_000,
             intervals: 4,
@@ -187,17 +187,17 @@ pub fn series_future<C: TaskCtx>(ctx: &mut C, p: &SeriesParams) -> SeriesOut {
     SeriesOut { a, b }
 }
 
-/// Expected dynamic task count for a given size (Table 2 column #Tasks):
-/// `n − 1`.
-pub fn expected_tasks(p: &SeriesParams) -> u64 {
-    (p.n - 1) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::{run_parallel, run_serial, NullMonitor};
+
+    /// Expected dynamic task count for a given size (Table 2 column #Tasks):
+    /// `n − 1`.
+    fn expected_tasks(p: &SeriesParams) -> u64 {
+        (p.n - 1) as u64
+    }
 
     fn close(x: f64, y: f64) -> bool {
         (x - y).abs() < 1e-9

@@ -65,18 +65,18 @@ impl SwParams {
     }
 
     /// Cells per tile side.
-    pub fn tile_size(&self) -> usize {
+    pub(crate) fn tile_size(&self) -> usize {
         assert_eq!(self.n % self.tiles, 0, "n must be a multiple of tiles");
         self.n / self.tiles
     }
 }
 
 /// Scoring scheme (match/mismatch/gap), as in the COMP322 project.
-pub const MATCH: i32 = 2;
+pub(crate) const MATCH: i32 = 2;
 /// Mismatch penalty.
-pub const MISMATCH: i32 = -1;
+pub(crate) const MISMATCH: i32 = -1;
 /// Linear gap penalty.
-pub const GAP: i32 = 1;
+pub(crate) const GAP: i32 = 1;
 
 #[inline]
 fn sub(a: u8, b: u8) -> i32 {
@@ -88,7 +88,7 @@ fn sub(a: u8, b: u8) -> i32 {
 }
 
 /// Deterministic random ACGT sequences for a parameter set.
-pub fn sequences(p: &SwParams) -> (Vec<u8>, Vec<u8>) {
+pub(crate) fn sequences(p: &SwParams) -> (Vec<u8>, Vec<u8>) {
     let mut rng = futrace_util::rng::seeded(p.seed);
     let mk = |rng: &mut futrace_util::rng::Rng, n: usize| {
         (0..n).map(|_| b"ACGT"[rng.gen_range(0usize..4)]).collect()

@@ -32,7 +32,7 @@ pub struct SorParams {
 }
 
 /// The JGF over-relaxation factor.
-pub const OMEGA: f64 = 1.25;
+pub(crate) const OMEGA: f64 = 1.25;
 
 impl SorParams {
     /// Laptop-scale configuration.
@@ -57,7 +57,7 @@ impl SorParams {
 }
 
 /// Deterministic initial grid.
-pub fn initial_grid(p: &SorParams) -> Vec<f64> {
+pub(crate) fn initial_grid(p: &SorParams) -> Vec<f64> {
     let mut rng = futrace_util::rng::seeded(p.seed);
     (0..p.n * p.n).map(|_| rng.gen_range(0.0..1.0)).collect()
 }
@@ -136,16 +136,16 @@ pub fn sor_run<C: TaskCtx>(ctx: &mut C, p: &SorParams, plant_race: bool) -> Shar
     grid
 }
 
-/// Expected dynamic task count: `2 × sweeps × ⌈(n−2)/band⌉`.
-pub fn expected_tasks(p: &SorParams) -> u64 {
-    (2 * p.sweeps * (p.n - 2).div_ceil(p.band)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    /// Expected dynamic task count: `2 × sweeps × ⌈(n−2)/band⌉`.
+    fn expected_tasks(p: &SorParams) -> u64 {
+        (2 * p.sweeps * (p.n - 2).div_ceil(p.band)) as u64
+    }
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-12)

@@ -20,7 +20,8 @@
 //! With the paper's 1024×1024 / cutoff 32 there are
 //! `1+7+49+343+2401 = 2801` internal nodes, hence `11 × 2801 = 30,811`
 //! tasks and `12 × 2801 = 33,612` non-tree joins — Table 2's #Tasks and
-//! #NTJoins **exactly** ([`expected_tasks`], [`expected_nt_joins`]).
+//! #NTJoins **exactly** (the unit tests' `expected_tasks` and
+//! `expected_nt_joins`).
 //!
 //! `M5` is consumed by both `C11` and `C12` (and `M1`, `M2`, `M3`, `M4` by
 //! two combiners each): a future value read by two parallel readers, the
@@ -66,20 +67,6 @@ impl StrassenParams {
             cutoff: 4,
             seed: 0x57a5,
         }
-    }
-
-    /// Number of internal (recursing) nodes: `Σ 7^k` for the levels above
-    /// the cutoff.
-    pub fn internal_nodes(&self) -> u64 {
-        let mut n = self.n;
-        let mut level = 1u64;
-        let mut total = 0u64;
-        while n > self.cutoff {
-            total += level;
-            level *= 7;
-            n /= 2;
-        }
-        total
     }
 }
 
@@ -341,21 +328,37 @@ pub fn strassen_run<C: TaskCtx>(ctx: &mut C, p: &StrassenParams) -> SharedArray<
     )
 }
 
-/// Expected dynamic task count: `11 × internal_nodes` (paper: 30,811).
-pub fn expected_tasks(p: &StrassenParams) -> u64 {
-    11 * p.internal_nodes()
-}
-
-/// Expected non-tree joins: `12 × internal_nodes` (paper: 33,612).
-pub fn expected_nt_joins(p: &StrassenParams) -> u64 {
-    12 * p.internal_nodes()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::detect_races_with_stats;
     use futrace_runtime::run_parallel;
+
+    impl StrassenParams {
+        /// Number of internal (recursing) nodes: `Σ 7^k` for the levels above
+        /// the cutoff.
+        fn internal_nodes(&self) -> u64 {
+            let mut n = self.n;
+            let mut level = 1u64;
+            let mut total = 0u64;
+            while n > self.cutoff {
+                total += level;
+                level *= 7;
+                n /= 2;
+            }
+            total
+        }
+    }
+
+    /// Expected dynamic task count: `11 × internal_nodes` (paper: 30,811).
+    fn expected_tasks(p: &StrassenParams) -> u64 {
+        11 * p.internal_nodes()
+    }
+
+    /// Expected non-tree joins: `12 × internal_nodes` (paper: 33,612).
+    fn expected_nt_joins(p: &StrassenParams) -> u64 {
+        12 * p.internal_nodes()
+    }
 
     fn close(a: &[f64], b: &[f64]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-8)

@@ -48,11 +48,6 @@ impl GraphBuilder {
         self.graph
     }
 
-    /// Read-only view of the graph built so far.
-    pub fn graph(&self) -> &CompGraph {
-        &self.graph
-    }
-
     fn new_step(&mut self, task: TaskId) -> StepId {
         let id = StepId::from_index(self.graph.step_task.len());
         self.graph.step_task.push(task);

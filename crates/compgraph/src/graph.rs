@@ -91,7 +91,7 @@ impl CompGraph {
     }
 
     /// The task a step belongs to.
-    pub fn task_of(&self, s: StepId) -> TaskId {
+    pub(crate) fn task_of(&self, s: StepId) -> TaskId {
         self.step_task[s.index()]
     }
 
@@ -110,7 +110,7 @@ impl CompGraph {
     }
 
     /// Successor adjacency lists, indexed by step.
-    pub fn successors(&self) -> Vec<Vec<StepId>> {
+    pub(crate) fn successors(&self) -> Vec<Vec<StepId>> {
         let mut adj = vec![Vec::new(); self.step_count()];
         for e in &self.edges {
             adj[e.from.index()].push(e.to);
@@ -134,12 +134,12 @@ impl CompGraph {
     }
 
     /// Number of shared-memory accesses (Table 2's #SharedMem).
-    pub fn shared_mem_count(&self) -> usize {
+    pub(crate) fn shared_mem_count(&self) -> usize {
         self.accesses.len()
     }
 
     /// Groups accesses by location (used by the race oracle).
-    pub fn accesses_by_loc(&self) -> FxHashMap<LocId, Vec<Access>> {
+    pub(crate) fn accesses_by_loc(&self) -> FxHashMap<LocId, Vec<Access>> {
         let mut map: FxHashMap<LocId, Vec<Access>> = FxHashMap::default();
         for &a in &self.accesses {
             map.entry(a.loc).or_default().push(a);

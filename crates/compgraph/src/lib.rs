@@ -15,7 +15,7 @@
 //! * [`oracle`] — exact reachability (transitive closure over the DAG) and
 //!   the brute-force determinacy-race check of Definition 3, used as the
 //!   ground truth the DTRG detector is validated against,
-//! * [`stats`] — the graph analytics behind Table 2's structural columns
+//! * `stats` — the graph analytics behind Table 2's structural columns
 //!   (#Tasks, #NTJoins) plus span/work measures,
 //! * [`dot`] — Graphviz export used to render Figure-2/Figure-3 style
 //!   pictures of small programs.
@@ -27,15 +27,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod builder;
+pub(crate) mod builder;
 pub mod dot;
-pub mod graph;
+pub(crate) mod graph;
 pub mod mhp;
 pub mod oracle;
-pub mod stats;
+pub(crate) mod stats;
 
 pub use builder::GraphBuilder;
 pub use graph::{Access, CompGraph, EdgeKind, JoinKind};
-pub use mhp::MhpSummary;
-pub use oracle::{OracleRace, Reachability};
 pub use stats::GraphStats;

@@ -7,7 +7,6 @@
 
 use crate::graph::CompGraph;
 use crate::oracle::Reachability;
-use futrace_util::ids::TaskId;
 
 /// Exact may-happen-in-parallel summary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -65,27 +64,28 @@ pub fn summarize(g: &CompGraph) -> MhpSummary {
     }
 }
 
-/// True iff any step of `a` may run in parallel with any step of `b`
-/// (task-level MHP, the relation ESP-bags/SPD3 answer per access).
-pub fn tasks_may_parallel(g: &CompGraph, reach: &Reachability, a: TaskId, b: TaskId) -> bool {
-    if a == b {
-        return false;
-    }
-    (0..g.step_count()).any(|u| {
-        let su = futrace_util::ids::StepId::from_index(u);
-        g.task_of(su) == a
-            && (0..g.step_count()).any(|v| {
-                let sv = futrace_util::ids::StepId::from_index(v);
-                g.task_of(sv) == b && reach.parallel(su, sv)
-            })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
     use futrace_runtime::{run_serial, TaskCtx};
+    use futrace_util::ids::TaskId;
+
+    /// True iff any step of `a` may run in parallel with any step of `b`
+    /// (task-level MHP, the relation ESP-bags/SPD3 answer per access).
+    fn tasks_may_parallel(g: &CompGraph, reach: &Reachability, a: TaskId, b: TaskId) -> bool {
+        if a == b {
+            return false;
+        }
+        (0..g.step_count()).any(|u| {
+            let su = futrace_util::ids::StepId::from_index(u);
+            g.task_of(su) == a
+                && (0..g.step_count()).any(|v| {
+                    let sv = futrace_util::ids::StepId::from_index(v);
+                    g.task_of(sv) == b && reach.parallel(su, sv)
+                })
+        })
+    }
 
     fn graph_of(f: impl FnOnce(&mut futrace_runtime::SerialCtx<GraphBuilder>)) -> CompGraph {
         let mut b = GraphBuilder::new();

@@ -58,11 +58,6 @@ impl Reachability {
         self.rows[u * self.words + v / 64] >> (v % 64) & 1 == 1
     }
 
-    /// `u ≼ v`: equal or reaches.
-    pub fn precedes_or_equal(&self, u: StepId, v: StepId) -> bool {
-        u == v || self.reaches(u, v)
-    }
-
     /// The paper's `u ∥ v`: distinct steps with no path either way.
     pub fn parallel(&self, u: StepId, v: StepId) -> bool {
         u != v && !self.reaches(u, v) && !self.reaches(v, u)
@@ -88,7 +83,7 @@ pub fn find_races(g: &CompGraph) -> Vec<OracleRace> {
 }
 
 /// As [`find_races`], reusing a prebuilt closure.
-pub fn find_races_with(g: &CompGraph, reach: &Reachability) -> Vec<OracleRace> {
+pub(crate) fn find_races_with(g: &CompGraph, reach: &Reachability) -> Vec<OracleRace> {
     let mut races = Vec::new();
     let mut seen = futrace_util::FxHashSet::default();
     for accs in g.accesses_by_loc().values() {
@@ -142,7 +137,6 @@ mod tests {
         }
         assert!(!r.reaches(StepId(1), StepId(0)));
         assert!(!r.reaches(StepId(0), StepId(0)), "strict reachability");
-        assert!(r.precedes_or_equal(StepId(0), StepId(0)));
     }
 
     #[test]

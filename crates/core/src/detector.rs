@@ -191,11 +191,6 @@ impl RaceDetector {
         &mut self.dtrg
     }
 
-    /// Races reported so far (deduplicated, capped).
-    pub fn races(&self) -> &[Race] {
-        &self.races
-    }
-
     /// Current space accounting (Theorem 1's bound, measured).
     pub fn memory_footprint(&self) -> MemoryFootprint {
         MemoryFootprint {

@@ -71,7 +71,7 @@ impl Default for NtSet {
 
 impl NtSet {
     /// Empty set (no allocation).
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         NtSet(NtRepr::Inline {
             len: 0,
             buf: [TaskId(0); NT_INLINE],
@@ -79,12 +79,12 @@ impl NtSet {
     }
 
     /// Number of stored predecessors.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.as_slice().len()
     }
 
     /// True if no predecessor is stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -99,7 +99,7 @@ impl NtSet {
 
     /// The stored predecessors in insertion order.
     #[inline]
-    pub fn as_slice(&self) -> &[TaskId] {
+    pub(crate) fn as_slice(&self) -> &[TaskId] {
         match &self.0 {
             NtRepr::Inline { len, buf } => &buf[..*len as usize],
             NtRepr::Spilled { order, .. } => order,
@@ -316,7 +316,7 @@ impl Dtrg {
 
     /// Spawn-tree parent (`None` for main).
     #[inline]
-    pub fn parent_of(&self, t: TaskId) -> Option<TaskId> {
+    pub(crate) fn parent_of(&self, t: TaskId) -> Option<TaskId> {
         let p = self.task_parent[t.index()];
         if p == NO_PARENT {
             None
@@ -327,21 +327,21 @@ impl Dtrg {
 
     /// The paper's `IsFuture`.
     #[inline]
-    pub fn is_future(&self, t: TaskId) -> bool {
+    pub(crate) fn is_future(&self, t: TaskId) -> bool {
         self.task_kind[t.index()].is_future()
     }
 
     /// Current graph-mutation epoch (see the field docs; the detector's
     /// shadow fast path keys its cached verdicts on this).
     #[inline]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Enables or disables the `precede` memo table (enabled by default).
     /// Disabling also drops any cached verdicts, restoring the uncached
     /// pre-memo query path exactly.
-    pub fn set_memo_enabled(&mut self, enabled: bool) {
+    pub(crate) fn set_memo_enabled(&mut self, enabled: bool) {
         self.memo_enabled = enabled;
         if !enabled {
             self.memo.clear();
@@ -446,7 +446,7 @@ impl Dtrg {
 
     /// Algorithm 6: end of finish `F` executed by `a`; every task in
     /// `F.joins` (tasks whose IEF is `F`) merges into `a`'s set.
-    pub fn on_finish_end(&mut self, a: TaskId, joined: &[TaskId]) {
+    pub(crate) fn on_finish_end(&mut self, a: TaskId, joined: &[TaskId]) {
         for &b in joined {
             self.merge(a, b);
         }
@@ -611,15 +611,6 @@ impl Dtrg {
         found
     }
 
-    /// `Precede` lifted to an optional previous accessor (`None` = no
-    /// previous writer, which trivially precedes everything).
-    pub fn precede_opt(&mut self, a: Option<TaskId>, b: TaskId) -> bool {
-        match a {
-            None => true,
-            Some(a) => self.precede(a, b),
-        }
-    }
-
     /// Exact ancestor query by walking parent pointers — the naive
     /// alternative to the O(1) interval-label subsumption test, kept for
     /// the ablation bench (`benches/ablation.rs`) that quantifies what the
@@ -639,13 +630,13 @@ impl Dtrg {
 
     /// Total non-tree predecessor entries currently stored across all sets
     /// — the `O(n)` term of Theorem 1's space bound.
-    pub fn stored_nt_edges(&self) -> usize {
+    pub(crate) fn stored_nt_edges(&self) -> usize {
         self.sets.sets().map(|(_, d)| d.nt.len()).sum()
     }
 
     /// The spawn path from the main task to `t` (inclusive), for race
     /// reports: "who created the racing task".
-    pub fn spawn_path(&self, t: TaskId) -> Vec<TaskId> {
+    pub(crate) fn spawn_path(&self, t: TaskId) -> Vec<TaskId> {
         let mut path = vec![t];
         let mut cur = t;
         while let Some(p) = self.parent_of(cur) {
@@ -700,7 +691,6 @@ mod tests {
     fn precede_same_task() {
         let mut g = Dtrg::new();
         assert!(g.precede(M, M));
-        assert!(g.precede_opt(None, M));
     }
 
     #[test]

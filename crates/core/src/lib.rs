@@ -14,7 +14,7 @@
 //!   sets over tree joins, spawn-tree interval labels, non-tree predecessor
 //!   lists, and lowest-significant-ancestor pointers (§4.1, Algorithms
 //!   1–7, 10);
-//! * a [`shadow::ShadowMemory`] — per-location last writer and parallel
+//! * a `shadow::ShadowMemory` — per-location last writer and parallel
 //!   reader set (§4.2, Algorithms 8–9).
 //!
 //! One detector run analyzes *all* executions for the given input: a race
@@ -47,15 +47,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod detector;
+pub(crate) mod detector;
 pub mod dot;
-pub mod dtrg;
-pub mod report;
-pub mod shadow;
-pub mod stats;
+pub(crate) mod dtrg;
+pub(crate) mod report;
+pub(crate) mod shadow;
+pub(crate) mod stats;
 
 pub use detector::{DetectorConfig, DtrgReport, MemoryFootprint, RaceDetector};
 pub use dtrg::{Dtrg, DtrgCounters, SetData};
 pub use report::{AccessKind, Race, RaceReport};
-pub use shadow::{Readers, ShadowCell, ShadowMemory};
 pub use stats::DetectorStats;

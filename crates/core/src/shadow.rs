@@ -28,19 +28,21 @@ use futrace_util::strided::StridedCells;
 /// Compact reader set: zero or one readers inline, spilling to a boxed
 /// vector only when multiple parallel future readers accumulate.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub enum Readers {
+pub(crate) enum Readers {
     /// No readers since the last write.
     #[default]
     Empty,
     /// Exactly one reader.
     One(TaskId),
     /// Two or more readers (all parallel; at most one async among them).
+    /// Boxed so the set stays 16 bytes and a `ShadowCell` 32.
+    #[allow(clippy::box_collection)]
     Many(Box<Vec<TaskId>>),
 }
 
 impl Readers {
     /// Number of stored readers.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Readers::Empty => 0,
             Readers::One(_) => 1,
@@ -49,12 +51,12 @@ impl Readers {
     }
 
     /// True if no reader is stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         matches!(self, Readers::Empty)
     }
 
     /// Iterates over the stored readers.
-    pub fn iter(&self) -> ReadersIter<'_> {
+    pub(crate) fn iter(&self) -> ReadersIter<'_> {
         match self {
             Readers::Empty => ReadersIter::Slice([].iter()),
             Readers::One(t) => ReadersIter::Once(Some(*t)),
@@ -64,7 +66,7 @@ impl Readers {
 
     /// Adds a reader (does not deduplicate; callers remove superseded
     /// readers first, as Algorithms 8–9 do).
-    pub fn push(&mut self, t: TaskId) {
+    pub(crate) fn push(&mut self, t: TaskId) {
         match self {
             Readers::Empty => *self = Readers::One(t),
             Readers::One(prev) => *self = Readers::Many(Box::new(vec![*prev, t])),
@@ -73,7 +75,7 @@ impl Readers {
     }
 
     /// Keeps only readers for which `keep` returns true.
-    pub fn retain(&mut self, mut keep: impl FnMut(TaskId) -> bool) {
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(TaskId) -> bool) {
         match self {
             Readers::Empty => {}
             Readers::One(t) => {
@@ -91,15 +93,10 @@ impl Readers {
             }
         }
     }
-
-    /// Drops all readers.
-    pub fn clear(&mut self) {
-        *self = Readers::Empty;
-    }
 }
 
 /// Iterator over a [`Readers`] set.
-pub enum ReadersIter<'a> {
+pub(crate) enum ReadersIter<'a> {
     /// One inline element.
     Once(Option<TaskId>),
     /// Spilled storage.
@@ -125,7 +122,7 @@ impl Iterator for ReadersIter<'_> {
 ///
 /// This is the unpacked view of the verdict a [`ShadowCell`] stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LastClean {
+pub(crate) struct LastClean {
     /// The task whose check came back clean.
     pub task: TaskId,
     /// True for a write check, false for a read check.
@@ -140,13 +137,13 @@ pub struct LastClean {
 /// epoch advances or the accessor changes between touches) will keep
 /// missing, and each miss costs an extra lookup-and-compare on the hot
 /// path.
-pub const PROBE_MISS_LIMIT: u8 = 8;
+pub(crate) const PROBE_MISS_LIMIT: u8 = 8;
 
 /// Largest epoch a cached clean verdict can carry: the epoch shares its
 /// word with the verdict's kind, its validity and the probe streak. A
 /// verdict reached past it is simply not cached, which only costs the
 /// next identical access its fast path (DESIGN S39).
-pub const MAX_CACHED_EPOCH: u64 = u64::MAX >> EPOCH_SHIFT;
+pub(crate) const MAX_CACHED_EPOCH: u64 = u64::MAX >> EPOCH_SHIFT;
 
 /// The writer and last-clean task fields' "none" value. Task ids are
 /// dense from 0, so no run reaches it.
@@ -169,7 +166,7 @@ const NEVER_CACHED: u64 = CLEAN_WRITE;
 /// streak. One access reads and writes all of it through a single
 /// lookup.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShadowCell {
+pub(crate) struct ShadowCell {
     /// The stored readers (`M_s.r`).
     pub readers: Readers,
     /// The last writer (`M_s.w`), [`NO_TASK`] before the first write.
@@ -206,7 +203,7 @@ fn clean_key(write: bool, epoch: u64) -> u64 {
 impl ShadowCell {
     /// A cell with these contents. A verdict past [`MAX_CACHED_EPOCH`] is
     /// not cached, and the streak saturates at [`PROBE_MISS_LIMIT`].
-    pub fn new(
+    pub(crate) fn new(
         writer: Option<TaskId>,
         readers: Readers,
         last_clean: Option<LastClean>,
@@ -224,18 +221,18 @@ impl ShadowCell {
 
     /// The last writer (`M_s.w`), `None` before the first write.
     #[inline]
-    pub fn writer(&self) -> Option<TaskId> {
+    pub(crate) fn writer(&self) -> Option<TaskId> {
         (self.writer != NO_TASK).then_some(TaskId(self.writer))
     }
 
     /// Replaces the last writer.
     #[inline]
-    pub fn set_writer(&mut self, writer: Option<TaskId>) {
+    pub(crate) fn set_writer(&mut self, writer: Option<TaskId>) {
         self.writer = writer.map_or(NO_TASK, |t| t.0);
     }
 
     /// The cached clean verdict, if any.
-    pub fn last_clean(&self) -> Option<LastClean> {
+    pub(crate) fn last_clean(&self) -> Option<LastClean> {
         (self.meta & CLEAN != 0).then_some(LastClean {
             task: TaskId(self.clean_task),
             write: self.meta & CLEAN_WRITE != 0,
@@ -247,7 +244,7 @@ impl ShadowCell {
     /// verdict past [`MAX_CACHED_EPOCH`] is dropped too. The probe miss
     /// streak is kept.
     #[inline]
-    pub fn set_last_clean(&mut self, verdict: Option<LastClean>) {
+    pub(crate) fn set_last_clean(&mut self, verdict: Option<LastClean>) {
         let streak = self.meta & STREAK_MASK;
         match verdict {
             Some(lc) if lc.epoch <= MAX_CACHED_EPOCH => {
@@ -266,13 +263,13 @@ impl ShadowCell {
     /// detector stops probing this cell — adaptive bypass for access
     /// patterns the cache can never serve, whose probes are pure overhead.
     #[inline]
-    pub fn probe_misses(&self) -> u8 {
+    pub(crate) fn probe_misses(&self) -> u8 {
         (self.meta & STREAK_MASK) as u8
     }
 
     /// True while the clean-verdict probe is still worth attempting.
     #[inline]
-    pub fn probe_enabled(&self) -> bool {
+    pub(crate) fn probe_enabled(&self) -> bool {
         self.probe_misses() < PROBE_MISS_LIMIT
     }
 
@@ -280,7 +277,7 @@ impl ShadowCell {
     /// and the cached verdict is exactly (`task`, `write`, `epoch`). A hit
     /// resets the miss streak; a miss extends it.
     #[inline]
-    pub fn probe(&mut self, task: TaskId, write: bool, epoch: u64) -> bool {
+    pub(crate) fn probe(&mut self, task: TaskId, write: bool, epoch: u64) -> bool {
         if !self.probe_enabled() {
             return false;
         }
@@ -295,7 +292,7 @@ impl ShadowCell {
 
     /// True unless the cell is in its default (never-checked) state.
     #[inline]
-    pub fn is_dirty(&self) -> bool {
+    pub(crate) fn is_dirty(&self) -> bool {
         self.writer != NO_TASK || !self.readers.is_empty() || self.meta != 0
     }
 }
@@ -303,28 +300,28 @@ impl ShadowCell {
 /// Shadow memory: the cells of the locations this detector checks, strided
 /// by its shard (see the module docs), and every allocation's name.
 #[derive(Clone, Debug, Default)]
-pub struct ShadowMemory {
+pub(crate) struct ShadowMemory {
     cells: StridedCells<ShadowCell>,
     names: Vec<(LocId, u32, String)>,
 }
 
 impl ShadowMemory {
     /// Empty shadow memory of shard 0 of 1 (a serial detector's).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Makes this the shadow memory of shard `shard` of `shards`, which
     /// holds only the cells of the locations `l % shards == shard`. Must
     /// be called before any allocation or access.
-    pub fn assign_shard(&mut self, shard: usize, shards: usize) {
+    pub(crate) fn assign_shard(&mut self, shard: usize, shards: usize) {
         self.cells.assign_shard(shard, shards);
     }
 
     /// Registers an allocation of `n` locations starting at `base` (from
     /// the executor's `alloc` event) so the shard's cells among them exist
     /// and race reports can name every location.
-    pub fn register(&mut self, base: LocId, n: u32, name: &str) {
+    pub(crate) fn register(&mut self, base: LocId, n: u32, name: &str) {
         self.cells.grow_to(base.index() + n as usize);
         self.names.push((base, n, name.to_string()));
     }
@@ -333,51 +330,41 @@ impl ShadowMemory {
     /// growing the vector if an access arrives for an unregistered
     /// location.
     #[inline]
-    pub fn cell_mut(&mut self, loc: LocId) -> &mut ShadowCell {
+    pub(crate) fn cell_mut(&mut self, loc: LocId) -> &mut ShadowCell {
         self.cells.cell_mut(loc)
     }
 
     /// Read-only access (None if another shard owns `loc`, or it was never
     /// touched or registered).
-    pub fn cell(&self, loc: LocId) -> Option<&ShadowCell> {
+    pub(crate) fn cell(&self, loc: LocId) -> Option<&ShadowCell> {
         self.cells.cell(loc)
     }
 
     /// Number of shadow cells this shard holds (Theorem 1's `v`, for a
     /// serial detector).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// True if no cell exists.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// One past the highest location covered, over all shards: the number
     /// of cells a serial detector holds after the same control events and
     /// accesses to this shard's locations.
-    pub fn extent(&self) -> usize {
+    pub(crate) fn extent(&self) -> usize {
         self.cells.extent()
     }
 
     /// Total readers stored across all cells right now — the `O(v·(f+1))`
     /// term of Theorem 1's space bound.
-    pub fn stored_readers(&self) -> usize {
+    pub(crate) fn stored_readers(&self) -> usize {
         self.cells.iter().map(|(_, c)| c.readers.len()).sum()
     }
 
     /// Iterates over the non-default cells with their global location
     /// indices, ascending, for checkpoint serialization. Default
     /// (never-touched) cells are omitted and recreated implicitly on
-    /// restore via [`ShadowMemory::grow_to`].
-    pub fn dirty_cells(&self) -> impl Iterator<Item = (usize, &ShadowCell)> {
+    /// restore via [`ShadowMemory::restore`].
+    pub(crate) fn dirty_cells(&self) -> impl Iterator<Item = (usize, &ShadowCell)> {
         self.cells.iter().filter(|(_, c)| c.is_dirty())
-    }
-
-    /// Covers every location below `extent`, as allocations do.
-    pub fn grow_to(&mut self, extent: usize) {
-        self.cells.grow_to(extent);
     }
 
     /// Restores the cells a state blob lists by global location, and its
@@ -386,13 +373,13 @@ impl ShadowMemory {
     /// a fresh run would. A listed location this shard does not own, or
     /// an extent no listed cell accounts for, is an error (see
     /// [`StridedCells::restore`]).
-    pub fn restore(&mut self, extent: u64, listed: Vec<(u64, ShadowCell)>) -> Result<(), String> {
+    pub(crate) fn restore(&mut self, extent: u64, listed: Vec<(u64, ShadowCell)>) -> Result<(), String> {
         self.cells.restore(extent, listed)
     }
 
     /// Human-readable name for a location: `"name[offset]"` if it falls in
     /// a registered allocation, else `"L<id>"`.
-    pub fn describe(&self, loc: LocId) -> String {
+    pub(crate) fn describe(&self, loc: LocId) -> String {
         for (base, n, name) in &self.names {
             if loc.0 >= base.0 && loc.0 < base.0 + n {
                 return if *n == 1 {
@@ -410,6 +397,20 @@ impl ShadowMemory {
 mod tests {
     use super::*;
 
+    impl Readers {
+        /// Drops all readers.
+        pub(crate) fn clear(&mut self) {
+            *self = Readers::Empty;
+        }
+    }
+
+    impl ShadowMemory {
+        /// Covers every location below `extent`, as allocations do.
+        pub(crate) fn grow_to(&mut self, extent: usize) {
+            self.cells.grow_to(extent);
+        }
+    }
+
     #[test]
     fn readers_grow_and_shrink() {
         let mut r = Readers::default();
@@ -426,8 +427,6 @@ mod tests {
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![TaskId(1), TaskId(3)]);
         r.retain(|t| t == TaskId(3));
         assert_eq!(r, Readers::One(TaskId(3)));
-        r.clear();
-        assert!(r.is_empty());
     }
 
     #[test]
@@ -474,7 +473,6 @@ mod tests {
         assert_eq!(m.cell(LocId(10)).unwrap().writer(), Some(TaskId(3)));
         assert_eq!(m.cell(LocId(3)).unwrap().writer(), None);
         assert!(m.cell(LocId(11)).is_none());
-        assert!(!m.is_empty());
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl<'a> Analyze<'a> {
     /// Only [`Analyze::run`] runs it (online detection is DTRG's), and
     /// trace-replay options ([`Analyze::shards`],
     /// [`Analyze::checkpoint_every`], [`Analyze::fault_plan`],
-    /// [`Analyze::supervised`], [`Analyze::lenient`], [`Analyze::resume`],
+    /// `Analyze::supervised`, [`Analyze::lenient`], [`Analyze::resume`],
     /// [`Analyze::stop_after`]) do not apply to a live parallel execution:
     /// they are [`AnalyzeError::Config`] errors.
     pub fn program_parallel<F>(threads: usize, f: F) -> Self
@@ -289,7 +289,7 @@ impl<'a> Analyze<'a> {
     /// without snapshots or faults: it retains the batches it routes, so
     /// a dead worker restarts by replay instead of degrading the run to
     /// serial.
-    pub fn supervised(mut self, supervised: bool) -> Self {
+    pub(crate) fn supervised(mut self, supervised: bool) -> Self {
         self.opts.supervised = supervised;
         self
     }

@@ -60,7 +60,7 @@ pub enum FailurePolicy {
     Abort,
 }
 
-/// Terminal state of one job after [`execute`] returns.
+/// Terminal state of one job after `execute` returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JobStatus {
     /// The runner returned `Ok`, or the job was pre-settled as complete
@@ -83,20 +83,19 @@ pub enum JobStatus {
 
 impl JobStatus {
     /// True for [`JobStatus::Ok`].
-    pub fn is_ok(&self) -> bool {
+    pub(crate) fn is_ok(&self) -> bool {
         matches!(self, JobStatus::Ok)
     }
 }
 
 struct Node {
-    label: String,
     deps: Vec<JobId>,
     dependents: Vec<JobId>,
     barrier: bool,
 }
 
-/// A dependency DAG of labelled jobs. Build with [`Dag::add`] /
-/// [`Dag::add_barrier`], run with [`execute`].
+/// A dependency DAG of jobs. Build with `Dag::add` /
+/// `Dag::add_barrier`, run with `execute`.
 #[derive(Default)]
 pub struct Dag {
     nodes: Vec<Node>,
@@ -104,33 +103,22 @@ pub struct Dag {
 
 impl Dag {
     /// Empty DAG.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Dag::default()
     }
 
     /// Number of jobs.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
-    /// True when no jobs have been added.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The label given at add time.
-    pub fn label(&self, id: JobId) -> &str {
-        &self.nodes[id].label
-    }
-
-    fn push(&mut self, label: impl Into<String>, deps: &[JobId], barrier: bool) -> JobId {
+    fn push(&mut self, deps: &[JobId], barrier: bool) -> JobId {
         let id = self.nodes.len();
         for &d in deps {
             assert!(d < id, "dependency {d} of job {id} must be added first");
             self.nodes[d].dependents.push(id);
         }
         self.nodes.push(Node {
-            label: label.into(),
             deps: deps.to_vec(),
             dependents: Vec::new(),
             barrier,
@@ -140,18 +128,18 @@ impl Dag {
 
     /// Adds a normal job. All `deps` must already be in the DAG (this is
     /// what makes cycles unrepresentable).
-    pub fn add(&mut self, label: impl Into<String>, deps: &[JobId]) -> JobId {
-        self.push(label, deps, false)
+    pub(crate) fn add(&mut self, deps: &[JobId]) -> JobId {
+        self.push(deps, false)
     }
 
     /// Adds a barrier job: it becomes ready only once **all** its deps
     /// have settled, and then runs whatever their outcomes were.
-    pub fn add_barrier(&mut self, label: impl Into<String>, deps: &[JobId]) -> JobId {
-        self.push(label, deps, true)
+    pub(crate) fn add_barrier(&mut self, deps: &[JobId]) -> JobId {
+        self.push(deps, true)
     }
 }
 
-/// Execution parameters for [`execute`].
+/// Execution parameters for `execute`.
 #[derive(Clone, Debug)]
 pub struct ExecPlan {
     /// Worker-pool width (≥ 1).
@@ -188,7 +176,7 @@ impl Default for ExecPlan {
     }
 }
 
-/// Outcome of one [`execute`] call.
+/// Outcome of one `execute` call.
 #[derive(Clone, Debug)]
 pub struct DagRun {
     /// Terminal status per job, indexed by [`JobId`].
@@ -209,7 +197,7 @@ pub struct DagRun {
 impl DagRun {
     /// True iff any job settled [`JobStatus::Failed`] or
     /// [`JobStatus::Poisoned`] (preset failures included).
-    pub fn any_failed(&self) -> bool {
+    pub(crate) fn any_failed(&self) -> bool {
         self.status
             .iter()
             .any(|s| matches!(s, JobStatus::Failed(_) | JobStatus::Poisoned { .. }))
@@ -259,7 +247,7 @@ struct ExecState {
 /// # Panics
 ///
 /// Panics if `plan.max_parallel == 0` or `preset.len() != dag.len()`.
-pub fn execute<F>(dag: &Dag, plan: &ExecPlan, preset: Vec<Option<JobStatus>>, runner: F) -> DagRun
+pub(crate) fn execute<F>(dag: &Dag, plan: &ExecPlan, preset: Vec<Option<JobStatus>>, runner: F) -> DagRun
 where
     F: Fn(JobId) -> Result<(), String> + Sync,
 {
@@ -606,10 +594,10 @@ mod tests {
 
     fn diamond() -> (Dag, JobId, JobId, JobId, JobId) {
         let mut dag = Dag::new();
-        let a = dag.add("a", &[]);
-        let b = dag.add("b", &[a]);
-        let c = dag.add("c", &[a]);
-        let d = dag.add("d", &[b, c]);
+        let a = dag.add(&[]);
+        let b = dag.add(&[a]);
+        let c = dag.add(&[a]);
+        let d = dag.add(&[b, c]);
         (dag, a, b, c, d)
     }
 
@@ -630,9 +618,9 @@ mod tests {
     #[test]
     fn parallelism_never_exceeds_cap_and_all_jobs_run() {
         let mut dag = Dag::new();
-        let roots: Vec<_> = (0..20).map(|i| dag.add(format!("r{i}"), &[])).collect();
-        let ids: Vec<_> = roots.iter().map(|&r| dag.add("child", &[r])).collect();
-        let _tail = dag.add("tail", &ids);
+        let roots: Vec<_> = (0..20).map(|_| dag.add(&[])).collect();
+        let ids: Vec<_> = roots.iter().map(|&r| dag.add(&[r])).collect();
+        let _tail = dag.add(&ids);
         let live = AtomicU64::new(0);
         let peak = AtomicU64::new(0);
         let plan = ExecPlan {
@@ -697,9 +685,9 @@ mod tests {
     #[test]
     fn barrier_runs_even_when_deps_fail() {
         let mut dag = Dag::new();
-        let a = dag.add("a", &[]);
-        let b = dag.add("b", &[]);
-        let bar = dag.add_barrier("bar", &[a, b]);
+        let a = dag.add(&[]);
+        let b = dag.add(&[]);
+        let bar = dag.add_barrier(&[a, b]);
         let run = execute(&dag, &ExecPlan::default(), vec![None; 3], |id| {
             if id == a {
                 Err("x".into())
@@ -715,11 +703,11 @@ mod tests {
     fn abort_cancels_unstarted_but_barrier_still_fires() {
         // Serial + abort: job 0 fails, 1..=3 cancel, barrier still runs.
         let mut dag = Dag::new();
-        let a = dag.add("a", &[]);
-        let others: Vec<_> = (0..3).map(|i| dag.add(format!("o{i}"), &[])).collect();
+        let a = dag.add(&[]);
+        let others: Vec<_> = (0..3).map(|_| dag.add(&[])).collect();
         let mut all = vec![a];
         all.extend(&others);
-        let bar = dag.add_barrier("bar", &all);
+        let bar = dag.add_barrier(&all);
         let plan = ExecPlan {
             policy: FailurePolicy::Abort,
             ..ExecPlan::default()
@@ -762,8 +750,8 @@ mod tests {
     #[test]
     fn stop_after_jobs_suspends_and_marks_not_reached() {
         let mut dag = Dag::new();
-        let ids: Vec<_> = (0..6).map(|i| dag.add(format!("j{i}"), &[])).collect();
-        let bar = dag.add_barrier("bar", &ids);
+        let ids: Vec<_> = (0..6).map(|_| dag.add(&[])).collect();
+        let bar = dag.add_barrier(&ids);
         let plan = ExecPlan {
             stop_after_jobs: Some(2),
             ..ExecPlan::default()
@@ -783,16 +771,16 @@ mod tests {
     #[should_panic(expected = "must be added first")]
     fn forward_dependency_is_rejected() {
         let mut dag = Dag::new();
-        dag.add("bad", &[5]);
+        dag.add(&[5]);
     }
 
     #[test]
     fn wedged_job_times_out_and_poisons_dependents() {
         let mut dag = Dag::new();
-        let slow = dag.add("slow", &[]);
-        let child = dag.add("child", &[slow]);
-        let other = dag.add("other", &[]);
-        let bar = dag.add_barrier("bar", &[slow, child, other]);
+        let slow = dag.add(&[]);
+        let child = dag.add(&[slow]);
+        let other = dag.add(&[]);
+        let bar = dag.add_barrier(&[slow, child, other]);
         let plan = ExecPlan {
             max_parallel: 2,
             job_timeout: Some(Duration::from_millis(30)),
@@ -862,8 +850,8 @@ mod tests {
     #[test]
     fn timed_out_job_retries_and_the_stale_result_is_discarded() {
         let mut dag = Dag::new();
-        let slow = dag.add("slow", &[]);
-        let child = dag.add("child", &[slow]);
+        let slow = dag.add(&[]);
+        let child = dag.add(&[slow]);
         let plan = ExecPlan {
             max_parallel: 2,
             job_timeout: Some(Duration::from_millis(40)),

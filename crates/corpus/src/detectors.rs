@@ -97,7 +97,7 @@ impl AnyReport {
     /// Hot-path cache totals as `(hits, misses)`: the DTRG's memo and
     /// shadow fast-path counters (only the memo records misses — every
     /// slow-path check is one). `None` for the uncached detectors.
-    pub fn cache_counters(&self) -> Option<(u64, u64)> {
+    pub(crate) fn cache_counters(&self) -> Option<(u64, u64)> {
         match self {
             AnyReport::Dtrg(r) => Some((
                 r.stats.dtrg.memo_hits + r.stats.dtrg.shadow_hits,

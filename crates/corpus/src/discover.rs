@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 
 /// One discovered trace.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEntry {
+pub(crate) struct TraceEntry {
     /// Path relative to the corpus root, `/`-separated (stable key for
     /// manifests and reports).
     pub rel: String,
@@ -29,7 +29,7 @@ pub struct TraceEntry {
 /// Recursively collects every `*.ftrc` file under `root`, sorted by
 /// relative path. Symlinked directories are not followed (a corpus with
 /// a symlink cycle must not hang the run).
-pub fn discover(root: &Path) -> io::Result<Vec<TraceEntry>> {
+pub(crate) fn discover(root: &Path) -> io::Result<Vec<TraceEntry>> {
     let mut out = Vec::new();
     walk(root, root, &mut out)?;
     out.sort_by(|a, b| a.rel.cmp(&b.rel));

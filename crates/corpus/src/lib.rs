@@ -22,19 +22,18 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub mod dag;
+pub(crate) mod dag;
 pub mod detectors;
-pub mod discover;
-pub mod manifest;
-pub mod report;
+pub(crate) mod discover;
+pub(crate) mod manifest;
+pub(crate) mod report;
 
 pub use analyze::{Analyze, AnalyzeError, DetectorOutcome, DetectorRun};
 pub use dag::{Dag, DagRun, ExecPlan, FailurePolicy, JobId, JobStatus};
-pub use discover::TraceEntry;
-pub use manifest::{JobKind, JobRecord, ManifestError, RecStatus, RunConfig, MANIFEST_FILE};
-pub use report::{CorpusReport, RunTelemetry};
-
 use detectors::{is_detector, is_shardable};
+use discover::TraceEntry;
+use manifest::{JobKind, JobRecord, ManifestError, RecStatus, RunConfig, MANIFEST_FILE};
+use report::{CorpusReport, RunTelemetry};
 use futrace_util::stats::Timer;
 use std::collections::HashMap;
 use std::fmt;
@@ -44,9 +43,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// File name of the deterministic JSON report inside the output dir.
-pub const REPORT_JSON: &str = "report.json";
+pub(crate) const REPORT_JSON: &str = "report.json";
 /// File name of the markdown report inside the output dir.
-pub const REPORT_MD: &str = "report.md";
+pub(crate) const REPORT_MD: &str = "report.md";
 
 /// Options for one corpus run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,7 +112,7 @@ pub enum CorpusError {
     /// Discovery or output-dir filesystem error.
     Io(io::Error),
     /// The resume manifest exists but cannot be used (see
-    /// [`ManifestError`]); `--fresh` discards it.
+    /// `ManifestError`); `--fresh` discards it.
     Manifest(ManifestError),
 }
 
@@ -268,7 +267,7 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
                         rec,
                     );
                 }
-                manifest::ManifestWriter::open_append(&manifest_path)?
+                manifest::ManifestWriter::open_append(&manifest_path, m.ignored_tail)?
             }
         }
     };
@@ -296,7 +295,7 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
     for (ti, trace) in traces.iter().enumerate() {
         let mut analyze_ids = Vec::new();
         for (di, det) in opts.detectors.iter().enumerate() {
-            let id = dag.add(format!("analyze {} [{det}]", trace.rel), &[]);
+            let id = dag.add(&[]);
             specs.push(JobSpec::Analyze {
                 trace: ti,
                 detector: di,
@@ -304,13 +303,13 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
             preset.push(preset_for(JobKind::Analyze, trace, det));
             analyze_ids.push(id);
         }
-        let id = dag.add(format!("compare {}", trace.rel), &analyze_ids);
+        let id = dag.add(&analyze_ids);
         specs.push(JobSpec::Compare { trace: ti });
         preset.push(preset_for(JobKind::Compare, trace, ""));
         all_ids.extend(analyze_ids);
         all_ids.push(id);
     }
-    let aggregate_id = dag.add_barrier("aggregate", &all_ids);
+    let aggregate_id = dag.add_barrier(&all_ids);
     specs.push(JobSpec::Aggregate);
     preset.push(None);
 

@@ -13,8 +13,10 @@
 //! [`ManifestWriter::append`] is one `write_all` + flush, so a corpus run
 //! killed mid-write leaves at worst one torn trailing block. The loader
 //! stops at the first damaged block and reports how many bytes it
-//! ignored — peal-style resume semantics: whatever was durably recorded
-//! is skipped on the next run, everything else re-executes.
+//! ignored, and a resumed run cuts those bytes before its first append,
+//! so the records it writes follow the last intact block — peal-style
+//! resume semantics: whatever was durably recorded is skipped on the next
+//! run, everything else re-executes.
 //!
 //! The config block pins the option set the records were produced under
 //! (detector list, shards, supervised, lenient). Resuming with different
@@ -41,7 +43,7 @@ const MAGIC: &[u8; 4] = b"FMAN";
 const VERSION: u64 = 3;
 
 /// Name of the manifest file inside the corpus output directory.
-pub const MANIFEST_FILE: &str = "corpus.fman";
+pub(crate) const MANIFEST_FILE: &str = "corpus.fman";
 
 /// The option set a manifest's records were produced under. Two runs
 /// are resume-compatible iff these compare equal.
@@ -59,7 +61,7 @@ pub struct RunConfig {
 
 /// Which DAG stage a record came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum JobKind {
+pub(crate) enum JobKind {
     /// One detector over one trace.
     Analyze,
     /// The per-trace agreement job.
@@ -68,7 +70,7 @@ pub enum JobKind {
 
 /// Terminal result of a recorded job.
 #[derive(Clone, Debug, PartialEq)]
-pub enum RecStatus {
+pub(crate) enum RecStatus {
     /// The job completed and its result fields are meaningful.
     Ok,
     /// The job failed deterministically (decode error, detector panic
@@ -79,7 +81,7 @@ pub enum RecStatus {
 
 /// One durably-recorded job outcome — the unit of resume.
 #[derive(Clone, Debug, PartialEq)]
-pub struct JobRecord {
+pub(crate) struct JobRecord {
     /// Stage.
     pub kind: JobKind,
     /// Trace path relative to the corpus root, `/`-separated.
@@ -118,13 +120,6 @@ pub struct JobRecord {
     /// first (`--job-retries`). Telemetry only — a resumed record's
     /// retries still count in the report, but never re-run anything.
     pub retries: u64,
-}
-
-impl JobRecord {
-    /// Stable identity of the job across runs.
-    pub fn key(&self) -> (JobKind, &str, &str) {
-        (self.kind, &self.trace, &self.detector)
-    }
 }
 
 /// Any way loading a manifest can fail.
@@ -178,7 +173,7 @@ impl From<io::Error> for ManifestError {
 /// A loaded manifest: the durable records plus how much torn tail (if
 /// any) the loader skipped.
 #[derive(Debug)]
-pub struct Manifest {
+pub(crate) struct Manifest {
     /// Every intact record, in append order.
     pub records: Vec<JobRecord>,
     /// Bytes of damaged/torn trailing data ignored (0 on a clean file).
@@ -353,7 +348,7 @@ fn next_block<'a>(data: &'a [u8], pos: &mut usize) -> Option<&'a [u8]> {
 
 /// Loads the manifest at `path`, validating it against `cfg`. Returns
 /// `Ok(None)` when the file does not exist (nothing to resume).
-pub fn load(path: &Path, cfg: &RunConfig) -> Result<Option<Manifest>, ManifestError> {
+pub(crate) fn load(path: &Path, cfg: &RunConfig) -> Result<Option<Manifest>, ManifestError> {
     let mut data = Vec::new();
     match File::open(path) {
         Ok(mut f) => f.read_to_end(&mut data)?,
@@ -386,13 +381,13 @@ pub fn load(path: &Path, cfg: &RunConfig) -> Result<Option<Manifest>, ManifestEr
 }
 
 /// Append handle for the manifest journal.
-pub struct ManifestWriter {
+pub(crate) struct ManifestWriter {
     file: File,
 }
 
 impl ManifestWriter {
     /// Creates (truncating) a manifest with the given config block.
-    pub fn create(path: &Path, cfg: &RunConfig) -> io::Result<ManifestWriter> {
+    pub(crate) fn create(path: &Path, cfg: &RunConfig) -> io::Result<ManifestWriter> {
         let mut file = File::create(path)?;
         file.write_all(MAGIC)?;
         file.write_all(&frame_block(&encode_config(cfg)))?;
@@ -400,15 +395,22 @@ impl ManifestWriter {
         Ok(ManifestWriter { file })
     }
 
-    /// Opens an existing (already [`load`]-validated) manifest for append.
-    pub fn open_append(path: &Path) -> io::Result<ManifestWriter> {
+    /// Opens an existing (already [`load`]-validated) manifest for
+    /// append, first cutting the `ignored_tail` bytes [`load`] skipped:
+    /// appended after a torn block, a record would be invisible to every
+    /// later load.
+    pub(crate) fn open_append(path: &Path, ignored_tail: u64) -> io::Result<ManifestWriter> {
         let file = OpenOptions::new().append(true).open(path)?;
+        if ignored_tail > 0 {
+            let len = file.metadata()?.len();
+            file.set_len(len.saturating_sub(ignored_tail))?;
+        }
         Ok(ManifestWriter { file })
     }
 
     /// Durably appends one record: a single `write_all` plus flush, so a
     /// kill leaves at worst one torn trailing block.
-    pub fn append(&mut self, rec: &JobRecord) -> io::Result<()> {
+    pub(crate) fn append(&mut self, rec: &JobRecord) -> io::Result<()> {
         self.file.write_all(&frame_block(&encode_record(rec)))?;
         self.file.flush()
     }
@@ -478,7 +480,7 @@ mod tests {
         assert_eq!(m.ignored_tail, 0);
 
         // Append mode extends rather than truncates.
-        let mut w = ManifestWriter::open_append(&path).unwrap();
+        let mut w = ManifestWriter::open_append(&path, m.ignored_tail).unwrap();
         let d = sample("z/more.ftrc", "dtrg");
         w.append(&d).unwrap();
         drop(w);
@@ -508,6 +510,14 @@ mod tests {
         let m = load(&path, &cfg()).unwrap().unwrap();
         assert_eq!(m.records.len(), 1);
         assert_eq!(m.ignored_tail, 6);
+
+        // The next append cuts the torn bytes first, so it stays visible.
+        let mut w = ManifestWriter::open_append(&path, m.ignored_tail).unwrap();
+        w.append(&sample("b.ftrc", "dtrg")).unwrap();
+        drop(w);
+        let m = load(&path, &cfg()).unwrap().unwrap();
+        assert_eq!(m.records.len(), 2);
+        assert_eq!(m.ignored_tail, 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -114,7 +114,7 @@ pub struct CorpusReport {
 /// Execution telemetry for the markdown rendering only (varies between
 /// runs by design).
 #[derive(Clone, Debug, Default)]
-pub struct RunTelemetry {
+pub(crate) struct RunTelemetry {
     /// Jobs whose runner executed this run.
     pub jobs_ran: u64,
     /// Jobs skipped because a resume manifest already recorded them.
@@ -126,14 +126,14 @@ pub struct RunTelemetry {
 }
 
 /// Record store keyed by job identity.
-pub type RecordMap = HashMap<(JobKind, String, String), JobRecord>;
+pub(crate) type RecordMap = HashMap<(JobKind, String, String), JobRecord>;
 
 /// Builds the aggregate from the settled record store.
 ///
 /// `traces` must be in discovery order, `detectors` in run order; both
 /// orders are reproduced verbatim in the report, which is what makes the
 /// JSON byte-stable.
-pub fn build(
+pub(crate) fn build(
     traces: &[String],
     detectors: &[String],
     reference: &str,
@@ -285,7 +285,7 @@ fn pct_json(p: &Option<Percentiles<u64>>) -> String {
 impl CorpusReport {
     /// Renders the deterministic JSON document. Stable key order, no
     /// floats, no wall-clock data.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut o = String::new();
         o.push_str("{\n");
         o.push_str("  \"schema\": \"futrace-corpus-report-v1\",\n");
@@ -384,7 +384,7 @@ impl CorpusReport {
 
     /// Renders the markdown report: the JSON facts plus this run's
     /// telemetry (wall-ms percentiles, resume stats).
-    pub fn to_markdown(&self, telemetry: &RunTelemetry) -> String {
+    pub(crate) fn to_markdown(&self, telemetry: &RunTelemetry) -> String {
         let mut o = String::new();
         o.push_str("# Corpus report\n\n");
         let s = &self.summary;
@@ -491,7 +491,7 @@ impl CorpusReport {
 }
 
 /// Wall-ms percentiles over a record set (markdown telemetry).
-pub fn wall_ms_percentiles(records: &RecordMap) -> Option<Percentiles<f64>> {
+pub(crate) fn wall_ms_percentiles(records: &RecordMap) -> Option<Percentiles<f64>> {
     let samples: Vec<f64> = records
         .values()
         .filter(|r| r.kind == JobKind::Analyze && r.status == RecStatus::Ok)

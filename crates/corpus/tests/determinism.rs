@@ -109,6 +109,43 @@ fn killed_run_resumes_to_identical_report() {
 }
 
 #[test]
+fn resume_after_a_torn_manifest_tail_keeps_the_records_it_appends() {
+    let root = scratch("torn");
+    build_corpus(&root);
+    let reference = run_corpus(&root, &opts(root.join("ref"))).expect("reference run");
+    let want = std::fs::read(reference.report_json.expect("json path")).unwrap();
+
+    let mut o = opts(root.join("out"));
+    o.stop_after_jobs = Some(3);
+    let first = run_corpus(&root, &o).expect("suspended run");
+    assert_eq!(first.jobs_ran, 3);
+
+    // A kill mid-append leaves a torn block: here, a block header cut
+    // short after six of its eight bytes.
+    let manifest = root.join("out").join("corpus.fman");
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    bytes.extend_from_slice(&[0x20, 0, 0, 0, 0xAB, 0xCD]);
+    std::fs::write(&manifest, bytes).unwrap();
+
+    // Every resume skips every job an earlier run completed, including
+    // those a resume appended after the torn bytes.
+    let mut done = first.jobs_ran;
+    for _ in 0..2 {
+        let run = run_corpus(&root, &o).expect("suspended resume");
+        assert!(run.suspended);
+        assert_eq!(run.jobs_skipped, done);
+        done += run.jobs_ran;
+    }
+    o.stop_after_jobs = None;
+    let last = run_corpus(&root, &o).expect("final resume");
+    assert!(!last.suspended);
+    assert_eq!(last.jobs_skipped, done);
+    let got = std::fs::read(last.report_json.expect("json path")).unwrap();
+    assert_eq!(got, want, "resumed report differs from uninterrupted run");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn fresh_discards_the_manifest_and_reruns_everything() {
     let root = scratch("fresh");
     build_corpus(&root);

@@ -3,7 +3,7 @@
 //!
 //! The decode stage can outrun the detect workers by orders of magnitude
 //! (varint decoding vs `Precede` queries), so the channel is *bounded*:
-//! [`Sender::send`] blocks when the queue is full, which backpressures
+//! `Sender::send` blocks when the queue is full, which backpressures
 //! the decoder and keeps pipeline memory at O(capacity × batch) instead
 //! of O(trace). Disconnection is graceful in both directions: senders see
 //! `Err` once the receiver is gone (a dead worker must not wedge the
@@ -40,12 +40,12 @@ pub struct Receiver<T> {
 
 /// The item handed back by [`Sender::send`] when the receiver is gone.
 #[derive(Debug, PartialEq, Eq)]
-pub struct SendError<T>(pub T);
+pub(crate) struct SendError<T>(pub T);
 
 /// Outcome of [`Receiver::recv_timeout`] — the supervisor's watchdog
 /// primitive (DESIGN S38).
 #[derive(Debug, PartialEq, Eq)]
-pub enum RecvTimeout<T> {
+pub(crate) enum RecvTimeout<T> {
     /// An item arrived within the deadline.
     Item(T),
     /// The deadline elapsed with the queue still empty but senders alive —
@@ -92,7 +92,7 @@ pub fn bounded<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 impl<T> Sender<T> {
     /// Blocks until there is room, then enqueues `item`. Returns the item
     /// if the receiver has been dropped.
-    pub fn send(&self, item: T) -> Result<(), SendError<T>> {
+    pub(crate) fn send(&self, item: T) -> Result<(), SendError<T>> {
         let mut st = self.shared.state.lock();
         loop {
             if !st.receiver_alive {
@@ -108,7 +108,7 @@ impl<T> Sender<T> {
         }
     }
 
-    /// Like [`Sender::send`], but gives up once `timeout` elapses with
+    /// Like `Sender::send`, but gives up once `timeout` elapses with
     /// the queue still full. Spurious condvar wakeups re-check the
     /// deadline, so the call is bounded by roughly `timeout` even under a
     /// notify storm.
@@ -179,7 +179,7 @@ impl<T> Receiver<T> {
     /// `timeout` elapses with nothing to deliver. The deadline is
     /// absolute: spurious or storming notifications merely re-check the
     /// predicate and keep waiting for the remainder.
-    pub fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> RecvTimeout<T> {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock();
         loop {

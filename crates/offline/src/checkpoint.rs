@@ -32,10 +32,10 @@ use futrace_util::ids::TaskId;
 use futrace_util::wire::{self, WireError};
 
 /// File magic: "FCKP" (futrace checkpoint).
-pub const MAGIC: [u8; 4] = *b"FCKP";
+pub(crate) const MAGIC: [u8; 4] = *b"FCKP";
 
 /// Current checkpoint format version.
-pub const VERSION: u64 = 1;
+pub(crate) const VERSION: u64 = 1;
 
 /// How many leading trace bytes the fingerprint hashes.
 pub const FINGERPRINT_HEAD: usize = 4096;
@@ -108,7 +108,7 @@ pub struct Checkpoint {
 /// Why a checkpoint file could not be decoded or used.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// The blob does not start with [`MAGIC`].
+    /// The blob does not start with `MAGIC`.
     BadMagic,
     /// Unsupported format version.
     BadVersion(u64),

@@ -19,7 +19,7 @@
 //! locations' shadow cells. The merged verdict and race report are
 //! identical to the serial detector's (asserted by
 //! `tests/shard_equivalence.rs` over random programs). One stage does
-//! this, [`run_supervised`] in [`supervise`]: its supervisor restarts,
+//! this, [`run_supervised`] in `supervise`: its supervisor restarts,
 //! degrades, or suspends workers as the [`SupervisorPlan`] asks, and plain
 //! sharding ([`SupervisorPlan::plain`]) is the plan that retains nothing
 //! for recovery.
@@ -43,7 +43,7 @@ pub mod channel;
 pub mod checkpoint;
 pub mod framed;
 mod outcome;
-pub mod supervise;
+pub(crate) mod supervise;
 
 pub use checkpoint::{
     is_checkpoint, rebuild_replica, Checkpoint, CheckpointError, RouterProgress, TraceFingerprint,

@@ -112,18 +112,15 @@ fn mutated_streams_never_panic_and_error_structurally() {
     );
     propcheck::check(&Config::with_cases(384), &strat, |(op, pos, byte)| {
         for (v1, v2, _) in &bases {
-            // v1 flat: decode() and decode_iter() must agree exactly, and
-            // both must yield a structured DecodeError rather than panic.
-            let (kind, m) = mutate(v1, op, pos, byte);
-            let eager = trace::decode(&m);
-            let lazy: Result<Vec<Event>, _> = trace::decode_iter(&m).collect();
-            assert_eq!(eager, lazy, "{kind:?} on v1: decode != decode_iter");
-            if let Err(e) = eager {
+            // v1 flat: decode() must yield a structured DecodeError rather
+            // than panic.
+            let (_, m) = mutate(v1, op, pos, byte);
+            if let Err(e) = trace::decode(&m) {
                 assert!(!e.to_string().is_empty());
             }
 
             // v2 strict: drain checks the fuse-after-error contract.
-            let (_, m) = mutate(v2, op, pos, byte);
+            let (kind, m) = mutate(v2, op, pos, byte);
             let (strict_events, strict_err) = drain(trace_events(&m, false));
 
             // v2 lenient: never worse than strict — decodes at least as

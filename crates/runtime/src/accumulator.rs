@@ -52,10 +52,6 @@ pub trait ReduceOp<T>: Send + Sync + 'static {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SumOp;
 
-/// Minimum.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MinOp;
-
 /// Maximum.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaxOp;
@@ -65,10 +61,6 @@ macro_rules! impl_numeric_ops {
         impl ReduceOp<$t> for SumOp {
             fn identity() -> $t { 0 as $t }
             fn combine(a: $t, b: $t) -> $t { a + b }
-        }
-        impl ReduceOp<$t> for MinOp {
-            fn identity() -> $t { <$t>::MAX }
-            fn combine(a: $t, b: $t) -> $t { if a < b { a } else { b } }
         }
         impl ReduceOp<$t> for MaxOp {
             fn identity() -> $t { <$t>::MIN }
@@ -126,11 +118,6 @@ where
     pub fn get(&self) -> T {
         *self.value.lock()
     }
-
-    /// Resets to the identity (e.g. between sweeps).
-    pub fn reset(&self) {
-        *self.value.lock() = O::identity();
-    }
 }
 
 #[cfg(test)]
@@ -155,19 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn min_max_identities() {
-        let mn = Accumulator::<i64, MinOp>::new();
+    fn max_identity() {
         let mx = Accumulator::<i64, MaxOp>::new();
-        assert_eq!(mn.get(), i64::MAX);
         assert_eq!(mx.get(), i64::MIN);
         for v in [3, -7, 12, 0] {
-            mn.put(v);
             mx.put(v);
         }
-        assert_eq!(mn.get(), -7);
         assert_eq!(mx.get(), 12);
-        mn.reset();
-        assert_eq!(mn.get(), i64::MAX);
     }
 
     #[test]

@@ -101,13 +101,13 @@ pub trait TaskCtx: MemCtx + Sized {
     }
 
     /// Allocates an instrumented shared array (convenience for
-    /// [`SharedArray::new`]).
+    /// `SharedArray::new`).
     fn shared_array<T: Word>(&mut self, len: usize, fill: T, name: &str) -> SharedArray<T> {
         SharedArray::new(self, len, fill, name)
     }
 
     /// Allocates an instrumented shared variable (convenience for
-    /// [`SharedVar::new`]).
+    /// `SharedVar::new`).
     fn shared_var<T: Word>(&mut self, init: T, name: &str) -> SharedVar<T> {
         SharedVar::new(self, init, name)
     }

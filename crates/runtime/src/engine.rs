@@ -29,7 +29,7 @@
 //! [`Outcome`].
 //!
 //! ```
-//! use futrace_runtime::engine::{run_analysis, source, Analysis};
+//! use futrace_runtime::engine::{run_analysis, run_analysis_live, source, Analysis};
 //! use futrace_runtime::{Event, EventLog, run_serial};
 //! use futrace_util::ids::{LocId, TaskId};
 //!
@@ -50,7 +50,7 @@
 //!
 //! // Live execution and replay of a recording go through the same driver.
 //! let program = |ctx: &mut futrace_runtime::SerialCtx<_>| {};
-//! let live = run_analysis(source::live(program), WriteCounter::default()).unwrap();
+//! let live = run_analysis_live(program, WriteCounter::default());
 //! let mut log = EventLog::new();
 //! run_serial(&mut log, |_ctx| {});
 //! let replayed = run_analysis(source::recorded(&log.events), WriteCounter::default()).unwrap();
@@ -320,7 +320,7 @@ pub struct Outcome<R> {
 
 /// The engine core: wraps an [`Analysis`], numbers the access stream, and
 /// keeps [`EngineCounters`]. Implements [`Monitor`] so the serial executor
-/// can drive it directly (the live source), and exposes [`Engine::consume`]
+/// can drive it directly (the live source), and exposes `Engine::consume`
 /// for replayed event streams — both paths are guaranteed to split the
 /// stream identically.
 pub struct Engine<A: Analysis> {
@@ -371,7 +371,7 @@ impl<A: Analysis> Engine<A> {
 
     /// Feeds a slice of events, batching each run of consecutive
     /// `Read`/`Write` events into one [`Analysis::check_batch`] call.
-    /// Equivalent to calling [`Engine::consume`] per event (same splits,
+    /// Equivalent to calling `Engine::consume` per event (same splits,
     /// same indices, same counters) — only the dispatch granularity
     /// changes, which is what the batched decode paths are for.
     pub fn consume_slice(&mut self, events: &[Event]) {
@@ -421,7 +421,7 @@ impl<A: Analysis> Engine<A> {
 
     /// Feeds one event: control events go to
     /// [`Analysis::apply_control`], accesses become numbered checks.
-    pub fn consume(&mut self, e: &Event) {
+    pub(crate) fn consume(&mut self, e: &Event) {
         match *e {
             Event::Read(task, loc) => self.read_check(task, loc),
             Event::Write(task, loc) => self.write_check(task, loc),
@@ -508,19 +508,19 @@ pub trait EventSource<A: Analysis> {
     fn drive(self, engine: &mut Engine<A>) -> Result<(), Self::Error>;
 }
 
-/// Event-source constructors. See [`live`](source::live),
+/// Event-source constructors. See `live`,
 /// [`recorded`](source::recorded), and [`chunks`](source::chunks).
 pub mod source {
     use super::*;
 
     /// Live serial depth-first execution of a DSL program (see
     /// [`live`]).
-    pub struct Live<F>(F);
+    pub(crate) struct Live<F>(F);
 
     /// Source that executes `f` under the serial depth-first executor,
     /// feeding the instrumentation stream straight into the analysis —
     /// no events are materialized for the access hot path.
-    pub fn live<F>(f: F) -> Live<F> {
+    pub(crate) fn live<F>(f: F) -> Live<F> {
         Live(f)
     }
 

@@ -124,7 +124,7 @@ impl<T: Word> SharedArray<T> {
     ///
     /// # Panics
     /// Panics if `len` does not fit in `u32`.
-    pub fn new(ctx: &mut impl MemCtx, len: usize, fill: T, name: &str) -> Self {
+    pub(crate) fn new(ctx: &mut impl MemCtx, len: usize, fill: T, name: &str) -> Self {
         let n = u32::try_from(len).expect("shared array too large");
         let base = ctx.alloc(n, name);
         let cells: Arc<[AtomicU64]> = (0..len).map(|_| AtomicU64::new(fill.to_word())).collect();
@@ -136,23 +136,14 @@ impl<T: Word> SharedArray<T> {
     }
 
     /// Number of elements.
+    #[allow(clippy::len_without_is_empty)] // no caller asks for emptiness
     pub fn len(&self) -> usize {
         self.cells.len()
     }
 
-    /// True if the array has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// First location id of this array (element `i` is `base + i`).
-    pub fn base(&self) -> LocId {
-        self.base
-    }
-
     /// Location id of element `i`.
     #[inline]
-    pub fn loc(&self, i: usize) -> LocId {
+    pub(crate) fn loc(&self, i: usize) -> LocId {
         debug_assert!(i < self.cells.len());
         LocId(self.base.0 + i as u32)
     }
@@ -209,15 +200,10 @@ impl<T> Clone for SharedVar<T> {
 
 impl<T: Word> SharedVar<T> {
     /// Allocates a shared variable initialized to `init`.
-    pub fn new(ctx: &mut impl MemCtx, init: T, name: &str) -> Self {
+    pub(crate) fn new(ctx: &mut impl MemCtx, init: T, name: &str) -> Self {
         SharedVar {
             arr: SharedArray::new(ctx, 1, init, name),
         }
-    }
-
-    /// This variable's shadow-memory location.
-    pub fn loc(&self) -> LocId {
-        self.arr.base()
     }
 
     /// Instrumented read.
@@ -231,21 +217,18 @@ impl<T: Word> SharedVar<T> {
     pub fn write(&self, ctx: &mut impl MemCtx, v: T) {
         self.arr.write(ctx, 0, v)
     }
-
-    /// Uninstrumented read for post-run assertions.
-    pub fn peek(&self) -> T {
-        self.arr.peek(0)
-    }
-
-    /// Uninstrumented write for pre-run seeding.
-    pub fn poke(&self, v: T) {
-        self.arr.poke(0, v)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Word> SharedVar<T> {
+        /// Uninstrumented read for post-run assertions.
+        pub(crate) fn peek(&self) -> T {
+            self.arr.peek(0)
+        }
+    }
 
     /// Minimal MemCtx that counts accesses and allocates densely.
     #[derive(Default)]
@@ -274,12 +257,11 @@ mod tests {
         let mut ctx = CountingCtx::default();
         let a: SharedArray<u64> = SharedArray::new(&mut ctx, 4, 0, "a");
         let b: SharedArray<u64> = SharedArray::new(&mut ctx, 2, 0, "b");
-        assert_eq!(a.base(), LocId(0));
+        assert_eq!(a.base, LocId(0));
         assert_eq!(a.loc(3), LocId(3));
-        assert_eq!(b.base(), LocId(4));
+        assert_eq!(b.base, LocId(4));
         assert_eq!(b.loc(1), LocId(5));
         assert_eq!(a.len(), 4);
-        assert!(!a.is_empty());
     }
 
     #[test]
@@ -309,7 +291,7 @@ mod tests {
         let mut ctx = CountingCtx::default();
         let v = SharedVar::new(&mut ctx, 1u64, "v");
         let w = SharedVar::new(&mut ctx, 2u64, "w");
-        assert_ne!(v.loc(), w.loc());
+        assert_ne!(v.arr.base, w.arr.base);
         v.write(&mut ctx, 10);
         assert_eq!(v.read(&mut ctx), 10);
         assert_eq!(w.peek(), 2);
@@ -322,7 +304,7 @@ mod tests {
         let b = a.clone();
         a.write(&mut ctx, 0, 9);
         assert_eq!(b.read(&mut ctx, 0), 9);
-        assert_eq!(b.base(), a.base());
+        assert_eq!(b.base, a.base);
     }
 
     #[test]

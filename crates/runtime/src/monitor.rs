@@ -224,23 +224,6 @@ impl EventLog {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of `Read`/`Write` events (the paper's #SharedMem counter).
-    pub fn shared_mem_accesses(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::Read(..) | Event::Write(..)))
-            .count()
-    }
-
-    /// Number of tasks created, excluding the main task (the paper's #Tasks
-    /// counts dynamic tasks created).
-    pub fn tasks_created(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, Event::TaskCreate { .. }))
-            .count()
-    }
 }
 
 impl Monitor for EventLog {
@@ -277,7 +260,7 @@ impl Monitor for EventLog {
 }
 
 /// Dispatches one recorded event to the corresponding monitor callback.
-pub fn apply<M: Monitor>(mon: &mut M, e: &Event) {
+pub(crate) fn apply<M: Monitor>(mon: &mut M, e: &Event) {
     match e {
         Event::TaskCreate {
             parent,
@@ -364,16 +347,5 @@ mod tests {
                 }
             ]
         );
-    }
-
-    #[test]
-    fn event_log_counters() {
-        let mut log = EventLog::new();
-        log.task_create(TaskId(0), TaskId(1), TaskKind::Async, FinishId(0));
-        log.read(TaskId(1), LocId(0));
-        log.write(TaskId(1), LocId(0));
-        log.task_end(TaskId(1));
-        assert_eq!(log.shared_mem_accesses(), 2);
-        assert_eq!(log.tasks_created(), 1);
     }
 }

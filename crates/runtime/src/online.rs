@@ -3,7 +3,7 @@
 //! Every other analysis mode in this repository pays for detection with
 //! serial execution: the program runs in the serial-elision order and the
 //! detector consumes its event stream in-line. This module removes that
-//! floor. The program executes on [`crate::parallel`]'s work-stealing pool
+//! floor. The program executes on `crate::parallel`'s work-stealing pool
 //! while detection happens *concurrently* on one walker thread, so
 //! execution and analysis overlap.
 //!
@@ -26,9 +26,6 @@
 //!    to) the walk, never behind it, so no access can be dropped: a
 //!    buffered access is either already published or will be published at
 //!    the task's next sync point, and every task ends with a final publish.
-//!    [`crate::labels`] fork-path labels, maintained O(1) at spawn,
-//!    certify the walk order: serial ids must be monotone in label
-//!    depth-first order (debug-asserted per spawn).
 //! 3. **One [`Monitor`]**, driven by the walker the way
 //!    [`crate::serial::SerialCtx`] drives it: each control event and each
 //!    access of the canonical stream becomes one `Monitor` callback on the
@@ -44,7 +41,6 @@
 //! would have observed under [`crate::serial::run_serial`], and a
 //! detector's verdict and statistics equal the serial run's.
 
-use crate::labels::TaskLabel;
 use crate::monitor::{Monitor, TaskKind};
 use crate::parallel::{run_pool, DeadlockError, ParCtx, PoolOutcome};
 use crate::sync::{Condvar, Mutex};
@@ -92,8 +88,6 @@ pub(crate) struct TaskSlot {
     data: Mutex<Published>,
     /// Set (after the final publish) when the task body has returned.
     ended: AtomicBool,
-    /// The task's fork-path label, fixed at spawn.
-    label: TaskLabel,
 }
 
 /// Shared state of one online run: the slot table plus publish/wake
@@ -125,11 +119,10 @@ impl OnlineState {
         }
     }
 
-    pub(crate) fn register(&self, raw: u32, label: TaskLabel) -> Arc<TaskSlot> {
+    pub(crate) fn register(&self, raw: u32) -> Arc<TaskSlot> {
         let slot = Arc::new(TaskSlot {
             data: Mutex::new(Published::default()),
             ended: AtomicBool::new(false),
-            label,
         });
         let mut slots = self.slots.lock();
         let idx = raw as usize;
@@ -165,7 +158,6 @@ impl OnlineState {
 pub(crate) struct SpawnRec {
     state: Arc<OnlineState>,
     slot: Arc<TaskSlot>,
-    label: TaskLabel,
 }
 
 /// Per-running-task recorder: local buffers plus the publish protocol.
@@ -173,9 +165,6 @@ pub(crate) struct SpawnRec {
 pub(crate) struct TaskRec {
     state: Arc<OnlineState>,
     slot: Arc<TaskSlot>,
-    label: TaskLabel,
-    /// Spawn ordinal of this task's next child (fork-path label `seq`).
-    next_child_seq: u32,
     accesses: Vec<u64>,
     controls: Vec<(u64, Control)>,
     /// Total accesses recorded by this task (absolute offset counter).
@@ -183,15 +172,12 @@ pub(crate) struct TaskRec {
 }
 
 impl TaskRec {
-    /// Recorder for the main task (registers raw id 0, root label).
+    /// Recorder for the main task (registers raw id 0).
     pub(crate) fn main(state: Arc<OnlineState>) -> TaskRec {
-        let label = TaskLabel::root();
-        let slot = state.register(0, label.clone());
+        let slot = state.register(0);
         TaskRec {
             state,
             slot,
-            label,
-            next_child_seq: 0,
             accesses: Vec::new(),
             controls: Vec::new(),
             acc_count: 0,
@@ -204,17 +190,10 @@ impl TaskRec {
         TaskRec {
             state: pre.state,
             slot: pre.slot,
-            label: pre.label,
-            next_child_seq: 0,
             accesses: Vec::new(),
             controls: Vec::new(),
             acc_count: 0,
         }
-    }
-
-    /// The task's fork-path label.
-    pub(crate) fn label(&self) -> &TaskLabel {
-        &self.label
     }
 
     /// Records one shared-memory access. Hot path: two `Vec` pushes worst
@@ -228,18 +207,14 @@ impl TaskRec {
         }
     }
 
-    /// Registers the child's slot (with its O(1)-derived label) and
-    /// records + publishes the spawn control. Returns the bundle the child
-    /// task starts from.
+    /// Registers the child's slot and records + publishes the spawn
+    /// control. Returns the bundle the child task starts from.
     pub(crate) fn record_spawn(&mut self, child: u32, kind: TaskKind) -> SpawnRec {
-        let label = self.label.child(self.next_child_seq);
-        self.next_child_seq += 1;
-        let slot = self.state.register(child, label.clone());
+        let slot = self.state.register(child);
         self.record_control(Control::Spawn { child, kind });
         SpawnRec {
             state: Arc::clone(&self.state),
             slot,
-            label,
         }
     }
 
@@ -355,8 +330,6 @@ struct Walker<'a, M: Monitor> {
     task_map: Vec<Option<TaskId>>,
     /// Raw loc → serial loc, filled as allocs are walked.
     loc_map: Vec<u32>,
-    /// Label of the most recently walked spawn (order verification).
-    last_spawn_label: Option<TaskLabel>,
     out: WalkResult,
 }
 
@@ -375,7 +348,6 @@ impl<'a, M: Monitor> Walker<'a, M> {
             next_loc: 0,
             task_map: vec![Some(TaskId::MAIN)],
             loc_map: Vec::new(),
-            last_spawn_label: None,
             out: WalkResult::default(),
         }
     }
@@ -530,15 +502,6 @@ impl<'a, M: Monitor> Walker<'a, M> {
                     .state
                     .slot(child)
                     .expect("child slot registered before its spawn was published");
-                // Labels certify the canonical order: serial ids must be
-                // assigned in label depth-first order.
-                debug_assert!(
-                    self.last_spawn_label
-                        .as_ref()
-                        .is_none_or(|prev| prev.df_cmp(&slot.label).is_lt()),
-                    "walk order diverged from label depth-first order"
-                );
-                self.last_spawn_label = Some(slot.label.clone());
                 self.mon.task_create(frame.serial, serial_child, kind, ief);
                 // Depth-first: the child's whole subtree walks before the
                 // parent's remaining actions (serial elision).

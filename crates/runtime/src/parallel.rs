@@ -34,7 +34,6 @@
 //! a deadlocked computation graph.
 
 use crate::api::TaskCtx;
-use crate::labels::TaskLabel;
 use crate::memory::MemCtx;
 use crate::monitor::TaskKind;
 use crate::online::{OnlineState, TaskRec};
@@ -270,13 +269,6 @@ impl<T> Clone for ParHandle<T> {
     }
 }
 
-impl<T> ParHandle<T> {
-    /// The future task this handle refers to.
-    pub fn task(&self) -> TaskId {
-        self.cell.task
-    }
-}
-
 /// Per-running-task execution context for the parallel executor.
 pub struct ParCtx {
     shared: Arc<PoolShared>,
@@ -293,12 +285,6 @@ impl ParCtx {
     fn submit(&self, job: Job) {
         self.shared.queue.push(job);
         self.shared.notify();
-    }
-
-    /// This task's fork-path label, when the run is online-instrumented.
-    /// Labels are maintained O(1) at spawn (see [`crate::labels`]).
-    pub fn task_label(&self) -> Option<&TaskLabel> {
-        self.rec.as_ref().map(|r| r.label())
     }
 
     /// Final publish + end mark for this task's recorder (no-op when

@@ -11,7 +11,7 @@
 use std::sync::{Condvar as StdCondvar, Mutex as StdMutex, PoisonError};
 use std::time::Duration;
 
-pub use std::sync::MutexGuard;
+pub(crate) use std::sync::MutexGuard;
 
 /// A mutex whose `lock` never fails: poisoning is stripped (see module
 /// docs for why that is sound here).

@@ -211,8 +211,7 @@ fn id32(v: u64, what: &'static str) -> Result<u32, DecodeError> {
 ///
 /// The `Vec` is presized for 4-byte events. No event is shorter than 2
 /// bytes (a tag and a one-byte varint), so it reallocates at most once,
-/// and recorded traces (about 5 B/event) do not fill it. Prefer
-/// [`decode_iter`] for large traces (replay does not need the `Vec`).
+/// and recorded traces (about 5 B/event) do not fill it.
 pub fn decode(data: &[u8]) -> Result<Vec<Event>, DecodeError> {
     let mut events = Vec::with_capacity(data.len() / 4);
     for e in decode_iter(data) {
@@ -225,7 +224,7 @@ pub fn decode(data: &[u8]) -> Result<Vec<Event>, DecodeError> {
 /// materializing a `Vec`, so offline analysis can stream arbitrarily large
 /// traces. After the first `Err` the iterator fuses (yields `None`), since
 /// the cursor position is no longer trustworthy.
-pub fn decode_iter(data: &[u8]) -> DecodeIter<'_> {
+fn decode_iter(data: &[u8]) -> DecodeIter<'_> {
     DecodeIter {
         buf: Cursor::new(data),
         failed: false,
@@ -233,7 +232,7 @@ pub fn decode_iter(data: &[u8]) -> DecodeIter<'_> {
 }
 
 /// Iterator state for [`decode_iter`].
-pub struct DecodeIter<'a> {
+struct DecodeIter<'a> {
     buf: Cursor<'a>,
     failed: bool,
 }

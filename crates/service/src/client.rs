@@ -107,6 +107,8 @@ pub enum ClientOutcome {
         /// The truncation a lenient read cut the trace at: only the
         /// complete chunks before it were sent.
         truncated: Option<FrameError>,
+        /// Damaged chunks a lenient read dropped before sending.
+        skipped_chunks: u64,
         /// Connection attempts consumed (1 = no reconnects).
         attempts: u32,
     },
@@ -190,30 +192,31 @@ impl From<ProtoError> for ClientError {
 type WireChunk = (Option<u32>, Vec<u8>);
 
 /// Slices a trace blob into wire chunks (v1-encoded event runs, each with
-/// the event count its framed header declares). Under
-/// [`ClientOptions::lenient`] both branches keep exactly the chunks the
-/// trace reader keeps.
-fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<WireChunk>, ClientError> {
+/// the event count its framed header declares), and counts the damaged
+/// chunks it dropped. Under [`ClientOptions::lenient`] both branches keep
+/// exactly the chunks the trace reader keeps.
+fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<(Vec<WireChunk>, u64), ClientError> {
     if let Some(per_chunk) = opts.chunk_events {
         let per_chunk = per_chunk.max(1);
-        let (events, _) =
+        let (events, dropped) =
             read_events(blob, opts.lenient).map_err(|e| ClientError::Trace(e.to_string()))?;
         if events.is_empty() {
-            return Ok(vec![(Some(0), Vec::new())]);
+            return Ok((vec![(Some(0), Vec::new())], dropped));
         }
         let chunk = |c: &[_]| (Some(c.len() as u32), trace::encode(c));
-        return Ok(events.chunks(per_chunk).map(chunk).collect());
+        return Ok((events.chunks(per_chunk).map(chunk).collect(), dropped));
     }
     if framed::is_framed(blob) {
         // Strict streaming forwards the payload bytes undecoded, with the
         // count their header declares; the daemon decodes each chunk
         // anyway and checks the count.
         let mut payloads = Vec::new();
+        let mut dropped = 0;
         for chunk in framed::chunks(blob) {
             match chunk {
-                Ok(c) if opts.lenient && c.decode().is_err() => {}
+                Ok(c) if opts.lenient && c.decode().is_err() => dropped += 1,
                 Ok(c) => payloads.push((Some(c.event_count), c.payload.to_vec())),
-                Err(FrameError::CorruptChunk { .. }) if opts.lenient => {}
+                Err(FrameError::CorruptChunk { .. }) if opts.lenient => dropped += 1,
                 // Framing damage cannot be resynced locally; report it
                 // rather than shipping a torn stream.
                 Err(e) => return Err(ClientError::Trace(e.to_string())),
@@ -222,10 +225,10 @@ fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<Vec<WireChunk>, C
         if payloads.is_empty() {
             payloads.push((Some(0), Vec::new()));
         }
-        return Ok(payloads);
+        return Ok((payloads, dropped));
     }
     // Flat v1: the whole body is one chunk payload, with no declared count.
-    Ok(vec![(None, blob.to_vec())])
+    Ok((vec![(None, blob.to_vec())], 0))
 }
 
 /// Absorbs transient read errors (`WouldBlock`/`TimedOut` bursts from
@@ -328,7 +331,7 @@ fn retry_floor(err: &ClientError) -> Option<Duration> {
 pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, ClientError> {
     // Both chunkings read what a lenient `analyze` reads of the trace.
     let (blob, truncated) = salvage(blob, opts.lenient);
-    let payloads = chunk_payloads(opts, blob)?;
+    let (payloads, skipped_chunks) = chunk_payloads(opts, blob)?;
     let deadline = opts
         .retry_budget_ms
         .map(|ms| Instant::now() + Duration::from_millis(ms));
@@ -339,7 +342,7 @@ pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, 
     );
     let mut attempt: u32 = 0;
     loop {
-        match stream_once(opts, &payloads, &truncated, attempt) {
+        match stream_once(opts, &payloads, &truncated, skipped_chunks, attempt) {
             Ok(outcome) => return Ok(outcome),
             Err(e) => {
                 let floor = match retry_floor(&e) {
@@ -381,6 +384,7 @@ fn stream_once(
     opts: &ClientOptions,
     payloads: &[WireChunk],
     truncated: &Option<FrameError>,
+    skipped_chunks: u64,
     attempt: u32,
 ) -> Result<ClientOutcome, ClientError> {
     let mut wire = connect(opts, attempt)?;
@@ -434,6 +438,7 @@ fn stream_once(
             chunks_sent: sent,
             events,
             truncated: truncated.clone(),
+            skipped_chunks,
             attempts: attempt + 1,
         }),
         Message::Suspended { chunks } => Ok(ClientOutcome::Suspended { chunks }),

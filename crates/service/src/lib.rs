@@ -3,7 +3,7 @@
 //! This crate turns the one-shot "read a trace, run a backend, print a
 //! verdict" pipeline into a long-lived service:
 //!
-//! * [`session`] — [`Session`] owns one daemon session's live analysis:
+//! * `session` — [`Session`] owns one daemon session's live analysis:
 //!   it checks trace chunks as they arrive, emits a [`VerdictDelta`] per
 //!   chunk, says when its checkpoint cadence is due, can suspend to an
 //!   FCKP checkpoint and resume with skip-completed-chunk semantics, and
@@ -11,12 +11,12 @@
 //!   result shape (defined in `futrace-offline`, re-exported here), is
 //!   shared with the one-shot `Analyze` builder in `futrace-corpus`,
 //!   which runs its serial, sharded and supervised backends itself.
-//! * [`server`] — `tracetool serve`: a std-only TCP daemon multiplexing
+//! * `server` — `tracetool serve`: a std-only TCP daemon multiplexing
 //!   N concurrent sessions over a fixed worker pool, with bounded-queue
 //!   backpressure on accept, graceful drain (every in-flight session is
 //!   suspended to its FCKP file), and `--resume` to pick those sessions
 //!   back up.
-//! * [`client`] — `tracetool client`: streams a trace file to a daemon
+//! * `client` — `tracetool client`: streams a trace file to a daemon
 //!   chunk by chunk over the framed wire protocol
 //!   (`futrace_util::wire::proto`) and returns the final verdict.
 //!
@@ -24,9 +24,9 @@
 //! one-shot CLI and the daemon so streamed and batch analysis stay
 //! byte-identical — CI diffs them.
 
-pub mod client;
-pub mod server;
-pub mod session;
+pub(crate) mod client;
+pub(crate) mod server;
+pub(crate) mod session;
 
 pub use client::{shutdown, stream_trace, ClientError, ClientOptions, ClientOutcome};
 pub use server::{checkpoint_path, Server, ServeOptions, ServeStats, ServeSummary};

@@ -73,7 +73,7 @@ pub struct VerdictDelta {
 /// Configuration for one session.
 #[derive(Clone, Debug, Default)]
 pub struct SessionConfig {
-    /// The daemon's checkpoint cadence: [`Session::checkpoint_due`] holds
+    /// The daemon's checkpoint cadence: `Session::checkpoint_due` holds
     /// after every N-th chunk (`None` = checkpoints only on suspension).
     pub checkpoint_every: Option<u64>,
 }
@@ -179,7 +179,7 @@ impl Session {
     /// A checkpoint across several shards (cut by a replay before
     /// checkpoints came from the live engine) cannot restore one engine:
     /// it is ignored, and the session starts from chunk 0.
-    pub fn open_resumed(cfg: SessionConfig, checkpoint: Checkpoint) -> Result<Self, SessionError> {
+    pub(crate) fn open_resumed(cfg: SessionConfig, checkpoint: Checkpoint) -> Result<Self, SessionError> {
         let mut session = Session::open(cfg)?;
         let (states @ [_], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
             return Ok(session);
@@ -203,23 +203,18 @@ impl Session {
 
     /// Chunks a resumed checkpoint already completed (0 for a fresh
     /// session).
-    pub fn resumed_chunks(&self) -> u64 {
+    pub(crate) fn resumed_chunks(&self) -> u64 {
         self.resume.as_ref().map_or(0, |c| c.chunks_completed)
     }
 
     /// Chunks fed so far.
-    pub fn chunks(&self) -> u64 {
+    pub(crate) fn chunks(&self) -> u64 {
         self.chunks
-    }
-
-    /// Events fed so far.
-    pub fn events(&self) -> u64 {
-        self.events
     }
 
     /// Whether the configured cadence asks for a checkpoint now, after
     /// the chunk just fed.
-    pub fn checkpoint_due(&self) -> bool {
+    pub(crate) fn checkpoint_due(&self) -> bool {
         self.cfg
             .checkpoint_every
             .is_some_and(|every| self.chunks.is_multiple_of(every))
@@ -242,7 +237,7 @@ impl Session {
     /// different number of events fails with
     /// `Malformed("event count mismatch")`, the error a trace read gives
     /// the same chunk, and nothing from it is applied.
-    pub fn feed_chunk_with_count(
+    pub(crate) fn feed_chunk_with_count(
         &mut self,
         payload: &[u8],
         event_count: Option<u32>,
@@ -333,7 +328,7 @@ impl Session {
     /// [`Session::checkpoint`]) and consumes the session. Returns `None`
     /// when nothing worth checkpointing was received; the caller then
     /// simply starts over on resume.
-    pub fn suspend(self) -> Result<Option<Checkpoint>, SessionError> {
+    pub(crate) fn suspend(self) -> Result<Option<Checkpoint>, SessionError> {
         self.checkpoint()
     }
 
@@ -444,7 +439,7 @@ mod tests {
         for wrong in [n - 1, n + 1] {
             let err = session.feed_chunk_with_count(&payload, Some(wrong)).unwrap_err();
             assert!(err.to_string().contains("event count mismatch"), "{err}");
-            assert_eq!((session.chunks(), session.events()), (0, 0));
+            assert_eq!((session.chunks(), session.events), (0, 0));
             assert_eq!(session.engine.counters().events, 0, "nothing applied");
         }
         let delta = session.feed_chunk_with_count(&payload, Some(n)).unwrap();

@@ -71,7 +71,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Incremental CRC-32 state, for checksumming data that arrives in pieces
 /// (a streaming writer's chunk buffer, a reader validating as it copies).
 #[derive(Clone, Copy, Debug)]
-pub struct Hasher {
+pub(crate) struct Hasher {
     state: u32,
 }
 
@@ -83,12 +83,12 @@ impl Default for Hasher {
 
 impl Hasher {
     /// Fresh state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Hasher { state: !0 }
     }
 
     /// Feeds `data` into the checksum.
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         let t = &TABLES;
         let mut crc = self.state;
         let mut blocks = data.chunks_exact(SLICE);
@@ -121,7 +121,7 @@ impl Hasher {
     }
 
     /// The checksum of everything fed so far.
-    pub fn finalize(self) -> u32 {
+    pub(crate) fn finalize(self) -> u32 {
         !self.state
     }
 }

@@ -41,7 +41,7 @@ pub enum TransientKind {
 
 impl TransientKind {
     /// The corresponding `io::ErrorKind`.
-    pub fn kind(self) -> ErrorKind {
+    pub(crate) fn kind(self) -> ErrorKind {
         match self {
             TransientKind::Interrupted => ErrorKind::Interrupted,
             TransientKind::WouldBlock => ErrorKind::WouldBlock,
@@ -68,7 +68,7 @@ pub struct IoFaults {
 
 impl IoFaults {
     /// True when no fault is scheduled.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.short_op_every.is_none()
             && self.transient_every.is_none()
             && self.hard_error_at.is_none()
@@ -112,17 +112,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (useful as a test baseline).
-    pub fn none() -> FaultPlan {
-        FaultPlan {
-            seed: 0,
-            write: IoFaults::default(),
-            read: IoFaults::default(),
-            worker_panic: None,
-            worker_stall: None,
-        }
-    }
-
     /// Expands `seed` into a concrete scenario. Deterministic: the same
     /// seed always yields the same plan (golden-tested), on any platform.
     ///
@@ -245,11 +234,6 @@ impl NetFaults {
             }
         }
     }
-
-    /// True when neither direction schedules a fault.
-    pub fn is_none(&self) -> bool {
-        self.read.is_none() && self.write.is_none()
-    }
 }
 
 impl fmt::Display for FaultPlan {
@@ -313,10 +297,6 @@ pub struct IoFaultStats {
 }
 
 impl IoFaultStats {
-    /// True when at least one fault fired.
-    pub fn any(&self) -> bool {
-        self.transients > 0 || self.short_ops > 0 || self.hard_errors > 0 || self.truncated_bytes > 0
-    }
 }
 
 impl fmt::Display for IoFaultStats {
@@ -435,11 +415,6 @@ impl<R: Read> FaultyReader<R> {
     pub fn stats(&self) -> IoFaultStats {
         self.stats
     }
-
-    /// Unwraps the underlying source.
-    pub fn into_inner(self) -> R {
-        self.inner
-    }
 }
 
 impl<R: Read> Read for FaultyReader<R> {
@@ -514,13 +489,8 @@ impl Backoff {
         }
     }
 
-    /// Consecutive retries consumed since the last [`Backoff::reset`].
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Retries consumed over the backoff's whole lifetime (not cleared by
-    /// [`Backoff::reset`]) — the number callers report in their stats.
+    /// `Backoff::reset`) — the number callers report in their stats.
     pub fn total_retries(&self) -> u64 {
         self.total
     }
@@ -529,7 +499,7 @@ impl Backoff {
     /// applies to *consecutive* failures. The RNG stream keeps advancing —
     /// resetting does not replay earlier jitter, so timing stays
     /// deterministic end to end.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 
@@ -852,7 +822,7 @@ mod tests {
         let mut backoff = Backoff::new(1, 3, Duration::from_micros(10));
         let err = write_all_with_retry(&mut w, &[1, 2, 3], &mut backoff).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::WouldBlock);
-        assert_eq!(backoff.attempts(), 3, "budget spent before giving up");
+        assert_eq!(backoff.attempt, 3, "budget spent before giving up");
     }
 
     #[test]

@@ -101,16 +101,6 @@ impl IntervalLabeler {
         self.tmpid += 1;
         post
     }
-
-    /// Current value of the shared `dfid` counter (for diagnostics/tests).
-    pub fn dfid(&self) -> u64 {
-        self.dfid
-    }
-
-    /// Current value of the temporary-id counter (for diagnostics/tests).
-    pub fn tmpid(&self) -> u64 {
-        self.tmpid
-    }
 }
 
 #[cfg(test)]
@@ -219,11 +209,11 @@ mod tests {
     fn terminate_releases_tmpid() {
         let mut l = IntervalLabeler::new();
         let _main = l.on_spawn();
-        let t0 = l.tmpid();
+        let t0 = l.tmpid;
         let _c = l.on_spawn();
-        assert_eq!(l.tmpid(), t0 - 1);
+        assert_eq!(l.tmpid, t0 - 1);
         l.on_terminate();
-        assert_eq!(l.tmpid(), t0, "tmpid is released on termination");
+        assert_eq!(l.tmpid, t0, "tmpid is released on termination");
     }
 
     /// Random bracket strings (random depth-first spawn trees): random

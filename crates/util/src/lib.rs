@@ -3,14 +3,14 @@
 //! This crate contains the domain-independent building blocks used by the
 //! dynamic task reachability graph (DTRG) race detector and its substrates:
 //!
-//! * [`unionfind`] — a disjoint-set forest with user payloads attached to set
+//! * `unionfind` — a disjoint-set forest with user payloads attached to set
 //!   representatives, implementing the `Make-Set` / `Union` / `Find-Set`
 //!   interface of the paper (§4.1, "Disjoint set representation of tree
 //!   joins") with path compression and union by rank.
 //! * [`interval`] — the dynamic preorder/postorder *interval labeling* of the
 //!   spawn tree (§4.1, "Interval encoding of spawn tree"), including the
 //!   temporary-postorder scheme of Algorithms 1–3.
-//! * [`fxhash`] — an FxHash-style hasher plus map/set aliases keyed by small
+//! * `fxhash` — an FxHash-style hasher plus map/set aliases keyed by small
 //!   integers; shadow-memory lookups dominate detector cost, so the default
 //!   SipHash tables are replaced throughout.
 //! * [`ids`] — strongly-typed identifiers shared by all crates
@@ -45,17 +45,15 @@
 
 pub mod crc32;
 pub mod faultinject;
-pub mod fxhash;
+pub(crate) mod fxhash;
 pub mod ids;
 pub mod interval;
 pub mod propcheck;
 pub mod rng;
 pub mod stats;
 pub mod strided;
-pub mod unionfind;
+pub(crate) mod unionfind;
 pub mod wire;
 
 pub use fxhash::{FxHashMap, FxHashSet};
-pub use ids::{FinishId, LocId, StepId, TaskId};
-pub use interval::{Interval, IntervalLabeler};
 pub use unionfind::UnionFind;

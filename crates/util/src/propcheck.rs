@@ -90,7 +90,7 @@ impl Config {
 
     /// The exact command line (environment variable plus suite invocation,
     /// when known) that replays the failing case with this seed.
-    pub fn replay_invocation(&self, seed: u64) -> String {
+    pub(crate) fn replay_invocation(&self, seed: u64) -> String {
         match self.suite {
             Some(suite) => format!("FUTRACE_PROPCHECK_SEED={seed:#x} {suite}"),
             None => format!("FUTRACE_PROPCHECK_SEED={seed:#x}"),
@@ -265,7 +265,6 @@ where
 pub mod strategies {
     use super::Strategy;
     use crate::rng::Rng;
-    use std::fmt::Debug;
     use std::marker::PhantomData;
     use std::ops::Range;
 
@@ -441,47 +440,6 @@ pub mod strategies {
         }
         fn shrink(&self, r: &S::Repr) -> Vec<S::Repr> {
             self.inner.shrink(r)
-        }
-    }
-
-    /// A strategy defined by a pair of closures — an escape hatch for
-    /// bespoke value types (e.g. operation enums in model-based tests).
-    pub struct FromFn<R, G, H> {
-        gen_fn: G,
-        shrink_fn: H,
-        _marker: PhantomData<R>,
-    }
-
-    /// `from_fn(gen, shrink)`: `Repr = Value = R`.
-    pub fn from_fn<R, G, H>(gen_fn: G, shrink_fn: H) -> FromFn<R, G, H>
-    where
-        R: Clone + Debug,
-        G: Fn(&mut Rng) -> R,
-        H: Fn(&R) -> Vec<R>,
-    {
-        FromFn {
-            gen_fn,
-            shrink_fn,
-            _marker: PhantomData,
-        }
-    }
-
-    impl<R, G, H> Strategy for FromFn<R, G, H>
-    where
-        R: Clone + Debug,
-        G: Fn(&mut Rng) -> R,
-        H: Fn(&R) -> Vec<R>,
-    {
-        type Repr = R;
-        type Value = R;
-        fn generate(&self, rng: &mut Rng) -> R {
-            (self.gen_fn)(rng)
-        }
-        fn realize(&self, r: &R) -> R {
-            r.clone()
-        }
-        fn shrink(&self, r: &R) -> Vec<R> {
-            (self.shrink_fn)(r)
         }
     }
 

@@ -14,8 +14,7 @@
 use std::ops::{Range, RangeInclusive};
 
 /// One step of the splitmix64 sequence: advances `state` and returns the
-/// next output. Used for seed expansion ([`Rng::seeded`]) and stream
-/// splitting ([`split_seeds`]).
+/// next output. Used for seed expansion ([`Rng::seeded`]).
 #[inline]
 pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -67,15 +66,9 @@ impl Rng {
         result
     }
 
-    /// Next 32 random bits (upper half of [`Rng::next_u64`]).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -98,7 +91,7 @@ impl Rng {
 
     /// Fills `buf` with random bytes (little-endian chunks of
     /// [`Rng::next_u64`]).
-    pub fn fill(&mut self, buf: &mut [u8]) {
+    pub(crate) fn fill(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
         for chunk in &mut chunks {
             chunk.copy_from_slice(&self.next_u64().to_le_bytes());
@@ -178,16 +171,16 @@ pub fn fill_bytes(seed: u64, buf: &mut [u8]) {
     rng.fill(buf);
 }
 
-/// Splits one seed into `n` independent stream seeds via splitmix64, so
-/// parallel workload pieces don't share an RNG.
-pub fn split_seeds(seed: u64, n: usize) -> Vec<u64> {
-    let mut state = seed;
-    (0..n).map(|_| splitmix64(&mut state)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rng {
+        /// Next 32 random bits (upper half of [`Rng::next_u64`]).
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+    }
 
     #[test]
     fn seeded_is_deterministic() {
@@ -230,14 +223,6 @@ mod tests {
         fill_bytes(9, &mut short);
         fill_bytes(9, &mut long);
         assert_eq!(short[..], long[..13]);
-    }
-
-    #[test]
-    fn split_seeds_unique() {
-        let seeds = split_seeds(42, 100);
-        let set: std::collections::HashSet<u64> = seeds.iter().copied().collect();
-        assert_eq!(set.len(), 100);
-        assert_eq!(seeds, split_seeds(42, 100));
     }
 
     #[test]
@@ -321,18 +306,6 @@ mod tests {
         assert_eq!(
             buf,
             [0x3D, 0x91, 0xAE, 0x2A, 0x00, 0x1A, 0x2C, 0x0E, 0x14, 0x9E, 0x4E, 0xFA]
-        );
-    }
-
-    #[test]
-    fn golden_split_seeds() {
-        assert_eq!(
-            split_seeds(1, 3),
-            [
-                0x910A_2DEC_8902_5CC1,
-                0xBEEB_8DA1_658E_EC67,
-                0xF893_A2EE_FB32_555E,
-            ]
         );
     }
 }

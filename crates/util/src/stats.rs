@@ -60,21 +60,6 @@ impl Moments {
         }
     }
 
-    /// Sample variance (`n-1` denominator); 0.0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            return 0.0;
-        }
-        let n = self.count as f64;
-        let spread = self.sum_sq as f64 - (self.sum as f64) * (self.sum as f64) / n;
-        spread.max(0.0) / (n - 1.0)
-    }
-
-    /// Smallest sample (None if empty).
-    pub fn min(&self) -> Option<u32> {
-        (self.count > 0).then_some(self.min)
-    }
-
     /// Largest sample (None if empty).
     pub fn max(&self) -> Option<u32> {
         (self.count > 0).then_some(self.max)
@@ -92,7 +77,7 @@ impl Moments {
 }
 
 /// [`Moments`] with the small samples counted per value: pushing a sample
-/// below [`Tally::SMALL`] is one increment, where [`Moments::push`] is
+/// below `Tally::SMALL` is one increment, where [`Moments::push`] is
 /// five read-modify-writes. [`Tally::moments`] folds the counts back into
 /// exact moments; larger samples go straight to them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -103,7 +88,7 @@ pub struct Tally {
 
 impl Tally {
     /// Samples below this are counted per value.
-    pub const SMALL: usize = 4;
+    pub(crate) const SMALL: usize = 4;
 
     /// Adds one sample.
     #[inline]
@@ -158,7 +143,7 @@ impl Timer {
     }
 
     /// Elapsed time since `start`.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
 
@@ -182,7 +167,7 @@ impl Timer {
 /// # Panics
 ///
 /// Panics if `p > 100`.
-pub fn nearest_rank<T: Copy>(sorted: &[T], p: u32) -> Option<T> {
+pub(crate) fn nearest_rank<T: Copy>(sorted: &[T], p: u32) -> Option<T> {
     assert!(p <= 100, "percentile must be in 0..=100, got {p}");
     let n = sorted.len();
     if n == 0 {
@@ -247,6 +232,23 @@ pub fn mean_time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Moments {
+        /// Sample variance (`n-1` denominator); 0.0 with fewer than two samples.
+        fn variance(&self) -> f64 {
+            if self.count < 2 {
+                return 0.0;
+            }
+            let n = self.count as f64;
+            let spread = self.sum_sq as f64 - (self.sum as f64) * (self.sum as f64) / n;
+            spread.max(0.0) / (n - 1.0)
+        }
+
+        /// Smallest sample (None if empty).
+        fn min(&self) -> Option<u32> {
+            (self.count > 0).then_some(self.min)
+        }
+    }
 
     #[test]
     fn empty_moments() {

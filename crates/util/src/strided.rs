@@ -60,7 +60,7 @@ impl<T: Default> StridedCells<T> {
 
     /// True iff `loc` belongs to this shard.
     #[inline]
-    pub fn owns(&self, loc: LocId) -> bool {
+    pub(crate) fn owns(&self, loc: LocId) -> bool {
         loc.0 % self.shards == self.shard
     }
 
@@ -113,13 +113,9 @@ impl<T: Default> StridedCells<T> {
     }
 
     /// Cells held: the owned locations below the extent.
+    #[allow(clippy::len_without_is_empty)] // no caller asks for emptiness
     pub fn len(&self) -> usize {
         self.cells.len()
-    }
-
-    /// True if no cell is held.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
     }
 
     /// One past the highest location covered, over all shards: the

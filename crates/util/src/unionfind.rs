@@ -52,16 +52,6 @@ impl<P> UnionFind<P> {
         }
     }
 
-    /// Number of elements ever created with [`UnionFind::make_set`].
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// True if no element has been created yet.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
     /// `Make-Set(x)`: creates a fresh singleton set with the given payload
     /// and returns its key. Keys are dense and handed out in creation order,
     /// so callers can use task ids directly.
@@ -168,17 +158,19 @@ impl<P> UnionFind<P> {
             .enumerate()
             .filter_map(|(i, p)| p.as_ref().map(|p| (i, p)))
     }
-
-    /// Number of distinct sets currently in the forest.
-    pub fn set_count(&self) -> usize {
-        self.payload.iter().filter(|p| p.is_some()).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::propcheck::{self, strategies, Config};
+
+    impl<P> UnionFind<P> {
+        /// Number of distinct sets currently in the forest.
+        fn set_count(&self) -> usize {
+            self.payload.iter().filter(|p| p.is_some()).count()
+        }
+    }
 
     #[test]
     fn singletons_are_their_own_reps() {

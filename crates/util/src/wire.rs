@@ -152,13 +152,6 @@ impl<'a> SliceWriter<'a> {
         self.out[self.pos..self.pos + bytes.len()].copy_from_slice(bytes);
         self.pos += bytes.len();
     }
-
-    /// Writes an `f64` by its bit pattern, reserving its own room.
-    pub fn put_f64(&mut self, v: f64) {
-        self.reserve(8);
-        self.out[self.pos..self.pos + 8].copy_from_slice(&v.to_bits().to_le_bytes());
-        self.pos += 8;
-    }
 }
 
 impl Drop for SliceWriter<'_> {
@@ -260,6 +253,15 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SliceWriter<'_> {
+        /// Writes an `f64` by its bit pattern, reserving its own room.
+        fn put_f64(&mut self, v: f64) {
+            self.reserve(8);
+            self.out[self.pos..self.pos + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+            self.pos += 8;
+        }
+    }
 
     #[test]
     fn varint_roundtrip_edges() {

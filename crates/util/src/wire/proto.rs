@@ -34,7 +34,7 @@
 //! (varints, length-prefixed strings). The CRC is the same slicing-by-16
 //! IEEE CRC-32 ([`crate::crc32`]) the framed trace format uses, so a
 //! flipped bit anywhere in a frame is detected before the body is
-//! decoded. `len` is bounded by [`MAX_FRAME_LEN`] so a hostile or
+//! decoded. `len` is bounded by `MAX_FRAME_LEN` so a hostile or
 //! garbage length prefix cannot make the reader allocate unbounded
 //! memory.
 
@@ -46,10 +46,10 @@ use std::io::{self, Read, Write};
 /// Hard cap on a frame's payload length (16 MiB). Trace chunks default to
 /// 64 KiB, so this is generous headroom; anything larger is treated as a
 /// corrupt length prefix, not an allocation request.
-pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Frame header length: payload length + CRC-32, both fixed-width LE.
-pub const FRAME_HEADER_LEN: usize = 8;
+pub(crate) const FRAME_HEADER_LEN: usize = 8;
 
 /// Structured error category carried by [`Message::Error`] frames.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,7 +197,7 @@ const KIND_BUSY: u8 = 21;
 
 impl Message {
     /// Encodes the message payload (kind byte + body, no frame header).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    pub(crate) fn encode_payload(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         match self {
             Message::Open {
@@ -265,7 +265,7 @@ impl Message {
 
     /// Decodes a message payload. Strict: unknown kinds, malformed
     /// fields, and trailing garbage are all [`WireError`]s, never panics.
-    pub fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
+    pub(crate) fn decode_payload(payload: &[u8]) -> Result<Message, WireError> {
         let (&kind, body) = payload
             .split_first()
             .ok_or(WireError::Truncated("message kind"))?;
@@ -340,7 +340,7 @@ pub enum ProtoError {
     Truncated(&'static str),
     /// The frame was structurally invalid.
     Malformed(&'static str),
-    /// The length prefix exceeds [`MAX_FRAME_LEN`].
+    /// The length prefix exceeds `MAX_FRAME_LEN`.
     TooLarge(u32),
     /// The payload failed its CRC.
     Crc {
@@ -432,7 +432,7 @@ pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<()> {
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
 /// between messages); EOF anywhere *inside* a frame is
 /// [`ProtoError::Truncated`]. The payload allocation is bounded by
-/// [`MAX_FRAME_LEN`], checked before allocating.
+/// `MAX_FRAME_LEN`, checked before allocating.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Message>, ProtoError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;

@@ -43,7 +43,7 @@
 //!   consume the serial-elision event stream, driven either by a serial
 //!   execution ([`runtime::run_serial`]) or, while the program runs on
 //!   the work-stealing pool, by the canonical walker
-//!   ([`runtime::run_online`]).
+//!   ([`runtime::online::run_online`]).
 //!
 //! ```
 //! use futrace::prelude::*;
@@ -99,7 +99,7 @@ pub use futrace_util as util;
 /// The two driving surfaces are [`Analyze`] (every source, every
 /// backend, one outcome shape) and [`runtime::Monitor`] (custom analyses
 /// over the serial-elision stream, driven by [`runtime::run_serial`] or
-/// [`runtime::run_online`]). For one detector run over a program,
+/// [`runtime::online::run_online`]). For one detector run over a program,
 /// `Analyze::program(f).run()` returns races, statistics and footprint
 /// together.
 pub mod prelude {

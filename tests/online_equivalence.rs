@@ -11,10 +11,14 @@
 use futrace::benchsuite::randomprog::{execute, generate, GenParams, Program};
 use futrace::benchsuite::registry::{self, Scale};
 use futrace::prelude::*;
+use futrace::runtime::EventLog;
 use futrace::util::propcheck::{self, strategies, Config};
 
 /// 256 cases per family, matching the serial oracle propcheck.
 const CASES: u32 = 256;
+
+/// Cases per family of the event-for-event stream property.
+const STREAM_CASES: u32 = 64;
 
 /// Serial verdict for a generated program.
 fn serial_verdict(prog: &Program) -> AnalysisOutcome {
@@ -118,6 +122,42 @@ fn online_matches_serial_future_heavy() {
     propcheck::check(&Config::with_cases(CASES), &strategies::any_u64(), |seed| {
         check_seed(seed, &GenParams::future_heavy());
     });
+}
+
+/// The walker's canonical stream equals the serial elision's event for
+/// event, at 1, 2 and 4 threads and under a seeded steal order: every
+/// task, finish, join, allocation and access, in the same order.
+fn check_stream(seed: u64, params: &GenParams) {
+    let prog = generate(seed, params);
+    let mut want = EventLog::new();
+    run_serial(&mut want, |ctx| {
+        execute(ctx, &prog);
+    });
+    for (threads, steal_seed) in [(1, None), (2, None), (4, None), (4, Some(seed))] {
+        let mut log = EventLog::new();
+        let opts = OnlineOptions { threads, steal_seed };
+        let run = run_online(opts, &mut log, |ctx| {
+            execute(ctx, &prog);
+        });
+        let context = format!("seed {seed} threads {threads} steal_seed {steal_seed:?}");
+        assert!(run.result.is_ok(), "online run failed: {context}");
+        assert_eq!(log.events, want.events, "stream diverged: {context}");
+    }
+}
+
+#[test]
+fn online_stream_equals_serial_stream_event_for_event() {
+    for params in [
+        GenParams::default(),
+        GenParams::nontree_heavy(),
+        GenParams::future_heavy(),
+    ] {
+        propcheck::check(
+            &Config::with_cases(STREAM_CASES),
+            &strategies::any_u64(),
+            |seed| check_stream(seed, &params),
+        );
+    }
 }
 
 /// Every registry workload, clean and (where available) with a planted
