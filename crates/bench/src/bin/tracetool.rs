@@ -67,10 +67,10 @@ const EXIT_CODES: &str = "\
 exit codes:
   0  clean — no races, no damage; also a corpus run suspended by
      --stop-after-jobs (rerun the same command to resume)
-  1  invalid or damaged trace; for corpus: any analyze/compare job
-     failed, was poisoned, or never completed, or the run aborted; for
-     serve: the listen socket failed or a drained session errored; for
-     client: connection, trace, or daemon-reported failure
+  1  invalid or damaged trace; for corpus: any analyze job failed or
+     never completed, or the run aborted; for serve: the listen socket
+     failed or a drained session errored; for client: connection,
+     trace, or daemon-reported failure
   2  usage error
   3  determinacy races detected by analyze or exec, or reported to client by
      the daemon's final verdict; for corpus: the reference detector
@@ -724,7 +724,7 @@ fn fuzz(mut opts: FuzzOptions, args: FuzzArgs) {
     );
 }
 
-/// DAG-scheduled batch analysis over a directory of traces; exits with
+/// Batch analysis of a directory of traces on a worker pool; exits with
 /// the corpus verdict ([`futrace_corpus::ExitVerdict`]).
 fn corpus(dir: &str, opts: &CorpusOptions) {
     let outcome = match run_corpus(std::path::Path::new(dir), opts) {

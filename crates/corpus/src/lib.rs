@@ -1,12 +1,11 @@
 //! # futrace-corpus — fleet-scale batch analysis
 //!
 //! Turns "analyze a trace" into "operate a fleet of analyses": discover
-//! every `.ftrc` under a directory, build a job DAG (per-trace ×
-//! per-detector analyze jobs → a per-trace compare job → one final
-//! aggregate job), execute it on a std-only worker pool with a
-//! `max_parallel` cap and a continue-vs-abort failure policy, persist
-//! per-job completion in a CRC-framed manifest so a killed run resumes
-//! by skipping finished work, and emit one deterministic JSON +
+//! every `.ftrc` under a directory, run one analyze job per trace ×
+//! detector on a std-only worker pool with a `max_parallel` cap and a
+//! continue-vs-abort failure policy, persist each job's outcome in a
+//! CRC-framed manifest so a killed run resumes by skipping finished
+//! work, and once the pool drains emit one deterministic JSON +
 //! markdown report (agreement matrix vs the DTRG reference, verdict
 //! drift, damaged-trace inventory, corpus percentiles).
 //!
@@ -22,24 +21,24 @@
 #![warn(missing_docs)]
 
 pub mod analyze;
-pub(crate) mod dag;
 pub mod detectors;
 pub(crate) mod discover;
 pub(crate) mod manifest;
+mod pool;
 pub(crate) mod report;
 
 pub use analyze::{Analyze, AnalyzeError, DetectorOutcome, DetectorRun};
-pub use dag::{Dag, DagRun, ExecPlan, FailurePolicy, JobId, JobStatus};
 use detectors::{is_detector, is_shardable};
 use discover::TraceEntry;
-use manifest::{JobKind, JobRecord, ManifestError, RecStatus, RunConfig, MANIFEST_FILE};
-use report::{CorpusReport, RunTelemetry};
 use futrace_util::stats::Timer;
+use manifest::{JobRecord, ManifestError, RecStatus, RunConfig, MANIFEST_FILE};
+pub use pool::FailurePolicy;
+use pool::{ExecPlan, JobId, JobStatus};
+use report::CorpusReport;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// File name of the deterministic JSON report inside the output dir.
@@ -55,8 +54,8 @@ pub struct CorpusOptions {
     pub detectors: Vec<String>,
     /// Worker-pool width (≥ 1).
     pub max_parallel: usize,
-    /// Continue past failed jobs (poisoning only their dependents) or
-    /// abort the whole run on the first failure.
+    /// Continue past failed jobs or abort the whole run on the first
+    /// failure.
     pub policy: FailurePolicy,
     /// Shard count for shardable detectors (`dtrg`, `vc`); others always
     /// run serial. `None` = everything serial.
@@ -69,16 +68,16 @@ pub struct CorpusOptions {
     pub lenient: bool,
     /// Ignore (truncate) any existing manifest instead of resuming.
     pub fresh: bool,
-    /// Suspend dispatch after this many job completions — the
+    /// Suspend dispatch after this many analyze-job completions — the
     /// deterministic kill-midway hook for resume tests.
     pub stop_after_jobs: Option<u64>,
     /// Per-job wall-clock deadline: a job still running past it is
-    /// marked failed (its compare job poisoned) so one wedged trace
-    /// cannot stall the corpus. `None` = no deadline.
+    /// recorded failed (`timed out after Nms`), and its late result is
+    /// discarded. The runner is not killed: it keeps its worker until it
+    /// returns. `None` = no deadline.
     pub job_timeout: Option<std::time::Duration>,
     /// Re-queue a failed or timed-out job up to this many times before
-    /// it settles failed and poisons its dependents (0 = first strike
-    /// settles, the historical behavior).
+    /// it settles failed (0 = the first strike settles).
     pub job_retries: u64,
     /// Output directory for manifest + reports (created if missing).
     pub out_dir: PathBuf,
@@ -145,8 +144,8 @@ impl From<ManifestError> for CorpusError {
 pub enum ExitVerdict {
     /// No races, no failures: exit 0.
     Clean,
-    /// At least one job failed / was poisoned / never completed (or the
-    /// run aborted): exit 1.
+    /// At least one analyze job failed or never completed (or the run
+    /// aborted): exit 1.
     Damage,
     /// The reference detector found races in at least one trace: exit 3.
     Races,
@@ -227,12 +226,6 @@ fn analyze_trace(name: &str, blob: &[u8], opts: &CorpusOptions) -> Result<Detect
     }
 }
 
-enum JobSpec {
-    Analyze { trace: usize, detector: usize },
-    Compare { trace: usize },
-    Aggregate,
-}
-
 /// Runs the whole corpus pipeline. See the module docs; this is the
 /// only entry point the CLI needs.
 pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, CorpusError> {
@@ -262,201 +255,88 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
             None => manifest::ManifestWriter::create(&manifest_path, &config)?,
             Some(m) => {
                 for rec in m.records {
-                    store.insert(
-                        (rec.kind, rec.trace.clone(), rec.detector.clone()),
-                        rec,
-                    );
+                    store.insert((rec.trace.clone(), rec.detector.clone()), rec);
                 }
                 manifest::ManifestWriter::open_append(&manifest_path, m.ignored_tail)?
             }
         }
     };
-
-    // Build the DAG: analyze jobs per (trace, detector), one compare per
-    // trace, one aggregate barrier over everything. Ids are assigned in
-    // discovery × detector order, which (with the executor's lowest-id
-    // dispatch) pins the canonical --max-parallel 1 order.
-    let mut dag = Dag::new();
-    let mut specs = Vec::new();
-    let mut preset = Vec::new();
-    let mut all_ids = Vec::new();
-    // A record resumes a job only if the trace file is unchanged —
-    // length AND content hash, so a same-size rewrite re-runs too.
-    let preset_for = |kind: JobKind, trace: &TraceEntry, det: &str| -> Option<JobStatus> {
-        let rec = store.get(&(kind, trace.rel.clone(), det.to_string()))?;
-        if rec.trace_len != trace.len || rec.trace_crc != trace.crc {
-            return None;
-        }
-        Some(match &rec.status {
-            RecStatus::Ok => JobStatus::Ok,
-            RecStatus::Failed(msg) => JobStatus::Failed(msg.clone()),
-        })
-    };
-    for (ti, trace) in traces.iter().enumerate() {
-        let mut analyze_ids = Vec::new();
-        for (di, det) in opts.detectors.iter().enumerate() {
-            let id = dag.add(&[]);
-            specs.push(JobSpec::Analyze {
-                trace: ti,
-                detector: di,
-            });
-            preset.push(preset_for(JobKind::Analyze, trace, det));
-            analyze_ids.push(id);
-        }
-        let id = dag.add(&analyze_ids);
-        specs.push(JobSpec::Compare { trace: ti });
-        preset.push(preset_for(JobKind::Compare, trace, ""));
-        all_ids.extend(analyze_ids);
-        all_ids.push(id);
-    }
-    let aggregate_id = dag.add_barrier(&all_ids);
-    specs.push(JobSpec::Aggregate);
-    preset.push(None);
-
-    // Drop stale records (changed length or content) so the report
-    // never mixes results from a replaced trace file.
-    store.retain(|(_, rel, _), rec| {
+    // A record resumes its job only if the trace file is unchanged —
+    // length AND content hash, so a same-size rewrite re-runs too. Stale
+    // records are dropped so the report never mixes results from a
+    // replaced trace file.
+    store.retain(|(rel, _), rec| {
         traces
             .iter()
             .find(|t| &t.rel == rel)
             .is_some_and(|t| t.len == rec.trace_len && t.crc == rec.trace_crc)
     });
 
+    // One analyze job per (trace, detector), numbered in discovery ×
+    // detector order, which (with the pool's lowest-id dispatch) pins the
+    // canonical --max-parallel 1 order.
+    let jobs: Vec<(&TraceEntry, &String)> = traces
+        .iter()
+        .flat_map(|t| opts.detectors.iter().map(move |d| (t, d)))
+        .collect();
+    let preset = jobs
+        .iter()
+        .map(|(t, det)| {
+            let rec = store.get(&(t.rel.clone(), det.to_string()))?;
+            Some(match &rec.status {
+                RecStatus::Ok => JobStatus::Ok,
+                RecStatus::Failed(msg) => JobStatus::Failed(msg.clone()),
+            })
+        })
+        .collect();
+    let blank = |id: JobId, status: RecStatus| {
+        let (t, det) = jobs[id];
+        JobRecord {
+            trace: t.rel.clone(),
+            detector: det.clone(),
+            trace_len: t.len,
+            trace_crc: t.crc,
+            status,
+            racy: false,
+            events: 0,
+            cache_hits: 0,
+            wall_ms: 0.0,
+        }
+    };
+
+    let runner = |id: JobId| -> Result<JobRecord, String> {
+        let (t, det) = jobs[id];
+        let timer = Timer::start();
+        let blob = std::fs::read(&t.path).map_err(|e| format!("cannot read trace: {e}"))?;
+        let out = analyze_trace(det, &blob, opts)?;
+        Ok(JobRecord {
+            racy: out.report.has_races(),
+            events: out.engine.events,
+            cache_hits: out.engine.cache_hits,
+            wall_ms: timer.elapsed_ms(),
+            ..blank(id, RecStatus::Ok)
+        })
+    };
+    // The pool calls this once per job it settles, with the live
+    // attempt's outcome only, so the manifest and the store never see a
+    // timed-out runner's late result.
     let store = Mutex::new(store);
     let writer = Mutex::new(writer);
-    let fresh_failure = AtomicBool::new(false);
-    // Per-job runner invocations, so a retried job's manifest record
-    // carries how many attempts its verdict absorbed.
-    let invocations: Vec<std::sync::atomic::AtomicU64> =
-        (0..dag.len()).map(|_| std::sync::atomic::AtomicU64::new(0)).collect();
-    let report_slot: Mutex<Option<CorpusReport>> = Mutex::new(None);
-    let rel_names: Vec<String> = traces.iter().map(|t| t.rel.clone()).collect();
-
-    let record = |rec: JobRecord| -> Result<(), String> {
-        let failed = matches!(rec.status, RecStatus::Failed(_));
-        let err = match &rec.status {
-            RecStatus::Failed(msg) => Some(msg.clone()),
-            RecStatus::Ok => None,
+    let record = |id: JobId, outcome: &Result<JobRecord, String>| -> Result<(), String> {
+        let rec = match outcome {
+            Ok(rec) => rec.clone(),
+            Err(msg) => blank(id, RecStatus::Failed(msg.clone())),
         };
         writer
             .lock()
-            .unwrap()
+            .expect("the manifest writer is only locked to append")
             .append(&rec)
             .map_err(|e| format!("manifest append failed: {e}"))?;
         store
             .lock()
-            .unwrap()
-            .insert((rec.kind, rec.trace.clone(), rec.detector.clone()), rec);
-        if failed {
-            Err(err.unwrap())
-        } else {
-            Ok(())
-        }
-    };
-
-    let runner = |id: JobId| -> Result<(), String> {
-        let prior_attempts = invocations[id].fetch_add(1, Ordering::SeqCst);
-        match &specs[id] {
-            JobSpec::Analyze { trace, detector } => {
-                let t = &traces[*trace];
-                let det = &opts.detectors[*detector];
-                let timer = Timer::start();
-                let mut rec = JobRecord {
-                    kind: JobKind::Analyze,
-                    trace: t.rel.clone(),
-                    detector: det.clone(),
-                    trace_len: t.len,
-                    trace_crc: t.crc,
-                    status: RecStatus::Ok,
-                    racy: false,
-                    races: 0,
-                    events: 0,
-                    skipped_chunks: 0,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    wall_ms: 0.0,
-                    disagreeing: vec![],
-                    retries: prior_attempts,
-                };
-                let result = std::fs::read(&t.path)
-                    .map_err(|e| format!("cannot read trace: {e}"))
-                    .and_then(|blob| {
-                        // A detector panic fails this job with its message,
-                        // recorded like any other failure.
-                        dag::catch_panic(|| analyze_trace(det, &blob, opts))
-                    });
-                match result {
-                    Ok(out) => {
-                        rec.racy = out.report.has_races();
-                        rec.races = out.report.race_count();
-                        rec.events = out.engine.events;
-                        rec.skipped_chunks = out.engine.skipped_chunks;
-                        rec.cache_hits = out.engine.cache_hits;
-                        rec.cache_misses = out.engine.cache_misses;
-                    }
-                    Err(msg) => rec.status = RecStatus::Failed(msg),
-                }
-                rec.wall_ms = timer.elapsed_ms();
-                if matches!(rec.status, RecStatus::Failed(_))
-                    && opts.policy == FailurePolicy::Abort
-                {
-                    fresh_failure.store(true, Ordering::SeqCst);
-                }
-                record(rec)
-            }
-            JobSpec::Compare { trace } => {
-                let t = &traces[*trace];
-                let timer = Timer::start();
-                let st = store.lock().unwrap();
-                let get = |det: &str| {
-                    st.get(&(JobKind::Analyze, t.rel.clone(), det.to_string()))
-                        .cloned()
-                };
-                let ref_rec = get(&reference)
-                    .ok_or_else(|| "reference analyze record missing".to_string())?;
-                let mut disagreeing = Vec::new();
-                for det in &opts.detectors {
-                    let rec = get(det)
-                        .ok_or_else(|| format!("analyze record for {det} missing"))?;
-                    if rec.racy != ref_rec.racy {
-                        disagreeing.push(det.clone());
-                    }
-                }
-                drop(st);
-                record(JobRecord {
-                    kind: JobKind::Compare,
-                    trace: t.rel.clone(),
-                    detector: String::new(),
-                    trace_len: t.len,
-                    trace_crc: t.crc,
-                    status: RecStatus::Ok,
-                    racy: ref_rec.racy,
-                    races: ref_rec.races,
-                    events: ref_rec.events,
-                    skipped_chunks: ref_rec.skipped_chunks,
-                    cache_hits: 0,
-                    cache_misses: 0,
-                    wall_ms: timer.elapsed_ms(),
-                    disagreeing,
-                    retries: prior_attempts,
-                })
-            }
-            JobSpec::Aggregate => {
-                // Barrier: every other job has settled, so the store is
-                // final. Build the deterministic report now.
-                let st = store.lock().unwrap();
-                let rep = report::build(
-                    &rel_names,
-                    &opts.detectors,
-                    &reference,
-                    &st,
-                    fresh_failure.load(Ordering::SeqCst),
-                );
-                drop(st);
-                *report_slot.lock().unwrap() = Some(rep);
-                Ok(())
-            }
-        }
+            .expect("the record store is only locked to insert")
+            .insert((rec.trace.clone(), rec.detector.clone()), rec);
+        Ok(())
     };
 
     let plan = ExecPlan {
@@ -466,46 +346,34 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
         job_timeout: opts.job_timeout,
         job_retries: opts.job_retries,
     };
-    let run = dag::execute(&dag, &plan, preset, runner);
+    let run = pool::execute(&plan, preset, runner, record);
+    let store = store
+        .into_inner()
+        .expect("the record store is only locked to insert");
 
-    let report = report_slot.into_inner().unwrap();
-    let suspended = run.suspended;
-    debug_assert_eq!(
-        report.is_some(),
-        run.status[aggregate_id].is_ok(),
-        "report exists iff the aggregate barrier ran"
-    );
-
+    // A suspended run writes no report: resume to finish it.
+    let report = (!run.suspended).then(|| {
+        let rel_names: Vec<String> = traces.iter().map(|t| t.rel.clone()).collect();
+        report::build(&rel_names, &opts.detectors, &reference, &store, run.aborted)
+    });
     let (report_json, report_md) = match &report {
         Some(rep) => {
             let json_path = opts.out_dir.join(REPORT_JSON);
             let md_path = opts.out_dir.join(REPORT_MD);
             std::fs::write(&json_path, rep.to_json())?;
-            let telemetry = RunTelemetry {
-                jobs_ran: run.ran,
-                jobs_skipped: run.skipped,
-                jobs_retried: run.retried,
-                wall_ms_pct: report::wall_ms_percentiles(&store.lock().unwrap()),
-            };
-            std::fs::write(&md_path, rep.to_markdown(&telemetry))?;
+            std::fs::write(&md_path, rep.to_markdown(&run, &store))?;
             (Some(json_path), Some(md_path))
         }
         None => (None, None),
     };
 
-    let exit = if suspended {
-        ExitVerdict::Clean
-    } else if report.as_ref().is_some_and(|r| r.summary.racy_traces > 0) {
-        ExitVerdict::Races
-    } else if run.aborted
-        || run.any_failed()
-        || report
-            .as_ref()
-            .is_some_and(|r| r.summary.analyze_missing > 0)
-    {
-        ExitVerdict::Damage
-    } else {
-        ExitVerdict::Clean
+    let exit = match &report {
+        None => ExitVerdict::Clean,
+        Some(r) if r.summary.racy_traces > 0 => ExitVerdict::Races,
+        Some(r) if run.aborted || run.any_failed() || r.summary.analyze_missing > 0 => {
+            ExitVerdict::Damage
+        }
+        Some(_) => ExitVerdict::Clean,
     };
 
     Ok(CorpusOutcome {
@@ -513,7 +381,7 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
         jobs_ran: run.ran,
         jobs_skipped: run.skipped,
         jobs_retried: run.retried,
-        suspended,
+        suspended: run.suspended,
         aborted: run.aborted,
         report,
         report_json,

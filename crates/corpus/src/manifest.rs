@@ -35,12 +35,13 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"FMAN";
 // v2 added `trace_crc` to every record (content-hash invalidation).
-// v3 added `retries` (attempts the job's verdict absorbed beyond its
-// first) so retry telemetry survives resume. Old manifests fail with
+// v4 holds analyze records only and drops the fields no reader used
+// (the record kind, `races`, `skipped_chunks`, `cache_misses`,
+// `disagreeing`, `retries`). Old manifests fail with
 // `ManifestError::Version` — v1 records carry no hash to validate
-// against, and a v2 record decoded as v3 would misread its tail;
+// against, and an older record decoded as v4 would misread its fields;
 // `--fresh` is the upgrade path.
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 
 /// Name of the manifest file inside the corpus output directory.
 pub(crate) const MANIFEST_FILE: &str = "corpus.fman";
@@ -59,34 +60,23 @@ pub struct RunConfig {
     pub lenient: bool,
 }
 
-/// Which DAG stage a record came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum JobKind {
-    /// One detector over one trace.
-    Analyze,
-    /// The per-trace agreement job.
-    Compare,
-}
-
 /// Terminal result of a recorded job.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum RecStatus {
     /// The job completed and its result fields are meaningful.
     Ok,
-    /// The job failed deterministically (decode error, detector panic
-    /// surfaced as an error, unreadable file). The message is stable
-    /// across runs, so resume reuses it.
+    /// The job failed (decode error, detector panic, unreadable file,
+    /// or `timed out after Nms`). Resume reuses the failure without
+    /// re-running the job; `--fresh` runs it again.
     Failed(String),
 }
 
-/// One durably-recorded job outcome — the unit of resume.
+/// One durably-recorded analyze-job outcome — the unit of resume.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct JobRecord {
-    /// Stage.
-    pub kind: JobKind,
     /// Trace path relative to the corpus root, `/`-separated.
     pub trace: String,
-    /// Detector name for analyze records; empty for compare records.
+    /// Detector name.
     pub detector: String,
     /// Byte length of the trace file when the job ran. A changed length
     /// invalidates the record (the trace was replaced or repaired).
@@ -97,29 +87,15 @@ pub(crate) struct JobRecord {
     pub trace_crc: u32,
     /// Ok or the failure message.
     pub status: RecStatus,
-    /// Verdict: did this job report races? For compare records, the
-    /// reference detector's verdict.
+    /// Verdict: did this job report races?
     pub racy: bool,
-    /// Race count backing `racy`.
-    pub races: u64,
     /// Events analyzed (0 for a valid-but-empty trace).
     pub events: u64,
-    /// Damaged chunks skipped by a lenient read.
-    pub skipped_chunks: u64,
     /// Detector hot-path cache hits (0 for uncached detectors).
     pub cache_hits: u64,
-    /// Detector hot-path cache misses.
-    pub cache_misses: u64,
     /// Wall-clock milliseconds the job took. Nondeterministic — kept out
     /// of the deterministic JSON report, surfaced in markdown only.
     pub wall_ms: f64,
-    /// Compare records: detectors whose verdict differs from the
-    /// reference (in run order). Empty for analyze records.
-    pub disagreeing: Vec<String>,
-    /// Runner attempts this job's recorded verdict absorbed beyond the
-    /// first (`--job-retries`). Telemetry only — a resumed record's
-    /// retries still count in the report, but never re-run anything.
-    pub retries: u64,
 }
 
 /// Any way loading a manifest can fail.
@@ -234,10 +210,6 @@ impl CursorExt for Cursor<'_> {
 
 fn encode_record(rec: &JobRecord) -> Vec<u8> {
     let mut buf = Vec::new();
-    buf.push(match rec.kind {
-        JobKind::Analyze => 0u8,
-        JobKind::Compare => 1u8,
-    });
     wire::put_str(&mut buf, &rec.trace);
     wire::put_str(&mut buf, &rec.detector);
     wire::put_varint(&mut buf, rec.trace_len);
@@ -253,27 +225,14 @@ fn encode_record(rec: &JobRecord) -> Vec<u8> {
         }
     }
     buf.push(rec.racy as u8);
-    wire::put_varint(&mut buf, rec.races);
     wire::put_varint(&mut buf, rec.events);
-    wire::put_varint(&mut buf, rec.skipped_chunks);
     wire::put_varint(&mut buf, rec.cache_hits);
-    wire::put_varint(&mut buf, rec.cache_misses);
     wire::put_f64(&mut buf, rec.wall_ms);
-    wire::put_varint(&mut buf, rec.disagreeing.len() as u64);
-    for d in &rec.disagreeing {
-        wire::put_str(&mut buf, d);
-    }
-    wire::put_varint(&mut buf, rec.retries);
     buf
 }
 
 fn decode_record(payload: &[u8]) -> Result<JobRecord, WireError> {
     let mut c = Cursor::new(payload);
-    let kind = match c.varint("kind")? {
-        0 => JobKind::Analyze,
-        1 => JobKind::Compare,
-        _ => return Err(WireError::Malformed("kind")),
-    };
     let trace = c.str("trace")?.to_string();
     let detector = c.str("detector")?.to_string();
     let trace_len = c.varint("trace_len")?;
@@ -287,34 +246,19 @@ fn decode_record(payload: &[u8]) -> Result<JobRecord, WireError> {
         _ => return Err(WireError::Malformed("status")),
     };
     let racy = c.varint("racy")? != 0;
-    let races = c.varint("races")?;
     let events = c.varint("events")?;
-    let skipped_chunks = c.varint("skipped_chunks")?;
     let cache_hits = c.varint("cache_hits")?;
-    let cache_misses = c.varint("cache_misses")?;
     let wall_ms = c.f64("wall_ms")?;
-    let n = c.varint("disagreeing count")?;
-    let mut disagreeing = Vec::new();
-    for _ in 0..n {
-        disagreeing.push(c.str("disagreeing")?.to_string());
-    }
-    let retries = c.varint("retries")?;
     Ok(JobRecord {
-        kind,
         trace,
         detector,
         trace_len,
         trace_crc,
         status,
         racy,
-        races,
         events,
-        skipped_chunks,
         cache_hits,
-        cache_misses,
         wall_ms,
-        disagreeing,
-        retries,
     })
 }
 
@@ -431,29 +375,15 @@ mod tests {
 
     fn sample(trace: &str, detector: &str) -> JobRecord {
         JobRecord {
-            kind: if detector.is_empty() {
-                JobKind::Compare
-            } else {
-                JobKind::Analyze
-            },
             trace: trace.into(),
             detector: detector.into(),
             trace_len: 1234,
             trace_crc: 0xDEAD_BEEF,
             status: RecStatus::Ok,
             racy: true,
-            races: 3,
             events: 500,
-            skipped_chunks: 1,
             cache_hits: 42,
-            cache_misses: 7,
             wall_ms: 1.25,
-            disagreeing: if detector.is_empty() {
-                vec!["espbags".into()]
-            } else {
-                vec![]
-            },
-            retries: 2,
         }
     }
 
@@ -468,7 +398,7 @@ mod tests {
         let path = tmp("roundtrip.fman");
         let mut w = ManifestWriter::create(&path, &cfg()).unwrap();
         let a = sample("x/clean.ftrc", "dtrg");
-        let b = sample("x/clean.ftrc", "");
+        let b = sample("x/clean.ftrc", "vc");
         let mut c = sample("y/racy.ftrc", "vc");
         c.status = RecStatus::Failed("decode error".into());
         for r in [&a, &b, &c] {
@@ -550,6 +480,21 @@ mod tests {
             Err(ManifestError::ConfigMismatch { found }) => assert_eq!(found, cfg()),
             other => panic!("expected ConfigMismatch, got {other:?}"),
         }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v3_manifest_is_rejected_with_the_fresh_hint() {
+        let path = tmp("v3.fman");
+        let mut config = encode_config(&cfg());
+        assert_eq!(config[0], VERSION as u8, "a one-byte version varint");
+        config[0] = 3;
+        let mut raw = MAGIC.to_vec();
+        raw.extend_from_slice(&frame_block(&config));
+        std::fs::write(&path, raw).unwrap();
+        let err = load(&path, &cfg()).unwrap_err();
+        assert!(matches!(err, ManifestError::Version(3)), "{err:?}");
+        assert!(err.to_string().contains("rerun with --fresh"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

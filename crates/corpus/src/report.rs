@@ -1,16 +1,17 @@
 //! The corpus aggregate report: one deterministic JSON document plus a
 //! human-oriented markdown rendering.
 //!
-//! Determinism contract (ISSUE 7 acceptance): the JSON must be
-//! byte-identical across `--max-parallel` levels and across kill/resume,
-//! so it contains only corpus facts — verdicts, agreement counts,
-//! deterministic per-trace metrics (event counts, cache hits). Run
-//! telemetry that legitimately varies between executions (wall-clock
-//! percentiles, jobs run vs resumed-skipped) lives only in the markdown.
+//! Determinism contract: the JSON must be byte-identical across
+//! `--max-parallel` levels and across kill/resume, so it contains only
+//! corpus facts — verdicts, agreement counts, deterministic per-trace
+//! metrics (event counts, cache hits). Run telemetry that legitimately
+//! varies between executions (wall-clock percentiles, jobs run vs
+//! resumed-skipped) lives only in the markdown.
 
 #![warn(missing_docs)]
 
-use crate::manifest::{JobKind, JobRecord, RecStatus};
+use crate::manifest::{JobRecord, RecStatus};
+use crate::pool::PoolRun;
 use futrace_util::stats::{percentiles_f64, percentiles_u64, Percentiles};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -111,22 +112,8 @@ pub struct CorpusReport {
     pub cache_hits_pct: Option<Percentiles<u64>>,
 }
 
-/// Execution telemetry for the markdown rendering only (varies between
-/// runs by design).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RunTelemetry {
-    /// Jobs whose runner executed this run.
-    pub jobs_ran: u64,
-    /// Jobs skipped because a resume manifest already recorded them.
-    pub jobs_skipped: u64,
-    /// Retry dispatches absorbed by `--job-retries` this run.
-    pub jobs_retried: u64,
-    /// Wall-ms percentiles over this run's analyze jobs.
-    pub wall_ms_pct: Option<Percentiles<f64>>,
-}
-
-/// Record store keyed by job identity.
-pub(crate) type RecordMap = HashMap<(JobKind, String, String), JobRecord>;
+/// Record store keyed by (trace, detector).
+pub(crate) type RecordMap = HashMap<(String, String), JobRecord>;
 
 /// Builds the aggregate from the settled record store.
 ///
@@ -140,9 +127,7 @@ pub(crate) fn build(
     records: &RecordMap,
     aborted: bool,
 ) -> CorpusReport {
-    let analyze = |trace: &str, det: &str| {
-        records.get(&(JobKind::Analyze, trace.to_string(), det.to_string()))
-    };
+    let analyze = |trace: &str, det: &str| records.get(&(trace.to_string(), det.to_string()));
     let mut summary = Summary::default();
     let mut matrix: Vec<MatrixRow> = detectors
         .iter()
@@ -383,8 +368,9 @@ impl CorpusReport {
     }
 
     /// Renders the markdown report: the JSON facts plus this run's
-    /// telemetry (wall-ms percentiles, resume stats).
-    pub(crate) fn to_markdown(&self, telemetry: &RunTelemetry) -> String {
+    /// telemetry (wall-ms percentiles over the ok `records`, and `run`'s
+    /// job counts).
+    pub(crate) fn to_markdown(&self, run: &PoolRun, records: &RecordMap) -> String {
         let mut o = String::new();
         o.push_str("# Corpus report\n\n");
         let s = &self.summary;
@@ -472,7 +458,12 @@ impl CorpusReport {
         if let Some(p) = &self.cache_hits_pct {
             let _ = writeln!(o, "| dtrg cache hits | {} | {} | {} |", p.p50, p.p90, p.p99);
         }
-        if let Some(p) = &telemetry.wall_ms_pct {
+        let wall_ms: Vec<f64> = records
+            .values()
+            .filter(|r| r.status == RecStatus::Ok)
+            .map(|r| r.wall_ms)
+            .collect();
+        if let Some(p) = percentiles_f64(&wall_ms) {
             let _ = writeln!(
                 o,
                 "| wall ms / analyze job | {:.3} | {:.3} | {:.3} |",
@@ -484,50 +475,34 @@ impl CorpusReport {
             o,
             "jobs run: {}; resumed (skipped via manifest): {}; \
              retries absorbed: {}\n",
-            telemetry.jobs_ran, telemetry.jobs_skipped, telemetry.jobs_retried
+            run.ran, run.skipped, run.retried
         );
         o
     }
-}
-
-/// Wall-ms percentiles over a record set (markdown telemetry).
-pub(crate) fn wall_ms_percentiles(records: &RecordMap) -> Option<Percentiles<f64>> {
-    let samples: Vec<f64> = records
-        .values()
-        .filter(|r| r.kind == JobKind::Analyze && r.status == RecStatus::Ok)
-        .map(|r| r.wall_ms)
-        .collect();
-    percentiles_f64(&samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rec(trace: &str, det: &str, racy: bool, events: u64) -> ((JobKind, String, String), JobRecord) {
+    fn rec(trace: &str, det: &str, racy: bool, events: u64) -> ((String, String), JobRecord) {
         (
-            (JobKind::Analyze, trace.into(), det.into()),
+            (trace.into(), det.into()),
             JobRecord {
-                kind: JobKind::Analyze,
                 trace: trace.into(),
                 detector: det.into(),
                 trace_len: 10,
                 trace_crc: 0,
                 status: RecStatus::Ok,
                 racy,
-                races: racy as u64,
                 events,
-                skipped_chunks: 0,
                 cache_hits: events / 2,
-                cache_misses: 1,
                 wall_ms: 0.5,
-                disagreeing: vec![],
-                retries: 0,
             },
         )
     }
 
-    fn failed(trace: &str, det: &str, msg: &str) -> ((JobKind, String, String), JobRecord) {
+    fn failed(trace: &str, det: &str, msg: &str) -> ((String, String), JobRecord) {
         let (k, mut r) = rec(trace, det, false, 0);
         r.status = RecStatus::Failed(msg.into());
         (k, r)
@@ -598,12 +573,15 @@ mod tests {
             records.insert(k, v);
         }
         let rep = build(&traces, &detectors, "dtrg", &records, false);
-        let md = rep.to_markdown(&RunTelemetry {
-            jobs_ran: 3,
-            jobs_skipped: 1,
-            jobs_retried: 2,
-            wall_ms_pct: None,
-        });
+        let run = PoolRun {
+            status: vec![],
+            ran: 3,
+            skipped: 1,
+            aborted: false,
+            suspended: false,
+            retried: 2,
+        };
+        let md = rep.to_markdown(&run, &records);
         for section in [
             "# Corpus report",
             "## Summary",
@@ -616,5 +594,6 @@ mod tests {
             assert!(md.contains(section), "missing {section}");
         }
         assert!(md.contains("resumed (skipped via manifest): 1"));
+        assert!(md.contains("| wall ms / analyze job | 0.500 |"));
     }
 }

@@ -1,8 +1,9 @@
 //! Corpus determinism: the aggregated JSON report must be byte-identical
 //! whatever the worker-pool width, and a run killed midway must resume
 //! from its manifest to the exact same bytes an uninterrupted run
-//! produces. The markdown report is allowed to vary (it carries run
-//! telemetry); the JSON is the contract.
+//! produces. Over the committed fixtures those bytes are pinned in
+//! `tests/data/corpus/report.json`. The markdown report is allowed to
+//! vary (it carries run telemetry); the JSON is the contract.
 
 use futrace_benchsuite::registry::{self, Scale};
 use futrace_corpus::{run_corpus, CorpusOptions, ExitVerdict, FailurePolicy};
@@ -10,6 +11,7 @@ use futrace_offline::framed::DEFAULT_CHUNK_BYTES;
 use futrace_offline::StreamWriter;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -21,13 +23,13 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-fn record(dir: &Path, name: &str, bench: &str, planted: bool) {
+fn record(dir: &Path, name: &str, bench: &str, scale: Scale, planted: bool) {
     let file = std::fs::File::create(dir.join(name)).expect("create trace");
     let mut w = StreamWriter::with_chunk_bytes(BufWriter::new(file), DEFAULT_CHUNK_BYTES)
         .expect("trace header");
     registry::find(bench)
         .expect("known bench")
-        .run_into(&mut w, Scale::Tiny, planted);
+        .run_into(&mut w, scale, planted);
     w.finish().expect("finish trace");
 }
 
@@ -35,9 +37,9 @@ fn record(dir: &Path, name: &str, bench: &str, planted: bool) {
 /// header-only empty, one truncated (damaged).
 fn build_corpus(root: &Path) {
     std::fs::create_dir_all(root.join("sub")).unwrap();
-    record(root, "futlist_clean.ftrc", "futlist", false);
-    record(&root.join("sub"), "graphwalk_clean.ftrc", "graphwalk", false);
-    record(root, "prodcons_racy.ftrc", "prodcons", true);
+    record(root, "futlist_clean.ftrc", "futlist", Scale::Tiny, false);
+    record(&root.join("sub"), "graphwalk_clean.ftrc", "graphwalk", Scale::Tiny, false);
+    record(root, "prodcons_racy.ftrc", "prodcons", Scale::Tiny, true);
     std::fs::write(root.join("empty.ftrc"), b"FTRC\x02").unwrap();
     let full = std::fs::read(root.join("futlist_clean.ftrc")).unwrap();
     std::fs::write(root.join("truncated.ftrc"), &full[..40.min(full.len())]).unwrap();
@@ -159,5 +161,86 @@ fn fresh_discards_the_manifest_and_reruns_everything() {
     let second = run_corpus(&root, &o2).expect("fresh rerun");
     assert_eq!(second.jobs_skipped, 0, "--fresh must ignore the manifest");
     assert_eq!(second.jobs_ran, total);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// The corpus CI runs: every committed fixture, the first 60 bytes of
+/// `prodcons_clean.ftrc` as `truncated.ftrc`, and a header-only
+/// `empty.ftrc`.
+fn build_fixture_corpus(root: &Path) {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data");
+    for entry in std::fs::read_dir(&data).expect("fixture dir") {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "ftrc") {
+            std::fs::copy(&path, root.join(path.file_name().unwrap())).unwrap();
+        }
+    }
+    let clean = std::fs::read(data.join("prodcons_clean.ftrc")).unwrap();
+    std::fs::write(root.join("truncated.ftrc"), &clean[..60]).unwrap();
+    std::fs::write(root.join("empty.ftrc"), b"FTRC\x02").unwrap();
+}
+
+#[test]
+fn fixture_corpus_report_matches_the_committed_golden() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/corpus/report.json");
+    let golden = std::fs::read_to_string(golden).expect("read the golden report");
+    let root = scratch("golden");
+    build_fixture_corpus(&root);
+    // All seven detectors, as `CorpusOptions::new` defaults.
+    for mp in [1usize, 4] {
+        let mut o = CorpusOptions::new(root.join(format!("out{mp}")));
+        o.max_parallel = mp;
+        let out = run_corpus(&root, &o).expect("corpus run");
+        assert_eq!(out.exit, ExitVerdict::Races, "max_parallel {mp}");
+        let got = std::fs::read_to_string(out.report_json.expect("json path")).unwrap();
+        assert_eq!(got, golden, "max_parallel {mp}");
+    }
+
+    let mut o = CorpusOptions::new(root.join("resumed"));
+    o.stop_after_jobs = Some(5);
+    let first = run_corpus(&root, &o).expect("suspended run");
+    assert!(first.suspended);
+    o.stop_after_jobs = None;
+    let second = run_corpus(&root, &o).expect("resumed run");
+    assert_eq!(second.jobs_skipped, 5);
+    let got = std::fs::read_to_string(second.report_json.expect("json path")).unwrap();
+    assert_eq!(got, golden, "after suspend and resume");
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_timed_out_job_is_recorded_failed_at_every_width_and_across_resume() {
+    let root = scratch("timeout");
+    // Scaled jacobi: over a million events, whose analysis far outlasts
+    // the 1 ms deadline.
+    record(&root, "jacobi.ftrc", "jacobi", Scale::Scaled, false);
+    let mut jsons = Vec::new();
+    for mp in [1usize, 2] {
+        let mut o = CorpusOptions::new(root.join(format!("out{mp}")));
+        o.detectors = vec!["dtrg".into()];
+        o.max_parallel = mp;
+        o.job_timeout = Some(Duration::from_millis(1));
+        let out = run_corpus(&root, &o).expect("corpus run");
+        assert_eq!(out.exit, ExitVerdict::Damage, "max_parallel {mp}");
+        let rep = out.report.as_ref().expect("a finished run has a report");
+        assert_eq!(rep.summary.analyze_failed, 1, "max_parallel {mp}");
+        let [damaged] = rep.damaged.as_slice() else {
+            panic!("max_parallel {mp}: one damaged trace, got {:?}", rep.damaged);
+        };
+        assert_eq!(
+            damaged.failures,
+            [("dtrg".to_string(), "timed out after 1ms".to_string())],
+            "max_parallel {mp}"
+        );
+        jsons.push(std::fs::read_to_string(out.report_json.expect("json path")).unwrap());
+
+        // The manifest holds the timeout, not the late result: a rerun
+        // resumes the failure without running the job again.
+        let again = run_corpus(&root, &o).expect("resumed run");
+        assert_eq!((again.jobs_ran, again.jobs_skipped), (0, 1), "max_parallel {mp}");
+        assert_eq!(again.exit, ExitVerdict::Damage, "max_parallel {mp}");
+        jsons.push(std::fs::read_to_string(again.report_json.expect("json path")).unwrap());
+    }
+    assert!(jsons.iter().all(|j| *j == jsons[0]), "{jsons:#?}");
     std::fs::remove_dir_all(&root).ok();
 }

@@ -22,8 +22,8 @@
 //!   Smith-Waterman, Strassen) and random-program generators.
 //! * [`offline`] — framed streaming trace format (v2) and the sharded
 //!   offline detection pipeline (serial-identical verdicts on N workers).
-//! * [`corpus`] — fleet-scale batch analysis: DAG-scheduled corpus runs
-//!   over directories of traces, with resume manifests and an aggregated
+//! * [`corpus`] — fleet-scale batch analysis: pooled corpus runs over
+//!   directories of traces, with resume manifests and an aggregated
 //!   agreement report (plus the named-detector registry and the
 //!   [`Analyze`] builder, re-exported here).
 //! * [`service`] — the session layer: live chunk-fed analyses with
