@@ -1450,14 +1450,54 @@ mod tests {
             panic!("expected completion");
         };
         assert_eq!(report.report.races, serial.races);
-        assert!(
-            supervision.watchdog_timeouts >= 1 || supervision.degradations == 1,
-            "stall must be detected: {supervision:?}"
+        assert_eq!(
+            (
+                supervision.shard_restarts,
+                supervision.degradations,
+                supervision.watchdog_timeouts
+            ),
+            (1, 0, 1),
+            "one watchdog expiry, one restart: {supervision:?}"
         );
         assert_eq!(
             stats.per_shard_accesses.iter().sum::<u64>(),
             stats.accesses,
             "stall recovery must not double-apply any batch"
+        );
+    }
+
+    #[test]
+    fn a_late_reply_from_an_abandoned_worker_is_ignored() {
+        // One-event chunks, each 5 ms apart, keep routing going for about
+        // 280 ms, so the stalled incarnation wakes after its replacement
+        // took over and still answers the snapshot request it was sent,
+        // then reports when its input closes. Neither reply may count.
+        let log = racy_log();
+        let serial = serial_report(&log);
+        let mut plan = plan_for_tests(2);
+        plan.watchdog = Duration::from_millis(20);
+        plan.stall_for = Duration::from_millis(60);
+        plan.checkpoint_every_chunks = Some(1);
+        plan.worker_stall = Some(WorkerFault { shard: 0, at_op: 7 });
+        let paced = || {
+            log.events.chunks(1).map(|chunk| {
+                std::thread::sleep(Duration::from_millis(5));
+                Ok::<_, TraceError>(Some(chunk))
+            })
+        };
+        let (report, stats, supervision) =
+            completed(run_supervised(paced, RaceDetector::new, &plan, None).unwrap());
+        assert_eq!(report.report.races, serial.races);
+        assert_eq!(report.report.total_detected, serial.total_detected);
+        assert_eq!(stats.per_shard_accesses.iter().sum::<u64>(), stats.accesses);
+        assert_eq!(
+            (
+                supervision.shard_restarts,
+                supervision.degradations,
+                supervision.watchdog_timeouts
+            ),
+            (1, 0, 1),
+            "{supervision:?}"
         );
     }
 
