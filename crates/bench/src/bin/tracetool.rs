@@ -221,7 +221,7 @@ fn exec(program: BenchProgram, opts: OnlineOptions) {
         eprintln!("reporting the analysis of the executed prefix:");
     }
 
-    print_engine_counters(&outcome.engine);
+    print_engine_counters(&outcome.engine, None);
     println!("{}", run.stats);
 
     println!("\n-- detector --");
@@ -324,9 +324,21 @@ fn print_report(name: &str, report: &AnyReport) -> bool {
     }
 }
 
-fn print_engine_counters(counters: &EngineCounters) {
+/// Prints the `-- engine --` block: the engine counters, then what the
+/// supervisor recovered, only when it did, so the line CI diffs for a
+/// clean run is unchanged.
+fn print_engine_counters(counters: &EngineCounters, supervision: Option<&SupervisionReport>) {
     println!("\n-- engine --");
-    println!("{counters}");
+    print!("{counters}");
+    if let Some(s) = supervision
+        .filter(|s| s.shard_restarts + s.degradations + s.resumed_from_checkpoint > 0)
+    {
+        print!(
+            "; supervision: {} restart(s), {} degradation(s), {} resume(s)",
+            s.shard_restarts, s.degradations, s.resumed_from_checkpoint
+        );
+    }
+    println!();
 }
 
 /// Reads the `--resume` checkpoint and checks it fits this trace and
@@ -469,7 +481,7 @@ fn analyze(args: AnalyzeArgs) {
     if let Some(s) = &out.sharding {
         print_sharding(s, out.supervision.as_ref());
     }
-    print_engine_counters(&out.engine);
+    print_engine_counters(&out.engine, out.supervision.as_ref());
     if out.sharding.is_none() {
         if let AnyReport::Dtrg(r) = &out.report {
             println!("\n-- detector --");

@@ -117,8 +117,8 @@ pub struct DetectorOutcome {
     /// The detector's report.
     pub report: AnyReport,
     /// Engine counters: events consumed, checks performed, wall time,
-    /// cache hit/miss totals (DTRG only), damaged chunks a lenient read
-    /// dropped, and any supervision suffix.
+    /// cache hit/miss totals (DTRG only), and damaged chunks a lenient
+    /// read dropped.
     pub engine: EngineCounters,
     /// Sharded-pipeline accounting, when the shard stage ran.
     pub sharding: Option<ShardStats>,
@@ -610,7 +610,7 @@ impl Options {
                 supervision,
             } => DetectorRun::Completed(DetectorOutcome {
                 report: erase(report),
-                engine: stats.engine_counters(&supervision, timer.elapsed_ms()),
+                engine: stats.engine_counters(timer.elapsed_ms()),
                 sharding: Some(stats),
                 // A clean plain run has nothing to report; a degraded one
                 // says so.

@@ -18,8 +18,7 @@ pub struct AnalysisOutcome {
     /// Theorem 1's space bound, measured at the end of the run.
     pub footprint: MemoryFootprint,
     /// Engine counters: events consumed, checks performed, wall time,
-    /// cache hit/miss totals, damaged chunks a lenient read dropped, and
-    /// any supervision suffix.
+    /// cache hit/miss totals, and damaged chunks a lenient read dropped.
     pub engine: EngineCounters,
     /// Sharded-pipeline accounting, when the shard stage ran.
     pub sharding: Option<ShardStats>,

@@ -41,15 +41,17 @@
 //!
 //! ## Supervision
 //!
-//! * **Workers are spawned detached** (`std::thread::spawn`, not a scope)
-//!   with the analysis loop under `catch_unwind`, so a worker panic
-//!   becomes a `FromWorker::Died` message instead of a process abort,
-//!   and a wedged worker can be *abandoned* — the supervisor drops its
-//!   sender and moves on, which a scoped join could never do.
-//! * **The watchdog** bounds every wait: routing uses
-//!   [`crate::channel::Sender::send_timeout`], collection uses
-//!   [`crate::channel::Receiver::recv_timeout`]. A deadline expiring means
-//!   a worker is stalled; it is treated exactly like a dead one.
+//! * **Workers are spawned detached** (`std::thread::spawn`, not a scope),
+//!   and each incarnation has its own input and its own reply channel.
+//!   A worker panic unwinds its thread and drops both, so the supervisor
+//!   sees a disconnected channel instead of a process abort. A wedged
+//!   worker can be *abandoned*: the supervisor drops both channels and
+//!   moves on, which a scoped join could never do, and the old
+//!   incarnation's late replies then have nowhere to go.
+//! * **The watchdog** bounds every wait: sends use
+//!   [`crate::channel::Sender::send_timeout`], and waits for replies use
+//!   `Receiver::recv_timeout`. A deadline expiring means a worker is
+//!   stalled; it is treated exactly like a dead one.
 //! * **Restart-from-snapshot**: at chunk boundaries the supervisor can
 //!   barrier-snapshot every worker. A shard's first snapshot is full
 //!   ([`Checkpointable::save_state`]); later ones are deltas
@@ -100,7 +102,6 @@ use futrace_runtime::engine::{run_analysis, source, Checkpointable, EngineCounte
 use futrace_runtime::Event;
 use futrace_util::faultinject::{FaultPlan, WorkerFault};
 use futrace_util::ids::{LocId, TaskId};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -155,19 +156,16 @@ pub struct ShardStats {
 }
 
 impl ShardStats {
-    /// The engine counters of a sharded run: this routing accounting, what
-    /// `supervision` did, and the run's wall time. The cache totals stay
-    /// 0; they come from the merged report.
-    pub fn engine_counters(&self, supervision: &SupervisionReport, wall_ms: f64) -> EngineCounters {
+    /// The engine counters of a sharded run: this routing accounting and
+    /// the run's wall time. The cache totals stay 0; they come from the
+    /// merged report.
+    pub fn engine_counters(&self, wall_ms: f64) -> EngineCounters {
         EngineCounters {
             events: self.events,
             control_events: self.control_events,
             reads: self.reads,
             writes: self.writes,
             wall_ms,
-            shard_restarts: supervision.shard_restarts,
-            degradations: supervision.degradations,
-            resumed_from_checkpoint: supervision.resumed_from_checkpoint,
             ..EngineCounters::default()
         }
     }
@@ -408,124 +406,107 @@ impl Touched {
     }
 }
 
+/// A worker's reply, on its incarnation's own channel.
 enum FromWorker<R> {
-    Snapshot {
-        shard: usize,
-        epoch: u64,
-        state: Vec<u8>,
-        accesses: u64,
-    },
-    Done {
-        shard: usize,
-        epoch: u64,
-        report: R,
-        accesses: u64,
-    },
-    Died {
-        shard: usize,
-        epoch: u64,
-    },
+    Snapshot { state: Vec<u8>, accesses: u64 },
+    Done { report: R, accesses: u64 },
 }
 
+/// Replies a worker can owe at once: one, since the supervisor takes
+/// every barrier's snapshots before it routes on, and a worker reports
+/// only once its input closes.
+const REPLY_CAPACITY: usize = 1;
+
+/// Spawns a detached worker around `analysis` with an input of
+/// `capacity` batches, and returns its input and its reply channel. A
+/// panic unwinds the thread and drops both ends.
 fn spawn_worker<A>(
     shard: usize,
-    epoch: u64,
     mut analysis: A,
     mut accesses: u64,
     mut touched: Option<Touched>,
-    rx: Receiver<ToWorker>,
-    tx: Sender<FromWorker<A::Report>>,
+    capacity: usize,
     panic_at: Option<u64>,
     stall: Option<(u64, Duration)>,
-) where
+) -> (Sender<ToWorker>, Receiver<FromWorker<A::Report>>)
+where
     A: Checkpointable + Send + 'static,
     A::Report: Send + 'static,
 {
+    let (tx, rx) = channel::bounded(capacity);
+    let (reply_tx, reply_rx) = channel::bounded(REPLY_CAPACITY);
     std::thread::spawn(move || {
-        let died_tx = tx.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(move || {
-            let mut ops_done = 0u64;
-            let mut stall = stall;
-            loop {
-                match rx.recv() {
-                    Some(ToWorker::Batch(batch)) => {
-                        for op in batch.iter() {
-                            ops_done += 1;
-                            if let Some((at, dur)) = stall {
-                                if ops_done == at {
-                                    stall = None;
-                                    std::thread::sleep(dur);
+        let mut ops_done = 0u64;
+        let mut stall = stall;
+        loop {
+            match rx.recv() {
+                Some(ToWorker::Batch(batch)) => {
+                    for op in batch.iter() {
+                        ops_done += 1;
+                        if let Some((at, dur)) = stall {
+                            if ops_done == at {
+                                stall = None;
+                                std::thread::sleep(dur);
+                            }
+                        }
+                        if panic_at == Some(ops_done) {
+                            panic!("injected worker fault (shard {shard}, op {ops_done})");
+                        }
+                        match *op {
+                            Op::Control(ref e) => analysis.apply_control(e),
+                            Op::Access {
+                                task,
+                                loc,
+                                write,
+                                index,
+                            } => {
+                                accesses += 1;
+                                if let Some(touched) = &mut touched {
+                                    touched.insert(loc);
                                 }
-                            }
-                            if panic_at == Some(ops_done) {
-                                panic!("injected worker fault (shard {shard}, op {ops_done})");
-                            }
-                            match *op {
-                                Op::Control(ref e) => analysis.apply_control(e),
-                                Op::Access {
-                                    task,
-                                    loc,
-                                    write,
-                                    index,
-                                } => {
-                                    accesses += 1;
-                                    if let Some(touched) = &mut touched {
-                                        touched.insert(loc);
-                                    }
-                                    if write {
-                                        analysis.check_write_at(task, loc, index);
-                                    } else {
-                                        analysis.check_read_at(task, loc, index);
-                                    }
+                                if write {
+                                    analysis.check_write_at(task, loc, index);
+                                } else {
+                                    analysis.check_read_at(task, loc, index);
                                 }
                             }
                         }
                     }
-                    Some(ToWorker::Snapshot(cut)) => {
-                        let mut state = Vec::new();
-                        match (&touched, cut) {
-                            (Some(touched), Cut::Delta) => {
-                                analysis.save_cells(&touched.locs, &mut state)
-                            }
-                            _ => analysis.save_state(&mut state),
+                }
+                Some(ToWorker::Snapshot(cut)) => {
+                    let mut state = Vec::new();
+                    match (&touched, cut) {
+                        (Some(touched), Cut::Delta) => {
+                            analysis.save_cells(&touched.locs, &mut state)
                         }
-                        if let Some(touched) = &mut touched {
-                            touched.clear();
-                        }
-                        if tx
-                            .send(FromWorker::Snapshot {
-                                shard,
-                                epoch,
-                                state,
-                                accesses,
-                            })
-                            .is_err()
-                        {
-                            return;
-                        }
+                        _ => analysis.save_state(&mut state),
                     }
-                    None => {
-                        let report = analysis.finish();
-                        let _ = tx.send(FromWorker::Done {
-                            shard,
-                            epoch,
-                            report,
-                            accesses,
-                        });
+                    if let Some(touched) = &mut touched {
+                        touched.clear();
+                    }
+                    if reply_tx
+                        .send(FromWorker::Snapshot { state, accesses })
+                        .is_err()
+                    {
                         return;
                     }
                 }
+                None => {
+                    let report = analysis.finish();
+                    let _ = reply_tx.send(FromWorker::Done { report, accesses });
+                    return;
+                }
             }
-        }));
-        if outcome.is_err() {
-            let _ = died_tx.send(FromWorker::Died { shard, epoch });
         }
     });
+    (tx, reply_rx)
 }
 
-struct Slot {
+struct Slot<R> {
+    /// The live incarnation's input; `None` once closed.
     tx: Option<Sender<ToWorker>>,
-    epoch: u64,
+    /// The live incarnation's replies; `None` before the first spawn.
+    rx: Option<Receiver<FromWorker<R>>>,
     /// Batches routed since the last completed snapshot, for replay into a
     /// replacement worker: the very batches the worker was sent, shared,
     /// not copies. Volume is bounded by the checkpoint interval and, as a
@@ -549,7 +530,7 @@ struct Slot {
 /// Signals "stop supervising, fall back to a fresh serial run".
 struct Degrade;
 
-impl Slot {
+impl<R> Slot<R> {
     /// True when this shard's next snapshot must be full: it has none yet,
     /// or its deltas since the last full add up to that full's size, which
     /// keeps the chain under two full snapshots and the bytes serialized
@@ -569,15 +550,7 @@ where
     factory: F,
     plan: SupervisorPlan,
     n: usize,
-    slots: Vec<Slot>,
-    results_tx: Sender<FromWorker<A::Report>>,
-    results_rx: Receiver<FromWorker<A::Report>>,
-    /// Current-epoch messages rescued by [`Supervisor::drain_results`] —
-    /// e.g. another shard's Snapshot reply queued behind a dead shard's
-    /// notices. The barrier/collect loops consume these before waiting on
-    /// the channel, so a drain never costs a watchdog timeout.
-    stash: std::collections::VecDeque<FromWorker<A::Report>>,
-    next_epoch: u64,
+    slots: Vec<Slot<A::Report>>,
     /// Every control event consumed so far — the replay source for both
     /// worker restart and checkpoint files. Small by the control/access
     /// asymmetry that justifies sharding in the first place. Kept only
@@ -595,38 +568,43 @@ where
     A::Report: Send + 'static,
     F: Fn() -> A,
 {
-    /// Spawns shard `shard`'s worker around `analysis`, a replica built by
-    /// [`rebuild_replica`].
-    fn spawn_slot(&mut self, shard: usize, analysis: A, accesses: u64) {
-        let (tx, rx) = channel::bounded(self.plan.shard.channel_capacity.max(1));
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
+    /// Starts shard `shard`'s next incarnation around a replica rebuilt
+    /// from the control prefix up to the last snapshot and the shard's
+    /// snapshot chain ([`rebuild_replica`]). Replacing the slot's channels
+    /// drops the previous incarnation's, which abandons it: its input
+    /// closes, and its late replies have nowhere to go.
+    fn spawn(&mut self, shard: usize) -> Result<(), StateError> {
+        let analysis = rebuild_replica(
+            &self.factory,
+            shard,
+            self.n,
+            &self.control_prefix[..self.snapshot_control_len],
+            &self.slots[shard].chain,
+        )?;
         let touched = self
             .plan
             .checkpoint_every_chunks
             .is_some()
             .then(Touched::default);
         let slot = &mut self.slots[shard];
-        slot.tx = Some(tx);
-        slot.epoch = epoch;
-        spawn_worker(
+        let (tx, rx) = spawn_worker(
             shard,
-            epoch,
             analysis,
-            accesses,
+            slot.snapshot_accesses,
             touched,
-            rx,
-            self.results_tx.clone(),
+            self.plan.shard.channel_capacity,
             slot.panic_at.take(),
             slot.stall_at.take(),
         );
+        slot.tx = Some(tx);
+        slot.rx = Some(rx);
+        Ok(())
     }
 
-    /// Rebuilds shard `shard`'s worker: a replica rebuilt from the
-    /// control prefix up to the last snapshot and the snapshot chain
-    /// ([`rebuild_replica`]), then replay of the retained post-snapshot
-    /// batches. Returns `Degrade` when the restart budget is exhausted or
-    /// recovery itself fails.
+    /// Replaces shard `shard`'s worker ([`Supervisor::spawn`]) and replays
+    /// the batches retained since the last snapshot into it. Returns
+    /// `Degrade` when the restart budget is exhausted or recovery itself
+    /// fails.
     fn restart(&mut self, shard: usize) -> Result<(), Degrade> {
         if self.supervision.shard_restarts >= self.plan.max_restarts as u64
             || self.slots[shard].replay_lost
@@ -634,97 +612,35 @@ where
             return Err(Degrade);
         }
         self.supervision.shard_restarts += 1;
-        self.slots[shard].tx = None; // abandon the old incarnation
-
-        let analysis = rebuild_replica(
-            &self.factory,
-            shard,
-            self.n,
-            &self.control_prefix[..self.snapshot_control_len],
-            &self.slots[shard].chain,
-        )
-        .map_err(|_| Degrade)?;
-        let accesses = self.slots[shard].snapshot_accesses;
-        self.spawn_slot(shard, analysis, accesses);
-
-        let replay = self.slots[shard].replay.clone();
-        for batch in replay {
-            self.send_batch(shard, batch, false)?;
+        self.spawn(shard).map_err(|_| Degrade)?;
+        for batch in self.slots[shard].replay.clone() {
+            self.send(shard, ToWorker::Batch(batch), false)?;
         }
         Ok(())
     }
 
-    /// Sends one batch with the watchdog; on stall or death, recovers (at
-    /// most once per call when `recover` is set) and re-sends.
-    fn send_batch(
-        &mut self,
-        shard: usize,
-        batch: Arc<Vec<Op>>,
-        recover: bool,
-    ) -> Result<(), Degrade> {
+    /// Sends `msg` to shard `shard` under the watchdog. An input still
+    /// full at the deadline means the worker stalled (a watchdog timeout),
+    /// a disconnected one that it died. Either way the shard restarts and
+    /// `msg` goes once more, to the replacement, when `recover` is set;
+    /// otherwise the run degrades.
+    fn send(&mut self, shard: usize, msg: ToWorker, recover: bool) -> Result<(), Degrade> {
         let Some(tx) = &self.slots[shard].tx else {
             return Err(Degrade);
         };
-        match tx.send_timeout(ToWorker::Batch(batch), self.plan.watchdog) {
-            SendTimeout::Sent => Ok(()),
-            SendTimeout::Full(item) => {
+        let msg = match tx.send_timeout(msg, self.plan.watchdog) {
+            SendTimeout::Sent => return Ok(()),
+            SendTimeout::Full(msg) => {
                 self.supervision.watchdog_timeouts += 1;
-                if !recover {
-                    return Err(Degrade);
-                }
-                self.restart(shard)?;
-                let ToWorker::Batch(batch) = item else {
-                    unreachable!()
-                };
-                self.send_batch(shard, batch, false)
+                msg
             }
-            SendTimeout::Disconnected(item) => {
-                if !recover {
-                    return Err(Degrade);
-                }
-                self.drain_results();
-                self.restart(shard)?;
-                let ToWorker::Batch(batch) = item else {
-                    unreachable!()
-                };
-                self.send_batch(shard, batch, false)
-            }
+            SendTimeout::Disconnected(msg) => msg,
+        };
+        if !recover {
+            return Err(Degrade);
         }
-    }
-
-    /// Consumes any queued worker messages without blocking. Stale-epoch
-    /// messages (notices from abandoned incarnations) are dropped;
-    /// current-epoch ones are stashed for [`Supervisor::next_result`] —
-    /// discarding them would throw away e.g. another shard's Snapshot
-    /// reply and burn a watchdog timeout (and restart) recovering it.
-    fn drain_results(&mut self) {
-        while let RecvTimeout::Item(msg) = self.results_rx.recv_timeout(Duration::ZERO) {
-            let (shard, epoch) = Self::msg_key(&msg);
-            if epoch == self.slots[shard].epoch {
-                self.stash.push_back(msg);
-            }
-        }
-    }
-
-    fn msg_key(msg: &FromWorker<A::Report>) -> (usize, u64) {
-        match msg {
-            FromWorker::Snapshot { shard, epoch, .. }
-            | FromWorker::Done { shard, epoch, .. }
-            | FromWorker::Died { shard, epoch } => (*shard, *epoch),
-        }
-    }
-
-    /// Next worker message: a still-current stashed one if any (entries can
-    /// go stale after a restart bumps the epoch), else a bounded wait on
-    /// the results channel.
-    fn next_result(&mut self, timeout: Duration) -> RecvTimeout<FromWorker<A::Report>> {
-        while let Some(msg) = self.stash.pop_front() {
-            let (shard, epoch) = Self::msg_key(&msg);
-            if epoch == self.slots[shard].epoch {
-                return RecvTimeout::Item(msg);
-            }
-        }
-        self.results_rx.recv_timeout(timeout)
+        self.restart(shard)?;
+        self.send(shard, msg, false)
     }
 
     /// Routes a batch and retains it, shared with the worker, for
@@ -745,7 +661,7 @@ where
         let batch = Arc::new(batch);
         let retained = (!slot.replay_lost && slot.replay_ops + len <= self.plan.max_replay_ops)
             .then(|| Arc::clone(&batch));
-        self.send_batch(shard, batch, true)?;
+        self.send(shard, ToWorker::Batch(batch), true)?;
         let slot = &mut self.slots[shard];
         match retained {
             Some(retained) => {
@@ -759,6 +675,52 @@ where
             }
         }
         Ok(())
+    }
+
+    /// Takes one reply from every shard, each from its own channel, with
+    /// every wait bounded by the watchdog. A shard whose channel
+    /// disconnects (its worker died) restarts. When a wait expires, the
+    /// expiry counts once, and every shard that has not replied by then
+    /// restarts. `renew` asks each replacement for what its predecessor
+    /// owed.
+    fn gather(
+        &mut self,
+        renew: impl Fn(&mut Self, usize) -> Result<(), Degrade>,
+    ) -> Result<Vec<FromWorker<A::Report>>, Degrade> {
+        let mut replies: Vec<Option<FromWorker<A::Report>>> = (0..self.n).map(|_| None).collect();
+        while replies.iter().any(Option::is_none) {
+            let mut expired = false;
+            for shard in 0..self.n {
+                if replies[shard].is_some() {
+                    continue;
+                }
+                let wait = if expired {
+                    Duration::ZERO
+                } else {
+                    self.plan.watchdog
+                };
+                let rx = self.slots[shard]
+                    .rx
+                    .as_ref()
+                    .expect("every shard was spawned");
+                match rx.recv_timeout(wait) {
+                    RecvTimeout::Item(reply) => {
+                        replies[shard] = Some(reply);
+                        continue;
+                    }
+                    // The first expiry counts; the shards still silent
+                    // after it restart without a wait of their own.
+                    RecvTimeout::Timeout if !expired => {
+                        self.supervision.watchdog_timeouts += 1;
+                        expired = true;
+                    }
+                    RecvTimeout::Timeout | RecvTimeout::Disconnected => {}
+                }
+                self.restart(shard)?;
+                renew(self, shard)?;
+            }
+        }
+        Ok(replies.into_iter().flatten().collect())
     }
 
     /// Barrier snapshot: every worker saves its state at a consistent cut
@@ -779,48 +741,15 @@ where
                 }
             })
             .collect();
-        for (shard, &cut) in cuts.iter().enumerate() {
-            self.request_snapshot(shard, cut)?;
+        let ask =
+            |sup: &mut Self, shard: usize| sup.send(shard, ToWorker::Snapshot(cuts[shard]), true);
+        for shard in 0..self.n {
+            ask(self, shard)?;
         }
-        let mut pending: Vec<Option<(Vec<u8>, u64)>> = vec![None; self.n];
-        let mut got = 0usize;
-        while got < self.n {
-            match self.next_result(self.plan.watchdog) {
-                RecvTimeout::Item(FromWorker::Snapshot {
-                    shard,
-                    epoch,
-                    state,
-                    accesses,
-                }) => {
-                    if epoch == self.slots[shard].epoch && pending[shard].is_none() {
-                        pending[shard] = Some((state, accesses));
-                        got += 1;
-                    }
-                }
-                RecvTimeout::Item(FromWorker::Died { shard, epoch }) => {
-                    if epoch == self.slots[shard].epoch {
-                        self.restart(shard)?;
-                        self.request_snapshot(shard, cuts[shard])?;
-                    }
-                }
-                RecvTimeout::Item(FromWorker::Done { .. }) => {
-                    // Stale Done from an abandoned incarnation; ignore.
-                }
-                RecvTimeout::Timeout => {
-                    self.supervision.watchdog_timeouts += 1;
-                    // Restart every shard that has not answered yet.
-                    for shard in 0..self.n {
-                        if pending[shard].is_none() {
-                            self.restart(shard)?;
-                            self.request_snapshot(shard, cuts[shard])?;
-                        }
-                    }
-                }
-                RecvTimeout::Disconnected => return Err(Degrade),
-            }
-        }
-        for (shard, entry) in pending.into_iter().enumerate() {
-            let (state, accesses) = entry.expect("barrier collected all shards");
+        for (shard, reply) in self.gather(ask)?.into_iter().enumerate() {
+            let FromWorker::Snapshot { state, accesses } = reply else {
+                unreachable!("a worker whose input is open only answers snapshot requests");
+            };
             self.supervision.snapshot_bytes += state.len() as u64;
             let slot = &mut self.slots[shard];
             if cuts[shard] != Cut::Delta {
@@ -840,80 +769,23 @@ where
         Ok(())
     }
 
-    fn request_snapshot(&mut self, shard: usize, cut: Cut) -> Result<(), Degrade> {
-        let Some(tx) = &self.slots[shard].tx else {
-            return Err(Degrade);
-        };
-        match tx.send_timeout(ToWorker::Snapshot(cut), self.plan.watchdog) {
-            SendTimeout::Sent => Ok(()),
-            SendTimeout::Full(_) => {
-                self.supervision.watchdog_timeouts += 1;
-                self.restart(shard)?;
-                self.request_snapshot_once(shard, cut)
-            }
-            SendTimeout::Disconnected(_) => {
-                self.drain_results();
-                self.restart(shard)?;
-                self.request_snapshot_once(shard, cut)
-            }
-        }
-    }
-
-    fn request_snapshot_once(&mut self, shard: usize, cut: Cut) -> Result<(), Degrade> {
-        let Some(tx) = &self.slots[shard].tx else {
-            return Err(Degrade);
-        };
-        match tx.send_timeout(ToWorker::Snapshot(cut), self.plan.watchdog) {
-            SendTimeout::Sent => Ok(()),
-            _ => Err(Degrade),
-        }
-    }
-
-    /// Closes all inputs and collects one report per shard, restarting
-    /// (and immediately closing) replacements for workers that die or
-    /// stall during finalization.
+    /// Closes every input and collects one report per shard, restarting
+    /// (and at once closing) replacements for workers that die or stall
+    /// while they finish.
     fn collect(&mut self) -> Result<Vec<(A::Report, u64)>, Degrade> {
         for slot in &mut self.slots {
             slot.tx = None;
         }
-        let mut reports: Vec<Option<(A::Report, u64)>> =
-            (0..self.n).map(|_| None).collect();
-        let mut got = 0usize;
-        while got < self.n {
-            match self.next_result(self.plan.watchdog) {
-                RecvTimeout::Item(FromWorker::Done {
-                    shard,
-                    epoch,
-                    report,
-                    accesses,
-                }) => {
-                    if epoch == self.slots[shard].epoch && reports[shard].is_none() {
-                        reports[shard] = Some((report, accesses));
-                        got += 1;
-                    }
-                }
-                RecvTimeout::Item(FromWorker::Died { shard, epoch }) => {
-                    if epoch == self.slots[shard].epoch && reports[shard].is_none() {
-                        self.restart(shard)?;
-                        self.slots[shard].tx = None; // close → it will finish
-                    }
-                }
-                RecvTimeout::Item(FromWorker::Snapshot { .. }) => {}
-                RecvTimeout::Timeout => {
-                    self.supervision.watchdog_timeouts += 1;
-                    for shard in 0..self.n {
-                        if reports[shard].is_none() {
-                            self.restart(shard)?;
-                            self.slots[shard].tx = None;
-                        }
-                    }
-                }
-                RecvTimeout::Disconnected => return Err(Degrade),
-            }
-        }
-        Ok(reports
+        let replies = self.gather(|sup, shard| {
+            sup.slots[shard].tx = None;
+            Ok(())
+        })?;
+        Ok(replies
             .into_iter()
-            .map(|r| r.expect("collected all shards"))
+            .map(|reply| match reply {
+                FromWorker::Done { report, accesses } => (report, accesses),
+                FromWorker::Snapshot { .. } => unreachable!("every snapshot request was answered"),
+            })
             .collect())
     }
 }
@@ -929,7 +801,8 @@ where
 /// The stage reads decoded chunks: `Ok(Some(events))` is a chunk to
 /// route, `Ok(None)` a damaged chunk a lenient read dropped, which still
 /// counts as a chunk boundary (the caller that reads the trace counts the
-/// dropped ones, in [`EngineCounters::skipped_chunks`]). Chunk boundaries are the only points where the supervisor snapshots or
+/// dropped ones, in [`EngineCounters::skipped_chunks`]). Chunk
+/// boundaries are the only points where the supervisor snapshots or
 /// suspends, so a fresh and a resumed run cut the stream identically;
 /// [`crate::trace_chunks`] yields a trace blob's chunks, [`event_chunks`]
 /// an in-memory event list's.
@@ -957,8 +830,17 @@ where
         None => plan.shard.shards.max(1),
     };
     let batch_cap = plan.shard.batch_events.max(1);
-    let (results_tx, results_rx) = channel::bounded(n.max(4) * 4);
+    if let Some(cp) = resume {
+        if cp.shard_states.len() != n || cp.per_shard_accesses.len() != n {
+            return Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(
+                format!("{} state blob(s) for {} shard(s)", cp.shard_states.len(), n),
+            )));
+        }
+    }
 
+    // A resumed shard starts from the checkpoint's control prefix and its
+    // state blob, as a restart starts from the last snapshot.
+    let control_prefix = resume.map_or_else(Vec::new, |cp| cp.control_events.clone());
     let mut sup = Supervisor {
         factory,
         plan: plan.clone(),
@@ -966,12 +848,12 @@ where
         slots: (0..n)
             .map(|shard| Slot {
                 tx: None,
-                epoch: 0,
+                rx: None,
                 replay: Vec::new(),
                 replay_ops: 0,
                 replay_lost: false,
-                chain: Vec::new(),
-                snapshot_accesses: 0,
+                chain: resume.map_or_else(Vec::new, |cp| vec![cp.shard_states[shard].clone()]),
+                snapshot_accesses: resume.map_or(0, |cp| cp.per_shard_accesses[shard]),
                 panic_at: plan.worker_panic.as_ref().and_then(|f| f.trigger_for(shard, n)),
                 stall_at: plan
                     .worker_stall
@@ -980,49 +862,28 @@ where
                     .map(|at| (at, plan.stall_for)),
             })
             .collect(),
-        results_tx,
-        results_rx,
-        stash: std::collections::VecDeque::new(),
-        next_epoch: 1,
-        control_prefix: Vec::new(),
-        snapshot_control_len: 0,
-        supervision: SupervisionReport::default(),
+        snapshot_control_len: control_prefix.len(),
+        control_prefix,
+        supervision: SupervisionReport {
+            resumed_from_checkpoint: resume.is_some() as u64,
+            ..SupervisionReport::default()
+        },
     };
+    for shard in 0..n {
+        sup.spawn(shard).map_err(SuperviseError::Restore)?;
+    }
 
     let mut chunks = make_chunks();
-    let mut index = 0u64;
-    let mut router = RouterProgress::default();
+    let mut index = resume.map_or(0, |cp| cp.next_access_index);
+    let mut router = resume.map_or_else(RouterProgress::default, |cp| cp.router);
     // Chunks taken from the stream.
     let mut seen = 0u64;
     // The chunk boundary the router last crossed: the index of the last
     // chunk it routed events from.
     let mut cur_chunks = 0u64;
 
-    // Resume: rebuild every shard from the checkpoint, then skip the
-    // whole chunks the checkpoint already incorporated.
+    // Resume: skip the whole chunks the checkpoint already incorporated.
     if let Some(cp) = resume {
-        if cp.shard_states.len() != n || cp.per_shard_accesses.len() != n {
-            return Err(SuperviseError::Checkpoint(CheckpointError::Inconsistent(
-                format!(
-                    "{} state blob(s) for {} shard(s)",
-                    cp.shard_states.len(),
-                    n
-                ),
-            )));
-        }
-        sup.supervision.resumed_from_checkpoint = 1;
-        sup.control_prefix = cp.control_events.clone();
-        sup.snapshot_control_len = sup.control_prefix.len();
-        index = cp.next_access_index;
-        router = cp.router;
-        for shard in 0..n {
-            let chain = vec![cp.shard_states[shard].clone()];
-            let analysis = rebuild_replica(&sup.factory, shard, n, &sup.control_prefix, &chain)
-                .map_err(SuperviseError::Restore)?;
-            sup.slots[shard].chain = chain;
-            sup.slots[shard].snapshot_accesses = cp.per_shard_accesses[shard];
-            sup.spawn_slot(shard, analysis, cp.per_shard_accesses[shard]);
-        }
         let mut passed = 0u64;
         while passed < cp.events_consumed {
             match chunks.next() {
@@ -1043,12 +904,6 @@ where
             )));
         }
         cur_chunks = seen.saturating_sub(1);
-    } else {
-        for shard in 0..n {
-            let analysis = rebuild_replica(&sup.factory, shard, n, &[], &[])
-                .map_err(SuperviseError::Restore)?;
-            sup.spawn_slot(shard, analysis, 0);
-        }
     }
 
     let snapshots = plan.checkpoint_every_chunks.is_some() || plan.stop_after_chunks.is_some();
@@ -1190,17 +1045,11 @@ where
 
     if let Some(err) = stream_err {
         // Shut the workers down cleanly, then report the stream error.
-        for slot in &mut sup.slots {
-            slot.tx = None;
-        }
         let _ = sup.collect();
         return Err(SuperviseError::Stream(err));
     }
 
     if let Some(checkpoint) = suspend {
-        for slot in &mut sup.slots {
-            slot.tx = None;
-        }
         let _ = sup.collect();
         return Ok(SupervisedOutcome::Suspended {
             checkpoint,
@@ -1243,10 +1092,9 @@ where
             // whole stream. Slower, but the verdict is the serial one by
             // construction.
             sup.supervision.degradations += 1;
-            for slot in &mut sup.slots {
-                slot.tx = None;
-            }
-            drop(sup.results_rx);
+            // Abandon every worker: its input closes and its replies have
+            // nowhere to go.
+            sup.slots.clear();
             let fresh = make_chunks().filter_map(Result::transpose);
             let out = run_analysis(source::chunks(fresh), (sup.factory)())
                 .map_err(SuperviseError::Stream)?;
@@ -1715,13 +1563,11 @@ mod tests {
     /// Spawns a tracking worker around `analysis`, sends it `ops` as one
     /// batch, and returns the state it cuts for `cut`.
     fn cut_by_worker(analysis: RaceDetector, ops: Vec<Op>, cut: Cut) -> Vec<u8> {
-        let (tx, rx) = channel::bounded(2);
-        let (results_tx, results_rx) = channel::bounded(2);
         let touched = Some(Touched::default());
-        spawn_worker(0, 1, analysis, 0, touched, rx, results_tx, None, None);
+        let (tx, rx) = spawn_worker(0, analysis, 0, touched, 2, None, None);
         assert!(tx.send(ToWorker::Batch(Arc::new(ops))).is_ok());
         assert!(tx.send(ToWorker::Snapshot(cut)).is_ok());
-        match results_rx.recv_timeout(Duration::from_secs(10)) {
+        match rx.recv_timeout(Duration::from_secs(10)) {
             RecvTimeout::Item(FromWorker::Snapshot { state, .. }) => state,
             _ => panic!("the worker must answer the snapshot request"),
         }

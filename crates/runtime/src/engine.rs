@@ -240,15 +240,6 @@ pub struct EngineCounters {
     pub writes: u64,
     /// Wall-clock time of the whole run (drive + finish), in ms.
     pub wall_ms: f64,
-    /// Shard workers restarted from a checkpoint after dying or stalling
-    /// (supervised pipeline only; 0 elsewhere).
-    pub shard_restarts: u64,
-    /// Runs degraded from the sharded to the serial path after an
-    /// unrecoverable worker failure (0 or 1 per run).
-    pub degradations: u64,
-    /// Runs that started from a checkpoint instead of the beginning of
-    /// the trace (0 or 1 per run).
-    pub resumed_from_checkpoint: u64,
     /// Hot-path cache hits reported by the analysis (0 for analyses
     /// without caches). The engine never fills these itself: consumers
     /// copy them from analysis statistics after the run so the display
@@ -267,11 +258,6 @@ impl EngineCounters {
     /// Access checks performed (reads + writes).
     pub fn checks(&self) -> u64 {
         self.reads + self.writes
-    }
-
-    /// True when the supervised pipeline recorded any recovery action.
-    pub fn had_supervision_events(&self) -> bool {
-        self.shard_restarts > 0 || self.degradations > 0 || self.resumed_from_checkpoint > 0
     }
 }
 
@@ -294,15 +280,6 @@ impl std::fmt::Display for EngineCounters {
                 f,
                 "; cache: {} hit(s), {} miss(es)",
                 self.cache_hits, self.cache_misses
-            )?;
-        }
-        // Supervision outcomes are appended only when something happened,
-        // so output consumed by CI diffs is unchanged for clean runs.
-        if self.had_supervision_events() {
-            write!(
-                f,
-                "; supervision: {} restart(s), {} degradation(s), {} resume(s)",
-                self.shard_restarts, self.degradations, self.resumed_from_checkpoint
             )?;
         }
         Ok(())
@@ -863,17 +840,6 @@ mod tests {
         assert!(
             !s.contains("supervision"),
             "clean runs keep the legacy wording: {s}"
-        );
-        let supervised = EngineCounters {
-            shard_restarts: 2,
-            degradations: 1,
-            resumed_from_checkpoint: 1,
-            ..c
-        };
-        let s = supervised.to_string();
-        assert!(
-            s.contains("supervision: 2 restart(s), 1 degradation(s), 1 resume(s)"),
-            "{s}"
         );
     }
 }

@@ -29,7 +29,7 @@ pub(crate) mod server;
 pub(crate) mod session;
 
 pub use client::{shutdown, stream_trace, ClientError, ClientOptions, ClientOutcome};
-pub use server::{checkpoint_path, Server, ServeOptions, ServeStats, ServeSummary};
+pub use server::{checkpoint_path, Server, ServeOptions, ServeSummary};
 pub use futrace_offline::AnalysisOutcome;
 pub use session::{Session, SessionConfig, SessionError, VerdictDelta};
 

@@ -128,9 +128,6 @@ pub struct ServeSummary {
     pub checkpoint_failures: u64,
 }
 
-/// Drain and quota accounting, surfaced after [`Server::run`].
-pub type ServeStats = ServeSummary;
-
 struct ServeState {
     drain: AtomicBool,
     finished: AtomicU64,

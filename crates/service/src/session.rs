@@ -341,7 +341,6 @@ impl Session {
         counters.wall_ms = self.timer.elapsed_ms();
         let mut outcome = AnalysisOutcome::from_dtrg(Analysis::finish(analysis), counters);
         if self.resume.is_some() {
-            outcome.engine.resumed_from_checkpoint = 1;
             outcome.supervision = Some(SupervisionReport {
                 resumed_from_checkpoint: 1,
                 ..SupervisionReport::default()
@@ -597,7 +596,6 @@ mod tests {
             assert_eq!(want.stats.reads, got.stats.reads);
             assert_eq!(want.stats.writes, got.stats.writes);
             assert_eq!(want.footprint, got.footprint);
-            assert_eq!(got.engine.resumed_from_checkpoint, 1);
             assert_eq!(got.supervision.map(|s| s.resumed_from_checkpoint), Some(1));
             assert!(got.sharding.is_none(), "the live engine finished it");
         }
@@ -656,7 +654,7 @@ mod tests {
         assert_eq!(resumed.resumed_chunks(), 0);
         let got = fed(resumed, &chunks).finish().unwrap();
         assert_eq!(format!("{}", want.races), format!("{}", got.races));
-        assert_eq!(got.engine.resumed_from_checkpoint, 0);
+        assert!(got.supervision.is_none(), "not a resumed session");
     }
 
     #[test]

@@ -173,7 +173,6 @@ mod tests {
         assert_eq!(sharding.shards, 2);
         // Plain sharding that needed no recovery reports no supervision.
         assert!(out.supervision.is_none());
-        assert!(!out.engine.had_supervision_events());
     }
 
     #[test]
