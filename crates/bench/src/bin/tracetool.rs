@@ -330,8 +330,8 @@ fn print_report(name: &str, report: &AnyReport) -> bool {
 fn print_engine_counters(counters: &EngineCounters, supervision: Option<&SupervisionReport>) {
     println!("\n-- engine --");
     print!("{counters}");
-    if let Some(s) = supervision
-        .filter(|s| s.shard_restarts + s.degradations + s.resumed_from_checkpoint > 0)
+    if let Some(s) =
+        supervision.filter(|s| s.shard_restarts + s.degradations + s.resumed_from_checkpoint > 0)
     {
         print!(
             "; supervision: {} restart(s), {} degradation(s), {} resume(s)",

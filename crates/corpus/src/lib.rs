@@ -72,8 +72,10 @@ pub struct CorpusOptions {
     /// deterministic kill-midway hook for resume tests.
     pub stop_after_jobs: Option<u64>,
     /// Per-job wall-clock deadline: a job still running past it is
-    /// recorded failed (`timed out after Nms`), and its late result is
-    /// discarded. The runner is not killed: it keeps its worker until it
+    /// recorded failed (`timed out after Nms`), and a fresh worker takes
+    /// its slot, so at most `max_parallel` live jobs run and the rest of
+    /// the corpus goes on past a wedged job. The runner is not killed:
+    /// its late result is discarded, and the run ends only when it
     /// returns. `None` = no deadline.
     pub job_timeout: Option<std::time::Duration>,
     /// Re-queue a failed or timed-out job up to this many times before

@@ -14,8 +14,9 @@
 //!   completions (the kill-midway hook for resume tests); jobs never
 //!   dispatched settle as [`JobStatus::NotReached`];
 //! * `job_timeout: Some(t)` arms a watchdog: a job running past its
-//!   deadline fails with `timed out after Nms`, while the wedged runner
-//!   drains in the background;
+//!   deadline fails with `timed out after Nms`, and a fresh worker takes
+//!   its slot while the wedged runner drains in its old worker, which
+//!   leaves the pool once the runner returns;
 //! * a runner that panics fails its job like one that returns `Err`,
 //!   with the panic's message: one detector panic costs its job, not
 //!   the run;
@@ -35,6 +36,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Index of a job (dense, in the order the caller numbers them).
@@ -85,10 +87,11 @@ pub(crate) struct ExecPlan {
     /// hook). `None` runs to completion.
     pub stop_after_jobs: Option<u64>,
     /// Per-job wall-clock deadline. A job still running past it fails,
-    /// and the other workers go on with the rest of the corpus. The
-    /// runner itself is not killed: it keeps its pool slot until it
-    /// returns, and its late result is discarded. `None` disables the
-    /// watchdog.
+    /// and a fresh worker takes its slot, so at most `max_parallel` live
+    /// jobs run and the rest of the corpus goes on past a wedged job. The
+    /// runner itself is not killed: its worker leaves the pool once it
+    /// returns, its late result is discarded, and the run ends only then.
+    /// `None` disables the watchdog.
     pub job_timeout: Option<Duration>,
     /// Re-queue a failed or timed-out job up to this many times before
     /// it settles [`JobStatus::Failed`]. A timed-out job's replacement
@@ -223,8 +226,8 @@ where
             scope.spawn(|| worker(&pool, &runner));
         }
         if let Some(timeout) = plan.job_timeout {
-            let pool = &pool;
-            scope.spawn(move || timekeeper(pool, timeout));
+            let (pool, runner) = (&pool, &runner);
+            scope.spawn(move || timekeeper(scope, pool, runner, timeout));
         }
     });
 
@@ -282,13 +285,15 @@ where
             .unwrap_or_else(|payload| Err(format!("panicked: {}", panic_message(payload))));
         st = pool.lock();
         // The timekeeper may have failed this job (or failed and
-        // re-queued it) while the runner was still going; a stale result
-        // is discarded.
-        if matches!(st.slots[id], Slot::Running { gen: live, .. } if live == gen) {
-            st.ran += 1;
-            conclude(pool, &mut st, id, outcome);
-            pool.cv.notify_all();
+        // re-queued it) while the runner was still going, and started a
+        // fresh worker in this one's place: the stale result is
+        // discarded, and this worker leaves the pool.
+        if !matches!(st.slots[id], Slot::Running { gen: live, .. } if live == gen) {
+            return;
         }
+        st.ran += 1;
+        conclude(pool, &mut st, id, outcome);
+        pool.cv.notify_all();
     }
 }
 
@@ -337,11 +342,17 @@ fn settle_unstarted(st: &mut ExecState, status: JobStatus) {
 }
 
 /// Watchdog loop (one thread, spawned only when `job_timeout` is set):
-/// fails any job running past its deadline while the wedged runner
-/// drains in its worker.
-fn timekeeper<T, R>(pool: &Pool<'_, R>, timeout: Duration)
-where
-    R: Fn(JobId, &Result<T, String>) -> Result<(), String>,
+/// fails any job running past its deadline and starts a fresh worker in
+/// `scope` to take its slot, while the wedged runner drains in its old
+/// worker, which then leaves.
+fn timekeeper<'scope, T, F, R>(
+    scope: &'scope Scope<'scope, '_>,
+    pool: &'scope Pool<'_, R>,
+    runner: &'scope F,
+    timeout: Duration,
+) where
+    F: Fn(JobId) -> Result<T, String> + Sync,
+    R: Fn(JobId, &Result<T, String>) -> Result<(), String> + Sync,
 {
     let mut st = pool.lock();
     while st.settled < st.slots.len() {
@@ -363,6 +374,7 @@ where
                 st.ran += 1;
                 let timed_out = Err(format!("timed out after {}ms", timeout.as_millis()));
                 conclude::<T, R>(pool, &mut st, id, timed_out);
+                scope.spawn(move || worker(pool, runner));
             }
             pool.cv.notify_all();
             continue;
@@ -573,6 +585,52 @@ mod tests {
         assert_eq!(recorded, vec![(0, Err(timed_out)), (1, Ok(()))]);
         assert!(run.any_failed());
         assert!(!run.aborted && !run.suspended);
+    }
+
+    #[test]
+    fn a_timed_out_job_hands_its_slot_to_the_rest_of_the_corpus() {
+        // One slot, and job 0 wedges past its deadline. When it times
+        // out a fresh worker takes the slot, so job 1 starts before job
+        // 0's runner returns; the wedged worker leaves once it does, so
+        // the live jobs never overlap.
+        let plan = ExecPlan {
+            job_timeout: Some(Duration::from_millis(100)),
+            ..plan()
+        };
+        let start = Instant::now();
+        let wedged_returned = Mutex::new(None);
+        let next_started = Mutex::new(None);
+        let live = AtomicU64::new(0);
+        let peak = AtomicU64::new(0);
+        let (run, _) = run(&plan, vec![None; 21], |id| {
+            if id == 0 {
+                std::thread::sleep(Duration::from_millis(250));
+                *wedged_returned.lock().unwrap() = Some(start.elapsed());
+                return Ok(());
+            }
+            next_started.lock().unwrap().get_or_insert(start.elapsed());
+            let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Duration::from_millis(15));
+            live.fetch_sub(1, Ordering::SeqCst);
+            Ok(())
+        });
+        assert_eq!(
+            run.status[0],
+            JobStatus::Failed("timed out after 100ms".into())
+        );
+        assert!(
+            run.status[1..].iter().all(JobStatus::is_ok),
+            "{:?}",
+            run.status
+        );
+        let returned = wedged_returned.into_inner().unwrap().unwrap();
+        let started = next_started.into_inner().unwrap().unwrap();
+        assert!(
+            started < returned,
+            "job 1 started at {started:?}, after job 0's runner returned at {returned:?}"
+        );
+        assert_eq!(peak.load(Ordering::SeqCst), 1, "live jobs overlapped");
     }
 
     #[test]

@@ -49,9 +49,9 @@
 //!   moves on, which a scoped join could never do, and the old
 //!   incarnation's late replies then have nowhere to go.
 //! * **The watchdog** bounds every wait: sends use
-//!   [`crate::channel::Sender::send_timeout`], and waits for replies use
-//!   `Receiver::recv_timeout`. A deadline expiring means a worker is
-//!   stalled; it is treated exactly like a dead one.
+//!   [`crate::channel::Sender::send_timeout`], waits for replies use
+//!   [`crate::channel::Receiver::recv_timeout`]. A deadline expiring means
+//!   a worker is stalled; it is treated exactly like a dead one.
 //! * **Restart-from-snapshot**: at chunk boundaries the supervisor can
 //!   barrier-snapshot every worker. A shard's first snapshot is full
 //!   ([`Checkpointable::save_state`]); later ones are deltas
@@ -690,8 +690,8 @@ where
         let mut replies: Vec<Option<FromWorker<A::Report>>> = (0..self.n).map(|_| None).collect();
         while replies.iter().any(Option::is_none) {
             let mut expired = false;
-            for shard in 0..self.n {
-                if replies[shard].is_some() {
+            for (shard, reply) in replies.iter_mut().enumerate() {
+                if reply.is_some() {
                     continue;
                 }
                 let wait = if expired {
@@ -704,8 +704,8 @@ where
                     .as_ref()
                     .expect("every shard was spawned");
                 match rx.recv_timeout(wait) {
-                    RecvTimeout::Item(reply) => {
-                        replies[shard] = Some(reply);
+                    RecvTimeout::Item(got) => {
+                        *reply = Some(got);
                         continue;
                     }
                     // The first expiry counts; the shards still silent
