@@ -801,8 +801,7 @@ where
 /// The stage reads decoded chunks: `Ok(Some(events))` is a chunk to
 /// route, `Ok(None)` a damaged chunk a lenient read dropped, which still
 /// counts as a chunk boundary (the caller that reads the trace counts the
-/// dropped ones, in [`EngineCounters::skipped_chunks`]). Chunk
-/// boundaries are the only points where the supervisor snapshots or
+/// dropped ones, in [`EngineCounters::skipped_chunks`]). Chunk boundaries are the only points where the supervisor snapshots or
 /// suspends, so a fresh and a resumed run cut the stream identically;
 /// [`crate::trace_chunks`] yields a trace blob's chunks, [`event_chunks`]
 /// an in-memory event list's.
@@ -1593,7 +1592,7 @@ mod tests {
                 let clean = next();
                 fields.push(clean);
                 if clean == 1 {
-                    fields.extend([next(), next(), next()]); // task, kind, epoch
+                    fields.extend([next(), next(), next()]); // clean task, kind, DTRG stamp
                 }
                 fields.push(next()); // probe miss streak
                 (idx, fields)
