@@ -43,12 +43,12 @@
 
 use crate::monitor::{Monitor, TaskKind};
 use crate::parallel::{run_pool, DeadlockError, ParCtx, PoolOutcome};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::Mutex;
 use futrace_util::ids::{FinishId, LocId, TaskId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// Accesses buffered per task before a forced publish.
 const FLUSH_ACCESSES: usize = 4096;
@@ -60,8 +60,13 @@ const FLUSH_ACCESSES: usize = 4096;
 /// A control action recorded in a task's buffer. Offsets into the task's
 /// access stream (see [`Published`]) fix its interleaving position.
 pub(crate) enum Control {
-    /// Spawned a child task (`async` or `future`).
-    Spawn { child: u32, kind: TaskKind },
+    /// Spawned a child task (`async` or `future`) that publishes into
+    /// `slot`.
+    Spawn {
+        child: u32,
+        kind: TaskKind,
+        slot: Arc<TaskSlot>,
+    },
     /// Entered a `finish` scope.
     FinishStart,
     /// Left a `finish` scope (after its join completed).
@@ -81,23 +86,36 @@ struct Published {
     accesses: Vec<u64>,
     /// `(access_offset, control)` pairs in program order.
     controls: Vec<(u64, Control)>,
+    /// The task body has returned; set with the final publish, so a drain
+    /// that sees it has seen everything.
+    ended: bool,
 }
 
 /// Shared mailbox between one running task and the walker.
 pub(crate) struct TaskSlot {
     data: Mutex<Published>,
-    /// Set (after the final publish) when the task body has returned.
-    ended: AtomicBool,
+    /// The walker is parked, or about to park, until this slot changes:
+    /// its task is the walk's frontier and had nothing consumable.
+    watched: AtomicBool,
 }
 
-/// Shared state of one online run: the slot table plus publish/wake
-/// plumbing. Owned by [`run_online`], referenced by every [`TaskRec`].
+impl TaskSlot {
+    fn new() -> Arc<TaskSlot> {
+        Arc::new(TaskSlot {
+            data: Mutex::new(Published::default()),
+            watched: AtomicBool::new(false),
+        })
+    }
+}
+
+/// Shared state of one online run: the root slot, the walker's thread
+/// for wakeups, and the run's counters. Owned by [`run_online`],
+/// referenced by every [`TaskRec`].
 pub(crate) struct OnlineState {
-    /// Raw task id → slot. Raw ids are dense (allocated by `fetch_add`).
-    slots: Mutex<Vec<Option<Arc<TaskSlot>>>>,
-    /// Bumped on every publish; the walker waits on it at the frontier.
-    wake: Mutex<u64>,
-    wake_cv: Condvar,
+    /// The main task's slot, where the walk starts.
+    root: Arc<TaskSlot>,
+    /// The walker thread; set before any task runs.
+    walker: OnceLock<Thread>,
     aborted: AtomicBool,
     publishes: AtomicU64,
     published_events: AtomicU64,
@@ -109,9 +127,8 @@ pub(crate) struct OnlineState {
 impl OnlineState {
     fn new() -> OnlineState {
         OnlineState {
-            slots: Mutex::new(Vec::new()),
-            wake: Mutex::new(0),
-            wake_cv: Condvar::new(),
+            root: TaskSlot::new(),
+            walker: OnceLock::new(),
             aborted: AtomicBool::new(false),
             publishes: AtomicU64::new(0),
             published_events: AtomicU64::new(0),
@@ -119,32 +136,26 @@ impl OnlineState {
         }
     }
 
-    pub(crate) fn register(&self, raw: u32) -> Arc<TaskSlot> {
-        let slot = Arc::new(TaskSlot {
-            data: Mutex::new(Published::default()),
-            ended: AtomicBool::new(false),
-        });
-        let mut slots = self.slots.lock();
-        let idx = raw as usize;
-        if slots.len() <= idx {
-            slots.resize(idx + 1, None);
+    fn unpark_walker(&self) {
+        self.walker
+            .get()
+            .expect("the walker starts before any task")
+            .unpark();
+    }
+
+    /// Wakes the walker if it waits on `slot`; called after every change
+    /// to the slot's data (see [`Walker::park_on_frontier`]).
+    fn wake_watcher(&self, slot: &TaskSlot) {
+        if slot.watched.load(Ordering::SeqCst) {
+            self.unpark_walker();
         }
-        slots[idx] = Some(Arc::clone(&slot));
-        slot
     }
 
-    fn slot(&self, raw: u32) -> Option<Arc<TaskSlot>> {
-        self.slots.lock().get(raw as usize).cloned().flatten()
-    }
-
-    fn notify(&self) {
-        *self.wake.lock() += 1;
-        self.wake_cv.notify_all();
-    }
-
+    /// Stops the walk: the walker sees `aborted` before it parks, or the
+    /// unpark wakes it (or leaves the token its next park returns on).
     fn abort(&self) {
         self.aborted.store(true, Ordering::SeqCst);
-        self.notify();
+        self.unpark_walker();
     }
 
     fn is_aborted(&self) -> bool {
@@ -153,8 +164,7 @@ impl OnlineState {
 }
 
 /// Everything a spawned child needs to start recording: created by the
-/// parent *before* the spawn control is published, so the walker always
-/// finds the child's slot when it reaches the spawn.
+/// parent, whose spawn control carries the same slot to the walker.
 pub(crate) struct SpawnRec {
     state: Arc<OnlineState>,
     slot: Arc<TaskSlot>,
@@ -169,23 +179,21 @@ pub(crate) struct TaskRec {
     controls: Vec<(u64, Control)>,
     /// Total accesses recorded by this task (absolute offset counter).
     acc_count: u64,
+    /// This task's publishes and the actions they moved, added to the
+    /// run's counters once, when the recorder drops.
+    publishes: u64,
+    published_events: u64,
 }
 
 impl TaskRec {
-    /// Recorder for the main task (registers raw id 0).
+    /// Recorder for the main task (publishes into the root slot).
     pub(crate) fn main(state: Arc<OnlineState>) -> TaskRec {
-        let slot = state.register(0);
-        TaskRec {
-            state,
-            slot,
-            accesses: Vec::new(),
-            controls: Vec::new(),
-            acc_count: 0,
-        }
+        let slot = Arc::clone(&state.root);
+        TaskRec::spawned(SpawnRec { state, slot })
     }
 
-    /// Recorder for a spawned child (slot already registered by the
-    /// parent's [`TaskRec::record_spawn`]).
+    /// Recorder for a spawned child (slot created by the parent's
+    /// [`TaskRec::record_spawn`]).
     pub(crate) fn spawned(pre: SpawnRec) -> TaskRec {
         TaskRec {
             state: pre.state,
@@ -193,6 +201,8 @@ impl TaskRec {
             accesses: Vec::new(),
             controls: Vec::new(),
             acc_count: 0,
+            publishes: 0,
+            published_events: 0,
         }
     }
 
@@ -203,15 +213,20 @@ impl TaskRec {
         self.accesses.push(((loc.0 as u64) << 1) | write as u64);
         self.acc_count += 1;
         if self.accesses.len() >= FLUSH_ACCESSES {
-            self.publish();
+            self.publish(false);
         }
     }
 
-    /// Registers the child's slot and records + publishes the spawn
-    /// control. Returns the bundle the child task starts from.
+    /// Creates the child's slot and records + publishes the spawn
+    /// control, which carries the slot to the walker. Returns the bundle
+    /// the child task starts from.
     pub(crate) fn record_spawn(&mut self, child: u32, kind: TaskKind) -> SpawnRec {
-        let slot = self.state.register(child);
-        self.record_control(Control::Spawn { child, kind });
+        let slot = TaskSlot::new();
+        self.record_control(Control::Spawn {
+            child,
+            kind,
+            slot: Arc::clone(&slot),
+        });
         SpawnRec {
             state: Arc::clone(&self.state),
             slot,
@@ -247,29 +262,44 @@ impl TaskRec {
         // Publishing at every sync point keeps the walker's frontier as
         // close to execution as the semantics allow (a spawn must be
         // visible before the child's actions can matter).
-        self.publish();
+        self.publish(false);
     }
 
-    fn publish(&mut self) {
-        if self.accesses.is_empty() && self.controls.is_empty() {
+    /// Moves the buffers into the slot, and with `end` marks the task
+    /// ended in the same critical section; then wakes the walker if it
+    /// waits on this slot. A publish that moves no action is not counted.
+    fn publish(&mut self, end: bool) {
+        let n = (self.accesses.len() + self.controls.len()) as u64;
+        if n == 0 && !end {
             return;
         }
-        let n = (self.accesses.len() + self.controls.len()) as u64;
         {
             let mut d = self.slot.data.lock();
             d.accesses.append(&mut self.accesses);
             d.controls.append(&mut self.controls);
+            d.ended |= end;
         }
-        self.state.publishes.fetch_add(1, Ordering::Relaxed);
-        self.state.published_events.fetch_add(n, Ordering::Relaxed);
-        self.state.notify();
+        if n > 0 {
+            self.publishes += 1;
+            self.published_events += n;
+        }
+        self.state.wake_watcher(&self.slot);
     }
 
     /// Final publish + end mark. Must be the task's last recording action.
     pub(crate) fn end(&mut self) {
-        self.publish();
-        self.slot.ended.store(true, Ordering::SeqCst);
-        self.state.notify();
+        self.publish(true);
+    }
+}
+
+impl Drop for TaskRec {
+    fn drop(&mut self) {
+        self.state
+            .publishes
+            .fetch_add(self.publishes, Ordering::Relaxed);
+        self.state
+            .published_events
+            .fetch_add(self.published_events, Ordering::Relaxed);
     }
 }
 
@@ -293,6 +323,18 @@ struct Frame {
 }
 
 impl Frame {
+    fn new(serial: TaskId, slot: Arc<TaskSlot>) -> Frame {
+        Frame {
+            serial,
+            slot,
+            acc: Vec::new(),
+            acc_base: 0,
+            acc_pos: 0,
+            ctls: VecDeque::new(),
+            saw_end: false,
+        }
+    }
+
     fn acc_avail(&self) -> u64 {
         self.acc_base + self.acc.len() as u64
     }
@@ -354,34 +396,14 @@ impl<'a, M: Monitor> Walker<'a, M> {
 
     /// Walks to completion (or until the run aborts).
     fn run(mut self) -> WalkResult {
-        // The main slot is registered before user code runs; wait for it.
-        let root = loop {
-            if let Some(s) = self.state.slot(0) {
-                break s;
-            }
-            if self.state.is_aborted() {
-                self.out.truncated = true;
-                return self.out;
-            }
-            let g = self.state.wake.lock();
-            drop(self.state.wake_cv.wait_timeout(g, Duration::from_micros(200)));
-        };
-        self.stack.push(Frame {
-            serial: TaskId::MAIN,
-            slot: root,
-            acc: Vec::new(),
-            acc_base: 0,
-            acc_pos: 0,
-            ctls: VecDeque::new(),
-            saw_end: false,
-        });
+        self.stack
+            .push(Frame::new(TaskId::MAIN, Arc::clone(&self.state.root)));
 
         'walk: while !self.stack.is_empty() {
             if self.state.is_aborted() {
                 self.out.truncated = true;
                 break 'walk;
             }
-            let wake_seen = *self.state.wake.lock();
             Self::drain(self.stack.last_mut().expect("non-empty stack"));
             loop {
                 match self.step() {
@@ -396,28 +418,43 @@ impl<'a, M: Monitor> Walker<'a, M> {
                     Step::NeedData => {
                         // The top frame is often a freshly pushed child
                         // whose published actions have not been drained
-                        // yet; sleeping here would turn every spawn into
-                        // a condvar timeout once execution has finished.
-                        // Only wait when a drain finds nothing new.
+                        // yet. Only wait when a drain finds nothing new.
                         if !Self::drain(self.stack.last_mut().expect("non-empty stack")) {
                             break;
                         }
                     }
                 }
             }
-            if self.stack.is_empty() {
-                break;
-            }
-            // Frontier: nothing consumable. Sleep until a publish (or
-            // timeout — publishes can land between our wake snapshot and
-            // the drain above, which the snapshot comparison catches).
-            let g = self.state.wake.lock();
-            if *g == wake_seen && !self.state.is_aborted() {
-                self.out.frontier_waits += 1;
-                drop(self.state.wake_cv.wait_timeout(g, Duration::from_micros(200)));
-            }
+            self.park_on_frontier();
         }
         self.out
+    }
+
+    /// Parks until the frontier task (the top frame's) publishes or ends,
+    /// or the run aborts. Publishes to any other slot do not wake the
+    /// walker: it reads that slot only once its frame is on top.
+    ///
+    /// No wakeup is lost. The walker stores `watched` before it re-checks
+    /// the slot under the slot's lock, and a publisher loads `watched`
+    /// after it changed the slot under the same lock, so the lock orders
+    /// the two critical sections. If the walker's comes second, its
+    /// re-check sees the change and it does not park. If it comes first,
+    /// its store to `watched` happens before the publisher's load, which
+    /// therefore reads `true` and unparks the walker. An unpark that lands
+    /// before `park` leaves the thread's token, and `park` returns at once.
+    /// `abort` stores `aborted` and then always unparks, and the walker
+    /// reads `aborted` after storing `watched`, so an abort is seen either
+    /// by that read or by the unpark. A spurious return from `park` costs
+    /// one more drain, and an unpark that finds the walker running leaves
+    /// a token that costs one spurious return; both are re-checked.
+    fn park_on_frontier(&mut self) {
+        let frame = self.stack.last_mut().expect("non-empty stack");
+        frame.slot.watched.store(true, Ordering::SeqCst);
+        if !Self::drain(frame) && !self.state.is_aborted() {
+            self.out.frontier_waits += 1;
+            std::thread::park();
+        }
+        frame.slot.watched.store(false, Ordering::SeqCst);
     }
 
     /// Moves newly published data from the slot into the frame. Returns
@@ -425,7 +462,6 @@ impl<'a, M: Monitor> Walker<'a, M> {
     /// means the frame is genuinely ahead of execution and the walker
     /// must wait for a publish.
     fn drain(frame: &mut Frame) -> bool {
-        let ended = frame.slot.ended.load(Ordering::SeqCst);
         let mut changed = false;
         let mut d = frame.slot.data.lock();
         if !d.accesses.is_empty() {
@@ -442,11 +478,9 @@ impl<'a, M: Monitor> Walker<'a, M> {
             frame.ctls.extend(d.controls.drain(..));
             changed = true;
         }
-        drop(d);
-        if ended && !frame.saw_end {
-            // Ordering: `ended` is stored after the final publish, so
-            // sampling it *before* the drain above means the drain saw
-            // everything when `ended` reads true.
+        if d.ended && !frame.saw_end {
+            // `ended` is set with the final publish, so this drain moved
+            // everything the task published.
             frame.saw_end = true;
             changed = true;
         }
@@ -487,7 +521,7 @@ impl<'a, M: Monitor> Walker<'a, M> {
     /// Handles one control action of `frame`; pushes frames back as needed.
     fn handle_control(&mut self, frame: Frame, ctl: Control) -> Step {
         match ctl {
-            Control::Spawn { child, kind } => {
+            Control::Spawn { child, kind, slot } => {
                 let serial_child = TaskId(self.next_task);
                 self.next_task += 1;
                 let idx = child as usize;
@@ -498,23 +532,11 @@ impl<'a, M: Monitor> Walker<'a, M> {
                 let fin = self.finish_stack.last_mut().expect("finish stack");
                 fin.joins.push(serial_child);
                 let ief = fin.id;
-                let slot = self
-                    .state
-                    .slot(child)
-                    .expect("child slot registered before its spawn was published");
                 self.mon.task_create(frame.serial, serial_child, kind, ief);
                 // Depth-first: the child's whole subtree walks before the
                 // parent's remaining actions (serial elision).
                 self.stack.push(frame);
-                self.stack.push(Frame {
-                    serial: serial_child,
-                    slot,
-                    acc: Vec::new(),
-                    acc_base: 0,
-                    acc_pos: 0,
-                    ctls: VecDeque::new(),
-                    saw_end: false,
-                });
+                self.stack.push(Frame::new(serial_child, slot));
                 Step::Emitted
             }
             Control::FinishStart => {
@@ -725,6 +747,8 @@ where
     let (pool_out, walk) = std::thread::scope(|s| {
         let walker_state = &*state;
         let walker = s.spawn(move || Walker::new(walker_state, monitor).run());
+        // Before any task runs, so every wakeup finds the walker's thread.
+        let _ = state.walker.set(walker.thread().clone());
         let out = run_pool(opts.threads, opts.steal_seed, Some(Arc::clone(&state)), f);
         if !matches!(out, PoolOutcome::Done(_)) {
             state.abort();

@@ -36,8 +36,8 @@
 use crate::api::TaskCtx;
 use crate::memory::MemCtx;
 use crate::monitor::TaskKind;
-use crate::online::{OnlineState, TaskRec};
-use crate::sync::{Condvar, Mutex};
+use crate::online::{OnlineState, SpawnRec, TaskRec};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 use futrace_util::ids::{LocId, TaskId};
 use futrace_util::rng::Rng;
 use std::collections::VecDeque;
@@ -127,11 +127,13 @@ struct PoisonUnwind;
 type Job = Box<dyn FnOnce(&mut ParCtx) + Send>;
 
 /// State guarded by the pool's lock: the completion generation (bumped on
-/// every submit and completion) and, per blocked waiter, the generation at
-/// which it last re-checked its condition and found it unsatisfied.
+/// every submit and completion), per blocked waiter the generation at
+/// which it last re-checked its condition and found it unsatisfied, and
+/// the threads asleep on the pool's condvar.
 struct WaitState {
     generation: u64,
     blocked: std::collections::HashMap<u64, u64>,
+    sleepers: usize,
 }
 
 struct PoolShared {
@@ -162,11 +164,32 @@ struct PoolShared {
 }
 
 impl PoolShared {
+    /// Bumps the generation and wakes the threads asleep on `cv`, if any.
+    ///
+    /// Signalling only counted sleepers loses no wakeup: a thread counts
+    /// itself in `sleepers` under the lock after it re-checked its
+    /// condition there, and `Condvar::wait` releases the lock only once
+    /// the thread waits. So a notify whose critical section comes later
+    /// sees the sleeper and signals it, and one that comes earlier made
+    /// its change (a queued job, a completion flag, the generation) before
+    /// the sleeper's re-check, which then does not sleep on it.
     fn notify(&self) {
         let mut g = self.lock.lock();
         g.generation += 1;
+        let sleepers = g.sleepers > 0;
         drop(g);
-        self.cv.notify_all();
+        if sleepers {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Sleeps on `cv`, counted in `sleepers`, until notified or for at
+    /// most 500 µs; `g` is the pool lock, under which the caller re-checked
+    /// its condition.
+    fn sleep(&self, mut g: MutexGuard<'_, WaitState>) {
+        g.sleepers += 1;
+        let mut g = self.cv.wait_timeout(g, Duration::from_micros(500));
+        g.sleepers -= 1;
     }
 
     fn poison(&self, payload: Box<dyn std::any::Any + Send>) {
@@ -204,6 +227,16 @@ impl PoolShared {
 }
 
 fn worker_loop(shared: Arc<PoolShared>) {
+    // One context for every job this thread runs: a job installs its task
+    // id, finish scope and recorder, and clears the recorder when it ends.
+    let mut ctx = ParCtx {
+        shared: Arc::clone(&shared),
+        cur: TaskId::MAIN,
+        finish: Arc::new(FinishScope {
+            pending: AtomicUsize::new(0),
+        }),
+        rec: None,
+    };
     loop {
         if shared.shutdown.load(Ordering::SeqCst)
             || shared.poisoned.load(Ordering::SeqCst)
@@ -217,14 +250,6 @@ fn worker_loop(shared: Arc<PoolShared>) {
         shared.active.fetch_add(1, Ordering::SeqCst);
         match shared.queue.steal() {
             Some(job) => {
-                let mut ctx = ParCtx {
-                    shared: Arc::clone(&shared),
-                    cur: TaskId::MAIN, // each job installs its own id
-                    finish: Arc::new(FinishScope {
-                        pending: AtomicUsize::new(0),
-                    }),
-                    rec: None,
-                };
                 let result = catch_unwind(AssertUnwindSafe(|| job(&mut ctx)));
                 shared.active.fetch_sub(1, Ordering::SeqCst);
                 if let Err(payload) = result {
@@ -239,7 +264,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 shared.active.fetch_sub(1, Ordering::SeqCst);
                 let g = shared.lock.lock();
                 if shared.queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                    drop(shared.cv.wait_timeout(g, Duration::from_micros(500)));
+                    shared.sleep(g);
                 }
             }
         }
@@ -287,12 +312,29 @@ impl ParCtx {
         self.shared.notify();
     }
 
-    /// Final publish + end mark for this task's recorder (no-op when
-    /// uninstrumented). Called by the pool after a task body returns.
+    /// Final publish + end mark for this task's recorder, which it then
+    /// drops (no-op when uninstrumented). Called by the pool after a task
+    /// body returns.
     fn end_recording(&mut self) {
-        if let Some(rec) = self.rec.as_mut() {
+        if let Some(mut rec) = self.rec.take() {
             rec.end();
         }
+    }
+
+    /// Installs a job's task into this worker's context: its id, the
+    /// finish scope it registered with, and its recorder.
+    fn install(&mut self, cur: TaskId, finish: Arc<FinishScope>, pre: Option<SpawnRec>) {
+        self.cur = cur;
+        self.finish = finish;
+        self.rec = pre.map(TaskRec::spawned);
+    }
+
+    /// The installed task has completed: its finish scope lets go of it,
+    /// and blocked waits re-check. A task body restores the scope of every
+    /// `finish` it opens, so `self.finish` is the scope `install` set.
+    fn complete(&self) {
+        self.finish.pending.fetch_sub(1, Ordering::SeqCst);
+        self.shared.notify();
     }
 
     /// Blocks until `done()` holds, with compensation and stall detection.
@@ -397,7 +439,7 @@ impl ParCtx {
                 shared.cv.notify_all();
                 std::panic::resume_unwind(Box::new(PoisonUnwind));
             }
-            drop(shared.cv.wait_timeout(g, Duration::from_micros(500)));
+            shared.sleep(g);
         }
     }
 }
@@ -446,18 +488,11 @@ impl TaskCtx for ParCtx {
             .map(|rec| rec.record_spawn(child.0, TaskKind::Async));
         let scope = Arc::clone(&self.finish);
         scope.pending.fetch_add(1, Ordering::SeqCst);
-        self.submit(Box::new(move |host: &mut ParCtx| {
-            let shared = Arc::clone(&host.shared);
-            let mut ctx = ParCtx {
-                shared: Arc::clone(&host.shared),
-                cur: child,
-                finish: Arc::clone(&scope),
-                rec: pre.map(TaskRec::spawned),
-            };
-            f(&mut ctx);
+        self.submit(Box::new(move |ctx: &mut ParCtx| {
+            ctx.install(child, scope, pre);
+            f(ctx);
             ctx.end_recording();
-            scope.pending.fetch_sub(1, Ordering::SeqCst);
-            shared.notify();
+            ctx.complete();
         }));
     }
 
@@ -498,20 +533,13 @@ impl TaskCtx for ParCtx {
         let scope = Arc::clone(&self.finish);
         scope.pending.fetch_add(1, Ordering::SeqCst);
         let job_cell = Arc::clone(&cell);
-        self.submit(Box::new(move |host: &mut ParCtx| {
-            let shared = Arc::clone(&host.shared);
-            let mut ctx = ParCtx {
-                shared: Arc::clone(&host.shared),
-                cur: child,
-                finish: Arc::clone(&scope),
-                rec: pre.map(TaskRec::spawned),
-            };
-            let v = f(&mut ctx);
+        self.submit(Box::new(move |ctx: &mut ParCtx| {
+            ctx.install(child, scope, pre);
+            let v = f(ctx);
             ctx.end_recording();
             *job_cell.value.lock() = Some(v);
             job_cell.done.store(true, Ordering::SeqCst);
-            scope.pending.fetch_sub(1, Ordering::SeqCst);
-            shared.notify();
+            ctx.complete();
         }));
         ParHandle { cell }
     }
@@ -626,6 +654,7 @@ where
         lock: Mutex::new(WaitState {
             generation: 0,
             blocked: std::collections::HashMap::new(),
+            sleepers: 0,
         }),
         cv: Condvar::new(),
     });
