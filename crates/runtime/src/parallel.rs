@@ -183,12 +183,15 @@ impl PoolShared {
         }
     }
 
-    /// Sleeps on `cv`, counted in `sleepers`, until notified or for at
-    /// most 500 µs; `g` is the pool lock, under which the caller re-checked
+    /// Sleeps on `cv`, counted in `sleepers`, until notified, or for at
+    /// most `poll`; `g` is the pool lock, under which the caller re-checked
     /// its condition.
-    fn sleep(&self, mut g: MutexGuard<'_, WaitState>) {
+    fn sleep(&self, mut g: MutexGuard<'_, WaitState>, poll: Option<Duration>) {
         g.sleepers += 1;
-        let mut g = self.cv.wait_timeout(g, Duration::from_micros(500));
+        let mut g = match poll {
+            Some(poll) => self.cv.wait_timeout(g, poll),
+            None => self.cv.wait(g),
+        };
         g.sleepers -= 1;
     }
 
@@ -262,9 +265,18 @@ fn worker_loop(shared: Arc<PoolShared>) {
             }
             None => {
                 shared.active.fetch_sub(1, Ordering::SeqCst);
+                // An idle worker waits for a notify without a poll: every
+                // submit notifies after its push, and shutdown, poison and
+                // deadlock all notify after setting their flag, so a change
+                // that this re-check under the lock misses finds the worker
+                // counted in `sleepers` (see `PoolShared::notify`).
                 let g = shared.lock.lock();
-                if shared.queue.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.sleep(g);
+                if shared.queue.is_empty()
+                    && !shared.shutdown.load(Ordering::SeqCst)
+                    && !shared.poisoned.load(Ordering::SeqCst)
+                    && !shared.deadlock.load(Ordering::SeqCst)
+                {
+                    shared.sleep(g, None);
                 }
             }
         }
@@ -439,7 +451,11 @@ impl ParCtx {
                 shared.cv.notify_all();
                 std::panic::resume_unwind(Box::new(PoisonUnwind));
             }
-            shared.sleep(g);
+            // Waits keep the poll: an idle worker's claim on `active`
+            // (taken before it steals, dropped without a notify when the
+            // queue is empty) can make a re-check find the pool busy, and
+            // only the next re-check then sees it frozen.
+            shared.sleep(g, Some(Duration::from_micros(500)));
         }
     }
 }
@@ -891,6 +907,60 @@ mod tests {
             });
         });
         assert!(res.is_err(), "the get must not hang on a dead producer");
+    }
+
+    /// Main opens a `finish` and spawns `K` asyncs; each spawns `M`
+    /// grandchildren without a `finish` of its own, so they register with
+    /// the job's scope, the outer one. With `nested`, each async also
+    /// blocks in a `finish` of its own between its two halves of
+    /// grandchildren, so compensation starts a second worker. On one
+    /// worker every job reuses that worker's context: if a job ran with
+    /// the previous job's scope, the outer `finish` could return before
+    /// the grandchildren ran.
+    fn reused_context_scopes(nested: bool) {
+        const K: usize = 8;
+        const M: usize = 16;
+        let written = run_parallel(1, |ctx| {
+            let cells = ctx.shared_array(K * M, 0u64, "cells");
+            ctx.finish(|ctx| {
+                for k in 0..K {
+                    let cells = cells.clone();
+                    ctx.async_task(move |ctx| {
+                        let spawn = |ctx: &mut ParCtx, ms: std::ops::Range<usize>| {
+                            for m in ms {
+                                let cells = cells.clone();
+                                ctx.async_task(move |ctx| {
+                                    std::hint::black_box((0..2000u64).sum::<u64>());
+                                    cells.write(ctx, k * M + m, 1);
+                                });
+                            }
+                        };
+                        spawn(ctx, 0..M / 2);
+                        if nested {
+                            ctx.finish(|ctx| {
+                                ctx.async_task(|_| {
+                                    std::thread::sleep(Duration::from_millis(1));
+                                })
+                            });
+                        }
+                        spawn(ctx, M / 2..M);
+                    });
+                }
+            });
+            (0..K * M).filter(|&i| cells.peek(i) == 1).count()
+        })
+        .unwrap();
+        assert_eq!(written, K * M, "the outer finish returned before every grandchild ran");
+    }
+
+    #[test]
+    fn reused_context_installs_each_jobs_finish_scope() {
+        reused_context_scopes(false);
+    }
+
+    #[test]
+    fn reused_context_survives_compensation_in_nested_finishes() {
+        reused_context_scopes(true);
     }
 
     #[test]
