@@ -322,11 +322,11 @@ impl Checkpoint {
 /// is how every replica is made: fresh (no prefix, no states), resumed
 /// from a checkpoint file, or restarted from the supervisor's snapshot
 /// chain.
-pub fn rebuild_replica<A: Checkpointable>(
+pub fn rebuild_replica<'a, A: Checkpointable>(
     factory: impl FnOnce() -> A,
     shard: usize,
     shards: usize,
-    control: &[Event],
+    control: impl IntoIterator<Item = &'a Event>,
     states: &[Vec<u8>],
 ) -> Result<A, StateError> {
     let mut analysis = factory();

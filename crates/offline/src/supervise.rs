@@ -351,19 +351,77 @@ impl<E: std::fmt::Display> std::fmt::Display for SuperviseError<E> {
 
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for SuperviseError<E> {}
 
-enum Op {
-    Control(Event),
-    Access {
-        task: TaskId,
-        loc: LocId,
-        write: bool,
-        index: u64,
-    },
+/// One routed op in 16 bytes: an access of `task` to `loc`, whose `word`
+/// holds its global index shifted left once over its write bit, or, when
+/// `word` is [`Op::CONTROL`], the batch's next control event.
+#[derive(Clone, Copy)]
+struct Op {
+    task: TaskId,
+    loc: LocId,
+    word: u64,
+}
+
+impl Op {
+    /// The `word` of a control marker; no access index reaches it.
+    const CONTROL: u64 = u64::MAX;
+
+    fn access(task: TaskId, loc: LocId, write: bool, index: u64) -> Op {
+        Op {
+            task,
+            loc,
+            word: index << 1 | write as u64,
+        }
+    }
+
+    fn control() -> Op {
+        Op {
+            task: TaskId(0),
+            loc: LocId(0),
+            word: Op::CONTROL,
+        }
+    }
+}
+
+/// One shard's share of a routing round. The router routes in rounds and
+/// flushes every shard's buffer at once, so a round's control events are
+/// stored once, in `controls`, which every shard's batch of the round and
+/// the supervisor's control prefix share; each shard's `ops` mark where
+/// they fall among its accesses.
+struct Batch {
+    controls: Arc<Vec<Event>>,
+    ops: Vec<Op>,
+}
+
+impl Batch {
+    /// Applies the batch to `analysis` op by op, calling `each` before
+    /// every op and `on_access` for every access.
+    fn apply<A: Checkpointable>(
+        &self,
+        analysis: &mut A,
+        mut each: impl FnMut(),
+        mut on_access: impl FnMut(LocId),
+    ) {
+        let mut controls = self.controls.iter();
+        for op in &self.ops {
+            each();
+            if op.word == Op::CONTROL {
+                analysis.apply_control(controls.next().expect("one control event per marker"));
+                continue;
+            }
+            on_access(op.loc);
+            let index = op.word >> 1;
+            if op.word & 1 == 1 {
+                analysis.check_write_at(op.task, op.loc, index);
+            } else {
+                analysis.check_read_at(op.task, op.loc, index);
+            }
+        }
+    }
 }
 
 enum ToWorker {
     /// Ops to apply, shared with the supervisor's replay buffer.
-    Batch(Arc<Vec<Op>>),
+    Batch(Arc<Batch>),
     /// Cut a snapshot.
     Snapshot(Cut),
 }
@@ -440,8 +498,9 @@ where
         let mut stall = stall;
         loop {
             match rx.recv() {
-                Some(ToWorker::Batch(batch)) => {
-                    for op in batch.iter() {
+                Some(ToWorker::Batch(batch)) => batch.apply(
+                    &mut analysis,
+                    || {
                         ops_done += 1;
                         if let Some((at, dur)) = stall {
                             if ops_done == at {
@@ -452,27 +511,14 @@ where
                         if panic_at == Some(ops_done) {
                             panic!("injected worker fault (shard {shard}, op {ops_done})");
                         }
-                        match *op {
-                            Op::Control(ref e) => analysis.apply_control(e),
-                            Op::Access {
-                                task,
-                                loc,
-                                write,
-                                index,
-                            } => {
-                                accesses += 1;
-                                if let Some(touched) = &mut touched {
-                                    touched.insert(loc);
-                                }
-                                if write {
-                                    analysis.check_write_at(task, loc, index);
-                                } else {
-                                    analysis.check_read_at(task, loc, index);
-                                }
-                            }
+                    },
+                    |loc| {
+                        accesses += 1;
+                        if let Some(touched) = &mut touched {
+                            touched.insert(loc);
                         }
-                    }
-                }
+                    },
+                ),
                 Some(ToWorker::Snapshot(cut)) => {
                     let mut state = Vec::new();
                     match (&touched, cut) {
@@ -511,7 +557,7 @@ struct Slot<R> {
     /// replacement worker: the very batches the worker was sent, shared,
     /// not copies. Volume is bounded by the checkpoint interval and, as a
     /// backstop, by [`SupervisorPlan::max_replay_ops`].
-    replay: Vec<Arc<Vec<Op>>>,
+    replay: Vec<Arc<Batch>>,
     /// Ops currently retained in `replay`.
     replay_ops: u64,
     /// The replay buffer overflowed [`SupervisorPlan::max_replay_ops`] and
@@ -551,13 +597,14 @@ where
     plan: SupervisorPlan,
     n: usize,
     slots: Vec<Slot<A::Report>>,
-    /// Every control event consumed so far — the replay source for both
-    /// worker restart and checkpoint files. Small by the control/access
-    /// asymmetry that justifies sharding in the first place. Kept only
-    /// when the plan can snapshot; a restart without snapshots replays
-    /// from the start (or from the resumed checkpoint's prefix).
-    control_prefix: Vec<Event>,
-    /// `control_prefix` length at the last completed snapshot.
+    /// Every control event consumed so far, as the routing rounds' shared
+    /// control lists — the replay source for both worker restart and
+    /// checkpoint files. Small by the control/access asymmetry that
+    /// justifies sharding in the first place. Kept only when the plan can
+    /// snapshot; a restart without snapshots replays from the start (or
+    /// from the resumed checkpoint's prefix).
+    control_prefix: Vec<Arc<Vec<Event>>>,
+    /// `control_prefix` length, in rounds, at the last completed snapshot.
     snapshot_control_len: usize,
     supervision: SupervisionReport,
 }
@@ -578,7 +625,9 @@ where
             &self.factory,
             shard,
             self.n,
-            &self.control_prefix[..self.snapshot_control_len],
+            self.control_prefix[..self.snapshot_control_len]
+                .iter()
+                .flat_map(|round| round.iter()),
             &self.slots[shard].chain,
         )?;
         let touched = self
@@ -655,9 +704,9 @@ where
     /// shard is then no longer restartable until the next snapshot resets
     /// it (death degrades to serial), which is what plain sharding
     /// (`max_replay_ops == 0`) asks for from its first batch on.
-    fn dispatch(&mut self, shard: usize, batch: Vec<Op>) -> Result<(), Degrade> {
+    fn dispatch(&mut self, shard: usize, batch: Batch) -> Result<(), Degrade> {
         let slot = &self.slots[shard];
-        let len = batch.len() as u64;
+        let len = batch.ops.len() as u64;
         let batch = Arc::new(batch);
         let retained = (!slot.replay_lost && slot.replay_ops + len <= self.plan.max_replay_ops)
             .then(|| Arc::clone(&batch));
@@ -839,7 +888,7 @@ where
 
     // A resumed shard starts from the checkpoint's control prefix and its
     // state blob, as a restart starts from the last snapshot.
-    let control_prefix = resume.map_or_else(Vec::new, |cp| cp.control_events.clone());
+    let control_prefix = resume.map_or_else(Vec::new, |cp| vec![Arc::new(cp.control_events.clone())]);
     let mut sup = Supervisor {
         factory,
         plan: plan.clone(),
@@ -907,19 +956,34 @@ where
 
     let snapshots = plan.checkpoint_every_chunks.is_some() || plan.stop_after_chunks.is_some();
     let mut buffers: Vec<Vec<Op>> = (0..n).map(|_| Vec::with_capacity(batch_cap)).collect();
+    // The current round's control events, one copy for every shard.
+    let mut round_controls: Vec<Event> = Vec::new();
     let mut last_snapshot_chunk = cur_chunks;
     let mut events_consumed = resume.map(|cp| cp.events_consumed).unwrap_or(0);
     let mut degraded = false;
     let mut stream_err: Option<E> = None;
     let mut suspend: Option<Checkpoint> = None;
 
-    macro_rules! flush_shard {
-        ($shard:expr) => {{
-            let shard = $shard;
-            if !buffers[shard].is_empty() {
-                let batch = std::mem::replace(&mut buffers[shard], Vec::with_capacity(batch_cap));
+    // Ends the round: every shard with ops gets its batch, sharing the
+    // round's control events with the others and the control prefix.
+    macro_rules! flush_round {
+        () => {{
+            let controls = Arc::new(std::mem::take(&mut round_controls));
+            if snapshots && !controls.is_empty() {
+                sup.control_prefix.push(Arc::clone(&controls));
+            }
+            for shard in 0..n {
+                if buffers[shard].is_empty() {
+                    continue;
+                }
+                let ops = std::mem::replace(&mut buffers[shard], Vec::with_capacity(batch_cap));
+                let batch = Batch {
+                    controls: Arc::clone(&controls),
+                    ops,
+                };
                 if sup.dispatch(shard, batch).is_err() {
                     degraded = true;
+                    break;
                 }
             }
         }};
@@ -958,11 +1022,9 @@ where
             if stop_here || snapshot_here {
                 // Snapshot BEFORE routing this chunk: the cut covers
                 // exactly the completed chunks.
-                for shard in 0..n {
-                    flush_shard!(shard);
-                    if degraded {
-                        break 'route;
-                    }
+                flush_round!();
+                if degraded {
+                    break 'route;
                 }
                 if sup.snapshot_barrier(stop_here).is_err() {
                     degraded = true;
@@ -976,7 +1038,11 @@ where
                         next_access_index: index,
                         chunks_completed: cur_chunks,
                         router,
-                        control_events: sup.control_prefix.clone(),
+                        control_events: sup
+                            .control_prefix
+                            .iter()
+                            .flat_map(|round| round.iter().cloned())
+                            .collect(),
                         per_shard_accesses: sup
                             .slots
                             .iter()
@@ -1009,15 +1075,10 @@ where
                         router.reads += 1;
                     }
                     let shard = loc.index() % n;
-                    buffers[shard].push(Op::Access {
-                        task,
-                        loc,
-                        write,
-                        index,
-                    });
+                    buffers[shard].push(Op::access(task, loc, write, index));
                     index += 1;
                     if buffers[shard].len() >= batch_cap {
-                        flush_shard!(shard);
+                        flush_round!();
                         if degraded {
                             break 'route;
                         }
@@ -1025,16 +1086,14 @@ where
                 }
                 ref control => {
                     router.control_events += 1;
-                    if snapshots {
-                        sup.control_prefix.push(control.clone());
+                    round_controls.push(control.clone());
+                    for buffer in &mut buffers {
+                        buffer.push(Op::control());
                     }
-                    for shard in 0..n {
-                        buffers[shard].push(Op::Control(control.clone()));
-                        if buffers[shard].len() >= batch_cap {
-                            flush_shard!(shard);
-                            if degraded {
-                                break 'route;
-                            }
+                    if buffers.iter().any(|b| b.len() >= batch_cap) {
+                        flush_round!();
+                        if degraded {
+                            break 'route;
                         }
                     }
                 }
@@ -1057,9 +1116,7 @@ where
     }
 
     if !degraded {
-        for shard in 0..n {
-            flush_shard!(shard);
-        }
+        flush_round!();
     }
 
     let collected = if degraded { Err(Degrade) } else { sup.collect() };
@@ -1121,7 +1178,6 @@ mod tests {
     use super::*;
     use crate::TraceError;
     use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
-    use futrace_runtime::engine::Analysis;
     use futrace_runtime::{replay, run_serial, EventLog, TaskCtx};
 
     fn racy_log() -> EventLog {
@@ -1515,56 +1571,44 @@ mod tests {
         assert_eq!(report.report.total_detected, serial.total_detected);
     }
 
-    /// The ops the router sends shard `shard` of `n` for `events`: every
+    /// The batch the router sends shard `shard` of `n` for `events`: every
     /// control event, and the accesses `loc % n` routes there, numbered
-    /// in the one global sequence.
-    fn ops_for(events: &[Event], shard: usize, n: usize) -> Vec<Op> {
-        let mut index = 0;
-        let mut ops = Vec::new();
+    /// in the one global sequence from `first_index`.
+    fn batch_for(events: &[Event], first_index: u64, shard: usize, n: usize) -> Batch {
+        let mut index = first_index;
+        let (mut controls, mut ops) = (Vec::new(), Vec::new());
         for e in events {
             match *e {
                 Event::Read(task, loc) | Event::Write(task, loc) => {
                     if loc.index() % n == shard {
                         let write = matches!(e, Event::Write(..));
-                        ops.push(Op::Access {
-                            task,
-                            loc,
-                            write,
-                            index,
-                        });
+                        ops.push(Op::access(task, loc, write, index));
                     }
                     index += 1;
                 }
-                ref control => ops.push(Op::Control(control.clone())),
+                ref control => {
+                    controls.push(control.clone());
+                    ops.push(Op::control());
+                }
             }
         }
-        ops
-    }
-
-    /// Applies `ops` to `det` the way a worker does.
-    fn apply(det: &mut RaceDetector, ops: &[Op]) {
-        for op in ops {
-            match *op {
-                Op::Control(ref e) => Analysis::apply_control(det, e),
-                Op::Access {
-                    task,
-                    loc,
-                    write: true,
-                    index,
-                } => det.check_write_at(task, loc, index),
-                Op::Access {
-                    task, loc, index, ..
-                } => det.check_read_at(task, loc, index),
-            }
+        Batch {
+            controls: Arc::new(controls),
+            ops,
         }
     }
 
-    /// Spawns a tracking worker around `analysis`, sends it `ops` as one
-    /// batch, and returns the state it cuts for `cut`.
-    fn cut_by_worker(analysis: RaceDetector, ops: Vec<Op>, cut: Cut) -> Vec<u8> {
+    /// Applies `batch` to `det` the way a worker does.
+    fn apply(det: &mut RaceDetector, batch: &Batch) {
+        batch.apply(det, || {}, |_| {});
+    }
+
+    /// Spawns a tracking worker around `analysis`, sends it `batch`, and
+    /// returns the state it cuts for `cut`.
+    fn cut_by_worker(analysis: RaceDetector, batch: Batch, cut: Cut) -> Vec<u8> {
         let touched = Some(Touched::default());
         let (tx, rx) = spawn_worker(0, analysis, 0, touched, 2, None, None);
-        assert!(tx.send(ToWorker::Batch(Arc::new(ops))).is_ok());
+        assert!(tx.send(ToWorker::Batch(Arc::new(batch))).is_ok());
         assert!(tx.send(ToWorker::Snapshot(cut)).is_ok());
         match rx.recv_timeout(Duration::from_secs(10)) {
             RecvTimeout::Item(FromWorker::Snapshot { state, .. }) => state,
@@ -1609,19 +1653,19 @@ mod tests {
         // of the blob is what a replica holding every cell would cut.
         let log = racy_log();
         let mut serial = RaceDetector::new();
-        apply(&mut serial, &ops_for(&log.events, 0, 1));
+        apply(&mut serial, &batch_for(&log.events, 0, 0, 1));
         let mut whole = Vec::new();
         serial.save_state(&mut whole);
         let (serial_len, serial_cells) = shadow_section(&whole);
         for n in [1usize, 2, 3] {
             for shard in 0..n {
-                let ops = ops_for(&log.events, shard, n);
+                let batch = batch_for(&log.events, 0, shard, n);
                 let mut unsharded = RaceDetector::new();
-                apply(&mut unsharded, &ops);
+                apply(&mut unsharded, &batch);
                 let mut want = Vec::new();
                 unsharded.save_state(&mut want);
                 let replica = rebuild_replica(RaceDetector::new, shard, n, &[], &[]).unwrap();
-                let got = cut_by_worker(replica, ops, Cut::Full);
+                let got = cut_by_worker(replica, batch, Cut::Full);
                 assert!(got == want, "shard {shard} of {n}");
 
                 let (len, cells) = shadow_section(&got);
@@ -1648,26 +1692,29 @@ mod tests {
             .iter()
             .rposition(|e| matches!(e, Event::TaskCreate { .. }))
             .unwrap();
+        let (before, after) = log.events.split_at(cut_at);
+        let is_access = |e: &&Event| matches!(e, Event::Read(..) | Event::Write(..));
+        let accesses_before = before.iter().filter(is_access).count() as u64;
         for shard in 0..2 {
-            let ops = ops_for(&log.events, shard, 2);
-            let done = ops_for(&log.events[..cut_at], shard, 2).len();
+            let done = batch_for(before, 0, shard, 2);
+            let rest = batch_for(after, accesses_before, shard, 2);
             let mut straight = RaceDetector::new();
-            apply(&mut straight, &ops);
+            apply(&mut straight, &done);
+            apply(&mut straight, &rest);
             let mut want = Vec::new();
             straight.save_state(&mut want);
 
             let mut first = RaceDetector::new();
-            apply(&mut first, &ops[..done]);
+            apply(&mut first, &done);
             let mut blob = Vec::new();
             first.save_state(&mut blob);
-            let control: Vec<Event> = log.events[..cut_at]
+            let control: Vec<Event> = before
                 .iter()
-                .filter(|e| !matches!(e, Event::Read(..) | Event::Write(..)))
+                .filter(|e| !is_access(e))
                 .cloned()
                 .collect();
             let restored =
                 rebuild_replica(RaceDetector::new, shard, 2, &control, &[blob]).unwrap();
-            let rest = ops_for(&log.events, shard, 2).split_off(done);
             let got = cut_by_worker(restored, rest, Cut::Full);
             assert!(got == want, "shard {shard}");
         }
