@@ -66,7 +66,9 @@
 //!   restore of the last full snapshot and every delta after it, in
 //!   order — and then replays the batches routed since the last snapshot
 //!   (the supervisor retains them, shared with the worker they were sent
-//!   to; their volume is bounded by the checkpoint interval and capped
+//!   to, each a `Batch` of 16-byte ops and its routing round's control
+//!   events, which the round's batches and the control prefix share;
+//!   their volume is bounded by the checkpoint interval and capped
 //!   by [`SupervisorPlan::max_replay_ops`] — on overflow the buffer is
 //!   dropped and a death in that window degrades to serial instead of
 //!   hoarding memory). Injected faults are one-shot, modelling the
