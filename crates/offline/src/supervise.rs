@@ -890,7 +890,8 @@ where
 
     // A resumed shard starts from the checkpoint's control prefix and its
     // state blob, as a restart starts from the last snapshot.
-    let control_prefix = resume.map_or_else(Vec::new, |cp| vec![Arc::new(cp.control_events.clone())]);
+    let control_prefix =
+        resume.map_or_else(Vec::new, |cp| vec![Arc::new(cp.control_events.clone())]);
     let mut sup = Supervisor {
         factory,
         plan: plan.clone(),

@@ -937,11 +937,7 @@ mod tests {
                         };
                         spawn(ctx, 0..M / 2);
                         if nested {
-                            ctx.finish(|ctx| {
-                                ctx.async_task(|_| {
-                                    std::thread::sleep(Duration::from_millis(1));
-                                })
-                            });
+                            ctx.finish(|ctx| ctx.async_task(|_| {}));
                         }
                         spawn(ctx, M / 2..M);
                     });
@@ -950,7 +946,11 @@ mod tests {
             (0..K * M).filter(|&i| cells.peek(i) == 1).count()
         })
         .unwrap();
-        assert_eq!(written, K * M, "the outer finish returned before every grandchild ran");
+        assert_eq!(
+            written,
+            K * M,
+            "the outer finish returned before every grandchild ran"
+        );
     }
 
     #[test]

@@ -71,7 +71,13 @@ impl Stage {
     }
 
     /// Runs the stage once; the walk stage returns its pipeline counters.
-    fn run(self, w: &'static Workload, scale: Scale, planted: bool, threads: usize) -> Option<OnlineStats> {
+    fn run(
+        self,
+        w: &'static Workload,
+        scale: Scale,
+        planted: bool,
+        threads: usize,
+    ) -> Option<OnlineStats> {
         match self {
             Stage::Serial => {
                 let mut engine = Engine::new(RaceDetector::new());
@@ -91,9 +97,11 @@ impl Stage {
                 Some(run.stats)
             }
             Stage::Online => {
-                Analyze::program_parallel(threads, move |ctx| w.run_parallel_into(ctx, scale, planted))
-                    .run()
-                    .expect("online detection completes");
+                Analyze::program_parallel(threads, move |ctx| {
+                    w.run_parallel_into(ctx, scale, planted)
+                })
+                .run()
+                .expect("online detection completes");
                 None
             }
         }
@@ -122,7 +130,10 @@ fn main() {
         None => (program.as_str(), false),
     };
     let Some(w) = registry::find(name) else {
-        eprintln!("no registry program `{name}`; known: {}", registry::names().join(", "));
+        eprintln!(
+            "no registry program `{name}`; known: {}",
+            registry::names().join(", ")
+        );
         std::process::exit(2);
     };
     if planted && !w.plantable {
@@ -136,7 +147,11 @@ fn main() {
     };
     let number = |i: usize, default: usize| match args.get(i) {
         None => default,
-        Some(s) => s.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| usage()),
+        Some(s) => s
+            .parse()
+            .ok()
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| usage()),
     };
     let threads = number(2, 2);
     let reps = number(3, 5);
@@ -173,7 +188,11 @@ fn main() {
     println!(
         "{program} ({}, {threads} thread(s)): CPU s and minor faults per run, \
          {reps} round(s)",
-        if scale == Scale::Tiny { "tiny" } else { "scaled" }
+        if scale == Scale::Tiny {
+            "tiny"
+        } else {
+            "scaled"
+        }
     );
     println!(
         "{:<8} {:>6} {:>10} {:>10} {:>10} {:>12}",
