@@ -306,7 +306,9 @@ impl<T> Clone for ParHandle<T> {
     }
 }
 
-/// Per-running-task execution context for the parallel executor.
+/// Execution context of the task a thread of the parallel executor runs.
+/// Each worker thread keeps one for every job it runs, and each job
+/// installs its own task into it.
 pub struct ParCtx {
     shared: Arc<PoolShared>,
     cur: TaskId,
