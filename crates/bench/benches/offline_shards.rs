@@ -125,7 +125,7 @@ fn shard_scaling(c: &mut Runner, name: &str, events: &[Event]) {
                 })
             })
         });
-        let plan = SupervisorPlan::for_shards(Some(shards), false);
+        let plan = SupervisorPlan::for_shards(Some(shards));
         g.bench_with_input(BenchmarkId::new("pipeline", shards), &plan, |b, plan| {
             b.iter(|| {
                 let chunks = || event_chunks::<Infallible>(events);

@@ -46,7 +46,7 @@ usage:
   tracetool verify FILE
   tracetool corpus DIR [--out DIR] [--detectors NAME,NAME,...]
                    [--max-parallel N] [--failure-policy continue|abort]
-                   [--shards N] [--supervised] [--lenient] [--fresh]
+                   [--shards N] [--lenient] [--fresh]
                    [--stop-after-jobs N] [--job-timeout-ms T]
                    [--job-retries N]
   tracetool fuzz [--programs N] [--seed S]
@@ -393,10 +393,11 @@ fn write_checkpoint(args: &AnalyzeArgs, checkpoint: &Checkpoint, supervision: &S
     }
 }
 
-/// Prints the shard stage's accounting: plain `--shards N` retains
-/// nothing for recovery (a dead worker degrades the run to serial); the
-/// supervision flags add restart-from-snapshot and suspend/resume, whose
-/// outcomes surface in the `-- engine --` block only.
+/// Prints the shard stage's accounting: plain `--shards N` takes no
+/// snapshots (a dead worker restarts by reading the trace again from the
+/// start); `--checkpoint-every` adds the snapshots a restart reads from,
+/// and `--stop-after`/`--resume` suspend and resume. Recovery outcomes
+/// surface in the `-- engine --` block only.
 fn print_sharding(s: &ShardStats, supervision: Option<&SupervisionReport>) {
     println!("\n-- sharded pipeline --");
     println!("shards:      {}", s.shards);

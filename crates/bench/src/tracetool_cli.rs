@@ -153,9 +153,9 @@ pub struct AnalyzeArgs {
     /// Seed for deterministic fault injection: read faults on the trace
     /// file plus worker panic/stall faults in the supervised pipeline.
     pub inject: Option<u64>,
-    /// Barrier-snapshot every N chunk boundaries (supervised pipeline).
-    /// When absent but `--inject` is given on a framed trace, the tool
-    /// defaults an interval so the replay buffer stays bounded.
+    /// Barrier-snapshot every N chunk boundaries, so a restarted shard
+    /// reads the trace again only from its last snapshot (without one, a
+    /// restart under `--inject` reads it from the start).
     pub checkpoint_every: Option<u64>,
     /// Write a resumable checkpoint to this path when the run suspends
     /// (requires `--stop-after`: only a suspend writes one).
@@ -586,7 +586,6 @@ fn parse_corpus(args: &[String]) -> Result<Command, String> {
                 }
             }
             "--shards" => opts.shards = Some(flags.positive()?),
-            "--supervised" => opts.supervised = true,
             "--lenient" => opts.lenient = true,
             "--fresh" => opts.fresh = true,
             "--stop-after-jobs" => opts.stop_after_jobs = Some(flags.positive()?),
@@ -595,9 +594,6 @@ fn parse_corpus(args: &[String]) -> Result<Command, String> {
             d if !d.starts_with('-') && dir.is_none() => dir = Some(d.to_string()),
             other => return Err(format!("corpus: unknown argument `{other}`")),
         }
-    }
-    if opts.supervised && opts.shards.is_none() {
-        return Err("--supervised needs --shards N (it is sharding plus recovery)".into());
     }
     opts.detectors = detectors.finish("corpus")?;
     let dir = dir.ok_or("corpus: a corpus directory is required")?;
@@ -1102,7 +1098,7 @@ mod tests {
         assert_eq!(c.detectors, DETECTOR_NAMES);
         assert_eq!(c.max_parallel, 1);
         assert_eq!(c.policy, FailurePolicy::Continue);
-        assert!(!c.supervised && !c.lenient && !c.fresh);
+        assert!(!c.lenient && !c.fresh);
         assert!(c.shards.is_none() && c.stop_after_jobs.is_none());
         assert!(c.job_timeout.is_none());
     }
@@ -1249,7 +1245,7 @@ mod tests {
     fn corpus_full_flag_set() {
         let Command::Corpus { dir, opts: c } = parse(&argv(
             "corpus traces --out run1 --detectors dtrg,vc --max-parallel 4 \
-             --failure-policy abort --shards 2 --supervised --lenient --fresh \
+             --failure-policy abort --shards 2 --lenient --fresh \
              --stop-after-jobs 9",
         ))
         .unwrap() else {
@@ -1260,7 +1256,7 @@ mod tests {
         assert_eq!(c.detectors, ["dtrg", "vc"]);
         assert_eq!(c.max_parallel, 4);
         assert_eq!(c.policy, FailurePolicy::Abort);
-        assert!(c.supervised && c.lenient && c.fresh);
+        assert!(c.lenient && c.fresh);
         assert_eq!(c.shards, Some(2));
         assert_eq!(c.stop_after_jobs, Some(9));
     }
@@ -1292,8 +1288,6 @@ mod tests {
         assert!(err.contains("listed twice"), "{err}");
         let err = parse(&argv("corpus d --detectors dtrg,bogus")).unwrap_err();
         assert!(err.contains("unknown detector `bogus`"), "{err}");
-        let err = parse(&argv("corpus d --supervised")).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
         let err = parse(&argv("corpus d --shards 0")).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = parse(&argv("corpus d --stop-after-jobs 0")).unwrap_err();
@@ -1403,7 +1397,7 @@ mod tests {
         assert_eq!(
             parse(&argv(
                 "corpus d --out o --detectors vc,dtrg --max-parallel 4 --failure-policy abort \
-                 --shards 2 --supervised --lenient --fresh --stop-after-jobs 9 \
+                 --shards 2 --lenient --fresh --stop-after-jobs 9 \
                  --job-timeout-ms 5000 --job-retries 3",
             ))
             .unwrap(),
@@ -1414,7 +1408,6 @@ mod tests {
                     max_parallel: 4,
                     policy: FailurePolicy::Abort,
                     shards: Some(2),
-                    supervised: true,
                     lenient: true,
                     fresh: true,
                     stop_after_jobs: Some(9),

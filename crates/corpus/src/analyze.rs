@@ -52,8 +52,8 @@ use crate::detectors::{is_detector, is_shardable, AnyReport};
 use futrace_baselines::{ClosureDetector, EspBags, OffsetSpan, SpBags, Spd3, VectorClockDetector};
 use futrace_detector::{DetectorConfig, RaceDetector};
 use futrace_offline::{
-    framed, run_supervised, salvage, trace_chunks, AnalysisOutcome, Checkpoint, FrameError,
-    ShardStats, SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, TraceError,
+    run_supervised, salvage, trace_chunks, AnalysisOutcome, Checkpoint, FrameError, ShardStats,
+    SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, TraceError,
     TraceFingerprint, SYNTHETIC_CHUNK_EVENTS,
 };
 use futrace_runtime::engine::{
@@ -64,7 +64,6 @@ use futrace_runtime::{run_serial, Event, EventLog, ParCtx, SerialCtx};
 use futrace_util::faultinject::FaultPlan;
 use futrace_util::stats::Timer;
 use std::borrow::Cow;
-use std::cell::Cell;
 
 /// Why an [`Analyze`] run failed. Program and event-slice sources are
 /// infallible; the variants cover trace I/O, trace decoding, and
@@ -155,10 +154,6 @@ enum Source<'a> {
     Events(&'a [Event]),
 }
 
-/// Snapshot interval, in chunks, of a [`Analyze::fault_plan`] run over a
-/// framed trace that sets no [`Analyze::checkpoint_every`].
-const FAULT_CHECKPOINT_EVERY: u64 = 8;
-
 /// The options an [`Analyze`] run was configured with.
 #[derive(Default)]
 struct Options {
@@ -166,7 +161,6 @@ struct Options {
     shards: Option<usize>,
     checkpoint_every: Option<u64>,
     fault_seed: Option<u64>,
-    supervised: bool,
     lenient: bool,
     steal_seed: Option<u64>,
     resume: Option<Checkpoint>,
@@ -217,9 +211,9 @@ impl<'a> Analyze<'a> {
     /// Only [`Analyze::run`] runs it (online detection is DTRG's), and
     /// trace-replay options ([`Analyze::shards`],
     /// [`Analyze::checkpoint_every`], [`Analyze::fault_plan`],
-    /// `Analyze::supervised`, [`Analyze::lenient`], [`Analyze::resume`],
-    /// [`Analyze::stop_after`]) do not apply to a live parallel execution:
-    /// they are [`AnalyzeError::Config`] errors.
+    /// [`Analyze::lenient`], [`Analyze::resume`], [`Analyze::stop_after`])
+    /// do not apply to a live parallel execution: they are
+    /// [`AnalyzeError::Config`] errors.
     pub fn program_parallel<F>(threads: usize, f: F) -> Self
     where
         F: FnOnce(&mut ParCtx) + Send + 'a,
@@ -264,33 +258,24 @@ impl<'a> Analyze<'a> {
         self
     }
 
-    /// Runs under the fault-tolerant supervisor, barrier-snapshotting
-    /// every `chunks` chunk boundaries so dead or stalled workers restart
-    /// from the last snapshot. After each shard's first full snapshot, a
-    /// barrier saves only the cells the shard checked since its last one,
-    /// until those deltas add up to the full one's size.
+    /// Runs the shard stage with a barrier snapshot every `chunks` chunk
+    /// boundaries, so a dead or stalled worker restarts from the last
+    /// snapshot and reads the source again only from there. After each
+    /// shard's first full snapshot, a barrier saves only the cells the
+    /// shard checked since its last one, until those deltas add up to the
+    /// full one's size.
     pub fn checkpoint_every(mut self, chunks: impl Into<Option<u64>>) -> Self {
         self.opts.checkpoint_every = chunks.into();
         self
     }
 
     /// Injects the deterministic fault plan expanded from `seed` (worker
-    /// panics/stalls; see `FaultPlan::from_seed`) and runs under the
-    /// supervisor, which must recover without changing the verdict. Over
-    /// a framed trace without a [`Analyze::checkpoint_every`], the run
-    /// snapshots every 8 chunks, so the replay buffer stays bounded and
-    /// injected worker deaths stay restartable on long traces.
+    /// panics/stalls; see `FaultPlan::from_seed`) into the shard stage,
+    /// which must recover without changing the verdict: a dead or stalled
+    /// worker restarts and reads the source again from its last snapshot,
+    /// or from the start without [`Analyze::checkpoint_every`].
     pub fn fault_plan(mut self, seed: impl Into<Option<u64>>) -> Self {
         self.opts.fault_seed = seed.into();
-        self
-    }
-
-    /// With `true`, runs the shard stage under the full supervisor even
-    /// without snapshots or faults: it retains the batches it routes, so
-    /// a dead worker restarts by replay instead of degrading the run to
-    /// serial.
-    pub(crate) fn supervised(mut self, supervised: bool) -> Self {
-        self.opts.supervised = supervised;
         self
     }
 
@@ -405,7 +390,6 @@ impl<'a> Analyze<'a> {
                 out.engine.cache_hits = hits;
                 out.engine.cache_misses = misses;
             }
-            out.engine.skipped_chunks = input.dropped.get();
             out.truncated = input.truncated;
         }
         Ok(run)
@@ -424,9 +408,6 @@ struct Input<'a> {
     trace: &'a [u8],
     events: &'a [Event],
     lenient: bool,
-    /// The damaged chunks a lenient read dropped, counted afresh by each
-    /// read: a degraded sharded run reads the trace again from the start.
-    dropped: Cell<u64>,
     truncated: Option<FrameError>,
 }
 
@@ -459,17 +440,11 @@ impl<'a> Input<'a> {
     /// A fresh read of the input's chunks. One iterator type for both
     /// inputs, so each detector type instantiates the shard stage once.
     fn read(&self) -> Chunks<'_> {
-        self.dropped.set(0);
         if self.blob.is_none() {
             let chunks = self.events.chunks(SYNTHETIC_CHUNK_EVENTS);
             return Box::new(chunks.map(|c| Ok(Some(Cow::Borrowed(c)))));
         }
-        Box::new(trace_chunks(self.trace, self.lenient).map(|chunk| {
-            let chunk = chunk?;
-            self.dropped
-                .set(self.dropped.get() + u64::from(chunk.is_none()));
-            Ok(chunk.map(Cow::Owned))
-        }))
+        Box::new(trace_chunks(self.trace, self.lenient).map(|chunk| Ok(chunk?.map(Cow::Owned))))
     }
 }
 
@@ -513,12 +488,11 @@ impl Options {
         move || self.detector()
     }
 
-    /// Snapshots, faults, a stop point and a resume all ask for the full
-    /// supervisor; plain `shards` runs the same stage with nothing
-    /// retained for recovery.
+    /// Snapshots, faults, a stop point and a resume ask for the shard
+    /// stage and its supervision report; a plain `shards` run reports
+    /// recovery only when it needed some.
     fn supervised(&self) -> bool {
-        self.supervised
-            || self.checkpoint_every.is_some()
+        self.checkpoint_every.is_some()
             || self.fault_seed.is_some()
             || self.stop_after.is_some()
             || self.resume.is_some()
@@ -531,11 +505,8 @@ impl Options {
 
     /// The shard stage's plan for `input`.
     fn plan(&self, input: &Input<'_>) -> SupervisorPlan {
-        let mut plan = SupervisorPlan::for_shards(self.shards, self.supervised());
-        let framed = input.blob.is_some_and(framed::is_framed);
-        plan.checkpoint_every_chunks = self
-            .checkpoint_every
-            .or((self.fault_seed.is_some() && framed).then_some(FAULT_CHECKPOINT_EVERY));
+        let mut plan = SupervisorPlan::for_shards(self.shards);
+        plan.checkpoint_every_chunks = self.checkpoint_every;
         plan.stop_after_chunks = self.stop_after;
         plan.fingerprint = input.blob.map(TraceFingerprint::of);
         if let Some(seed) = self.fault_seed {
@@ -568,11 +539,18 @@ impl Options {
         analysis: A,
         erase: impl FnOnce(A::Report) -> AnyReport,
     ) -> Result<DetectorRun, AnalyzeError> {
-        let chunks = input.read().filter_map(Result::transpose);
+        let mut dropped = 0;
+        let chunks = input.read().filter_map(|chunk| {
+            dropped += u64::from(matches!(chunk, Ok(None)));
+            chunk.transpose()
+        });
         let out = run_analysis(source::chunks(chunks), analysis)?;
         Ok(DetectorRun::Completed(DetectorOutcome {
             report: erase(out.report),
-            engine: out.counters,
+            engine: EngineCounters {
+                skipped_chunks: dropped,
+                ..out.counters
+            },
             sharding: None,
             supervision: None,
             truncated: None,
@@ -636,8 +614,8 @@ impl Options {
         }
         if self.sharded() || self.lenient {
             return Err(AnalyzeError::Config(
-                "shards()/checkpoint_every()/fault_plan()/supervised()/resume()/stop_after()/\
-                 lenient() apply to replayed traces, not to a live parallel execution"
+                "shards()/checkpoint_every()/fault_plan()/resume()/stop_after()/lenient() \
+                 apply to replayed traces, not to a live parallel execution"
                     .into(),
             ));
         }

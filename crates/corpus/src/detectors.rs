@@ -177,7 +177,7 @@ mod tests {
         let log = future_sync_trace();
         for name in ["dtrg", "vc"] {
             let serial = run(name, &log).report;
-            let supervised = Analyze::events(&log.events).shards(2).supervised(true);
+            let supervised = Analyze::events(&log.events).shards(2).checkpoint_every(1);
             let out = completed(supervised, name);
             let (report, stats) = (out.report, out.sharding.expect("sharded"));
             let supervision = out.supervision.expect("supervised");

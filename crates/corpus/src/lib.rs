@@ -60,8 +60,6 @@ pub struct CorpusOptions {
     /// Shard count for shardable detectors (`dtrg`, `vc`); others always
     /// run serial. `None` = everything serial.
     pub shards: Option<usize>,
-    /// Run shardable detectors under the fault-tolerant supervisor.
-    pub supervised: bool,
     /// Lenient trace reads: drop damaged chunks (CRC, payload or event
     /// count) instead of failing, and check a truncated trace up to its
     /// cut, by the rule every lenient reader applies.
@@ -94,7 +92,6 @@ impl CorpusOptions {
             max_parallel: 1,
             policy: FailurePolicy::Continue,
             shards: None,
-            supervised: false,
             lenient: false,
             fresh: false,
             stop_after_jobs: None,
@@ -214,14 +211,13 @@ fn validate(opts: &CorpusOptions) -> Result<(), CorpusError> {
 }
 
 /// Runs one detector over a trace blob along the configured path
-/// (serial / sharded / supervised). Detectors that cannot shard run
-/// serially whatever the options.
+/// (serial or sharded). Detectors that cannot shard run serially
+/// whatever the options.
 fn analyze_trace(name: &str, blob: &[u8], opts: &CorpusOptions) -> Result<DetectorOutcome, String> {
     let shards = opts.shards.filter(|_| is_shardable(name));
     let analysis = Analyze::trace_bytes(blob)
         .lenient(opts.lenient)
-        .shards(shards)
-        .supervised(opts.supervised && shards.is_some());
+        .shards(shards);
     match analysis.run_named(name).map_err(|e| e.to_string())? {
         DetectorRun::Completed(out) => Ok(out),
         DetectorRun::Suspended { .. } => unreachable!("no stop_after requested"),
@@ -243,7 +239,6 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
     let config = RunConfig {
         detectors: opts.detectors.clone(),
         shards: opts.shards.unwrap_or(0) as u64,
-        supervised: opts.supervised,
         lenient: opts.lenient,
     };
     let manifest_path = opts.out_dir.join(MANIFEST_FILE);

@@ -19,7 +19,7 @@
 //! run, everything else re-executes.
 //!
 //! The config block pins the option set the records were produced under
-//! (detector list, shards, supervised, lenient). Resuming with different
+//! (detector list, shards, lenient). Resuming with different
 //! options would silently mix incomparable results, so a mismatch is a
 //! hard [`ManifestError::ConfigMismatch`] — the CLI tells the user to
 //! pass `--fresh`.
@@ -37,11 +37,13 @@ const MAGIC: &[u8; 4] = b"FMAN";
 // v2 added `trace_crc` to every record (content-hash invalidation).
 // v4 holds analyze records only and drops the fields no reader used
 // (the record kind, `races`, `skipped_chunks`, `cache_misses`,
-// `disagreeing`, `retries`). Old manifests fail with
+// `disagreeing`, `retries`). v5 drops the config block's `supervised`
+// byte: plain and supervised sharding restart a dead shard alike, so
+// the flag changed no work. Old manifests fail with
 // `ManifestError::Version` — v1 records carry no hash to validate
-// against, and an older record decoded as v4 would misread its fields;
+// against, and an older block decoded as v5 would misread its fields;
 // `--fresh` is the upgrade path.
-const VERSION: u64 = 4;
+const VERSION: u64 = 5;
 
 /// Name of the manifest file inside the corpus output directory.
 pub(crate) const MANIFEST_FILE: &str = "corpus.fman";
@@ -54,8 +56,6 @@ pub struct RunConfig {
     pub detectors: Vec<String>,
     /// Shard count for shardable detectors (0 = serial).
     pub shards: u64,
-    /// Whether shardable detectors ran under the supervisor.
-    pub supervised: bool,
     /// Whether trace reads were lenient (skip damaged chunks).
     pub lenient: bool,
 }
@@ -129,9 +129,9 @@ impl fmt::Display for ManifestError {
             ManifestError::ConfigMismatch { found } => write!(
                 f,
                 "manifest was written with different options \
-                 (detectors={:?}, shards={}, supervised={}, lenient={}); \
+                 (detectors={:?}, shards={}, lenient={}); \
                  rerun with --fresh to discard it",
-                found.detectors, found.shards, found.supervised, found.lenient
+                found.detectors, found.shards, found.lenient
             ),
             ManifestError::Corrupt(what) => write!(f, "corrupt manifest: {what}"),
         }
@@ -164,7 +164,6 @@ fn encode_config(cfg: &RunConfig) -> Vec<u8> {
         wire::put_str(&mut buf, d);
     }
     wire::put_varint(&mut buf, cfg.shards);
-    buf.push(cfg.supervised as u8);
     buf.push(cfg.lenient as u8);
     buf
 }
@@ -181,12 +180,10 @@ fn decode_config(payload: &[u8]) -> Result<RunConfig, ManifestError> {
         detectors.push(c.str("detector").map_err(wire_corrupt)?.to_string());
     }
     let shards = c.varint("shards").map_err(wire_corrupt)?;
-    let supervised = c.bytes_u8("supervised")? != 0;
     let lenient = c.bytes_u8("lenient")? != 0;
     Ok(RunConfig {
         detectors,
         shards,
-        supervised,
         lenient,
     })
 }
@@ -368,7 +365,6 @@ mod tests {
         RunConfig {
             detectors: vec!["dtrg".into(), "vc".into()],
             shards: 0,
-            supervised: false,
             lenient: true,
         }
     }
@@ -483,19 +479,38 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Loads a manifest whose config block is `config` and returns the
+    /// error it must fail with.
+    fn load_config_block(name: &str, config: &[u8]) -> ManifestError {
+        let path = tmp(name);
+        let mut raw = MAGIC.to_vec();
+        raw.extend_from_slice(&frame_block(config));
+        std::fs::write(&path, raw).unwrap();
+        let err = load(&path, &cfg()).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        err
+    }
+
     #[test]
     fn v3_manifest_is_rejected_with_the_fresh_hint() {
-        let path = tmp("v3.fman");
         let mut config = encode_config(&cfg());
         assert_eq!(config[0], VERSION as u8, "a one-byte version varint");
         config[0] = 3;
-        let mut raw = MAGIC.to_vec();
-        raw.extend_from_slice(&frame_block(&config));
-        std::fs::write(&path, raw).unwrap();
-        let err = load(&path, &cfg()).unwrap_err();
+        let err = load_config_block("v3.fman", &config);
         assert!(matches!(err, ManifestError::Version(3)), "{err:?}");
         assert!(err.to_string().contains("rerun with --fresh"), "{err}");
-        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v4_manifest_is_rejected_with_the_fresh_hint() {
+        // A v4 config block: version, detectors, shards, then the
+        // `supervised` byte v5 dropped before the `lenient` byte.
+        let mut config = encode_config(&cfg());
+        config[0] = 4;
+        config.insert(config.len() - 1, 1);
+        let err = load_config_block("v4.fman", &config);
+        assert!(matches!(err, ManifestError::Version(4)), "{err:?}");
+        assert!(err.to_string().contains("rerun with --fresh"), "{err}");
     }
 
     #[test]

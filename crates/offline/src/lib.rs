@@ -20,9 +20,10 @@
 //! identical to the serial detector's (asserted by
 //! `tests/shard_equivalence.rs` over random programs). One stage does
 //! this, [`run_supervised`] in `supervise`: its supervisor restarts,
-//! degrades, or suspends workers as the [`SupervisorPlan`] asks, and plain
-//! sharding ([`SupervisorPlan::plain`]) is the plan that retains nothing
-//! for recovery.
+//! degrades, or suspends workers as the [`SupervisorPlan`] asks. A
+//! restarted worker reads the source again from its last snapshot, and
+//! plain sharding ([`SupervisorPlan::for_shards`]) is the plan that takes
+//! none, so a restart reads from the start.
 //!
 //! Feeding that pipeline from disk needs a trace format that can be
 //! written incrementally and read without trusting every byte: [`framed`]

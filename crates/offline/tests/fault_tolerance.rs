@@ -222,10 +222,13 @@ fn worker_panics_recover_with_the_serial_verdict() {
     // Mode 2 snapshots at every boundary and panics after the fourth: a
     // shard never cuts two full snapshots in a row, so by then it has cut
     // at least two deltas, and the restart must restore the whole chain.
+    // Mode 3 takes no snapshots, as plain sharding does: the replacement
+    // reads the trace again from chunk 0.
     quiet_injected_panics();
-    let strat = strategies::tuple2(strategies::any_u64(), strategies::u8_range(0..3));
+    let strat = strategies::tuple2(strategies::any_u64(), strategies::u8_range(0..4));
     let restarts = std::cell::Cell::new(0u32);
     let chain_restarts = std::cell::Cell::new(0u32);
+    let plain_restarts = std::cell::Cell::new(0u32);
     let degrades = std::cell::Cell::new(0u32);
     propcheck::check(&Config::with_cases(128), &strat, |(seed, mode)| {
         // Mode 2 needs programs long enough to pass four boundaries.
@@ -252,7 +255,7 @@ fn worker_panics_recover_with_the_serial_verdict() {
                 p.max_restarts = 2;
                 p.checkpoint_every_chunks = Some(1.max(chunks / 3));
             }
-            _ => {
+            2 => {
                 let before = ops_in_first_chunks(&blob, shard, 2, 4);
                 let after = ops_in_first_chunks(&blob, shard, 2, u64::MAX) - before;
                 if chunks < 5 || after == 0 {
@@ -265,6 +268,7 @@ fn worker_panics_recover_with_the_serial_verdict() {
                     at_op: before + 1 + seed % after,
                 });
             }
+            _ => p.max_restarts = 2,
         }
         let out =
             run_supervised(|| trace_chunks(&blob, false), RaceDetector::new, &p, None).unwrap();
@@ -278,8 +282,10 @@ fn worker_panics_recover_with_the_serial_verdict() {
         // simply clean. The aggregate counters below prove both recovery
         // paths fired often.
         restarts.set(restarts.get() + supervision.shard_restarts as u32);
-        if mode == 2 {
-            chain_restarts.set(chain_restarts.get() + supervision.shard_restarts as u32);
+        match mode {
+            2 => chain_restarts.set(chain_restarts.get() + supervision.shard_restarts as u32),
+            3 => plain_restarts.set(plain_restarts.get() + supervision.shard_restarts as u32),
+            _ => {}
         }
         degrades.set(degrades.get() + supervision.degradations as u32);
         let ctx = format!("seed {seed}, mode {mode} (panic)");
@@ -296,13 +302,18 @@ fn worker_panics_recover_with_the_serial_verdict() {
         "restart from a delta chain under-exercised ({})",
         chain_restarts.get()
     );
+    assert!(
+        plain_restarts.get() > 10,
+        "restart without snapshots under-exercised ({})",
+        plain_restarts.get()
+    );
     assert!(degrades.get() > 10, "degrade path under-exercised ({})", degrades.get());
 }
 
 #[test]
 fn restarts_cut_the_snapshots_an_uninterrupted_run_cuts() {
-    // A replacement worker restores the shard's chain and replays the
-    // batches since the last barrier, so every later snapshot it cuts,
+    // A replacement worker restores the shard's chain and reads the trace
+    // again from the last barrier, so every later snapshot it cuts,
     // delta or full, must hold the bytes the worker it replaced would
     // have cut. With the hot-path caches off the DTRG counters in those
     // bytes do not depend on a memo the restart left cold. A restored

@@ -44,11 +44,14 @@ fn serial_report(log: &EventLog) -> RaceReport {
 /// pipeline's ordering and backpressure; correctness must not depend on
 /// batching.
 fn plain_plan(shards: usize) -> SupervisorPlan {
-    SupervisorPlan::plain(ShardPlan {
-        shards,
-        batch_events: 32,
-        channel_capacity: 2,
-    })
+    SupervisorPlan {
+        shard: ShardPlan {
+            shards,
+            batch_events: 32,
+            channel_capacity: 2,
+        },
+        ..SupervisorPlan::default()
+    }
 }
 
 /// Runs the shard stage to completion and returns the merged report. A
@@ -151,7 +154,7 @@ fn sharded_equals_serial_through_the_framed_format() {
         }
         let (blob, _) = w.finish().unwrap();
         for shards in SHARD_COUNTS {
-            let plan = SupervisorPlan::plain(ShardPlan::with_shards(shards));
+            let plan = SupervisorPlan::for_shards(Some(shards));
             let out = run_sharded(|| trace_chunks(&blob, false), &plan, RaceDetector::new).report;
             assert_eq!(out.races, serial.races, "seed {seed}, {shards} shards");
             assert_eq!(out.total_detected, serial.total_detected);

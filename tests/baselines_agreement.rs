@@ -18,8 +18,7 @@ use futrace::benchsuite::randomprog::{execute, generate, GenParams, Program};
 use futrace::detector::RaceDetector;
 use futrace::Analyze;
 use futrace::offline::{
-    run_supervised, trace_chunks, ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan,
-    TraceError,
+    run_supervised, trace_chunks, StreamWriter, SupervisedOutcome, SupervisorPlan, TraceError,
 };
 use futrace::runtime::engine::{run_analysis, run_analysis_live, source, Analysis};
 use futrace::runtime::{run_serial, Event};
@@ -206,7 +205,7 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
 
         // The loc-routable detectors must also agree when the same frames
         // are sharded across 3 workers.
-        let plan = SupervisorPlan::plain(ShardPlan::with_shards(3));
+        let plan = SupervisorPlan::for_shards(Some(3));
         let serial = run_analysis(source::chunks(intact_chunks(b)), RaceDetector::new())
             .expect("serial dtrg");
         let Ok(SupervisedOutcome::Completed {

@@ -45,7 +45,7 @@ fn serial_report(events: &[Event], caching: bool) -> RaceReport {
 }
 
 fn sharded_report(events: &[Event], shards: usize, caching: bool) -> RaceReport {
-    let plan = SupervisorPlan::for_shards(Some(shards), false);
+    let plan = SupervisorPlan::for_shards(Some(shards));
     let chunks = || event_chunks::<Infallible>(events);
     match run_supervised(chunks, || with_caching(caching), &plan, None) {
         Ok(SupervisedOutcome::Completed { report, .. }) => report.report,
