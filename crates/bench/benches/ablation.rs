@@ -89,25 +89,29 @@ fn reader_fanout(c: &mut Runner) {
     let mut g = c.benchmark_group("reader-fanout");
     g.sample_size(10);
     for readers in [1usize, 8, 64, 256] {
-        g.bench_with_input(BenchmarkId::new("write-check", readers), &readers, |b, &n| {
-            b.iter(|| {
-                let mut det = RaceDetector::new();
-                run_serial(&mut det, |ctx| {
-                    let x = ctx.shared_var(1u64, "x");
-                    let mut hs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let xr = x.clone();
-                        hs.push(ctx.future(move |ctx| xr.read(ctx)));
-                    }
-                    for h in &hs {
-                        ctx.get(h);
-                    }
-                    // This write checks against all n stored readers.
-                    x.write(ctx, 2);
-                });
-                assert!(!det.has_races());
-            })
-        });
+        g.bench_with_input(
+            BenchmarkId::new("write-check", readers),
+            &readers,
+            |b, &n| {
+                b.iter(|| {
+                    let mut det = RaceDetector::new();
+                    run_serial(&mut det, |ctx| {
+                        let x = ctx.shared_var(1u64, "x");
+                        let mut hs = Vec::with_capacity(n);
+                        for _ in 0..n {
+                            let xr = x.clone();
+                            hs.push(ctx.future(move |ctx| xr.read(ctx)));
+                        }
+                        for h in &hs {
+                            ctx.get(h);
+                        }
+                        // This write checks against all n stored readers.
+                        x.write(ctx, 2);
+                    });
+                    assert!(!det.has_races());
+                })
+            },
+        );
     }
     g.finish();
 }
@@ -129,16 +133,12 @@ fn ancestor_query(c: &mut Runner) {
         }
         let deepest = cur;
         let dtrg_walk = dtrg.clone();
-        g.bench_with_input(
-            BenchmarkId::new("interval-label", depth),
-            &depth,
-            |b, _| {
-                b.iter(|| {
-                    assert!(dtrg.is_ancestor(TaskId::MAIN, deepest));
-                    assert!(!dtrg.is_ancestor(deepest, TaskId::MAIN));
-                })
-            },
-        );
+        g.bench_with_input(BenchmarkId::new("interval-label", depth), &depth, |b, _| {
+            b.iter(|| {
+                assert!(dtrg.is_ancestor(TaskId::MAIN, deepest));
+                assert!(!dtrg.is_ancestor(deepest, TaskId::MAIN));
+            })
+        });
         g.bench_with_input(BenchmarkId::new("parent-walk", depth), &depth, |b, _| {
             b.iter(|| {
                 assert!(dtrg_walk.is_ancestor_walk(TaskId::MAIN, deepest));

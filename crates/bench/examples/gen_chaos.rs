@@ -80,7 +80,14 @@ fn spawn_daemon(
     ckpt: &str,
 ) -> (Child, BufReader<std::process::ChildStdout>) {
     let mut child = Command::new(bin)
-        .args(["serve", "--listen", addr, "--checkpoint-dir", ckpt, "--resume"])
+        .args([
+            "serve",
+            "--listen",
+            addr,
+            "--checkpoint-dir",
+            ckpt,
+            "--resume",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -114,12 +121,20 @@ fn main() {
         match flag.as_str() {
             "--bin" => bin = val("--bin"),
             "--out" => out = Some(val("--out")),
-            "--seed" => seed = val("--seed").parse().unwrap_or_else(|_| usage("bad --seed")),
+            "--seed" => {
+                seed = val("--seed")
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --seed"))
+            }
             "--clients" => {
-                clients = val("--clients").parse().unwrap_or_else(|_| usage("bad --clients"))
+                clients = val("--clients")
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --clients"))
             }
             "--retries" => {
-                retries = val("--retries").parse().unwrap_or_else(|_| usage("bad --retries"))
+                retries = val("--retries")
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --retries"))
             }
             "--trace-bytes" => {
                 trace_bytes = val("--trace-bytes")
@@ -152,7 +167,12 @@ fn main() {
             .unwrap_or_else(|e| usage(&format!("cannot spawn {bin}: {e}")));
         let stdout = String::from_utf8_lossy(&one.stdout).into_owned();
         let verdict = verdict_section(&stdout)
-            .unwrap_or_else(|| fail(seed, &format!("one-shot analyze of client {i} trace produced no verdict")))
+            .unwrap_or_else(|| {
+                fail(
+                    seed,
+                    &format!("one-shot analyze of client {i} trace produced no verdict"),
+                )
+            })
             .to_string();
         traces.push((path, verdict, one.status.code()));
     }
@@ -203,7 +223,10 @@ fn main() {
             if ckpts >= 2 {
                 break;
             }
-            if kids.iter_mut().all(|c| c.try_wait().expect("try_wait").is_some()) {
+            if kids
+                .iter_mut()
+                .all(|c| c.try_wait().expect("try_wait").is_some())
+            {
                 break;
             }
             if start.elapsed() > Duration::from_secs(120) {
@@ -234,8 +257,16 @@ fn main() {
         };
         let mut stdout = String::new();
         let mut stderr = String::new();
-        kid.stdout.take().unwrap().read_to_string(&mut stdout).expect("client stdout");
-        kid.stderr.take().unwrap().read_to_string(&mut stderr).expect("client stderr");
+        kid.stdout
+            .take()
+            .unwrap()
+            .read_to_string(&mut stdout)
+            .expect("client stdout");
+        kid.stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .expect("client stderr");
         let (_, want_verdict, want_code) = &traces[i];
         if status.code() != *want_code {
             fail(

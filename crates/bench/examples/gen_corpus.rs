@@ -48,9 +48,15 @@ fn main() {
         match flag.as_str() {
             "--out" => out = Some(val("--out")),
             "--count" => {
-                count = val("--count").parse().unwrap_or_else(|_| usage("bad --count"))
+                count = val("--count")
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --count"))
             }
-            "--seed" => seed = val("--seed").parse().unwrap_or_else(|_| usage("bad --seed")),
+            "--seed" => {
+                seed = val("--seed")
+                    .parse()
+                    .unwrap_or_else(|_| usage("bad --seed"))
+            }
             "--gen" => gen = val("--gen"),
             "--damage-every" => {
                 damage_every = val("--damage-every")
@@ -88,8 +94,7 @@ fn main() {
         run_serial(&mut log, |ctx| {
             randomprog::execute(ctx, &prog);
         });
-        let mut w =
-            StreamWriter::with_chunk_bytes(Vec::new(), 4096).expect("writing to a Vec");
+        let mut w = StreamWriter::with_chunk_bytes(Vec::new(), 4096).expect("writing to a Vec");
         replay(&log.events, &mut w);
         let (mut blob, _) = w.finish().expect("writing to a Vec");
         if damage_every > 0 && i % damage_every == damage_every - 1 {

@@ -163,14 +163,12 @@ fn measure(w: &Workload, runner: &mut Runner) -> ProgramResult {
         caching: false,
         ..DetectorConfig::default()
     };
-    let replay = |cfg: &DetectorConfig| {
-        match run_analysis(
-            source::recorded(&events),
-            RaceDetector::with_config(cfg.clone()),
-        ) {
-            Ok(out) => out,
-            Err(never) => match never {},
-        }
+    let replay = |cfg: &DetectorConfig| match run_analysis(
+        source::recorded(&events),
+        RaceDetector::with_config(cfg.clone()),
+    ) {
+        Ok(out) => out,
+        Err(never) => match never {},
     };
 
     // The caches must never change the verdict (the equivalence suite

@@ -338,7 +338,14 @@ pub fn format_table(rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "{:<16} {:>12} {:>10} {:>14} {:>12} {:>12} {:>12} {:>9}\n",
-        "Benchmark", "#Tasks", "#NTJoins", "#SharedMem", "#AvgReaders", "Seq(ms)", "Racedet(ms)", "Slowdown"
+        "Benchmark",
+        "#Tasks",
+        "#NTJoins",
+        "#SharedMem",
+        "#AvgReaders",
+        "Seq(ms)",
+        "Racedet(ms)",
+        "Slowdown"
     ));
     out.push_str(&"-".repeat(103));
     out.push('\n');
@@ -422,10 +429,7 @@ mod extension_tests {
         }
         // LU and Pipeline exercise non-tree joins; SOR is pure async-finish.
         assert!(rows.iter().filter(|r| r.nt_joins > 0).count() == 2);
-        assert_eq!(
-            rows.iter().find(|r| r.name == "SOR").unwrap().nt_joins,
-            0
-        );
+        assert_eq!(rows.iter().find(|r| r.name == "SOR").unwrap().nt_joins, 0);
     }
 
     #[test]

@@ -733,11 +733,9 @@ mod tests {
     fn planted_requires_a_plantable_workload() {
         // series_future and crypt have no plant_race switch; requesting
         // one is a parse error, not a runtime panic.
-        let err =
-            parse(&argv("record --bench series_future --out t --planted")).unwrap_err();
+        let err = parse(&argv("record --bench series_future --out t --planted")).unwrap_err();
         assert!(err.contains("no planted-race variant"), "{err}");
-        let Command::Record(r) =
-            parse(&argv("record --bench prodcons --out t --planted")).unwrap()
+        let Command::Record(r) = parse(&argv("record --bench prodcons --out t --planted")).unwrap()
         else {
             panic!()
         };
@@ -785,14 +783,12 @@ mod tests {
 
     #[test]
     fn last_size_flag_wins() {
-        let Command::Record(r) =
-            parse(&argv("record --bench lu --out t --tiny --scaled")).unwrap()
+        let Command::Record(r) = parse(&argv("record --bench lu --out t --tiny --scaled")).unwrap()
         else {
             panic!()
         };
         assert_eq!(r.program.scale, Scale::Scaled, "--scaled came last");
-        let Command::Record(r) =
-            parse(&argv("record --bench lu --out t --scaled --tiny")).unwrap()
+        let Command::Record(r) = parse(&argv("record --bench lu --out t --scaled --tiny")).unwrap()
         else {
             panic!()
         };
@@ -823,17 +819,20 @@ mod tests {
 
     #[test]
     fn record_missing_required_flags() {
-        assert!(parse(&argv("record --out t")).unwrap_err().contains("--bench"));
+        assert!(parse(&argv("record --out t"))
+            .unwrap_err()
+            .contains("--bench"));
         assert!(parse(&argv("record --bench lu"))
             .unwrap_err()
             .contains("--out"));
-        assert!(parse(&argv("record --bench")).unwrap_err().contains("value"));
+        assert!(parse(&argv("record --bench"))
+            .unwrap_err()
+            .contains("value"));
     }
 
     #[test]
     fn analyze_flags() {
-        let Command::Analyze(a) =
-            parse(&argv("analyze t.trace --shards 4 --lenient")).unwrap()
+        let Command::Analyze(a) = parse(&argv("analyze t.trace --shards 4 --lenient")).unwrap()
         else {
             panic!()
         };
@@ -876,7 +875,10 @@ mod tests {
 
         let err = parse(&argv("analyze t --detector dtrgg")).unwrap_err();
         assert!(err.contains("unknown detector `dtrgg`"), "{err}");
-        assert!(err.contains("dtrg, espbags"), "error lists valid names: {err}");
+        assert!(
+            err.contains("dtrg, espbags"),
+            "error lists valid names: {err}"
+        );
 
         // Sharding is a capability, not a universal feature.
         let Command::Analyze(a) = parse(&argv("analyze t --detector vc --shards 2")).unwrap()
@@ -938,8 +940,12 @@ mod tests {
         let err = parse(&argv("exec --bench series_future --threads 2 --planted")).unwrap_err();
         assert!(err.contains("no planted-race variant"), "{err}");
 
-        assert!(parse(&argv("exec --threads 2")).unwrap_err().contains("--bench"));
-        assert!(parse(&argv("exec --bench jacobi")).unwrap_err().contains("--threads"));
+        assert!(parse(&argv("exec --threads 2"))
+            .unwrap_err()
+            .contains("--bench"));
+        assert!(parse(&argv("exec --bench jacobi"))
+            .unwrap_err()
+            .contains("--threads"));
         let err = parse(&argv("exec --bench jacobi --threads 2 --out t")).unwrap_err();
         assert!(err.contains("unknown argument"), "{err}");
     }
@@ -1003,7 +1009,9 @@ mod tests {
             assert!(err.contains(&format!("invalid seed `{bad}`")), "{err}");
             assert!(err.contains("unsigned 64-bit"), "{err}");
         }
-        assert!(parse(&argv("analyze t --inject")).unwrap_err().contains("value"));
+        assert!(parse(&argv("analyze t --inject"))
+            .unwrap_err()
+            .contains("value"));
 
         let Command::Analyze(a) = parse(&argv("analyze t --inject 42")).unwrap() else {
             panic!()
@@ -1012,8 +1020,7 @@ mod tests {
         assert!(a.supervised());
 
         // record-side: same validation, and --stream is required.
-        let err =
-            parse(&argv("record --bench lu --out t --stream --inject nope")).unwrap_err();
+        let err = parse(&argv("record --bench lu --out t --stream --inject nope")).unwrap_err();
         assert!(err.contains("invalid seed `nope`"), "{err}");
         let err = parse(&argv("record --bench lu --out t --inject 7")).unwrap_err();
         assert!(err.contains("--stream"), "{err}");
@@ -1512,7 +1519,9 @@ mod tests {
             }
         );
         assert!(parse(&argv("verify")).unwrap_err().contains("required"));
-        assert!(parse(&argv("frobnicate x")).unwrap_err().contains("unknown subcommand"));
+        assert!(parse(&argv("frobnicate x"))
+            .unwrap_err()
+            .contains("unknown subcommand"));
         assert!(parse(&[]).unwrap_err().contains("subcommand"));
     }
 }

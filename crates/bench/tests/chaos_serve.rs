@@ -44,7 +44,11 @@ fn verdict_section(stdout: &str) -> &str {
 
 /// One-shot `tracetool analyze FILE` → (verdict section, exit code).
 fn one_shot(file: &PathBuf) -> (String, Option<i32>) {
-    let out = tracetool().arg("analyze").arg(file).output().expect("run analyze");
+    let out = tracetool()
+        .arg("analyze")
+        .arg(file)
+        .output()
+        .expect("run analyze");
     let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
     (verdict_section(&stdout).to_string(), out.status.code())
 }
@@ -234,7 +238,12 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
                 .arg(path)
                 .args(["--name", &format!("chaos_{i}")])
                 .args(["--chunk-events", "8", "--checkpoint-every", "100"])
-                .args(["--retries", "16", "--inject-net", &(1000 + i as u64).to_string()])
+                .args([
+                    "--retries",
+                    "16",
+                    "--inject-net",
+                    &(1000 + i as u64).to_string(),
+                ])
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())
                 .spawn()
@@ -264,7 +273,10 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
         }
         // All clients already done: the machine outran the kill window;
         // the reconnect-at-startup half of the scenario still holds.
-        if clients.iter_mut().all(|c| c.try_wait().expect("try_wait").is_some()) {
+        if clients
+            .iter_mut()
+            .all(|c| c.try_wait().expect("try_wait").is_some())
+        {
             break;
         }
         assert!(
@@ -281,7 +293,11 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
     let daemon2 = Daemon::start(&addr, &serve_args);
 
     for (i, mut client) in clients.drain(..).enumerate() {
-        let status = wait_deadline(&mut client, &format!("client {i}"), Duration::from_secs(120));
+        let status = wait_deadline(
+            &mut client,
+            &format!("client {i}"),
+            Duration::from_secs(120),
+        );
         let (stdout, stderr) = read_piped(&mut client);
         let (want_verdict, want_code) = &traces[i].1;
         assert_eq!(
@@ -323,7 +339,13 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
     let ckpt_flag = dir.to_str().unwrap().to_string();
     let daemon = Daemon::start(
         "127.0.0.1:0",
-        &["--checkpoint-dir", &ckpt_flag, "--resume", "--idle-timeout-ms", "150"],
+        &[
+            "--checkpoint-dir",
+            &ckpt_flag,
+            "--resume",
+            "--idle-timeout-ms",
+            "150",
+        ],
     );
     let addr = daemon.addr.clone();
 
@@ -366,7 +388,10 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
 
         // Stall. The daemon must evict us to a checkpoint and say so —
         // a Suspended frame, not a dropped connection.
-        match read_frame(&mut stream).expect("eviction notice").expect("eviction notice") {
+        match read_frame(&mut stream)
+            .expect("eviction notice")
+            .expect("eviction notice")
+        {
             Message::Suspended { chunks } => assert_eq!(chunks, 2, "two chunks were fed"),
             other => panic!("expected idle eviction Suspended, got {other:?}"),
         }
@@ -417,7 +442,8 @@ fn over_quota_open_is_shed_with_a_structured_busy() {
 
     // Occupy the only session slot with a hand-rolled client.
     let mut hog = TcpStream::connect(&addr).expect("connect hog");
-    hog.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+    hog.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
     write_frame(
         &mut hog,
         &Message::Open {
@@ -452,14 +478,25 @@ fn over_quota_open_is_shed_with_a_structured_busy() {
     let mut patient = tracetool()
         .args(["client", &addr])
         .arg(&file)
-        .args(["--name", "patient", "--retries", "2", "--retry-budget-ms", "400"])
+        .args([
+            "--name",
+            "patient",
+            "--retries",
+            "2",
+            "--retry-budget-ms",
+            "400",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn patient client");
     let status = wait_deadline(&mut patient, "patient client", Duration::from_secs(30));
     let (_, stderr) = read_piped(&mut patient);
-    assert_eq!(status.code(), Some(5), "budget exhaustion must map to exit 5:\n{stderr}");
+    assert_eq!(
+        status.code(),
+        Some(5),
+        "budget exhaustion must map to exit 5:\n{stderr}"
+    );
     assert!(
         stderr.contains("daemon busy: retry after"),
         "busy must stay structured through the retry loop:\n{stderr}"

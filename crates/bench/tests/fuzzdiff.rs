@@ -42,7 +42,15 @@ fn clean_sweep_exits_zero_and_reports_zero_unexpected() {
 fn broken_detector_writes_minimized_counterexample_and_replay_command() {
     let dir = scratch_dir("broken");
     let out = tracetool()
-        .args(["fuzz", "--programs", "8", "--seed", "7", "--break-detector", "vc"])
+        .args([
+            "fuzz",
+            "--programs",
+            "8",
+            "--seed",
+            "7",
+            "--break-detector",
+            "vc",
+        ])
         .arg("--out-dir")
         .arg(&dir)
         .output()
@@ -52,10 +60,16 @@ fn broken_detector_writes_minimized_counterexample_and_replay_command() {
     // Exit code 4 is the fuzz-disagreement code (0 clean, 3 races found
     // by analyze/compare).
     assert_eq!(out.status.code(), Some(4), "stderr: {stderr}");
-    assert!(stderr.contains("UNEXPECTED DISAGREEMENT"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("UNEXPECTED DISAGREEMENT"),
+        "stderr: {stderr}"
+    );
     assert!(stderr.contains("vc"), "stderr: {stderr}");
     // The replay command names the env var, the seed, and the fault.
-    assert!(stderr.contains("FUTRACE_PROPCHECK_SEED=0x"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("FUTRACE_PROPCHECK_SEED=0x"),
+        "stderr: {stderr}"
+    );
     assert!(
         stderr.contains("tracetool fuzz --programs 1 --seed 7 --gen nontree --break-detector vc"),
         "stderr: {stderr}"
@@ -87,7 +101,15 @@ fn replay_env_var_reruns_exactly_the_failing_case() {
     // one-program run must reproduce the same disagreement.
     let dir = scratch_dir("replay");
     let out = tracetool()
-        .args(["fuzz", "--programs", "4", "--seed", "9", "--break-detector", "closure"])
+        .args([
+            "fuzz",
+            "--programs",
+            "4",
+            "--seed",
+            "9",
+            "--break-detector",
+            "closure",
+        ])
         .arg("--out-dir")
         .arg(&dir)
         .output()
@@ -105,7 +127,15 @@ fn replay_env_var_reruns_exactly_the_failing_case() {
         .to_string();
 
     let replay = tracetool()
-        .args(["fuzz", "--programs", "1", "--seed", "9", "--break-detector", "closure"])
+        .args([
+            "fuzz",
+            "--programs",
+            "1",
+            "--seed",
+            "9",
+            "--break-detector",
+            "closure",
+        ])
         .arg("--out-dir")
         .arg(&dir)
         .env("FUTRACE_PROPCHECK_SEED", &seed_hex)

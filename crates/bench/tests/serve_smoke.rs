@@ -179,12 +179,7 @@ fn streamed_verdicts_match_one_shot_for_every_fixture() {
 #[test]
 fn four_concurrent_clients_share_one_daemon() {
     let dir = scratch_dir("concurrent");
-    let daemon = Daemon::start(&[
-        "--workers",
-        "4",
-        "--checkpoint-dir",
-        dir.to_str().unwrap(),
-    ]);
+    let daemon = Daemon::start(&["--workers", "4", "--checkpoint-dir", dir.to_str().unwrap()]);
 
     let files: Vec<PathBuf> = fixtures().into_iter().take(4).collect();
     let expected: Vec<(String, Option<i32>)> = files.iter().map(one_shot).collect();
@@ -197,9 +192,7 @@ fn four_concurrent_clients_share_one_daemon() {
                 scope.spawn(move || client(&addr, file, &["--chunk-events", "8"]))
             })
             .collect();
-        for ((handle, file), (want, want_code)) in
-            handles.into_iter().zip(&files).zip(&expected)
-        {
+        for ((handle, file), (want, want_code)) in handles.into_iter().zip(&files).zip(&expected) {
             let (stdout, code) = handle.join().expect("client thread");
             assert_eq!(
                 verdict_section(&stdout),
@@ -232,13 +225,9 @@ fn chunk_payloads(file: &PathBuf) -> Vec<Vec<u8>> {
 #[test]
 fn killed_client_leaves_a_resumable_checkpoint() {
     let dir = scratch_dir("clientkill");
-    let daemon = Daemon::start(&[
-        "--resume",
-        "--checkpoint-dir",
-        dir.to_str().unwrap(),
-    ]);
-    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/data/prodcons_racy.ftrc");
+    let daemon = Daemon::start(&["--resume", "--checkpoint-dir", dir.to_str().unwrap()]);
+    let file =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/prodcons_racy.ftrc");
     let (want, want_code) = one_shot(&file);
 
     // Speak the wire protocol by hand: open a session, feed three
@@ -318,8 +307,7 @@ fn killed_client_leaves_a_resumable_checkpoint() {
 #[test]
 fn killed_daemon_resumes_with_byte_identical_report() {
     let dir = scratch_dir("daemonkill");
-    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/data/futtree_racy.ftrc");
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/futtree_racy.ftrc");
     let (want, want_code) = one_shot(&file);
 
     // First daemon: the client streams three chunks and suspends, so a
@@ -351,11 +339,7 @@ fn killed_daemon_resumes_with_byte_identical_report() {
 
     // Second daemon, same checkpoint dir, --resume: the re-streamed
     // session must skip the completed prefix and report the same bytes.
-    let daemon_b = Daemon::start(&[
-        "--resume",
-        "--checkpoint-dir",
-        dir.to_str().unwrap(),
-    ]);
+    let daemon_b = Daemon::start(&["--resume", "--checkpoint-dir", dir.to_str().unwrap()]);
     let (stdout, code) = client(
         &daemon_b.addr,
         &file,
@@ -377,8 +361,7 @@ fn killed_daemon_resumes_with_byte_identical_report() {
 fn draining_daemon_suspends_inflight_sessions() {
     let dir = scratch_dir("drain");
     let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
-    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/data/actor_racy.ftrc");
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/actor_racy.ftrc");
 
     // Park a half-fed session on the daemon (no Finish yet), then drain.
     let mut stream = TcpStream::connect(&daemon.addr).expect("connect");
@@ -514,8 +497,16 @@ fn lenient_client_skips_the_chunks_lenient_analyze_skips() {
 
     let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
     let mut command = tracetool();
-    command.arg("client").arg(&daemon.addr).arg(&file).arg("--lenient");
-    assert_eq!(warned(command, skipped), lenient, "lenient streamed vs one-shot");
+    command
+        .arg("client")
+        .arg(&daemon.addr)
+        .arg(&file)
+        .arg("--lenient");
+    assert_eq!(
+        warned(command, skipped),
+        lenient,
+        "lenient streamed vs one-shot"
+    );
 
     // Without --lenient the client refuses the damaged chunk.
     let strict = tracetool()
@@ -548,7 +539,11 @@ fn a_miscounted_chunk_fails_the_stream_as_it_fails_analyze() {
     let file = dir.join("miscounted.ftrc");
     std::fs::write(&file, &blob).expect("write copy");
 
-    let analyze = tracetool().arg("analyze").arg(&file).output().expect("run analyze");
+    let analyze = tracetool()
+        .arg("analyze")
+        .arg(&file)
+        .output()
+        .expect("run analyze");
     let stderr = String::from_utf8_lossy(&analyze.stderr);
     assert_eq!(analyze.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("event count mismatch"), "{stderr}");
@@ -564,7 +559,10 @@ fn a_miscounted_chunk_fails_the_stream_as_it_fails_analyze() {
             .expect("run client");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
-        assert!(stderr.contains("event count mismatch"), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("event count mismatch"),
+            "{extra:?}: {stderr}"
+        );
     }
     // The session that received the chunk failed on the daemon; the
     // re-chunking client refused it before opening one.

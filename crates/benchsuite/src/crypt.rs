@@ -421,7 +421,9 @@ mod tests {
         let (ref_cipher, _) = crypt_seq(&p);
         let mut mon = NullMonitor;
         let cipher = run_serial(&mut mon, |ctx| {
-            crypt_run(ctx, &p, CryptVariant::AsyncFinish).cipher.snapshot()
+            crypt_run(ctx, &p, CryptVariant::AsyncFinish)
+                .cipher
+                .snapshot()
         });
         assert_eq!(cipher, ref_cipher);
     }

@@ -162,7 +162,14 @@ pub fn lu_seq_blocked(p: &LuParams) -> Vec<Vec<f64>> {
 }
 
 /// Instrumented block read/write helpers.
-fn read_block<C: TaskCtx>(ctx: &mut C, m: &SharedArray<f64>, nb: usize, bs: usize, bi: usize, bj: usize) -> Vec<f64> {
+fn read_block<C: TaskCtx>(
+    ctx: &mut C,
+    m: &SharedArray<f64>,
+    nb: usize,
+    bs: usize,
+    bi: usize,
+    bj: usize,
+) -> Vec<f64> {
     let mut out = vec![0.0; bs * bs];
     let base = (bi * nb + bj) * bs * bs;
     for (t, v) in out.iter_mut().enumerate() {
@@ -171,7 +178,15 @@ fn read_block<C: TaskCtx>(ctx: &mut C, m: &SharedArray<f64>, nb: usize, bs: usiz
     out
 }
 
-fn write_block<C: TaskCtx>(ctx: &mut C, m: &SharedArray<f64>, nb: usize, bs: usize, bi: usize, bj: usize, data: &[f64]) {
+fn write_block<C: TaskCtx>(
+    ctx: &mut C,
+    m: &SharedArray<f64>,
+    nb: usize,
+    bs: usize,
+    bi: usize,
+    bj: usize,
+    data: &[f64],
+) {
     let base = (bi * nb + bj) * bs * bs;
     for (t, v) in data.iter().enumerate() {
         m.write(ctx, base + t, *v);

@@ -56,7 +56,10 @@ impl ProdConsParams {
 
     fn validate(&self) {
         assert!(self.stages >= 2, "need at least a producer and a consumer");
-        assert!(self.cap >= 2, "slot-free edges must point to earlier spawns");
+        assert!(
+            self.cap >= 2,
+            "slot-free edges must point to earlier spawns"
+        );
         assert!(self.items > self.cap, "ring buffer must wrap at least once");
     }
 }

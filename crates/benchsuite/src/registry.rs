@@ -7,8 +7,10 @@
 //! monitor. (The `&mut dyn Monitor` indirection is what the blanket
 //! `impl Monitor for &mut M` in the runtime exists for.)
 
-use crate::{actor, crypt, futlist, futtree, graphwalk, jacobi, lu, pipeline, prodcons,
-    series, smithwaterman, sor};
+use crate::{
+    actor, crypt, futlist, futtree, graphwalk, jacobi, lu, pipeline, prodcons, series,
+    smithwaterman, sor,
+};
 use futrace_runtime::{run_serial, EventLog, Monitor, ParCtx};
 
 /// Problem-size selector for registry runs.
@@ -208,7 +210,8 @@ static WORKLOADS: &[Workload] = &[
     Workload {
         name: "prodcons",
         family: "futures",
-        join_structure: "bounded-buffer ring: item-ready edges upstream + slot-free edges downstream",
+        join_structure:
+            "bounded-buffer ring: item-ready edges upstream + slot-free edges downstream",
         plantable: true,
         perf: true,
         runner: runner!(prodcons::ProdConsParams, prodcons::prodcons_run),
@@ -306,8 +309,7 @@ mod tests {
             );
             // The planted variant drops joins, so the traces differ.
             assert_ne!(
-                clean.events,
-                racy.events,
+                clean.events, racy.events,
                 "workload `{}` planted variant identical to clean",
                 w.name
             );

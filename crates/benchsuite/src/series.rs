@@ -60,7 +60,10 @@ impl SeriesParams {
 
     /// Minimal configuration for unit tests.
     pub fn tiny() -> Self {
-        SeriesParams { n: 8, intervals: 40 }
+        SeriesParams {
+            n: 8,
+            intervals: 40,
+        }
     }
 }
 

@@ -213,8 +213,18 @@ fn mult<C: TaskCtx>(ctx: &mut C, a: View, b: View, n: usize, cutoff: usize) -> S
         return out;
     }
     let h = n / 2;
-    let (a11, a12, a21, a22) = (a.quad(h, 0, 0), a.quad(h, 0, 1), a.quad(h, 1, 0), a.quad(h, 1, 1));
-    let (b11, b12, b21, b22) = (b.quad(h, 0, 0), b.quad(h, 0, 1), b.quad(h, 1, 0), b.quad(h, 1, 1));
+    let (a11, a12, a21, a22) = (
+        a.quad(h, 0, 0),
+        a.quad(h, 0, 1),
+        a.quad(h, 1, 0),
+        a.quad(h, 1, 1),
+    );
+    let (b11, b12, b21, b22) = (
+        b.quad(h, 0, 0),
+        b.quad(h, 0, 1),
+        b.quad(h, 1, 0),
+        b.quad(h, 1, 1),
+    );
 
     // The 7 product futures. Operand sums/differences are computed inside
     // each product task (reads of A/B are ordered before the spawn-free
@@ -292,7 +302,12 @@ fn mult<C: TaskCtx>(ctx: &mut C, a: View, b: View, n: usize, cutoff: usize) -> S
         }
     };
     let c11 = ctx.future(combine(
-        vec![(m1.clone(), 1.0), (m4.clone(), 1.0), (m5.clone(), -1.0), (m7, 1.0)],
+        vec![
+            (m1.clone(), 1.0),
+            (m4.clone(), 1.0),
+            (m5.clone(), -1.0),
+            (m7, 1.0),
+        ],
         0,
         0,
     ));

@@ -723,7 +723,10 @@ mod tests {
         assert!(d.g.precede(a, M), "after get, A precedes main");
         assert_eq!(d.g.counters.merging_gets, 1);
         assert_eq!(d.g.counters.nt_edges, 0);
-        assert_eq!(d.g.counters.graph_nt_joins, 0, "ancestor get is a tree join");
+        assert_eq!(
+            d.g.counters.graph_nt_joins, 0,
+            "ancestor get is a tree join"
+        );
     }
 
     #[test]
@@ -809,7 +812,10 @@ mod tests {
         let e = d.spawn(c, TaskKind::Future); // c has no nt: lsa inherited = b
         assert_eq!(d.g.set_data(c).lsa, Some(b));
         assert_eq!(d.g.set_data(e).lsa, Some(b));
-        assert!(d.g.precede(a, e), "a -> b join visible from e via lsa chain");
+        assert!(
+            d.g.precede(a, e),
+            "a -> b join visible from e via lsa chain"
+        );
     }
 
     #[test]
@@ -829,7 +835,11 @@ mod tests {
         d.g.on_task_end(a);
         let main_label = d.g.set_data(M).interval;
         d.g.on_get(M, a);
-        assert_eq!(d.g.set_data(a).interval, main_label, "merged set keeps main's label");
+        assert_eq!(
+            d.g.set_data(a).interval,
+            main_label,
+            "merged set keeps main's label"
+        );
     }
 
     #[test]
@@ -964,7 +974,11 @@ mod tests {
         assert_eq!(with, without);
         assert_eq!(cw.precede_calls, cwo.precede_calls);
         assert!(cw.memo_hits > 0, "repeat queries must hit the memo");
-        assert_eq!(cwo.memo_hits + cwo.memo_misses, 0, "disabled mode never memoizes");
+        assert_eq!(
+            cwo.memo_hits + cwo.memo_misses,
+            0,
+            "disabled mode never memoizes"
+        );
         assert!(
             cw.visit_expansions < cwo.visit_expansions,
             "memo must save traversal work: {} vs {}",

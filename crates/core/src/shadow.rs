@@ -373,7 +373,11 @@ impl ShadowMemory {
     /// a fresh run would. A listed location this shard does not own, or
     /// an extent no listed cell accounts for, is an error (see
     /// [`StridedCells::restore`]).
-    pub(crate) fn restore(&mut self, extent: u64, listed: Vec<(u64, ShadowCell)>) -> Result<(), String> {
+    pub(crate) fn restore(
+        &mut self,
+        extent: u64,
+        listed: Vec<(u64, ShadowCell)>,
+    ) -> Result<(), String> {
         self.cells.restore(extent, listed)
     }
 
@@ -515,7 +519,10 @@ mod tests {
                 // once shifted into the packed word may match.
                 let wrapped = (epoch << EPOCH_SHIFT) >> EPOCH_SHIFT;
                 for probe in [epoch, wrapped, 0, 5] {
-                    assert!(!cell.probe(TaskId(1), write, probe), "epoch {epoch}, probe {probe}");
+                    assert!(
+                        !cell.probe(TaskId(1), write, probe),
+                        "epoch {epoch}, probe {probe}"
+                    );
                 }
             }
         }
@@ -550,11 +557,18 @@ mod tests {
             assert!(!cell.probe(TaskId(4), false, 10));
         }
         assert!(!cell.probe_enabled());
-        assert!(!cell.probe(TaskId(4), false, 9), "a disabled probe never hits");
+        assert!(
+            !cell.probe(TaskId(4), false, 9),
+            "a disabled probe never hits"
+        );
         assert_eq!(cell.probe_misses(), PROBE_MISS_LIMIT);
         assert_eq!(cell.last_clean(), Some(lc), "misses keep the verdict");
         cell.set_last_clean(None);
-        assert_eq!(cell.probe_misses(), PROBE_MISS_LIMIT, "clearing keeps the streak");
+        assert_eq!(
+            cell.probe_misses(),
+            PROBE_MISS_LIMIT,
+            "clearing keeps the streak"
+        );
     }
 }
 

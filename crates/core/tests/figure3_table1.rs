@@ -62,7 +62,10 @@ fn table1_states() {
         // --- Table 1(b): the state "after step 17" -------------------
         let dtrg = ctx.monitor_mut().dtrg_mut();
         for t in [T3, T4, T5, T6] {
-            assert!(dtrg.same_set(T0, t), "{t} merged into T0's set at the finish");
+            assert!(
+                dtrg.same_set(T0, t),
+                "{t} merged into T0's set at the finish"
+            );
         }
         assert!(!dtrg.same_set(T0, T1), "T1 joined only via a non-tree edge");
         assert!(!dtrg.same_set(T0, T2), "T2 joined only via a non-tree edge");

@@ -88,7 +88,10 @@ impl CorpusOptions {
     /// strict reads, writing into `out_dir`.
     pub fn new(out_dir: impl Into<PathBuf>) -> Self {
         CorpusOptions {
-            detectors: detectors::DETECTOR_NAMES.iter().map(|s| s.to_string()).collect(),
+            detectors: detectors::DETECTOR_NAMES
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
             max_parallel: 1,
             policy: FailurePolicy::Continue,
             shards: None,
@@ -417,7 +420,8 @@ mod tests {
 
     #[test]
     fn empty_corpus_is_clean() {
-        let root = std::env::temp_dir().join(format!("futrace_corpus_empty_{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("futrace_corpus_empty_{}", std::process::id()));
         std::fs::remove_dir_all(&root).ok();
         std::fs::create_dir_all(&root).unwrap();
         let mut opts = CorpusOptions::new(root.join("out"));

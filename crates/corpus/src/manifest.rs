@@ -418,9 +418,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_none() {
-        assert!(load(&tmp("never_written.fman"), &cfg())
-            .unwrap()
-            .is_none());
+        assert!(load(&tmp("never_written.fman"), &cfg()).unwrap().is_none());
     }
 
     #[test]
@@ -468,10 +466,7 @@ mod tests {
     fn config_mismatch_is_a_hard_error() {
         let path = tmp("mismatch.fman");
         ManifestWriter::create(&path, &cfg()).unwrap();
-        let other = RunConfig {
-            shards: 4,
-            ..cfg()
-        };
+        let other = RunConfig { shards: 4, ..cfg() };
         match load(&path, &other) {
             Err(ManifestError::ConfigMismatch { found }) => assert_eq!(found, cfg()),
             other => panic!("expected ConfigMismatch, got {other:?}"),

@@ -315,10 +315,18 @@ impl CorpusReport {
                 m.missing,
                 m.no_reference
             );
-            o.push_str(if i + 1 == self.matrix.len() { "\n" } else { ",\n" });
+            o.push_str(if i + 1 == self.matrix.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         o.push_str("  ],\n");
-        let _ = writeln!(o, "  \"drift\": {{\"total\": {}, \"entries\": [", self.drift.len());
+        let _ = writeln!(
+            o,
+            "  \"drift\": {{\"total\": {}, \"entries\": [",
+            self.drift.len()
+        );
         let listed = self.drift.len().min(MAX_LISTED);
         for (i, d) in self.drift[..listed].iter().enumerate() {
             let _ = write!(
@@ -344,7 +352,11 @@ impl CorpusReport {
                 .failures
                 .iter()
                 .map(|(det, err)| {
-                    format!("{{\"detector\": \"{}\", \"error\": \"{}\"}}", esc(det), esc(err))
+                    format!(
+                        "{{\"detector\": \"{}\", \"error\": \"{}\"}}",
+                        esc(det),
+                        esc(err)
+                    )
                 })
                 .collect();
             let _ = write!(
@@ -380,7 +392,11 @@ impl CorpusReport {
             self.traces,
             self.detectors.len(),
             self.reference,
-            if self.aborted { " — **run aborted**" } else { "" }
+            if self.aborted {
+                " — **run aborted**"
+            } else {
+                ""
+            }
         );
         o.push_str("## Summary\n\n");
         o.push_str("| metric | count |\n|---|---|\n");
@@ -536,7 +552,13 @@ mod tests {
         assert_eq!(rep.matrix.len(), 1, "reference excluded from matrix");
         let m = &rep.matrix[0];
         assert_eq!(
-            (m.agree_clean, m.agree_racy, m.over_report, m.under_report, m.failed),
+            (
+                m.agree_clean,
+                m.agree_racy,
+                m.over_report,
+                m.under_report,
+                m.failed
+            ),
             (1, 0, 0, 1, 1)
         );
         assert_eq!(rep.drift.len(), 1);
@@ -569,7 +591,10 @@ mod tests {
         let traces: Vec<String> = vec!["a.ftrc".into()];
         let detectors: Vec<String> = vec!["dtrg".into(), "vc".into()];
         let mut records = RecordMap::new();
-        for (k, v) in [rec("a.ftrc", "dtrg", false, 5), rec("a.ftrc", "vc", false, 5)] {
+        for (k, v) in [
+            rec("a.ftrc", "dtrg", false, 5),
+            rec("a.ftrc", "vc", false, 5),
+        ] {
             records.insert(k, v);
         }
         let rep = build(&traces, &detectors, "dtrg", &records, false);

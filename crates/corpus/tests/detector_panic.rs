@@ -15,10 +15,8 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "futrace_corpus_panic_{tag}_{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("futrace_corpus_panic_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -63,7 +61,10 @@ fn a_panicking_detector_fails_only_its_job() {
         assert_eq!(detector, "dtrg");
         assert!(error.starts_with("panicked: "), "{policy:?}: {error}");
         if policy == FailurePolicy::Continue {
-            assert_eq!(report.summary.analyze_ok, 1, "the clean trace is still analyzed");
+            assert_eq!(
+                report.summary.analyze_ok, 1,
+                "the clean trace is still analyzed"
+            );
             assert_eq!(report.summary.clean_traces, 1);
         }
     }

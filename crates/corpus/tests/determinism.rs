@@ -14,10 +14,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "futrace_corpus_det_{tag}_{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("futrace_corpus_det_{tag}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
@@ -38,7 +35,13 @@ fn record(dir: &Path, name: &str, bench: &str, scale: Scale, planted: bool) {
 fn build_corpus(root: &Path) {
     std::fs::create_dir_all(root.join("sub")).unwrap();
     record(root, "futlist_clean.ftrc", "futlist", Scale::Tiny, false);
-    record(&root.join("sub"), "graphwalk_clean.ftrc", "graphwalk", Scale::Tiny, false);
+    record(
+        &root.join("sub"),
+        "graphwalk_clean.ftrc",
+        "graphwalk",
+        Scale::Tiny,
+        false,
+    );
     record(root, "prodcons_racy.ftrc", "prodcons", Scale::Tiny, true);
     std::fs::write(root.join("empty.ftrc"), b"FTRC\x02").unwrap();
     let full = std::fs::read(root.join("futlist_clean.ftrc")).unwrap();
@@ -225,7 +228,10 @@ fn a_timed_out_job_is_recorded_failed_at_every_width_and_across_resume() {
         let rep = out.report.as_ref().expect("a finished run has a report");
         assert_eq!(rep.summary.analyze_failed, 1, "max_parallel {mp}");
         let [damaged] = rep.damaged.as_slice() else {
-            panic!("max_parallel {mp}: one damaged trace, got {:?}", rep.damaged);
+            panic!(
+                "max_parallel {mp}: one damaged trace, got {:?}",
+                rep.damaged
+            );
         };
         assert_eq!(
             damaged.failures,
@@ -237,7 +243,11 @@ fn a_timed_out_job_is_recorded_failed_at_every_width_and_across_resume() {
         // The manifest holds the timeout, not the late result: a rerun
         // resumes the failure without running the job again.
         let again = run_corpus(&root, &o).expect("resumed run");
-        assert_eq!((again.jobs_ran, again.jobs_skipped), (0, 1), "max_parallel {mp}");
+        assert_eq!(
+            (again.jobs_ran, again.jobs_skipped),
+            (0, 1),
+            "max_parallel {mp}"
+        );
         assert_eq!(again.exit, ExitVerdict::Damage, "max_parallel {mp}");
         jsons.push(std::fs::read_to_string(again.report_json.expect("json path")).unwrap());
     }

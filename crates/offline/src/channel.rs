@@ -303,7 +303,10 @@ mod tests {
         );
         assert!(start.elapsed() >= Duration::from_millis(15));
         assert_eq!(rx.recv(), Some(1));
-        assert_eq!(tx.send_timeout(3, Duration::from_millis(15)), SendTimeout::Sent);
+        assert_eq!(
+            tx.send_timeout(3, Duration::from_millis(15)),
+            SendTimeout::Sent
+        );
         assert_eq!(rx.recv(), Some(3));
     }
 
@@ -311,7 +314,10 @@ mod tests {
     fn recv_timeout_fires_on_empty_queue() {
         let (tx, rx) = bounded::<u32>(1);
         let start = std::time::Instant::now();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(15)), RecvTimeout::Timeout);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(15)),
+            RecvTimeout::Timeout
+        );
         assert!(start.elapsed() >= Duration::from_millis(15));
         tx.send(9).unwrap();
         assert_eq!(
@@ -337,7 +343,10 @@ mod tests {
             }
         });
         let start = std::time::Instant::now();
-        assert_eq!(rx.recv_timeout(Duration::from_millis(30)), RecvTimeout::Timeout);
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(30)),
+            RecvTimeout::Timeout
+        );
         assert!(start.elapsed() >= Duration::from_millis(30));
         storming.store(false, std::sync::atomic::Ordering::Relaxed);
         storm.join().unwrap();

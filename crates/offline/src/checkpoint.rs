@@ -264,8 +264,7 @@ impl Checkpoint {
             }
         };
         let control_blob = c.bytes("control prefix")?;
-        let control_events =
-            trace::decode(control_blob).map_err(CheckpointError::Control)?;
+        let control_events = trace::decode(control_blob).map_err(CheckpointError::Control)?;
         validate_control(&control_events)?;
         let n_states = c.varint("shard state count")? as usize;
         if n_states != shards {
@@ -415,8 +414,8 @@ pub fn is_checkpoint(data: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use futrace_util::ids::{FinishId, LocId, TaskId};
     use futrace_runtime::monitor::TaskKind;
+    use futrace_util::ids::{FinishId, LocId, TaskId};
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -463,10 +462,7 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic_and_truncation() {
-        assert_eq!(
-            Checkpoint::decode(b"nope"),
-            Err(CheckpointError::BadMagic)
-        );
+        assert_eq!(Checkpoint::decode(b"nope"), Err(CheckpointError::BadMagic));
         let blob = sample().encode();
         let err = Checkpoint::decode(&blob[..blob.len() - 3]).unwrap_err();
         assert!(matches!(err, CheckpointError::BadCrc { .. }), "{err}");

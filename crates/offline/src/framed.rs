@@ -754,6 +754,9 @@ mod tests {
         assert_eq!(offset, HEADER_LEN);
         assert_ne!(stored, computed);
         let shown = err.to_string();
-        assert!(shown.contains("expected crc") && shown.contains("actual"), "{shown}");
+        assert!(
+            shown.contains("expected crc") && shown.contains("actual"),
+            "{shown}"
+        );
     }
 }

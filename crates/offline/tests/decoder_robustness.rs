@@ -21,21 +21,24 @@ fn base_traces() -> Vec<(Vec<u8>, Vec<u8>, Vec<Event>)> {
         locs: 8,
         ..GenParams::default()
     };
-    [1_u64, 42, 0xdead].iter().map(|&seed| {
-        let prog = randomprog::generate(seed, &params);
-        let mut log = EventLog::new();
-        run_serial(&mut log, |ctx| {
-            randomprog::execute(ctx, &prog);
-        });
-        let v1 = trace::encode(&log.events);
-        let mut w = StreamWriter::with_chunk_bytes(Vec::new(), 64).unwrap();
-        for e in &log.events {
-            w.record(e);
-        }
-        let (v2, stats) = w.finish().unwrap();
-        assert!(stats.chunks >= 2, "base trace should span chunks");
-        (v1, v2, log.events)
-    }).collect()
+    [1_u64, 42, 0xdead]
+        .iter()
+        .map(|&seed| {
+            let prog = randomprog::generate(seed, &params);
+            let mut log = EventLog::new();
+            run_serial(&mut log, |ctx| {
+                randomprog::execute(ctx, &prog);
+            });
+            let v1 = trace::encode(&log.events);
+            let mut w = StreamWriter::with_chunk_bytes(Vec::new(), 64).unwrap();
+            for e in &log.events {
+                w.record(e);
+            }
+            let (v2, stats) = w.finish().unwrap();
+            assert!(stats.chunks >= 2, "base trace should span chunks");
+            (v1, v2, log.events)
+        })
+        .collect()
 }
 
 #[derive(Clone, Copy, Debug)]

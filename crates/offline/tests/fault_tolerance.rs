@@ -76,7 +76,10 @@ fn plan(shards: usize) -> SupervisorPlan {
 }
 
 fn assert_verdict(got: &RaceReport, want: &RaceReport, ctx: &str) {
-    assert_eq!(got.total_detected, want.total_detected, "{ctx}: verdict diverged");
+    assert_eq!(
+        got.total_detected, want.total_detected,
+        "{ctx}: verdict diverged"
+    );
     assert_eq!(got.races, want.races, "{ctx}: race report diverged");
 }
 
@@ -154,7 +157,9 @@ fn kill_and_resume_equals_fresh_run() {
         )
         .unwrap();
         let SupervisedOutcome::Completed {
-            report, supervision, ..
+            report,
+            supervision,
+            ..
         } = out
         else {
             panic!("seed {seed}: resume must complete");
@@ -273,7 +278,9 @@ fn worker_panics_recover_with_the_serial_verdict() {
         let out =
             run_supervised(|| trace_chunks(&blob, false), RaceDetector::new, &p, None).unwrap();
         let SupervisedOutcome::Completed {
-            report, supervision, ..
+            report,
+            supervision,
+            ..
         } = out
         else {
             panic!("seed {seed}: no stop requested, must complete");
@@ -296,7 +303,11 @@ fn worker_panics_recover_with_the_serial_verdict() {
             "{ctx}: access accounting must survive the recovery"
         );
     });
-    assert!(restarts.get() > 10, "restart path under-exercised ({})", restarts.get());
+    assert!(
+        restarts.get() > 10,
+        "restart path under-exercised ({})",
+        restarts.get()
+    );
     assert!(
         chain_restarts.get() > 10,
         "restart from a delta chain under-exercised ({})",
@@ -307,7 +318,11 @@ fn worker_panics_recover_with_the_serial_verdict() {
         "restart without snapshots under-exercised ({})",
         plain_restarts.get()
     );
-    assert!(degrades.get() > 10, "degrade path under-exercised ({})", degrades.get());
+    assert!(
+        degrades.get() > 10,
+        "degrade path under-exercised ({})",
+        degrades.get()
+    );
 }
 
 #[test]

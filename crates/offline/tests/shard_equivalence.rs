@@ -74,7 +74,10 @@ where
             supervision,
             ..
         }) => {
-            assert!(!supervision.any(), "clean run needed recovery: {supervision:?}");
+            assert!(
+                !supervision.any(),
+                "clean run needed recovery: {supervision:?}"
+            );
             report
         }
         Ok(SupervisedOutcome::Suspended { .. }) => unreachable!("no stop_after_chunks requested"),
@@ -83,11 +86,7 @@ where
 }
 
 /// [`run_sharded`] over an in-memory recording.
-fn run_sharded_log<A>(
-    log: &EventLog,
-    plan: &SupervisorPlan,
-    factory: impl Fn() -> A,
-) -> A::Report
+fn run_sharded_log<A>(log: &EventLog, plan: &SupervisorPlan, factory: impl Fn() -> A) -> A::Report
 where
     A: Checkpointable + Send + 'static,
     A::Report: Send + 'static,
@@ -137,8 +136,16 @@ fn sharded_equals_serial_on_random_programs() {
     });
     // The generator must exercise both verdicts, otherwise "equivalence"
     // is vacuous on one side.
-    assert!(racy.get() > 10, "too few racy programs generated ({})", racy.get());
-    assert!(clean.get() > 10, "too few clean programs generated ({})", clean.get());
+    assert!(
+        racy.get() > 10,
+        "too few racy programs generated ({})",
+        racy.get()
+    );
+    assert!(
+        clean.get() > 10,
+        "too few clean programs generated ({})",
+        clean.get()
+    );
 }
 
 #[test]
@@ -176,8 +183,7 @@ fn vector_clock_shards_like_the_dtrg_detector() {
             let log = record(seed, params);
             let serial = run_analysis_recorded(&log.events, VectorClockDetector::new()).report;
             for shards in SHARD_COUNTS {
-                let out =
-                    run_sharded_log(&log, &plain_plan(shards), VectorClockDetector::new);
+                let out = run_sharded_log(&log, &plain_plan(shards), VectorClockDetector::new);
                 assert_eq!(
                     out.races, serial.races,
                     "seed {seed}, {shards} shards: vc race count diverged"

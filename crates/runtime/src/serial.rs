@@ -27,8 +27,8 @@
 use crate::api::TaskCtx;
 use crate::memory::MemCtx;
 use crate::monitor::{Monitor, TaskKind};
-use futrace_util::ids::{FinishId, LocId, TaskId};
 use crate::sync::Mutex;
+use futrace_util::ids::{FinishId, LocId, TaskId};
 use std::sync::Arc;
 
 /// Handle to a future task under the serial executor. The value is always
@@ -290,7 +290,10 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(iefs, vec![(TaskId(1), FinishId(1)), (TaskId(2), FinishId(1))]);
+        assert_eq!(
+            iefs,
+            vec![(TaskId(1), FinishId(1)), (TaskId(2), FinishId(1))]
+        );
         // And the finish joins both.
         assert!(log.events.iter().any(|e| matches!(
             e,

@@ -390,10 +390,7 @@ mod tests {
         for want in &events {
             assert_eq!(it.next().unwrap().unwrap(), *want);
         }
-        assert_eq!(
-            it.next(),
-            Some(Err(DecodeError::Malformed("unknown tag")))
-        );
+        assert_eq!(it.next(), Some(Err(DecodeError::Malformed("unknown tag"))));
         assert_eq!(it.next(), None, "iterator fuses after an error");
     }
 

@@ -28,7 +28,9 @@ use futrace_runtime::trace;
 use futrace_util::faultinject::{
     is_transient, write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
 };
-use futrace_util::wire::proto::{encode_frame, read_frame, write_frame, ErrorCode, Message, ProtoError};
+use futrace_util::wire::proto::{
+    encode_frame, read_frame, write_frame, ErrorCode, Message, ProtoError,
+};
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -244,10 +246,7 @@ impl<R: Read> Read for PatientReader<R> {
         let mut backoff = Backoff::new(0xC11E_47, IN_CONN_RETRIES, Duration::from_millis(1));
         loop {
             match self.inner.read(buf) {
-                Err(e)
-                    if is_transient(e.kind())
-                        && e.kind() != std::io::ErrorKind::Interrupted =>
-                {
+                Err(e) if is_transient(e.kind()) && e.kind() != std::io::ErrorKind::Interrupted => {
                     match backoff.next_delay() {
                         Some(d) => std::thread::sleep(d),
                         None => return Err(e),

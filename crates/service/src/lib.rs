@@ -29,8 +29,8 @@ pub(crate) mod server;
 pub(crate) mod session;
 
 pub use client::{shutdown, stream_trace, ClientError, ClientOptions, ClientOutcome};
-pub use server::{checkpoint_path, Server, ServeOptions, ServeSummary};
 pub use futrace_offline::AnalysisOutcome;
+pub use server::{checkpoint_path, ServeOptions, ServeSummary, Server};
 pub use session::{Session, SessionConfig, SessionError, VerdictDelta};
 
 use futrace_detector::RaceReport;
@@ -54,7 +54,10 @@ pub fn render_verdict(report: &RaceReport) -> String {
             let _ = write!(out, "\n  {r}");
         }
     } else {
-        let _ = write!(out, "\nno determinacy races: the traced program is determinate");
+        let _ = write!(
+            out,
+            "\nno determinacy races: the traced program is determinate"
+        );
     }
     out
 }

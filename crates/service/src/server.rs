@@ -42,9 +42,7 @@ use futrace_offline::{channel, Checkpoint};
 use futrace_util::faultinject::{
     write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
 };
-use futrace_util::wire::proto::{
-    decode_frame, encode_frame, ErrorCode, Message, ProtoError,
-};
+use futrace_util::wire::proto::{decode_frame, encode_frame, ErrorCode, Message, ProtoError};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -382,8 +380,7 @@ fn drive_connection(stream: TcpStream, conn: &mut Conn, state: &ServeState, loca
                         let chunks = conn.session.as_ref().map_or(0, |s| s.chunks());
                         if suspend_to_disk(conn, state) {
                             state.idle_suspended.fetch_add(1, Ordering::SeqCst);
-                            let _ =
-                                write_reply(&mut writer, &Message::Suspended { chunks });
+                            let _ = write_reply(&mut writer, &Message::Suspended { chunks });
                         }
                         return;
                     }
@@ -429,11 +426,12 @@ fn dispatch<W: Write>(
             // connection ends.
             if state.opts.max_sessions > 0 {
                 let quota = state.opts.max_sessions as u64;
-                let claimed = state.active_sessions.fetch_update(
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                    |n| (n < quota).then_some(n + 1),
-                );
+                let claimed =
+                    state
+                        .active_sessions
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                            (n < quota).then_some(n + 1)
+                        });
                 if claimed.is_err() {
                     state.busy_rejected.fetch_add(1, Ordering::SeqCst);
                     let _ = write_reply(
@@ -451,9 +449,10 @@ fn dispatch<W: Write>(
             };
             let path = checkpoint_path(&state.opts.checkpoint_dir, &trace_name);
             let session = if state.opts.resume && path.exists() {
-                match std::fs::read(&path).map_err(|e| e.to_string()).and_then(|d| {
-                    Checkpoint::decode(&d).map_err(|e| e.to_string())
-                }) {
+                match std::fs::read(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|d| Checkpoint::decode(&d).map_err(|e| e.to_string()))
+                {
                     Ok(cp) => Session::open_resumed(cfg, cp),
                     Err(e) => {
                         send_error(

@@ -179,14 +179,16 @@ impl Session {
     /// A checkpoint across several shards (cut by a replay before
     /// checkpoints came from the live engine) cannot restore one engine:
     /// it is ignored, and the session starts from chunk 0.
-    pub(crate) fn open_resumed(cfg: SessionConfig, checkpoint: Checkpoint) -> Result<Self, SessionError> {
+    pub(crate) fn open_resumed(
+        cfg: SessionConfig,
+        checkpoint: Checkpoint,
+    ) -> Result<Self, SessionError> {
         let mut session = Session::open(cfg)?;
         let (states @ [_], 1) = (checkpoint.shard_states.as_slice(), checkpoint.shards) else {
             return Ok(session);
         };
-        let detector =
-            rebuild_replica(RaceDetector::new, 0, 1, &checkpoint.control_events, states)
-                .map_err(|e| SessionError::Checkpoint(e.to_string()))?;
+        let detector = rebuild_replica(RaceDetector::new, 0, 1, &checkpoint.control_events, states)
+            .map_err(|e| SessionError::Checkpoint(e.to_string()))?;
         let r = checkpoint.router;
         let counters = EngineCounters {
             events: r.events,
@@ -279,8 +281,7 @@ impl Session {
         });
         if differs || self.chunks < cp.chunks_completed {
             return Err(SessionError::Checkpoint(
-                "resumed session received a different trace than the checkpoint covers"
-                    .to_string(),
+                "resumed session received a different trace than the checkpoint covers".to_string(),
             ));
         }
         Ok(())
@@ -436,15 +437,22 @@ mod tests {
         let n = events.len() as u32;
         let mut session = Session::open(SessionConfig::default()).unwrap();
         for wrong in [n - 1, n + 1] {
-            let err = session.feed_chunk_with_count(&payload, Some(wrong)).unwrap_err();
+            let err = session
+                .feed_chunk_with_count(&payload, Some(wrong))
+                .unwrap_err();
             assert!(err.to_string().contains("event count mismatch"), "{err}");
             assert_eq!((session.chunks(), session.events), (0, 0));
             assert_eq!(session.engine.counters().events, 0, "nothing applied");
         }
         let delta = session.feed_chunk_with_count(&payload, Some(n)).unwrap();
         assert_eq!((delta.chunks, delta.events), (1, u64::from(n)));
-        let want = run_analysis_recorded(&events, RaceDetector::new()).report.report;
-        assert_eq!(session.finish().unwrap().races.total_detected, want.total_detected);
+        let want = run_analysis_recorded(&events, RaceDetector::new())
+            .report
+            .report;
+        assert_eq!(
+            session.finish().unwrap().races.total_detected,
+            want.total_detected
+        );
     }
 
     #[test]
@@ -484,7 +492,11 @@ mod tests {
         let chunks: Vec<Vec<u8>> = (0..4)
             .map(|i| {
                 let lo = i * quarter;
-                let hi = if i == 3 { events.len() } else { (i + 1) * quarter };
+                let hi = if i == 3 {
+                    events.len()
+                } else {
+                    (i + 1) * quarter
+                };
                 trace::encode(&events[lo..hi])
             })
             .collect();

@@ -13,9 +13,7 @@
 use futrace_benchsuite::randomprog::{self, GenParams};
 use futrace_offline::StreamWriter;
 use futrace_runtime::{replay, run_serial, EventLog};
-use futrace_service::{
-    shutdown, stream_trace, ClientOptions, ClientOutcome, ServeOptions, Server,
-};
+use futrace_service::{shutdown, stream_trace, ClientOptions, ClientOutcome, ServeOptions, Server};
 use futrace_util::faultinject::NetFaults;
 use futrace_util::rng::splitmix64;
 use std::path::PathBuf;
@@ -64,16 +62,18 @@ fn gen_trace(seed: u64) -> Vec<u8> {
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "futrace-reconnect-{tag}-{}",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("futrace-reconnect-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("scratch dir");
     dir
 }
 
-fn start_daemon(dir: &PathBuf) -> (String, std::thread::JoinHandle<futrace_service::ServeSummary>) {
+fn start_daemon(
+    dir: &PathBuf,
+) -> (
+    String,
+    std::thread::JoinHandle<futrace_service::ServeSummary>,
+) {
     let server = Server::bind(ServeOptions {
         checkpoint_dir: dir.clone(),
         resume: true,
@@ -100,7 +100,12 @@ fn seeded_faults_converge_on_the_fault_free_verdict() {
     let blob = gen_trace(0xF00D);
 
     let baseline = match stream_trace(&opts(&addr, "baseline"), &blob) {
-        Ok(ClientOutcome::Finished { races, verdict, attempts, .. }) => {
+        Ok(ClientOutcome::Finished {
+            races,
+            verdict,
+            attempts,
+            ..
+        }) => {
             assert_eq!(attempts, 1, "fault-free run must not reconnect");
             (races, verdict)
         }
@@ -113,7 +118,12 @@ fn seeded_faults_converge_on_the_fault_free_verdict() {
         o.inject_net = Some(seed);
         o.retries = RETRIES;
         match stream_trace(&o, &blob) {
-            Ok(ClientOutcome::Finished { races, verdict, attempts, .. }) => {
+            Ok(ClientOutcome::Finished {
+                races,
+                verdict,
+                attempts,
+                ..
+            }) => {
                 assert_eq!(
                     (races, &verdict),
                     (baseline.0, &baseline.1),
@@ -152,9 +162,7 @@ fn retries_zero_surfaces_the_raw_error() {
     // Find a seed whose first lane cuts the write half early, so the
     // single allowed (and still faulted) attempt is guaranteed to tear.
     let seed = (0..1024)
-        .find(|&s| {
-            matches!(NetFaults::from_seed(s, 0).write.hard_error_at, Some(at) if at < 4096)
-        })
+        .find(|&s| matches!(NetFaults::from_seed(s, 0).write.hard_error_at, Some(at) if at < 4096))
         .expect("some seed cuts writes early");
 
     let mut o = opts(&addr, "raw");

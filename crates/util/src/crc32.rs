@@ -165,7 +165,10 @@ mod tests {
         // Standard CRC-32 check values (same ones zlib documents).
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]
@@ -207,7 +210,11 @@ mod tests {
         let mut rng = Rng::seeded(0xC3C3);
         let data = bytes(&mut rng, 64);
         for len in 0..=64 {
-            assert_eq!(crc32(&data[..len]), reference_crc32(&data[..len]), "len {len}");
+            assert_eq!(
+                crc32(&data[..len]),
+                reference_crc32(&data[..len]),
+                "len {len}"
+            );
         }
     }
 

@@ -220,8 +220,7 @@ mod tests {
     /// open/close soup repaired into a balanced-prefix sequence by
     /// dropping unmatched ')'. Shrinking drops/shrinks soup characters,
     /// so counterexamples minimize to the smallest failing tree.
-    fn bracket_strategy(
-    ) -> impl propcheck::Strategy<Repr = Vec<u8>, Value = String> {
+    fn bracket_strategy() -> impl propcheck::Strategy<Repr = Vec<u8>, Value = String> {
         strategies::map(
             strategies::vec_of(strategies::u8_range(0..2), 0, 120),
             |bits: Vec<u8>| {

@@ -607,7 +607,10 @@ mod tests {
         };
 
         let msg = run(Config::named("cargo test -p futrace-util propcheck").cases(64));
-        assert!(msg.starts_with("propcheck: property failed (case "), "{msg}");
+        assert!(
+            msg.starts_with("propcheck: property failed (case "),
+            "{msg}"
+        );
         assert!(msg.contains("/64, "), "case count of the config: {msg}");
         assert!(msg.contains("minimal counterexample: 1000"), "{msg}");
         assert!(msg.contains("failure: too big: "), "{msg}");

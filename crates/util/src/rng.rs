@@ -154,7 +154,10 @@ impl SampleRange for Range<f64> {
     type Output = f64;
     #[inline]
     fn sample(self, rng: &mut Rng) -> f64 {
-        assert!(self.start < self.end, "gen_range called with an empty range");
+        assert!(
+            self.start < self.end,
+            "gen_range called with an empty range"
+        );
         self.start + (self.end - self.start) * rng.next_f64()
     }
 }

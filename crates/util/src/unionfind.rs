@@ -122,12 +122,7 @@ impl<P> UnionFind<P> {
     /// payload is untouched and the current representative returned — the
     /// paper's `Merge` may legitimately be called on already-merged sets
     /// (e.g. a `get()` followed by the end of the enclosing finish).
-    pub fn union_with(
-        &mut self,
-        a: usize,
-        b: usize,
-        combine: impl FnOnce(P, P) -> P,
-    ) -> usize {
+    pub fn union_with(&mut self, a: usize, b: usize, combine: impl FnOnce(P, P) -> P) -> usize {
         let ra = self.find(a);
         let rb = self.find(b);
         if ra == rb {

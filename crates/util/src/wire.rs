@@ -194,10 +194,7 @@ impl<'a> Cursor<'a> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
-            let byte = *self
-                .data
-                .get(self.pos)
-                .ok_or(WireError::Truncated(what))?;
+            let byte = *self.data.get(self.pos).ok_or(WireError::Truncated(what))?;
             self.pos += 1;
             if shift == 63 && byte > 1 {
                 return Err(WireError::Malformed(what));
@@ -222,7 +219,9 @@ impl<'a> Cursor<'a> {
     /// Reads an `f64` stored as its bit pattern.
     pub fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
         let bytes = self.take(8, what)?;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes.try_into().unwrap())))
+        Ok(f64::from_bits(u64::from_le_bytes(
+            bytes.try_into().unwrap(),
+        )))
     }
 
     /// Reads a length-prefixed byte string.

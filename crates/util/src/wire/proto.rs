@@ -551,7 +551,9 @@ mod tests {
                 assert!(
                     matches!(
                         err,
-                        ProtoError::Truncated(_) | ProtoError::Crc { .. } | ProtoError::Malformed(_)
+                        ProtoError::Truncated(_)
+                            | ProtoError::Crc { .. }
+                            | ProtoError::Malformed(_)
                     ),
                     "cut {cut}: {err}"
                 );
@@ -650,30 +652,34 @@ mod tests {
     #[test]
     fn prop_mutated_frames_never_panic() {
         let strat = strategies::tuple4(
-            strategies::u8_range(0..14),     // which specimen
-            strategies::u32_range(0..4096),  // mutation offset seed
-            strategies::u8_range(0..255),    // xor mask (0 ⇒ truncate instead)
-            strategies::u32_range(0..4096),  // truncation point seed
+            strategies::u8_range(0..14),    // which specimen
+            strategies::u32_range(0..4096), // mutation offset seed
+            strategies::u8_range(0..255),   // xor mask (0 ⇒ truncate instead)
+            strategies::u32_range(0..4096), // truncation point seed
         );
-        propcheck::check(&Config::named("util::wire::proto").cases(512), &strat, |(which, off, mask, cut)| {
-            let specimens = specimens();
-            let msg = &specimens[which as usize % specimens.len()];
-            let mut frame = encode_frame(msg);
-            if mask == 0 {
-                frame.truncate(cut as usize % (frame.len() + 1));
-            } else {
-                let off = off as usize % frame.len();
-                frame[off] ^= mask;
-            }
-            match decode_frame(&frame) {
-                Err(_) => {}
-                Ok((decoded, used)) => {
-                    assert_eq!(encode_frame(&decoded)[..], frame[..used]);
+        propcheck::check(
+            &Config::named("util::wire::proto").cases(512),
+            &strat,
+            |(which, off, mask, cut)| {
+                let specimens = specimens();
+                let msg = &specimens[which as usize % specimens.len()];
+                let mut frame = encode_frame(msg);
+                if mask == 0 {
+                    frame.truncate(cut as usize % (frame.len() + 1));
+                } else {
+                    let off = off as usize % frame.len();
+                    frame[off] ^= mask;
                 }
-            }
-            // The io reader agrees: structured error or success, no panic.
-            let _ = read_frame(&mut io::Cursor::new(frame));
-        });
+                match decode_frame(&frame) {
+                    Err(_) => {}
+                    Ok((decoded, used)) => {
+                        assert_eq!(encode_frame(&decoded)[..], frame[..used]);
+                    }
+                }
+                // The io reader agrees: structured error or success, no panic.
+                let _ = read_frame(&mut io::Cursor::new(frame));
+            },
+        );
     }
 
     /// Propcheck: pure byte soup never panics the frame or payload
@@ -681,10 +687,14 @@ mod tests {
     #[test]
     fn prop_random_bytes_never_panic() {
         let strat = strategies::vec_of(strategies::u8_range(0..255), 0, 128);
-        propcheck::check(&Config::named("util::wire::proto").cases(512), &strat, |bytes| {
-            let _ = decode_frame(&bytes);
-            let _ = Message::decode_payload(&bytes);
-            let _ = read_frame(&mut io::Cursor::new(bytes));
-        });
+        propcheck::check(
+            &Config::named("util::wire::proto").cases(512),
+            &strat,
+            |bytes| {
+                let _ = decode_frame(&bytes);
+                let _ = Message::decode_payload(&bytes);
+                let _ = read_frame(&mut io::Cursor::new(bytes));
+            },
+        );
     }
 }

@@ -27,11 +27,36 @@ struct Rule {
 
 fn rules() -> Vec<Rule> {
     vec![
-        Rule { name: "gen-config", inputs: vec![], output: "config.h", cost: 3 },
-        Rule { name: "cc-lexer", inputs: vec!["config.h"], output: "lexer.o", cost: 10 },
-        Rule { name: "cc-parser", inputs: vec!["config.h", "lexer.o"], output: "parser.o", cost: 20 },
-        Rule { name: "cc-main", inputs: vec!["config.h"], output: "main.o", cost: 7 },
-        Rule { name: "link", inputs: vec!["lexer.o", "parser.o", "main.o"], output: "app", cost: 5 },
+        Rule {
+            name: "gen-config",
+            inputs: vec![],
+            output: "config.h",
+            cost: 3,
+        },
+        Rule {
+            name: "cc-lexer",
+            inputs: vec!["config.h"],
+            output: "lexer.o",
+            cost: 10,
+        },
+        Rule {
+            name: "cc-parser",
+            inputs: vec!["config.h", "lexer.o"],
+            output: "parser.o",
+            cost: 20,
+        },
+        Rule {
+            name: "cc-main",
+            inputs: vec!["config.h"],
+            output: "main.o",
+            cost: 7,
+        },
+        Rule {
+            name: "link",
+            inputs: vec!["lexer.o", "parser.o", "main.o"],
+            output: "app",
+            cost: 5,
+        },
     ]
 }
 
@@ -80,7 +105,9 @@ fn main() {
     // --- Correct build graph: certified determinate. --------------------
     let outcome = Analyze::program(|ctx| {
         build(ctx, false);
-    }).run().unwrap();
+    })
+    .run()
+    .unwrap();
     let (report, stats) = (outcome.races, outcome.stats);
     println!("correct build graph:   {report}");
     println!(
@@ -103,7 +130,10 @@ fn main() {
     // --- One forgotten dependency: caught in a single serial run. -------
     let report = Analyze::program(|ctx| {
         build(ctx, true);
-    }).run().unwrap().races;
+    })
+    .run()
+    .unwrap()
+    .races;
     println!("cc-parser forgets its lexer.o dependency:");
     println!("{report}");
     assert!(report.has_races());

@@ -61,7 +61,10 @@ fn main() {
             let _ = fb;
             sb2.write(ctx, 2); // publish b's handle — RACY write
         });
-    }).run().unwrap().races;
+    })
+    .run()
+    .unwrap()
+    .races;
     println!("{report}");
     assert!(
         report.has_races(),

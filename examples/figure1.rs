@@ -86,7 +86,10 @@ fn main() {
     println!("Figure 1 claims, checked against the transitive-closure oracle:");
     for k in [3u32, 6, 8] {
         let s = step_of(k);
-        assert!(reach.parallel(s, ta_last), "Stmt{k} must be parallel with T_A");
+        assert!(
+            reach.parallel(s, ta_last),
+            "Stmt{k} must be parallel with T_A"
+        );
         println!("  Stmt{k} ∥ T_A            ✓");
     }
     for k in [4u32, 7, 9] {

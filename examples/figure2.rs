@@ -51,7 +51,7 @@ fn main() {
                 let _ = m2.read(ctx, 2); // "S2" inside T_B
             });
             ctx.get(&b); // ancestor get => tree join, sets merge
-            // Mid-run DTRG check: T_B merged into T_A's set.
+                         // Mid-run DTRG check: T_B merged into T_A's set.
             assert!(ctx.monitor_mut().0.dtrg_mut().same_set(ta, tb));
             let _ = m.read(ctx, 3);
         });
@@ -103,7 +103,10 @@ fn main() {
             .step
     };
     let (s2, s8, s10, s12) = (step_of(2), step_of(8), step_of(10), step_of(12));
-    assert!(reach.reaches(s2, s12), "S2 ≺ S12 (via tree + non-tree joins)");
+    assert!(
+        reach.reaches(s2, s12),
+        "S2 ≺ S12 (via tree + non-tree joins)"
+    );
     assert!(reach.parallel(s2, s10), "S2 ⊀ S10 and S10 ⊀ S2");
     assert!(reach.reaches(s2, s8), "S2 ≺ S8");
     println!("\nReachability (cf. Figure 2):");
@@ -125,7 +128,10 @@ fn main() {
         println!("{}", dot::to_dot(&graph, "figure2"));
         println!("\n// --- DTRG (Figure 3 / Table 1 style) ---");
         let mut det = det;
-        println!("{}", futrace::detector::dot::to_dot(det.dtrg_mut(), "figure3_dtrg"));
+        println!(
+            "{}",
+            futrace::detector::dot::to_dot(det.dtrg_mut(), "figure3_dtrg")
+        );
     } else {
         println!("(re-run with --dot to print the Graphviz renderings of the");
         println!(" computation graph and the final DTRG)");

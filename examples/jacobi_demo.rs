@@ -44,7 +44,9 @@ fn main() {
             .iter()
             .zip(&reference)
             .all(|(a, b)| (a - b).abs() < 1e-12));
-    }).run().unwrap();
+    })
+    .run()
+    .unwrap();
     let (report, stats) = (outcome.races, outcome.stats);
     println!("instrumented serial: {:8.2} ms", t.elapsed_ms());
     assert!(!report.has_races());
@@ -55,7 +57,9 @@ fn main() {
     // Parallel run: race-free, so it must equal the serial elision.
     let t = Timer::start();
     let got = run_parallel(
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4),
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4),
         |ctx| jacobi_run(ctx, &p, false).snapshot(),
     )
     .expect("race-free => deadlock-free");

@@ -23,7 +23,10 @@ fn main() {
         // BUG: no ctx.get(&_sum) here.
         let v = total.read(ctx);
         println!("main observed total = {v}");
-    }).run().unwrap().races;
+    })
+    .run()
+    .unwrap()
+    .races;
     println!("{report}");
     assert!(report.has_races());
 
@@ -44,7 +47,9 @@ fn main() {
         let v = total.read(ctx);
         assert_eq!(v, 5050);
         println!("main observed total = {v}");
-    }).run().unwrap();
+    })
+    .run()
+    .unwrap();
     let (report, stats) = (outcome.races, outcome.stats);
     println!("{report}");
     println!("-- run statistics --\n{stats}");

@@ -35,17 +35,26 @@ fn main() {
     let outcome = Analyze::program(|ctx| {
         let h = sw_run(ctx, &p, false);
         assert_eq!(max_score(&h), reference_score);
-    }).run().unwrap();
+    })
+    .run()
+    .unwrap();
     let (report, stats) = (outcome.races, outcome.stats);
-    println!("instrumented run:   {:8.2} ms — best local alignment score {reference_score}", t.elapsed_ms());
+    println!(
+        "instrumented run:   {:8.2} ms — best local alignment score {reference_score}",
+        t.elapsed_ms()
+    );
     assert!(!report.has_races());
-    println!("race-free ✓   #AvgReaders = {:.3} (tile boundaries are watched by 2 parallel readers)\n",
-        stats.avg_readers());
+    println!(
+        "race-free ✓   #AvgReaders = {:.3} (tile boundaries are watched by 2 parallel readers)\n",
+        stats.avg_readers()
+    );
 
     // Broken wavefront: drop the `get()` on the top tile.
     let outcome = Analyze::program(|ctx| {
         let _ = sw_run(ctx, &p, true);
-    }).run().unwrap();
+    })
+    .run()
+    .unwrap();
     let report = outcome.races;
     println!("with the top-tile get() removed:");
     println!("{report}");

@@ -137,7 +137,10 @@ mod tests {
         assert!(matches!(err, AnalyzeError::Config(_)), "{err}");
         assert!(err.to_string().contains("shards(0)"));
 
-        let err = Analyze::program(racy).checkpoint_every(0).run().unwrap_err();
+        let err = Analyze::program(racy)
+            .checkpoint_every(0)
+            .run()
+            .unwrap_err();
         assert!(matches!(err, AnalyzeError::Config(_)), "{err}");
         assert!(err.to_string().contains("checkpoint_every(0)"));
     }

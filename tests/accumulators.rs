@@ -4,9 +4,9 @@
 //! communication is accumulator-only is certified race-free — while the
 //! same reduction hand-rolled over a shared cell is (correctly) racy.
 
-use futrace::Analyze;
 use futrace::runtime::accumulator::{Accumulator, MaxOp, SumOp};
 use futrace::runtime::{run_parallel, TaskCtx};
+use futrace::Analyze;
 
 #[test]
 fn accumulator_reduction_is_race_free() {

@@ -79,7 +79,10 @@ fn every_option_combination_matches_the_serial_verdict() {
                 .checkpoint_every(2)
                 .run()
                 .unwrap_or_else(|e| panic!("seed {seed} {name} supervised: {e}"));
-            assert_eq!(out.races.races, baseline.races.races, "seed {seed} {name} supervised");
+            assert_eq!(
+                out.races.races, baseline.races.races,
+                "seed {seed} {name} supervised"
+            );
 
             // A capped detector config changes how much is reported,
             // never whether a race exists.
@@ -90,7 +93,11 @@ fn every_option_combination_matches_the_serial_verdict() {
                 })
                 .run()
                 .unwrap_or_else(|e| panic!("seed {seed} {name} first-race: {e}"));
-            assert_eq!(out.has_races(), baseline.has_races(), "seed {seed} {name} first-race");
+            assert_eq!(
+                out.has_races(),
+                baseline.has_races(),
+                "seed {seed} {name} first-race"
+            );
         }
     });
 }

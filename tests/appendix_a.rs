@@ -57,7 +57,10 @@ fn synchronized_handle_exchange_is_race_free_and_cannot_deadlock() {
         ctx.async_task(move |ctx| {
             let _ = slot_a.read(ctx);
         });
-    }).run().unwrap().races;
+    })
+    .run()
+    .unwrap()
+    .races;
     assert!(!report.has_races());
 }
 
@@ -96,7 +99,10 @@ fn race_free_random_programs_never_deadlock_in_parallel() {
         let prog = generate(seed, &GenParams::future_heavy());
         let report = Analyze::program(|ctx| {
             execute(ctx, &prog);
-        }).run().unwrap().races;
+        })
+        .run()
+        .unwrap()
+        .races;
         if report.has_races() {
             continue;
         }

@@ -8,8 +8,8 @@
 
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::detector::RaceDetector;
-use futrace::Analyze;
 use futrace::runtime::{run_parallel, run_serial, EventLog, NullMonitor, TaskCtx};
+use futrace::Analyze;
 
 #[test]
 fn detector_verdict_is_run_independent() {
@@ -17,10 +17,16 @@ fn detector_verdict_is_run_independent() {
         let prog = generate(seed, &GenParams::default());
         let r1 = Analyze::program(|ctx| {
             execute(ctx, &prog);
-        }).run().unwrap().races;
+        })
+        .run()
+        .unwrap()
+        .races;
         let r2 = Analyze::program(|ctx| {
             execute(ctx, &prog);
-        }).run().unwrap().races;
+        })
+        .run()
+        .unwrap()
+        .races;
         assert_eq!(r1.has_races(), r2.has_races(), "seed {seed}");
         assert_eq!(r1.total_detected, r2.total_detected, "seed {seed}");
         assert_eq!(r1.races, r2.races, "seed {seed}");
@@ -52,7 +58,10 @@ fn race_free_programs_are_schedule_deterministic() {
         let prog = generate(seed, &GenParams::default());
         let report = Analyze::program(|ctx| {
             execute(ctx, &prog);
-        }).run().unwrap().races;
+        })
+        .run()
+        .unwrap()
+        .races;
         if report.has_races() {
             continue;
         }

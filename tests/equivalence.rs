@@ -11,9 +11,9 @@ use futrace::baselines::ClosureDetector;
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::compgraph::oracle::Reachability;
 use futrace::compgraph::CompGraph;
-use futrace::Analyze;
 use futrace::runtime::engine::run_analysis_live;
 use futrace::util::propcheck::{self, strategies, Config};
+use futrace::Analyze;
 
 /// Index (in the global access stream) of the earliest access that
 /// completes a racing pair, or None if the program is race-free.
@@ -37,7 +37,10 @@ fn check_seed(seed: u64, params: &GenParams) {
     let prog = generate(seed, params);
     let report = Analyze::program(|ctx| {
         execute(ctx, &prog);
-    }).run().unwrap().races;
+    })
+    .run()
+    .unwrap()
+    .races;
     let oracle = run_analysis_live(
         |ctx| {
             execute(ctx, &prog);

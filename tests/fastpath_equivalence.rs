@@ -79,12 +79,7 @@ fn caching_never_changes_the_report() {
         for shards in [1usize, 2, 4] {
             let cached = sharded_report(&events, shards, true);
             let uncached = sharded_report(&events, shards, false);
-            assert_reports_identical(
-                &format!("sharded x{shards}"),
-                seed,
-                &cached,
-                &uncached,
-            );
+            assert_reports_identical(&format!("sharded x{shards}"), seed, &cached, &uncached);
         }
     });
 }

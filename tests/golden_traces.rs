@@ -57,7 +57,10 @@ fn fixtures_match_a_fresh_recording_byte_for_byte() {
 /// produce byte-identical race reports.
 fn backends(blob: &[u8]) -> [AnalysisOutcome; 3] {
     let serial = Analyze::trace_bytes(blob).run().expect("serial replay");
-    let sharded = Analyze::trace_bytes(blob).shards(2).run().expect("sharded replay");
+    let sharded = Analyze::trace_bytes(blob)
+        .shards(2)
+        .run()
+        .expect("sharded replay");
     let supervised = Analyze::trace_bytes(blob)
         .shards(2)
         .checkpoint_every(2)
@@ -85,7 +88,10 @@ fn racy_fixtures_report_identical_races_on_every_backend() {
     for family in FAMILIES {
         let blob = fixture(family, "racy");
         let [serial, sharded, supervised] = backends(&blob);
-        assert!(serial.has_races(), "{family} racy: planted race not detected");
+        assert!(
+            serial.has_races(),
+            "{family} racy: planted race not detected"
+        );
         let golden = format!("{:?}", serial.races);
         for (name, out) in [("sharded", &sharded), ("supervised", &supervised)] {
             assert_eq!(

@@ -135,7 +135,10 @@ fn check_stream(seed: u64, params: &GenParams) {
     });
     for (threads, steal_seed) in [(1, None), (2, None), (4, None), (4, Some(seed))] {
         let mut log = EventLog::new();
-        let opts = OnlineOptions { threads, steal_seed };
+        let opts = OnlineOptions {
+            threads,
+            steal_seed,
+        };
         let run = run_online(opts, &mut log, |ctx| {
             execute(ctx, &prog);
         });
@@ -166,7 +169,11 @@ fn online_stream_equals_serial_stream_event_for_event() {
 #[test]
 fn registry_workloads_agree_clean_and_planted() {
     for w in registry::workloads() {
-        let variants: &[bool] = if w.plantable { &[false, true] } else { &[false] };
+        let variants: &[bool] = if w.plantable {
+            &[false, true]
+        } else {
+            &[false]
+        };
         for &planted in variants {
             let mut engine = Engine::new(RaceDetector::new());
             w.run_into(&mut engine, Scale::Tiny, planted);
