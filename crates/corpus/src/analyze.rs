@@ -56,9 +56,7 @@ use futrace_offline::{
     SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, TraceError,
     TraceFingerprint, SYNTHETIC_CHUNK_EVENTS,
 };
-use futrace_runtime::engine::{
-    run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
-};
+use futrace_runtime::engine::{run_analysis, Analysis, Checkpointable, Engine, EngineCounters};
 use futrace_runtime::online::{run_online, OnlineOptions};
 use futrace_runtime::{run_serial, Event, EventLog, ParCtx, SerialCtx};
 use futrace_util::faultinject::FaultPlan;
@@ -522,8 +520,8 @@ impl Options {
             "dtrg" => self.checked(input, self.factory(), |r| AnyReport::Dtrg(Box::new(r))),
             "vc" => self.checked(input, VectorClockDetector::new, Baseline),
             "espbags" => self.serial(input, EspBags::new(), Baseline),
-            "spbags" => self.serial(input, SpBags::new_lenient(), Baseline),
-            "offsetspan" => self.serial(input, OffsetSpan::new_lenient(), Baseline),
+            "spbags" => self.serial(input, SpBags::new(), Baseline),
+            "offsetspan" => self.serial(input, OffsetSpan::new(), Baseline),
             "spd3" => self.serial(input, Spd3::new(), Baseline),
             "closure" => self.serial(input, ClosureDetector::new(), |r| {
                 AnyReport::Closure(Box::new(r))
@@ -544,7 +542,7 @@ impl Options {
             dropped += u64::from(matches!(chunk, Ok(None)));
             chunk.transpose()
         });
-        let out = run_analysis(source::chunks(chunks), analysis)?;
+        let out = run_analysis(chunks, analysis)?;
         Ok(DetectorRun::Completed(DetectorOutcome {
             report: erase(out.report),
             engine: EngineCounters {

@@ -173,6 +173,34 @@ mod tests {
     }
 
     #[test]
+    fn bags_and_labels_note_only_what_they_dropped() {
+        // Spawn-sync: nothing falls outside SP-bags' or Offset-Span's
+        // model, so neither notes a drop; the future trace's get() is
+        // counted.
+        let mut spawn_sync = EventLog::new();
+        run_serial(&mut spawn_sync, |ctx| {
+            let x = ctx.shared_var(0u64, "x");
+            ctx.finish(|ctx| {
+                let xa = x.clone();
+                ctx.async_task(move |ctx| xa.write(ctx, 1));
+            });
+            x.write(ctx, 2);
+        });
+        let gets = "ignored 1 get() edge(s): verdict may over-approximate on futures";
+        for name in ["spbags", "offsetspan"] {
+            let clean = run(name, &spawn_sync).report.notes();
+            assert!(
+                !clean
+                    .iter()
+                    .any(|n| n.contains("ignored") || n.contains("dropped")),
+                "{name}: {clean:?}"
+            );
+            let futures = run(name, &future_sync_trace()).report.notes();
+            assert!(futures.iter().any(|n| n == gets), "{name}: {futures:?}");
+        }
+    }
+
+    #[test]
     fn supervised_detectors_match_their_serial_runs() {
         let log = future_sync_trace();
         for name in ["dtrg", "vc"] {

@@ -260,7 +260,7 @@ impl Monitor for EventLog {
 }
 
 /// Dispatches one recorded event to the corresponding monitor callback.
-pub(crate) fn apply<M: Monitor>(mon: &mut M, e: &Event) {
+pub(crate) fn apply<M: Monitor + ?Sized>(mon: &mut M, e: &Event) {
     match e {
         Event::TaskCreate {
             parent,
