@@ -23,7 +23,10 @@
 //! a finish *owned by its own parent* (so "return to parent" and "IEF
 //! registration" coincide) — which is the shape of Series-af/Crypt-af. The
 //! adapter treats `task_create` as spawn, `task_end` as the return, and
-//! `finish_end` as the sync. Outside that model it counts and ignores
+//! `finish_end` as the sync. A finish joins only the children spawned
+//! inside it, not every child its owner has spawned so far, so
+//! `finish_start` sets the owner's P-bag aside and `finish_end` restores
+//! it after the sync. Outside that model it counts and ignores
 //! what it cannot represent: joins by a finish the joined task's parent
 //! does not own (use [`crate::espbags::EspBags`] there), and `get` edges
 //! (SP-bags predates futures — running it on a future program
@@ -57,6 +60,8 @@ pub struct SpBags {
     /// Representative of each task's P-bag contents (None while empty —
     /// empty bags have no set).
     pbag: Vec<Option<usize>>,
+    /// The P-bags the open finishes set aside, innermost last.
+    outer_pbags: Vec<Option<usize>>,
     parent: Vec<Option<TaskId>>,
     shadow: Vec<Cell>,
     races: u64,
@@ -81,6 +86,7 @@ impl SpBags {
         SpBags {
             bags,
             pbag: vec![None],
+            outer_pbags: Vec::new(),
             parent: vec![None],
             shadow: Vec::new(),
             races: 0,
@@ -134,9 +140,16 @@ impl Monitor for SpBags {
         self.pbag[parent.index()] = Some(rep);
     }
 
+    fn finish_start(&mut self, task: TaskId, _finish: FinishId) {
+        // The children `task` spawned before the finish are not its to
+        // join.
+        self.outer_pbags.push(self.pbag[task.index()].take());
+    }
+
     fn finish_end(&mut self, task: TaskId, _finish: FinishId, joined: &[TaskId]) {
-        // sync in `task`: S(task) ∪= P(task). Spawn-sync joins only a
-        // finish owner's own children; any other join is out of model.
+        // sync in `task`: S(task) ∪= P(task), then the P-bag set aside at
+        // the finish's start is the owner's again. Spawn-sync joins only
+        // a finish owner's own children; any other join is out of model.
         let parent = &self.parent;
         self.ignored_joins += joined
             .iter()
@@ -147,6 +160,7 @@ impl Monitor for SpBags {
             let rep = self.bags.union_with(s, p, |a, _| a);
             *self.bags.payload_mut(rep) = Bag::S(task);
         }
+        self.pbag[task.index()] = self.outer_pbags.pop().flatten();
     }
 
     fn get(&mut self, _waiter: TaskId, _awaited: TaskId) {
@@ -284,6 +298,21 @@ mod tests {
             x.write(ctx, 3);
         });
         assert!(!r.has_races());
+        assert!(r.notes.is_empty(), "nothing dropped: {:?}", r.notes);
+    }
+
+    #[test]
+    fn a_finish_joins_only_the_children_spawned_inside_it() {
+        // The first child outlives the finish, which joins only the
+        // second: the read races with the first child's write.
+        let r = run(SpBags::new(), |ctx| {
+            let x = ctx.shared_var(0u64, "x");
+            let xa = x.clone();
+            ctx.async_task(move |ctx| xa.write(ctx, 1));
+            ctx.finish(|ctx| ctx.async_task(|_| {}));
+            let _ = x.read(ctx);
+        });
+        assert_eq!(r.races, 1);
         assert!(r.notes.is_empty(), "nothing dropped: {:?}", r.notes);
     }
 
