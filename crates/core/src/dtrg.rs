@@ -222,6 +222,16 @@ pub struct DtrgCounters {
     pub nt_moved: u64,
 }
 
+impl DtrgCounters {
+    /// The hot-path cache totals an engine reports, as `(hits, misses)`:
+    /// hits from both cache layers, the `Precede` memo and the shadow
+    /// fast path; misses from the memo alone (the fast path has no
+    /// distinct miss event — every slow-path check is one).
+    pub fn cache_totals(&self) -> (u64, u64) {
+        (self.memo_hits + self.shadow_hits, self.memo_misses)
+    }
+}
+
 /// Sentinel in the `task_parent` column for "no parent" (main).
 const NO_PARENT: u32 = u32::MAX;
 

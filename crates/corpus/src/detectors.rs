@@ -94,15 +94,12 @@ impl AnyReport {
         }
     }
 
-    /// Hot-path cache totals as `(hits, misses)`: the DTRG's memo and
-    /// shadow fast-path counters (only the memo records misses — every
-    /// slow-path check is one). `None` for the uncached detectors.
+    /// Hot-path cache totals as `(hits, misses)`, as
+    /// `DtrgCounters::cache_totals` derives them. `None` for the uncached
+    /// detectors.
     pub(crate) fn cache_counters(&self) -> Option<(u64, u64)> {
         match self {
-            AnyReport::Dtrg(r) => Some((
-                r.stats.dtrg.memo_hits + r.stats.dtrg.shadow_hits,
-                r.stats.dtrg.memo_misses,
-            )),
+            AnyReport::Dtrg(r) => Some(r.stats.dtrg.cache_totals()),
             _ => None,
         }
     }

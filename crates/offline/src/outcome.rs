@@ -43,13 +43,11 @@ impl AnalysisOutcome {
 
     /// The outcome of one DTRG run, from its finished report and the
     /// engine counters that drove it. Fills the counters' cache totals
-    /// from the detector's statistics: hits from both cache layers,
-    /// misses from the memo (the shadow fast path has no distinct miss
-    /// event — every slow-path check is one). No sharding, supervision,
-    /// online or truncation accounting is attached.
+    /// from the detector's statistics (`DtrgCounters::cache_totals`). No
+    /// sharding, supervision, online or truncation accounting is
+    /// attached.
     pub fn from_dtrg(report: DtrgReport, mut engine: EngineCounters) -> Self {
-        engine.cache_hits = report.stats.dtrg.memo_hits + report.stats.dtrg.shadow_hits;
-        engine.cache_misses = report.stats.dtrg.memo_misses;
+        (engine.cache_hits, engine.cache_misses) = report.stats.dtrg.cache_totals();
         AnalysisOutcome {
             races: report.report,
             stats: report.stats,
