@@ -7,7 +7,8 @@
 //!    [`NullMonitor`] — the denominator of the paper's slowdown column);
 //! 3. times the detector over the recorded stream with the hot-path
 //!    caches **on** (the default [`DetectorConfig`]) and **off**
-//!    (`caching: false`), through the engine's batched dispatch path;
+//!    (`caching: false`), replayed through the engine (`run_analysis`),
+//!    which dispatches one event at a time as every path does;
 //! 4. asserts the two verdicts are identical, and
 //! 5. emits one JSON object per program into `BENCH_dtrg.json`:
 //!    median ns/event for each mode, the cached-vs-uncached improvement

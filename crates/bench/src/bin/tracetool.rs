@@ -15,12 +15,11 @@ use futrace_corpus::{
 use futrace_detector::RaceDetector;
 use futrace_offline::framed::{self, DEFAULT_CHUNK_BYTES};
 use futrace_offline::{
-    read_events, salvage, trace_chunks, Checkpoint, FrameError, ShardStats, StreamWriter,
-    SupervisionReport, WriterStats,
+    salvage, trace_chunks, Checkpoint, FrameError, ShardStats, StreamWriter, SupervisionReport,
+    WriterStats,
 };
 use futrace_runtime::engine::{run_analysis, Analysis, Engine, EngineCounters};
 use futrace_runtime::online::{run_online, OnlineOptions};
-use futrace_runtime::{trace, EventLog, Monitor};
 use futrace_service::{render_verdict, ClientOptions, ClientOutcome, ServeOptions, Server};
 use futrace_util::faultinject::{
     read_to_end_with_retry, Backoff, FaultPlan, FaultyReader, FaultyWriter, IoFaultStats,
@@ -34,7 +33,7 @@ const USAGE: &str = "\
 usage:
   tracetool record --bench NAME --out FILE
                    [--tiny|--scaled] [--planted]
-                   [--stream [--chunk-bytes N] [--inject SEED]]
+                   [--chunk-bytes N] [--inject SEED]
   tracetool exec --bench NAME --threads N [--detector dtrg]
                    [--tiny|--scaled] [--planted] [--steal-seed S]
   tracetool analyze FILE [--detector NAME] [--shards N] [--lenient]
@@ -104,12 +103,6 @@ fn help() {
     println!("detectors: {}", DETECTOR_NAMES.join(", "));
 }
 
-/// Drives the selected benchmark against any monitor — an [`EventLog`]
-/// for buffered v1 recording, a [`StreamWriter`] for direct-to-disk v2.
-fn run_bench(mon: &mut dyn Monitor, p: &BenchProgram) {
-    p.workload().run_into(mon, p.scale, p.planted);
-}
-
 fn print_fault_stats(kind: &str, seed: u64, s: &IoFaultStats) {
     eprintln!(
         "injected {kind} faults (seed {seed}): {} call(s), {} transient(s), \
@@ -148,48 +141,30 @@ fn finish_stream<W: std::io::Write>(writer: StreamWriter<W>, out: &str) -> (W, W
     }
 }
 
+/// Records the selected benchmark straight to disk as a framed trace.
+/// With `--inject`, the sink misbehaves per the seeded write-fault plan;
+/// the writer's retry layer absorbs what it can and `finish` reports what
+/// it cannot.
 fn record(args: RecordArgs) {
-    if args.stream {
-        let file = std::fs::File::create(&args.out).expect("create trace file");
-        let chunk = args.chunk_bytes.unwrap_or(DEFAULT_CHUNK_BYTES);
-        if let Some(seed) = args.inject {
-            // Deterministic write-fault injection: the sink misbehaves per
-            // the seeded plan; the writer's retry layer absorbs what it
-            // can and finish() reports what it cannot.
-            let plan = FaultPlan::from_seed(seed);
-            let sink = FaultyWriter::new(BufWriter::new(file), plan.write);
-            let mut writer = match StreamWriter::with_chunk_bytes(sink, chunk) {
-                Ok(w) => w,
-                Err(e) => fail(&format!("cannot start trace {}: {e}", args.out)),
-            };
-            run_bench(&mut writer, &args.program);
-            if writer.stats().dropped_events > 0 {
-                let dropped = writer.stats().dropped_events;
-                eprintln!("warning: sink failed hard; {dropped} event(s) dropped");
-            }
-            let (sink, stats) = finish_stream(writer, &args.out);
-            print_fault_stats("write", seed, &sink.stats());
-            print_record_stats(&stats, &args.out);
-        } else {
-            let mut writer = StreamWriter::with_chunk_bytes(BufWriter::new(file), chunk)
-                .expect("write trace header");
-            run_bench(&mut writer, &args.program);
-            let (_, stats) = finish_stream(writer, &args.out);
-            print_record_stats(&stats, &args.out);
-        }
-    } else {
-        let mut log = EventLog::new();
-        run_bench(&mut log, &args.program);
-        let blob = trace::encode(&log.events);
-        std::fs::write(&args.out, &blob).expect("write trace file");
-        eprintln!(
-            "recorded {} events ({} bytes, {:.2} B/event) to {}",
-            log.events.len(),
-            blob.len(),
-            blob.len() as f64 / log.events.len().max(1) as f64,
-            args.out
-        );
+    let file = std::fs::File::create(&args.out)
+        .unwrap_or_else(|e| fail(&format!("cannot create trace {}: {e}", args.out)));
+    let plan = args.inject.map(FaultPlan::from_seed);
+    let faults = plan.as_ref().map(|p| p.write.clone()).unwrap_or_default();
+    let sink = FaultyWriter::new(BufWriter::new(file), faults);
+    let chunk = args.chunk_bytes.unwrap_or(DEFAULT_CHUNK_BYTES);
+    let mut writer = StreamWriter::with_chunk_bytes(sink, chunk)
+        .unwrap_or_else(|e| fail(&format!("cannot start trace {}: {e}", args.out)));
+    let p = &args.program;
+    p.workload().run_into(&mut writer, p.scale, p.planted);
+    let dropped = writer.stats().dropped_events;
+    if dropped > 0 {
+        eprintln!("warning: sink failed hard; {dropped} event(s) dropped");
     }
+    let (sink, stats) = finish_stream(writer, &args.out);
+    if let Some(plan) = &plan {
+        print_fault_stats("write", plan.seed, &sink.stats());
+    }
+    print_record_stats(&stats, &args.out);
 }
 
 /// Runs a benchsuite program live on the instrumented work-stealing
@@ -449,16 +424,6 @@ fn analyze(args: AnalyzeArgs) {
         Some(plan) => read_trace_injected(&args.file, &plan),
         None => read_trace(&args.file),
     };
-    let checkpointing = args.checkpoint_every.is_some() || args.stop_after.is_some();
-    if checkpointing && !framed::is_framed(&blob) {
-        eprintln!(
-            "error: checkpointing needs chunk boundaries; {} is a flat v1 trace \
-             (re-record with --stream)",
-            args.file
-        );
-        std::process::exit(2);
-    }
-
     let resume = args.resume.as_ref();
     let analysis = Analyze::trace_bytes(&blob)
         .lenient(args.lenient)
@@ -591,85 +556,71 @@ fn compare(args: CompareArgs) {
     }
 }
 
-fn info(file: &str) {
+/// Reads `file`, failing (exit 1) unless it starts with the framed
+/// header.
+fn read_framed(file: &str) -> Vec<u8> {
     let blob = read_trace(file);
-    if framed::is_framed(&blob) {
-        println!("{file}: framed trace (format v2), {} bytes", blob.len());
-        let mut good = 0u64;
-        let mut damaged = 0u64;
-        let mut events = 0u64;
-        let mut payload = 0u64;
-        for chunk in framed::chunks(&blob) {
-            match chunk {
-                Ok(c) => {
-                    good += 1;
-                    events += u64::from(c.event_count);
-                    payload += c.payload.len() as u64;
-                }
-                Err(e) => {
-                    damaged += 1;
-                    eprintln!("  damaged: {e}");
-                }
+    if let Some(Err(e @ FrameError::NotFramed)) = framed::chunks(&blob).next() {
+        fail(&format!("{file}: {e}"));
+    }
+    blob
+}
+
+fn info(file: &str) {
+    let blob = read_framed(file);
+    println!("{file}: framed trace (format v2), {} bytes", blob.len());
+    let mut good = 0u64;
+    let mut damaged = 0u64;
+    let mut events = 0u64;
+    let mut payload = 0u64;
+    for chunk in framed::chunks(&blob) {
+        match chunk {
+            Ok(c) => {
+                good += 1;
+                events += u64::from(c.event_count);
+                payload += c.payload.len() as u64;
+            }
+            Err(e) => {
+                damaged += 1;
+                eprintln!("  damaged: {e}");
             }
         }
-        println!("chunks:      {good} intact, {damaged} damaged");
-        println!("events:      {events} (declared by intact chunks)");
-        println!(
-            "payload:     {payload} bytes ({:.2} B/event)",
-            payload as f64 / events.max(1) as f64
-        );
-        if damaged > 0 {
-            std::process::exit(1);
-        }
-        note_if_empty(events);
-    } else {
-        // v1 flat: the only structure is the event stream itself.
-        println!("{file}: flat trace (format v1), {} bytes", blob.len());
-        let events = match read_events(&blob, false) {
-            Ok((events, _)) => events.len() as u64,
-            Err(e) => fail(&format!("damaged: {e}")),
-        };
-        println!("events:      {events}");
-        println!(
-            "bytes/event: {:.2}",
-            blob.len() as f64 / events.max(1) as f64
-        );
-        note_if_empty(events);
     }
+    println!("chunks:      {good} intact, {damaged} damaged");
+    println!("events:      {events} (declared by intact chunks)");
+    println!(
+        "payload:     {payload} bytes ({:.2} B/event)",
+        payload as f64 / events.max(1) as f64
+    );
+    if damaged > 0 {
+        std::process::exit(1);
+    }
+    note_if_empty(events);
 }
 
 fn verify(file: &str) {
-    let blob = read_trace(file);
+    let blob = read_framed(file);
     // Strict full pass: every chunk CRC, and every CRC-checked chunk
     // through the one intact test the trace reader applies. Any damage →
     // exit 1, but keep going so one run reports *every* damaged chunk,
     // each with enough context (chunk index, byte offset, stored vs
     // computed CRC) to find it on disk.
-    if framed::is_framed(&blob) {
-        let mut events = 0u64;
-        let mut damaged = 0u64;
-        for chunk in framed::chunks(&blob) {
-            match chunk.and_then(|c| c.decode()) {
-                Ok(decoded) => events += decoded.len() as u64,
-                Err(e) => {
-                    damaged += 1;
-                    eprintln!("{file}: {e}");
-                }
+    let mut events = 0u64;
+    let mut damaged = 0u64;
+    for chunk in framed::chunks(&blob) {
+        match chunk.and_then(|c| c.decode()) {
+            Ok(decoded) => events += decoded.len() as u64,
+            Err(e) => {
+                damaged += 1;
+                eprintln!("{file}: {e}");
             }
         }
-        if damaged > 0 {
-            fail(&format!("{file}: FAILED: {damaged} damaged chunk(s)"));
-        }
-        println!("{file}: OK (v2, {events} events, {} bytes)", blob.len());
-        note_if_empty(events);
-    } else {
-        let events = match read_events(&blob, false) {
-            Ok((events, _)) => events.len() as u64,
-            Err(e) => fail(&format!("{file}: FAILED: {e}")),
-        };
-        println!("{file}: OK (v1, {events} events, {} bytes)", blob.len());
-        note_if_empty(events);
     }
+    if damaged > 0 {
+        fail(&format!("{file}: FAILED: {damaged} damaged chunk(s)"));
+    }
+    println!("{file}: OK (v2, {events} events, {} bytes)", blob.len());
+    note_if_empty(events);
 }
 
 /// Differential fuzzing over the detector registry. One batch per base

@@ -121,14 +121,11 @@ pub struct RecordArgs {
     pub program: BenchProgram,
     /// Output trace path.
     pub out: String,
-    /// Write the framed v2 format incrementally instead of buffering the
-    /// whole event log.
-    pub stream: bool,
-    /// Target chunk payload size for `--stream` (bytes).
+    /// Target chunk payload size (bytes).
     pub chunk_bytes: Option<usize>,
-    /// Seed for deterministic write-fault injection (`--stream` only):
-    /// derives a [`futrace_util::faultinject::FaultPlan`] and wraps the
-    /// sink in a `FaultyWriter`.
+    /// Seed for deterministic write-fault injection: derives a
+    /// [`futrace_util::faultinject::FaultPlan`] whose write faults the
+    /// sink injects.
     pub inject: Option<u64>,
 }
 
@@ -333,14 +330,12 @@ fn validate_detector(name: &str) -> Result<String, String> {
 fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
     let mut program = BenchProgram::empty();
     let mut out = None;
-    let mut stream = false;
     let mut chunk_bytes = None;
     let mut inject = None;
     let mut flags = Flags::new(args);
     while let Some(arg) = flags.next_flag() {
         match arg {
             "--out" => out = Some(flags.string()?),
-            "--stream" => stream = true,
             "--chunk-bytes" => {
                 let v = flags.str()?;
                 chunk_bytes = Some(
@@ -353,18 +348,11 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
             other => return Err(format!("record: unknown argument `{other}`")),
         }
     }
-    if chunk_bytes.is_some() && !stream {
-        return Err("--chunk-bytes only applies to --stream recording".into());
-    }
-    if inject.is_some() && !stream {
-        return Err("--inject only applies to --stream recording".into());
-    }
     let program = program.finish("record")?;
     let out = out.ok_or("record: --out is required")?;
     Ok(RecordArgs {
         program,
         out,
-        stream,
         chunk_bytes,
         inject,
     })
@@ -796,25 +784,26 @@ mod tests {
     }
 
     #[test]
-    fn record_defaults_and_stream_flags() {
+    fn record_defaults_and_chunk_flags() {
         let Command::Record(r) = parse(&argv("record --bench jacobi --out x.trace")).unwrap()
         else {
             panic!()
         };
         assert!(r.program.scale == Scale::Tiny && !r.program.planted);
-        assert!(!r.stream && r.chunk_bytes.is_none());
+        assert!(r.chunk_bytes.is_none() && r.inject.is_none());
 
         let Command::Record(r) = parse(&argv(
-            "record --bench jacobi --out x.trace --stream --chunk-bytes 4096 --planted",
+            "record --bench jacobi --out x.trace --chunk-bytes 4096 --planted",
         ))
         .unwrap() else {
             panic!()
         };
-        assert!(r.stream && r.program.planted);
+        assert!(r.program.planted);
         assert_eq!(r.chunk_bytes, Some(4096));
 
-        let err = parse(&argv("record --bench jacobi --out x --chunk-bytes 64")).unwrap_err();
-        assert!(err.contains("--stream"), "{err}");
+        // There is one trace format, so there is no format flag.
+        let err = parse(&argv("record --bench jacobi --out x --stream")).unwrap_err();
+        assert!(err.contains("unknown argument `--stream`"), "{err}");
     }
 
     #[test]
@@ -1019,13 +1008,10 @@ mod tests {
         assert_eq!(a.inject, Some(42));
         assert!(a.supervised());
 
-        // record-side: same validation, and --stream is required.
-        let err = parse(&argv("record --bench lu --out t --stream --inject nope")).unwrap_err();
+        // record-side: same validation.
+        let err = parse(&argv("record --bench lu --out t --inject nope")).unwrap_err();
         assert!(err.contains("invalid seed `nope`"), "{err}");
-        let err = parse(&argv("record --bench lu --out t --inject 7")).unwrap_err();
-        assert!(err.contains("--stream"), "{err}");
-        let Command::Record(r) =
-            parse(&argv("record --bench lu --out t --stream --inject 7")).unwrap()
+        let Command::Record(r) = parse(&argv("record --bench lu --out t --inject 7")).unwrap()
         else {
             panic!()
         };

@@ -79,13 +79,17 @@ fn gen_trace(path: &PathBuf, seed: u64, min_bytes: usize) {
     }
 }
 
-/// Re-chunked payloads for hand-rolled wire conversations.
-fn chunk_payloads(file: &PathBuf) -> Vec<Vec<u8>> {
+/// Re-chunked payloads, with their event counts, for hand-rolled wire
+/// conversations.
+fn chunk_payloads(file: &PathBuf) -> Vec<(u32, Vec<u8>)> {
     let blob = std::fs::read(file).expect("read fixture");
     let events: Vec<_> = trace_events(&blob, false)
         .collect::<Result<_, _>>()
         .expect("decode fixture");
-    events.chunks(8).map(trace::encode).collect()
+    events
+        .chunks(8)
+        .map(|c| (c.len() as u32, trace::encode(c)))
+        .collect()
 }
 
 /// Grabs a port the OS considers free right now. The tiny window between
@@ -370,12 +374,12 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
         ));
         // Feed two chunks: a session needs ≥ 2 before it has anything
         // checkpointable to suspend to.
-        for (seq, payload) in payloads.iter().take(2).enumerate() {
+        for (seq, (event_count, payload)) in payloads.iter().take(2).enumerate() {
             write_frame(
                 &mut stream,
                 &Message::Chunk {
                     seq: seq as u64,
-                    event_count: None,
+                    event_count: *event_count,
                     payload: payload.clone(),
                 },
             )
@@ -563,7 +567,7 @@ fn a_panicking_chunk_fails_only_its_own_session() {
     let payload = trace::encode(&[Event::TaskEnd(TaskId(50))]);
     let chunk = Message::Chunk {
         seq: 0,
-        event_count: None,
+        event_count: 1,
         payload,
     };
     write_frame(&mut stream, &chunk).expect("send chunk");

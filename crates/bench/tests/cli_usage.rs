@@ -1,6 +1,7 @@
 //! The usage paths of the `tracetool` binary: `help` is a command (exit 0,
 //! usage on stdout, nothing on stderr), while a usage error exits 2 with
-//! `error:` and the same usage text on stderr and does nothing else.
+//! `error:` and the same usage text on stderr and does nothing else. And
+//! `record` needs no format flag: there is one trace format.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -26,6 +27,36 @@ fn trace() -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/data/checkpoints/jacobi_tiny.ftrc");
     path.to_str().expect("utf-8 path").to_string()
+}
+
+#[test]
+fn record_without_a_format_flag_writes_a_trace_verify_accepts() {
+    let dir = std::env::temp_dir().join(format!("futrace_record_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let path = dir.join("jacobi.ftrc");
+    let file = path.to_str().expect("utf-8 path");
+    let out = tracetool(&[
+        "record",
+        "--bench",
+        "jacobi",
+        "--tiny",
+        "--chunk-bytes",
+        "1024",
+        "--out",
+        file,
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("framed chunks"), "{stderr}");
+
+    let out = tracetool(&["verify", file]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("OK (v2, "), "{stdout}");
+    // The committed fixture was recorded with the same program and flags.
+    let fixture = std::fs::read(trace()).expect("read fixture");
+    assert!(std::fs::read(&path).expect("read recording") == fixture);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -1,9 +1,10 @@
-//! An empty trace — a valid FTRC header with zero chunks (or a
-//! zero-byte v1 file) — is not damage: `analyze`, `info`, and `verify`
-//! must all exit 0, say explicitly that the trace holds no events, and
-//! report a clean verdict. The note is printed *before* the verdict
-//! section and byte-identically across the serial, sharded, and
-//! supervised analyze paths (CI diffs that section between paths).
+//! An empty trace — a valid FTRC header with zero chunks — is not damage:
+//! `analyze`, `info`, and `verify` must all exit 0, say explicitly that
+//! the trace holds no events, and report a clean verdict. The note is
+//! printed *before* the verdict section and byte-identically across the
+//! serial, sharded, and supervised analyze paths (CI diffs that section
+//! between paths). A zero-byte file has no header, so it is not a trace
+//! at all: every command fails on it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -100,16 +101,31 @@ fn verify_empty_v2_is_clean() {
 }
 
 #[test]
-fn zero_byte_v1_is_clean_everywhere() {
-    let path = scratch_trace("v1", b"");
-    let stdout = run_ok(&["verify"], &path);
-    assert!(stdout.contains("OK (v1, 0 events"), "{stdout}");
-    assert!(stdout.contains(NOTE), "{stdout}");
-    let stdout = run_ok(&["info"], &path);
-    assert!(stdout.contains(NOTE), "{stdout}");
-    let stdout = run_ok(&["analyze"], &path);
-    assert!(stdout.contains(NOTE), "{stdout}");
-    assert!(stdout.contains(CLEAN_VERDICT), "{stdout}");
+fn zero_byte_file_is_not_a_trace() {
+    let path = scratch_trace("zero", b"");
+    for args in [
+        &["verify"][..],
+        &["info"],
+        &["analyze"],
+        &["analyze", "--shards", "2"],
+    ] {
+        let out = tracetool()
+            .arg(args[0])
+            .arg(&path)
+            .args(&args[1..])
+            .output()
+            .expect("run tracetool");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}\nstderr: {stderr}");
+        assert!(
+            stderr.contains("not a framed (v2) trace"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains(NOTE),
+            "{args:?}"
+        );
+    }
 }
 
 #[test]

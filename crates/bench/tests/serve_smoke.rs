@@ -16,7 +16,6 @@ use futrace_detector::RaceDetector;
 use futrace_offline::{framed, trace_events};
 use futrace_runtime::engine::run_analysis_recorded;
 use futrace_runtime::{trace, Event};
-use futrace_util::crc32::crc32;
 use futrace_util::wire::proto::{read_frame, write_frame, Message};
 
 fn tracetool() -> Command {
@@ -212,14 +211,17 @@ fn four_concurrent_clients_share_one_daemon() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Splits a fixture into per-8-event chunk payloads, exactly as
-/// `client --chunk-events 8` does.
-fn chunk_payloads(file: &PathBuf) -> Vec<Vec<u8>> {
+/// Splits a fixture into per-8-event chunk payloads with their event
+/// counts, exactly as `client --chunk-events 8` does.
+fn chunk_payloads(file: &PathBuf) -> Vec<(u32, Vec<u8>)> {
     let blob = std::fs::read(file).expect("fixture");
     let events: Vec<_> = trace_events(&blob, false)
         .collect::<Result<_, _>>()
         .expect("decode fixture");
-    events.chunks(8).map(trace::encode).collect()
+    events
+        .chunks(8)
+        .map(|c| (c.len() as u32, trace::encode(c)))
+        .collect()
 }
 
 #[test]
@@ -252,12 +254,12 @@ fn killed_client_leaves_a_resumable_checkpoint() {
                 ..
             }
         ));
-        for (seq, payload) in payloads.iter().take(3).enumerate() {
+        for (seq, (event_count, payload)) in payloads.iter().take(3).enumerate() {
             write_frame(
                 &mut stream,
                 &Message::Chunk {
                     seq: seq as u64,
-                    event_count: None,
+                    event_count: *event_count,
                     payload: payload.clone(),
                 },
             )
@@ -374,12 +376,12 @@ fn draining_daemon_suspends_inflight_sessions() {
     )
     .expect("open");
     read_frame(&mut stream).expect("hello");
-    for (seq, payload) in chunk_payloads(&file).iter().take(3).enumerate() {
+    for (seq, (event_count, payload)) in chunk_payloads(&file).iter().take(3).enumerate() {
         write_frame(
             &mut stream,
             &Message::Chunk {
                 seq: seq as u64,
-                event_count: None,
+                event_count: *event_count,
                 payload: payload.clone(),
             },
         )
@@ -472,13 +474,11 @@ fn copy_with_a_damaged_access_chunk(file: &PathBuf) -> Vec<u8> {
     ];
     for (k, part) in parts.into_iter().enumerate() {
         let mut payload = trace::encode(part);
-        let crc = crc32(&payload);
+        let header = framed::chunk_header(&payload, part.len() as u32);
         if k == 1 {
             payload[1] ^= 0x40;
         }
-        copy.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        copy.extend_from_slice(&(part.len() as u32).to_le_bytes());
-        copy.extend_from_slice(&crc.to_le_bytes());
+        copy.extend_from_slice(&header);
         copy.extend_from_slice(&payload);
     }
     copy
@@ -578,9 +578,7 @@ fn framed_blob(chunks: &[(Vec<u8>, usize)]) -> Vec<u8> {
     let mut blob = framed::MAGIC.to_vec();
     blob.push(framed::VERSION);
     for (payload, declared) in chunks {
-        blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        blob.extend_from_slice(&(*declared as u32).to_le_bytes());
-        blob.extend_from_slice(&crc32(payload).to_le_bytes());
+        blob.extend_from_slice(&framed::chunk_header(payload, *declared as u32));
         blob.extend_from_slice(payload);
     }
     blob

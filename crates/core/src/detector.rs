@@ -2001,8 +2001,8 @@ mod trace_tests {
     use futrace_runtime::engine::run_analysis_recorded;
     use futrace_runtime::{trace, EventLog, SerialCtx, TaskCtx};
 
-    /// Offline detection: decodes a v1 trace and replays it into a fresh
-    /// detector, returning the report and statistics.
+    /// Offline detection: decodes an event-codec stream and replays it
+    /// into a fresh detector, returning the report and statistics.
     fn detect_races_in_trace(
         blob: &[u8],
     ) -> Result<(RaceReport, DetectorStats), trace::DecodeError> {

@@ -53,8 +53,8 @@ use futrace_baselines::{ClosureDetector, EspBags, OffsetSpan, SpBags, Spd3, Vect
 use futrace_detector::{DetectorConfig, RaceDetector};
 use futrace_offline::{
     run_supervised, salvage, trace_chunks, AnalysisOutcome, Checkpoint, FrameError, ShardStats,
-    SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, TraceError,
-    TraceFingerprint, SYNTHETIC_CHUNK_EVENTS,
+    SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, TraceFingerprint,
+    SYNTHETIC_CHUNK_EVENTS,
 };
 use futrace_runtime::engine::{run_analysis, Analysis, Checkpointable, Engine, EngineCounters};
 use futrace_runtime::online::{run_online, OnlineOptions};
@@ -71,8 +71,8 @@ pub enum AnalyzeError {
     /// Reading the trace file failed.
     Io(String, std::io::Error),
     /// The trace blob failed to decode (strict mode, or unrecoverable
-    /// structural damage in lenient mode).
-    Trace(TraceError),
+    /// structural damage in lenient mode), or is not a framed trace.
+    Trace(FrameError),
     /// The supervised pipeline could not complete the run, or could not
     /// restore the checkpoint it resumed from.
     Supervise(String),
@@ -101,8 +101,8 @@ impl std::fmt::Display for AnalyzeError {
 
 impl std::error::Error for AnalyzeError {}
 
-impl From<TraceError> for AnalyzeError {
-    fn from(e: TraceError) -> Self {
+impl From<FrameError> for AnalyzeError {
+    fn from(e: FrameError) -> Self {
         AnalyzeError::Trace(e)
     }
 }
@@ -222,13 +222,16 @@ impl<'a> Analyze<'a> {
         })
     }
 
-    /// Analyzes a recorded trace file (flat v1 or framed v2, sniffed by
-    /// magic).
+    /// Analyzes a recorded trace file, in the framed format that
+    /// `tracetool record` and `futrace_offline::StreamWriter` write.
     pub fn trace(path: impl Into<String>) -> Self {
         Analyze::new(Source::TracePath(path.into()))
     }
 
-    /// Analyzes an in-memory trace blob (flat v1 or framed v2).
+    /// Analyzes an in-memory framed trace blob, as [`Analyze::trace`]
+    /// reads a file. A blob without the framed header, such as the bare
+    /// event codec's output, fails with [`FrameError::NotFramed`]; an
+    /// event list goes through [`Analyze::events`].
     pub fn trace_bytes(blob: &'a [u8]) -> Self {
         Analyze::new(Source::TraceBytes(blob))
     }
@@ -277,15 +280,13 @@ impl<'a> Analyze<'a> {
         self
     }
 
-    /// Reads a framed trace leniently, on the serial, sharded and
-    /// supervised backends alike: a damaged chunk (CRC mismatch,
-    /// undecodable payload, or an event count other than its header's)
-    /// is dropped whole and counted in
-    /// [`EngineCounters::skipped_chunks`], and a trace truncated inside a
-    /// chunk is cut before that chunk ([`futrace_offline::salvage`]),
-    /// reported in the outcome's `truncated`. A bad header still fails
-    /// the run, as does any damage in a flat v1 trace, which has no
-    /// chunks to drop.
+    /// Reads a trace leniently, on the serial, sharded and supervised
+    /// backends alike: a damaged chunk (CRC mismatch, undecodable
+    /// payload, or an event count other than its header's) is dropped
+    /// whole and counted in [`EngineCounters::skipped_chunks`], and a
+    /// trace truncated inside a chunk is cut before that chunk
+    /// ([`futrace_offline::salvage`]), reported in the outcome's
+    /// `truncated`. A bad header still fails the run.
     pub fn lenient(mut self, lenient: bool) -> Self {
         self.opts.lenient = lenient;
         self
@@ -338,11 +339,17 @@ impl<'a> Analyze<'a> {
         let AnyReport::Dtrg(report) = out.report else {
             unreachable!("the dtrg detector reports a DtrgReport");
         };
-        let mut outcome = AnalysisOutcome::from_dtrg(*report, out.engine);
-        outcome.sharding = out.sharding;
-        outcome.supervision = out.supervision;
-        outcome.truncated = out.truncated;
-        Ok(outcome)
+        // `run_named` filled the engine's cache totals.
+        Ok(AnalysisOutcome {
+            races: report.report,
+            stats: report.stats,
+            footprint: report.footprint,
+            engine: out.engine,
+            sharding: out.sharding,
+            supervision: out.supervision,
+            online: None,
+            truncated: out.truncated,
+        })
     }
 
     /// Runs the registry detector `name` (one of
@@ -384,9 +391,8 @@ impl<'a> Analyze<'a> {
         };
         let mut run = opts.named(name, &input)?;
         if let DetectorRun::Completed(out) = &mut run {
-            if let Some((hits, misses)) = out.report.cache_counters() {
-                out.engine.cache_hits = hits;
-                out.engine.cache_misses = misses;
+            if let Some(totals) = out.report.cache_counters() {
+                (out.engine.cache_hits, out.engine.cache_misses) = totals;
             }
             out.truncated = input.truncated;
         }
@@ -410,7 +416,7 @@ struct Input<'a> {
 }
 
 /// One read of an [`Input`]: its chunks, borrowed where they can be.
-type Chunks<'a> = Box<dyn Iterator<Item = Result<Option<Cow<'a, [Event]>>, TraceError>> + 'a>;
+type Chunks<'a> = Box<dyn Iterator<Item = Result<Option<Cow<'a, [Event]>>, FrameError>> + 'a>;
 
 impl<'a> Input<'a> {
     fn trace(blob: &'a [u8], opts: &Options) -> Result<Self, AnalyzeError> {

@@ -1,10 +1,10 @@
-//! Framed trace format **v2**: a streaming, corruption-tolerant layer
-//! over the v1 event codec.
+//! Framed trace format **v2**, the one trace file format: a streaming,
+//! corruption-tolerant container for the event codec.
 //!
-//! The v1 format ([`futrace_runtime::trace`]) is a bare concatenation of
-//! varint-packed events: compact, but it can only be written by
-//! materializing the whole event log, and one flipped byte poisons the
-//! decode of everything after it. v2 wraps the same per-event encoding in
+//! The codec ([`futrace_runtime::trace`]) packs events into a bare
+//! concatenation of varints: compact, but with no boundaries a reader
+//! could resync on, so one flipped byte poisons the decode of everything
+//! after it. The framed format wraps the same per-event encoding in
 //! checksummed chunks:
 //!
 //! ```text
@@ -13,7 +13,7 @@
 //!   payload_len: u32 LE                        bytes of payload
 //!   event_count: u32 LE                        events encoded in payload
 //!   crc32:       u32 LE                        CRC-32 of payload
-//!   payload:     payload_len bytes             v1-encoded events
+//!   payload:     payload_len bytes             codec-encoded events
 //! ```
 //!
 //! * [`StreamWriter`] is a [`Monitor`]: it encodes events into a bounded
@@ -29,8 +29,8 @@
 //!   chunk whole and count it, and structural damage (a bad header, a
 //!   truncation) ends both.
 //!
-//! The first byte of the magic (`0x46`) is not a valid v1 event tag, so
-//! format sniffing ([`is_framed`]) cannot misclassify a v1 trace.
+//! A blob that does not start with the magic is [`FrameError::NotFramed`]
+//! on every reader, whatever it holds (a bare codec stream, an empty file).
 
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 use futrace_runtime::trace::{self, DecodeError};
@@ -136,11 +136,20 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// True iff `data` begins with the v2 magic (version is checked later so
-/// a bad version is reported as [`FrameError::BadVersion`], not silently
-/// treated as v1).
-pub fn is_framed(data: &[u8]) -> bool {
+/// True iff `data` begins with the v2 magic (the version is checked
+/// after it, so a bad version is [`FrameError::BadVersion`], not
+/// [`FrameError::NotFramed`]).
+fn is_framed(data: &[u8]) -> bool {
     data.len() >= 4 && data[..4] == MAGIC
+}
+
+/// The header of a chunk whose `payload` encodes `event_count` events.
+pub fn chunk_header(payload: &[u8], event_count: u32) -> [u8; CHUNK_HEADER_LEN] {
+    let mut header = [0u8; CHUNK_HEADER_LEN];
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..8].copy_from_slice(&event_count.to_le_bytes());
+    header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
+    header
 }
 
 fn read_u32(data: &[u8], at: usize) -> u32 {
@@ -154,7 +163,7 @@ pub struct Chunk<'a> {
     pub index: usize,
     /// Events the writer declared for this payload.
     pub event_count: u32,
-    /// The v1-encoded payload (CRC already validated).
+    /// The codec-encoded payload (CRC already validated).
     pub payload: &'a [u8],
 }
 
@@ -374,11 +383,7 @@ impl<W: io::Write> StreamWriter<W> {
         let Some(sink) = self.sink.as_mut() else {
             return;
         };
-        let crc = crc32(&self.buf);
-        let mut header = [0u8; CHUNK_HEADER_LEN];
-        header[..4].copy_from_slice(&(self.buf.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&self.pending_events.to_le_bytes());
-        header[8..].copy_from_slice(&crc.to_le_bytes());
+        let header = chunk_header(&self.buf, self.pending_events);
         // Deterministic jitter: the chunk ordinal seeds the backoff, so a
         // given recording retries with identical timing on every run.
         let mut backoff = Backoff::new(self.stats.chunks, RETRY_ATTEMPTS, RETRY_BASE);
@@ -468,7 +473,7 @@ impl<W: io::Write> Monitor for StreamWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{trace_chunks, trace_events, TraceError};
+    use crate::{trace_chunks, trace_events};
     use futrace_runtime::{run_serial, TaskCtx};
 
     fn record_program() -> (Vec<u8>, WriterStats, Vec<Event>) {
@@ -540,10 +545,7 @@ mod tests {
         let mut it = trace_chunks(&bytes, false);
         let first_err = it.by_ref().find_map(|r| r.err()).expect("must error");
         assert!(
-            matches!(
-                first_err,
-                TraceError::Frame(FrameError::CorruptChunk { chunk: 0, .. })
-            ),
+            matches!(first_err, FrameError::CorruptChunk { chunk: 0, .. }),
             "{first_err:?}"
         );
         assert!(it.next().is_none());
@@ -571,10 +573,7 @@ mod tests {
         let cut = &bytes[..bytes.len() - 3];
         let mut it = trace_chunks(cut, true);
         let err = it.by_ref().find_map(|r| r.err()).expect("must error");
-        assert!(
-            matches!(err, TraceError::Frame(FrameError::TruncatedChunk { .. })),
-            "{err:?}"
-        );
+        assert!(matches!(err, FrameError::TruncatedChunk { .. }), "{err:?}");
         assert!(it.next().is_none());
     }
 
@@ -589,10 +588,7 @@ mod tests {
         let mut bad_version = Vec::from(MAGIC);
         bad_version.push(9);
         let mut it = trace_chunks(&bad_version, true);
-        assert!(matches!(
-            it.next(),
-            Some(Err(TraceError::Frame(FrameError::BadVersion(9))))
-        ));
+        assert!(matches!(it.next(), Some(Err(FrameError::BadVersion(9)))));
         assert!(it.next().is_none());
         // An empty v2 trace (header only) is valid and empty.
         let (bytes, stats) = StreamWriter::new(Vec::new()).unwrap().finish().unwrap();
@@ -717,12 +713,12 @@ mod tests {
         let err = trace_chunks(cut, true)
             .find_map(|r| r.err())
             .expect("must error");
-        let TraceError::Frame(FrameError::TruncatedChunk {
+        let FrameError::TruncatedChunk {
             offset,
             available,
             expected,
             ..
-        }) = err
+        } = err
         else {
             panic!("{err:?}");
         };

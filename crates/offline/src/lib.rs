@@ -26,16 +26,19 @@
 //! none, so a restart reads from the start.
 //!
 //! Feeding that pipeline from disk needs a trace format that can be
-//! written incrementally and read without trusting every byte: [`framed`]
-//! layers length-prefixed, CRC-checked chunks (format v2) over the v1
-//! event codec in [`futrace_runtime::trace`], with a [`framed::StreamWriter`]
-//! monitor for bounded-memory recording. [`trace_chunks`] is the one
-//! reader of trace blobs, with one lenient rule (a damaged chunk is
-//! dropped whole and counted). The shard stage routes its decoded chunks
-//! directly and snapshots or suspends only at their boundaries.
+//! written incrementally and read without trusting every byte. There is
+//! one, the framed format v2 of [`framed`]: length-prefixed, CRC-checked
+//! chunks whose payloads use the event codec of
+//! [`futrace_runtime::trace`], written by the [`framed::StreamWriter`]
+//! monitor in bounded memory. [`trace_chunks`] is the one reader of trace
+//! blobs, with one lenient rule (a damaged chunk is dropped whole and
+//! counted); a blob without the framed header is
+//! [`FrameError::NotFramed`] on every path. The shard stage routes its
+//! decoded chunks directly and snapshots or suspends only at their
+//! boundaries.
 //!
 //! The `tracetool` binary (in `futrace-bench`) wires both into a CLI:
-//! `record --stream`, `analyze --shards N`, `info`, and `verify`.
+//! `record`, `analyze --shards N`, `info`, and `verify`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,76 +59,36 @@ pub use supervise::{
     SupervisionReport, SupervisorPlan, SYNTHETIC_CHUNK_EVENTS,
 };
 
-use futrace_runtime::trace::DecodeError;
+/// Any failure while reading a trace blob. There is one trace format,
+/// framed v2, so this is [`FrameError`]; the name stays for callers that
+/// read traces without caring how they are framed.
+pub type TraceError = FrameError;
 
-/// Any failure while reading a trace blob (either format version).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TraceError {
-    /// v2 framing-level failure (bad header, truncated or corrupt chunk).
-    Frame(FrameError),
-    /// v1 event-codec failure.
-    Decode(DecodeError),
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Frame(e) => write!(f, "{e}"),
-            TraceError::Decode(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<FrameError> for TraceError {
-    fn from(e: FrameError) -> Self {
-        TraceError::Frame(e)
-    }
-}
-
-impl From<DecodeError> for TraceError {
-    fn from(e: DecodeError) -> Self {
-        TraceError::Decode(e)
-    }
-}
-
-/// The only reader of trace blobs, in either format. Yields one item per
-/// chunk: `Ok(Some(events))` for an intact chunk, `Ok(None)` for a
-/// damaged chunk a lenient read dropped, and `Err` for the damage that
-/// ends the read, after which it fuses. Construct via [`trace_chunks`].
+/// The only reader of trace blobs. Yields one item per chunk:
+/// `Ok(Some(events))` for an intact chunk, `Ok(None)` for a damaged chunk
+/// a lenient read dropped, and `Err` for the damage that ends the read,
+/// after which it fuses. Construct via [`trace_chunks`].
 ///
-/// A framed chunk is intact when its CRC matches and [`framed::Chunk::decode`]
+/// A chunk is intact when its CRC matches and [`framed::Chunk::decode`]
 /// accepts it (it decodes, and holds the events its header declares).
 /// Strict reads end at the first damaged chunk; lenient reads drop it
-/// whole and read on. Structural damage, a bad header or a truncation,
-/// ends both, since no later chunk boundary is known. A flat v1 trace has
-/// no chunk structure: it is one chunk, and any damage in it ends the read.
+/// whole and read on. Structural damage, a bad header (a blob that is not
+/// framed at all is [`FrameError::NotFramed`]) or a truncation, ends
+/// both, since no later chunk boundary is known.
 pub struct TraceChunks<'a> {
-    inner: ChunksInner<'a>,
+    chunks: framed::ChunkIter<'a>,
     lenient: bool,
-}
-
-enum ChunksInner<'a> {
-    Framed(framed::ChunkIter<'a>),
-    Flat(&'a [u8]),
-    Done,
+    done: bool,
 }
 
 impl Iterator for TraceChunks<'_> {
-    type Item = Result<Option<Vec<futrace_runtime::Event>>, TraceError>;
+    type Item = Result<Option<Vec<futrace_runtime::Event>>, FrameError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let chunk = match &mut self.inner {
-            ChunksInner::Done => return None,
-            ChunksInner::Flat(blob) => {
-                let events = futrace_runtime::trace::decode(blob);
-                self.inner = ChunksInner::Done;
-                return Some(events.map(Some).map_err(TraceError::from));
-            }
-            ChunksInner::Framed(chunks) => chunks.next()?,
-        };
-        match chunk.and_then(|c| c.decode()) {
+        if self.done {
+            return None;
+        }
+        match self.chunks.next()?.and_then(|c| c.decode()) {
             Ok(events) => Some(Ok(Some(events))),
             // CRC and payload damage are chunk-local (the chunk walker
             // resyncs on the length prefix); structural damage is not.
@@ -133,31 +96,29 @@ impl Iterator for TraceChunks<'_> {
                 Some(Ok(None))
             }
             Err(e) => {
-                self.inner = ChunksInner::Done;
-                Some(Err(e.into()))
+                self.done = true;
+                Some(Err(e))
             }
         }
     }
 }
 
-/// Chunk reader over a trace blob in either format, auto-detected by the
-/// v2 magic. `lenient` only affects framed traces. See [`TraceChunks`].
+/// Chunk reader over a framed trace blob. See [`TraceChunks`].
 pub fn trace_chunks(data: &[u8], lenient: bool) -> TraceChunks<'_> {
-    let inner = if framed::is_framed(data) {
-        ChunksInner::Framed(framed::chunks(data))
-    } else {
-        ChunksInner::Flat(data)
-    };
-    TraceChunks { inner, lenient }
+    TraceChunks {
+        chunks: framed::chunks(data),
+        lenient,
+        done: false,
+    }
 }
 
 /// The part of a trace blob a lenient read can check. Even a lenient
-/// read cannot resync past a truncated framed chunk (there are no sync
-/// markers), so under `lenient` a framed trace truncated inside a chunk
-/// is cut at that chunk's header, and the truncation is returned with
-/// the complete chunks before it. Anything else is returned whole.
+/// read cannot resync past a truncated chunk (there are no sync markers),
+/// so under `lenient` a trace truncated inside a chunk is cut at that
+/// chunk's header, and the truncation is returned with the complete
+/// chunks before it. Anything else is returned whole.
 pub fn salvage(data: &[u8], lenient: bool) -> (&[u8], Option<FrameError>) {
-    if lenient && framed::is_framed(data) {
+    if lenient {
         for chunk in framed::chunks(data) {
             if let Err(e @ FrameError::TruncatedChunk { offset, .. }) = chunk {
                 return (&data[..offset], Some(e));
@@ -172,7 +133,7 @@ pub fn salvage(data: &[u8], lenient: bool) -> (&[u8], Option<FrameError>) {
 pub fn trace_events(
     data: &[u8],
     lenient: bool,
-) -> impl Iterator<Item = Result<futrace_runtime::Event, TraceError>> + '_ {
+) -> impl Iterator<Item = Result<futrace_runtime::Event, FrameError>> + '_ {
     trace_chunks(data, lenient).flat_map(|chunk| {
         let (events, error) = match chunk {
             Ok(events) => (events.unwrap_or_default(), None),
@@ -188,7 +149,7 @@ pub fn trace_events(
 pub fn read_events(
     data: &[u8],
     lenient: bool,
-) -> Result<(Vec<futrace_runtime::Event>, u64), TraceError> {
+) -> Result<(Vec<futrace_runtime::Event>, u64), FrameError> {
     let mut events = Vec::new();
     let mut dropped = 0;
     for chunk in trace_chunks(data, lenient) {
@@ -215,32 +176,37 @@ mod tests {
     }
 
     #[test]
-    fn trace_events_sniffs_both_formats() {
+    fn trace_events_reads_a_recorded_trace() {
         let events = sample_events();
-        let v1 = trace::encode(&events);
-        let got: Vec<Event> = trace_events(&v1, false).map(|e| e.unwrap()).collect();
-        assert_eq!(got, events);
-
         let mut w = StreamWriter::new(Vec::new()).unwrap();
         for e in &events {
             w.record(e);
         }
-        let (v2, _) = w.finish().unwrap();
-        assert!(framed::is_framed(&v2));
-        let got: Vec<Event> = trace_events(&v2, false).map(|e| e.unwrap()).collect();
+        let (blob, _) = w.finish().unwrap();
+        let got: Vec<Event> = trace_events(&blob, false).map(|e| e.unwrap()).collect();
         assert_eq!(got, events);
+    }
+
+    #[test]
+    fn a_blob_without_the_framed_header_is_not_framed() {
+        // The bare event codec, an empty file and byte soup: strict and
+        // lenient reads fail alike, on the first item, and nothing is cut.
+        let flat = trace::encode(&sample_events());
+        for blob in [&flat[..], &[], &[0xFF, 0xFE, 0xFD]] {
+            for lenient in [false, true] {
+                let read: Vec<_> = trace_chunks(blob, lenient).collect();
+                assert_eq!(read, vec![Err(FrameError::NotFramed)]);
+                assert_eq!(read_events(blob, lenient), Err(FrameError::NotFramed));
+                assert_eq!(salvage(blob, lenient), (blob, None));
+            }
+        }
     }
 
     #[test]
     fn trace_chunks_reads_whole_chunks() {
         let events = sample_events();
-        // Flat v1: one batch holding the whole trace.
-        let v1 = trace::encode(&events);
-        let batches: Vec<_> = trace_chunks(&v1, false).map(|b| b.unwrap()).collect();
-        assert_eq!(batches, vec![Some(events.clone())]);
-
-        // Framed v2, one chunk per event: the batches concatenate to the
-        // recorded stream, and the per-event view agrees.
+        // One chunk per event: the batches concatenate to the recorded
+        // stream, and the per-event view agrees.
         let v2 = blob_of(
             &events
                 .iter()
@@ -271,9 +237,7 @@ mod tests {
         let mut blob = Vec::from(framed::MAGIC);
         blob.push(framed::VERSION);
         for (payload, declared) in chunks {
-            blob.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            blob.extend_from_slice(&declared.to_le_bytes());
-            blob.extend_from_slice(&futrace_util::crc32::crc32(payload).to_le_bytes());
+            blob.extend_from_slice(&framed::chunk_header(payload, *declared));
             blob.extend_from_slice(payload);
         }
         blob
@@ -285,10 +249,10 @@ mod tests {
         // u32::MAX of them. No reader may size a buffer from the header:
         // the chunk is damaged, so none of its events is read.
         let blob = blob_of(&[(trace::encode(&sample_events()), u32::MAX)]);
-        let mismatch = TraceError::from(FrameError::Decode {
+        let mismatch = FrameError::Decode {
             chunk: 0,
             error: trace::DecodeError::Malformed("event count mismatch"),
-        });
+        };
         let batches: Vec<_> = trace_chunks(&blob, false).collect();
         assert_eq!(batches, vec![Err(mismatch.clone())]);
         let events: Vec<_> = trace_events(&blob, false).collect();
@@ -311,20 +275,12 @@ mod tests {
             assert_eq!(strict.next(), Some(Ok(Some(sample_events()))));
             assert!(matches!(
                 strict.next(),
-                Some(Err(TraceError::Frame(FrameError::Decode { chunk: 1, .. })))
+                Some(Err(FrameError::Decode { chunk: 1, .. }))
             ));
             assert_eq!(strict.next(), None, "strict reads stop at the damage");
             let (events, dropped) = read_events(&blob, true).unwrap();
             assert_eq!(dropped, 1);
             assert_eq!(events, [sample_events(), sample_events()].concat());
         }
-    }
-
-    #[test]
-    fn trace_error_display_covers_both_sides() {
-        let e = TraceError::from(trace::DecodeError::Truncated);
-        assert!(e.to_string().contains("truncated"));
-        let e = TraceError::from(FrameError::BadVersion(9));
-        assert!(e.to_string().contains("version"));
     }
 }

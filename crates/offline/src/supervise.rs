@@ -1175,7 +1175,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceError;
+    use crate::FrameError;
     use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
     use futrace_runtime::{replay, run_serial, EventLog, TaskCtx};
 
@@ -1219,7 +1219,7 @@ mod tests {
     }
 
     /// The log as chunks of five events.
-    fn chunks_of(log: &EventLog) -> impl Iterator<Item = Result<Option<&[Event]>, TraceError>> {
+    fn chunks_of(log: &EventLog) -> impl Iterator<Item = Result<Option<&[Event]>, FrameError>> {
         log.events.chunks(5).map(|chunk| Ok(Some(chunk)))
     }
 
@@ -1416,7 +1416,7 @@ mod tests {
         let paced = || {
             log.events.chunks(1).map(|chunk| {
                 std::thread::sleep(Duration::from_millis(5));
-                Ok::<_, TraceError>(Some(chunk))
+                Ok::<_, FrameError>(Some(chunk))
             })
         };
         let (report, stats, supervision) =
@@ -1538,32 +1538,34 @@ mod tests {
     }
 
     #[test]
-    fn blob_entrypoint_handles_both_formats() {
+    fn blob_entrypoint_matches_serial() {
         let log = racy_log();
         let serial = serial_report(&log);
-        let v1 = futrace_runtime::trace::encode(&log.events);
-        let plan = SupervisorPlan::for_shards(Some(2));
-        let chunks = || crate::trace_chunks(&v1, false);
-        let out = run_supervised(chunks, RaceDetector::new, &plan, None);
-        assert_eq!(completed(out.unwrap()).0.report.races, serial.races);
-
         let mut w = crate::StreamWriter::with_chunk_bytes(Vec::new(), 128).unwrap();
         for e in &log.events {
             w.record(e);
         }
-        let (v2, _) = w.finish().unwrap();
-        let plan = SupervisorPlan::for_shards(Some(3));
-        let chunks = || crate::trace_chunks(&v2, false);
-        let out = run_supervised(chunks, RaceDetector::new, &plan, None);
-        let (report, _, _) = completed(out.unwrap());
-        assert_eq!(report.report.races, serial.races);
+        let (blob, _) = w.finish().unwrap();
+        for shards in [2, 3] {
+            let plan = SupervisorPlan::for_shards(Some(shards));
+            let chunks = || crate::trace_chunks(&blob, false);
+            let out = run_supervised(chunks, RaceDetector::new, &plan, None);
+            let (report, _, _) = completed(out.unwrap());
+            assert_eq!(report.report.races, serial.races, "shards={shards}");
+        }
     }
 
     #[test]
     fn stream_error_propagates_cleanly() {
+        // One CRC-valid chunk whose payload ends in an unknown tag.
         let log = racy_log();
-        let mut blob = futrace_runtime::trace::encode(&log.events);
-        blob.push(99); // unknown tag at the tail
+        let mut payload = futrace_runtime::trace::encode(&log.events);
+        payload.push(99);
+        let mut blob = Vec::from(crate::framed::MAGIC);
+        blob.push(crate::framed::VERSION);
+        let declared = log.events.len() as u32 + 1;
+        blob.extend_from_slice(&crate::framed::chunk_header(&payload, declared));
+        blob.extend_from_slice(&payload);
         let plan = SupervisorPlan::for_shards(Some(2));
         let chunks = || crate::trace_chunks(&blob, false);
         match run_supervised(chunks, RaceDetector::new, &plan, None) {
@@ -1753,7 +1755,7 @@ mod tests {
         let chunks = || {
             [Some(a), None, Some(b), Some(c)]
                 .into_iter()
-                .map(Ok::<_, TraceError>)
+                .map(Ok::<_, FrameError>)
         };
         let mut plan = plan_for_tests(2);
         plan.checkpoint_every_chunks = Some(1);
@@ -1788,7 +1790,7 @@ mod tests {
         };
         assert_eq!(checkpoint.events_consumed, 10);
         // Chunks of three events pass 9, then 12: never exactly 10.
-        let thirds = || log.events.chunks(3).map(|c| Ok::<_, TraceError>(Some(c)));
+        let thirds = || log.events.chunks(3).map(|c| Ok::<_, FrameError>(Some(c)));
         match run_supervised(
             thirds,
             RaceDetector::new,

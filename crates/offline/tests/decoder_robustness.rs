@@ -1,18 +1,19 @@
-//! Decoder robustness under hostile input: mutate and truncate valid v1
-//! and v2 trace blobs and assert the decoders never panic, always surface
-//! a structured error (never garbage events silently), and that the v2
-//! lenient mode skips damaged chunks instead of aborting.
+//! Decoder robustness under hostile input: mutate and truncate valid
+//! framed trace blobs, and the bare event-codec payloads they carry, and
+//! assert the decoders never panic, always surface a structured error
+//! (never garbage events silently), and that the lenient trace read skips
+//! damaged chunks instead of aborting.
 //!
 //! Replays: `FUTRACE_PROPCHECK_SEED=<seed>` (printed on failure).
 
 use futrace_benchsuite::randomprog::{self, GenParams};
-use futrace_offline::{trace_events, FrameError, StreamWriter, TraceError};
+use futrace_offline::{trace_events, FrameError, StreamWriter};
 use futrace_runtime::{run_serial, trace, Event, EventLog};
 use futrace_util::propcheck::{self, strategies, Config};
 
-/// A few structurally different base traces, as (v1 flat, v2 framed,
-/// events). Small chunk size forces several chunks per v2 blob so chunk
-/// boundaries are actually exercised.
+/// A few structurally different base traces, as (the whole log in the
+/// event codec, framed, events). Small chunk size forces several chunks
+/// per framed blob so chunk boundaries are actually exercised.
 fn base_traces() -> Vec<(Vec<u8>, Vec<u8>, Vec<Event>)> {
     // Bigger than the default profile so each trace spans several chunks.
     let params = GenParams {
@@ -29,14 +30,14 @@ fn base_traces() -> Vec<(Vec<u8>, Vec<u8>, Vec<Event>)> {
             run_serial(&mut log, |ctx| {
                 randomprog::execute(ctx, &prog);
             });
-            let v1 = trace::encode(&log.events);
+            let codec = trace::encode(&log.events);
             let mut w = StreamWriter::with_chunk_bytes(Vec::new(), 64).unwrap();
             for e in &log.events {
                 w.record(e);
             }
             let (v2, stats) = w.finish().unwrap();
             assert!(stats.chunks >= 2, "base trace should span chunks");
-            (v1, v2, log.events)
+            (codec, v2, log.events)
         })
         .collect()
 }
@@ -75,8 +76,8 @@ fn mutate(data: &[u8], op: u8, pos: u32, byte: u8) -> (Mutation, Vec<u8>) {
 /// any error are well-formed, at most one error is yielded, and the
 /// iterator fuses afterwards. Returns (events decoded, error seen).
 fn drain(
-    mut it: impl Iterator<Item = Result<Event, TraceError>>,
-) -> (Vec<Event>, Option<TraceError>) {
+    mut it: impl Iterator<Item = Result<Event, FrameError>>,
+) -> (Vec<Event>, Option<FrameError>) {
     let mut events = Vec::new();
     let mut error = None;
     for item in it.by_ref() {
@@ -95,10 +96,8 @@ fn drain(
 
 #[test]
 fn unmutated_bases_decode_cleanly() {
-    for (v1, v2, events) in base_traces() {
-        let (got, err) = drain(trace_events(&v1, false));
-        assert!(err.is_none());
-        assert_eq!(got, events);
+    for (codec, v2, events) in base_traces() {
+        assert_eq!(trace::decode(&codec).unwrap(), events);
         let (got, err) = drain(trace_events(&v2, false));
         assert!(err.is_none());
         assert_eq!(got, events);
@@ -114,10 +113,10 @@ fn mutated_streams_never_panic_and_error_structurally() {
         strategies::u8_range(0..255),      // inserted/xored byte
     );
     propcheck::check(&Config::with_cases(384), &strat, |(op, pos, byte)| {
-        for (v1, v2, _) in &bases {
-            // v1 flat: decode() must yield a structured DecodeError rather
-            // than panic.
-            let (_, m) = mutate(v1, op, pos, byte);
+        for (codec, v2, _) in &bases {
+            // The bare codec: decode() must yield a structured
+            // DecodeError rather than panic.
+            let (_, m) = mutate(codec, op, pos, byte);
             if let Err(e) = trace::decode(&m) {
                 assert!(!e.to_string().is_empty());
             }
@@ -151,7 +150,7 @@ fn mutated_streams_never_panic_and_error_structurally() {
                 lenient_events.len() >= strict_events.len(),
                 "{kind:?}: lenient decoded fewer events than strict"
             );
-            if let Some(TraceError::Frame(e)) = &lenient_err {
+            if let Some(e) = &lenient_err {
                 assert!(
                     !matches!(
                         e,
@@ -176,11 +175,11 @@ fn every_truncation_point_is_handled() {
         let (got, err) = drain(trace_events(&v2[..cut], false));
         assert!(got.len() <= events.len());
         assert_eq!(got, events[..got.len()], "prefix events must match");
-        // A strict prefix can only decode cleanly if it is empty (sniffed
-        // as an empty v1 stream) or ends exactly on a chunk boundary past
-        // the header; a partial-magic prefix must error, not pass.
+        // A strict prefix can only decode cleanly if it ends exactly on
+        // a chunk boundary past the header; an empty or partial-magic
+        // prefix is not framed, and must error, not pass.
         if err.is_none() {
-            assert!(cut == 0 || cut >= 5, "partial header must error, cut={cut}");
+            assert!(cut >= 5, "partial header must error, cut={cut}");
         }
     }
 }

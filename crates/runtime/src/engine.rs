@@ -17,8 +17,8 @@
 //!   [`Analysis::finish`]; analyses whose checks really are
 //!   location-independent additionally implement [`LocRoutable`].
 //! * [`run_analysis`] drives an analysis over any stream of event chunks
-//!   (an in-memory recording via [`source::recorded`], or decoded trace
-//!   chunks, flat v1 or framed v2, strict or lenient), and
+//!   (an in-memory recording via [`source::recorded`], or the decoded
+//!   chunks of a framed trace, strict or lenient), and
 //!   [`run_analysis_live`] over live serial execution.
 //!
 //! The driver also does the bookkeeping every consumer used to duplicate:

@@ -1,12 +1,12 @@
 //! `tracetool client`: streams a trace to a `tracetool serve` daemon.
 //!
 //! The client is deliberately dumb: it slices the trace into chunk
-//! payloads (reusing the `.ftrc` chunking when the file is framed),
-//! then speaks the lock-step protocol — `Open`/`Hello`, one
+//! payloads (reusing the `.ftrc` file's own chunking by default), then
+//! speaks the lock-step protocol — `Open`/`Hello`, one
 //! `Chunk`/`VerdictDelta` pair per chunk, `Finish`/`Final` — and hands
 //! back the daemon's verdict text verbatim. Leniency acts here, before
 //! anything is sent: with [`ClientOptions::lenient`] the client drops the
-//! damaged chunks of a framed trace and cuts a truncated one at its
+//! damaged chunks of the trace and cuts a truncated one at its
 //! truncated chunk, by the rules of a lenient `analyze`, so the daemon
 //! only ever sees intact chunks. On resume it re-streams the full trace;
 //! the daemon restores its session's engine from the checkpoint, a
@@ -48,7 +48,7 @@ pub struct ClientOptions {
     /// Ask the daemon to checkpoint every N chunks.
     pub checkpoint_every: Option<u64>,
     /// Drop the damaged chunks a lenient `analyze` drops instead of
-    /// failing: a framed chunk that fails its CRC, decode or event count,
+    /// failing: a chunk that fails its CRC, decode or event count,
     /// dropped whole with or without [`ClientOptions::chunk_events`], and
     /// a truncated tail, cut at its truncated chunk.
     pub lenient: bool,
@@ -56,7 +56,7 @@ pub struct ClientOptions {
     /// suspended session means reconnecting with the same name.
     pub trace_name: String,
     /// Re-chunk the trace to this many events per chunk before sending
-    /// (default: ship the file's own chunking, or one chunk if flat).
+    /// (default: ship the file's own chunking).
     pub chunk_events: Option<usize>,
     /// Send `Suspend` after this many chunks instead of finishing
     /// (exercises suspend/resume; used by tests and `--suspend-after`).
@@ -138,8 +138,8 @@ pub enum ClientError {
     },
     /// The daemon replied with an unexpected message kind.
     Protocol(&'static str),
-    /// The local trace could not be decoded for re-chunking.
-    Trace(String),
+    /// The local trace is damaged, or not a framed trace at all.
+    Trace(FrameError),
     /// The daemon shed this session for load and the retry budget could
     /// not absorb it.
     Busy {
@@ -189,48 +189,42 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// One wire chunk: the events it declares (`None` for a flat v1 trace,
-/// which declares no count) and its v1-encoded payload.
-type WireChunk = (Option<u32>, Vec<u8>);
+/// One wire chunk: the events it declares and its codec-encoded payload.
+type WireChunk = (u32, Vec<u8>);
 
-/// Slices a trace blob into wire chunks (v1-encoded event runs, each with
-/// the event count its framed header declares), and counts the damaged
-/// chunks it dropped. Under [`ClientOptions::lenient`] both branches keep
-/// exactly the chunks the trace reader keeps.
+/// Slices a trace blob into wire chunks (codec-encoded event runs, each
+/// with the event count its header declares), and counts the damaged
+/// chunks it dropped. Under [`ClientOptions::lenient`] both chunkings
+/// keep exactly the chunks the trace reader keeps.
 fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<(Vec<WireChunk>, u64), ClientError> {
     if let Some(per_chunk) = opts.chunk_events {
         let per_chunk = per_chunk.max(1);
-        let (events, dropped) =
-            read_events(blob, opts.lenient).map_err(|e| ClientError::Trace(e.to_string()))?;
+        let (events, dropped) = read_events(blob, opts.lenient).map_err(ClientError::Trace)?;
         if events.is_empty() {
-            return Ok((vec![(Some(0), Vec::new())], dropped));
+            return Ok((vec![(0, Vec::new())], dropped));
         }
-        let chunk = |c: &[_]| (Some(c.len() as u32), trace::encode(c));
+        let chunk = |c: &[_]| (c.len() as u32, trace::encode(c));
         return Ok((events.chunks(per_chunk).map(chunk).collect(), dropped));
     }
-    if framed::is_framed(blob) {
-        // Strict streaming forwards the payload bytes undecoded, with the
-        // count their header declares; the daemon decodes each chunk
-        // anyway and checks the count.
-        let mut payloads = Vec::new();
-        let mut dropped = 0;
-        for chunk in framed::chunks(blob) {
-            match chunk {
-                Ok(c) if opts.lenient && c.decode().is_err() => dropped += 1,
-                Ok(c) => payloads.push((Some(c.event_count), c.payload.to_vec())),
-                Err(FrameError::CorruptChunk { .. }) if opts.lenient => dropped += 1,
-                // Framing damage cannot be resynced locally; report it
-                // rather than shipping a torn stream.
-                Err(e) => return Err(ClientError::Trace(e.to_string())),
-            }
+    // Strict streaming forwards the payload bytes undecoded, with the
+    // count their header declares; the daemon decodes each chunk anyway
+    // and checks the count.
+    let mut payloads = Vec::new();
+    let mut dropped = 0;
+    for chunk in framed::chunks(blob) {
+        match chunk {
+            Ok(c) if opts.lenient && c.decode().is_err() => dropped += 1,
+            Ok(c) => payloads.push((c.event_count, c.payload.to_vec())),
+            Err(FrameError::CorruptChunk { .. }) if opts.lenient => dropped += 1,
+            // Framing damage cannot be resynced locally; report it rather
+            // than shipping a torn stream.
+            Err(e) => return Err(ClientError::Trace(e)),
         }
-        if payloads.is_empty() {
-            payloads.push((Some(0), Vec::new()));
-        }
-        return Ok((payloads, dropped));
     }
-    // Flat v1: the whole body is one chunk payload, with no declared count.
-    Ok((vec![(None, blob.to_vec())], 0))
+    if payloads.is_empty() {
+        payloads.push((0, Vec::new()));
+    }
+    Ok((payloads, dropped))
 }
 
 /// Absorbs transient read errors (`WouldBlock`/`TimedOut` bursts from

@@ -1,9 +1,10 @@
 //! One live analysis session of the analysis daemon.
 //!
 //! A [`Session`] owns one DTRG engine, fed chunk by chunk as frames
-//! arrive over the wire: it consumes each chunk's events the moment they
-//! arrive, through the engine's batched dispatch path, and reports a
-//! [`VerdictDelta`] (chunks / events / races so far) after every chunk.
+//! arrive over the wire: the engine checks each chunk's events the moment
+//! they arrive, one event at a time as a serial run would, and the
+//! session reports a [`VerdictDelta`] (chunks / events / races so far)
+//! after every chunk.
 //! The final verdict *is* that engine's verdict — exact by Theorem 2 once
 //! the last chunk of the serial depth-first stream is checked,
 //! checkpointed or resumed or not — so nothing is replayed at
@@ -24,11 +25,10 @@ use futrace_detector::RaceDetector;
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    rebuild_replica, AnalysisOutcome, Checkpoint, RouterProgress, SupervisionReport, TraceError,
+    rebuild_replica, AnalysisOutcome, Checkpoint, FrameError, RouterProgress, SupervisionReport,
     TraceFingerprint,
 };
 use futrace_runtime::engine::{Analysis, Checkpointable, Engine, EngineCounters};
-use futrace_runtime::trace::DecodeError;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
 use futrace_util::stats::Timer;
@@ -39,7 +39,7 @@ use std::fmt;
 #[derive(Debug)]
 pub enum SessionError {
     /// A fed chunk is invalid.
-    Trace(TraceError),
+    Trace(FrameError),
     /// The session configuration is invalid.
     Config(String),
     /// A resumed checkpoint could not be restored, or does not match the
@@ -107,11 +107,8 @@ impl Reframed {
         if self.bytes.len() == FINGERPRINT_HEAD {
             return;
         }
-        let mut header = [0u8; framed::CHUNK_HEADER_LEN];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..8].copy_from_slice(&events.to_le_bytes());
-        header[8..].copy_from_slice(&crc32(payload).to_le_bytes());
-        self.bytes.extend_from_slice(&header);
+        self.bytes
+            .extend_from_slice(&framed::chunk_header(payload, events));
         self.bytes.extend_from_slice(payload);
         self.bytes.truncate(FINGERPRINT_HEAD);
     }
@@ -222,33 +219,44 @@ impl Session {
             .is_some_and(|every| self.chunks.is_multiple_of(every))
     }
 
-    /// Feeds one trace chunk (v1-encoded events — the payload bytes of a
-    /// framed `.ftrc` chunk), consuming it through the engine's batched
-    /// dispatch path immediately and returning the incremental verdict.
+    /// Feeds one trace chunk (codec-encoded events — the payload bytes of
+    /// a framed `.ftrc` chunk), checking its events with the live engine
+    /// immediately and returning the incremental verdict.
     ///
     /// The chunk is also re-framed into the session's fingerprint. A
     /// resumed session re-frames the chunks its checkpoint covers without
     /// checking them again; meanwhile the delta's `races` is the
     /// checkpoint's count.
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
-        self.feed_chunk_with_count(payload, None)
+        let chunk = self.chunks as usize;
+        let events = trace::decode(payload)
+            .map_err(|error| SessionError::Trace(FrameError::Decode { chunk, error }))?;
+        Ok(self.feed_events(payload, events))
     }
 
     /// [`Session::feed_chunk`] for a chunk that declares its event count,
-    /// as a framed chunk's header does. A payload that decodes to a
-    /// different number of events fails with
-    /// `Malformed("event count mismatch")`, the error a trace read gives
-    /// the same chunk, and nothing from it is applied.
+    /// as every wire chunk does. The chunk must pass
+    /// [`framed::Chunk::decode`], the test a trace read applies to every
+    /// chunk: a payload that decodes to a different number of events
+    /// fails with `Malformed("event count mismatch")`, and nothing from
+    /// it is applied.
     pub(crate) fn feed_chunk_with_count(
         &mut self,
         payload: &[u8],
-        event_count: Option<u32>,
+        event_count: u32,
     ) -> Result<VerdictDelta, SessionError> {
-        let damaged = |e| SessionError::Trace(TraceError::Decode(e));
-        let events = trace::decode(payload).map_err(damaged)?;
-        if event_count.is_some_and(|n| u64::from(n) != events.len() as u64) {
-            return Err(damaged(DecodeError::Malformed("event count mismatch")));
-        }
+        let chunk = framed::Chunk {
+            index: self.chunks as usize,
+            event_count,
+            payload,
+        };
+        let events = chunk.decode().map_err(SessionError::Trace)?;
+        Ok(self.feed_events(payload, events))
+    }
+
+    /// Applies one decoded chunk: re-frames it, and checks its events
+    /// unless a resumed checkpoint already covers it.
+    fn feed_events(&mut self, payload: &[u8], events: Vec<Event>) -> VerdictDelta {
         self.trace.push(payload, events.len() as u32);
         if self.chunks >= self.resumed_chunks() {
             let is_control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
@@ -258,11 +266,11 @@ impl Session {
         }
         self.chunks += 1;
         self.events += events.len() as u64;
-        Ok(VerdictDelta {
+        VerdictDelta {
             chunks: self.chunks,
             events: self.events,
             races: self.engine.analysis().total_detected(),
-        })
+        }
     }
 
     /// Verifies a resumed checkpoint against the re-streamed trace. The
@@ -401,11 +409,7 @@ mod tests {
         blob.push(framed::VERSION);
         for events in parts {
             let payload = trace::encode(events);
-            let mut header = [0u8; framed::CHUNK_HEADER_LEN];
-            header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-            header[4..8].copy_from_slice(&(events.len() as u32).to_le_bytes());
-            header[8..].copy_from_slice(&crc32(&payload).to_le_bytes());
-            blob.extend_from_slice(&header);
+            blob.extend_from_slice(&framed::chunk_header(&payload, events.len() as u32));
             blob.extend_from_slice(&payload);
         }
         blob
@@ -437,14 +441,12 @@ mod tests {
         let n = events.len() as u32;
         let mut session = Session::open(SessionConfig::default()).unwrap();
         for wrong in [n - 1, n + 1] {
-            let err = session
-                .feed_chunk_with_count(&payload, Some(wrong))
-                .unwrap_err();
+            let err = session.feed_chunk_with_count(&payload, wrong).unwrap_err();
             assert!(err.to_string().contains("event count mismatch"), "{err}");
             assert_eq!((session.chunks(), session.events), (0, 0));
             assert_eq!(session.engine.counters().events, 0, "nothing applied");
         }
-        let delta = session.feed_chunk_with_count(&payload, Some(n)).unwrap();
+        let delta = session.feed_chunk_with_count(&payload, n).unwrap();
         assert_eq!((delta.chunks, delta.events), (1, u64::from(n)));
         let want = run_analysis_recorded(&events, RaceDetector::new())
             .report

@@ -121,10 +121,10 @@ pub enum Message {
     Chunk {
         /// 0-based chunk ordinal, for torn-stream diagnostics.
         seq: u64,
-        /// The events the chunk declares: a framed chunk header's
-        /// `event_count`, checked against the decoded payload by the
-        /// server. `None` for a flat v1 trace, which declares no count.
-        event_count: Option<u32>,
+        /// The events the chunk declares, as a framed chunk header's
+        /// `event_count` does, checked against the decoded payload by the
+        /// server.
+        event_count: u32,
         /// The encoded events.
         payload: Vec<u8>,
     },
@@ -215,8 +215,8 @@ impl Message {
             } => {
                 buf.push(KIND_CHUNK);
                 put_varint(&mut buf, *seq);
-                // 0 = no declared count, n + 1 = n events.
-                put_varint(&mut buf, event_count.map_or(0, |n| u64::from(n) + 1));
+                // n events travel as n + 1; 0 is malformed.
+                put_varint(&mut buf, u64::from(*event_count) + 1);
                 put_varint(&mut buf, payload.len() as u64);
                 buf.extend_from_slice(payload);
             }
@@ -277,12 +277,11 @@ impl Message {
             },
             KIND_CHUNK => {
                 let seq = c.varint("seq")?;
-                let event_count = match c.varint("event count")? {
-                    0 => None,
-                    n => Some(
-                        u32::try_from(n - 1).map_err(|_| WireError::Malformed("event count"))?,
-                    ),
-                };
+                let event_count = c
+                    .varint("event count")?
+                    .checked_sub(1)
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or(WireError::Malformed("event count"))?;
                 let payload = c.bytes("chunk payload")?.to_vec();
                 Message::Chunk {
                     seq,
@@ -483,18 +482,13 @@ mod tests {
                 trace_name: "fixtures/actor_racy.ftrc".into(),
             },
             Message::Chunk {
-                seq: 0,
-                event_count: None,
-                payload: vec![],
-            },
-            Message::Chunk {
                 seq: 7,
-                event_count: Some(0),
+                event_count: 0,
                 payload: vec![],
             },
             Message::Chunk {
                 seq: u64::MAX,
-                event_count: Some(u32::MAX),
+                event_count: u32::MAX,
                 payload: (0..=255u8).collect(),
             },
             Message::Finish,
@@ -609,15 +603,17 @@ mod tests {
     }
 
     #[test]
-    fn a_chunk_count_past_u32_is_malformed() {
-        let mut payload = vec![KIND_CHUNK];
-        put_varint(&mut payload, 0); // seq
-        put_varint(&mut payload, u64::from(u32::MAX) + 2);
-        put_varint(&mut payload, 0); // empty payload
-        assert_eq!(
-            Message::decode_payload(&payload),
-            Err(WireError::Malformed("event count"))
-        );
+    fn a_chunk_count_past_u32_or_absent_is_malformed() {
+        for encoded in [u64::from(u32::MAX) + 2, 0] {
+            let mut payload = vec![KIND_CHUNK];
+            put_varint(&mut payload, 0); // seq
+            put_varint(&mut payload, encoded);
+            put_varint(&mut payload, 0); // empty payload
+            assert_eq!(
+                Message::decode_payload(&payload),
+                Err(WireError::Malformed("event count"))
+            );
+        }
     }
 
     #[test]

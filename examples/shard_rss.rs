@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p futrace-bench --bin tracetool -- \
-//!     record --bench crypt --out crypt.ftrc --stream
+//!     record --bench crypt --out crypt.ftrc
 //! cargo run --release --example shard_rss -- crypt.ftrc 4
 //! ```
 

@@ -182,7 +182,9 @@ mod tests {
     fn trace_bytes_and_events_agree_with_program() {
         let mut log = EventLog::new();
         run_serial(&mut log, racy);
-        let blob = crate::runtime::trace::encode(&log.events);
+        let mut writer = crate::offline::StreamWriter::new(Vec::new()).unwrap();
+        crate::runtime::replay(&log.events, &mut writer);
+        let (blob, _) = writer.finish().unwrap();
 
         let from_program = Analyze::program(racy).run().unwrap();
         let from_events = Analyze::events(&log.events).run().unwrap();
@@ -219,7 +221,13 @@ mod tests {
     #[test]
     fn garbage_bytes_are_a_trace_error() {
         let err = Analyze::trace_bytes(&[0xFF, 0xFE, 0xFD]).run().unwrap_err();
-        assert!(matches!(err, AnalyzeError::Trace(_)), "{err}");
+        assert!(
+            matches!(
+                err,
+                AnalyzeError::Trace(crate::offline::FrameError::NotFramed)
+            ),
+            "{err}"
+        );
     }
 
     #[test]

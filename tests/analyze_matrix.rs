@@ -1,14 +1,16 @@
 //! Property test over the `Analyze` builder's option matrix: every
-//! combination of source (event slice, flat v1 blob, framed v2 blob),
-//! shard count, leniency, and supervision either reproduces the serial
-//! baseline's verdict exactly or fails up front with a structured
-//! [`AnalyzeError::Config`] — never a panic and never a silently
-//! different backend.
+//! combination of source (event slice, framed blob of one chunk, framed
+//! blob of many), shard count, leniency, and supervision either
+//! reproduces the serial baseline's verdict exactly or fails up front
+//! with a structured [`AnalyzeError::Config`] — never a panic and never a
+//! silently different backend. Input that is not a framed trace fails
+//! with `FrameError::NotFramed` on every backend.
 
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::detector::DetectorConfig;
-use futrace::offline::{framed, StreamWriter};
+use futrace::offline::{framed, FrameError, StreamWriter};
 use futrace::runtime::{replay, run_serial, trace, Event, EventLog};
+use futrace::service::{self, ClientError, ClientOptions};
 use futrace::util::crc32::crc32;
 use futrace::util::propcheck::{self, strategies, Config};
 use futrace::{AnalysisOutcome, Analyze, AnalyzeError};
@@ -33,29 +35,30 @@ fn framed(events: &[Event], chunk_bytes: usize) -> Vec<u8> {
 
 /// The three source forms, rebuilt per run because `Analyze` is a
 /// by-value builder.
-fn source<'a>(which: usize, events: &'a [Event], v1: &'a [u8], v2: &'a [u8]) -> Analyze<'a> {
+fn source<'a>(which: usize, events: &'a [Event], whole: &'a [u8], v2: &'a [u8]) -> Analyze<'a> {
     match which {
         0 => Analyze::events(events),
-        1 => Analyze::trace_bytes(v1),
+        1 => Analyze::trace_bytes(whole),
         _ => Analyze::trace_bytes(v2),
     }
 }
 
-const SOURCES: [&str; 3] = ["events", "v1 blob", "v2 framed"];
+const SOURCES: [&str; 3] = ["events", "framed, one chunk", "framed, 128 B chunks"];
 
 #[test]
 fn every_option_combination_matches_the_serial_verdict() {
     let config = Config::named("cargo test --test analyze_matrix").cases(24);
     propcheck::check(&config, &strategies::any_u64(), |seed| {
         let log = record(seed);
-        let v1 = trace::encode(&log.events);
+        // 1 MiB chunks: one chunk holds any of these programs' traces.
+        let whole = framed(&log.events, 1 << 20);
         let v2 = framed(&log.events, 128);
         let baseline = Analyze::events(&log.events).run().expect("serial baseline");
 
         for (which, name) in SOURCES.iter().enumerate() {
             for shards in [None, Some(1), Some(2), Some(4)] {
                 for lenient in [false, true] {
-                    let mut a = source(which, &log.events, &v1, &v2).lenient(lenient);
+                    let mut a = source(which, &log.events, &whole, &v2).lenient(lenient);
                     if let Some(n) = shards {
                         a = a.shards(n);
                     }
@@ -74,7 +77,7 @@ fn every_option_combination_matches_the_serial_verdict() {
             }
 
             // Supervised (checkpointing) backend, same verdict.
-            let out = source(which, &log.events, &v1, &v2)
+            let out = source(which, &log.events, &whole, &v2)
                 .shards(2)
                 .checkpoint_every(2)
                 .run()
@@ -86,7 +89,7 @@ fn every_option_combination_matches_the_serial_verdict() {
 
             // A capped detector config changes how much is reported,
             // never whether a race exists.
-            let out = source(which, &log.events, &v1, &v2)
+            let out = source(which, &log.events, &whole, &v2)
                 .detector(DetectorConfig {
                     first_race_only: true,
                     ..DetectorConfig::default()
@@ -105,30 +108,68 @@ fn every_option_combination_matches_the_serial_verdict() {
 #[test]
 fn invalid_options_are_structured_errors_for_every_source() {
     let log = record(7);
-    let v1 = trace::encode(&log.events);
+    let whole = framed(&log.events, 1 << 20);
     let v2 = framed(&log.events, 128);
 
     for (which, name) in SOURCES.iter().enumerate() {
-        let err = source(which, &log.events, &v1, &v2)
+        let err = source(which, &log.events, &whole, &v2)
             .shards(0)
             .run()
             .expect_err("shards(0) must not run");
         assert!(matches!(err, AnalyzeError::Config(_)), "{name}: {err}");
 
-        let err = source(which, &log.events, &v1, &v2)
+        let err = source(which, &log.events, &whole, &v2)
             .checkpoint_every(0)
             .run()
             .expect_err("checkpoint_every(0) must not run");
         assert!(matches!(err, AnalyzeError::Config(_)), "{name}: {err}");
 
         // The error wins even when combined with otherwise-valid options.
-        let err = source(which, &log.events, &v1, &v2)
+        let err = source(which, &log.events, &whole, &v2)
             .shards(0)
             .checkpoint_every(4)
             .lenient(true)
             .run()
             .expect_err("shards(0) must not run supervised either");
         assert!(matches!(err, AnalyzeError::Config(_)), "{name}: {err}");
+    }
+}
+
+#[test]
+fn non_framed_input_is_not_framed_on_every_backend() {
+    let flat = trace::encode(&record(7).events);
+    for blob in [&flat[..], &[], &[0xFF, 0xFE, 0xFD]] {
+        for lenient in [false, true] {
+            let backends = [
+                ("serial", Analyze::trace_bytes(blob)),
+                ("shards(2)", Analyze::trace_bytes(blob).shards(2)),
+                (
+                    "supervised",
+                    Analyze::trace_bytes(blob).shards(2).checkpoint_every(1),
+                ),
+            ];
+            for (name, a) in backends {
+                let err = a.lenient(lenient).run().expect_err("not a trace");
+                assert!(
+                    matches!(err, AnalyzeError::Trace(FrameError::NotFramed)),
+                    "{name} lenient {lenient}: {err}"
+                );
+            }
+            // The client refuses it before dialing the daemon, with
+            // either chunking.
+            for chunk_events in [None, Some(8)] {
+                let opts = ClientOptions {
+                    addr: "127.0.0.1:1".to_string(),
+                    lenient,
+                    chunk_events,
+                    ..ClientOptions::default()
+                };
+                match service::stream_trace(&opts, blob) {
+                    Err(ClientError::Trace(FrameError::NotFramed)) => {}
+                    other => panic!("client lenient {lenient} {chunk_events:?}: {other:?}"),
+                }
+            }
+        }
     }
 }
 

@@ -17,7 +17,7 @@ use futrace::{AnalysisOutcome, Analyze};
 const FAMILIES: [&str; 5] = ["prodcons", "futlist", "futtree", "graphwalk", "actor"];
 
 /// Chunk size the fixtures were recorded with (`tracetool record --tiny
-/// --stream --chunk-bytes 256`).
+/// --chunk-bytes 256`).
 const FIXTURE_CHUNK_BYTES: usize = 256;
 
 fn fixture_path(family: &str, variant: &str) -> String {

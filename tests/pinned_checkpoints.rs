@@ -2,7 +2,7 @@
 //! `tests/data/checkpoints/`:
 //!
 //! * `jacobi_tiny.ftrc`, recorded by `tracetool record --bench jacobi
-//!   --tiny --stream --chunk-bytes 1024`;
+//!   --tiny --chunk-bytes 1024`;
 //! * `jacobi_tiny_dtrg.fckp` and `jacobi_tiny_vc.fckp`, cut from it by
 //!   `tracetool analyze jacobi_tiny.ftrc --detector D --shards 2
 //!   --checkpoint-every 1 --stop-after 3 --checkpoint C` with the shard
