@@ -215,7 +215,8 @@ impl Message {
             } => {
                 buf.push(KIND_CHUNK);
                 put_varint(&mut buf, *seq);
-                // n events travel as n + 1; 0 is malformed.
+                // n events travel as n + 1, the bytes peers have always
+                // sent for a counted chunk; an encoded 0 is malformed.
                 put_varint(&mut buf, u64::from(*event_count) + 1);
                 put_varint(&mut buf, payload.len() as u64);
                 buf.extend_from_slice(payload);
