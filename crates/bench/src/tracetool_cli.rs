@@ -18,6 +18,7 @@ use crate::fuzzdiff::FuzzOptions;
 use futrace_benchsuite::randomprog::GenParams;
 use futrace_benchsuite::registry::{self, Scale, Workload};
 use futrace_corpus::{CorpusOptions, FailurePolicy};
+use futrace_offline::framed::MAX_CHUNK_BYTES;
 use futrace_runtime::online::OnlineOptions;
 use futrace_service::{ClientOptions, ServeOptions};
 use std::path::{Path, PathBuf};
@@ -338,10 +339,15 @@ fn parse_record(args: &[String]) -> Result<RecordArgs, String> {
             "--out" => out = Some(flags.string()?),
             "--chunk-bytes" => {
                 let v = flags.str()?;
-                chunk_bytes = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("--chunk-bytes: invalid byte count `{v}`"))?,
-                );
+                let n = v
+                    .parse::<usize>()
+                    .map_err(|_| format!("--chunk-bytes: invalid byte count `{v}`"))?;
+                if n > MAX_CHUNK_BYTES {
+                    return Err(format!(
+                        "--chunk-bytes: {n} is above the largest chunk ({MAX_CHUNK_BYTES})"
+                    ));
+                }
+                chunk_bytes = Some(n);
             }
             "--inject" => inject = Some(flags.seed()?),
             _ if program.take(&mut flags)? => {}
@@ -800,6 +806,22 @@ mod tests {
         };
         assert!(r.program.planted);
         assert_eq!(r.chunk_bytes, Some(4096));
+
+        // A chunk's payload length is a u32 in its header, and the writer
+        // reserves a whole chunk up front, so the size is bounded.
+        let max = MAX_CHUNK_BYTES;
+        let ok = format!("record --bench jacobi --out x --chunk-bytes {max}");
+        let Command::Record(r) = parse(&argv(&ok)).unwrap() else {
+            panic!()
+        };
+        assert_eq!(r.chunk_bytes, Some(max));
+        for n in [(max + 1).to_string(), usize::MAX.to_string()] {
+            let err = parse(&argv(&format!(
+                "record --bench jacobi --out x --chunk-bytes {n}"
+            )))
+            .unwrap_err();
+            assert!(err.contains("above the largest chunk"), "{err}");
+        }
 
         // There is one trace format, so there is no format flag.
         let err = parse(&argv("record --bench jacobi --out x --stream")).unwrap_err();

@@ -339,16 +339,11 @@ impl<'a> Analyze<'a> {
         let AnyReport::Dtrg(report) = out.report else {
             unreachable!("the dtrg detector reports a DtrgReport");
         };
-        // `run_named` filled the engine's cache totals.
         Ok(AnalysisOutcome {
-            races: report.report,
-            stats: report.stats,
-            footprint: report.footprint,
-            engine: out.engine,
             sharding: out.sharding,
             supervision: out.supervision,
-            online: None,
             truncated: out.truncated,
+            ..AnalysisOutcome::from_dtrg(*report, out.engine)
         })
     }
 

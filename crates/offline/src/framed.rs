@@ -51,6 +51,9 @@ pub const CHUNK_HEADER_LEN: usize = 12;
 /// Default chunk payload target (bytes). Chunks close at the first event
 /// boundary past this size.
 pub const DEFAULT_CHUNK_BYTES: usize = 64 * 1024;
+/// Largest chunk payload target (1 GiB), so a chunk's payload length
+/// always fits its `u32` header field.
+pub const MAX_CHUNK_BYTES: usize = 1 << 30;
 
 /// Framing-level failure. Event-codec failures inside an intact chunk are
 /// wrapped as [`FrameError::Decode`] so callers always know which chunk
@@ -343,9 +346,9 @@ impl<W: io::Write> StreamWriter<W> {
     }
 
     /// Writer closing chunks at the first event boundary past
-    /// `chunk_bytes` payload bytes (clamped to ≥ 64).
+    /// `chunk_bytes` payload bytes (clamped to 64..=[`MAX_CHUNK_BYTES`]).
     pub fn with_chunk_bytes(mut sink: W, chunk_bytes: usize) -> io::Result<Self> {
-        let chunk_bytes = chunk_bytes.max(64);
+        let chunk_bytes = chunk_bytes.clamp(64, MAX_CHUNK_BYTES);
         let mut backoff = Backoff::new(u64::MAX, RETRY_ATTEMPTS, RETRY_BASE);
         write_all_with_retry(&mut sink, &MAGIC, &mut backoff)?;
         write_all_with_retry(&mut sink, &[VERSION], &mut backoff)?;

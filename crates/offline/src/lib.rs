@@ -283,4 +283,15 @@ mod tests {
             assert_eq!(events, [sample_events(), sample_events()].concat());
         }
     }
+
+    #[test]
+    fn frame_error_display_names_the_damage() {
+        let e = FrameError::BadVersion(9);
+        assert!(e.to_string().contains("version"));
+        let e = FrameError::Decode {
+            chunk: 0,
+            error: trace::DecodeError::Truncated,
+        };
+        assert!(e.to_string().contains("truncated"));
+    }
 }

@@ -1,7 +1,7 @@
 //! Offline (trace-based) race detection: record an execution's event
-//! stream once, then run the detector over the serialized trace — the
-//! verdict is identical to the online run, because the detector is a pure
-//! function of the serial depth-first event stream.
+//! stream once as a framed trace, then run the detector over the trace —
+//! the verdict is identical to the online run, because the detector is a
+//! pure function of the serial depth-first event stream.
 //!
 //! Both passes go through the analysis engine: `run_analysis_live` wraps
 //! the detector in an [`Engine`] monitor for the online run, and
@@ -14,8 +14,9 @@
 
 use futrace::benchsuite::smithwaterman::{sw_run, SwParams};
 use futrace::detector::RaceDetector;
+use futrace::offline::{read_events, StreamWriter};
 use futrace::runtime::engine::{run_analysis_live, run_analysis_recorded};
-use futrace::runtime::{run_serial, trace, EventLog};
+use futrace::runtime::run_serial;
 use futrace_util::stats::Timer;
 
 fn main() {
@@ -25,33 +26,29 @@ fn main() {
         seed: 0xac97,
     };
 
-    // --- Record: run the program once with only the cheap event logger.
+    // --- Record: run the program once, writing the framed trace (the
+    // compact varint event codec in CRC-checked chunks) as it goes.
     let t = Timer::start();
-    let mut log = EventLog::new();
-    run_serial(&mut log, |ctx| {
+    let mut writer = StreamWriter::new(Vec::new()).expect("writing to a Vec cannot fail");
+    run_serial(&mut writer, |ctx| {
         // Record the *buggy* variant so the offline pass has something
         // to find.
         let _ = sw_run(ctx, &p, true);
     });
+    let (blob, stats) = writer.finish().expect("writing to a Vec cannot fail");
     println!(
-        "recorded {} events in {:.1} ms",
-        log.events.len(),
-        t.elapsed_ms()
-    );
-
-    // --- Serialize: compact varint encoding (plain Vec<u8>).
-    let t = Timer::start();
-    let blob = trace::encode(&log.events);
-    println!(
-        "encoded to {} bytes ({:.2} bytes/event) in {:.1} ms",
+        "recorded {} events into {} bytes ({:.2} bytes/event, {} chunks) in {:.1} ms",
+        stats.events,
         blob.len(),
-        blob.len() as f64 / log.events.len() as f64,
+        blob.len() as f64 / stats.events as f64,
+        stats.chunks,
         t.elapsed_ms()
     );
 
-    // --- Offline detection: decode the trace and replay it through the
-    // engine.
-    let events = trace::decode(&blob).expect("valid trace");
+    // --- Offline detection: read the trace back and replay it through
+    // the engine.
+    let (events, dropped) = read_events(&blob, false).expect("valid trace");
+    assert_eq!(dropped, 0);
     let offline = run_analysis_recorded(&events, RaceDetector::new());
     println!("offline detection: {}", offline.counters);
 
