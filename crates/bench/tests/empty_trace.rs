@@ -93,6 +93,39 @@ fn info_empty_v2_is_clean() {
 }
 
 #[test]
+fn info_applies_the_intact_test_like_verify() {
+    // CRC-valid chunks that are not intact: a lone TaskEnd(T1) whose
+    // header declares u32::MAX events, and a payload with an unknown tag.
+    // info counts each as damaged, prints verify's line, and exits 1.
+    for (tag, payload, declared, why) in [
+        ("count", &[2u8, 1][..], u32::MAX, "event count mismatch"),
+        ("tag", &[99, 0], 1, "unknown tag"),
+    ] {
+        let mut blob = b"FTRC\x02".to_vec();
+        blob.extend_from_slice(&futrace_offline::framed::chunk_header(payload, declared));
+        blob.extend_from_slice(payload);
+        let path = scratch_trace(&format!("info_{tag}"), &blob);
+        let run = |cmd: &str| {
+            tracetool()
+                .arg(cmd)
+                .arg(&path)
+                .output()
+                .expect("run tracetool")
+        };
+        let (info, verify) = (run("info"), run("verify"));
+        let stdout = String::from_utf8_lossy(&info.stdout);
+        let stderr = String::from_utf8_lossy(&info.stderr);
+        assert_eq!(info.status.code(), Some(1), "{tag}: {stdout}{stderr}");
+        assert!(stdout.contains("0 intact, 1 damaged"), "{tag}: {stdout}");
+        assert!(stdout.contains("events:      0 "), "{tag}: {stdout}");
+        let verify_err = String::from_utf8_lossy(&verify.stderr);
+        let line = verify_err.lines().next().expect("verify names the damage");
+        assert!(line.contains(why), "{tag}: {line}");
+        assert!(stderr.lines().any(|l| l == line), "{tag}: {stderr}");
+    }
+}
+
+#[test]
 fn verify_empty_v2_is_clean() {
     let path = scratch_trace("verify", b"FTRC\x02");
     let stdout = run_ok(&["verify"], &path);

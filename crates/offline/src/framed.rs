@@ -23,17 +23,18 @@
 //!   length prefix makes resynchronization past a corrupt chunk trivial,
 //!   which is the point of framing. [`Chunk::decode`] is the one test of
 //!   whether a CRC-checked chunk is intact (it decodes, and holds the
-//!   events its header declares). [`crate::trace_chunks`] builds the only
-//!   trace reader on the two: strict reads stop at the first damaged
-//!   chunk with a structured [`FrameError`], lenient reads drop a damaged
-//!   chunk whole and count it, and structural damage (a bad header, a
-//!   truncation) ends both.
+//!   events its header declares), and decodes it into the compact
+//!   [`DecodedChunk`] form. [`crate::trace_chunks`] builds the only trace
+//!   reader on the two: strict reads stop at the first damaged chunk with
+//!   a structured [`FrameError`], lenient reads drop a damaged chunk whole
+//!   and count it, and structural damage (a bad header, a truncation) ends
+//!   both.
 //!
 //! A blob that does not start with the magic is [`FrameError::NotFramed`]
 //! on every reader, whatever it holds (a bare codec stream, an empty file).
 
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
-use futrace_runtime::trace::{self, DecodeError};
+use futrace_runtime::trace::{self, DecodeError, DecodedChunk};
 use futrace_util::crc32::crc32;
 use futrace_util::faultinject::{write_all_with_retry, Backoff};
 use futrace_util::ids::{FinishId, LocId, TaskId};
@@ -171,22 +172,22 @@ pub struct Chunk<'a> {
 }
 
 impl Chunk<'_> {
-    /// Decodes the payload. This decides whether a CRC-checked chunk is
-    /// intact, for every reader: its payload must decode, and it must
-    /// hold exactly the events its header declares. A chunk that is not
-    /// is [`FrameError::Decode`], the count case as
+    /// Decodes the payload into the compact form. This decides whether a
+    /// CRC-checked chunk is intact, for every reader: its payload must
+    /// decode, and it must hold exactly the events its header declares. A
+    /// chunk that is not is [`FrameError::Decode`], the count case as
     /// `Malformed("event count mismatch")`; no buffer is sized from the
-    /// declared count.
-    pub fn decode(&self) -> Result<Vec<Event>, FrameError> {
+    /// declared count. Iterating the chunk expands its events.
+    pub fn decode(&self) -> Result<DecodedChunk, FrameError> {
         let damaged = |error| FrameError::Decode {
             chunk: self.index,
             error,
         };
-        let events = trace::decode(self.payload).map_err(damaged)?;
-        if events.len() as u64 != u64::from(self.event_count) {
+        let chunk = DecodedChunk::decode(self.payload).map_err(damaged)?;
+        if chunk.len() as u64 != u64::from(self.event_count) {
             return Err(damaged(DecodeError::Malformed("event count mismatch")));
         }
-        Ok(events)
+        Ok(chunk)
     }
 }
 
@@ -554,7 +555,7 @@ mod tests {
         assert!(it.next().is_none());
 
         // Lenient: later chunks still decode; exactly one chunk lost.
-        let read: Vec<Option<Vec<Event>>> =
+        let read: Vec<Option<DecodedChunk>> =
             trace_chunks(&bytes, true).map(|c| c.unwrap()).collect();
         assert_eq!(read.len() as u64, stats.chunks, "one item per chunk");
         assert_eq!(read.iter().filter(|c| c.is_none()).count(), 1);

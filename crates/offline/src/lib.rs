@@ -33,9 +33,14 @@
 //! monitor in bounded memory. [`trace_chunks`] is the one reader of trace
 //! blobs, with one lenient rule (a damaged chunk is dropped whole and
 //! counted); a blob without the framed header is
-//! [`FrameError::NotFramed`] on every path. The shard stage routes its
-//! decoded chunks directly and snapshots or suspends only at their
-//! boundaries.
+//! [`FrameError::NotFramed`] on every path. It yields each intact chunk
+//! in the compact decoded form of
+//! [`futrace_runtime::trace::DecodedChunk`]: accesses as 16-byte ops,
+//! with the chunk's few control events beside them. The serial engine
+//! applies those ops directly, the shard stage moves each access op to
+//! its shard and snapshots or suspends only at chunk boundaries, and the
+//! daemon's sessions check them as they arrive; [`trace_events`] and
+//! [`read_events`] expand them back into events.
 //!
 //! The `tracetool` binary (in `futrace-bench`) wires both into a CLI:
 //! `record`, `analyze --shards N`, `info`, and `verify`.
@@ -56,8 +61,11 @@ pub use framed::{FrameError, StreamWriter, WriterStats};
 pub use outcome::AnalysisOutcome;
 pub use supervise::{
     event_chunks, run_supervised, ShardPlan, ShardStats, SuperviseError, SupervisedOutcome,
-    SupervisionReport, SupervisorPlan, SYNTHETIC_CHUNK_EVENTS,
+    SupervisionReport, SupervisorPlan,
 };
+
+use futrace_runtime::trace::DecodedChunk;
+use futrace_runtime::Event;
 
 /// Any failure while reading a trace blob. There is one trace format,
 /// framed v2, so this is [`FrameError`]; the name stays for callers that
@@ -65,9 +73,10 @@ pub use supervise::{
 pub type TraceError = FrameError;
 
 /// The only reader of trace blobs. Yields one item per chunk:
-/// `Ok(Some(events))` for an intact chunk, `Ok(None)` for a damaged chunk
-/// a lenient read dropped, and `Err` for the damage that ends the read,
-/// after which it fuses. Construct via [`trace_chunks`].
+/// `Ok(Some(chunk))` for an intact chunk, in the compact decoded form,
+/// `Ok(None)` for a damaged chunk a lenient read dropped, and `Err` for
+/// the damage that ends the read, after which it fuses. Construct via
+/// [`trace_chunks`].
 ///
 /// A chunk is intact when its CRC matches and [`framed::Chunk::decode`]
 /// accepts it (it decodes, and holds the events its header declares).
@@ -82,14 +91,14 @@ pub struct TraceChunks<'a> {
 }
 
 impl Iterator for TraceChunks<'_> {
-    type Item = Result<Option<Vec<futrace_runtime::Event>>, FrameError>;
+    type Item = Result<Option<DecodedChunk>, FrameError>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.done {
             return None;
         }
         match self.chunks.next()?.and_then(|c| c.decode()) {
-            Ok(events) => Some(Ok(Some(events))),
+            Ok(chunk) => Some(Ok(Some(chunk))),
             // CRC and payload damage are chunk-local (the chunk walker
             // resyncs on the length prefix); structural damage is not.
             Err(FrameError::CorruptChunk { .. } | FrameError::Decode { .. }) if self.lenient => {
@@ -129,27 +138,24 @@ pub fn salvage(data: &[u8], lenient: bool) -> (&[u8], Option<FrameError>) {
 }
 
 /// Per-event view of [`trace_chunks`]: the events of every chunk it
-/// keeps, then its error, if any.
+/// keeps, expanded, then its error, if any.
 pub fn trace_events(
     data: &[u8],
     lenient: bool,
-) -> impl Iterator<Item = Result<futrace_runtime::Event, FrameError>> + '_ {
+) -> impl Iterator<Item = Result<Event, FrameError>> + '_ {
     trace_chunks(data, lenient).flat_map(|chunk| {
-        let (events, error) = match chunk {
-            Ok(events) => (events.unwrap_or_default(), None),
-            Err(e) => (Vec::new(), Some(e)),
+        let (chunk, error) = match chunk {
+            Ok(chunk) => (chunk.unwrap_or_default(), None),
+            Err(e) => (DecodedChunk::default(), Some(e)),
         };
-        events.into_iter().map(Ok).chain(error.map(Err))
+        chunk.into_iter().map(Ok).chain(error.map(Err))
     })
 }
 
 /// Reads a whole trace blob through [`trace_chunks`]: the events of the
-/// chunks it keeps, in order, and how many damaged chunks a lenient read
-/// dropped.
-pub fn read_events(
-    data: &[u8],
-    lenient: bool,
-) -> Result<(Vec<futrace_runtime::Event>, u64), FrameError> {
+/// chunks it keeps, expanded in order, and how many damaged chunks a
+/// lenient read dropped.
+pub fn read_events(data: &[u8], lenient: bool) -> Result<(Vec<Event>, u64), FrameError> {
     let mut events = Vec::new();
     let mut dropped = 0;
     for chunk in trace_chunks(data, lenient) {
@@ -164,7 +170,7 @@ pub fn read_events(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use futrace_runtime::{trace, Event};
+    use futrace_runtime::trace;
     use futrace_util::ids::{LocId, TaskId};
 
     fn sample_events() -> Vec<Event> {
@@ -272,7 +278,8 @@ mod tests {
         for damaged in [(intact.clone(), 2), (undecodable, 2)] {
             let blob = blob_of(&[(intact.clone(), 3), damaged, (intact.clone(), 3)]);
             let mut strict = trace_chunks(&blob, false);
-            assert_eq!(strict.next(), Some(Ok(Some(sample_events()))));
+            let first = DecodedChunk::from_events(&sample_events());
+            assert_eq!(strict.next(), Some(Ok(Some(first))));
             assert!(matches!(
                 strict.next(),
                 Some(Err(FrameError::Decode { chunk: 1, .. }))

@@ -64,7 +64,7 @@ fn run_sharded<A, C, I, E>(
 where
     A: Checkpointable + Send + 'static,
     A::Report: Send + 'static,
-    C: AsRef<[futrace_runtime::Event]>,
+    C: std::borrow::Borrow<futrace_runtime::trace::DecodedChunk>,
     I: Iterator<Item = Result<Option<C>, E>>,
     E: std::fmt::Display,
 {

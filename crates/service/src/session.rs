@@ -1,10 +1,11 @@
 //! One live analysis session of the analysis daemon.
 //!
 //! A [`Session`] owns one DTRG engine, fed chunk by chunk as frames
-//! arrive over the wire: the engine checks each chunk's events the moment
-//! they arrive, one event at a time as a serial run would, and the
-//! session reports a [`VerdictDelta`] (chunks / events / races so far)
-//! after every chunk.
+//! arrive over the wire: each chunk is decoded into the compact form the
+//! trace reader yields ([`DecodedChunk`]), the engine checks its events
+//! the moment they arrive, one event at a time as a serial run would, and
+//! the session reports a [`VerdictDelta`] (chunks / events / races so
+//! far) after every chunk.
 //! The final verdict *is* that engine's verdict — exact by Theorem 2 once
 //! the last chunk of the serial depth-first stream is checked,
 //! checkpointed or resumed or not — so nothing is replayed at
@@ -29,7 +30,8 @@ use futrace_offline::{
     TraceFingerprint,
 };
 use futrace_runtime::engine::{Analysis, Checkpointable, Engine, EngineCounters};
-use futrace_runtime::{trace, Event};
+use futrace_runtime::trace::DecodedChunk;
+use futrace_runtime::Event;
 use futrace_util::crc32::crc32;
 use futrace_util::stats::Timer;
 use std::fmt;
@@ -229,9 +231,9 @@ impl Session {
     /// checkpoint's count.
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
         let chunk = self.chunks as usize;
-        let events = trace::decode(payload)
+        let decoded = DecodedChunk::decode(payload)
             .map_err(|error| SessionError::Trace(FrameError::Decode { chunk, error }))?;
-        Ok(self.feed_events(payload, events))
+        Ok(self.feed_decoded(payload, &decoded))
     }
 
     /// [`Session::feed_chunk`] for a chunk that declares its event count,
@@ -250,22 +252,21 @@ impl Session {
             event_count,
             payload,
         };
-        let events = chunk.decode().map_err(SessionError::Trace)?;
-        Ok(self.feed_events(payload, events))
+        let decoded = chunk.decode().map_err(SessionError::Trace)?;
+        Ok(self.feed_decoded(payload, &decoded))
     }
 
-    /// Applies one decoded chunk: re-frames it, and checks its events
-    /// unless a resumed checkpoint already covers it.
-    fn feed_events(&mut self, payload: &[u8], events: Vec<Event>) -> VerdictDelta {
-        self.trace.push(payload, events.len() as u32);
+    /// Applies one decoded chunk: re-frames it, and, unless a resumed
+    /// checkpoint already covers it, appends its control events to the
+    /// checkpoint prefix and checks its events.
+    fn feed_decoded(&mut self, payload: &[u8], chunk: &DecodedChunk) -> VerdictDelta {
+        self.trace.push(payload, chunk.len() as u32);
         if self.chunks >= self.resumed_chunks() {
-            let is_control = |e: &&Event| !matches!(e, Event::Read(..) | Event::Write(..));
-            self.control
-                .extend(events.iter().filter(is_control).cloned());
-            self.engine.consume_slice(&events);
+            self.control.extend_from_slice(chunk.controls());
+            self.engine.consume_chunk(chunk);
         }
         self.chunks += 1;
-        self.events += events.len() as u64;
+        self.events += chunk.len() as u64;
         VerdictDelta {
             chunks: self.chunks,
             events: self.events,
@@ -367,7 +368,7 @@ mod tests {
     };
     use futrace_runtime::engine::run_analysis_recorded;
     use futrace_runtime::monitor::TaskKind;
-    use futrace_runtime::{run_serial, EventLog, TaskCtx};
+    use futrace_runtime::{run_serial, trace, EventLog, TaskCtx};
     use futrace_util::ids::{FinishId, LocId, TaskId};
     use futrace_util::rng::Rng;
 

@@ -16,7 +16,8 @@ use futrace::offline::{
     run_supervised, trace_chunks, StreamWriter, SupervisedOutcome, SupervisorPlan, TraceError,
 };
 use futrace::runtime::engine::{run_analysis, run_analysis_live, Analysis};
-use futrace::runtime::{run_serial, Event};
+use futrace::runtime::run_serial;
+use futrace::runtime::trace::DecodedChunk;
 use futrace::util::propcheck::{self, strategies, Config};
 use futrace::Analyze;
 
@@ -122,7 +123,7 @@ fn record_framed(prog: &Program) -> Vec<u8> {
 }
 
 /// The decoded chunks of a strict read of `blob`, for the serial engine.
-fn intact_chunks(blob: &[u8]) -> impl Iterator<Item = Result<Vec<Event>, TraceError>> + '_ {
+fn intact_chunks(blob: &[u8]) -> impl Iterator<Item = Result<DecodedChunk, TraceError>> + '_ {
     trace_chunks(blob, false).filter_map(Result::transpose)
 }
 
