@@ -380,7 +380,7 @@ fn idle_stalled_session_is_suspended_to_a_reopenable_checkpoint() {
                 &Message::Chunk {
                     seq: seq as u64,
                     event_count: *event_count,
-                    payload: payload.clone(),
+                    payload: payload.clone().into(),
                 },
             )
             .expect("send chunk");
@@ -568,7 +568,7 @@ fn a_panicking_chunk_fails_only_its_own_session() {
     let chunk = Message::Chunk {
         seq: 0,
         event_count: 1,
-        payload,
+        payload: payload.into(),
     };
     write_frame(&mut stream, &chunk).expect("send chunk");
     match read_frame(&mut stream).expect("reply") {

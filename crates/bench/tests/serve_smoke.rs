@@ -260,7 +260,7 @@ fn killed_client_leaves_a_resumable_checkpoint() {
                 &Message::Chunk {
                     seq: seq as u64,
                     event_count: *event_count,
-                    payload: payload.clone(),
+                    payload: payload.clone().into(),
                 },
             )
             .expect("chunk");
@@ -382,7 +382,7 @@ fn draining_daemon_suspends_inflight_sessions() {
             &Message::Chunk {
                 seq: seq as u64,
                 event_count: *event_count,
-                payload: payload.clone(),
+                payload: payload.clone().into(),
             },
         )
         .expect("chunk");
@@ -570,6 +570,53 @@ fn a_miscounted_chunk_fails_the_stream_as_it_fails_analyze() {
     assert_eq!(dcode, Some(1), "daemon drain: {summary}");
     assert!(summary.contains("0 session(s) finished"), "{summary}");
     assert!(summary.contains(" 1 error(s)"), "{summary}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_chunk_over_the_frame_cap_is_refused_before_connecting() {
+    // One 18 MB chunk: record accepts chunks up to 1 GiB, a wire frame
+    // carries 16 MiB. The client must say so before it dials, not let
+    // the daemon reset the connection, and must not retry it.
+    let dir = scratch_dir("oversized");
+    let file = dir.join("sw.ftrc");
+    let record = tracetool()
+        .args(["record", "--bench", "smithwaterman", "--scaled"])
+        .args(["--chunk-bytes", "1073741824", "--out"])
+        .arg(&file)
+        .output()
+        .expect("run record");
+    assert_eq!(record.status.code(), Some(0), "{record:?}");
+    let bytes = framed::chunks(&std::fs::read(&file).expect("trace"))
+        .map(|c| c.expect("intact").payload.len())
+        .collect::<Vec<_>>();
+    assert!(matches!(bytes[..], [n] if n > 16 << 20), "{bytes:?}");
+
+    let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    for extra in [&[][..], &["--retries", "2"][..]] {
+        let out = tracetool()
+            .arg("client")
+            .arg(&daemon.addr)
+            .arg(&file)
+            .args(extra)
+            .output()
+            .expect("run client");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        let names = format!("chunk 0 holds {} bytes", bytes[0]);
+        for want in [&names[..], "16777216 bytes", "--chunk-events"] {
+            assert!(stderr.contains(want), "{extra:?}: no {want:?} in {stderr}");
+        }
+    }
+    // Re-chunked as the error says, it streams to the one-shot verdict.
+    let (want, want_code) = one_shot(&file);
+    let (got, code) = client(&daemon.addr, &file, &["--chunk-events", "65536"]);
+    assert_eq!(code, want_code);
+    assert_eq!(verdict_section(&got), want);
+    let (dcode, summary) = daemon.shutdown();
+    assert_eq!(dcode, Some(0), "daemon drain: {summary}");
+    assert!(summary.contains("1 session(s) finished"), "{summary}");
+    assert!(summary.contains(" 0 error(s)"), "{summary}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

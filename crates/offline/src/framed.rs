@@ -21,10 +21,12 @@
 //!   10⁹-access run needs O(chunk) memory, not O(trace).
 //! * [`chunks`] walks the chunks, checking structure and each CRC; the
 //!   length prefix makes resynchronization past a corrupt chunk trivial,
-//!   which is the point of framing. [`Chunk::decode`] is the one test of
-//!   whether a CRC-checked chunk is intact (it decodes, and holds the
-//!   events its header declares), and decodes it into the compact
-//!   [`DecodedChunk`] form. [`crate::trace_chunks`] builds the only trace
+//!   which is the point of framing. [`decode_counted`] (through
+//!   [`Chunk::decode`]) is the one test of whether a CRC-checked chunk is
+//!   intact (it decodes, and holds the events its header declares), and
+//!   decodes it into the compact [`DecodedChunk`] form. A chunk carries
+//!   the CRC its header stores, so a reader that forwards the payload
+//!   (the daemon client) can derive a frame's CRC from it. [`crate::trace_chunks`] builds the only trace
 //!   reader on the two: strict reads stop at the first damaged chunk with
 //!   a structured [`FrameError`], lenient reads drop a damaged chunk whole
 //!   and count it, and structural damage (a bad header, a truncation) ends
@@ -167,28 +169,47 @@ pub struct Chunk<'a> {
     pub index: usize,
     /// Events the writer declared for this payload.
     pub event_count: u32,
+    /// The CRC-32 the chunk header stores, which the payload matches: a
+    /// reader that passes the payload on can derive the CRC of a larger
+    /// message around it from this one without reading it again.
+    pub crc: u32,
     /// The codec-encoded payload (CRC already validated).
     pub payload: &'a [u8],
 }
 
 impl Chunk<'_> {
-    /// Decodes the payload into the compact form. This decides whether a
-    /// CRC-checked chunk is intact, for every reader: its payload must
-    /// decode, and it must hold exactly the events its header declares. A
-    /// chunk that is not is [`FrameError::Decode`], the count case as
-    /// `Malformed("event count mismatch")`; no buffer is sized from the
-    /// declared count. Iterating the chunk expands its events.
+    /// Decodes the payload into the compact form, by [`decode_counted`]:
+    /// the test of whether a CRC-checked chunk is intact. Iterating the
+    /// chunk expands its events.
     pub fn decode(&self) -> Result<DecodedChunk, FrameError> {
-        let damaged = |error| FrameError::Decode {
-            chunk: self.index,
-            error,
-        };
-        let chunk = DecodedChunk::decode(self.payload).map_err(damaged)?;
-        if chunk.len() as u64 != u64::from(self.event_count) {
-            return Err(damaged(DecodeError::Malformed("event count mismatch")));
-        }
+        let mut chunk = DecodedChunk::default();
+        decode_counted(self.index, self.event_count, self.payload, &mut chunk)?;
         Ok(chunk)
     }
+}
+
+/// Decodes chunk `index`'s `payload` into `out`, replacing what it held
+/// and keeping its buffers. This decides whether a CRC-checked chunk is
+/// intact, for every reader, a wire chunk's reader included: its payload
+/// must decode, and it must hold exactly the `event_count` events its
+/// header declares. A chunk that is not is [`FrameError::Decode`], the
+/// count case as `Malformed("event count mismatch")`; no buffer is sized
+/// from the declared count.
+pub fn decode_counted(
+    index: usize,
+    event_count: u32,
+    payload: &[u8],
+    out: &mut DecodedChunk,
+) -> Result<(), FrameError> {
+    let damaged = |error| FrameError::Decode {
+        chunk: index,
+        error,
+    };
+    out.decode_into(payload).map_err(damaged)?;
+    if out.len() as u64 != u64::from(event_count) {
+        return Err(damaged(DecodeError::Malformed("event count mismatch")));
+    }
+    Ok(())
 }
 
 /// Iterates the chunks of a framed blob, validating structure and CRCs.
@@ -283,6 +304,7 @@ impl<'a> Iterator for ChunkIter<'a> {
                     return Some(Ok(Chunk {
                         index: chunk,
                         event_count,
+                        crc: stored,
                         payload,
                     }));
                 }

@@ -329,6 +329,16 @@ impl DecodedChunk {
         Ok(chunk)
     }
 
+    /// [`DecodedChunk::decode`] into this chunk, replacing what it held
+    /// and keeping its buffers, for a reader that decodes chunk after
+    /// chunk. On an error the chunk holds the events before the
+    /// undecodable one.
+    pub fn decode_into(&mut self, data: &[u8]) -> Result<(), DecodeError> {
+        self.ops.clear();
+        self.controls.clear();
+        self.decode_from(data)
+    }
+
     /// The decode loop: appends the events of `data` and stops at the
     /// first undecodable one, whose error it returns, keeping the events
     /// before it. `Read`/`Write` are decoded inline; every other tag goes
@@ -595,6 +605,13 @@ mod tests {
             DecodedChunk::decode(&bytes),
             Err(DecodeError::Malformed("unknown tag"))
         );
+
+        // Decoding into a used chunk replaces what it held.
+        let mut reused = DecodedChunk::from_events(&[Event::TaskEnd(TaskId(9))]);
+        reused.decode_into(&bytes[..bytes.len() - 2]).unwrap();
+        assert_eq!(reused, DecodedChunk::from_events(&events));
+        reused.decode_into(&encode(&events[1..2])).unwrap();
+        assert_eq!(reused, DecodedChunk::from_events(&events[1..2]));
     }
 
     /// The decoder before the inlined varint cases and the decode loop,

@@ -8,7 +8,19 @@
 //! anything is sent: with [`ClientOptions::lenient`] the client drops the
 //! damaged chunks of the trace and cuts a truncated one at its
 //! truncated chunk, by the rules of a lenient `analyze`, so the daemon
-//! only ever sees intact chunks. On resume it re-streams the full trace;
+//! only ever sees intact chunks.
+//!
+//! The file's own chunks are not copied up front: each payload is
+//! borrowed from the trace and copied once, into the one frame buffer
+//! the client reuses for every frame. A strict stream checks each
+//! chunk's CRC once, while it slices the trace before connecting (a
+//! corrupt chunk is refused locally, never sent), and derives the
+//! frame's CRC from the chunk's stored one instead of reading the payload
+//! again; the daemon's frame check then covers the file's own bytes end
+//! to end. A chunk too large for one wire frame
+//! (`futrace_util::wire::proto::MAX_FRAME_LEN`) is refused before
+//! connecting too, as [`ClientError::ChunkTooLarge`]. On resume it
+//! re-streams the full trace;
 //! the daemon restores its session's engine from the checkpoint, a
 //! snapshot of the detector's state rather than of the trace, and does
 //! not check the chunks it covers again.
@@ -24,13 +36,15 @@
 //! [`ClientError::RetriesExhausted`].
 
 use futrace_offline::{framed, read_events, salvage, FrameError};
-use futrace_runtime::trace;
+use futrace_runtime::trace::{self, DecodedChunk};
 use futrace_util::faultinject::{
     is_transient, write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
 };
 use futrace_util::wire::proto::{
-    encode_frame, read_frame, write_frame, ErrorCode, Message, ProtoError,
+    chunk_frame_len, encode_frame_into, read_frame, write_frame, ErrorCode, Message, ProtoError,
+    MAX_FRAME_LEN,
 };
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -140,6 +154,14 @@ pub enum ClientError {
     Protocol(&'static str),
     /// The local trace is damaged, or not a framed trace at all.
     Trace(FrameError),
+    /// A chunk too large for one wire frame: the trace cannot be streamed
+    /// with its own chunking, and was refused before connecting.
+    ChunkTooLarge {
+        /// Index of the chunk among those the client would send.
+        chunk: u64,
+        /// Its payload bytes.
+        bytes: usize,
+    },
     /// The daemon shed this session for load and the retry budget could
     /// not absorb it.
     Busy {
@@ -165,6 +187,12 @@ impl fmt::Display for ClientError {
             }
             ClientError::Protocol(what) => write!(f, "protocol violation: {what}"),
             ClientError::Trace(e) => write!(f, "invalid trace: {e}"),
+            ClientError::ChunkTooLarge { chunk, bytes } => write!(
+                f,
+                "chunk {chunk} holds {bytes} bytes, too many for one wire frame \
+                 ({MAX_FRAME_LEN} bytes with its message header); \
+                 re-chunk the trace with --chunk-events to stream it"
+            ),
             ClientError::Busy { retry_after_ms } => {
                 write!(f, "daemon busy: retry after {retry_after_ms}ms")
             }
@@ -189,42 +217,88 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// One wire chunk: the events it declares and its codec-encoded payload.
-type WireChunk = (u32, Vec<u8>);
+/// One wire chunk: the events it declares, its codec-encoded payload
+/// (borrowed from the trace unless it was re-encoded), and the CRC the
+/// trace stores for a payload forwarded as it is.
+struct WireChunk<'a> {
+    event_count: u32,
+    payload: Cow<'a, [u8]>,
+    crc: Option<u32>,
+}
 
-/// Slices a trace blob into wire chunks (codec-encoded event runs, each
-/// with the event count its header declares), and counts the damaged
-/// chunks it dropped. Under [`ClientOptions::lenient`] both chunkings
-/// keep exactly the chunks the trace reader keeps.
-fn chunk_payloads(opts: &ClientOptions, blob: &[u8]) -> Result<(Vec<WireChunk>, u64), ClientError> {
+/// Slices a trace blob into wire chunks, and counts the damaged chunks
+/// it dropped. Under [`ClientOptions::lenient`] both chunkings keep
+/// exactly the chunks the trace reader keeps. Every chunk must fit one
+/// wire frame.
+fn chunk_payloads<'a>(
+    opts: &ClientOptions,
+    blob: &'a [u8],
+) -> Result<(Vec<WireChunk<'a>>, u64), ClientError> {
+    let (mut chunks, dropped) = slice_chunks(opts, blob)?;
+    if chunks.is_empty() {
+        chunks.push(WireChunk {
+            event_count: 0,
+            payload: Cow::Borrowed(&[]),
+            crc: None,
+        });
+    }
+    for (seq, c) in (0u64..).zip(&chunks) {
+        if chunk_frame_len(seq, c.event_count, c.payload.len()) > MAX_FRAME_LEN {
+            return Err(ClientError::ChunkTooLarge {
+                chunk: seq,
+                bytes: c.payload.len(),
+            });
+        }
+    }
+    Ok((chunks, dropped))
+}
+
+/// The wire chunks of either chunking, in order, and the damaged chunks
+/// dropped; none for an empty trace.
+fn slice_chunks<'a>(
+    opts: &ClientOptions,
+    blob: &'a [u8],
+) -> Result<(Vec<WireChunk<'a>>, u64), ClientError> {
     if let Some(per_chunk) = opts.chunk_events {
         let per_chunk = per_chunk.max(1);
         let (events, dropped) = read_events(blob, opts.lenient).map_err(ClientError::Trace)?;
-        if events.is_empty() {
-            return Ok((vec![(0, Vec::new())], dropped));
-        }
-        let chunk = |c: &[_]| (c.len() as u32, trace::encode(c));
+        let chunk = |c: &[_]| WireChunk {
+            event_count: c.len() as u32,
+            payload: Cow::Owned(trace::encode(c)),
+            crc: None,
+        };
         return Ok((events.chunks(per_chunk).map(chunk).collect(), dropped));
     }
-    // Strict streaming forwards the payload bytes undecoded, with the
-    // count their header declares; the daemon decodes each chunk anyway
-    // and checks the count.
-    let mut payloads = Vec::new();
+    // The file's own chunks go out undecoded, with the count their header
+    // declares; the daemon decodes each chunk anyway and checks the
+    // count. A lenient stream decodes each chunk, into one reused buffer,
+    // to drop those the trace reader drops, and checksums its frames in
+    // one pass; a strict one forwards each chunk's verified CRC for the
+    // frame's.
+    let mut chunks = Vec::new();
     let mut dropped = 0;
+    let mut scratch = DecodedChunk::default();
     for chunk in framed::chunks(blob) {
         match chunk {
-            Ok(c) if opts.lenient && c.decode().is_err() => dropped += 1,
-            Ok(c) => payloads.push((c.event_count, c.payload.to_vec())),
+            Ok(c)
+                if opts.lenient
+                    && framed::decode_counted(c.index, c.event_count, c.payload, &mut scratch)
+                        .is_err() =>
+            {
+                dropped += 1
+            }
+            Ok(c) => chunks.push(WireChunk {
+                event_count: c.event_count,
+                payload: Cow::Borrowed(c.payload),
+                crc: (!opts.lenient).then_some(c.crc),
+            }),
             Err(FrameError::CorruptChunk { .. }) if opts.lenient => dropped += 1,
             // Framing damage cannot be resynced locally; report it rather
             // than shipping a torn stream.
             Err(e) => return Err(ClientError::Trace(e)),
         }
     }
-    if payloads.is_empty() {
-        payloads.push((0, Vec::new()));
-    }
-    Ok((payloads, dropped))
+    Ok((chunks, dropped))
 }
 
 /// Absorbs transient read errors (`WouldBlock`/`TimedOut` bursts from
@@ -253,22 +327,26 @@ impl<R: Read> Read for PatientReader<R> {
 }
 
 /// One dialed connection: a fault-wrapped read half and write half of
-/// the same socket. With no injection the wrappers pass straight through.
+/// the same socket, and the buffer every frame is encoded into. With no
+/// injection the wrappers pass straight through.
 struct Wire {
     reader: PatientReader<FaultyReader<TcpStream>>,
     writer: FaultyWriter<TcpStream>,
+    frame: Vec<u8>,
 }
 
 impl Wire {
-    fn send(&mut self, msg: &Message) -> Result<(), ClientError> {
-        let frame = encode_frame(msg);
+    /// Sends one frame; `chunk_crc` is a forwarded chunk's stored CRC
+    /// (see `encode_frame_into`).
+    fn send(&mut self, msg: &Message<'_>, chunk_crc: Option<u32>) -> Result<(), ClientError> {
+        encode_frame_into(&mut self.frame, msg, chunk_crc);
         let mut backoff = Backoff::new(0x5E_D1A1, IN_CONN_RETRIES, Duration::from_millis(1));
-        write_all_with_retry(&mut self.writer, &frame, &mut backoff)?;
+        write_all_with_retry(&mut self.writer, &self.frame, &mut backoff)?;
         self.writer.flush()?;
         Ok(())
     }
 
-    fn expect_reply(&mut self) -> Result<Message, ClientError> {
+    fn expect_reply(&mut self) -> Result<Message<'static>, ClientError> {
         match read_frame(&mut self.reader)? {
             Some(Message::Error { code, message }) => Err(ClientError::Remote { code, message }),
             Some(Message::Busy { retry_after_ms }) => Err(ClientError::Busy { retry_after_ms }),
@@ -301,6 +379,7 @@ fn connect(opts: &ClientOptions, attempt: u32) -> Result<Wire, ClientError> {
             inner: FaultyReader::new(read_half, faults.read),
         },
         writer: FaultyWriter::new(stream, faults.write),
+        frame: Vec::new(),
     })
 }
 
@@ -375,17 +454,20 @@ pub fn stream_trace(opts: &ClientOptions, blob: &[u8]) -> Result<ClientOutcome, 
 /// One full connect → Open → stream → Finish pass.
 fn stream_once(
     opts: &ClientOptions,
-    payloads: &[WireChunk],
+    payloads: &[WireChunk<'_>],
     truncated: &Option<FrameError>,
     skipped_chunks: u64,
     attempt: u32,
 ) -> Result<ClientOutcome, ClientError> {
     let mut wire = connect(opts, attempt)?;
 
-    wire.send(&Message::Open {
-        checkpoint_every: opts.checkpoint_every.unwrap_or(0),
-        trace_name: opts.trace_name.clone(),
-    })?;
+    wire.send(
+        &Message::Open {
+            checkpoint_every: opts.checkpoint_every.unwrap_or(0),
+            trace_name: opts.trace_name.clone(),
+        },
+        None,
+    )?;
     let resumed_chunks = match wire.expect_reply()? {
         Message::Hello { resumed_chunks, .. } => resumed_chunks,
         _ => return Err(ClientError::Protocol("expected Hello")),
@@ -393,15 +475,16 @@ fn stream_once(
 
     let mut sent = 0u64;
     let mut events = 0u64;
-    for (event_count, payload) in payloads {
+    for chunk in payloads {
         if opts.suspend_after == Some(sent) {
             return suspend(&mut wire, sent);
         }
-        wire.send(&Message::Chunk {
+        let msg = Message::Chunk {
             seq: sent,
-            event_count: *event_count,
-            payload: payload.clone(),
-        })?;
+            event_count: chunk.event_count,
+            payload: Cow::Borrowed(&chunk.payload),
+        };
+        wire.send(&msg, chunk.crc)?;
         match wire.expect_reply()? {
             Message::VerdictDelta {
                 chunks, events: n, ..
@@ -422,7 +505,7 @@ fn stream_once(
         return suspend(&mut wire, sent);
     }
 
-    wire.send(&Message::Finish)?;
+    wire.send(&Message::Finish, None)?;
     match wire.expect_reply()? {
         Message::Final { races, verdict } => Ok(ClientOutcome::Finished {
             races,
@@ -440,7 +523,7 @@ fn stream_once(
 }
 
 fn suspend(wire: &mut Wire, sent: u64) -> Result<ClientOutcome, ClientError> {
-    wire.send(&Message::Suspend)?;
+    wire.send(&Message::Suspend, None)?;
     match wire.expect_reply()? {
         Message::Suspended { chunks } => {
             let _ = sent;
@@ -463,5 +546,76 @@ pub fn shutdown(addr: &str) -> Result<(), ClientError> {
         // The daemon may tear the socket down instead of a clean FIN.
         Err(ProtoError::Io(_)) => Ok(()),
         Err(e) => Err(e.into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use futrace_util::ids::TaskId;
+
+    /// A framed trace of one CRC-valid chunk declaring one event.
+    fn one_chunk_trace(payload: &[u8]) -> Vec<u8> {
+        let mut blob = framed::MAGIC.to_vec();
+        blob.push(framed::VERSION);
+        blob.extend_from_slice(&framed::chunk_header(payload, 1));
+        blob.extend_from_slice(payload);
+        blob
+    }
+
+    /// An address nothing listens on: dialing it is refused at once.
+    fn closed_addr() -> String {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.local_addr().unwrap().to_string()
+    }
+
+    #[test]
+    fn a_chunk_over_the_frame_cap_is_refused_before_dialing() {
+        // Chunk 0's frame head is 7 bytes: kind, seq, count + 1 and a
+        // four-byte payload length.
+        let largest = MAX_FRAME_LEN - 7;
+        let opts = ClientOptions {
+            addr: closed_addr(),
+            retries: 2,
+            retry_budget_ms: Some(0),
+            ..ClientOptions::default()
+        };
+        match stream_trace(&opts, &one_chunk_trace(&vec![0; largest + 1])) {
+            Err(ClientError::ChunkTooLarge { chunk: 0, bytes }) => {
+                assert_eq!(bytes, largest + 1)
+            }
+            other => panic!("expected ChunkTooLarge, got {other:?}"),
+        }
+        // The largest chunk that fits passes the check and dials.
+        let dialed = stream_trace(&opts, &one_chunk_trace(&vec![0; largest]));
+        assert!(
+            matches!(dialed, Err(ClientError::RetriesExhausted { .. })),
+            "{dialed:?}"
+        );
+    }
+
+    #[test]
+    fn both_framed_chunkings_borrow_the_payloads_they_keep() {
+        let event = trace::encode(&[futrace_runtime::Event::TaskEnd(TaskId(1))]);
+        let blob = one_chunk_trace(&event);
+        let stored = u32::from_le_bytes(framed::chunk_header(&event, 1)[8..].try_into().unwrap());
+        // A strict stream forwards the stored CRC; a lenient one, which
+        // decodes every chunk, checksums its frames in one pass.
+        for (lenient, crc) in [(false, Some(stored)), (true, None)] {
+            let opts = ClientOptions {
+                lenient,
+                ..ClientOptions::default()
+            };
+            let (chunks, dropped) = chunk_payloads(&opts, &blob).unwrap();
+            assert_eq!(dropped, 0);
+            let [c] = &chunks[..] else {
+                panic!("one chunk expected");
+            };
+            let Cow::Borrowed(payload) = c.payload else {
+                panic!("lenient {lenient}: the payload was copied");
+            };
+            assert!(std::ptr::eq(payload, &blob[blob.len() - event.len()..]));
+            assert_eq!(c.crc, crc, "lenient {lenient}");
+        }
     }
 }

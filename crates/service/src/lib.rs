@@ -18,7 +18,10 @@
 //!   back up.
 //! * `client` — `tracetool client`: streams a trace file to a daemon
 //!   chunk by chunk over the framed wire protocol
-//!   (`futrace_util::wire::proto`) and returns the final verdict.
+//!   (`futrace_util::wire::proto`) and returns the final verdict. Each
+//!   payload is copied once on the way, into the client's frame buffer,
+//!   and checksummed twice, by the client's chunk walk and by the
+//!   daemon's frame check.
 //!
 //! The verdict text is rendered by [`render_verdict`], shared by the
 //! one-shot CLI and the daemon so streamed and batch analysis stay

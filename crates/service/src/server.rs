@@ -10,6 +10,11 @@
 //! are busy and the queue is full, `accept` itself stops — backpressure
 //! reaches all the way to the kernel listen queue.
 //!
+//! A worker reads each connection straight into one receive buffer
+//! (`RecvBuf`) and decodes every frame in place, after the frame's CRC
+//! and length cap are checked: a chunk's payload goes to
+//! `Session::feed_chunk_with_count` borrowing the buffer, never copied.
+//!
 //! Failure is never silent: damaged frames and protocol violations are
 //! answered with structured `Error` frames, a request that panics the
 //! analysis drops that one session and is answered with an `Analysis`
@@ -42,8 +47,8 @@ use futrace_offline::{channel, Checkpoint};
 use futrace_util::faultinject::{
     write_all_with_retry, Backoff, FaultyReader, FaultyWriter, NetFaults,
 };
-use futrace_util::wire::proto::{decode_frame, encode_frame, ErrorCode, Message, ProtoError};
-use std::io::{Read, Write};
+use futrace_util::wire::proto::{encode_frame, ErrorCode, Message, RecvBuf};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -307,16 +312,16 @@ fn drive_connection(stream: TcpStream, conn: &mut Conn, state: &ServeState, loca
     };
     let mut reader = FaultyReader::new(read_half, faults.read);
     let mut writer = FaultyWriter::new(stream, faults.write);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut scratch = [0u8; 64 * 1024];
+    // Frames are read into this buffer and decoded in place: a chunk's
+    // payload reaches the session borrowing it.
+    let mut recv = RecvBuf::default();
     let mut last_activity = Instant::now();
 
     loop {
         // Drain every complete frame already buffered.
         loop {
-            match decode_frame(&buf) {
-                Ok((msg, consumed)) => {
-                    buf.drain(..consumed);
+            match recv.next_frame() {
+                Ok(Some(msg)) => {
                     let request = || dispatch(msg, conn, &mut writer, state, local);
                     let flow = catch_unwind(AssertUnwindSafe(request)).unwrap_or_else(|_| {
                         // The panic may have left the engine half-updated:
@@ -338,7 +343,7 @@ fn drive_connection(stream: TcpStream, conn: &mut Conn, state: &ServeState, loca
                         }
                     }
                 }
-                Err(ProtoError::Truncated(_)) => break, // need more bytes
+                Ok(None) => break, // need more bytes
                 Err(e) => {
                     // Structural damage (bad CRC, oversized, malformed):
                     // the stream cannot be resynced. Report, preserve the
@@ -350,16 +355,13 @@ fn drive_connection(stream: TcpStream, conn: &mut Conn, state: &ServeState, loca
             }
         }
 
-        match reader.read(&mut scratch) {
+        match recv.fill(&mut reader) {
             Ok(0) => {
                 // Client went away mid-session: preserve its work.
                 suspend_to_disk(conn, state);
                 return;
             }
-            Ok(n) => {
-                buf.extend_from_slice(&scratch[..n]);
-                last_activity = Instant::now();
-            }
+            Ok(_) => last_activity = Instant::now(),
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
@@ -401,7 +403,7 @@ enum Flow {
 }
 
 fn dispatch<W: Write>(
-    msg: Message,
+    msg: Message<'_>,
     conn: &mut Conn,
     stream: &mut W,
     state: &ServeState,
@@ -651,7 +653,7 @@ fn write_checkpoint_file(conn: &mut Conn, state: &ServeState) {
     }
 }
 
-fn write_reply<W: Write>(stream: &mut W, msg: &Message) -> Flow {
+fn write_reply<W: Write>(stream: &mut W, msg: &Message<'_>) -> Flow {
     let frame = encode_frame(msg);
     // A bounded retry absorbs transient WouldBlock bursts (injected or
     // genuine); a stalled client exhausts the budget because the write

@@ -238,7 +238,7 @@ impl Session {
 
     /// [`Session::feed_chunk`] for a chunk that declares its event count,
     /// as every wire chunk does. The chunk must pass
-    /// [`framed::Chunk::decode`], the test a trace read applies to every
+    /// [`framed::decode_counted`], the test a trace read applies to every
     /// chunk: a payload that decodes to a different number of events
     /// fails with `Malformed("event count mismatch")`, and nothing from
     /// it is applied.
@@ -247,12 +247,9 @@ impl Session {
         payload: &[u8],
         event_count: u32,
     ) -> Result<VerdictDelta, SessionError> {
-        let chunk = framed::Chunk {
-            index: self.chunks as usize,
-            event_count,
-            payload,
-        };
-        let decoded = chunk.decode().map_err(SessionError::Trace)?;
+        let mut decoded = DecodedChunk::default();
+        framed::decode_counted(self.chunks as usize, event_count, payload, &mut decoded)
+            .map_err(SessionError::Trace)?;
         Ok(self.feed_decoded(payload, &decoded))
     }
 

@@ -22,9 +22,20 @@
 //! `unsafe` intrinsics, which this crate forbids, and runtime CPU-feature
 //! detection with a fallback. The sliced kernel is safe, portable code
 //! with one path on every target.
+//!
+//! `crc32_combine` derives the CRC of a concatenation from the CRCs of
+//! its two parts and the second part's length, in O(log n) steps and
+//! without reading the bytes (zlib's method: appending `n` bytes to a
+//! message multiplies its CRC register by `x^(8n)` modulo the
+//! polynomial). The daemon client uses it to checksum a wire frame whose
+//! bulk is a trace chunk's payload from the chunk's stored CRC, which it
+//! has just verified, instead of a second pass over the payload.
 
 /// Bytes folded per step of the sliced loop.
 const SLICE: usize = 16;
+
+/// The reflected CRC-32 polynomial.
+const POLY: u32 = 0xEDB8_8320;
 
 /// `TABLES[0]` is the classic bytewise table. `TABLES[k][b]` is the CRC
 /// contribution of byte `b` followed by `k` zero bytes, so the 16 bytes
@@ -37,7 +48,7 @@ const fn make_tables() -> [[u32; 256]; SLICE] {
         let mut bit = 0;
         while bit < 8 {
             crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
+                (crc >> 1) ^ POLY
             } else {
                 crc >> 1
             };
@@ -66,6 +77,54 @@ pub fn crc32(data: &[u8]) -> u32 {
     let mut h = Hasher::new();
     h.update(data);
     h.finalize()
+}
+
+/// `a * b` modulo the polynomial, both in the CRC's reflected bit order
+/// (the top bit is `x^0`).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut m = 1 << 31;
+    while m != 0 {
+        if a & m != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        m >>= 1;
+    }
+    product
+}
+
+/// `X2N[k]` is `x^(2^k)` modulo the polynomial. The powers repeat with
+/// period 32 (`x^(2^32) = x`), so 32 entries serve every length.
+const fn make_x2n() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 32] = make_x2n();
+
+/// CRC-32 of `a ++ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+/// `len_b = b.len()`, in O(log len_b) steps and without the bytes: the
+/// register after `a` is carried over `len_b` zero bytes (a product with
+/// `x^(8 len_b)`, built from `X2N`), and `b`'s own CRC is added.
+pub(crate) fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1 << 31; // x^0
+    let (mut n, mut k) = (len_b, 3); // 8 * len_b bits: start at x^(2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = multmodp(X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
 }
 
 /// Incremental CRC-32 state, for checksumming data that arrives in pieces
@@ -242,6 +301,63 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn powers_of_x_repeat_with_period_32() {
+        assert_eq!(multmodp(X2N[31], X2N[31]), X2N[0]);
+    }
+
+    #[test]
+    fn combine_matches_the_concatenation_at_every_split() {
+        // 300 bytes: every split point, empty sides included, against the
+        // bytewise reference over the whole.
+        let mut rng = Rng::seeded(0xC0B1);
+        let data = bytes(&mut rng, 300);
+        let want = reference_crc32(&data);
+        for split in 0..=data.len() {
+            let (a, b) = data.split_at(split);
+            let combined = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+            assert_eq!(combined, want, "split at {split}");
+        }
+    }
+
+    #[test]
+    fn combine_of_the_check_vector_and_long_payloads() {
+        for split in 0..=9 {
+            let (a, b) = b"123456789".split_at(split);
+            let combined = crc32_combine(crc32(a), crc32(b), b.len() as u64);
+            assert_eq!(combined, 0xCBF4_3926, "split at {split}");
+        }
+        // Second parts above 64 KiB, as a default-sized chunk's payload
+        // is, behind a short frame head and behind an empty one.
+        let mut rng = Rng::seeded(0xB16);
+        for len in [65_536, 65_537, 200_003] {
+            let data = bytes(&mut rng, len + 7);
+            let want = reference_crc32(&data);
+            let (head, payload) = data.split_at(7);
+            let combined = crc32_combine(crc32(head), crc32(payload), len as u64);
+            assert_eq!(combined, want, "len {len}");
+            assert_eq!(crc32_combine(crc32(&[]), want, data.len() as u64), want);
+        }
+    }
+
+    #[test]
+    fn combine_matches_at_random_splits_and_lengths() {
+        let mut rng = Rng::seeded(0xC0_4B);
+        let data = bytes(&mut rng, 4096);
+        for _ in 0..500 {
+            let at = rng.gen_range(0..data.len());
+            let len = rng.gen_range(0..data.len() - at + 1);
+            let piece = &data[at..at + len];
+            let split = rng.gen_range(0..len + 1);
+            let (a, b) = piece.split_at(split);
+            assert_eq!(
+                crc32_combine(crc32(a), crc32(b), b.len() as u64),
+                reference_crc32(piece),
+                "at {at} len {len} split {split}"
+            );
         }
     }
 }
