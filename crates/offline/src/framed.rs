@@ -26,11 +26,11 @@
 //!   intact (it decodes, and holds the events its header declares), and
 //!   decodes it into the compact [`DecodedChunk`] form. A chunk carries
 //!   the CRC its header stores, so a reader that forwards the payload
-//!   (the daemon client) can derive a frame's CRC from it. [`crate::trace_chunks`] builds the only trace
-//!   reader on the two: strict reads stop at the first damaged chunk with
-//!   a structured [`FrameError`], lenient reads drop a damaged chunk whole
-//!   and count it, and structural damage (a bad header, a truncation) ends
-//!   both.
+//!   (the daemon client) can derive a frame's CRC from it.
+//!   [`crate::trace_chunks`] builds the only trace reader on the two:
+//!   strict reads stop at the first damaged chunk with a structured
+//!   [`FrameError`], lenient reads drop a damaged chunk whole and count
+//!   it, and structural damage (a bad header, a truncation) ends both.
 //!
 //! A blob that does not start with the magic is [`FrameError::NotFramed`]
 //! on every reader, whatever it holds (a bare codec stream, an empty file).

@@ -19,11 +19,12 @@
 //! again; the daemon's frame check then covers the file's own bytes end
 //! to end. A chunk too large for one wire frame
 //! (`futrace_util::wire::proto::MAX_FRAME_LEN`) is refused before
-//! connecting too, as [`ClientError::ChunkTooLarge`]. On resume it
-//! re-streams the full trace;
-//! the daemon restores its session's engine from the checkpoint, a
-//! snapshot of the detector's state rather than of the trace, and does
-//! not check the chunks it covers again.
+//! connecting too, as [`ClientError::ChunkTooLarge`].
+//!
+//! On resume the client re-streams the full trace; the daemon restores
+//! its session's engine from the checkpoint, a snapshot of the
+//! detector's state rather than of the trace, and does not check the
+//! chunks it covers again.
 //!
 //! That no-local-state resume design is what makes reconnection simple:
 //! when a connection tears mid-stream (or the daemon sheds the session

@@ -1021,7 +1021,8 @@ mod tests {
     /// Propcheck: a chunk frame encoded from a borrowed payload into a
     /// reused buffer, its CRC derived from the payload's CRC, is byte
     /// for byte the frame `encode_frame` makes of the owned message, and
-    /// decodes in place back to the same fields.
+    /// decodes in place back to the same fields, from a slice and through
+    /// the receive buffer.
     #[test]
     fn prop_borrowed_chunk_frames_match_owned_ones() {
         let strat = strategies::tuple3(
@@ -1057,6 +1058,7 @@ mod tests {
                     panic!("decode_frame copied the payload");
                 };
                 assert!(std::ptr::eq(bytes, &frame[frame.len() - payload.len()..]));
+                assert_received_agrees(&frame);
             },
         );
     }
