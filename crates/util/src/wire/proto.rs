@@ -584,6 +584,8 @@ impl RecvBuf {
         // An unchecked length (the caller skipped `next_frame`) sizes
         // nothing: only the header's bytes are asked for.
         let frame = frame_len(&self.buf[self.start..self.end]).unwrap_or(FRAME_HEADER_LEN);
+        // At least one byte of room, even behind a whole frame not yet
+        // decoded, so a read of 0 always means the end of the stream.
         let want = frame.max(pending + 1);
         if self.buf.len() - self.start < want {
             self.buf.copy_within(self.start..self.end, 0);
@@ -978,6 +980,39 @@ mod tests {
             bytes,
             &recv.buf[frame.len() - payload.len()..frame.len()]
         ));
+    }
+
+    #[test]
+    fn a_fill_behind_a_whole_frame_still_reads() {
+        // A frame of exactly the buffer's first size fills it to the end.
+        let len = (0..RECV_BUF_LEN)
+            .rev()
+            .find(|&l| FRAME_HEADER_LEN + chunk_frame_len(1, 1, l) == RECV_BUF_LEN)
+            .expect("a payload length that fills the buffer");
+        let msg = Message::Chunk {
+            seq: 1,
+            event_count: 1,
+            payload: vec![7; len].into(),
+        };
+        let frame = encode_frame(&msg);
+        let stream = [&frame[..], &frame[..]].concat();
+        let mut r = Pieces {
+            data: &stream,
+            piece: 4096,
+        };
+        let mut recv = RecvBuf::default();
+        while recv.end < frame.len() {
+            assert!(recv.fill(&mut r).unwrap() > 0);
+        }
+        assert_eq!(recv.end, recv.buf.len());
+        // Filling again before decoding is not the end of the stream.
+        assert!(recv.fill(&mut r).unwrap() > 0);
+        assert_eq!(recv.next_frame().unwrap(), Some(msg.clone()));
+        while recv.end - recv.start < frame.len() {
+            assert!(recv.fill(&mut r).unwrap() > 0);
+        }
+        assert_eq!(recv.next_frame().unwrap(), Some(msg));
+        assert_eq!(recv.fill(&mut r).unwrap(), 0);
     }
 
     #[test]
