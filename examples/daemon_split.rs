@@ -30,13 +30,10 @@
 //! `service.wire_s` counts the daemon's encode and write as wire; this
 //! split does not.
 //!
-//! CPU time is read from `/proc/self/stat` (`utime` and `stime`) and
-//! covers the daemon's thread too, so the example is Linux only. The
-//! times come in clock ticks of 10 ms (`USER_HZ` is 100), so each
-//! measurement repeats its run until the batch lasts about a second, and
-//! reports the batch divided by its runs. The runs take turns, `REPS`
-//! rounds of all seven, so a drift of the host spreads over every run
-//! alike.
+//! The runs take turns, `REPS` rounds of all seven, each measured as
+//! process CPU time over a batch of about a second (`split::take_turns`;
+//! Linux only, as it reads `/proc/self/stat`). Process CPU time covers
+//! the daemon's thread too.
 //!
 //! ```text
 //! cargo run --release --example daemon_split
@@ -45,35 +42,17 @@
 //!
 //! Arguments: `[tiny|scaled] [REPS]`, by default `scaled` and 5 rounds.
 
-use futrace::benchsuite::registry::{self, Scale};
-use futrace::offline::{framed, StreamWriter};
+mod split;
+
+use futrace::offline::framed;
 use futrace::service::{
     self, checkpoint_path, ClientOptions, ServeOptions, Server, Session, SessionConfig,
 };
+use split::{median, take_turns, Traces, PROGRAMS};
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
-
-/// The programs of perfbench's `loops` workload.
-const PROGRAMS: [&str; 4] = ["jacobi", "smithwaterman", "sor", "crypt"];
 
 /// Perfbench's daemon checkpoint interval, in chunks.
 const CHECKPOINT_EVERY: u64 = 64;
-
-/// Wall time one measured batch should last at least.
-const BATCH: Duration = Duration::from_secs(1);
-
-/// Seconds per clock tick of `/proc/self/stat`.
-const TICK_S: f64 = 0.01;
-
-/// Process CPU ticks (user + system) so far.
-fn cpu_ticks() -> u64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("/proc/self/stat is readable");
-    // The command name may hold spaces; every field after it is numeric.
-    let rest = &stat[stat.rfind(')').expect("comm field") + 2..];
-    let fields: Vec<&str> = rest.split_whitespace().collect();
-    let field = |n: usize| -> u64 { fields[n - 3].parse().expect("numeric stat field") };
-    field(14) + field(15)
-}
 
 #[derive(Clone, Copy, PartialEq)]
 enum Run {
@@ -181,52 +160,9 @@ fn feed(blob: &[u8], every: Option<u64>, file: Option<&Path>) {
     session.finish().expect("the session finishes");
 }
 
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = || -> ! {
-        eprintln!("usage: daemon_split [tiny|scaled] [REPS]");
-        std::process::exit(2);
-    };
-    let scale = match args.first().map(String::as_str) {
-        None | Some("scaled") => Scale::Scaled,
-        Some("tiny") => Scale::Tiny,
-        Some(_) => usage(),
-    };
-    let reps = match args.get(1) {
-        None => 5,
-        Some(s) => s
-            .parse()
-            .ok()
-            .filter(|&n: &usize| n >= 1)
-            .unwrap_or_else(|| usage()),
-    };
-
-    let (mut events, mut bytes, mut chunks) = (0u64, 0u64, 0u64);
-    let traces: Vec<Vec<u8>> = PROGRAMS
-        .iter()
-        .map(|name| {
-            let w = registry::find(name).expect("registry program");
-            let mut writer = StreamWriter::new(Vec::new()).expect("in-memory sink");
-            w.run_into(&mut writer, scale, false);
-            let (blob, stats) = writer.finish().expect("in-memory sink");
-            (events, bytes, chunks) = (
-                events + stats.events,
-                bytes + stats.bytes_written,
-                chunks + stats.chunks,
-            );
-            blob
-        })
-        .collect();
+    let (scale, reps) = split::scale_and_reps("daemon_split");
+    let traces = Traces::record(scale);
 
     let dir = std::env::temp_dir().join(format!("daemon_split-{}", std::process::id()));
     let server = Server::bind(ServeOptions {
@@ -248,28 +184,7 @@ fn main() {
         dir: dir.clone(),
     };
 
-    // One timed run per kind sizes its batch; it also warms the heap.
-    let batches: Vec<usize> = RUNS
-        .iter()
-        .map(|&run| {
-            let start = Instant::now();
-            run.run(&traces, &to);
-            let once = start.elapsed().max(Duration::from_micros(1));
-            (BATCH.as_secs_f64() / once.as_secs_f64()).ceil() as usize
-        })
-        .collect();
-
-    let mut cpu: Vec<Vec<f64>> = vec![Vec::new(); RUNS.len()];
-    for _ in 0..reps {
-        for (i, &run) in RUNS.iter().enumerate() {
-            let ticks0 = cpu_ticks();
-            for _ in 0..batches[i] {
-                run.run(&traces, &to);
-            }
-            let ticks1 = cpu_ticks();
-            cpu[i].push((ticks1 - ticks0) as f64 * TICK_S / batches[i] as f64);
-        }
-    }
+    let (batches, mut cpu) = take_turns(RUNS.len(), reps, |i| RUNS[i].run(&traces.blobs, &to));
     service::shutdown(&to.daemon).expect("the daemon drains");
     serving
         .join()
@@ -277,16 +192,7 @@ fn main() {
         .expect("the daemon");
     std::fs::remove_dir_all(&dir).ok();
 
-    println!(
-        "{} ({}): {events} events, {bytes} bytes, {chunks} chunks; \
-         CPU s per pass over all four, {reps} round(s)",
-        PROGRAMS.join(", "),
-        if scale == Scale::Tiny {
-            "tiny"
-        } else {
-            "scaled"
-        }
-    );
+    println!("{}", traces.heading(scale, reps));
     println!(
         "{:<13} {:>6} {:>10} {:>10} {:>10}",
         "run", "runs", "best_s", "median_s", "worst_s"
